@@ -41,8 +41,6 @@ def workloads(backend, pts, segs):
     probe = pts[0]
     return [
         ("max_pair_dist2", lambda: backend.max_pair_dist2(pts)),
-        ("close_indices", lambda: [
-            backend.close_indices(pts, p, 1, 4) for p in pts[:40]]),
         ("point_seg_dist2", lambda: [
             backend.point_seg_dist2(probe, a, b) for a, b in segs]),
         ("seg_intersection", lambda: [

@@ -12,8 +12,8 @@ from .continuum import (LimitCheck, ToothPolyline, ToothSequenceSpec,
                         build_shark_teeth, limit_check, n_k,
                         next_amplitude_bound, phi, phi_n, predicted_counts,
                         spec_from_meta, tooth_height, tooth_polyline)
-from .cover import (CoverCertificate, DisconnectionWitness, DistanceWitness,
-                    EdgeFragment, GraphPoint, SeparationCertificate, SubSet,
+from .cover import (CoverCertificate, DisconnectionWitness, EdgeFragment,
+                    GraphPoint, SeparationCertificate, SubSet,
                     TruncationGuard, brute_force_oracle,
                     certificate_from_json_dict, check_cover,
                     check_separation, disconnection_witness, lower_separation,
@@ -27,8 +27,7 @@ from .errors import (BudgetExceeded, CrossingAssertionFailure,
                      OverlapError, ParseError, SdimlabError, SizeLimit,
                      TooFewScales, TooLarge, VerificationFailure)
 from .geom import (PLGraph, Point, Segment, arrange, dist2, format_rational,
-                   parse_rational, point, points_diameter2, segment,
-                   subgraph_diameter2)
+                   parse_rational, point, points_diameter2, segment)
 from .ifs import (FIXTURES, AffineMap2, IFSSpec, WordCover, WordPiece,
                   attractor_cloud, cantor_dust, cloud_diameter, find_k0,
                   hausdorff, ifs_dimension_bound, lip_affine, s_upper_ifs,

@@ -24,15 +24,6 @@ def norm_q(n, d):
     return n // g, d // g
 
 
-def q_cmp(an, ad, bn, bd):
-    """Sign of a/b - c/d for positive denominators: -1, 0, or 1."""
-    lhs = an * bd
-    rhs = bn * ad
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0
 
 
 def dist2_q(a, b):
@@ -65,19 +56,6 @@ def max_pair_dist2(pts):
     return norm_q(best_n, best_d)
 
 
-def max_dist2_to(pts, p):
-    """Max squared distance from point p to any point of pts."""
-    best_n, best_d = 0, 1
-    for a in pts:
-        dxn = a[0] * p[1] - p[0] * a[1]
-        dxd = a[1] * p[1]
-        dyn = a[2] * p[3] - p[2] * a[3]
-        dyd = a[3] * p[3]
-        num = dxn * dxn * dyd * dyd + dyn * dyn * dxd * dxd
-        den = dxd * dxd * dyd * dyd
-        if num * best_d > best_n * den:
-            best_n, best_d = num, den
-    return norm_q(best_n, best_d)
 
 
 def all_dist2_below(pts, p, lim_n, lim_d):
@@ -94,19 +72,6 @@ def all_dist2_below(pts, p, lim_n, lim_d):
     return True
 
 
-def close_indices(pts, p, lim_n, lim_d):
-    """Indices i with dist2(pts[i], p) < lim strictly."""
-    out = []
-    for i, a in enumerate(pts):
-        dxn = a[0] * p[1] - p[0] * a[1]
-        dxd = a[1] * p[1]
-        dyn = a[2] * p[3] - p[2] * a[3]
-        dyd = a[3] * p[3]
-        num = dxn * dxn * dyd * dyd + dyn * dyn * dxd * dxd
-        den = dxd * dxd * dyd * dyd
-        if num * lim_d < lim_n * den:
-            out.append(i)
-    return out
 
 
 def point_seg_dist2(p, a, b):

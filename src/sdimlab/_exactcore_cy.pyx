@@ -21,14 +21,6 @@ cpdef tuple norm_q(n, d):
     return n // g, d // g
 
 
-cpdef int q_cmp(an, ad, bn, bd):
-    lhs = an * bd
-    rhs = bn * ad
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0
 
 
 cpdef tuple dist2_q(tuple a, tuple b):
@@ -61,19 +53,6 @@ cpdef tuple max_pair_dist2(list pts):
     return norm_q(best_n, best_d)
 
 
-cpdef tuple max_dist2_to(list pts, tuple p):
-    cdef tuple a
-    best_n, best_d = 0, 1
-    for a in pts:
-        dxn = a[0] * p[1] - p[0] * a[1]
-        dxd = a[1] * p[1]
-        dyn = a[2] * p[3] - p[2] * a[3]
-        dyd = a[3] * p[3]
-        num = dxn * dxn * dyd * dyd + dyn * dyn * dxd * dxd
-        den = dxd * dxd * dyd * dyd
-        if num * best_d > best_n * den:
-            best_n, best_d = num, den
-    return norm_q(best_n, best_d)
 
 
 cpdef bint all_dist2_below(list pts, tuple p, lim_n, lim_d):
@@ -90,21 +69,6 @@ cpdef bint all_dist2_below(list pts, tuple p, lim_n, lim_d):
     return True
 
 
-cpdef list close_indices(list pts, tuple p, lim_n, lim_d):
-    cdef Py_ssize_t i
-    cdef tuple a
-    cdef list out = []
-    for i in range(len(pts)):
-        a = pts[i]
-        dxn = a[0] * p[1] - p[0] * a[1]
-        dxd = a[1] * p[1]
-        dyn = a[2] * p[3] - p[2] * a[3]
-        dyd = a[3] * p[3]
-        num = dxn * dxn * dyd * dyd + dyn * dyn * dxd * dxd
-        den = dxd * dxd * dyd * dyd
-        if num * lim_d < lim_n * den:
-            out.append(i)
-    return out
 
 
 cpdef tuple point_seg_dist2(tuple p, tuple a, tuple b):

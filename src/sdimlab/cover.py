@@ -8,10 +8,11 @@ Everything here brackets that number for a `PLGraph` host:
     connected edge-fragment unions whose diameters are verified below eps
     and whose fragments cover every edge.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
-    with a per-pair witness that no single admissible piece can contain
-    both: either the pair is at distance >= eps, or the eps-ball around one
-    of them, clipped to the graph, falls apart into components separating
-    the two.
+    no two of which any single admissible piece can contain.  Only pairs
+    closer than eps carry a witness: the eps-ball around one of them,
+    clipped to the graph, falls apart into components separating the two.
+    Every other pair is claimed to be at distance >= eps, which the
+    checker recomputes from the two points alone.
 
 Certificates are self-contained and re-checkable; `verify_cover` and
 `verify_separation` recompute every claim from scratch with exact rational
@@ -27,17 +28,18 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import exactcore as xc
 from .errors import (EmptySubset, HostMismatch, ParseError, TooLarge,
                      VerificationFailure)
-from .geom import PLGraph, Point, format_rational, parse_rational
+from .geom import PLGraph, Point, UnionFind, format_rational, parse_rational
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
+COVER_VERSION = 1
 SEPARATION_FORMAT = "sdimlab/separation"
-FORMAT_VERSION = 1
+SEPARATION_VERSION = 2
 
 ORACLE_MAX_EDGES = 12
 _ORACLE_SEARCH_CAP = 300_000
@@ -101,19 +103,7 @@ class SubSet:
         nodes = len(self.fragments) + len(self.vertices)
         if nodes == 0:
             raise EmptySubset("element has no fragments and no vertices")
-        parent = list(range(nodes))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-
+        sets = UnionFind(range(nodes))
         per_edge: dict[int, list[int]] = {}
         for i, f in enumerate(self.fragments):
             per_edge.setdefault(f.edge, []).append(i)
@@ -123,7 +113,7 @@ class SubSet:
             for i in idxs[1:]:
                 f = self.fragments[i]
                 if f.lo <= top_hi:
-                    union(i, top)
+                    sets.union(i, top)
                 if f.hi > top_hi:
                     top, top_hi = i, f.hi
 
@@ -138,10 +128,8 @@ class SubSet:
             touch.setdefault(v, []).append(len(self.fragments) + k)
         for idxs in touch.values():
             for i in idxs[1:]:
-                union(idxs[0], i)
-
-        root = find(0)
-        return all(find(i) == root for i in range(nodes))
+                sets.union(idxs[0], i)
+        return sets.count() == 1
 
 
 @dataclass(frozen=True)
@@ -168,7 +156,7 @@ class CoverCertificate:
             })
         return {
             "format": COVER_FORMAT,
-            "version": FORMAT_VERSION,
+            "version": COVER_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
             "elements": out,
@@ -176,7 +164,7 @@ class CoverCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoverCertificate":
-        _expect_format(data, COVER_FORMAT)
+        _expect_format(data, COVER_FORMAT, COVER_VERSION)
         try:
             elements = []
             for el in data["elements"]:
@@ -211,12 +199,6 @@ class GraphPoint:
 
 
 @dataclass(frozen=True)
-class DistanceWitness:
-    """The pair is at Euclidean distance >= eps (ties allowed)."""
-    kind: str = field(default="distance", init=False)
-
-
-@dataclass(frozen=True)
 class DisconnectionWitness:
     """The clipped eps-ball around point `center` separates the pair.
 
@@ -247,32 +229,21 @@ class TruncationGuard:
 class SeparationCertificate:
     epsilon: Fraction
     points: tuple[GraphPoint, ...]
-    witnesses: tuple[tuple[int, int, object], ...]
+    witnesses: tuple[tuple[int, int, DisconnectionWitness], ...]
     guard: TruncationGuard | None
     graph_id: str
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def witness_for(self, i: int, j: int):
-        if i > j:
-            i, j = j, i
-        for a, b, w in self.witnesses:
-            if (a, b) == (i, j):
-                return w
-        return None
-
     def to_json_dict(self) -> dict:
-        ws = []
-        for i, j, w in sorted(self.witnesses, key=lambda t: (t[0], t[1])):
-            entry = {"i": i, "j": j, "kind": w.kind}
-            if isinstance(w, DisconnectionWitness):
-                entry["center"] = w.center
-                entry["delta"] = format_rational(w.delta)
-            ws.append(entry)
+        ws = [{"i": i, "j": j, "center": w.center,
+               "delta": format_rational(w.delta)}
+              for i, j, w in sorted(self.witnesses,
+                                    key=lambda t: (t[0], t[1]))]
         return {
             "format": SEPARATION_FORMAT,
-            "version": FORMAT_VERSION,
+            "version": SEPARATION_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
             "points": [[p.edge, format_rational(p.t)] for p in self.points],
@@ -286,36 +257,31 @@ class SeparationCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SeparationCertificate":
-        _expect_format(data, SEPARATION_FORMAT)
+        _expect_format(data, SEPARATION_FORMAT, SEPARATION_VERSION)
         try:
             points = tuple(GraphPoint(int(e), parse_rational(t))
                            for e, t in data["points"])
-            witnesses = []
-            for w in data["witnesses"]:
-                i, j = int(w["i"]), int(w["j"])
-                if w["kind"] == "distance":
-                    witnesses.append((i, j, DistanceWitness()))
-                elif w["kind"] == "disconnection":
-                    witnesses.append((i, j, DisconnectionWitness(
-                        int(w["center"]), parse_rational(w["delta"]))))
-                else:
-                    raise ValueError(f"unknown witness kind {w['kind']!r}")
+            witnesses = tuple(
+                (int(w["i"]), int(w["j"]),
+                 DisconnectionWitness(int(w["center"]),
+                                      parse_rational(w["delta"])))
+                for w in data["witnesses"])
             g = data.get("guard")
             guard = None if g is None else TruncationGuard(
                 int(g["K"]),
                 parse_rational(g["amplitude_bound"]),
                 parse_rational(g["threshold"]))
             return cls(parse_rational(data["epsilon"]), points,
-                       tuple(witnesses), guard, str(data["graph_id"]))
+                       witnesses, guard, str(data["graph_id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(
                 f"malformed separation certificate: {exc}") from exc
 
 
-def _expect_format(data: dict, name: str) -> None:
+def _expect_format(data: dict, name: str, version: int) -> None:
     if not isinstance(data, dict) or data.get("format") != name:
         raise ParseError(f"not a {name} document")
-    if data.get("version") != FORMAT_VERSION:
+    if data.get("version") != version:
         raise ParseError(f"unsupported version {data.get('version')!r}")
 
 
@@ -360,19 +326,7 @@ class _ClipIndex:
         en, ed = eps2.numerator, eps2.denominator
         self.nfrag: list[int] = []
         self.kept: list[list[bool] | None] = []
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        def union(u, v):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-
+        self._sets = UnionFind()
         touch: dict[int, list[tuple[int, int]]] = {}
         for e in range(len(graph.edges)):
             a, b = graph.edge_endpoints(e)
@@ -395,17 +349,16 @@ class _ClipIndex:
             self.kept.append(flags)
             for j, f in enumerate(flags):
                 if f:
-                    parent[(e, j)] = (e, j)
+                    self._sets.add((e, j))
                     if j > 0 and flags[j - 1]:
-                        union((e, j - 1), (e, j))
+                        self._sets.union((e, j - 1), (e, j))
             if flags[0]:
                 touch.setdefault(graph.edges[e][0], []).append((e, 0))
             if flags[m - 1]:
                 touch.setdefault(graph.edges[e][1], []).append((e, m - 1))
         for nodes in touch.values():
             for u in nodes[1:]:
-                union(nodes[0], u)
-        self._find = find
+                self._sets.union(nodes[0], u)
         self.center_comps = self.components_at(center)
 
     def components_at(self, gp: GraphPoint) -> frozenset:
@@ -419,7 +372,7 @@ class _ClipIndex:
         js = {j0}
         if j0 > 0 and gp.t == Fraction(j0, m):
             js.add(j0 - 1)
-        return frozenset(self._find((gp.edge, j))
+        return frozenset(self._sets.find((gp.edge, j))
                          for j in js if flags[j])
 
     def separates(self, gp: GraphPoint) -> bool:
@@ -470,6 +423,8 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
     ne, nv = len(graph.edges), len(graph.vertices)
     covered: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(ne)]
     for idx, el in enumerate(cert.elements):
+        if not el.fragments and not el.vertices:
+            raise VerificationFailure(f"element {idx} is empty")
         for f in el.fragments:
             if not (0 <= f.edge < ne):
                 raise VerificationFailure(
@@ -515,11 +470,13 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
                      budget: Budget | None = None) -> int:
     """Recheck a separation certificate; returns the point count.
 
-    Every unordered pair of points must carry a valid witness.  When a
-    guard is present, the truncation index and amplitude bound are
-    recomputed from the host's builder metadata and every point must clear
-    the height threshold.  Raises VerificationFailure with the first
-    offending detail; `verify_separation` is the boolean wrapper.
+    A pair listed with a disconnection witness must be separated by the
+    clipped eps-ball around the witness center; every unlisted pair must
+    be at distance >= eps, recomputed exactly.  When a guard is present,
+    the truncation index and amplitude bound are recomputed from the
+    host's builder metadata and every point must clear the height
+    threshold.  Raises VerificationFailure with the first offending
+    detail; `verify_separation` is the boolean wrapper.
     """
     budget = budget or Budget()
     budget.check_edges(len(graph.edges))
@@ -564,31 +521,27 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
         for j in range(i + 1, n):
             w = table.get((i, j))
             if w is None:
-                raise VerificationFailure(f"pair ({i},{j}) has no witness")
-            if isinstance(w, DistanceWitness):
                 work.add(1)
                 dn, dd = xc.dist2_q(located[i].raw(), located[j].raw())
                 if dn * ed < en * dd:
                     raise VerificationFailure(
-                        f"pair ({i},{j}): distance below epsilon")
-            elif isinstance(w, DisconnectionWitness):
-                if w.center not in (i, j):
-                    raise VerificationFailure(
-                        f"pair ({i},{j}): center must be one of the pair")
-                if w.delta <= 0:
-                    raise VerificationFailure(
-                        f"pair ({i},{j}): delta must be positive")
-                c, o = (i, j) if w.center == i else (j, i)
-                key = (c, w.delta)
-                if key not in clips:
-                    clips[key] = _ClipIndex(graph, cert.points[c], eps2,
-                                            w.delta, work)
-                if not clips[key].separates(cert.points[o]):
-                    raise VerificationFailure(
-                        f"pair ({i},{j}): clipped ball does not separate")
-            else:
+                        f"pair ({i},{j}): no witness and distance below "
+                        f"epsilon")
+                continue
+            if w.center not in (i, j):
                 raise VerificationFailure(
-                    f"pair ({i},{j}): unknown witness type")
+                    f"pair ({i},{j}): center must be one of the pair")
+            if w.delta <= 0:
+                raise VerificationFailure(
+                    f"pair ({i},{j}): delta must be positive")
+            c, o = (i, j) if w.center == i else (j, i)
+            key = (c, w.delta)
+            if key not in clips:
+                clips[key] = _ClipIndex(graph, cert.points[c], eps2,
+                                        w.delta, work)
+            if not clips[key].separates(cert.points[o]):
+                raise VerificationFailure(
+                    f"pair ({i},{j}): clipped ball does not separate")
     return n
 
 
@@ -862,9 +815,10 @@ def lower_separation(graph: PLGraph, eps: Fraction,
 
     Candidates are scanned from the highest point down; each is kept when
     every already-kept point is either at distance >= eps or provably cut
-    off by the candidate's clipped eps-ball.  With a guard, candidates
-    below the height threshold are discarded first, which is what makes
-    the resulting certificate meaningful for the untruncated continuum.
+    off by the candidate's clipped eps-ball.  Only the cut-off pairs get a
+    witness in the certificate.  With a guard, candidates below the height
+    threshold are discarded first, which is what makes the resulting
+    certificate meaningful for the untruncated continuum.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -882,17 +836,16 @@ def lower_separation(graph: PLGraph, eps: Fraction,
 
     kept: list[GraphPoint] = []
     kept_raw: list = []
-    witnesses: list[tuple[int, int, object]] = []
+    witnesses: list[tuple[int, int, DisconnectionWitness]] = []
     for gp, p in located:
         rp = p.raw()
         clip: _ClipIndex | None = None
-        found: list[tuple[int, object]] = []
+        found: list[tuple[int, DisconnectionWitness]] = []
         ok = True
         for i, rk in enumerate(kept_raw):
             work.add(1)
             dn, dd = xc.dist2_q(rp, rk)
             if dn * ed >= en * dd:
-                found.append((i, DistanceWitness()))
                 continue
             if clip is None:
                 clip = _ClipIndex(graph, gp, eps2, delta, work)

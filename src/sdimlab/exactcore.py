@@ -20,11 +20,8 @@ else:
 BACKEND = _impl.BACKEND
 
 norm_q = _impl.norm_q
-q_cmp = _impl.q_cmp
 dist2_q = _impl.dist2_q
 max_pair_dist2 = _impl.max_pair_dist2
-max_dist2_to = _impl.max_dist2_to
 all_dist2_below = _impl.all_dist2_below
-close_indices = _impl.close_indices
 point_seg_dist2 = _impl.point_seg_dist2
 seg_intersection = _impl.seg_intersection

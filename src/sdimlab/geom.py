@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from . import exactcore as xc
 from .errors import DisconnectedInput, EmptySubset, OverlapError, ParseError
@@ -81,17 +81,30 @@ def points_diameter2(points: Sequence[Point]) -> Fraction:
     return Fraction(n, d)
 
 
-class _SupportsEndpoints(Protocol):
-    def endpoint_points(self, graph: "PLGraph") -> list[Point]: ...
+class UnionFind:
+    """Disjoint sets over hashable keys, with path halving."""
 
+    def __init__(self, keys: Iterable[Hashable] = ()):
+        self._parent = {k: k for k in keys}
 
-def subgraph_diameter2(graph: "PLGraph", s: _SupportsEndpoints) -> Fraction:
-    """Squared diameter of a subset of a plane graph.
+    def add(self, k: Hashable) -> None:
+        self._parent.setdefault(k, k)
 
-    For a union of segments the maximum distance is attained at segment
-    endpoints, so endpoint enumeration is exact, not an approximation.
-    """
-    return points_diameter2(s.endpoint_points(graph))
+    def find(self, k: Hashable) -> Hashable:
+        parent = self._parent
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    def union(self, a: Hashable, b: Hashable) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[ra] = rb
+
+    def count(self) -> int:
+        """Number of disjoint sets."""
+        return len({self.find(k) for k in self._parent})
 
 
 class PLGraph:
@@ -108,7 +121,6 @@ class PLGraph:
             (min(i, j), max(i, j)) for i, j in edges)
         self.meta: dict = dict(meta or {})
         self._validate_cheap()
-        self._raw = [v.raw() for v in self.vertices]
         self._incident: list[list[tuple[int, int]]] | None = None
         self._id: str | None = None
 
@@ -144,9 +156,6 @@ class PLGraph:
         a, b = self.edge_endpoints(e)
         return dist2(a, b)
 
-    def raw_vertex(self, i: int) -> tuple[int, int, int, int]:
-        return self._raw[i]
-
     def incident(self, v: int) -> list[tuple[int, int]]:
         """Edges at vertex v as (edge id, endpoint param 0 or 1)."""
         if self._incident is None:
@@ -160,27 +169,11 @@ class PLGraph:
     def diameter2(self) -> Fraction:
         return points_diameter2(self.vertices)
 
-    def total_length(self) -> float:
-        return sum(math.sqrt(float(self.edge_length2(e)))
-                   for e in range(len(self.edges)))
-
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        parent = list(range(len(self.vertices)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        sets = UnionFind(range(len(self.vertices)))
         for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        root = find(0)
-        return all(find(i) == root for i in range(len(self.vertices)))
+            sets.union(i, j)
+        return sets.count() <= 1
 
     def validate_proper(self) -> None:
         """Full O(E^2) check that edges meet only at shared endpoints."""

@@ -176,8 +176,12 @@ def _sep_point(graph, entry):
 
 
 def mut_sep_drop_witness(doc, graph, rng):
-    assert doc["witnesses"]
-    del doc["witnesses"][rng.randrange(len(doc["witnesses"]))]
+    # An unlisted pair claims distance >= eps; a witnessed pair is closer.
+    w = doc["witnesses"].pop(rng.randrange(len(doc["witnesses"])))
+    d2 = dist2(_sep_point(graph, doc["points"][w["i"]]),
+               _sep_point(graph, doc["points"][w["j"]]))
+    eps = Fraction(doc["epsilon"])
+    assert d2 < eps * eps
     return doc
 
 
@@ -188,11 +192,16 @@ def mut_sep_dup_point(doc, graph, rng):
     return doc
 
 
+def _unlisted_pairs(doc):
+    listed = {(w["i"], w["j"]) for w in doc["witnesses"]}
+    return [p for p in itertools.combinations(range(len(doc["points"])), 2)
+            if p not in listed]
+
+
 def mut_sep_eps_above_distance(doc, graph, rng):
-    pairs = [w for w in doc["witnesses"] if w["kind"] == "distance"]
-    w = rng.choice(pairs)
-    d2 = dist2(_sep_point(graph, doc["points"][w["i"]]),
-               _sep_point(graph, doc["points"][w["j"]]))
+    i, j = rng.choice(_unlisted_pairs(doc))
+    d2 = dist2(_sep_point(graph, doc["points"][i]),
+               _sep_point(graph, doc["points"][j]))
     assert d2 > 0
     # (p+q)/q squared always exceeds p/q, so the pair lands inside eps.
     eps = Fraction(d2.numerator + d2.denominator, d2.denominator)
@@ -201,15 +210,12 @@ def mut_sep_eps_above_distance(doc, graph, rng):
     return doc
 
 
-def mut_sep_kind_flip(doc, graph, rng):
-    pairs = [w for w in doc["witnesses"] if w["kind"] == "disconnection"]
-    w = rng.choice(pairs)
-    d2 = dist2(_sep_point(graph, doc["points"][w["i"]]),
-               _sep_point(graph, doc["points"][w["j"]]))
-    eps = Fraction(doc["epsilon"])
-    assert d2 < eps * eps
-    doc["witnesses"][doc["witnesses"].index(w)] = \
-        {"i": w["i"], "j": w["j"], "kind": "distance"}
+def mut_sep_foreign_center(doc, graph, rng):
+    w = rng.choice(doc["witnesses"])
+    n = len(doc["points"])
+    others = [k for k in range(n) if k not in (w["i"], w["j"])]
+    w["center"] = rng.choice(others) if others else n
+    assert w["center"] not in (w["i"], w["j"])
     return doc
 
 
@@ -244,11 +250,11 @@ def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
         cert = lower_separation(
             g, eps, guard=truncation_guard(g, eps) if guard else None)
         doc = cert.to_json_dict()
-        ops = [mut_sep_drop_witness, mut_sep_dup_point, mut_sep_wrong_host]
-        if any(w["kind"] == "distance" for w in doc["witnesses"]):
+        ops = [mut_sep_dup_point, mut_sep_wrong_host]
+        if doc["witnesses"]:
+            ops.extend([mut_sep_drop_witness, mut_sep_foreign_center])
+        if _unlisted_pairs(doc):
             ops.append(mut_sep_eps_above_distance)
-        if any(w["kind"] == "disconnection" for w in doc["witnesses"]):
-            ops.append(mut_sep_kind_flip)
         if doc["guard"] is not None:
             ops.extend([mut_sep_guard_thin, mut_sep_guard_wrong_k])
         bases.append(("separation", g, doc, ops))

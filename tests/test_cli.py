@@ -192,6 +192,31 @@ def test_verify_tampered_certificate_exits_one(tmp_path, seg_graph_file):
     assert res.stderr.startswith("VERIFY:")
 
 
+def test_verify_empty_element_exits_one(tmp_path, seg_graph_file):
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    doc = json.loads(cert.read_text())
+    doc["elements"].append({"whole_edges": [], "partial_edges": [],
+                            "anchor_vertices": []})
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 1
+    assert res.stderr.startswith("VERIFY:")
+
+
+def test_verify_refuses_v1_separation_document(tmp_path, m3_graph):
+    cert = tmp_path / "low.json"
+    invoke("cover", "--graph", m3_graph, "--epsilon", "1/8",
+           "--mode", "lower", "--out", cert)
+    doc = json.loads(cert.read_text())
+    doc["version"] = 1
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", m3_graph, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
 def test_verify_rejects_non_certificate(tmp_path, seg_graph_file):
     junk = tmp_path / "junk.json"
     junk.write_text(json.dumps({"format": "sdimlab/etc"}))

@@ -9,19 +9,21 @@ reach it.  The small-host brackets were cross-checked against
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
-                     DisconnectionWitness, DistanceWitness, EdgeFragment,
-                     EmptySubset, GraphPoint, HostMismatch, ParseError,
+                     DisconnectionWitness, EdgeFragment, EmptySubset,
+                     GraphPoint, HostMismatch, ParseError,
                      SeparationCertificate, SubSet, TruncationGuard,
                      VerificationFailure, brute_force_oracle,
                      certificate_from_json_dict, check_cover,
                      check_separation, disconnection_witness, dist2,
-                     lower_separation, s_bounds, truncation_guard,
-                     upper_cover, verify_cover, verify_separation)
+                     lower_separation, points_diameter2, s_bounds,
+                     truncation_guard, upper_cover, verify_cover,
+                     verify_separation)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -90,11 +92,10 @@ def test_interval_cover_needs_m_plus_one_pieces(seg_graph, m):
 
 
 def test_cover_diameters_strictly_below_eps(cross_graph):
-    from sdimlab import subgraph_diameter2
     eps = QUARTER
     cert = upper_cover(cross_graph, eps)
     for el in cert.elements:
-        assert subgraph_diameter2(cross_graph, el) < eps * eps
+        assert points_diameter2(el.endpoint_points(cross_graph)) < eps * eps
 
 
 def test_cover_verifies_on_all_fixtures(seg_graph, cross_graph, lshape_graph,
@@ -131,11 +132,19 @@ def test_interval_separation_reaches_m_plus_one(seg_graph, m):
     assert check_separation(seg_graph, cert) == m + 1
 
 
-def test_separation_emits_both_witness_kinds(m2):
-    cert = lower_separation(m2, HALF)
-    kinds = {type(w) for _, _, w in cert.witnesses}
-    assert kinds == {DistanceWitness, DisconnectionWitness}
-    assert check_separation(m2, cert) == len(cert.points)
+@pytest.mark.parametrize("host", ["m2", "m3", "w6"])
+def test_separation_witnesses_exactly_the_close_pairs(host, request):
+    # Listed pairs are closer than eps; every unlisted pair is eps apart.
+    g = request.getfixturevalue(host)
+    eps = Fraction(1, 64)
+    cert = lower_separation(g, eps)
+    located = [gp.locate(g) for gp in cert.points]
+    listed = {(i, j) for i, j, _ in cert.witnesses}
+    assert listed
+    for i, j in itertools.combinations(range(len(located)), 2):
+        close = dist2(located[i], located[j]) < eps * eps
+        assert ((i, j) in listed) == close, (i, j)
+    assert check_separation(g, cert) == len(cert.points)
 
 
 def test_vertices_candidate_mode(m3):
@@ -276,11 +285,8 @@ def test_guard_point_below_threshold_fails(m3):
     cert = _guarded_cert(m3)
     base_point = GraphPoint(0, Fraction(0))
     pts = cert.points + (base_point,)
-    n = len(cert.points)
-    extra = tuple((i, n, DistanceWitness()) for i in range(n))
-    bad = SeparationCertificate(cert.epsilon, pts,
-                                cert.witnesses + extra, cert.guard,
-                                cert.graph_id)
+    bad = SeparationCertificate(cert.epsilon, pts, cert.witnesses,
+                                cert.guard, cert.graph_id)
     with pytest.raises(VerificationFailure):
         check_separation(m3, bad)
 
@@ -339,6 +345,20 @@ def test_check_cover_rejects_disconnected_element(seg_graph):
         check_cover(seg_graph, cert)
 
 
+def test_check_cover_rejects_empty_element(seg_graph):
+    # Valid apart from the empty element, which must fail, not raise
+    # EmptySubset.
+    cert = CoverCertificate(
+        Fraction(3, 4),
+        (SubSet((EdgeFragment(0, Fraction(0), HALF),)),
+         SubSet(()),
+         SubSet((EdgeFragment(0, HALF, Fraction(1)),))),
+        seg_graph.graph_id())
+    with pytest.raises(VerificationFailure, match="element 1 is empty"):
+        check_cover(seg_graph, cert)
+    assert verify_cover(seg_graph, cert) is False
+
+
 def test_check_cover_rejects_wrong_host(seg_graph, m1):
     cert = upper_cover(seg_graph, HALF)
     with pytest.raises(HostMismatch):
@@ -346,18 +366,10 @@ def test_check_cover_rejects_wrong_host(seg_graph, m1):
 
 
 def test_check_separation_rejects_missing_witness(seg_graph):
-    pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, Fraction(1)))
+    # An unlisted pair claims distance >= eps; these two are 1/4 apart.
+    pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, QUARTER))
     cert = SeparationCertificate(HALF, pts, (), None,
                                  seg_graph.graph_id())
-    with pytest.raises(VerificationFailure):
-        check_separation(seg_graph, cert)
-
-
-def test_check_separation_rejects_false_distance_claim(seg_graph):
-    pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, Fraction(1, 4)))
-    cert = SeparationCertificate(
-        HALF, pts, ((0, 1, DistanceWitness()),), None,
-        seg_graph.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(seg_graph, cert)
 
@@ -365,9 +377,7 @@ def test_check_separation_rejects_false_distance_claim(seg_graph):
 def test_check_separation_accepts_distance_tie(seg_graph):
     # dist == eps is allowed for separation, unlike the cover side.
     pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, HALF))
-    cert = SeparationCertificate(
-        HALF, pts, ((0, 1, DistanceWitness()),), None,
-        seg_graph.graph_id())
+    cert = SeparationCertificate(HALF, pts, (), None, seg_graph.graph_id())
     assert check_separation(seg_graph, cert) == 2
 
 
@@ -438,9 +448,23 @@ def test_separation_certificate_round_trip(m2, m3):
     guarded = lower_separation(m3, EIGHTH, guard=truncation_guard(m3, EIGHTH),
                                candidates="vertices")
     for g, cert in ((m2, plain), (m3, guarded)):
-        back = SeparationCertificate.from_json_dict(cert.to_json_dict())
+        doc = cert.to_json_dict()
+        assert doc["version"] == 2
+        assert all(set(w) == {"i", "j", "center", "delta"}
+                   for w in doc["witnesses"])
+        back = SeparationCertificate.from_json_dict(doc)
         assert back == cert
+        assert back.to_json_dict() == doc
         assert check_separation(g, back) == len(cert.points)
+
+
+def test_separation_v1_document_is_refused(m2):
+    doc = lower_separation(m2, HALF).to_json_dict()
+    doc["version"] = 1
+    doc["witnesses"] = [{**w, "kind": "disconnection"}
+                        for w in doc["witnesses"]]
+    with pytest.raises(ParseError):
+        certificate_from_json_dict(doc)
 
 
 def test_guard_serialized_under_uppercase_k(m3):
