@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -237,8 +238,8 @@ def cmd_ifs(spec_path: str, delta: float, depth: int | None,
     """Dimension-bound report for an IFS: bound, k0, eps0, per-scale table."""
     _check_distinct(out_path, spec_path)
     spec = IFSSpec.from_json_dict(_read_json(spec_path))
-    if delta <= 0:
-        raise ParseError(f"delta must be positive, got {delta}")
+    if not math.isfinite(delta) or delta <= 0:
+        raise ParseError(f"delta must be finite and positive, got {delta}")
     budget = from_env()
     diameter = None
     if depth is not None:

@@ -6,6 +6,12 @@ on every claimed inequality.  The useful contrast with the shark-teeth side
 is that here the cover counts n^k at scale ratio^k * D give a dimension
 bound that the covers themselves attain up to any slack, at an explicitly
 computable scale.
+
+Diameters are measured on convex-hull vertices, found by Andrew's
+monotone chain (A. M. Andrew, *Another efficient algorithm for convex
+hulls in two dimensions*, Inf. Process. Lett., 1979): sort the points by
+(x, y), then build the lower and upper chains, dropping every point that
+does not make a strict left turn.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import ParseError, VerificationFailure
 from .limits import Budget
@@ -72,7 +77,9 @@ class IFSSpec:
     """A finite list of contracting affine maps.
 
     `diameter_hint`, when the exact attractor diameter is known by hand
-    (as for the bundled fixtures), skips the cloud-based measurement.
+    (as for the bundled fixtures), replaces the cloud-based measurement.
+    It must be finite and >= 0, and a hint below the diameter of a
+    fixed-point cloud is refused when it is used.
     """
     maps: tuple[AffineMap2, ...]
     name: str = ""
@@ -85,6 +92,10 @@ class IFSSpec:
         worst = max(lip_affine(m) for m in self.maps)
         if not worst < 1:
             raise ValueError(f"maps must contract; worst ratio {worst}")
+        hint = self.diameter_hint
+        if hint is not None and not (math.isfinite(hint) and hint >= 0):
+            raise ValueError(f"diameter_hint must be finite and >= 0, "
+                             f"got {hint!r}")
 
     def ratio(self) -> float:
         """Largest contraction ratio over the maps."""
@@ -188,17 +199,32 @@ def attractor_cloud(spec: IFSSpec, depth: int,
     return pts
 
 
+def _chain(pts: list[list[float]]) -> list[list[float]]:
+    """One monotone chain: pop until the last two points and p turn left."""
+    out: list[list[float]] = []
+    for p in pts:
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
 def _extreme_points(pts: np.ndarray) -> np.ndarray:
-    """Hull vertices, or projection extremes when the cloud is degenerate."""
-    if len(pts) <= 3:
+    """Hull vertices in counter-clockwise order, by Andrew's monotone chain.
+
+    Points on a hull edge are dropped, so a collinear cloud yields its two
+    end points and a cloud of copies of one point yields that point.
+    """
+    if len(pts) < 2:
         return pts
-    try:
-        return pts[ConvexHull(pts).vertices]
-    except QhullError:
-        centered = pts - pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        proj = centered @ vt[0]
-        return pts[[int(proj.argmin()), int(proj.argmax())]]
+    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    hull = _chain(srt)[:-1] + _chain(srt[::-1])[:-1]
+    if len(hull) == 2 and hull[0] == hull[1]:
+        hull = hull[:1]
+    return np.array(hull)
 
 
 def cloud_diameter(pts: np.ndarray) -> float:
@@ -210,20 +236,30 @@ def cloud_diameter(pts: np.ndarray) -> float:
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point clouds."""
-    ta, tb = cKDTree(a), cKDTree(b)
-    d_ab = tb.query(a)[0].max()
-    d_ba = ta.query(b)[0].max()
-    return float(max(d_ab, d_ba))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+
+    def directed(src: np.ndarray, dst: np.ndarray) -> float:
+        return max(float(((dst - p) ** 2).sum(axis=1).min()) for p in src)
+
+    return math.sqrt(max(directed(a, b), directed(b, a)))
 
 
 def _measured_diameter(spec: IFSSpec, budget: Budget,
                        override: float | None = None) -> float:
     if override is not None:
         return override
-    if spec.diameter_hint is not None:
-        return spec.diameter_hint
     depth = _cloud_depth(len(spec.maps))
-    return cloud_diameter(attractor_cloud(spec, depth, budget=budget))
+    measured = cloud_diameter(attractor_cloud(spec, depth, budget=budget))
+    hint = spec.diameter_hint
+    if hint is None:
+        return measured
+    # The fixed-point cloud lies on the attractor, so its diameter is a
+    # lower bound on the true one.
+    if hint < measured * (1 - REL_TOL):
+        raise ParseError(f"diameter_hint {hint!r} is below the diameter "
+                         f"{measured!r} of a depth-{depth} attractor cloud")
+    return hint
 
 
 @dataclass(frozen=True)
@@ -347,7 +383,7 @@ def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
     bound + delta (with eps_k already below 1), re-checked over `window`
     further indices.  Returns (k0, eps_k0).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     budget = budget or Budget()
     d = _measured_diameter(spec, budget, diameter)

@@ -7,10 +7,15 @@ Exit codes under test: 0 success, 1 verification failure, 2 parse error,
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import sdimlab
 from sdimlab import PLGraph, read_profile_csv
 from sdimlab.cli import main
 from sdimlab.ifs import FIXTURES
@@ -309,6 +314,25 @@ def test_ifs_rejects_bad_delta(tmp_path, sier_spec):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_ifs_rejects_non_finite_delta(tmp_path, sier_spec, delta):
+    res = invoke("ifs", "--spec", sier_spec, "--delta", delta,
+                 "--out", tmp_path / "r.txt")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
+@pytest.mark.parametrize("hint", ["0.01", "-1", "nan", "inf"])
+def test_ifs_rejects_false_diameter_hint(tmp_path, hint):
+    doc = FIXTURES["sierpinski"]().to_json_dict()
+    doc["diameter_hint"] = hint
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(doc))
+    res = invoke("ifs", "--spec", spec, "--out", tmp_path / "r.txt")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
 def test_ifs_depth_overrides_diameter(tmp_path, sier_spec):
     res = invoke("ifs", "--spec", sier_spec, "--depth", "7",
                  "--out", tmp_path / "r.txt")
@@ -345,3 +369,18 @@ def test_render_requires_exactly_one_input(tmp_path, m3_graph, sier_spec):
     assert res.exit_code == 2
     res = invoke("render", "--out", tmp_path / "x.svg")
     assert res.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# import boundary
+
+
+def test_cli_import_does_not_load_scipy():
+    # Every call, `--help` included, pays for what `sdimlab.cli` imports.
+    src = str(Path(sdimlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, sdimlab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,8 @@
 Numeric assertions use a relative tolerance of 1e-9 except where a value
 is exact in floating point (powers of two, coordinates of fixed points).
 The Lipschitz oracle is numpy's SVD, which shares nothing with the
-closed-form 2x2 computation under test.
+closed-form 2x2 computation under test; the hull-based cloud diameter is
+checked against a brute-force maximum over all pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
                      VerificationFailure, attractor_cloud, cloud_diameter,
                      find_k0, hausdorff, ifs_dimension_bound, lip_affine,
                      s_upper_ifs, word_cover)
-from sdimlab.ifs import FIXTURES
+from sdimlab.ifs import FIXTURES, _extreme_points
 
 REL = 1e-9
 
@@ -105,6 +106,26 @@ def test_spec_json_rejects_malformed(sier):
             IFSSpec.from_json_dict(mangle(good))
 
 
+@pytest.mark.parametrize("hint", [-1.0, math.nan, math.inf, -math.inf])
+def test_spec_rejects_impossible_diameter_hint(sier, hint):
+    with pytest.raises(ValueError):
+        IFSSpec(sier.maps, "bad", hint)
+    doc = sier.to_json_dict()
+    doc["diameter_hint"] = repr(hint)
+    with pytest.raises(ParseError):
+        IFSSpec.from_json_dict(doc)
+
+
+def test_hint_below_cloud_diameter_is_refused(sier):
+    # 0.01 would make s_upper_ifs(0.1) return 1 instead of 81.
+    small = IFSSpec(sier.maps, "small", 0.01)
+    with pytest.raises(ParseError):
+        s_upper_ifs(small, 0.1)
+    with pytest.raises(ParseError):
+        find_k0(small, 0.1)
+    assert s_upper_ifs(sier, 0.1) == 81
+
+
 def test_json_rejects_expanding_system(sier):
     doc = sier.to_json_dict()
     doc["maps"][0]["matrix"] = [["1.0", "0.0"], ["0.0", "1.0"]]
@@ -164,6 +185,66 @@ def test_cloud_converges_in_hausdorff_distance(sier):
 def test_cloud_diameter_of_known_cloud():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
     assert cloud_diameter(pts) == pytest.approx(5.0, rel=0)
+
+
+def test_hausdorff_of_known_clouds():
+    a = np.array([[0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert hausdorff(a, b) == 5.0
+    assert hausdorff(b, a) == 5.0
+    assert hausdorff(b, b[::-1]) == 0.0
+
+
+def test_extreme_points_of_degenerate_clouds():
+    line = np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0], [3.0, 3.0],
+                     [1.0, 1.0]])
+    assert sorted(_extreme_points(line).tolist()) == [[0.0, 0.0], [3.0, 3.0]]
+    same = np.full((5, 2), 0.75)
+    assert _extreme_points(same).tolist() == [[0.75, 0.75]]
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1.0, 1.0],
+                       [0.0, 1.0], [0.5, 0.5]])
+    assert sorted(_extreme_points(square).tolist()) == \
+        [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+
+
+def _brute_diameter(pts: np.ndarray) -> float:
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+@st.composite
+def gaussian_clouds(draw):
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    return rng.normal(size=(n, 2)) * scale
+
+
+# A 9 x 9 grid: 60 draws repeat points and fill rows, columns and
+# diagonals.
+grid_clouds = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                       min_size=1, max_size=60)
+
+
+@st.composite
+def collinear_clouds(draw):
+    ox, oy, dx, dy = (draw(st.integers(-50, 50)) for _ in range(4))
+    ts = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=40))
+    return [(ox + t * dx, oy + t * dy) for t in ts]
+
+
+@st.composite
+def one_point_clouds(draw):
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    return [(draw(finite), draw(finite))] * draw(st.integers(1, 10))
+
+
+@given(st.one_of(gaussian_clouds(), grid_clouds, collinear_clouds(),
+                 one_point_clouds()))
+def test_cloud_diameter_matches_all_pairs(cloud):
+    pts = np.asarray(cloud, dtype=float)
+    assert cloud_diameter(pts) == pytest.approx(_brute_diameter(pts),
+                                                rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +327,11 @@ def test_find_k0_ratio_below_bound_after_k0(sier):
 def test_find_k0_needs_positive_delta(sier):
     with pytest.raises(ValueError):
         find_k0(sier, 0.0)
+
+
+def test_find_k0_rejects_nan_delta(sier):
+    with pytest.raises(ValueError):
+        find_k0(sier, math.nan)
 
 
 def test_find_k0_rejects_point_attractor():
