@@ -7,6 +7,12 @@ is that here the cover counts n^k at scale ratio^k * D give a dimension
 bound that the covers themselves attain up to any slack, at an explicitly
 computable scale.
 
+A point is an `(x, y)` tuple of floats and a cloud is a list of points,
+so the module needs nothing beyond the standard library.  Coordinates are
+formed as `a*x + b*y + e` and distances as `sqrt(dx*dx + dy*dy)`, one
+rounding per operation in that order, so a result does not depend on the
+machine's summation order or fused multiply-add.
+
 Diameters are measured on convex-hull vertices, found by Andrew's
 monotone chain (A. M. Andrew, *Another efficient algorithm for convex
 hulls in two dimensions*, Inf. Process. Lett., 1979): sort the points by
@@ -18,9 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .errors import ParseError, VerificationFailure
 from .limits import Budget
@@ -28,6 +33,8 @@ from .limits import Budget
 IFS_FORMAT = "sdimlab/ifs"
 FORMAT_VERSION = 1
 REL_TOL = 1e-9
+
+Point = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -40,23 +47,28 @@ class AffineMap2:
     e: float
     f: float
 
-    def linear(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
-    def shift(self) -> np.ndarray:
-        return np.array([self.e, self.f], dtype=float)
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.linear().T + self.shift()
+    def apply(self, pts: Iterable[Point]) -> list[Point]:
+        a, b, c, d, e, f = self.a, self.b, self.c, self.d, self.e, self.f
+        return [(a * x + b * y + e, c * x + d * y + f) for x, y in pts]
 
     def compose(self, other: "AffineMap2") -> "AffineMap2":
-        m = self.linear() @ other.linear()
-        t = self.linear() @ other.shift() + self.shift()
-        return AffineMap2(m[0, 0], m[0, 1], m[1, 0], m[1, 1], t[0], t[1])
+        """self after other: x -> A (B x + s) + t."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return AffineMap2(a * other.a + b * other.c, a * other.b + b * other.d,
+                          c * other.a + d * other.c, c * other.b + d * other.d,
+                          a * other.e + b * other.f + self.e,
+                          c * other.e + d * other.f + self.f)
 
-    def fixed_point(self) -> np.ndarray:
-        lhs = np.eye(2) - self.linear()
-        return np.linalg.solve(lhs, self.shift())
+    def fixed_point(self) -> Point:
+        """Solve (I - A) x = t by Cramer's rule.
+
+        det(I - A) is the product of 1 - lambda over the eigenvalues of A,
+        so it is nonzero for a contraction.
+        """
+        p, q = 1 - self.a, 1 - self.d
+        det = p * q - self.b * self.c
+        return ((self.e * q + self.b * self.f) / det,
+                (p * self.f + self.c * self.e) / det)
 
 
 def lip_affine(m: AffineMap2) -> float:
@@ -79,7 +91,8 @@ class IFSSpec:
     `diameter_hint`, when the exact attractor diameter is known by hand
     (as for the bundled fixtures), replaces the cloud-based measurement.
     It must be finite and >= 0, and a hint below the diameter of a
-    fixed-point cloud is refused when it is used.
+    fixed-point cloud is refused when it is used.  Every matrix and shift
+    entry must be finite.
     """
     maps: tuple[AffineMap2, ...]
     name: str = ""
@@ -89,6 +102,9 @@ class IFSSpec:
         object.__setattr__(self, "maps", tuple(self.maps))
         if not self.maps:
             raise ValueError("need at least one map")
+        for m in self.maps:
+            if not all(map(math.isfinite, (m.a, m.b, m.c, m.d, m.e, m.f))):
+                raise ValueError(f"map entries must be finite, got {m}")
         worst = max(lip_affine(m) for m in self.maps)
         if not worst < 1:
             raise ValueError(f"maps must contract; worst ratio {worst}")
@@ -177,31 +193,39 @@ def ifs_dimension_bound(spec: IFSSpec) -> float:
 
 def attractor_cloud(spec: IFSSpec, depth: int,
                     seed: Sequence[float] | None = None,
-                    budget: Budget | None = None) -> np.ndarray:
-    """All length-`depth` words applied to the seed point.
+                    budget: Budget | None = None) -> list[Point]:
+    """All length-`depth` words applied to the seed point, as a list of
+    `(x, y)` tuples.
 
     The seed defaults to the first map's fixed point, which lies on the
     attractor, making the cloud a subset of it.  Points come out in
-    lexicographic word order, leftmost symbol applied last, so the array
-    is reproducible run to run.
+    lexicographic word order, leftmost symbol applied last: every image
+    under map 0, then every image under map 1, and so on, so the list is
+    reproducible run to run.  A cloud with a coordinate that is not
+    finite, because the spec's entries overflow it, is a `ParseError`.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     budget = budget or Budget()
-    n = len(spec.maps)
-    budget.check_words(n ** depth)
+    budget.check_words(len(spec.maps), depth)
     if seed is None:
-        pts = spec.maps[0].fixed_point().reshape(1, 2)
+        pts = [spec.maps[0].fixed_point()]
     else:
-        pts = np.asarray(seed, dtype=float).reshape(1, 2)
+        x, y = seed
+        pts = [(float(x), float(y))]
     for _ in range(depth):
-        pts = np.concatenate([m.apply(pts) for m in spec.maps])
+        pts = [p for m in spec.maps for p in m.apply(pts)]
+    # A non-finite point has only non-finite images, so checking the last
+    # level catches an overflow at any depth.
+    if not all(map(math.isfinite, chain.from_iterable(pts))):
+        raise ParseError(f"IFS {spec.name or '(unnamed)'} overflows: its "
+                         f"depth-{depth} cloud has non-finite coordinates")
     return pts
 
 
-def _chain(pts: list[list[float]]) -> list[list[float]]:
+def _chain(pts: list[Point]) -> list[Point]:
     """One monotone chain: pop until the last two points and p turn left."""
-    out: list[list[float]] = []
+    out: list[Point] = []
     for p in pts:
         while len(out) >= 2:
             (ox, oy), (ax, ay) = out[-2], out[-1]
@@ -212,35 +236,40 @@ def _chain(pts: list[list[float]]) -> list[list[float]]:
     return out
 
 
-def _extreme_points(pts: np.ndarray) -> np.ndarray:
+def _extreme_points(pts: Sequence[Point]) -> list[Point]:
     """Hull vertices in counter-clockwise order, by Andrew's monotone chain.
 
     Points on a hull edge are dropped, so a collinear cloud yields its two
-    end points and a cloud of copies of one point yields that point.
+    end points and a cloud of copies of one point yields that point.  The
+    points must be finite: `sorted` has no defined order on NaN.
     """
-    if len(pts) < 2:
-        return pts
-    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    srt = sorted(pts)
+    if len(srt) < 2:
+        return srt
     hull = _chain(srt)[:-1] + _chain(srt[::-1])[:-1]
     if len(hull) == 2 and hull[0] == hull[1]:
         hull = hull[:1]
-    return np.array(hull)
+    return hull
 
 
-def cloud_diameter(pts: np.ndarray) -> float:
+def _norm(dx: float, dy: float) -> float:
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def cloud_diameter(pts: Sequence[Point]) -> float:
     """Max pairwise distance, attained on the extreme points."""
-    ext = _extreme_points(np.asarray(pts, dtype=float))
-    diff = ext[:, None, :] - ext[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    ext = _extreme_points(pts)
+    return max(_norm(px - qx, py - qy)
+               for i, (px, py) in enumerate(ext) for qx, qy in ext[i:])
 
 
-def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+def hausdorff(a: Sequence[Point], b: Sequence[Point]) -> float:
     """Symmetric Hausdorff distance between two point clouds."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
 
-    def directed(src: np.ndarray, dst: np.ndarray) -> float:
-        return max(float(((dst - p) ** 2).sum(axis=1).min()) for p in src)
+    def directed(src: Sequence[Point], dst: Sequence[Point]) -> float:
+        return max(min((qx - px) * (qx - px) + (qy - py) * (qy - py)
+                       for qx, qy in dst)
+                   for px, py in src)
 
     return math.sqrt(max(directed(a, b), directed(b, a)))
 
@@ -265,9 +294,10 @@ def _measured_diameter(spec: IFSSpec, budget: Budget,
 @dataclass(frozen=True)
 class WordPiece:
     """One piece of a word cover: the word, the image of the attractor's
-    extreme points under it, and the piece diameter measured on them."""
+    extreme points under it as a tuple of `(x, y)` points, and the piece
+    diameter measured on them."""
     word: tuple[int, ...]
-    points: np.ndarray
+    points: tuple[Point, ...]
     diameter: float
 
 
@@ -289,12 +319,12 @@ class WordCover:
         return tuple(p.word for p in self.pieces)
 
     @property
-    def diameters(self) -> np.ndarray:
-        return np.array([p.diameter for p in self.pieces])
+    def diameters(self) -> tuple[float, ...]:
+        return tuple(p.diameter for p in self.pieces)
 
 
 def word_cover(spec: IFSSpec, k: int,
-               base_cloud: np.ndarray | None = None,
+               base_cloud: Sequence[Point] | None = None,
                budget: Budget | None = None) -> WordCover:
     """Measure every length-k piece and check it against ratio^k * D.
 
@@ -308,17 +338,14 @@ def word_cover(spec: IFSSpec, k: int,
         raise ValueError("k must be >= 0")
     budget = budget or Budget()
     n = len(spec.maps)
-    budget.check_words(n ** k)
+    budget.check_words(n, k)
     if base_cloud is None:
         base_cloud = attractor_cloud(spec, _cloud_depth(n), budget=budget)
-    ext = _extreme_points(np.asarray(base_cloud, dtype=float))
-    diffs = []
-    for i in range(len(ext)):
-        for j in range(i + 1, len(ext)):
-            diffs.append(ext[i] - ext[j])
-    diffs = np.array(diffs) if diffs else np.zeros((1, 2))
-    dhat = float(np.sqrt((diffs ** 2).sum(axis=1)).max()) if len(ext) > 1 \
-        else 0.0
+    ext = _extreme_points(base_cloud)
+    diffs = [(px - qx, py - qy)
+             for i, (px, py) in enumerate(ext) for qx, qy in ext[i + 1:]]
+    diffs = diffs or [(0.0, 0.0)]
+    dhat = max(_norm(dx, dy) for dx, dy in diffs)
     lam = spec.ratio()
     bound = lam ** k * dhat
     # One compose per tree node instead of k per word.
@@ -330,9 +357,10 @@ def word_cover(spec: IFSSpec, k: int,
                  for s, m in enumerate(spec.maps)]
     pieces = []
     for word, comp in level:
-        image = diffs @ comp.linear().T
-        diam = float(np.sqrt((image ** 2).sum(axis=1)).max())
-        pieces.append(WordPiece(word, comp.apply(ext), diam))
+        a, b, c, d = comp.a, comp.b, comp.c, comp.d
+        diam = max(_norm(a * dx + b * dy, c * dx + d * dy)
+                   for dx, dy in diffs)
+        pieces.append(WordPiece(word, tuple(comp.apply(ext)), diam))
     worst = max(pieces, key=lambda p: p.diameter, default=None)
     if worst is not None and worst.diameter > bound * (1 + REL_TOL):
         raise VerificationFailure(

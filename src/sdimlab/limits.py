@@ -35,9 +35,21 @@ class Budget:
         if n > self.max_pair_checks:
             raise BudgetExceeded(f"pair checks {n} exceed budget {self.max_pair_checks}")
 
-    def check_words(self, n: int) -> None:
-        if n > self.max_words:
-            raise BudgetExceeded(f"word count {n} exceeds budget {self.max_words}")
+    def check_words(self, n: int, depth: int) -> None:
+        """Refuse the n ** depth words of length `depth` over n maps.
+
+        The power is multiplied up only until it passes the budget, so a
+        huge depth costs a few steps and never a number too long to print.
+        """
+        count = 1
+        if n > 1:
+            for _ in range(depth):
+                count *= n
+                if count > self.max_words:
+                    break
+        if count > self.max_words:
+            raise BudgetExceeded(f"word count {n}^{depth} exceeds budget "
+                                 f"{self.max_words}")
 
 
 def from_env(base: Budget | None = None) -> Budget:

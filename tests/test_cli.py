@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,38 @@ def test_ifs_depth_overrides_diameter(tmp_path, sier_spec):
     assert "k0=17" in res.output
 
 
+@pytest.mark.parametrize("depth", ["10000", "30000000"])
+@pytest.mark.parametrize("command", ["ifs", "render"])
+def test_huge_depth_exits_four_promptly(tmp_path, sier_spec, command, depth):
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    res = invoke(command, "--spec", sier_spec, "--depth", depth,
+                 "--out", out)
+    assert time.perf_counter() - t0 < 5.0
+    assert res.exit_code == 4
+    assert res.stderr.startswith(f"BUDGET: word count 3^{depth} exceeds ")
+    assert len(res.stderr) < 80
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+@pytest.mark.parametrize("command", ["ifs", "render"])
+def test_non_finite_or_overflowing_shift_exits_two(tmp_path, command,
+                                                    value):
+    # An overflowing finite shift passes the spec check and fails on the
+    # cloud that both commands build.
+    doc = FIXTURES["sierpinski"]().to_json_dict()
+    doc["maps"][1]["shift"][0] = value
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = invoke(command, "--spec", spec, "--out", out)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert ("non-finite" if value == "1e308" else "finite") in res.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -375,12 +408,55 @@ def test_render_requires_exactly_one_input(tmp_path, m3_graph, sier_spec):
 # import boundary
 
 
-def test_cli_import_does_not_load_scipy():
-    # Every call, `--help` included, pays for what `sdimlab.cli` imports.
+def _run_python(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter that imports sdimlab from this tree."""
     src = str(Path(sdimlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = "import sys, sdimlab.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_cli_import_does_not_load(module):
+    # Every call, `--help` included, pays for what `sdimlab.cli` imports.
+    probe = f"import sys, sdimlab.cli; print({module!r} in sys.modules)"
+    assert _run_python(probe).strip() == "False"
+
+
+_WITHOUT_NUMPY = """
+import json, sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoNumpy())
+from sdimlab.cli import main
+for args in json.loads(sys.argv[1]):
+    main.main(args=args, prog_name="sdimlab", standalone_mode=False)
+print("numpy" in sys.modules)
+"""
+
+
+def test_every_command_runs_without_numpy(tmp_path, paper3_spec, sier_spec):
+    graph, cert = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+    commands = [
+        ["build", "--spec", str(paper3_spec), "--out", graph],
+        ["cover", "--graph", graph, "--epsilon", "1/8", "--mode", "both",
+         "--out", cert],
+        ["verify", "--graph", graph, "--cert",
+         str(tmp_path / "c.lower.json")],
+        ["sweep", "--graph", graph, "--eps-start", "1/4", "--eps-factor",
+         "1/2", "--steps", "3", "--out", str(tmp_path / "p.csv")],
+        ["ifs", "--spec", str(sier_spec), "--depth", "4",
+         "--out", str(tmp_path / "r.txt")],
+        ["render", "--spec", str(sier_spec), "--depth", "4",
+         "--out", str(tmp_path / "s.svg")],
+    ]
+    out = _run_python(_WITHOUT_NUMPY, json.dumps(commands))
+    assert out.splitlines()[-1] == "False"
+    assert (tmp_path / "s.svg").read_text().count("<circle") == 81

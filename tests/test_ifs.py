@@ -4,14 +4,17 @@ Numeric assertions use a relative tolerance of 1e-9 except where a value
 is exact in floating point (powers of two, coordinates of fixed points).
 The Lipschitz oracle is numpy's SVD, which shares nothing with the
 closed-form 2x2 computation under test; the hull-based cloud diameter is
-checked against a brute-force maximum over all pairs.
+checked against a brute-force maximum over all pairs.  numpy is a test
+dependency only: it also serves as the vectorised reference for attractor
+clouds, and the tests that need it skip when it is missing.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import time
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,23 +60,32 @@ coef = st.floats(min_value=-2, max_value=2, allow_nan=False,
 
 @given(a=coef, b=coef, c=coef, d=coef)
 def test_lip_affine_matches_svd_oracle(a, b, c, d):
+    np = pytest.importorskip("numpy")
     m = AffineMap2(a, b, c, d, 0.0, 0.0)
     sigma = float(np.linalg.svd(np.array([[a, b], [c, d]]),
                                 compute_uv=False)[0])
     assert lip_affine(m) == pytest.approx(sigma, rel=1e-9, abs=1e-12)
 
 
+def _all_close(pts, ref, atol):
+    assert len(pts) == len(ref)
+    for p, q in zip(pts, ref):
+        assert len(p) == len(q) == 2
+        assert all(math.isclose(u, v, rel_tol=0, abs_tol=atol)
+                   for u, v in zip(p, q)), (p, q)
+
+
 def test_fixed_point_is_fixed(sier):
     for m in sier.maps:
         fp = m.fixed_point()
-        assert np.allclose(m.apply(fp[None, :])[0], fp, rtol=0, atol=1e-12)
+        _all_close(m.apply([fp]), [fp], atol=1e-12)
 
 
 def test_compose_matches_sequential_application(sier):
     m1, m2 = sier.maps[0], sier.maps[1]
-    pts = np.array([[0.2, 0.7], [1.0, -1.0]])
-    assert np.allclose(m1.compose(m2).apply(pts), m1.apply(m2.apply(pts)),
-                       rtol=0, atol=1e-12)
+    pts = [(0.2, 0.7), (1.0, -1.0)]
+    _all_close(m1.compose(m2).apply(pts), m1.apply(m2.apply(pts)),
+               atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +145,23 @@ def test_json_rejects_expanding_system(sier):
         IFSSpec.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", ["matrix", "shift"])
+def test_spec_rejects_non_finite_entries(sier, entry, value):
+    m = sier.maps[1]
+    bad = (AffineMap2(m.a, value, m.c, m.d, m.e, m.f) if entry == "matrix"
+           else AffineMap2(m.a, m.b, m.c, m.d, m.e, value))
+    with pytest.raises(ValueError, match="finite"):
+        IFSSpec((sier.maps[0], bad))
+    doc = sier.to_json_dict()
+    if entry == "matrix":
+        doc["maps"][1]["matrix"][0][1] = repr(value)
+    else:
+        doc["maps"][1]["shift"][1] = repr(value)
+    with pytest.raises(ParseError, match="finite"):
+        IFSSpec.from_json_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # dimension bound
 
@@ -153,24 +182,64 @@ def test_dimension_bound_single_map_is_zero():
 
 
 def test_cloud_sizes_are_powers(sier):
-    assert attractor_cloud(sier, 0).shape == (1, 2)
-    assert attractor_cloud(sier, 3).shape == (27, 2)
+    for depth, size in ((0, 1), (3, 27)):
+        cloud = attractor_cloud(sier, depth)
+        assert len(cloud) == size
+        assert all(len(p) == 2 for p in cloud)
 
 
 def test_cloud_depth_zero_is_the_seed(sier):
-    seed = np.array([0.25, 0.3])
-    cloud = attractor_cloud(sier, 0, seed=seed)
-    assert np.allclose(cloud, seed[None, :], rtol=0, atol=0)
+    seed = (0.25, 0.3)
+    assert attractor_cloud(sier, 0, seed=seed) == [seed]
 
 
 def test_cloud_default_seed_is_a_fixed_point(sier):
     cloud = attractor_cloud(sier, 0)
-    assert np.allclose(cloud[0], sier.maps[0].fixed_point(), rtol=0, atol=0)
+    assert cloud[0] == sier.maps[0].fixed_point()
 
 
 def test_cloud_respects_word_budget(sier):
     with pytest.raises(BudgetExceeded):
         attractor_cloud(sier, 5, budget=Budget(max_words=100))
+
+
+def test_cloud_refuses_overflowing_coordinates(sier):
+    # Finite entries whose images leave the float range.  On the first
+    # map the shift 1e308 overflows the seed, its fixed point 2e308; on
+    # the second, the depth-k image x = 1e308 * (2 - 2**(1 - k)) of the
+    # seed passes the largest float at k = 4.
+    huge = AffineMap2(0.5, 0, 0, 0.5, 1e308, 0.0)
+    first = IFSSpec((huge,) + sier.maps[1:])
+    with pytest.raises(ParseError, match="non-finite"):
+        attractor_cloud(first, 0)
+    second = IFSSpec((sier.maps[0], huge, sier.maps[2]))
+    assert len(attractor_cloud(second, 3)) == 27
+    with pytest.raises(ParseError, match="non-finite"):
+        attractor_cloud(second, 4)
+
+
+@pytest.mark.parametrize("depth", [10_000, 30_000_000])
+def test_word_budget_refuses_huge_depth_promptly(sier, depth):
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        attractor_cloud(sier, depth)
+    with pytest.raises(BudgetExceeded):
+        word_cover(sier, depth)
+    assert time.perf_counter() - t0 < 5.0
+    assert str(info.value) == (f"word count 3^{depth} exceeds budget "
+                               f"{Budget().max_words}")
+
+
+def test_word_budget_matches_the_power():
+    for max_words in (0, 1, 2, 26, 27, 28, 1000, 3 ** 12):
+        budget = Budget(max_words=max_words)
+        for n in (1, 2, 3, 4):
+            for depth in range(14):
+                if n ** depth > max_words:
+                    with pytest.raises(BudgetExceeded):
+                        budget.check_words(n, depth)
+                else:
+                    budget.check_words(n, depth)
 
 
 def test_cloud_converges_in_hausdorff_distance(sier):
@@ -183,41 +252,40 @@ def test_cloud_converges_in_hausdorff_distance(sier):
 
 
 def test_cloud_diameter_of_known_cloud():
-    pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+    pts = [(0.0, 0.0), (3.0, 4.0), (1.0, 1.0)]
     assert cloud_diameter(pts) == pytest.approx(5.0, rel=0)
 
 
 def test_hausdorff_of_known_clouds():
-    a = np.array([[0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [3.0, 4.0]])
+    a = [(0.0, 0.0)]
+    b = [(0.0, 0.0), (3.0, 4.0)]
     assert hausdorff(a, b) == 5.0
     assert hausdorff(b, a) == 5.0
     assert hausdorff(b, b[::-1]) == 0.0
 
 
 def test_extreme_points_of_degenerate_clouds():
-    line = np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0], [3.0, 3.0],
-                     [1.0, 1.0]])
-    assert sorted(_extreme_points(line).tolist()) == [[0.0, 0.0], [3.0, 3.0]]
-    same = np.full((5, 2), 0.75)
-    assert _extreme_points(same).tolist() == [[0.75, 0.75]]
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1.0, 1.0],
-                       [0.0, 1.0], [0.5, 0.5]])
-    assert sorted(_extreme_points(square).tolist()) == \
-        [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    line = [(2.0, 2.0), (0.0, 0.0), (1.0, 1.0), (3.0, 3.0), (1.0, 1.0)]
+    assert sorted(_extreme_points(line)) == [(0.0, 0.0), (3.0, 3.0)]
+    same = [(0.75, 0.75)] * 5
+    assert _extreme_points(same) == [(0.75, 0.75)]
+    square = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (1.0, 1.0), (0.0, 1.0),
+              (0.5, 0.5)]
+    assert sorted(_extreme_points(square)) == \
+        [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
-def _brute_diameter(pts: np.ndarray) -> float:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+def _brute_diameter(pts: list[tuple[float, float]]) -> float:
+    return max(math.dist(p, q) for p in pts for q in pts)
 
 
 @st.composite
 def gaussian_clouds(draw):
     n = draw(st.integers(1, 200))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
-    return rng.normal(size=(n, 2)) * scale
+    return [(rng.gauss(0, 1) * scale, rng.gauss(0, 1) * scale)
+            for _ in range(n)]
 
 
 # A 9 x 9 grid: 60 draws repeat points and fill rows, columns and
@@ -242,9 +310,69 @@ def one_point_clouds(draw):
 @given(st.one_of(gaussian_clouds(), grid_clouds, collinear_clouds(),
                  one_point_clouds()))
 def test_cloud_diameter_matches_all_pairs(cloud):
-    pts = np.asarray(cloud, dtype=float)
+    pts = [(float(x), float(y)) for x, y in cloud]
     assert cloud_diameter(pts) == pytest.approx(_brute_diameter(pts),
                                                 rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# numpy reference: the vectorised cloud x -> x A^T + t, one map at a time
+
+
+def _numpy_cloud(np, spec, depth):
+    m = spec.maps[0]
+    seed = np.linalg.solve(np.eye(2) - [[m.a, m.b], [m.c, m.d]], [m.e, m.f])
+    pts = seed.reshape(1, 2)
+    for _ in range(depth):
+        pts = np.concatenate([pts @ np.array([[m.a, m.b], [m.c, m.d]]).T
+                              + np.array([m.e, m.f]) for m in spec.maps])
+    return pts
+
+
+def _gasket_bench_spec() -> IFSSpec:
+    # The spec the benchmark's gasket workload writes, read back from JSON.
+    h = math.sqrt(3) / 2
+    return IFSSpec.from_json_dict({
+        "format": "sdimlab/ifs", "version": 1, "name": "sierpinski",
+        "diameter_hint": "1.0",
+        "maps": [{"matrix": [["0.5", "0.0"], ["0.0", "0.5"]],
+                  "shift": [repr(0.5 * x), repr(0.5 * y)]}
+                 for x, y in ((0.0, 0.0), (1.0, 0.0), (0.5, h))]})
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["gasket-bench"])
+def test_cloud_is_bit_identical_to_numpy_reference(name):
+    np = pytest.importorskip("numpy")
+    spec = _gasket_bench_spec() if name == "gasket-bench" else \
+        FIXTURES[name]()
+    for depth in range(9):
+        cloud = attractor_cloud(spec, depth)
+        ref = _numpy_cloud(np, spec, depth)
+        assert np.array(cloud, dtype=float).tobytes() == ref.tobytes()
+        if depth <= 6:
+            diff = ref[:, None, :] - ref[None, :, :]
+            assert cloud_diameter(cloud) == \
+                float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+small = st.floats(-0.45, 0.45, allow_nan=False, allow_infinity=False)
+shift = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
+contractions = st.builds(AffineMap2, small, small, small, small, shift, shift)
+
+
+@given(maps=st.lists(contractions, min_size=1, max_size=3),
+       depth=st.integers(0, 5))
+def test_cloud_matches_numpy_reference_on_random_maps(maps, depth):
+    # Entries below 0.45 in size give a Frobenius norm, and so a ratio,
+    # of at most 0.9.  The seed solve and fused multiply-adds may differ
+    # in the last bits, hence a tolerance relative to the cloud's size.
+    np = pytest.importorskip("numpy")
+    spec = IFSSpec(tuple(maps))
+    cloud = np.array(attractor_cloud(spec, depth), dtype=float)
+    ref = _numpy_cloud(np, spec, depth)
+    assert cloud.shape == ref.shape
+    scale = max(1.0, float(np.abs(ref).max()))
+    assert np.allclose(cloud, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +386,7 @@ def test_word_cover_piece_count_and_bound(sier):
     assert len(set(wc.words)) == 27
     assert all(len(w) == 3 for w in wc.words)
     assert wc.bound == pytest.approx(0.5 ** 3 * wc.diameter, rel=REL)
-    assert wc.diameters.max() <= wc.bound * (1 + REL)
+    assert max(wc.diameters) <= wc.bound * (1 + REL)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -267,7 +395,7 @@ def test_word_cover_bound_holds_on_fixtures(name, k):
     spec = FIXTURES[name]()
     wc = word_cover(spec, k)
     assert len(wc.pieces) == len(spec.maps) ** k
-    assert wc.diameters.max() <= spec.ratio() ** k * wc.diameter * (1 + REL)
+    assert max(wc.diameters) <= spec.ratio() ** k * wc.diameter * (1 + REL)
 
 
 def test_word_cover_respects_word_budget(sier):
