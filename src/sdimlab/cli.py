@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
 dimension proxy.  Errors land on stderr as "TAG: detail" with a stable
 machine-matchable tag.  Scale parameters cross this boundary only as
 exact "p/q" strings; decimals are rejected so no binary-decimal drift can
-leak into certificates.  All output files are written atomically.
+leak into certificates.  All output files are written atomically, with
+the mode the umask gives a new file.  JSON outputs are streamed: sorted
+top-level keys, one line per item of a top-level array.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import click
 
@@ -76,13 +79,19 @@ def _read_json(path: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temp file beside `path`, then rename it over
+    `path`.  The file gets the mode a plain `open` would give it."""
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                prefix="." + os.path.basename(target) + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            # mkstemp creates 0600; reading the umask means setting it.
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(f.fileno(), 0o666 & ~mask)
+            f.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -92,8 +101,31 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """`doc` as JSON text, in chunks: top-level keys sorted, one line per
+    key and per item of a top-level array, every value compact."""
+    def dumps(value) -> str:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    yield "{"
+    sep = "\n"
+    for key in sorted(doc):
+        value = doc[key]
+        yield sep + dumps(key) + ":"
+        sep = ",\n"
+        if isinstance(value, list) and value:
+            head = "[\n"
+            for item in value:
+                yield head + dumps(item)
+                head = ",\n"
+            yield "\n]"
+        else:
+            yield dumps(value)
+    yield "\n}\n"
+
+
 def _write_json(path: str, doc: dict) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, _json_chunks(doc))
 
 
 def _check_distinct(out: str, *ins: str) -> None:
@@ -217,7 +249,7 @@ def cmd_sweep(graph_path: str, eps_start: str, eps_factor: str, steps: int,
     profile = sweep(graph, schedule, budget=from_env())
     buf = io.StringIO()
     write_profile_csv(profile, buf)
-    _atomic_write(out_path, buf.getvalue())
+    _atomic_write(out_path, [buf.getvalue()])
     low, high = sdim_estimate(profile)
     click.echo(f"sdim proxy [{low:.6f}, {high:.6f}]")
 
@@ -251,7 +283,7 @@ def cmd_ifs(spec_path: str, delta: float, depth: int | None,
                 f"depth {depth} cloud is a single point; cannot measure "
                 f"a diameter from it")
     report = ifs_bound_report(spec, delta, diameter=diameter, budget=budget)
-    _atomic_write(out_path, report)
+    _atomic_write(out_path, [report])
     click.echo(report, nl=False)
 
 
@@ -278,7 +310,7 @@ def cmd_render(graph_path: str | None, spec_path: str | None, depth: int,
             raise ParseError(f"depth must be >= 0, got {depth}")
         svg = render_cloud_svg(attractor_cloud(spec, depth,
                                                budget=from_env()))
-    _atomic_write(out_path, svg)
+    _atomic_write(out_path, [svg])
 
 
 if __name__ == "__main__":

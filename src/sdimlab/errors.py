@@ -20,7 +20,7 @@ class ParseError(SdimlabError):
 
 
 class DisconnectedInput(SdimlabError):
-    """Arrangement input does not form a single connected graph."""
+    """Arrangement input or a loaded host is not one connected graph."""
 
     tag = "DISCONNECTED"
 

@@ -225,9 +225,13 @@ class PLGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph document: {exc}") from exc
         try:
-            return cls(vertices, edges, meta)
+            graph = cls(vertices, edges, meta)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+        # The bounds are about continua; a disconnected host is not one.
+        if not graph.is_connected():
+            raise DisconnectedInput("host graph is not connected")
+        return graph
 
     def graph_id(self) -> str:
         """Stable content hash used to tie certificates to their host."""

@@ -208,6 +208,7 @@ def attractor_cloud(spec: IFSSpec, depth: int,
         raise ValueError("depth must be >= 0")
     budget = budget or Budget()
     budget.check_words(len(spec.maps), depth)
+    budget.check_depth(depth)
     if seed is None:
         pts = [spec.maps[0].fixed_point()]
     else:
@@ -257,10 +258,18 @@ def _norm(dx: float, dy: float) -> float:
 
 
 def cloud_diameter(pts: Sequence[Point]) -> float:
-    """Max pairwise distance, attained on the extreme points."""
+    """Max pairwise distance, attained on the extreme points.
+
+    A cloud whose diameter overflows the float range, though each of its
+    coordinates is finite, is a `ParseError`.
+    """
     ext = _extreme_points(pts)
-    return max(_norm(px - qx, py - qy)
-               for i, (px, py) in enumerate(ext) for qx, qy in ext[i:])
+    diameter = max(_norm(px - qx, py - qy)
+                   for i, (px, py) in enumerate(ext) for qx, qy in ext[i:])
+    if not math.isfinite(diameter):
+        raise ParseError(f"cloud is too wide for floats: its diameter "
+                         f"measures {diameter}")
+    return diameter
 
 
 def hausdorff(a: Sequence[Point], b: Sequence[Point]) -> float:
@@ -339,6 +348,7 @@ def word_cover(spec: IFSSpec, k: int,
     budget = budget or Budget()
     n = len(spec.maps)
     budget.check_words(n, k)
+    budget.check_depth(k)
     if base_cloud is None:
         base_cloud = attractor_cloud(spec, _cloud_depth(n), budget=budget)
     ext = _extreme_points(base_cloud)

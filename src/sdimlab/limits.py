@@ -51,6 +51,16 @@ class Budget:
             raise BudgetExceeded(f"word count {n}^{depth} exceeds budget "
                                  f"{self.max_words}")
 
+    def check_depth(self, depth: int) -> None:
+        """Refuse a word tree deeper than the word budget.
+
+        Each level makes at least one word, so this bounds the levels of a
+        one-map spec, whose n ** depth never grows.
+        """
+        if depth > self.max_words:
+            raise BudgetExceeded(f"depth {depth} exceeds word budget "
+                                 f"{self.max_words}")
+
 
 def from_env(base: Budget | None = None) -> Budget:
     """Budget with overrides taken from SDIMLAB_BUDGET, if set."""

@@ -7,8 +7,10 @@ decimals, so rendering the same input twice yields byte-identical output.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
+from .errors import ParseError
 from .geom import PLGraph
 
 _WIDTH = 800.0
@@ -61,7 +63,8 @@ def render_cloud_svg(points: Sequence[Sequence[float]]) -> str:
 
     One circle marker per point, radius scaled to stay visible down to a
     few tens of thousands of points.  Degenerate clouds (a single point,
-    or all points collinear) get a unit window around their extent.
+    or all points collinear) get a unit window around their extent.  A
+    cloud whose window overflows the float range is a `ParseError`.
     """
     pts = [(float(p[0]), float(p[1])) for p in points]
     if not pts:
@@ -78,6 +81,9 @@ def render_cloud_svg(points: Sequence[Sequence[float]]) -> str:
     span_x, span_y = x1 - x0, max(y1 - y0, 1e-9 * side)
     height = _WIDTH * span_y / span_x
     scale = _WIDTH / span_x
+    if not all(map(math.isfinite, (span_x, span_y, scale, height))):
+        raise ParseError("cloud is too wide for floats: its drawing "
+                         "window overflows")
     r = max(0.35 * _WIDTH / max(len(pts), 1) ** 0.5, 0.6)
 
     out = [

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,8 @@ from click.testing import CliRunner
 
 import sdimlab
 from sdimlab import PLGraph, read_profile_csv
-from sdimlab.cli import main
+from sdimlab.cli import _write_json, main
+from sdimlab.cover import lower_separation, truncation_guard, upper_cover
 from sdimlab.ifs import FIXTURES
 
 runner = CliRunner()
@@ -109,6 +112,87 @@ def test_build_refuses_to_clobber_its_input(paper3_spec):
     res = invoke("build", "--spec", paper3_spec, "--out", paper3_spec)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
+
+
+def test_build_output_gets_the_umask_mode(tmp_path, paper3_spec):
+    out = tmp_path / "g.json"
+    old = os.umask(0o022)
+    try:
+        res = invoke("build", "--spec", paper3_spec, "--out", out)
+    finally:
+        os.umask(old)
+    assert res.exit_code == 0
+    assert out.stat().st_mode & 0o777 == 0o644
+
+
+# ---------------------------------------------------------------------------
+# JSON layout
+
+
+def _assert_one_item_per_line(text: str, doc: dict) -> None:
+    """Sorted keys, no indentation, each top-level array item on a line."""
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert not any(line[:1].isspace() for line in lines)
+    keys = [line.partition(":")[0] for line in lines if line[:1] == '"']
+    assert keys == [json.dumps(k) for k in sorted(doc)]
+    for key, value in doc.items():
+        if isinstance(value, list) and value:
+            start = lines.index(f"{json.dumps(key)}:[") + 1
+            items = lines[start:start + len(value)]
+            assert [json.loads(line.removesuffix(",")) for line in items] \
+                == value
+            assert lines[start + len(value)] in ("]", "],")
+
+
+def _assert_written_layout(path: Path, doc: dict) -> None:
+    text = path.read_text()
+    assert json.loads(text) == doc
+    # Re-indented, the file is what the indented writer used to produce.
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) \
+        == json.dumps(doc, indent=2, sort_keys=True)
+    _assert_one_item_per_line(text, doc)
+
+
+def test_build_and_cover_write_their_documents(tmp_path, paper3_spec, m3):
+    graph = tmp_path / "m3.json"
+    invoke("build", "--spec", paper3_spec, "--out", graph)
+    _assert_written_layout(graph, m3.to_json_dict())
+    eps = Fraction(1, 8)
+    res = invoke("cover", "--graph", graph, "--epsilon", "1/8",
+                 "--mode", "both", "--out", tmp_path / "c.json")
+    assert res.exit_code == 0
+    low = lower_separation(m3, eps, guard=truncation_guard(m3, eps))
+    _assert_written_layout(tmp_path / "c.lower.json", low.to_json_dict())
+    _assert_written_layout(tmp_path / "c.upper.json",
+                           upper_cover(m3, eps).to_json_dict())
+
+
+def test_json_writer_round_trips_edge_values(tmp_path):
+    doc = {"empty": [], "guard": None, "one": [{"b": [], "a": None}],
+           "meta": {"spec": {"levels": [1, [2, 3]], "kind": "explicit"},
+                    "note": "caf\u00e9 \"q\"\n"},
+           "nested": [[], [[1]], {}], "version": 2}
+    out = tmp_path / "doc.json"
+    _write_json(str(out), doc)
+    _assert_written_layout(out, doc)
+    assert '"empty":[],' in out.read_text()
+
+
+def test_json_writer_holds_no_copy_of_the_text(tmp_path, m3):
+    # The indented writer allocated about six times the file size at
+    # peak; the streamed one holds a few I/O buffers whatever the size.
+    doc = upper_cover(m3, Fraction(1, 512)).to_json_dict()
+    out = tmp_path / "up.json"
+    tracemalloc.start()
+    try:
+        _write_json(str(out), doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size >= 100_000
+    assert peak < size / 4
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +305,21 @@ def test_verify_refuses_v1_separation_document(tmp_path, m3_graph):
     res = invoke("verify", "--graph", m3_graph, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
+
+
+def test_verify_refuses_a_disconnected_host(tmp_path, seg_graph_file):
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    # The unit segment plus a second one a unit away from it.
+    doc = json.loads(seg_graph_file.read_text())
+    doc["vertices"] += [["2", "0"], ["3", "0"]]
+    doc["edges"].append([2, 3])
+    host = tmp_path / "two.json"
+    host.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", host, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("DISCONNECTED:")
 
 
 def test_verify_rejects_non_certificate(tmp_path, seg_graph_file):
@@ -371,6 +470,42 @@ def test_non_finite_or_overflowing_shift_exits_two(tmp_path, command,
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
     assert ("non-finite" if value == "1e308" else "finite") in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,scale,shift", [
+    ("ifs", "0.5", "1e200"),    # finite cloud, squared widths overflow
+    ("ifs", "0.1", "1.6e308"),  # finite cloud, widths overflow
+    ("render", "0.1", "1.6e308"),
+])
+def test_cloud_too_wide_for_floats_exits_two(tmp_path, command, scale,
+                                             shift):
+    doc = FIXTURES["sierpinski"]().to_json_dict()
+    doc["diameter_hint"] = None
+    doc["maps"] = [{"matrix": [[scale, "0"], ["0", scale]],
+                    "shift": [sign + shift, "0"]} for sign in "-+"]
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = invoke(command, "--spec", spec, "--out", out)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: cloud is too wide for floats")
+    assert not out.exists()
+
+
+def test_one_map_deep_render_exits_four_promptly(tmp_path):
+    doc = FIXTURES["sierpinski"]().to_json_dict()
+    doc["maps"] = doc["maps"][:1]
+    doc["diameter_hint"] = None
+    spec = tmp_path / "solo.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out.svg"
+    t0 = time.perf_counter()
+    res = invoke("render", "--spec", spec, "--depth", "30000000",
+                 "--out", out)
+    assert time.perf_counter() - t0 < 5.0
+    assert res.exit_code == 4
+    assert res.stderr.startswith("BUDGET: depth 30000000 exceeds ")
     assert not out.exists()
 
 

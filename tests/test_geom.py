@@ -175,6 +175,19 @@ def test_graph_json_round_trip_is_exact(m3):
     assert back.graph_id() == m3.graph_id()
 
 
+@pytest.mark.parametrize("vertices,edges", [
+    # Two unit segments a unit apart.
+    ([["0", "0"], ["1", "0"], ["2", "0"], ["3", "0"]], [[0, 1], [2, 3]]),
+    # A segment and an isolated vertex.
+    ([["0", "0"], ["1", "0"], ["0", "1"]], [[0, 1]]),
+])
+def test_graph_from_json_refuses_a_disconnected_host(seg_graph, vertices,
+                                                    edges):
+    doc = {**seg_graph.to_json_dict(), "vertices": vertices, "edges": edges}
+    with pytest.raises(DisconnectedInput):
+        PLGraph.from_json_dict(doc)
+
+
 def test_graph_id_depends_on_content(seg_graph, m3):
     assert seg_graph.graph_id() != m3.graph_id()
 

@@ -24,6 +24,7 @@ from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
                      find_k0, hausdorff, ifs_dimension_bound, lip_affine,
                      s_upper_ifs, word_cover)
 from sdimlab.ifs import FIXTURES, _extreme_points
+from sdimlab.render import render_cloud_svg
 
 REL = 1e-9
 
@@ -230,6 +231,22 @@ def test_word_budget_refuses_huge_depth_promptly(sier, depth):
                                f"{Budget().max_words}")
 
 
+def test_one_map_depth_is_bounded_by_the_word_budget(sier):
+    solo = IFSSpec(sier.maps[:1])
+    budget = Budget(max_words=5)
+    assert len(attractor_cloud(solo, 5, budget=budget)) == 1
+    assert len(word_cover(solo, 5, base_cloud=[(0.0, 0.0), (1.0, 0.0)],
+                          budget=budget).pieces) == 1
+    with pytest.raises(BudgetExceeded, match="depth 6 exceeds"):
+        attractor_cloud(solo, 6, budget=budget)
+    with pytest.raises(BudgetExceeded, match="depth 6 exceeds"):
+        word_cover(solo, 6, base_cloud=[(0.0, 0.0)], budget=budget)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        attractor_cloud(solo, 30_000_000)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_word_budget_matches_the_power():
     for max_words in (0, 1, 2, 26, 27, 28, 1000, 3 ** 12):
         budget = Budget(max_words=max_words)
@@ -254,6 +271,24 @@ def test_cloud_converges_in_hausdorff_distance(sier):
 def test_cloud_diameter_of_known_cloud():
     pts = [(0.0, 0.0), (3.0, 4.0), (1.0, 1.0)]
     assert cloud_diameter(pts) == pytest.approx(5.0, rel=0)
+
+
+@pytest.mark.parametrize("half_width", [1e200, 1.6e308])
+def test_cloud_too_wide_for_floats_is_refused(half_width):
+    # Every coordinate is finite; the squared width, or the width itself,
+    # is not.
+    pts = [(-half_width, 0.0), (0.0, 1.0), (half_width, 0.0)]
+    with pytest.raises(ParseError, match="too wide"):
+        cloud_diameter(pts)
+
+
+def test_render_refuses_a_window_wider_than_floats():
+    assert render_cloud_svg([(-1e200, 0.0), (1e200, 0.0)]).count(
+        "<circle") == 2
+    with pytest.raises(ParseError, match="too wide"):
+        render_cloud_svg([(-1.6e308, 0.0), (1.6e308, 0.0)])
+    with pytest.raises(ParseError, match="too wide"):
+        render_cloud_svg([(0.0, -1.6e308), (1e300, 1.6e308)])
 
 
 def test_hausdorff_of_known_clouds():
