@@ -1,10 +1,9 @@
-"""Exact rational kernels, pure-Python reference implementation.
+"""Exact rational kernels in pure Python.
 
 Points travel through these functions as flat 4-tuples of Python ints
 ``(xn, xd, yn, yd)`` with positive denominators.  All comparisons are done
 by cross-multiplication so no gcd is taken inside loops; results returned
-to callers are normalized.  `_exactcore_cy` is the compiled twin with the
-same semantics; `exactcore` selects between them at import.
+to callers are normalized.  `exactcore` re-exports these functions.
 """
 
 from __future__ import annotations

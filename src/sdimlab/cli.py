@@ -7,7 +7,9 @@ machine-matchable tag.  Scale parameters cross this boundary only as
 exact "p/q" strings; decimals are rejected so no binary-decimal drift can
 leak into certificates.  All output files are written atomically, with
 the mode the umask gives a new file.  JSON outputs are streamed: sorted
-top-level keys, one line per item of a top-level array.
+top-level keys, one line per item of a top-level array.  Certificates
+are streamed both ways: written one item at a time, and read one
+top-level array item at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
+from json import JSONDecoder
+from typing import Iterable, NoReturn
 
 import click
 
@@ -79,6 +84,87 @@ def _read_json(path: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_raw_decode = JSONDecoder().raw_decode
+
+
+def _read_members(path: str) -> Iterator[tuple[str, object]]:
+    """The members of the JSON object in `path`, in document order, for
+    `certificate_from_json_dict`.
+
+    The value of a member that is an array comes as an iterator that
+    decodes one item per step, so the document is never held decoded
+    whole.  Its items must be drawn before the next member; any left
+    undrawn are skipped.  Any JSON layout is accepted, and a document
+    that `json.load` would refuse, or that is not an object, is a
+    `ParseError`.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    i = 0
+
+    def fail(what: str) -> NoReturn:
+        raise ParseError(f"{path} is not valid JSON: {what}: char {i}")
+
+    def skip(chars: str) -> str:
+        """Skip whitespace, then one of `chars`, which is returned."""
+        nonlocal i
+        i = _WHITESPACE.match(text, i).end()
+        c = text[i:i + 1]
+        if not c or c not in chars:
+            fail("Expecting " + " or ".join(map(repr, chars)))
+        i += 1
+        return c
+
+    def value():
+        nonlocal i
+        i = _WHITESPACE.match(text, i).end()
+        try:
+            v, i = _raw_decode(text, i)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        return v
+
+    def items() -> Iterator:
+        nonlocal i
+        i = _WHITESPACE.match(text, i).end()
+        if text.startswith("]", i):
+            i += 1
+            return
+        while True:
+            yield value()
+            if skip(",]") == "]":
+                return
+
+    skip("{")
+    i = _WHITESPACE.match(text, i).end()
+    if text.startswith("}", i):
+        i += 1
+    else:
+        while True:
+            i = _WHITESPACE.match(text, i).end()
+            if not text.startswith('"', i):
+                fail("Expecting property name enclosed in double quotes")
+            key = value()
+            skip(":")
+            i = _WHITESPACE.match(text, i).end()
+            if text.startswith("[", i):
+                i += 1
+                rest = items()
+                yield key, rest
+                for _ in rest:
+                    pass
+            else:
+                yield key, value()
+            if skip(",}") == "}":
+                break
+    if _WHITESPACE.match(text, i).end() != len(text):
+        fail("Extra data")
+
+
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks to a temp file beside `path`, then rename it over
     `path`.  The file gets the mode a plain `open` would give it."""
@@ -103,7 +189,9 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 def _json_chunks(doc: dict) -> Iterator[str]:
     """`doc` as JSON text, in chunks: top-level keys sorted, one line per
-    key and per item of a top-level array, every value compact."""
+    key and per item of a top-level array, every value compact.  A
+    top-level array may be given as an iterator, which is drawn one item
+    per chunk."""
     def dumps(value) -> str:
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -113,12 +201,12 @@ def _json_chunks(doc: dict) -> Iterator[str]:
         value = doc[key]
         yield sep + dumps(key) + ":"
         sep = ",\n"
-        if isinstance(value, list) and value:
+        if isinstance(value, (list, Iterator)):
             head = "[\n"
             for item in value:
                 yield head + dumps(item)
                 head = ",\n"
-            yield "\n]"
+            yield "[]" if head == "[\n" else "\n]"
         else:
             yield dumps(value)
     yield "\n}\n"
@@ -195,12 +283,12 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
                  if graph.meta.get("builder") == "shark-teeth" else None)
         low = lower_separation(graph, eps, guard=guard, budget=budget)
         _check_distinct(paths["lower"], graph_path)
-        _write_json(paths["lower"], low.to_json_dict())
+        _write_json(paths["lower"], low.json_members())
         shown.append(f"lower={len(low.points)}")
     if "upper" in paths:
         up = upper_cover(graph, eps, budget=budget)
         _check_distinct(paths["upper"], graph_path)
-        _write_json(paths["upper"], up.to_json_dict())
+        _write_json(paths["upper"], up.json_members())
         shown.append(f"upper={len(up.elements)}")
     click.echo(" ".join(shown))
 
@@ -212,7 +300,7 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
 def cmd_verify(graph_path: str, cert_path: str) -> None:
     """Recheck a certificate against its host graph from scratch."""
     graph = _load_graph(graph_path)
-    cert = certificate_from_json_dict(_read_json(cert_path))
+    cert = certificate_from_json_dict(_read_members(cert_path))
     budget = from_env()
     if isinstance(cert, CoverCertificate):
         click.echo(f"upper={check_cover(graph, cert, budget)}")
@@ -303,14 +391,14 @@ def cmd_render(graph_path: str | None, spec_path: str | None, depth: int,
         raise ParseError("pass exactly one of --graph and --spec")
     _check_distinct(out_path, graph_path or "", spec_path or "")
     if graph_path is not None:
-        svg = render_svg(_load_graph(graph_path))
+        lines = render_svg(_load_graph(graph_path))
     else:
         spec = IFSSpec.from_json_dict(_read_json(spec_path))
         if depth < 0:
             raise ParseError(f"depth must be >= 0, got {depth}")
-        svg = render_cloud_svg(attractor_cloud(spec, depth,
-                                               budget=from_env()))
-    _atomic_write(out_path, [svg])
+        lines = render_cloud_svg(attractor_cloud(spec, depth,
+                                                 budget=from_env()))
+    _atomic_write(out_path, lines)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -61,7 +62,7 @@ class _Work:
 # certificate data types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeFragment:
     """Closed piece of one edge, parameters 0 <= lo <= hi <= 1.
 
@@ -77,7 +78,7 @@ class EdgeFragment:
             raise ValueError(f"bad fragment [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubSet:
     """Union of edge fragments plus anchor vertices; one cover element."""
     fragments: tuple[EdgeFragment, ...]
@@ -141,50 +142,60 @@ class CoverCertificate:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def to_json_dict(self) -> dict:
-        out = []
-        for el in self.elements:
-            frags = sorted(el.fragments, key=lambda f: (f.edge, f.lo, f.hi))
-            out.append({
-                "whole_edges": [f.edge for f in frags
-                                if f.lo == 0 and f.hi == 1],
-                "partial_edges": [[f.edge, format_rational(f.lo),
-                                   format_rational(f.hi)]
-                                  for f in frags
-                                  if not (f.lo == 0 and f.hi == 1)],
-                "anchor_vertices": sorted(el.vertices),
-            })
+    def json_members(self) -> dict:
+        """The document's members; `elements` is an iterator that
+        serializes one element per step, for a streaming writer."""
         return {
             "format": COVER_FORMAT,
             "version": COVER_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "elements": out,
+            "elements": map(_subset_to_json, self.elements),
         }
 
+    def to_json_dict(self) -> dict:
+        doc = self.json_members()
+        doc["elements"] = list(doc["elements"])
+        return doc
+
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CoverCertificate":
-        _expect_format(data, COVER_FORMAT, COVER_VERSION)
+    def from_json_dict(cls, data) -> "CoverCertificate":
+        """Read a decoded document, or its members as
+        `certificate_from_json_dict` takes them."""
+        return cls._from_fields(_read_fields(data))
+
+    @classmethod
+    def _from_fields(cls, fields: dict) -> "CoverCertificate":
+        _expect_format(fields, COVER_FORMAT, COVER_VERSION)
         try:
-            elements = []
-            for el in data["elements"]:
-                frags = [EdgeFragment(int(e), Fraction(0), Fraction(1))
-                         for e in el.get("whole_edges", ())]
-                frags.extend(EdgeFragment(int(e), parse_rational(lo),
-                                          parse_rational(hi))
-                             for e, lo, hi in el.get("partial_edges", ()))
-                frags.sort(key=lambda f: (f.edge, f.lo, f.hi))
-                elements.append(SubSet(
-                    tuple(frags),
-                    tuple(int(v) for v in el.get("anchor_vertices", ())),
-                ))
-            return cls(parse_rational(data["epsilon"]), tuple(elements),
-                       str(data["graph_id"]))
+            return cls(parse_rational(fields["epsilon"]), fields["elements"],
+                       str(fields["graph_id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
 
 
-@dataclass(frozen=True)
+def _subset_to_json(el: SubSet) -> dict:
+    frags = sorted(el.fragments, key=lambda f: (f.edge, f.lo, f.hi))
+    return {
+        "whole_edges": [f.edge for f in frags if f.lo == 0 and f.hi == 1],
+        "partial_edges": [[f.edge, format_rational(f.lo),
+                           format_rational(f.hi)]
+                          for f in frags if not (f.lo == 0 and f.hi == 1)],
+        "anchor_vertices": sorted(el.vertices),
+    }
+
+
+def _subset_from_json(el: dict) -> SubSet:
+    frags = [EdgeFragment(int(e), Fraction(0), Fraction(1))
+             for e in el.get("whole_edges", ())]
+    frags.extend(EdgeFragment(int(e), parse_rational(lo), parse_rational(hi))
+                 for e, lo, hi in el.get("partial_edges", ()))
+    frags.sort(key=lambda f: (f.edge, f.lo, f.hi))
+    return SubSet(tuple(frags),
+                  tuple(int(v) for v in el.get("anchor_vertices", ())))
+
+
+@dataclass(frozen=True, slots=True)
 class GraphPoint:
     """Point on a plane graph: parameter t in [0, 1] along an edge."""
     edge: int
@@ -236,18 +247,17 @@ class SeparationCertificate:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_json_dict(self) -> dict:
-        ws = [{"i": i, "j": j, "center": w.center,
-               "delta": format_rational(w.delta)}
-              for i, j, w in sorted(self.witnesses,
-                                    key=lambda t: (t[0], t[1]))]
+    def json_members(self) -> dict:
+        """The document's members; `points` and `witnesses` are iterators
+        that serialize one item per step, for a streaming writer."""
+        ws = sorted(self.witnesses, key=lambda t: (t[0], t[1]))
         return {
             "format": SEPARATION_FORMAT,
             "version": SEPARATION_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "points": [[p.edge, format_rational(p.t)] for p in self.points],
-            "witnesses": ws,
+            "points": map(_point_to_json, self.points),
+            "witnesses": map(_witness_to_json, ws),
             "guard": None if self.guard is None else {
                 "K": self.guard.k,
                 "amplitude_bound": format_rational(self.guard.amplitude_bound),
@@ -255,42 +265,110 @@ class SeparationCertificate:
             },
         }
 
+    def to_json_dict(self) -> dict:
+        doc = self.json_members()
+        doc["points"] = list(doc["points"])
+        doc["witnesses"] = list(doc["witnesses"])
+        return doc
+
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SeparationCertificate":
-        _expect_format(data, SEPARATION_FORMAT, SEPARATION_VERSION)
+    def from_json_dict(cls, data) -> "SeparationCertificate":
+        """Read a decoded document, or its members as
+        `certificate_from_json_dict` takes them."""
+        return cls._from_fields(_read_fields(data))
+
+    @classmethod
+    def _from_fields(cls, fields: dict) -> "SeparationCertificate":
+        _expect_format(fields, SEPARATION_FORMAT, SEPARATION_VERSION)
         try:
-            points = tuple(GraphPoint(int(e), parse_rational(t))
-                           for e, t in data["points"])
-            witnesses = tuple(
-                (int(w["i"]), int(w["j"]),
-                 DisconnectionWitness(int(w["center"]),
-                                      parse_rational(w["delta"])))
-                for w in data["witnesses"])
-            g = data.get("guard")
+            g = fields.get("guard")
             guard = None if g is None else TruncationGuard(
                 int(g["K"]),
                 parse_rational(g["amplitude_bound"]),
                 parse_rational(g["threshold"]))
-            return cls(parse_rational(data["epsilon"]), points,
-                       witnesses, guard, str(data["graph_id"]))
+            return cls(parse_rational(fields["epsilon"]), fields["points"],
+                       fields["witnesses"], guard, str(fields["graph_id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(
                 f"malformed separation certificate: {exc}") from exc
 
 
+def _point_to_json(p: GraphPoint) -> list:
+    return [p.edge, format_rational(p.t)]
+
+
+def _point_from_json(item: list) -> GraphPoint:
+    e, t = item
+    return GraphPoint(int(e), parse_rational(t))
+
+
+def _witness_to_json(w: tuple[int, int, DisconnectionWitness]) -> dict:
+    i, j, d = w
+    return {"i": i, "j": j, "center": d.center,
+            "delta": format_rational(d.delta)}
+
+
+def _witness_from_json(w: dict) -> tuple[int, int, DisconnectionWitness]:
+    return (int(w["i"]), int(w["j"]),
+            DisconnectionWitness(int(w["center"]), parse_rational(w["delta"])))
+
+
+# Array members and how one item of each is read.  An item is converted
+# as soon as it is decoded, so a streamed document is never held whole.
+_ITEM_READERS = {"elements": _subset_from_json,
+                 "points": _point_from_json,
+                 "witnesses": _witness_from_json}
+_SCALAR_KEYS = ("format", "version", "graph_id", "epsilon", "guard")
+
+
+def _read_fields(data) -> dict:
+    """The members a certificate reads, with array items converted.
+
+    `data` is a decoded JSON object, or an iterator over its members as
+    (key, value) pairs in document order, where an array value may be an
+    iterator over its items.  A later duplicate key wins, as in `json`.
+    """
+    if isinstance(data, dict):
+        data = iter(data.items())
+    elif not isinstance(data, Iterator):
+        raise ParseError("not a certificate document")
+    fields: dict = {}
+    for key, value in data:
+        read = _ITEM_READERS.get(key)
+        if read is not None:
+            try:
+                fields[key] = tuple(read(item) for item in value)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"malformed {key} in certificate: "
+                                 f"{exc}") from exc
+        elif key in _SCALAR_KEYS:
+            fields[key] = list(value) if isinstance(value, Iterator) \
+                else value
+    return fields
+
+
 def _expect_format(data: dict, name: str, version: int) -> None:
-    if not isinstance(data, dict) or data.get("format") != name:
+    if data.get("format") != name:
         raise ParseError(f"not a {name} document")
     if data.get("version") != version:
         raise ParseError(f"unsupported version {data.get('version')!r}")
 
 
-def certificate_from_json_dict(data: dict):
-    """Dispatch on the format field; accepts either certificate kind."""
-    if isinstance(data, dict) and data.get("format") == COVER_FORMAT:
-        return CoverCertificate.from_json_dict(data)
-    if isinstance(data, dict) and data.get("format") == SEPARATION_FORMAT:
-        return SeparationCertificate.from_json_dict(data)
+def certificate_from_json_dict(data):
+    """Read either certificate kind, dispatching on its format field.
+
+    `data` is a decoded JSON object, or an iterator over its members as
+    (key, value) pairs in document order, where an array value may be an
+    iterator over its items: each item is converted before the next is
+    drawn.  A document of the wrong shape is a `ParseError`; so is a
+    malformed item of any of the arrays in `_ITEM_READERS`, even one
+    that the document's format does not read.
+    """
+    fields = _read_fields(data)
+    if fields.get("format") == COVER_FORMAT:
+        return CoverCertificate._from_fields(fields)
+    if fields.get("format") == SEPARATION_FORMAT:
+        return SeparationCertificate._from_fields(fields)
     raise ParseError("not a certificate document")
 
 

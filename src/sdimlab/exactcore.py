@@ -1,21 +1,13 @@
-"""Kernel backend selection.
+"""The exact rational kernels, re-exported from `_exactcore`.
 
-Prefers the compiled extension, falls back to the pure-Python twin when the
-extension is missing or ``SDIMLAB_PURE`` is set to a nonempty value.  Both
-backends are semantically identical; `BACKEND` reports which one is live.
+Callers reach every kernel as ``exactcore.<name>``, so one module
+attribute is the place where a kernel can be wrapped or counted.
+`BACKEND` names the implementation; there is one, in pure Python.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("SDIMLAB_PURE"):
-    from . import _exactcore as _impl
-else:
-    try:
-        from . import _exactcore_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _exactcore as _impl  # type: ignore[no-redef]
+from . import _exactcore as _impl
 
 BACKEND = _impl.BACKEND
 

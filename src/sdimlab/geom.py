@@ -8,7 +8,6 @@ formed.  The central object is `PLGraph`, a plane graph produced by
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -18,6 +17,16 @@ from . import exactcore as xc
 from .errors import DisconnectedInput, EmptySubset, OverlapError, ParseError
 from .limits import Budget
 
+# The interpreter's own SHA-256, as `random` takes its SHA-512: `hashlib`
+# maps OpenSSL, which costs every command several MB and milliseconds.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 Rational = Fraction
 
 FORMAT_NAME = "sdimlab/plgraph"
@@ -26,6 +35,8 @@ FORMAT_VERSION = 1
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or integer 'p'. Decimal and float forms are rejected."""
+    if not isinstance(text, str):
+        raise ParseError(f"not a rational: {text!r}")
     s = text.strip()
     body = s[1:] if s[:1] in "+-" else s
     num, slash, den = body.partition("/")
@@ -238,7 +249,7 @@ class PLGraph:
         if self._id is None:
             blob = json.dumps(self.to_json_dict(), sort_keys=True,
                               separators=(",", ":")).encode()
-            self._id = hashlib.sha256(blob).hexdigest()[:16]
+            self._id = _sha256(blob).hexdigest()[:16]
         return self._id
 
 

@@ -214,14 +214,53 @@ def attractor_cloud(spec: IFSSpec, depth: int,
     else:
         x, y = seed
         pts = [(float(x), float(y))]
-    for _ in range(depth):
-        pts = [p for m in spec.maps for p in m.apply(pts)]
+    if len(spec.maps) == 1:
+        pts = [_orbit_point(spec.maps[0], pts[0], depth)]
+    else:
+        for _ in range(depth):
+            pts = [p for m in spec.maps for p in m.apply(pts)]
     # A non-finite point has only non-finite images, so checking the last
     # level catches an overflow at any depth.
     if not all(map(math.isfinite, chain.from_iterable(pts))):
         raise ParseError(f"IFS {spec.name or '(unnamed)'} overflows: its "
                          f"depth-{depth} cloud has non-finite coordinates")
     return pts
+
+
+def _orbit_point(m: AffineMap2, p: Point, depth: int) -> Point:
+    """`m` applied `depth` times to `p`, computed as `apply` computes it.
+
+    A point's orbit under `m` takes finitely many float values, so it
+    ends in a cycle, often within a few hundred steps and not always at a
+    fixed point.  Brent's cycle finding (R. P. Brent, *An improved Monte
+    Carlo factorization algorithm*, BIT, 1980) stops at the first repeat
+    it sees and reads the point at `depth` off the cycle, in constant
+    memory: the orbit before its cycle can be long for a map that
+    contracts slowly.  Points repeat only when their bits agree, so the
+    two zeros count as different values.
+    """
+    def step(q: Point) -> Point:
+        return m.apply((q,))[0]
+
+    def same(q: Point, r: Point) -> bool:
+        # Equal floats differ in their bits only as 0.0 and -0.0.
+        return q == r and all(math.copysign(1.0, a) == math.copysign(1.0, b)
+                              for a, b in zip(q, r))
+
+    if depth == 0:
+        return p
+    # Invariant: hare is the point at `level`, tortoise the one at
+    # level - lam.
+    tortoise, hare, level = p, step(p), 1
+    power = lam = 1
+    while level < depth and not same(tortoise, hare):
+        if power == lam:
+            tortoise, power, lam = hare, 2 * power, 0
+        hare, level, lam = step(hare), level + 1, lam + 1
+    # The orbit repeats with period lam from level - lam on.
+    for _ in range((depth - level) % lam):
+        hare = step(hare)
+    return hare
 
 
 def _chain(pts: list[Point]) -> list[Point]:

@@ -20,9 +20,11 @@ from click.testing import CliRunner
 
 import sdimlab
 from sdimlab import PLGraph, read_profile_csv
-from sdimlab.cli import _write_json, main
-from sdimlab.cover import lower_separation, truncation_guard, upper_cover
-from sdimlab.ifs import FIXTURES
+from sdimlab.cli import _atomic_write, _read_members, _write_json, main
+from sdimlab.cover import (certificate_from_json_dict, lower_separation,
+                           truncation_guard, upper_cover)
+from sdimlab.ifs import FIXTURES, attractor_cloud
+from sdimlab.render import render_cloud_svg
 
 runner = CliRunner()
 
@@ -330,6 +332,109 @@ def test_verify_rejects_non_certificate(tmp_path, seg_graph_file):
     assert res.stderr.startswith("PARSE:")
 
 
+def _reordered(value):
+    """`value` with the keys of every object in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reordered(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("layout", [
+    lambda doc: json.dumps(doc, indent=2),
+    lambda doc: json.dumps(doc),
+    lambda doc: json.dumps(_reordered(doc), separators=(",", ":")),
+    lambda doc: " \n" + json.dumps(_reordered(doc), indent="\t") + "\r\n",
+    lambda doc: json.dumps({"notes": [{"a": [1]}, "b"], **doc, "x": []}),
+], ids=["indented", "one-line", "reordered", "tabs-reordered",
+        "unknown-members"])
+def test_verify_accepts_any_json_layout(tmp_path, m3_graph, layout):
+    res = invoke("cover", "--graph", m3_graph, "--epsilon", "1/8",
+                 "--mode", "both", "--out", tmp_path / "c.json")
+    assert res.exit_code == 0
+    for kind in ("lower", "upper"):
+        cert = tmp_path / f"c.{kind}.json"
+        want = invoke("verify", "--graph", m3_graph, "--cert", cert)
+        assert want.exit_code == 0
+        cert.write_text(layout(json.loads(cert.read_text())))
+        got = invoke("verify", "--graph", m3_graph, "--cert", cert)
+        assert got.exit_code == 0
+        assert got.output == want.output
+
+
+_BROKEN_TEXT = {
+    "truncated-array": lambda t: t[:t.index("\n", t.index("[") + 40)],
+    "truncated-after-bracket": lambda t: t[:t.index("[") + 1],
+    "array-trailing-comma": lambda t: t.replace("\n]", ",\n]", 1),
+    "object-trailing-comma": lambda t: t.replace("\n}", ",\n}", 1),
+    "missing-colon": lambda t: t.replace('"epsilon":', '"epsilon" ', 1),
+    "trailing-garbage": lambda t: t + "x",
+    "second-document": lambda t: t + t,
+    "empty": lambda t: "",
+    "bom": lambda t: "\ufeff" + t,
+    "array": lambda t: "[" + t + "]",
+    "string": lambda t: json.dumps(t),
+    "number": lambda t: "3",
+    "null": lambda t: "null",
+}
+
+
+@pytest.mark.parametrize("kind", ["lower", "upper"])
+@pytest.mark.parametrize("broken", sorted(_BROKEN_TEXT))
+def test_verify_refuses_broken_json_with_exit_two(tmp_path, m3_graph, kind,
+                                                  broken):
+    invoke("cover", "--graph", m3_graph, "--epsilon", "1/8",
+           "--mode", "both", "--out", tmp_path / "c.json")
+    cert = tmp_path / f"c.{kind}.json"
+    cert.write_text(_BROKEN_TEXT[broken](cert.read_text()))
+    res = invoke("verify", "--graph", m3_graph, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda doc: {**doc, "elements": [5] + doc["elements"]},
+    lambda doc: {**doc, "elements": [["whole_edges"]]},
+    lambda doc: {**doc, "epsilon": 5},
+    lambda doc: {**doc, "elements": [{"partial_edges": [[0, 0, 1]]}]},
+], ids=["int-element", "list-element", "int-epsilon", "int-parameters"])
+def test_verify_refuses_wrongly_typed_items_with_exit_two(
+        tmp_path, m3_graph, mangle):
+    # These used to escape as AttributeError from `dict.get` or `str.strip`.
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", m3_graph, "--epsilon", "1/8",
+           "--mode", "upper", "--out", cert)
+    cert.write_text(json.dumps(mangle(json.loads(cert.read_text()))))
+    res = invoke("verify", "--graph", m3_graph, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
+def test_verify_reader_holds_no_decoded_copy(tmp_path, w6):
+    # `json.load` held the decoded tree of the whole document while the
+    # certificate was built from it, about seven times the file size
+    # beyond the certificate; the streamed reader holds the text and one
+    # item.
+    eps = Fraction(1, 256)
+    cert = tmp_path / "up.json"
+    _write_json(str(cert), upper_cover(w6, eps).json_members())
+    size = cert.stat().st_size
+    tracemalloc.start()
+    try:
+        back = certificate_from_json_dict(_read_members(str(cert)))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size >= 100_000
+    assert len(back.elements) == 1994
+    assert peak - kept < 2 * size
+    graph = tmp_path / "w6.json"
+    _write_json(str(graph), w6.to_json_dict())
+    res = invoke("verify", "--graph", graph, "--cert", cert)
+    assert res.exit_code == 0 and res.output.strip() == "upper=1994"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -509,6 +614,23 @@ def test_one_map_deep_render_exits_four_promptly(tmp_path):
     assert not out.exists()
 
 
+def test_one_map_deep_render_is_prompt(tmp_path):
+    # A one-map cloud is the seed's orbit; here the seed is the map's fixed
+    # point, so it repeats at once.  Walking all 10^6 levels took 2 s.
+    doc = FIXTURES["sierpinski"]().to_json_dict()
+    doc["maps"] = doc["maps"][1:2]
+    doc["diameter_hint"] = None
+    spec = tmp_path / "solo.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out.svg"
+    t0 = time.perf_counter()
+    res = invoke("render", "--spec", spec, "--depth", "1000000",
+                 "--out", out)
+    assert time.perf_counter() - t0 < 2.0
+    assert res.exit_code == 0
+    assert out.read_text().count("<circle") == 1
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -529,6 +651,23 @@ def test_render_cloud_marker_count(tmp_path, sier_spec):
     res = invoke("render", "--spec", sier_spec, "--depth", "4",
                  "--out", out)
     assert out.read_text().count("<circle") == 81
+
+
+def test_render_writer_holds_no_copy_of_the_text(tmp_path):
+    # Building the document as one string took about five times the file
+    # size at peak; the streamed writer holds a line at a time.
+    cloud = attractor_cloud(FIXTURES["sierpinski"](), 8)
+    out = tmp_path / "g.svg"
+    tracemalloc.start()
+    try:
+        _atomic_write(str(out), render_cloud_svg(cloud))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert out.read_text().count("<circle") == 3 ** 8
+    assert size >= 400_000
+    assert peak < size / 4
 
 
 def test_render_requires_exactly_one_input(tmp_path, m3_graph, sier_spec):
@@ -554,7 +693,7 @@ def _run_python(code: str, *args: str) -> str:
     return out.stdout
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy"])
+@pytest.mark.parametrize("module", ["scipy", "numpy", "_hashlib", "hashlib"])
 def test_cli_import_does_not_load(module):
     # Every call, `--help` included, pays for what `sdimlab.cli` imports.
     probe = f"import sys, sdimlab.cli; print({module!r} in sys.modules)"

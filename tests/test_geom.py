@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,8 @@ def test_parse_rational_accepts_integers_and_ratios():
 
 
 @pytest.mark.parametrize("bad", ["0.5", "1e-3", "", "1/", "/2", "1/0",
-                                 "a/b", "1 / 2", "0x10", "nan"])
+                                 "a/b", "1 / 2", "0x10", "nan",
+                                 1.5, 2, None])
 def test_parse_rational_rejects_everything_else(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
@@ -192,11 +195,23 @@ def test_graph_id_depends_on_content(seg_graph, m3):
     assert seg_graph.graph_id() != m3.graph_id()
 
 
+def test_graph_id_is_sha256_of_the_canonical_document(m3, m15, w6):
+    # The digest comes from the interpreter's own SHA-256 module, not from
+    # hashlib; both must give the ids that certificates already carry.
+    for graph, known in ((m3, "fdc9129980ad1c6e"), (m15, "af065ab654622ff5"),
+                         (w6, "ebbda60d0e371a92")):
+        blob = json.dumps(graph.to_json_dict(), sort_keys=True,
+                          separators=(",", ":")).encode()
+        assert graph.graph_id() == hashlib.sha256(blob).hexdigest()[:16] \
+            == known
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: {**d, "format": "something-else"},
     lambda d: {**d, "version": 99},
     lambda d: {**d, "vertices": [["0.5", "0"]]},
     lambda d: {k: v for k, v in d.items() if k != "edges"},
+    lambda d: {**d, "vertices": [[0, 0], [1, 0]]},
 ])
 def test_graph_from_json_rejects_malformed(seg_graph, mangle):
     with pytest.raises(ParseError):

@@ -16,7 +16,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
@@ -247,6 +247,40 @@ def test_one_map_depth_is_bounded_by_the_word_budget(sier):
     assert time.perf_counter() - t0 < 1.0
 
 
+def _naive_orbit(m, p, depth):
+    for _ in range(depth):
+        p = m.apply([p])[0]
+    return p
+
+
+_entry = st.floats(-0.7, 0.7)
+
+
+@given(a=_entry, b=_entry, c=_entry, d=_entry,
+       e=st.floats(-4, 4), f=st.floats(-4, 4),
+       seed=st.none() | st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
+       depth=st.integers(0, 3000))
+def test_one_map_cloud_is_the_orbit_point(a, b, c, d, e, f, seed, depth):
+    m = AffineMap2(a, b, c, d, e, f)
+    assume(lip_affine(m) < 1)
+    solo = IFSSpec((m,))
+    start = m.fixed_point() if seed is None else seed
+    want = [_naive_orbit(m, start, depth)]
+    # repr tells 0.0 from -0.0, which the orbit must keep apart.
+    assert repr(attractor_cloud(solo, depth, seed=seed)) == repr(want)
+
+
+def test_one_map_orbit_keeps_signed_zeros_apart():
+    # From (1, 0), x -> -x/2 - 0.0*y - 0.0 reaches 0.0 at step 1075 and
+    # then alternates between -0.0 and 0.0: a 2-cycle that equality alone
+    # would take for a fixed point.
+    solo = IFSSpec((AffineMap2(-0.5, -0.0, 0.0, 0.5, -0.0, 0.0),))
+    for depth in (1100, 1101, 5000, 5001):
+        got = attractor_cloud(solo, depth, seed=(1.0, 0.0))
+        assert repr(got) == repr([_naive_orbit(solo.maps[0], (1.0, 0.0),
+                                               depth)])
+
+
 def test_word_budget_matches_the_power():
     for max_words in (0, 1, 2, 26, 27, 28, 1000, 3 ** 12):
         budget = Budget(max_words=max_words)
@@ -283,7 +317,7 @@ def test_cloud_too_wide_for_floats_is_refused(half_width):
 
 
 def test_render_refuses_a_window_wider_than_floats():
-    assert render_cloud_svg([(-1e200, 0.0), (1e200, 0.0)]).count(
+    assert "".join(render_cloud_svg([(-1e200, 0.0), (1e200, 0.0)])).count(
         "<circle") == 2
     with pytest.raises(ParseError, match="too wide"):
         render_cloud_svg([(-1.6e308, 0.0), (1.6e308, 0.0)])
