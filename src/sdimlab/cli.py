@@ -78,7 +78,7 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
@@ -102,7 +102,7 @@ def _read_members(path: str) -> Iterator[tuple[str, object]]:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     i = 0
 

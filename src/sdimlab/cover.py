@@ -6,7 +6,9 @@ Everything here brackets that number for a `PLGraph` host:
 
   * `upper_cover` produces a `CoverCertificate`, an explicit list of
     connected edge-fragment unions whose diameters are verified below eps
-    and whose fragments cover every edge.
+    and whose fragments cover every edge.  In a document each element is
+    an array of `[edge, lo, hi]` fragments; a lone point, a vertex
+    included, is a fragment with lo == hi.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  Only pairs
     closer than eps carry a witness: the eps-ball around one of them,
@@ -38,7 +40,7 @@ from .geom import PLGraph, Point, UnionFind, format_rational, parse_rational
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
-COVER_VERSION = 1
+COVER_VERSION = 2
 SEPARATION_FORMAT = "sdimlab/separation"
 SEPARATION_VERSION = 2
 
@@ -66,8 +68,9 @@ class _Work:
 class EdgeFragment:
     """Closed piece of one edge, parameters 0 <= lo <= hi <= 1.
 
-    lo == hi is allowed and denotes a single point of the edge interior;
-    the cover builder never emits these, but hand-written certificates may.
+    lo == hi is allowed and denotes a single point of the edge, such as a
+    vertex at one of its ends; the cover builder never emits these, but
+    hand-written certificates may.
     """
     edge: int
     lo: Fraction
@@ -80,19 +83,20 @@ class EdgeFragment:
 
 @dataclass(frozen=True, slots=True)
 class SubSet:
-    """Union of edge fragments plus anchor vertices; one cover element."""
+    """Union of edge fragments; one cover element.
+
+    Every vertex of a loaded host is an edge end, so a fragment can name
+    any point of the graph and no other kind of member is needed.
+    """
     fragments: tuple[EdgeFragment, ...]
-    vertices: tuple[int, ...] = ()
 
     def endpoint_points(self, graph: PLGraph) -> list[Point]:
+        if not self.fragments:
+            raise EmptySubset("element has no fragments")
         pts = []
         for f in self.fragments:
             pts.append(graph.edge_point(f.edge, f.lo))
             pts.append(graph.edge_point(f.edge, f.hi))
-        for v in self.vertices:
-            pts.append(graph.vertices[v])
-        if not pts:
-            raise EmptySubset("element has no fragments and no vertices")
         return pts
 
     def is_connected(self, graph: PLGraph) -> bool:
@@ -101,10 +105,9 @@ class SubSet:
         Fragments of distinct edges can only meet at a graph vertex, so
         interval overlap per edge plus shared-vertex incidence decides it.
         """
-        nodes = len(self.fragments) + len(self.vertices)
-        if nodes == 0:
-            raise EmptySubset("element has no fragments and no vertices")
-        sets = UnionFind(range(nodes))
+        if not self.fragments:
+            raise EmptySubset("element has no fragments")
+        sets = UnionFind(range(len(self.fragments)))
         per_edge: dict[int, list[int]] = {}
         for i, f in enumerate(self.fragments):
             per_edge.setdefault(f.edge, []).append(i)
@@ -125,8 +128,6 @@ class SubSet:
                 touch.setdefault(a, []).append(i)
             if f.hi == 1:
                 touch.setdefault(b, []).append(i)
-        for k, v in enumerate(self.vertices):
-            touch.setdefault(v, []).append(len(self.fragments) + k)
         for idxs in touch.values():
             for i in idxs[1:]:
                 sets.union(idxs[0], i)
@@ -174,25 +175,18 @@ class CoverCertificate:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
 
 
-def _subset_to_json(el: SubSet) -> dict:
-    frags = sorted(el.fragments, key=lambda f: (f.edge, f.lo, f.hi))
-    return {
-        "whole_edges": [f.edge for f in frags if f.lo == 0 and f.hi == 1],
-        "partial_edges": [[f.edge, format_rational(f.lo),
-                           format_rational(f.hi)]
-                          for f in frags if not (f.lo == 0 and f.hi == 1)],
-        "anchor_vertices": sorted(el.vertices),
-    }
+def _subset_to_json(el: SubSet) -> list:
+    return [[f.edge, format_rational(f.lo), format_rational(f.hi)]
+            for f in sorted(el.fragments, key=lambda f: (f.edge, f.lo, f.hi))]
 
 
-def _subset_from_json(el: dict) -> SubSet:
-    frags = [EdgeFragment(int(e), Fraction(0), Fraction(1))
-             for e in el.get("whole_edges", ())]
-    frags.extend(EdgeFragment(int(e), parse_rational(lo), parse_rational(hi))
-                 for e, lo, hi in el.get("partial_edges", ()))
+def _subset_from_json(el: list) -> SubSet:
+    if not isinstance(el, list) or not all(isinstance(f, list) for f in el):
+        raise TypeError("an element is an array of [edge, lo, hi] arrays")
+    frags = [EdgeFragment(int(e), parse_rational(lo), parse_rational(hi))
+             for e, lo, hi in el]
     frags.sort(key=lambda f: (f.edge, f.lo, f.hi))
-    return SubSet(tuple(frags),
-                  tuple(int(v) for v in el.get("anchor_vertices", ())))
+    return SubSet(tuple(frags))
 
 
 @dataclass(frozen=True, slots=True)
@@ -498,20 +492,16 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
     if cert.epsilon <= 0:
         raise VerificationFailure("epsilon must be positive")
     eps2 = cert.epsilon * cert.epsilon
-    ne, nv = len(graph.edges), len(graph.vertices)
+    ne = len(graph.edges)
     covered: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(ne)]
     for idx, el in enumerate(cert.elements):
-        if not el.fragments and not el.vertices:
+        if not el.fragments:
             raise VerificationFailure(f"element {idx} is empty")
         for f in el.fragments:
             if not (0 <= f.edge < ne):
                 raise VerificationFailure(
                     f"element {idx}: edge {f.edge} out of range")
             covered[f.edge].append((f.lo, f.hi))
-        for v in el.vertices:
-            if not (0 <= v < nv):
-                raise VerificationFailure(
-                    f"element {idx}: vertex {v} out of range")
         if not el.is_connected(graph):
             raise VerificationFailure(f"element {idx} is not connected")
         pts = [p.raw() for p in el.endpoint_points(graph)]

@@ -235,6 +235,9 @@ class PLGraph:
             meta = data.get("meta", {})
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph document: {exc}") from exc
+        # A cover element names points by edge, so a host needs an edge.
+        if not edges:
+            raise ParseError("host graph has no edges")
         try:
             graph = cls(vertices, edges, meta)
         except ValueError as exc:

@@ -109,15 +109,9 @@ def test_criterion_2_brute_force_brackets(seg_graph, cross_graph,
 
 def _element_points(graph, element):
     pts = []
-    for e in element["whole_edges"]:
-        a, b = graph.edges[e]
-        pts.append(graph.vertices[a])
-        pts.append(graph.vertices[b])
-    for e, lo, hi in element["partial_edges"]:
+    for e, lo, hi in element:
         pts.append(graph.edge_point(e, Fraction(lo)))
         pts.append(graph.edge_point(e, Fraction(hi)))
-    for v in element["anchor_vertices"]:
-        pts.append(graph.vertices[v])
     return pts
 
 
@@ -144,14 +138,9 @@ def mut_cover_tiny_eps(doc, graph, rng):
 
 
 def mut_cover_drop_edge(doc, graph, rng):
-    present = sorted({f[0] for el in doc["elements"]
-                      for f in el["partial_edges"]} |
-                     {e for el in doc["elements"]
-                      for e in el["whole_edges"]})
+    present = sorted({f[0] for el in doc["elements"] for f in el})
     e = rng.choice(present)
-    for el in doc["elements"]:
-        el["partial_edges"] = [f for f in el["partial_edges"] if f[0] != e]
-        el["whole_edges"] = [w for w in el["whole_edges"] if w != e]
+    doc["elements"] = [[f for f in el if f[0] != e] for el in doc["elements"]]
     return doc
 
 
@@ -161,10 +150,7 @@ def mut_cover_wrong_host(doc, graph, rng):
 
 
 def mut_cover_merge_all(doc, graph, rng):
-    merged = {"whole_edges": [], "partial_edges": [], "anchor_vertices": []}
-    for el in doc["elements"]:
-        for key in merged:
-            merged[key].extend(el[key])
+    merged = [f for el in doc["elements"] for f in el]
     eps = Fraction(doc["epsilon"])
     assert _max_diam2(_element_points(graph, merged)) >= eps * eps
     doc["elements"] = [merged]
@@ -261,9 +247,11 @@ def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
 
     rng = random.Random(20260822)
     accepted = []
+    drawn = set()
     for trial in range(100):
         kind, graph, doc, ops = bases[trial % len(bases)]
         op = rng.choice(ops)
+        drawn.add(op.__name__)
         mutated = op(copy.deepcopy(doc), graph, rng)
         try:
             cert = certificate_from_json_dict(mutated)
@@ -276,6 +264,8 @@ def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
             continue
         accepted.append((trial, kind, op.__name__))
     assert not accepted, f"false accepts: {accepted}"
+    never = {op.__name__ for *_, ops in bases for op in ops} - drawn
+    assert not never, f"mutations never drawn: {sorted(never)}"
     assert not _expired(t0, 60.0), _expired(t0, 60.0)
 
 

@@ -19,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 import sdimlab
-from sdimlab import PLGraph, read_profile_csv
+from sdimlab import PLGraph, point, read_profile_csv
 from sdimlab.cli import _atomic_write, _read_members, _write_json, main
 from sdimlab.cover import (certificate_from_json_dict, lower_separation,
                            truncation_guard, upper_cover)
@@ -184,7 +184,7 @@ def test_json_writer_round_trips_edge_values(tmp_path):
 def test_json_writer_holds_no_copy_of_the_text(tmp_path, m3):
     # The indented writer allocated about six times the file size at
     # peak; the streamed one holds a few I/O buffers whatever the size.
-    doc = upper_cover(m3, Fraction(1, 512)).to_json_dict()
+    doc = upper_cover(m3, Fraction(1, 1024)).to_json_dict()
     out = tmp_path / "up.json"
     tracemalloc.start()
     try:
@@ -289,8 +289,7 @@ def test_verify_empty_element_exits_one(tmp_path, seg_graph_file):
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
-    doc["elements"].append({"whole_edges": [], "partial_edges": [],
-                            "anchor_vertices": []})
+    doc["elements"].append([])
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 1
@@ -305,6 +304,78 @@ def test_verify_refuses_v1_separation_document(tmp_path, m3_graph):
     doc["version"] = 1
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", m3_graph, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
+def test_verify_refuses_v1_cover_document(tmp_path, seg_graph_file):
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    doc = json.loads(cert.read_text())
+    doc["version"] = 1
+    doc["elements"] = [{"anchor_vertices": [], "partial_edges": el,
+                        "whole_edges": []} for el in doc["elements"]]
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
+@pytest.fixture()
+def point_host(tmp_path):
+    """A host with one vertex and no edges, and its graph_id."""
+    graph = PLGraph([point(0, 0)], [])
+    path = tmp_path / "point.graph.json"
+    path.write_text(json.dumps(graph.to_json_dict()))
+    return path, graph.graph_id()
+
+
+def test_verify_refuses_a_host_with_no_edges(tmp_path, point_host):
+    # S_eps of a point is 1, so an empty cover of it must not pass as
+    # upper=0.
+    host, graph_id = point_host
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"format": "sdimlab/cover", "version": 2,
+                                "graph_id": graph_id, "epsilon": "1/2",
+                                "elements": []}))
+    res = invoke("verify", "--graph", host, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
+def test_cover_refuses_a_host_with_no_edges(tmp_path, point_host):
+    host, _ = point_host
+    res = invoke("cover", "--graph", host, "--epsilon", "1/2",
+                 "--mode", "both", "--out", tmp_path / "c.json")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert not list(tmp_path.glob("c.*"))
+
+
+def _spoil_utf8(path: Path) -> None:
+    """Write the key "format" as Latin-1 "form\u00e9t", which is not
+    UTF-8."""
+    data = path.read_bytes()
+    assert b'"format"' in data
+    path.write_bytes(data.replace(b'"format"', b'"form\xe9t"', 1))
+
+
+def test_build_refuses_a_spec_that_is_not_utf8(tmp_path, paper3_spec):
+    _spoil_utf8(paper3_spec)
+    res = invoke("build", "--spec", paper3_spec, "--out", tmp_path / "g.json")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
+@pytest.mark.parametrize("spoiled", ["graph", "cert"])
+def test_verify_refuses_input_that_is_not_utf8(tmp_path, seg_graph_file,
+                                               spoiled):
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    _spoil_utf8(seg_graph_file if spoiled == "graph" else cert)
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
 
@@ -397,8 +468,11 @@ def test_verify_refuses_broken_json_with_exit_two(tmp_path, m3_graph, kind,
     lambda doc: {**doc, "elements": [5] + doc["elements"]},
     lambda doc: {**doc, "elements": [["whole_edges"]]},
     lambda doc: {**doc, "epsilon": 5},
-    lambda doc: {**doc, "elements": [{"partial_edges": [[0, 0, 1]]}]},
-], ids=["int-element", "list-element", "int-epsilon", "int-parameters"])
+    lambda doc: {**doc, "elements": [[[0, 0, 1]]]},
+    lambda doc: {**doc, "elements": [{"partial_edges": [[0, "0", "1"]]}]},
+    lambda doc: {**doc, "elements": [["101"]]},
+], ids=["int-element", "list-element", "int-epsilon", "int-parameters",
+        "object-element", "string-fragment"])
 def test_verify_refuses_wrongly_typed_items_with_exit_two(
         tmp_path, m3_graph, mangle):
     # These used to escape as AttributeError from `dict.get` or `str.strip`.
@@ -416,7 +490,7 @@ def test_verify_reader_holds_no_decoded_copy(tmp_path, w6):
     # certificate was built from it, about seven times the file size
     # beyond the certificate; the streamed reader holds the text and one
     # item.
-    eps = Fraction(1, 256)
+    eps = Fraction(1, 512)
     cert = tmp_path / "up.json"
     _write_json(str(cert), upper_cover(w6, eps).json_members())
     size = cert.stat().st_size
@@ -427,12 +501,12 @@ def test_verify_reader_holds_no_decoded_copy(tmp_path, w6):
     finally:
         tracemalloc.stop()
     assert size >= 100_000
-    assert len(back.elements) == 1994
+    assert len(back.elements) == 3958
     assert peak - kept < 2 * size
     graph = tmp_path / "w6.json"
     _write_json(str(graph), w6.to_json_dict())
     res = invoke("verify", "--graph", graph, "--cert", cert)
-    assert res.exit_code == 0 and res.output.strip() == "upper=1994"
+    assert res.exit_code == 0 and res.output.strip() == "upper=3958"
 
 
 # ---------------------------------------------------------------------------

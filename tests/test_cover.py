@@ -69,7 +69,9 @@ def test_subset_connects_through_shared_vertex(lshape_graph):
 
 
 def test_subset_isolated_anchor_vertex_disconnects(seg_graph):
-    s = SubSet((EdgeFragment(0, Fraction(0), QUARTER),), vertices=(1,))
+    # A lone vertex is the degenerate fragment at its edge end.
+    s = SubSet((EdgeFragment(0, Fraction(0), QUARTER),
+                EdgeFragment(0, Fraction(1), Fraction(1))))
     assert not s.is_connected(seg_graph)
 
 
@@ -423,24 +425,53 @@ def test_verify_wrappers_return_booleans(seg_graph, m1):
 def test_cover_certificate_round_trip(m2):
     cert = upper_cover(m2, HALF)
     doc = cert.to_json_dict()
-    assert {"whole_edges", "partial_edges", "anchor_vertices"} \
-        <= set(doc["elements"][0])
+    assert doc["version"] == 2
+    assert all(isinstance(el, list) and el
+               and all(isinstance(f, list) and len(f) == 3 for f in el)
+               for el in doc["elements"])
     back = CoverCertificate.from_json_dict(doc)
     assert back == cert
+    assert back.to_json_dict() == doc
     assert check_cover(m2, back) == len(cert.elements)
 
 
-def test_cover_round_trip_keeps_anchors_and_whole_edges(seg_graph, lshape_graph):
-    origin = lshape_graph.vertices.index(min(lshape_graph.vertices))
+def test_cover_round_trip_keeps_whole_edges_and_points(lshape_graph):
+    # The origin is the first end of both legs; [1, 0, 0] names it as a
+    # degenerate fragment, which is how a lone vertex is written.
+    assert [i for i, _ in lshape_graph.edges] == [0, 0]
+    one, zero = Fraction(1), Fraction(0)
     cert = CoverCertificate(
-        Fraction(3), (SubSet((EdgeFragment(0, Fraction(0), Fraction(1)),
-                              EdgeFragment(1, Fraction(0), Fraction(1))),
-                             vertices=(origin,)),),
+        Fraction(3),
+        (SubSet((EdgeFragment(0, zero, one), EdgeFragment(1, zero, zero))),
+         SubSet((EdgeFragment(1, zero, HALF), EdgeFragment(1, HALF, one)))),
         lshape_graph.graph_id())
     doc = cert.to_json_dict()
-    assert doc["elements"][0]["whole_edges"] == [0, 1]
-    assert doc["elements"][0]["anchor_vertices"] == [origin]
-    assert CoverCertificate.from_json_dict(doc) == cert
+    assert doc["elements"] == [[[0, "0", "1"], [1, "0", "0"]],
+                               [[1, "0", "1/2"], [1, "1/2", "1"]]]
+    back = CoverCertificate.from_json_dict(doc)
+    assert back == cert
+    assert check_cover(lshape_graph, back) == 2
+
+
+def test_cover_reader_sorts_fragments(seg_graph):
+    doc = upper_cover(seg_graph, HALF).to_json_dict()
+    doc["elements"] = [[[0, "1/2", "1"], [0, "0", "1/2"]]]
+    back = CoverCertificate.from_json_dict(doc)
+    assert [(f.lo, f.hi) for f in back.elements[0].fragments] \
+        == [(0, HALF), (HALF, 1)]
+
+
+def test_cover_v1_document_is_refused(m2):
+    doc = upper_cover(m2, HALF).to_json_dict()
+    # Version 1 alone, on v2 elements, is refused by its version...
+    doc["version"] = 1
+    with pytest.raises(ParseError, match="unsupported version"):
+        certificate_from_json_dict(doc)
+    # ...and a whole v1 document by its elements, which are objects.
+    doc["elements"] = [{"whole_edges": [], "partial_edges": el,
+                        "anchor_vertices": []} for el in doc["elements"]]
+    with pytest.raises(ParseError):
+        certificate_from_json_dict(doc)
 
 
 def test_separation_certificate_round_trip(m2, m3):

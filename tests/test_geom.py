@@ -191,6 +191,13 @@ def test_graph_from_json_refuses_a_disconnected_host(seg_graph, vertices,
         PLGraph.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("vertices", [[["0", "0"]], []])
+def test_graph_from_json_refuses_a_host_with_no_edges(seg_graph, vertices):
+    doc = {**seg_graph.to_json_dict(), "vertices": vertices, "edges": []}
+    with pytest.raises(ParseError, match="no edges"):
+        PLGraph.from_json_dict(doc)
+
+
 def test_graph_id_depends_on_content(seg_graph, m3):
     assert seg_graph.graph_id() != m3.graph_id()
 
