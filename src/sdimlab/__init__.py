@@ -16,9 +16,8 @@ from .cover import (CoverCertificate, DisconnectionWitness, EdgeFragment,
                     GraphPoint, SeparationCertificate, SubSet,
                     TruncationGuard, brute_force_oracle,
                     certificate_from_json_dict, check_cover,
-                    check_separation, disconnection_witness, lower_separation,
-                    s_bounds, truncation_guard, upper_cover, verify_cover,
-                    verify_separation)
+                    check_separation, lower_separation, s_bounds,
+                    truncation_guard, upper_cover)
 from .dimension import (DimensionProfile, ScaleRow, ifs_bound_report,
                         make_row, read_profile_csv, scale_ratio,
                         sdim_estimate, sweep, write_profile_csv)

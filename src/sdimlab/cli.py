@@ -268,9 +268,10 @@ def _cover_out_paths(out_path: str, mode: str) -> dict[str, str]:
 def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     """Compute certified bounds at one scale and write the certificates.
 
-    On hosts built by the shark-teeth builder the lower bound is guarded:
-    its points clear the omitted-amplitude threshold, so the certificate
-    holds for the ambient continuum, not just the truncation.
+    On hosts built by the shark-teeth builder the lower bound is guarded
+    (see `truncation_guard`): its points clear the omitted-amplitude
+    threshold, so the certificate holds for the ambient continuum, not
+    just the truncation.
     """
     _check_distinct(out_path, graph_path)
     eps = _positive_rational(epsilon, "epsilon")
@@ -279,9 +280,8 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     paths = _cover_out_paths(out_path, mode)
     shown = []
     if "lower" in paths:
-        guard = (truncation_guard(graph, eps)
-                 if graph.meta.get("builder") == "shark-teeth" else None)
-        low = lower_separation(graph, eps, guard=guard, budget=budget)
+        low = lower_separation(graph, eps, guard=truncation_guard(graph, eps),
+                               budget=budget)
         _check_distinct(paths["lower"], graph_path)
         _write_json(paths["lower"], low.json_members())
         shown.append(f"lower={len(low.points)}")

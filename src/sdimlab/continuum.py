@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import CrossingAssertionFailure, ParseError, SizeLimit
-from .geom import PLGraph, Point, Segment, arrange
+from .geom import PLGraph, Point, Segment, arrange, parse_index
 from .limits import Budget
 
 TOOTH_SPEC_FORMAT = "sdimlab/tooth-spec"
@@ -139,21 +139,28 @@ class ToothSequenceSpec:
         try:
             kind = str(data["kind"])
             if kind == "paper":
-                return cls("paper", K=int(data["K"]))
-            return cls(kind, K=int(data.get("K", 0)),
-                       levels=tuple(int(m) for m in data["levels"]))
+                return cls("paper", K=parse_index(data["K"]))
+            return cls(kind, K=parse_index(data.get("K", 0)),
+                       levels=tuple(map(parse_index, data["levels"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed tooth spec: {exc}") from exc
 
 
 def spec_from_meta(meta: dict) -> ToothSequenceSpec:
-    """Rebuild the tooth spec recorded in graph metadata by the builder."""
+    """Rebuild the tooth spec recorded in graph metadata by the builder.
+
+    Metadata that does not name the shark-teeth builder, or that does not
+    describe a valid spec, is a `ParseError`.
+    """
     if not isinstance(meta, dict) or meta.get("builder") != "shark-teeth":
-        raise ValueError("graph was not built by the shark-teeth builder")
-    if meta.get("kind") == "paper":
-        return ToothSequenceSpec("paper", K=int(meta["teeth"]))
-    return ToothSequenceSpec("explicit",
-                             levels=tuple(int(m) for m in meta["levels"]))
+        raise ParseError("graph was not built by the shark-teeth builder")
+    try:
+        if meta.get("kind") == "paper":
+            return ToothSequenceSpec("paper", K=parse_index(meta["teeth"]))
+        return ToothSequenceSpec(
+            "explicit", levels=tuple(map(parse_index, meta["levels"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed builder metadata: {exc}") from exc
 
 
 def predicted_counts(levels: Sequence[int]) -> tuple[int, int]:

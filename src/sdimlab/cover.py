@@ -16,12 +16,14 @@ Everything here brackets that number for a `PLGraph` host:
     Every other pair is claimed to be at distance >= eps, which the
     checker recomputes from the two points alone.
 
-Certificates are self-contained and re-checkable; `verify_cover` and
-`verify_separation` recompute every claim from scratch with exact rational
+Certificates are self-contained and re-checkable; `check_cover` and
+`check_separation` recompute every claim from scratch with exact rational
 arithmetic.  A `TruncationGuard` extends a separation certificate from a
 finite shark-teeth truncation to the full continuum: when every chosen
 point sits at height >= (omitted amplitude bound) + eps, the omitted teeth
 cannot enter any relevant eps-ball, so the witnesses remain valid ambiently.
+`truncation_guard` is the one place that decides whether a host gets a
+guard and computes it, for the CLI, the sweep and the checker alike.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from typing import Sequence
 from . import exactcore as xc
 from .errors import (EmptySubset, HostMismatch, ParseError, TooLarge,
                      VerificationFailure)
-from .geom import PLGraph, Point, UnionFind, format_rational, parse_rational
+from .geom import (PLGraph, Point, UnionFind, format_rational, parse_index,
+                   parse_rational)
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
@@ -183,7 +186,8 @@ def _subset_to_json(el: SubSet) -> list:
 def _subset_from_json(el: list) -> SubSet:
     if not isinstance(el, list) or not all(isinstance(f, list) for f in el):
         raise TypeError("an element is an array of [edge, lo, hi] arrays")
-    frags = [EdgeFragment(int(e), parse_rational(lo), parse_rational(hi))
+    frags = [EdgeFragment(parse_index(e), parse_rational(lo),
+                          parse_rational(hi))
              for e, lo, hi in el]
     frags.sort(key=lambda f: (f.edge, f.lo, f.hi))
     return SubSet(tuple(frags))
@@ -277,7 +281,7 @@ class SeparationCertificate:
         try:
             g = fields.get("guard")
             guard = None if g is None else TruncationGuard(
-                int(g["K"]),
+                parse_index(g["K"]),
                 parse_rational(g["amplitude_bound"]),
                 parse_rational(g["threshold"]))
             return cls(parse_rational(fields["epsilon"]), fields["points"],
@@ -293,7 +297,7 @@ def _point_to_json(p: GraphPoint) -> list:
 
 def _point_from_json(item: list) -> GraphPoint:
     e, t = item
-    return GraphPoint(int(e), parse_rational(t))
+    return GraphPoint(parse_index(e), parse_rational(t))
 
 
 def _witness_to_json(w: tuple[int, int, DisconnectionWitness]) -> dict:
@@ -303,8 +307,9 @@ def _witness_to_json(w: tuple[int, int, DisconnectionWitness]) -> dict:
 
 
 def _witness_from_json(w: dict) -> tuple[int, int, DisconnectionWitness]:
-    return (int(w["i"]), int(w["j"]),
-            DisconnectionWitness(int(w["center"]), parse_rational(w["delta"])))
+    return (parse_index(w["i"]), parse_index(w["j"]),
+            DisconnectionWitness(parse_index(w["center"]),
+                                 parse_rational(w["delta"])))
 
 
 # Array members and how one item of each is read.  An item is converted
@@ -451,26 +456,6 @@ class _ClipIndex:
         return self.center_comps.isdisjoint(self.components_at(gp))
 
 
-def disconnection_witness(graph: PLGraph, center: GraphPoint,
-                          other: GraphPoint, eps: Fraction,
-                          delta: Fraction | None = None,
-                          budget: Budget | None = None
-                          ) -> DisconnectionWitness | None:
-    """Standalone clipped-ball check for one pair; None when inconclusive.
-
-    The returned witness stores only delta: verification repeats this exact
-    computation.  Refining delta only removes fragments, so a witness found
-    at some delta stays valid at every finer delta.  The center index is a
-    placeholder (-1) here; certificate assembly fills in the real one.
-    """
-    delta = delta if delta is not None else eps / 8
-    work = _Work(budget or Budget())
-    clip = _ClipIndex(graph, center, eps * eps, delta, work)
-    if clip.separates(other):
-        return DisconnectionWitness(center=-1, delta=delta)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -482,7 +467,7 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
     Checks, in order: host identity, per-element well-formedness,
     connectivity, strict diameter < eps, and that the per-edge fragment
     unions cover every edge end to end.  Raises VerificationFailure with
-    the first offending detail; `verify_cover` is the boolean wrapper.
+    the first offending detail.
     """
     work = _Work(budget or Budget())
     work.budget.check_edges(len(graph.edges))
@@ -522,18 +507,6 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
     return len(cert.elements)
 
 
-def _guard_facts_for(graph: PLGraph) -> tuple[int, Fraction]:
-    """Truncation index and canonical omitted-amplitude bound of the host,
-    recomputed from builder metadata."""
-    from .continuum import next_amplitude_bound, spec_from_meta
-    try:
-        spec = spec_from_meta(graph.meta)
-    except (KeyError, ValueError) as exc:
-        raise VerificationFailure(
-            f"host carries no usable truncation metadata: {exc}") from exc
-    return spec.K, next_amplitude_bound(spec)
-
-
 def check_separation(graph: PLGraph, cert: SeparationCertificate,
                      budget: Budget | None = None) -> int:
     """Recheck a separation certificate; returns the point count.
@@ -541,10 +514,10 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     A pair listed with a disconnection witness must be separated by the
     clipped eps-ball around the witness center; every unlisted pair must
     be at distance >= eps, recomputed exactly.  When a guard is present,
-    the truncation index and amplitude bound are recomputed from the
-    host's builder metadata and every point must clear the height
-    threshold.  Raises VerificationFailure with the first offending
-    detail; `verify_separation` is the boolean wrapper.
+    `truncation_guard` recomputes the truncation index and amplitude
+    bound from the host's builder metadata, and every point must clear
+    the height threshold.  Raises VerificationFailure with the first
+    offending detail.
     """
     budget = budget or Budget()
     budget.check_edges(len(graph.edges))
@@ -563,11 +536,18 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     located = [gp.locate(graph) for gp in cert.points]
 
     if cert.guard is not None:
-        host_k, canonical = _guard_facts_for(graph)
-        if cert.guard.k != host_k:
+        try:
+            host = truncation_guard(graph, cert.epsilon)
+        except ParseError as exc:
             raise VerificationFailure(
-                f"guard claims truncation {cert.guard.k}, host has {host_k}")
-        if cert.guard.amplitude_bound < canonical:
+                f"host carries no usable truncation metadata: {exc}") from exc
+        if host is None:
+            raise VerificationFailure("host has no shark-teeth builder "
+                                      "metadata to guard with")
+        if cert.guard.k != host.k:
+            raise VerificationFailure(
+                f"guard claims truncation {cert.guard.k}, host has {host.k}")
+        if cert.guard.amplitude_bound < host.amplitude_bound:
             raise VerificationFailure(
                 "guard amplitude bound is below the recomputed bound")
         if cert.guard.threshold < cert.guard.amplitude_bound + cert.epsilon:
@@ -611,31 +591,6 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
                 raise VerificationFailure(
                     f"pair ({i},{j}): clipped ball does not separate")
     return n
-
-
-def verify_cover(graph: PLGraph, cert: CoverCertificate,
-                 budget: Budget | None = None) -> bool:
-    """True iff the cover certificate checks out against this host.
-
-    Content failures come back as False; a certificate addressed to a
-    different graph raises HostMismatch instead, since comparing it here
-    is a caller error rather than a refuted claim.
-    """
-    try:
-        check_cover(graph, cert, budget)
-    except VerificationFailure:
-        return False
-    return True
-
-
-def verify_separation(graph: PLGraph, cert: SeparationCertificate,
-                      budget: Budget | None = None) -> bool:
-    """True iff the separation certificate checks out against this host."""
-    try:
-        check_separation(graph, cert, budget)
-    except VerificationFailure:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -841,15 +796,10 @@ def upper_cover(graph: PLGraph, eps: Fraction,
 # lower bound: greedy separated set
 
 
-def _candidate_points(graph: PLGraph, eps: Fraction,
-                      mode: str) -> list[GraphPoint]:
-    """Candidate pool for the separated-set greedy.
-
-    "grid" places, per edge, the densest uniform subdivision whose spacing
-    is still >= eps (so same-edge neighbours separate by distance alone),
-    plus every vertex.  "vertices" restricts to vertices, which for
-    shark-teeth hosts means base points and peaks.
-    """
+def _candidate_points(graph: PLGraph, eps: Fraction) -> list[GraphPoint]:
+    """Default candidate pool for the separated-set greedy: every vertex,
+    plus, per edge, the densest uniform subdivision whose spacing is still
+    >= eps (so same-edge neighbours separate by distance alone)."""
     cands: list[GraphPoint] = []
     seen: set[Point] = set()
 
@@ -862,21 +812,18 @@ def _candidate_points(graph: PLGraph, eps: Fraction,
     for v in range(len(graph.vertices)):
         e, end = min(graph.incident(v))
         push(GraphPoint(e, Fraction(end)))
-    if mode == "grid":
-        eps2 = eps * eps
-        for e in range(len(graph.edges)):
-            r = graph.edge_length2(e) / eps2
-            q = math.isqrt(r.numerator // r.denominator)
-            for j in range(1, q):
-                push(GraphPoint(e, Fraction(j, q)))
-    elif mode != "vertices":
-        raise ValueError(f"unknown candidate mode {mode!r}")
+    eps2 = eps * eps
+    for e in range(len(graph.edges)):
+        r = graph.edge_length2(e) / eps2
+        q = math.isqrt(r.numerator // r.denominator)
+        for j in range(1, q):
+            push(GraphPoint(e, Fraction(j, q)))
     return cands
 
 
 def lower_separation(graph: PLGraph, eps: Fraction,
                      guard: TruncationGuard | None = None,
-                     candidates: str | Sequence[GraphPoint] = "grid",
+                     candidates: Sequence[GraphPoint] | None = None,
                      delta: Fraction | None = None,
                      budget: Budget | None = None) -> SeparationCertificate:
     """Greedy maximal family of pairwise-separated points with witnesses.
@@ -886,7 +833,9 @@ def lower_separation(graph: PLGraph, eps: Fraction,
     off by the candidate's clipped eps-ball.  Only the cut-off pairs get a
     witness in the certificate.  With a guard, candidates below the height
     threshold are discarded first, which is what makes the resulting
-    certificate meaningful for the untruncated continuum.
+    certificate meaningful for the untruncated continuum.  `candidates`
+    replaces the default pool of `_candidate_points`, and `delta` the
+    default clip scale eps/8, for cross-checks on explicit point families.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -895,8 +844,8 @@ def lower_separation(graph: PLGraph, eps: Fraction,
     eps2 = eps * eps
     en, ed = eps2.numerator, eps2.denominator
     delta = delta if delta is not None else eps / 8
-    pool = (_candidate_points(graph, eps, candidates)
-            if isinstance(candidates, str) else list(candidates))
+    pool = (_candidate_points(graph, eps) if candidates is None
+            else list(candidates))
     located = [(gp, gp.locate(graph)) for gp in pool]
     if guard is not None:
         located = [(gp, p) for gp, p in located if p.y >= guard.threshold]
@@ -934,12 +883,17 @@ def lower_separation(graph: PLGraph, eps: Fraction,
                                  graph.graph_id())
 
 
-def truncation_guard(graph: PLGraph, eps: Fraction) -> TruncationGuard:
-    """Guard for a shark-teeth host, from its builder metadata.
+def truncation_guard(graph: PLGraph, eps: Fraction) -> TruncationGuard | None:
+    """Guard for a host at scale eps, from its builder metadata.
 
-    The amplitude bound is always recomputed here rather than accepted
-    from the caller, so a guard can never quietly overstate what was built.
+    A host whose metadata names the shark-teeth builder gets its guard;
+    any other host gets None.  Metadata that names the builder but does
+    not describe a valid spec is a `ParseError`.  The amplitude bound is
+    always recomputed here rather than accepted from the caller, so a
+    guard can never quietly overstate what was built.
     """
+    if graph.meta.get("builder") != "shark-teeth":
+        return None
     from .continuum import next_amplitude_bound, spec_from_meta
     spec = spec_from_meta(graph.meta)
     bound = next_amplitude_bound(spec)
@@ -947,18 +901,15 @@ def truncation_guard(graph: PLGraph, eps: Fraction) -> TruncationGuard:
 
 
 def s_bounds(graph: PLGraph, eps: Fraction,
-             guard: TruncationGuard | None = None,
-             candidates: str | Sequence[GraphPoint] = "grid",
-             delta: Fraction | None = None,
              budget: Budget | None = None) -> tuple[int, int]:
-    """Certified bracket (lower, upper) on the connected-cover number.
+    """Unguarded certified bracket (lower, upper) on the connected-cover
+    number of the graph as given.
 
     Convenience over `lower_separation` and `upper_cover` for callers who
     want numbers rather than certificates.  lower <= upper always: both
     sides bracket the same quantity.
     """
-    low = lower_separation(graph, eps, guard=guard, candidates=candidates,
-                           delta=delta, budget=budget)
+    low = lower_separation(graph, eps, budget=budget)
     up = upper_cover(graph, eps, budget=budget)
     assert len(low.points) <= len(up.elements)
     return len(low.points), len(up.elements)

@@ -2,10 +2,10 @@
 
 A `DimensionProfile` is a table of certified brackets lower <= S_eps <=
 upper over a strictly decreasing scale schedule, together with the ratios
-ln(count) / -ln(eps) whose limsup is the relevant dimension.  For
-shark-teeth hosts the lower bounds are computed with a truncation guard by
-default, so they hold for the ambient continuum, not just the finite
-truncation in memory.
+ln(count) / -ln(eps) whose limsup is the relevant dimension.  A host with
+shark-teeth builder metadata gets its lower bounds with the guard of
+`truncation_guard`, so they hold for the ambient continuum, not just the
+finite truncation in memory; any other host gets unguarded bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 from .cover import lower_separation, truncation_guard, upper_cover
 from .errors import TooFewScales, VerificationFailure
 from .geom import PLGraph
-from .ifs import IFSSpec, find_k0, ifs_dimension_bound
+from .ifs import K0_WINDOW, IFSSpec, find_k0, ifs_dimension_bound
 from .limits import Budget
 
 CSV_HEADER = ("epsilon_num", "epsilon_den", "lower", "upper",
@@ -94,31 +94,21 @@ class DimensionProfile:
 
 
 def sweep(graph: PLGraph, epsilons: Sequence[Fraction],
-          guard: str | bool = "auto",
-          candidates: str = "grid",
-          delta: Fraction | None = None,
           budget: Budget | None = None) -> DimensionProfile:
     """Certified bracket at each scale of a strictly decreasing schedule.
 
-    guard: "auto" applies a truncation guard when the host carries
-    shark-teeth builder metadata, True requires one, False disables it.
-    Guarded rows may report lower = 0 at coarse scales where no point
-    clears the height threshold; that is the honest guarded answer, and
-    `scale_ratio` maps it to 0.0.
+    The lower bound at each scale is guarded as `truncation_guard`
+    decides.  Guarded rows may report lower = 0 at coarse scales where no
+    point clears the height threshold; that is the honest guarded answer,
+    and `scale_ratio` maps it to 0.0.
     """
-    if guard not in ("auto", True, False):
-        raise ValueError(f"bad guard setting {guard!r}")
-    use_guard = (guard is True or
-                 (guard == "auto" and
-                  graph.meta.get("builder") == "shark-teeth"))
     rows = []
     truncation = None
     for eps in epsilons:
-        g = truncation_guard(graph, eps) if use_guard else None
+        g = truncation_guard(graph, eps)
         if g is not None:
             truncation = g.k
-        low = lower_separation(graph, eps, guard=g, candidates=candidates,
-                               delta=delta, budget=budget)
+        low = lower_separation(graph, eps, guard=g, budget=budget)
         up = upper_cover(graph, eps, budget=budget)
         rows.append(make_row(eps, len(low.points), len(up.elements)))
     return DimensionProfile(tuple(rows), source=graph.graph_id(),
@@ -166,14 +156,14 @@ def read_profile_csv(stream: io.TextIOBase) -> DimensionProfile:
     return DimensionProfile(tuple(rows))
 
 
-def ifs_bound_report(spec: IFSSpec, delta: float = 0.1, scales: int = 8,
+def ifs_bound_report(spec: IFSSpec, delta: float = 0.1,
                      diameter: float | None = None,
                      budget: Budget | None = None) -> str:
     """Human-readable account of the IFS dimension bound and its scale.
 
     Shows the bound ln(n)/-ln(ratio), the first word length k0 whose cover
     ratio sits within delta of it, the scale eps0 this happens at, and a
-    pass/fail line per swept scale below eps0.  Counts are reported as
+    pass/fail line for eps0 and each of the `K0_WINDOW` finer scales.  Counts are reported as
     powers because they overflow anything sensible to print.
     """
     budget = budget or Budget()
@@ -185,14 +175,13 @@ def ifs_bound_report(spec: IFSSpec, delta: float = 0.1, scales: int = 8,
     if n == 1:
         return (head +
                 "\n  single map: every scale is covered by one piece\n")
-    k0, eps0 = find_k0(spec, delta, diameter=diameter, window=scales,
-                       budget=budget)
+    k0, eps0 = find_k0(spec, delta, diameter=diameter, budget=budget)
     lines = [
         head,
         f"target slack delta={delta:.4f}: k0={k0} eps0={eps0:.6g}",
     ]
     d = eps0 / lam ** (k0 - 1)
-    for k in range(k0, k0 + scales + 1):
+    for k in range(k0, k0 + K0_WINDOW + 1):
         eps_k = lam ** (k - 1) * d
         ratio = k * math.log(n) / -math.log(eps_k)
         verdict = "ok" if ratio < bound + delta else "FAIL"

@@ -27,8 +27,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-Rational = Fraction
-
 FORMAT_NAME = "sdimlab/plgraph"
 FORMAT_VERSION = 1
 
@@ -46,6 +44,14 @@ def parse_rational(text: str) -> Fraction:
         value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
+    return value
+
+
+def parse_index(value) -> int:
+    """A JSON integer, as an index or count is written.  Floats, bools and
+    strings are rejected rather than converted."""
+    if type(value) is not int:
+        raise ParseError(f"not an integer: {value!r}")
     return value
 
 
@@ -177,9 +183,6 @@ class PLGraph:
             self._incident = inc
         return self._incident[v]
 
-    def diameter2(self) -> Fraction:
-        return points_diameter2(self.vertices)
-
     def is_connected(self) -> bool:
         sets = UnionFind(range(len(self.vertices)))
         for i, j in self.edges:
@@ -231,7 +234,8 @@ class PLGraph:
         try:
             vertices = [Point(parse_rational(x), parse_rational(y))
                         for x, y in data["vertices"]]
-            edges = [(int(i), int(j)) for i, j in data["edges"]]
+            edges = [(parse_index(i), parse_index(j))
+                     for i, j in data["edges"]]
             meta = data.get("meta", {})
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph document: {exc}") from exc

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 from .errors import ParseError, VerificationFailure
@@ -33,6 +33,8 @@ from .limits import Budget
 IFS_FORMAT = "sdimlab/ifs"
 FORMAT_VERSION = 1
 REL_TOL = 1e-9
+# Word lengths past k0 that `find_k0` re-checks and the report tabulates.
+K0_WINDOW = 8
 
 Point = tuple[float, float]
 
@@ -397,15 +399,14 @@ def word_cover(spec: IFSSpec, k: int,
     dhat = max(_norm(dx, dy) for dx, dy in diffs)
     lam = spec.ratio()
     bound = lam ** k * dhat
-    # One compose per tree node instead of k per word.
-    level: list[tuple[tuple[int, ...], AffineMap2]] = [
-        ((), AffineMap2(1.0, 0.0, 0.0, 1.0, 0.0, 0.0))]
+    # One compose per tree node instead of k per word.  Each level lists
+    # its maps in the lexicographic order of their words, which `product`
+    # then builds once each, at the last level only.
+    level = [AffineMap2(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)]
     for _ in range(k):
-        level = [(w + (s,), comp.compose(m))
-                 for w, comp in level
-                 for s, m in enumerate(spec.maps)]
+        level = [comp.compose(m) for comp in level for m in spec.maps]
     pieces = []
-    for word, comp in level:
+    for word, comp in zip(product(range(n), repeat=k), level):
         a, b, c, d = comp.a, comp.b, comp.c, comp.d
         diam = max(_norm(a * dx + b * dy, c * dx + d * dy)
                    for dx, dy in diffs)
@@ -450,15 +451,14 @@ def s_upper_ifs(spec: IFSSpec, eps: float,
 
 
 def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
-            window: int = 8, budget: Budget | None = None
-            ) -> tuple[int, float]:
+            budget: Budget | None = None) -> tuple[int, float]:
     """Smallest word length whose cover ratio sits within delta of the bound.
 
     At eps_k = ratio^(k-1) * D the certified count is n^k, giving the
     ratio k ln(n) / -ln(eps_k).  This decreases toward the dimension bound
     as k grows; the returned k0 is the first index where it is below
-    bound + delta (with eps_k already below 1), re-checked over `window`
-    further indices.  Returns (k0, eps_k0).
+    bound + delta (with eps_k already below 1), re-checked over the
+    `K0_WINDOW` further indices.  Returns (k0, eps_k0).
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -483,7 +483,7 @@ def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
         if k > 10_000:
             raise VerificationFailure(
                 "no admissible word length below 10000")
-    for kk in range(k, k + window + 1):
+    for kk in range(k, k + K0_WINDOW + 1):
         if not ratio_at(kk) < bound + delta:
             raise VerificationFailure(
                 f"ratio at word length {kk} regressed above bound + delta")

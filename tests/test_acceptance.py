@@ -53,14 +53,14 @@ def _expired(t0: float, budget: float) -> str | None:
 def w6_profile(w6):
     scales = [Fraction(1, 2 ** j) for j in range(2, 9)]
     t0 = time.perf_counter()
-    profile = sweep(w6, scales, guard=True)
+    profile = sweep(w6, scales)
     return profile, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def seg_profile(seg_graph):
     scales = [Fraction(1, m) for m in range(2, 11)]
-    return sweep(seg_graph, scales, guard=False)
+    return sweep(seg_graph, scales)
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,75 @@ def test_cover_refuses_a_host_with_no_edges(tmp_path, point_host):
     assert not list(tmp_path.glob("c.*"))
 
 
+@pytest.fixture(params=[
+    {"builder": "shark-teeth"},
+    {"builder": "shark-teeth", "levels": [3, 1]},
+    {"builder": "shark-teeth", "kind": "paper", "teeth": "x"},
+], ids=["no-levels", "decreasing-levels", "string-teeth"])
+def malformed_builder_host(request, tmp_path, m3):
+    """The m3 geometry under builder metadata that does not parse."""
+    path = tmp_path / "bad-meta.graph.json"
+    path.write_text(json.dumps(
+        PLGraph(m3.vertices, m3.edges, request.param).to_json_dict()))
+    return path
+
+
+def test_cover_refuses_malformed_builder_metadata(tmp_path,
+                                                  malformed_builder_host):
+    res = invoke("cover", "--graph", malformed_builder_host,
+                 "--epsilon", "1/8", "--mode", "lower",
+                 "--out", tmp_path / "low.json")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert not (tmp_path / "low.json").exists()
+
+
+def test_sweep_refuses_malformed_builder_metadata(tmp_path,
+                                                  malformed_builder_host):
+    res = invoke("sweep", "--graph", malformed_builder_host,
+                 "--eps-start", "1/2", "--eps-factor", "1/2", "--steps", "3",
+                 "--out", tmp_path / "p.csv")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("element", [
+    [[0.7, "0", "1"], [1.2, "0", "1"]],
+    [[0, "0", "1"], ["1", "0", "1"]],
+    [[0, "0", "1"], [True, "0", "1"]],
+], ids=["float-edges", "string-edge", "bool-edge"])
+def test_verify_refuses_fragment_edges_that_are_not_integers(
+        tmp_path, lshape_graph, element):
+    # Read through int(), the first element verified as upper=1.
+    host = tmp_path / "l.graph.json"
+    host.write_text(json.dumps(lshape_graph.to_json_dict()))
+    cert = tmp_path / "c.json"
+    doc = {"format": "sdimlab/cover", "version": 2,
+           "graph_id": lshape_graph.graph_id(), "epsilon": "3",
+           "elements": [[[0, "0", "1"], [1, "0", "1"]]]}
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", host, "--cert", cert)
+    assert res.exit_code == 0 and res.output.strip() == "upper=1"
+    cert.write_text(json.dumps({**doc, "elements": [element]}))
+    res = invoke("verify", "--graph", host, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
+def test_cover_refuses_graph_edges_that_are_not_integers(tmp_path):
+    # Read through int(), these edges loaded as (0, 1), (1, 2).
+    host = tmp_path / "g.json"
+    host.write_text(json.dumps({
+        "format": "sdimlab/plgraph", "version": 1,
+        "vertices": [["0", "0"], ["1", "0"], ["2", "0"]],
+        "edges": [[0.0, 1.9], [1, 2]]}))
+    res = invoke("cover", "--graph", host, "--epsilon", "1/2",
+                 "--mode", "upper", "--out", tmp_path / "c.json")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
 def _spoil_utf8(path: Path) -> None:
     """Write the key "format" as Latin-1 "form\u00e9t", which is not
     UTF-8."""

@@ -137,7 +137,14 @@ def test_spec_json_rejects_malformed():
     for mangle in (lambda d: {**d, "format": "nope"},
                    lambda d: {**d, "version": 0},
                    lambda d: {**d, "kind": "mystery"},
-                   lambda d: {k: v for k, v in d.items() if k != "K"}):
+                   lambda d: {k: v for k, v in d.items() if k != "K"},
+                   lambda d: {**d, "K": 2.0},
+                   lambda d: {**d, "K": "2"},
+                   lambda d: {**d, "K": True},
+                   lambda d: {**d, "kind": "explicit", "K": 2.0,
+                              "levels": [1, 2]},
+                   lambda d: {**d, "kind": "explicit", "levels": [1, "2"]},
+                   lambda d: {**d, "kind": "explicit", "levels": [True, 1]}):
         with pytest.raises(ParseError):
             ToothSequenceSpec.from_json_dict(mangle(good))
 

@@ -16,14 +16,13 @@ import pytest
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      DisconnectionWitness, EdgeFragment, EmptySubset,
-                     GraphPoint, HostMismatch, ParseError,
+                     GraphPoint, HostMismatch, ParseError, PLGraph,
                      SeparationCertificate, SubSet, TruncationGuard,
                      VerificationFailure, brute_force_oracle,
                      certificate_from_json_dict, check_cover,
-                     check_separation, disconnection_witness, dist2,
-                     lower_separation, points_diameter2, s_bounds,
-                     truncation_guard, upper_cover, verify_cover,
-                     verify_separation)
+                     check_separation, dist2, lower_separation,
+                     points_diameter2, s_bounds, truncation_guard,
+                     upper_cover)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -149,22 +148,16 @@ def test_separation_witnesses_exactly_the_close_pairs(host, request):
     assert check_separation(g, cert) == len(cert.points)
 
 
-def test_vertices_candidate_mode(m3):
-    cert = lower_separation(m3, EIGHTH, candidates="vertices")
-    for gp in cert.points:
-        assert gp.t in (0, 1)
-    assert check_separation(m3, cert) == len(cert.points)
+def _vertex_pool(g):
+    """Every vertex of g, named at the end of its first incident edge."""
+    return [GraphPoint(e, Fraction(end))
+            for e, end in (min(g.incident(v)) for v in range(len(g.vertices)))]
 
 
 def test_explicit_candidate_pool(seg_graph):
     pool = [GraphPoint(0, Fraction(i, 4)) for i in range(5)]
     cert = lower_separation(seg_graph, QUARTER, candidates=pool)
     assert len(cert.points) == 5
-
-
-def test_bad_candidate_mode_rejected(seg_graph):
-    with pytest.raises(ValueError):
-        lower_separation(seg_graph, HALF, candidates="everything")
 
 
 def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
@@ -188,18 +181,29 @@ def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
 # disconnection witnesses
 
 
+def _pair_cert(g, a, b, center, delta):
+    """Two-point certificate whose one witness is the clipped ball around
+    point `center` (0 or 1) at fragment scale `delta`."""
+    return SeparationCertificate(
+        HALF, (a, b), ((0, 1, DisconnectionWitness(center, delta)),), None,
+        g.graph_id())
+
+
 def test_peaks_of_adjacent_teeth_are_separated(m2):
     peak1 = GraphPoint(1, Fraction(1))  # (1/2, 1/2)
     peak2 = GraphPoint(0, Fraction(1))  # (1/2, 1/4)
     assert dist2(peak1.locate(m2), peak2.locate(m2)) < HALF * HALF
-    assert disconnection_witness(m2, peak1, peak2, HALF) is not None
-    assert disconnection_witness(m2, peak2, peak1, HALF) is not None
+    for center in (0, 1):
+        cert = _pair_cert(m2, peak1, peak2, center, HALF / 8)
+        assert check_separation(m2, cert) == 2
 
 
 def test_same_tooth_flanks_are_not_separated(m2):
     a = GraphPoint(1, Fraction(3, 4))
     b = GraphPoint(4, Fraction(1, 4))
-    assert disconnection_witness(m2, a, b, HALF) is None
+    for center in (0, 1):
+        with pytest.raises(VerificationFailure, match="does not separate"):
+            check_separation(m2, _pair_cert(m2, a, b, center, HALF / 8))
 
 
 def test_witness_survives_delta_refinement(m2):
@@ -207,9 +211,8 @@ def test_witness_survives_delta_refinement(m2):
     peak1 = GraphPoint(1, Fraction(1))
     peak2 = GraphPoint(0, Fraction(1))
     for div in (8, 16, 32):
-        w = disconnection_witness(m2, peak1, peak2, HALF,
-                                  delta=HALF / div)
-        assert w is not None and w.delta == HALF / div
+        cert = _pair_cert(m2, peak1, peak2, 0, HALF / div)
+        assert check_separation(m2, cert) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +227,42 @@ def test_guard_frozen_values(m3):
 
 def test_guarded_lower_keeps_only_tall_points(m3):
     g = truncation_guard(m3, EIGHTH)
-    cert = lower_separation(m3, EIGHTH, guard=g, candidates="vertices")
+    cert = lower_separation(m3, EIGHTH, guard=g, candidates=_vertex_pool(m3))
     located = sorted(p.locate(m3) for p in cert.points)
     assert [(p.x, p.y) for p in located] == [
         (HALF, QUARTER), (HALF, HALF)]
     assert check_separation(m3, cert) == 2
 
 
-def test_guard_requires_builder_metadata(seg_graph):
-    with pytest.raises(ValueError):
-        truncation_guard(seg_graph, EIGHTH)
+def test_guard_requires_builder_metadata(seg_graph, m3):
+    # A host without shark-teeth builder metadata gets no guard.
+    assert truncation_guard(seg_graph, EIGHTH) is None
+    other = PLGraph(m3.vertices, m3.edges, {"builder": "hand"})
+    assert truncation_guard(other, EIGHTH) is None
+
+
+# Metadata that names the builder but describes no valid spec.
+MALFORMED_BUILDER_META = [
+    {"builder": "shark-teeth"},
+    {"builder": "shark-teeth", "levels": [3, 1]},
+    {"builder": "shark-teeth", "kind": "paper", "teeth": "x"},
+    {"builder": "shark-teeth", "kind": "paper", "teeth": 3.0},
+    {"builder": "shark-teeth", "kind": "paper", "teeth": 0},
+    {"builder": "shark-teeth", "levels": [1, True]},
+    {"builder": "shark-teeth", "levels": 3},
+]
+
+
+@pytest.mark.parametrize("meta", MALFORMED_BUILDER_META)
+def test_guard_refuses_malformed_builder_metadata(m3, meta):
+    host = PLGraph(m3.vertices, m3.edges, meta)
+    with pytest.raises(ParseError):
+        truncation_guard(host, EIGHTH)
 
 
 def _guarded_cert(m3):
     g = truncation_guard(m3, EIGHTH)
-    return lower_separation(m3, EIGHTH, guard=g, candidates="vertices")
+    return lower_separation(m3, EIGHTH, guard=g, candidates=_vertex_pool(m3))
 
 
 def test_guard_k_mismatch_fails(m3):
@@ -291,6 +315,22 @@ def test_guard_point_below_threshold_fails(m3):
                                 cert.guard, cert.graph_id)
     with pytest.raises(VerificationFailure):
         check_separation(m3, bad)
+
+
+@pytest.mark.parametrize("meta", [{}, *MALFORMED_BUILDER_META])
+def test_guard_against_host_without_usable_metadata_fails(m3, meta):
+    # Same geometry, so every point and witness still checks; only the
+    # guard cannot be recomputed from the host.
+    cert = _guarded_cert(m3)
+    host = PLGraph(m3.vertices, m3.edges, meta)
+    relabeled = SeparationCertificate(cert.epsilon, cert.points,
+                                      cert.witnesses, cert.guard,
+                                      host.graph_id())
+    unguarded = SeparationCertificate(cert.epsilon, cert.points,
+                                      cert.witnesses, None, host.graph_id())
+    assert check_separation(host, unguarded) == 2
+    with pytest.raises(VerificationFailure):
+        check_separation(host, relabeled)
 
 
 def test_guard_on_wrong_host_fails(m3, w6):
@@ -358,7 +398,6 @@ def test_check_cover_rejects_empty_element(seg_graph):
         seg_graph.graph_id())
     with pytest.raises(VerificationFailure, match="element 1 is empty"):
         check_cover(seg_graph, cert)
-    assert verify_cover(seg_graph, cert) is False
 
 
 def test_check_cover_rejects_wrong_host(seg_graph, m1):
@@ -403,19 +442,6 @@ def test_check_separation_rejects_foreign_center(m2):
         None, m2.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(m2, cert)
-
-
-def test_verify_wrappers_return_booleans(seg_graph, m1):
-    cert = upper_cover(seg_graph, HALF)
-    assert verify_cover(seg_graph, cert) is True
-    broken = CoverCertificate(cert.epsilon, cert.elements[1:],
-                              cert.graph_id)
-    assert verify_cover(seg_graph, broken) is False
-    low = lower_separation(seg_graph, HALF)
-    assert verify_separation(seg_graph, low) is True
-    # Host mismatch is a usage error, not a quiet False.
-    with pytest.raises(HostMismatch):
-        verify_cover(m1, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +503,7 @@ def test_cover_v1_document_is_refused(m2):
 def test_separation_certificate_round_trip(m2, m3):
     plain = lower_separation(m2, HALF)
     guarded = lower_separation(m3, EIGHTH, guard=truncation_guard(m3, EIGHTH),
-                               candidates="vertices")
+                               candidates=_vertex_pool(m3))
     for g, cert in ((m2, plain), (m3, guarded)):
         doc = cert.to_json_dict()
         assert doc["version"] == 2
@@ -502,6 +528,46 @@ def test_guard_serialized_under_uppercase_k(m3):
     cert = lower_separation(m3, EIGHTH, guard=truncation_guard(m3, EIGHTH))
     doc = cert.to_json_dict()
     assert doc["guard"]["K"] == 3
+
+
+def _with_item(doc, key, index, item):
+    items = list(doc[key])
+    items[index] = item
+    return {**doc, key: items}
+
+
+@pytest.mark.parametrize("edge", [0.7, 1.2, 1.0, "1", True, None])
+def test_cover_reader_refuses_a_fragment_edge_that_is_not_an_integer(
+        m2, edge):
+    doc = upper_cover(m2, HALF).to_json_dict()
+    with pytest.raises(ParseError):
+        certificate_from_json_dict(
+            _with_item(doc, "elements", 0, [[edge, "0", "1"]]))
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda doc: _with_item(doc, "points", 0, [1.0, "1"]),
+    lambda doc: _with_item(doc, "points", 0, ["1", "1"]),
+    lambda doc: _with_item(doc, "points", 0, [True, "1"]),
+    lambda doc: _with_item(doc, "witnesses", 0, {**doc["witnesses"][0],
+                                                 "i": 0.0}),
+    lambda doc: _with_item(doc, "witnesses", 0, {**doc["witnesses"][0],
+                                                 "j": "1"}),
+    lambda doc: _with_item(doc, "witnesses", 0, {**doc["witnesses"][0],
+                                                 "center": True}),
+    lambda doc: {**doc, "guard": {"K": 2.0, "amplitude_bound": "1/24",
+                                  "threshold": "13/24"}},
+    lambda doc: {**doc, "guard": {"K": "2", "amplitude_bound": "1/24",
+                                  "threshold": "13/24"}},
+], ids=["point-float", "point-string", "point-bool", "witness-i-float",
+        "witness-j-string", "witness-center-bool", "guard-k-float",
+        "guard-k-string"])
+def test_separation_reader_refuses_indexes_that_are_not_integers(m2, mangle):
+    doc = lower_separation(m2, HALF).to_json_dict()
+    assert doc["witnesses"]
+    certificate_from_json_dict(doc)
+    with pytest.raises(ParseError):
+        certificate_from_json_dict(mangle(doc))
 
 
 def test_certificate_dispatch(m2):

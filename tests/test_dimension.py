@@ -104,18 +104,6 @@ def test_sweep_records_source_and_truncation(seg_profile, m3):
     assert prof.truncation == 3
 
 
-def test_sweep_guard_settings(m3):
-    unguarded = sweep(m3, [HALF, Fraction(1, 4)], guard=False)
-    assert unguarded.truncation is None
-    with pytest.raises(ValueError):
-        sweep(m3, [HALF], guard="sometimes")
-
-
-def test_guard_required_on_plain_host(seg_graph):
-    with pytest.raises(ValueError):
-        sweep(seg_graph, [HALF], guard=True)
-
-
 def test_sdim_estimate_interval(seg_profile):
     low, high = sdim_estimate(seg_profile)
     assert low == high == pytest.approx(math.log(9) / math.log(8), rel=1e-12)

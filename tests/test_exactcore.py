@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdimlab import _exactcore as pure
 from sdimlab import exactcore as xc
 
 # The kernel class stays parametrized, so its test ids name the backend.
-BACKENDS = [pure]
+BACKENDS = [xc]
 
 
 def oracle_dist2(a, b) -> Fraction:
@@ -134,3 +133,16 @@ class TestKernels:
 
 def test_selector_reports_live_backend():
     assert xc.BACKEND == "python"
+
+
+def test_kernels_do_not_call_each_other_through_the_module(monkeypatch):
+    # Wrapping a kernel on the module counts only outside calls: with the
+    # foot beyond b, point_seg_dist2 forms |p - b|^2 itself.
+    calls = []
+    monkeypatch.setattr(xc, "dist2_q", lambda *a: calls.append(a))
+    a, b = raw(Fraction(0), Fraction(0)), raw(Fraction(1), Fraction(1, 3))
+    p = raw(Fraction(5, 2), Fraction(-1, 7))
+    got = xc.point_seg_dist2(p, a, b)
+    assert Fraction(*got) == oracle_seg_dist2(p, a, b) \
+        == oracle_dist2(p, b)
+    assert calls == []

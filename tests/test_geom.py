@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sdimlab import (DisconnectedInput, EmptySubset, ParseError, PLGraph,
                      Point, arrange, dist2, parse_rational, point,
                      points_diameter2, segment)
+from sdimlab.geom import parse_index
 from sdimlab.limits import Budget
 
 
@@ -38,6 +39,18 @@ def test_parse_rational_rejects_everything_else(bad):
 @given(st.fractions(max_denominator=10 ** 6))
 def test_parse_rational_round_trips(q):
     assert parse_rational(str(q)) == q
+
+
+def test_parse_index_accepts_json_integers():
+    assert parse_index(0) == 0
+    assert parse_index(-3) == -3
+    assert parse_index(10 ** 30) == 10 ** 30
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.9, "1", True, False, None, [1]])
+def test_parse_index_rejects_everything_else(bad):
+    with pytest.raises(ParseError):
+        parse_index(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +232,9 @@ def test_graph_id_is_sha256_of_the_canonical_document(m3, m15, w6):
     lambda d: {**d, "vertices": [["0.5", "0"]]},
     lambda d: {k: v for k, v in d.items() if k != "edges"},
     lambda d: {**d, "vertices": [[0, 0], [1, 0]]},
+    lambda d: {**d, "edges": [[0.0, 1.0]]},
+    lambda d: {**d, "edges": [["0", 1]]},
+    lambda d: {**d, "edges": [[False, True]]},
 ])
 def test_graph_from_json_rejects_malformed(seg_graph, mangle):
     with pytest.raises(ParseError):

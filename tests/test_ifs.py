@@ -484,6 +484,33 @@ def test_word_cover_rejects_negative_k(sier):
         word_cover(sier, -1)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_word_cover_composes_each_word_in_tree_order(name):
+    # Words come in lexicographic order, and each word's map is its
+    # parent's map composed with the last symbol's, so every diameter is
+    # the same float as the tree walk gives.
+    spec = FIXTURES[name]()
+    level = [((), AffineMap2(1.0, 0.0, 0.0, 1.0, 0.0, 0.0))]
+    for _ in range(4):
+        level = [(w + (s,), comp.compose(m)) for w, comp in level
+                 for s, m in enumerate(spec.maps)]
+    cloud = attractor_cloud(spec, 4)
+    wc = word_cover(spec, 4, base_cloud=cloud)
+    assert wc.words == tuple(w for w, _ in level)
+    ext = _extreme_points(cloud)
+    assert [p.points for p in wc.pieces] \
+        == [tuple(comp.apply(ext)) for _, comp in level]
+
+
+def test_one_map_word_cover_is_linear_in_depth():
+    # Copying the word prefix at every level made depth 40,000 take 3 s.
+    solo = IFSSpec((AffineMap2(0.5, 0.0, 0.0, 0.5, 0.25, 0.0),), "solo")
+    t0 = time.perf_counter()
+    wc = word_cover(solo, 100_000, base_cloud=[(0.0, 0.0), (1.0, 0.0)])
+    assert time.perf_counter() - t0 < 5.0
+    assert wc.words == ((0,) * 100_000,)
+
+
 # ---------------------------------------------------------------------------
 # scale selection
 
