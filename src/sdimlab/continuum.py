@@ -150,17 +150,28 @@ def spec_from_meta(meta: dict) -> ToothSequenceSpec:
     """Rebuild the tooth spec recorded in graph metadata by the builder.
 
     Metadata that does not name the shark-teeth builder, or that does not
-    describe a valid spec, is a `ParseError`.
+    describe a valid spec, is a `ParseError`; so is a spec the builder
+    would refuse for its size, more than MAX_TOOTH_COUNT teeth or a level
+    above MAX_LEVEL.
     """
     if not isinstance(meta, dict) or meta.get("builder") != "shark-teeth":
         raise ParseError("graph was not built by the shark-teeth builder")
     try:
         if meta.get("kind") == "paper":
-            return ToothSequenceSpec("paper", K=parse_index(meta["teeth"]))
-        return ToothSequenceSpec(
-            "explicit", levels=tuple(map(parse_index, meta["levels"])))
+            spec = ToothSequenceSpec("paper", K=parse_index(meta["teeth"]))
+        else:
+            spec = ToothSequenceSpec(
+                "explicit", levels=tuple(map(parse_index, meta["levels"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed builder metadata: {exc}") from exc
+    if spec.K > MAX_TOOTH_COUNT:
+        raise ParseError(f"builder metadata claims {spec.K} teeth, "
+                         f"more than {MAX_TOOTH_COUNT}")
+    # Levels are nondecreasing, so the last is the largest.
+    if spec.levels and spec.levels[-1] > MAX_LEVEL:
+        raise ParseError(f"builder metadata claims level "
+                         f"{spec.levels[-1]}, above {MAX_LEVEL}")
+    return spec
 
 
 def predicted_counts(levels: Sequence[int]) -> tuple[int, int]:

@@ -38,8 +38,8 @@ from typing import Sequence
 from . import exactcore as xc
 from .errors import (EmptySubset, HostMismatch, ParseError, TooLarge,
                      VerificationFailure)
-from .geom import (PLGraph, Point, UnionFind, format_rational, parse_index,
-                   parse_rational)
+from .geom import (PLGraph, Point, UnionFind, format_rational,
+                   merge_intervals, parse_index, parse_rational)
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
@@ -106,35 +106,15 @@ class SubSet:
         """Set connectivity: fragments touch iff they share a point.
 
         Fragments of distinct edges can only meet at a graph vertex, so
-        interval overlap per edge plus shared-vertex incidence decides it.
+        the merged runs per edge, joined at shared vertices, decide it.
         """
         if not self.fragments:
             raise EmptySubset("element has no fragments")
-        sets = UnionFind(range(len(self.fragments)))
-        per_edge: dict[int, list[int]] = {}
-        for i, f in enumerate(self.fragments):
-            per_edge.setdefault(f.edge, []).append(i)
-        for idxs in per_edge.values():
-            idxs.sort(key=lambda i: self.fragments[i].lo)
-            top, top_hi = idxs[0], self.fragments[idxs[0]].hi
-            for i in idxs[1:]:
-                f = self.fragments[i]
-                if f.lo <= top_hi:
-                    sets.union(i, top)
-                if f.hi > top_hi:
-                    top, top_hi = i, f.hi
-
-        touch: dict[int, list[int]] = {}
-        for i, f in enumerate(self.fragments):
-            a, b = graph.edges[f.edge]
-            if f.lo == 0:
-                touch.setdefault(a, []).append(i)
-            if f.hi == 1:
-                touch.setdefault(b, []).append(i)
-        for idxs in touch.values():
-            for i in idxs[1:]:
-                sets.union(idxs[0], i)
-        return sets.count() == 1
+        runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
+        for f in self.fragments:
+            runs.setdefault(f.edge, []).append((f.lo, f.hi))
+        runs = {e: merge_intervals(ivs) for e, ivs in runs.items()}
+        return _joined_runs(graph, runs).count() == 1
 
 
 @dataclass(frozen=True)
@@ -375,6 +355,24 @@ def certificate_from_json_dict(data):
 # clipped-ball connectivity
 
 
+def _joined_runs(graph: PLGraph,
+                 runs: dict[int, list[tuple[Fraction, Fraction]]]) -> UnionFind:
+    """Union-find over the runs (e, i), where runs[e] holds the disjoint
+    closed parameter intervals kept on edge e, joining every two runs that
+    reach a common vertex (lo == 0 at the edge's first vertex, hi == 1 at
+    its second)."""
+    sets = UnionFind()
+    first_at: dict[int, tuple[int, int]] = {}
+    for e, ivs in runs.items():
+        a, b = graph.edges[e]
+        for i, (lo, hi) in enumerate(ivs):
+            sets.add((e, i))
+            for v, reaches in ((a, lo == 0), (b, hi == 1)):
+                if reaches:
+                    sets.union(first_at.setdefault(v, (e, i)), (e, i))
+    return sets
+
+
 def _frag_count(len2: Fraction, delta: Fraction) -> int:
     """Least n >= 1 with (edge length / n) <= delta."""
     r = len2 / (delta * delta)
@@ -389,71 +387,50 @@ class _ClipIndex:
 
     Each edge within reach is split into fragments no longer than delta;
     a fragment is kept when its exact distance to the center is <= eps.
-    Kept fragments that share a point (consecutive on an edge, or meeting
-    at a graph vertex) are merged.  The kept union contains the open
-    eps-ball intersected with the graph, so disjoint components here prove
-    genuine separation there.
+    Kept fragments merge into runs per edge, and runs that meet at a graph
+    vertex are joined.  The kept union contains the open eps-ball
+    intersected with the graph, so disjoint components here prove genuine
+    separation there.
     """
 
     def __init__(self, graph: PLGraph, center: GraphPoint, eps2: Fraction,
                  delta: Fraction, work: _Work):
-        self.graph = graph
-        self.delta = delta
         craw = center.locate(graph).raw()
         en, ed = eps2.numerator, eps2.denominator
-        self.nfrag: list[int] = []
-        self.kept: list[list[bool] | None] = []
-        self._sets = UnionFind()
-        touch: dict[int, list[tuple[int, int]]] = {}
+        self.runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
         for e in range(len(graph.edges)):
             a, b = graph.edge_endpoints(e)
             work.add(1)
             dn, dd = xc.point_seg_dist2(craw, a.raw(), b.raw())
             if dn * ed > en * dd:
-                self.nfrag.append(0)
-                self.kept.append(None)
                 continue
             m = _frag_count(graph.edge_length2(e), delta)
             work.add(m)
-            flags = []
+            kept = []
             prev = a
             for j in range(1, m + 1):
                 nxt = graph.edge_point(e, Fraction(j, m))
                 dn, dd = xc.point_seg_dist2(craw, prev.raw(), nxt.raw())
-                flags.append(dn * ed <= en * dd)
+                if dn * ed <= en * dd:
+                    kept.append((j - 1, j))
                 prev = nxt
-            self.nfrag.append(m)
-            self.kept.append(flags)
-            for j, f in enumerate(flags):
-                if f:
-                    self._sets.add((e, j))
-                    if j > 0 and flags[j - 1]:
-                        self._sets.union((e, j - 1), (e, j))
-            if flags[0]:
-                touch.setdefault(graph.edges[e][0], []).append((e, 0))
-            if flags[m - 1]:
-                touch.setdefault(graph.edges[e][1], []).append((e, m - 1))
-        for nodes in touch.values():
-            for u in nodes[1:]:
-                self._sets.union(nodes[0], u)
-        self.center_comps = self.components_at(center)
+            if kept:
+                self.runs[e] = [(Fraction(lo, m), Fraction(hi, m))
+                                for lo, hi in merge_intervals(kept)]
+        self._sets = _joined_runs(graph, self.runs)
+        self.center_comp = self.components_at(center)
 
-    def components_at(self, gp: GraphPoint) -> frozenset:
-        flags = self.kept[gp.edge]
-        if flags is None:
-            return frozenset()
-        m = self.nfrag[gp.edge]
-        j0 = int(gp.t * m)
-        if j0 >= m:
-            j0 = m - 1
-        js = {j0}
-        if j0 > 0 and gp.t == Fraction(j0, m):
-            js.add(j0 - 1)
-        return frozenset(self._sets.find((gp.edge, j))
-                         for j in js if flags[j])
+    def components_at(self, gp: GraphPoint) -> tuple[int, int] | None:
+        """Root of the one kept run holding the point (runs are
+        disjoint), or None when no kept run does."""
+        for i, (lo, hi) in enumerate(self.runs.get(gp.edge, ())):
+            if lo <= gp.t <= hi:
+                return self._sets.find((gp.edge, i))
+        return None
 
     def separates(self, gp: GraphPoint) -> bool:
-        return self.center_comps.isdisjoint(self.components_at(gp))
+        comp = self.components_at(gp)
+        return comp is None or comp != self.center_comp
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +473,7 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
             raise VerificationFailure(
                 f"element {idx} has diameter >= epsilon")
     for e in range(ne):
-        reach = Fraction(0)
-        for lo, hi in sorted(covered[e]):
-            if lo > reach:
-                break
-            if hi > reach:
-                reach = hi
-        if reach < 1:
+        if merge_intervals(covered[e]) != [(0, 1)]:
             raise VerificationFailure(f"edge {e} is not fully covered")
     return len(cert.elements)
 
@@ -626,18 +597,6 @@ def _gap_left(covered: list[tuple[Fraction, Fraction]],
     return out
 
 
-def _merge_into(covered: list, lo: Fraction, hi: Fraction) -> None:
-    covered.append((lo, hi))
-    covered.sort()
-    merged = [covered[0]]
-    for xlo, xhi in covered[1:]:
-        if xlo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], xhi))
-        else:
-            merged.append((xlo, xhi))
-    covered[:] = merged
-
-
 def _extend(graph: PLGraph, e: int, a: Fraction, b: Fraction, forward: bool,
             s_raw: list, en: int, ed: int, work: _Work) -> Fraction | None:
     """Farthest parameter c strictly between a and b (or b itself) such
@@ -718,17 +677,11 @@ def upper_cover(graph: PLGraph, eps: Fraction,
     covered: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(ne)]
 
     def first_gap() -> tuple[int, Fraction] | None:
-        for e in range(ne):
-            ivs = covered[e]
+        for e, ivs in enumerate(covered):
             if not ivs or ivs[0][0] > 0:
                 return e, Fraction(0)
-            reach = ivs[0][1]
-            for lo, hi in ivs[1:]:
-                if lo > reach:
-                    return e, reach
-                reach = max(reach, hi)
-            if reach < 1:
-                return e, reach
+            if ivs[0][1] < 1:
+                return e, ivs[0][1]
         return None
 
     elements: list[SubSet] = []
@@ -772,23 +725,15 @@ def upper_cover(graph: PLGraph, eps: Fraction,
                 s_raw.append(rc)
             lo, hi = (a, c) if forward else (c, a)
             frags.setdefault(e, []).append((lo, hi))
-            _merge_into(covered[e], lo, hi)
+            covered[e] = merge_intervals(covered[e] + [(lo, hi)])
             if lo == 0:
                 absorb(graph.edges[e][0])
             if hi == 1:
                 absorb(graph.edges[e][1])
 
-        out: list[EdgeFragment] = []
-        for e in sorted(frags):
-            runs = sorted(frags[e])
-            merged = [list(runs[0])]
-            for flo, fhi in runs[1:]:
-                if flo <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], fhi)
-                else:
-                    merged.append([flo, fhi])
-            out.extend(EdgeFragment(e, flo, fhi) for flo, fhi in merged)
-        elements.append(SubSet(tuple(out)))
+        elements.append(SubSet(tuple(
+            EdgeFragment(e, lo, hi) for e in sorted(frags)
+            for lo, hi in merge_intervals(frags[e]))))
     return CoverCertificate(eps, tuple(elements), graph.graph_id())
 
 
@@ -926,7 +871,7 @@ class _SearchCap(Exception):
 def brute_force_oracle(graph: PLGraph, eps: Fraction,
                        delta: Fraction | None = None,
                        budget: Budget | None = None) -> tuple[int, int]:
-    """Independent (lower, upper) bracket for tiny hosts, by exhaustion.
+    """(lower, upper) bracket for tiny hosts, by exhaustion.
 
     The graph is chopped into fragments no longer than min(delta, eps/2).
     Upper: exact branch-and-bound set cover over a family of maximal
@@ -936,6 +881,11 @@ def brute_force_oracle(graph: PLGraph, eps: Fraction,
     back to their greedy seeds when the node cap trips, which keeps the
     bracket valid either way; on the small hosts this is meant for, the
     searches run to completion and the bracket is tight at this scale.
+
+    The upper side is independent of `upper_cover`: it builds its own
+    fragment graph.  The lower side decides separation with the same
+    `_ClipIndex` as `lower_separation` and `check_separation`, so a
+    defect in the clip test would not show up as a disagreement here.
     """
     if len(graph.edges) > ORACLE_MAX_EDGES:
         raise TooLarge(f"{len(graph.edges)} edges exceeds oracle limit "

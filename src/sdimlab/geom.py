@@ -98,6 +98,21 @@ def points_diameter2(points: Sequence[Point]) -> Fraction:
     return Fraction(n, d)
 
 
+def merge_intervals(intervals: Iterable[tuple]) -> list[tuple]:
+    """Union of closed intervals (lo, hi) as sorted disjoint intervals.
+
+    Intervals that overlap or touch merge, and a point interval lo == hi
+    is kept.
+    """
+    merged: list[tuple] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 class UnionFind:
     """Disjoint sets over hashable keys, with path halving."""
 
@@ -239,6 +254,8 @@ class PLGraph:
             meta = data.get("meta", {})
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph document: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ParseError("graph meta is not a JSON object")
         # A cover element names points by edge, so a host needs an edge.
         if not edges:
             raise ParseError("host graph has no edges")
@@ -309,14 +326,7 @@ def arrange(segments: Iterable[Segment], meta: dict | None = None,
 
     # Per line: merge the span union (collinear overlap handling).
     for entry in lines.values():
-        spans = sorted(entry["spans"])
-        merged: list[list[Fraction]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        entry["merged"] = [(lo, hi) for lo, hi in merged]
+        entry["merged"] = merge_intervals(entry["spans"])
 
     # Maximal spans as concrete segments for the cross-line pass.
     line_list = list(lines.values())

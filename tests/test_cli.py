@@ -357,7 +357,10 @@ def test_cover_refuses_a_host_with_no_edges(tmp_path, point_host):
     {"builder": "shark-teeth"},
     {"builder": "shark-teeth", "levels": [3, 1]},
     {"builder": "shark-teeth", "kind": "paper", "teeth": "x"},
-], ids=["no-levels", "decreasing-levels", "string-teeth"])
+    {"builder": "shark-teeth", "levels": [1, 21]},
+    {"builder": "shark-teeth", "kind": "paper", "teeth": 4097},
+], ids=["no-levels", "decreasing-levels", "string-teeth", "level-21",
+        "4097-teeth"])
 def malformed_builder_host(request, tmp_path, m3):
     """The m3 geometry under builder metadata that does not parse."""
     path = tmp_path / "bad-meta.graph.json"
@@ -462,6 +465,20 @@ def test_verify_refuses_a_disconnected_host(tmp_path, seg_graph_file):
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("DISCONNECTED:")
+
+
+def test_verify_refuses_a_host_whose_meta_is_not_an_object(tmp_path,
+                                                          seg_graph_file):
+    # Handed to dict() unchecked, "meta": 5 escaped as TypeError (exit 1).
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    doc = json.loads(seg_graph_file.read_text())
+    doc["meta"] = 5
+    seg_graph_file.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
 
 
 def test_verify_rejects_non_certificate(tmp_path, seg_graph_file):

@@ -4,15 +4,21 @@ Frozen counts were derived before being asserted here.  For the unit
 segment at eps = 1/m the exact answer is m + 1: m pieces of length 1/m
 fail the strict diameter bound, and m + 1 points at spacing 1/m pairwise
 reach it.  The small-host brackets were cross-checked against
-`brute_force_oracle`, which shares no code with the greedy builders.
+`brute_force_oracle`.  Its upper side is independent of the greedy cover,
+but its lower side runs the same clipped-ball test (`_ClipIndex`) as
+`lower_separation` and `check_separation`, so a defect in that test would
+not show up as a disagreement with the oracle.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      DisconnectionWitness, EdgeFragment, EmptySubset,
@@ -23,6 +29,7 @@ from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      check_separation, dist2, lower_separation,
                      points_diameter2, s_bounds, truncation_guard,
                      upper_cover)
+from sdimlab.cli import _json_chunks
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -72,6 +79,43 @@ def test_subset_isolated_anchor_vertex_disconnects(seg_graph):
     s = SubSet((EdgeFragment(0, Fraction(0), QUARTER),
                 EdgeFragment(0, Fraction(1), Fraction(1))))
     assert not s.is_connected(seg_graph)
+
+
+def _vertices_of(graph, f):
+    a, b = graph.edges[f.edge]
+    return {v for v, at in ((a, f.lo == 0), (b, f.hi == 1)) if at}
+
+
+def _connected_pairwise(graph, frags) -> bool:
+    """Reference: search over the pairs of fragments that share a point,
+    on one edge by interval overlap, across edges by a common vertex."""
+    def touch(f, g):
+        if f.edge == g.edge:
+            return max(f.lo, g.lo) <= min(f.hi, g.hi)
+        return bool(_vertices_of(graph, f) & _vertices_of(graph, g))
+
+    reached, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j, g in enumerate(frags):
+            if j not in reached and touch(frags[i], g):
+                reached.add(j)
+                todo.append(j)
+    return len(reached) == len(frags)
+
+
+@pytest.mark.parametrize("host", ["lshape_graph", "cross_graph", "m2"])
+@given(data=st.data())
+def test_subset_connectivity_matches_pairwise_reference(request, host, data):
+    graph = request.getfixturevalue(host)
+    frags = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        e = data.draw(st.integers(0, len(graph.edges) - 1))
+        lo = data.draw(st.integers(0, 8))
+        hi = data.draw(st.integers(lo, 8))
+        frags.append(EdgeFragment(e, Fraction(lo, 8), Fraction(hi, 8)))
+    assert SubSet(tuple(frags)).is_connected(graph) == \
+        _connected_pairwise(graph, frags)
 
 
 def test_empty_subset_raises(seg_graph):
@@ -250,6 +294,8 @@ MALFORMED_BUILDER_META = [
     {"builder": "shark-teeth", "kind": "paper", "teeth": 0},
     {"builder": "shark-teeth", "levels": [1, True]},
     {"builder": "shark-teeth", "levels": 3},
+    {"builder": "shark-teeth", "levels": [1, 21]},
+    {"builder": "shark-teeth", "kind": "paper", "teeth": 4097},
 ]
 
 
@@ -578,6 +624,44 @@ def test_certificate_dispatch(m2):
                       SeparationCertificate)
     with pytest.raises(ParseError):
         certificate_from_json_dict({"format": "mystery"})
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+
+def _digest(cert) -> str:
+    text = "".join(_json_chunks(cert.json_members()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (host, eps, guarded lower, unguarded lower or None, upper): the first 16
+# hex digits of the SHA-256 of each certificate as the CLI writes it.
+GOLDEN = [
+    ("m3", Fraction(1, 16), "036edd2bccef3551", "340eb1ee60e2ad8b",
+     "304670f9ec4f46f0"),
+    ("w6", Fraction(1, 64), "dab7de5abb0ad150", None, "da1ae3593d56dc9d"),
+    ("w6", Fraction(33, 2048), "b6f636ca8504f047", None, "8cc059ab86f2e691"),
+    ("m15", Fraction(1, 16), "c47859c4183c30d4", None, "8a5985af5fe3b8e8"),
+]
+
+
+@pytest.mark.parametrize("host, eps, guarded, unguarded, upper", GOLDEN,
+                         ids=[f"{g[0]}-{g[1].numerator}_{g[1].denominator}"
+                              for g in GOLDEN])
+def test_certificates_match_golden_digests(request, host, eps, guarded,
+                                           unguarded, upper):
+    graph = request.getfixturevalue(host)
+    low = lower_separation(graph, eps, guard=truncation_guard(graph, eps))
+    assert _digest(low) == guarded
+    assert check_separation(graph, low) == len(low)
+    if unguarded is not None:
+        bare = lower_separation(graph, eps)
+        assert _digest(bare) == unguarded
+        assert check_separation(graph, bare) == len(bare)
+    up = upper_cover(graph, eps)
+    assert _digest(up) == upper
+    assert check_cover(graph, up) == len(up)
 
 
 # ---------------------------------------------------------------------------

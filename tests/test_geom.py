@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sdimlab import (DisconnectedInput, EmptySubset, ParseError, PLGraph,
                      Point, arrange, dist2, parse_rational, point,
                      points_diameter2, segment)
-from sdimlab.geom import parse_index
+from sdimlab.geom import merge_intervals, parse_index
 from sdimlab.limits import Budget
 
 
@@ -74,6 +74,24 @@ def test_points_diameter2_single_point_is_zero():
 def test_degenerate_segment_rejected():
     with pytest.raises(ValueError):
         segment(point(1, 1), point(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# interval merge
+
+
+@pytest.mark.parametrize("intervals, merged", [
+    ([], []),
+    ([(2, 3), (0, 1)], [(0, 1), (2, 3)]),
+    ([(Fraction(1, 2), 1), (0, Fraction(1, 2))], [(0, 1)]),
+    ([(0, 4), (1, 2), (3, 3)], [(0, 4)]),
+    ([(0, 1), (1, 1)], [(0, 1)]),
+    ([(2, 2), (0, 1), (2, 2)], [(0, 1), (2, 2)]),
+    ([(3, 5), (0, 2), (1, 4)], [(0, 5)]),
+], ids=["empty", "unsorted-disjoint", "touching", "nested", "point-at-end",
+        "lone-points", "chain"])
+def test_merge_intervals(intervals, merged):
+    assert merge_intervals(intervals) == merged
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +253,10 @@ def test_graph_id_is_sha256_of_the_canonical_document(m3, m15, w6):
     lambda d: {**d, "edges": [[0.0, 1.0]]},
     lambda d: {**d, "edges": [["0", 1]]},
     lambda d: {**d, "edges": [[False, True]]},
+    lambda d: {**d, "meta": 5},
+    lambda d: {**d, "meta": [1]},
+    lambda d: {**d, "meta": "ab"},
+    lambda d: {**d, "meta": None},
 ])
 def test_graph_from_json_rejects_malformed(seg_graph, mangle):
     with pytest.raises(ParseError):
