@@ -21,10 +21,9 @@ from .cover import (CoverCertificate, DisconnectionWitness, EdgeFragment,
 from .dimension import (DimensionProfile, ScaleRow, ifs_bound_report,
                         make_row, read_profile_csv, scale_ratio,
                         sdim_estimate, sweep, write_profile_csv)
-from .errors import (BudgetExceeded, CrossingAssertionFailure,
-                     DisconnectedInput, EmptySubset, HostMismatch,
-                     OverlapError, ParseError, SdimlabError, SizeLimit,
-                     TooFewScales, TooLarge, VerificationFailure)
+from .errors import (BudgetExceeded, DisconnectedInput, EmptySubset,
+                     HostMismatch, OverlapError, ParseError, SdimlabError,
+                     SizeLimit, TooFewScales, TooLarge, VerificationFailure)
 from .geom import (PLGraph, Point, Segment, arrange, dist2, format_rational,
                    parse_rational, point, points_diameter2, segment)
 from .ifs import (FIXTURES, AffineMap2, IFSSpec, WordCover, WordPiece,

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
-3 crossing assertion, 4 budget or size limit, 5 too few scales for the
-dimension proxy.  Errors land on stderr as "TAG: detail" with a stable
-machine-matchable tag.  Scale parameters cross this boundary only as
-exact "p/q" strings; decimals are rejected so no binary-decimal drift can
-leak into certificates.  All output files are written atomically, with
+4 budget or size limit, 5 too few scales for the dimension proxy.  Errors
+land on stderr as "TAG: detail" with a stable machine-matchable tag.
+Scale parameters cross this boundary only as exact "p/q" strings;
+decimals are rejected so no binary-decimal drift can leak into
+certificates.  All output files are written atomically, with
 the mode the umask gives a new file.  JSON outputs are streamed: sorted
 top-level keys, one line per item of a top-level array.  Certificates
 are streamed both ways: written one item at a time, and read one
@@ -36,9 +36,8 @@ from .cover import (CoverCertificate, SeparationCertificate,
                     upper_cover)
 from .dimension import ifs_bound_report, sdim_estimate, sweep, \
     write_profile_csv
-from .errors import (BudgetExceeded, CrossingAssertionFailure, HostMismatch,
-                     ParseError, SdimlabError, SizeLimit, TooFewScales,
-                     TooLarge, VerificationFailure)
+from .errors import (BudgetExceeded, HostMismatch, ParseError, SdimlabError,
+                     SizeLimit, TooFewScales, TooLarge, VerificationFailure)
 from .geom import PLGraph, parse_rational
 from .ifs import IFSSpec, attractor_cloud, cloud_diameter
 from .limits import from_env
@@ -48,7 +47,6 @@ _EXIT_FOR = {
     VerificationFailure: 1,
     HostMismatch: 1,
     ParseError: 2,
-    CrossingAssertionFailure: 3,
     BudgetExceeded: 4,
     SizeLimit: 4,
     TooLarge: 4,

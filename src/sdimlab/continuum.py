@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import CrossingAssertionFailure, ParseError, SizeLimit
-from .geom import PLGraph, Point, Segment, arrange, parse_index
+from .errors import ParseError, SizeLimit
+# `arrange` is not called here; perfbench/tracing.py wraps this name.
+from .geom import PLGraph, Point, arrange, parse_index  # noqa: F401
 from .limits import Budget
 
 TOOTH_SPEC_FORMAT = "sdimlab/tooth-spec"
@@ -204,53 +205,43 @@ def next_amplitude_bound(spec: ToothSequenceSpec) -> Fraction:
 
 def build_shark_teeth(spec: ToothSequenceSpec,
                       budget: Budget | None = None) -> PLGraph:
-    """Exact plane graph of a shark-teeth truncation.
+    """Exact plane graph of a shark-teeth truncation, written out directly.
 
-    Raises CrossingAssertionFailure if any produced vertex of positive
-    height lies on a tooth it does not belong to; for nondecreasing levels
-    this cannot happen, so a failure means the construction is wrong, not
-    the input.
+    The graph is a union of chains: the base line subdivided at the
+    dyadics i / 2^max(levels), and each tooth's breakpoints.  Tooth k has
+    slope +-1/k and, as levels are nondecreasing, lies below every earlier
+    tooth except on the base, so two chains meet only at shared base
+    dyadics and no intersection is left to resolve.  Vertices are the chains' points in lexicographic
+    order and edges their consecutive pairs, sorted: the graph `arrange`
+    makes of the same segments, in the same order.  The edge budget is
+    charged with `predicted_counts` before any point is made.
     """
+    if spec.K > MAX_TOOTH_COUNT:
+        raise SizeLimit(f"{spec.K} teeth exceeds {MAX_TOOTH_COUNT}")
     levels = spec.level_list()
-    if len(levels) > MAX_TOOTH_COUNT:
-        raise SizeLimit(f"{len(levels)} teeth exceeds {MAX_TOOTH_COUNT}")
-    if max(levels) > MAX_LEVEL:
-        raise SizeLimit(f"level {max(levels)} exceeds {MAX_LEVEL}")
+    top = max(levels)
+    if top > MAX_LEVEL:
+        raise SizeLimit(f"level {top} exceeds {MAX_LEVEL}")
+    (budget or Budget()).check_edges(predicted_counts(levels)[1])
 
-    segments: list[Segment] = []
-    segments.append(Segment(Point(Fraction(0), Fraction(0)),
-                            Point(Fraction(1), Fraction(0))))
-    for k, m in enumerate(levels, start=1):
-        pts = tooth_polyline(k, m).breakpoints
-        segments.extend(Segment(a, b) for a, b in zip(pts, pts[1:]))
-
+    base = 2 ** top
+    chains = [[Point(Fraction(i, base), Fraction(0)) for i in range(base + 1)]]
+    chains.extend(tooth_polyline(k, m).breakpoints
+                  for k, m in enumerate(levels, start=1))
+    vertices = sorted({p for chain in chains for p in chain})
+    rank = {p: i for i, p in enumerate(vertices)}
+    # Chains run left to right, so each pair is already (lower, higher).
+    edges = []
+    for chain in chains:
+        ids = [rank[p] for p in chain]
+        edges.extend(zip(ids, ids[1:]))
     meta = {
         "builder": "shark-teeth",
         "kind": spec.kind,
         "teeth": len(levels),
         "levels": levels,
     }
-    graph = arrange(segments, meta=meta, budget=budget)
-    _assert_no_tooth_crossings(graph, levels)
-
-    want_v, want_e = predicted_counts(levels)
-    got_v, got_e = len(graph.vertices), len(graph.edges)
-    if (got_v, got_e) != (want_v, want_e):
-        raise CrossingAssertionFailure(
-            f"expected {want_v} vertices / {want_e} edges, "
-            f"got {got_v} / {got_e}")
-    return graph
-
-
-def _assert_no_tooth_crossings(graph: PLGraph, levels: Sequence[int]) -> None:
-    """Every positive-height vertex lies on exactly one tooth."""
-    for v in graph.vertices:
-        if v.y == 0:
-            continue
-        on = sum(1 for k, m in enumerate(levels, start=1)
-                 if v.y == phi_n(m, v.x) / k)
-        if on != 1:
-            raise CrossingAssertionFailure(f"vertex {v} lies on {on} teeth")
+    return PLGraph(vertices, sorted(edges), meta)
 
 
 class LimitCheck(NamedTuple):

@@ -485,10 +485,10 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     A pair listed with a disconnection witness must be separated by the
     clipped eps-ball around the witness center; every unlisted pair must
     be at distance >= eps, recomputed exactly.  When a guard is present,
-    `truncation_guard` recomputes the truncation index and amplitude
-    bound from the host's builder metadata, and every point must clear
-    the height threshold.  Raises VerificationFailure with the first
-    offending detail.
+    `truncation_guard` rebuilds the host from its builder metadata and
+    recomputes the truncation index and amplitude bound, and every point
+    must clear the height threshold.  Raises VerificationFailure with the
+    first offending detail.
     """
     budget = budget or Budget()
     budget.check_edges(len(graph.edges))
@@ -833,14 +833,27 @@ def truncation_guard(graph: PLGraph, eps: Fraction) -> TruncationGuard | None:
 
     A host whose metadata names the shark-teeth builder gets its guard;
     any other host gets None.  Metadata that names the builder but does
-    not describe a valid spec is a `ParseError`.  The amplitude bound is
-    always recomputed here rather than accepted from the caller, so a
-    guard can never quietly overstate what was built.
+    not describe a valid spec is a `ParseError`, and so is a host that is
+    not exactly the graph the builder makes from that spec.  The counts
+    are compared first, so the rebuild is never larger than the host.
+    The amplitude bound is always recomputed here rather than accepted
+    from the caller, so a guard can never quietly overstate what was
+    built.
     """
     if graph.meta.get("builder") != "shark-teeth":
         return None
-    from .continuum import next_amplitude_bound, spec_from_meta
+    from .continuum import (build_shark_teeth, next_amplitude_bound,
+                            predicted_counts, spec_from_meta)
     spec = spec_from_meta(graph.meta)
+    counts = (len(graph.vertices), len(graph.edges))
+    want = predicted_counts(spec.level_list())
+    if counts != want:
+        raise ParseError(f"host has {counts[0]} vertices and {counts[1]} "
+                         f"edges, its builder metadata {want[0]} and "
+                         f"{want[1]}")
+    rebuilt = build_shark_teeth(spec, Budget(max_edges=counts[1]))
+    if rebuilt.graph_id() != graph.graph_id():
+        raise ParseError("host geometry does not match its builder metadata")
     bound = next_amplitude_bound(spec)
     return TruncationGuard(spec.K, bound, bound + eps)
 

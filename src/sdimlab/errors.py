@@ -37,12 +37,6 @@ class EmptySubset(SdimlabError):
     tag = "EMPTY"
 
 
-class CrossingAssertionFailure(SdimlabError):
-    """Two teeth intersect at positive height; the level sequence is invalid."""
-
-    tag = "CROSSING"
-
-
 class HostMismatch(SdimlabError):
     """Certificate references a different host graph than the one supplied."""
 

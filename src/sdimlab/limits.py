@@ -1,7 +1,7 @@
 """Work budgets.
 
 Budgets bound the three quantities that can blow up on adversarial input:
-edges after arrangement, exact pairwise checks, and materialized IFS words.
+graph edges, exact pairwise checks, and materialized IFS words.
 `SDIMLAB_BUDGET` overrides any subset as a comma-separated key=value list,
 e.g. ``SDIMLAB_BUDGET="edges=2e5,pairs=5e7"``.
 """
@@ -79,6 +79,6 @@ def from_env(base: Budget | None = None) -> Budget:
             raise ParseError(f"bad {_ENV_VAR} entry {item!r}")
         try:
             overrides[_KEYS[key]] = int(float(value))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"bad {_ENV_VAR} value {value!r}") from exc
     return replace(budget, **overrides)

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from sdimlab import (ToothSequenceSpec, arrange, build_shark_teeth, point,
-                     segment)
+from sdimlab import (PLGraph, ToothSequenceSpec, arrange, build_shark_teeth,
+                     point, segment)
 
 
 def paper_truncation(k: int):
@@ -37,6 +37,16 @@ def m2():
 @pytest.fixture(scope="session")
 def m3():
     return paper_truncation(3)
+
+
+@pytest.fixture(scope="session")
+def m3_moved_peak(m3):
+    """m3 with tooth 1's peak raised from (1/2, 1/2) to (1/2, 1): m3's
+    counts, vertex order and metadata, but not the builder's geometry."""
+    vertices = list(m3.vertices)
+    half = Fraction(1, 2)
+    vertices[vertices.index(point(half, half))] = point(half, 1)
+    return PLGraph(vertices, m3.edges, m3.meta)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
 """Command-line contract: output lines, file formats, exit codes.
 
 Exit codes under test: 0 success, 1 verification failure, 2 parse error,
-4 budget, 5 too few scales.  Error text must start with the machine tag.
+4 budget or size limit, 5 too few scales; there is no other.  Error text
+must start with the machine tag.  A host with shark-teeth builder
+metadata that its builder would not make from that metadata is a parse
+error for `cover` and `sweep` and a verification failure for a guarded
+certificate.
 """
 
 from __future__ import annotations
@@ -101,6 +105,17 @@ def test_build_rejects_bad_spec(tmp_path):
     res = invoke("build", "--spec", bad, "--out", tmp_path / "g.json")
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+def test_build_refuses_a_budget_that_is_not_finite(tmp_path, paper3_spec,
+                                                   value):
+    # int(float("inf")) raised OverflowError: a traceback and exit 1.
+    res = invoke("build", "--spec", paper3_spec, "--out", tmp_path / "g.json",
+                 env={"SDIMLAB_BUDGET": f"pairs={value}"})
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_build_rejects_missing_file(tmp_path):
@@ -387,6 +402,48 @@ def test_sweep_refuses_malformed_builder_metadata(tmp_path,
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.fixture(params=["moved-peak", "w6-meta"])
+def mismatched_host(request, tmp_path, m3, w6, m3_moved_peak):
+    """A host whose builder metadata parses but does not describe its
+    geometry, and a guarded lower certificate made on it under m3's
+    guard: (host path, certificate path)."""
+    host = (m3_moved_peak if request.param == "moved-peak"
+            else PLGraph(m3.vertices, m3.edges, w6.meta))
+    eps = Fraction(1, 8)
+    cert = lower_separation(host, eps, guard=truncation_guard(m3, eps))
+    paths = tmp_path / "host.graph.json", tmp_path / "guarded.json"
+    _write_json(paths[0], host.to_json_dict())
+    _write_json(paths[1], cert.json_members())
+    return paths
+
+
+def test_cover_refuses_a_host_its_builder_did_not_make(tmp_path,
+                                                       mismatched_host):
+    res = invoke("cover", "--graph", mismatched_host[0], "--epsilon", "1/8",
+                 "--mode", "lower", "--out", tmp_path / "low.json")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert not (tmp_path / "low.json").exists()
+
+
+def test_sweep_refuses_a_host_its_builder_did_not_make(tmp_path,
+                                                       mismatched_host):
+    res = invoke("sweep", "--graph", mismatched_host[0],
+                 "--eps-start", "1/2", "--eps-factor", "1/2", "--steps", "3",
+                 "--out", tmp_path / "p.csv")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_verify_refuses_a_guard_on_a_host_its_builder_did_not_make(
+        mismatched_host):
+    res = invoke("verify", "--graph", mismatched_host[0],
+                 "--cert", mismatched_host[1])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("VERIFY:")
 
 
 @pytest.mark.parametrize("element", [

@@ -1,5 +1,8 @@
 """Shark-teeth construction: tent maps, tooth schedule, exact counts.
 
+The direct builder is checked against `arrange` over the same tooth
+segments and against digests of the graphs the arrangement made.
+
 Frozen values in this file were derived by hand from the closed forms:
 n_k is the unique m with 2^(2^m) <= k+1 < 2^(2^(m+1)), a truncation with
 tooth levels m_1..m_K on top of a base subdivided to max(m_k)+1 has
@@ -9,15 +12,21 @@ edges.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdimlab import (ParseError, Point, ToothSequenceSpec, build_shark_teeth,
+from sdimlab import (Budget, BudgetExceeded, ParseError, Point, SizeLimit,
+                     ToothSequenceSpec, arrange, build_shark_teeth,
                      limit_check, n_k, next_amplitude_bound, phi, phi_n,
-                     predicted_counts, tooth_height, tooth_polyline)
+                     point, predicted_counts, segment, tooth_height,
+                     tooth_polyline)
+from sdimlab import continuum
+from sdimlab.continuum import MAX_TOOTH_COUNT
 from tests.conftest import paper_truncation
 
 
@@ -207,12 +216,97 @@ def test_build_round_trip_through_json(m2):
     assert back.graph_id() == m2.graph_id()
 
 
-def test_build_rejects_oversized_requests():
-    from sdimlab import SizeLimit
+def test_build_rejects_oversized_requests(monkeypatch):
     with pytest.raises(SizeLimit):
         build_shark_teeth(ToothSequenceSpec(kind="explicit", levels=(25,)))
     with pytest.raises(SizeLimit):
         build_shark_teeth(ToothSequenceSpec(kind="paper", K=5000))
+    # The tooth count is refused before any level is computed: expanding
+    # the schedule first took time linear in K.
+    def no_levels(k):
+        raise AssertionError("level computed for an oversized spec")
+    monkeypatch.setattr(continuum, "n_k", no_levels)
+    with pytest.raises(SizeLimit):
+        build_shark_teeth(ToothSequenceSpec(kind="paper", K=10 ** 12))
+
+
+# ---------------------------------------------------------------------------
+# the direct builder against the arrangement of its segments
+
+
+def _arranged(spec):
+    """The truncation as `arrange` makes it from the base and every tooth
+    segment: the reference the direct builder must reproduce."""
+    levels = spec.level_list()
+    segments = [segment(point(0, 0), point(1, 0))]
+    for k, m in enumerate(levels, start=1):
+        pts = tooth_polyline(k, m).breakpoints
+        segments.extend(segment(a, b) for a, b in zip(pts, pts[1:]))
+    meta = {"builder": "shark-teeth", "kind": spec.kind,
+            "teeth": len(levels), "levels": levels}
+    return arrange(segments, meta=meta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1,
+                max_size=6).map(sorted))
+def test_builder_matches_arrangement_on_explicit_levels(levels):
+    spec = ToothSequenceSpec(kind="explicit", levels=tuple(levels))
+    assert build_shark_teeth(spec).to_json_dict() == \
+        _arranged(spec).to_json_dict()
+
+
+# The schedule's level steps up after K = 2 and K = 14.
+@pytest.mark.parametrize("K", [1, 2, 3, 14, 15, 16, 63])
+def test_builder_matches_arrangement_on_paper_schedule(K):
+    spec = ToothSequenceSpec(kind="paper", K=K)
+    assert build_shark_teeth(spec).to_json_dict() == \
+        _arranged(spec).to_json_dict()
+
+
+# SHA-256 of each graph's canonical document (the bytes `graph_id`
+# hashes), computed with the arrangement-based builder this one replaced.
+GOLDEN_GRAPHS = [
+    (dict(kind="paper", K=1),
+     "1d16ecdcd4f00b984537ed82cfe8d9e9bf10afb8c20037f1e45f4846e5fb1aa4"),
+    (dict(kind="paper", K=3),
+     "fdc9129980ad1c6ec46605a30a2bfe5ede7bdb12a0eedad54bd2b48cae156483"),
+    (dict(kind="paper", K=15),
+     "af065ab654622ff50109cf7de0a42a41bc41866a17090ee463bbfb1231ab8671"),
+    (dict(kind="paper", K=63),
+     "58b89512b049f24cb150b625962306ce6a24c3cc01294096ace1136d3af36305"),
+    (dict(kind="paper", K=127),
+     "435ecfd5bb1b9ead4a65c4f4d494f7c7f298e3d23fc82e0d08a4ecafd29a6b88"),
+    (dict(kind="paper", K=255),
+     "a3eac0d4ecd0852704b26516ddf9e665878f0ac82860ec416d11fbf90b5c4631"),
+    (dict(kind="explicit", levels=(1, 2, 3, 4, 5, 6)),
+     "ebbda60d0e371a923168e45a1db718d91f856e74c56cbc923482d708e408a1d9"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", GOLDEN_GRAPHS,
+                         ids=["K1", "K3", "K15", "K63", "K127", "K255", "w6"])
+def test_built_graphs_match_golden_digests(spec, digest):
+    graph = build_shark_teeth(ToothSequenceSpec(**spec))
+    blob = json.dumps(graph.to_json_dict(), sort_keys=True,
+                      separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert graph.graph_id() == digest[:16]
+
+
+def test_build_charges_the_predicted_edge_count():
+    # Paper K = 127 has 960 edges.
+    spec = ToothSequenceSpec(kind="paper", K=127)
+    with pytest.raises(BudgetExceeded):
+        build_shark_teeth(spec, Budget(max_edges=959))
+    assert len(build_shark_teeth(spec, Budget(max_edges=960)).edges) == 960
+
+
+def test_largest_paper_truncation_builds_within_the_default_budget():
+    spec = ToothSequenceSpec(kind="paper", K=MAX_TOOTH_COUNT - 1)
+    graph = build_shark_teeth(spec)
+    assert (len(graph.vertices), len(graph.edges)) == \
+        predicted_counts(spec.level_list()) == (31723, 63436)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,8 @@ def test_guard_requires_builder_metadata(seg_graph, m3):
     assert truncation_guard(other, EIGHTH) is None
 
 
-# Metadata that names the builder but describes no valid spec.
+# Metadata that names the builder but describes no valid spec, or a spec
+# whose graph is not the host's.
 MALFORMED_BUILDER_META = [
     {"builder": "shark-teeth"},
     {"builder": "shark-teeth", "levels": [3, 1]},
@@ -296,6 +297,8 @@ MALFORMED_BUILDER_META = [
     {"builder": "shark-teeth", "levels": 3},
     {"builder": "shark-teeth", "levels": [1, 21]},
     {"builder": "shark-teeth", "kind": "paper", "teeth": 4097},
+    {"builder": "shark-teeth", "kind": "explicit", "teeth": 6,
+     "levels": [1, 2, 3, 4, 5, 6]},
 ]
 
 
@@ -377,6 +380,24 @@ def test_guard_against_host_without_usable_metadata_fails(m3, meta):
     assert check_separation(host, unguarded) == 2
     with pytest.raises(VerificationFailure):
         check_separation(host, relabeled)
+
+
+def test_guard_refuses_a_host_its_builder_did_not_make(m3_moved_peak):
+    with pytest.raises(ParseError, match="does not match"):
+        truncation_guard(m3_moved_peak, EIGHTH)
+
+
+def test_guarded_certificate_on_a_moved_peak_fails(m3, m3_moved_peak):
+    # Every point and witness checks on the moved host; only the guard,
+    # which holds for m3's continuum, does not hold for this one.
+    host = m3_moved_peak
+    cert = lower_separation(host, EIGHTH, guard=truncation_guard(m3, EIGHTH),
+                            candidates=_vertex_pool(host))
+    unguarded = SeparationCertificate(cert.epsilon, cert.points,
+                                      cert.witnesses, None, cert.graph_id)
+    assert check_separation(host, unguarded) == len(cert) > 0
+    with pytest.raises(VerificationFailure, match="does not match"):
+        check_separation(host, cert)
 
 
 def test_guard_on_wrong_host_fails(m3, w6):
