@@ -12,9 +12,8 @@ from .continuum import (LimitCheck, ToothPolyline, ToothSequenceSpec,
                         build_shark_teeth, limit_check, n_k,
                         next_amplitude_bound, phi, phi_n, predicted_counts,
                         spec_from_meta, tooth_height, tooth_polyline)
-from .cover import (CoverCertificate, DisconnectionWitness, EdgeFragment,
-                    GraphPoint, SeparationCertificate, SubSet,
-                    TruncationGuard, brute_force_oracle,
+from .cover import (CoverCertificate, EdgeFragment, GraphPoint,
+                    SeparationCertificate, SubSet, TruncationGuard,
                     certificate_from_json_dict, check_cover,
                     check_separation, lower_separation, s_bounds,
                     truncation_guard, upper_cover)

@@ -10,20 +10,26 @@ Everything here brackets that number for a `PLGraph` host:
     an array of `[edge, lo, hi]` fragments; a lone point, a vertex
     included, is a fragment with lo == hi.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
-    no two of which any single admissible piece can contain.  Only pairs
-    closer than eps carry a witness: the eps-ball around one of them,
-    clipped to the graph, falls apart into components separating the two.
-    Every other pair is claimed to be at distance >= eps, which the
-    checker recomputes from the two points alone.
+    no two of which any single admissible piece can contain.  The document
+    is the points alone.  A pair at distance >= eps needs nothing more; for
+    a pair closer than eps, the closed eps-ball around one of the two,
+    clipped to the graph, must put the other outside its component.  The
+    checker recomputes both from the points.
+
+The clip is exact: a closed ball is convex, so it meets each edge in one
+closed interval or not at all, and on a proper host two such intervals
+meet only at a shared vertex inside the ball.  Its components are then a
+union-find over the edges that reach the ball, joined at those vertices.
 
 Certificates are self-contained and re-checkable; `check_cover` and
 `check_separation` recompute every claim from scratch with exact rational
 arithmetic.  A `TruncationGuard` extends a separation certificate from a
 finite shark-teeth truncation to the full continuum: when every chosen
 point sits at height >= (omitted amplitude bound) + eps, the omitted teeth
-cannot enter any relevant eps-ball, so the witnesses remain valid ambiently.
-`truncation_guard` is the one place that decides whether a host gets a
-guard and computes it, for the CLI, the sweep and the checker alike.
+cannot enter any relevant open eps-ball, so the clips remain valid
+ambiently.  `truncation_guard` is the one place that decides whether a
+host gets a guard and computes it, for the CLI, the sweep and the checker
+alike.
 """
 
 from __future__ import annotations
@@ -31,12 +37,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import exactcore as xc
-from .errors import (EmptySubset, HostMismatch, ParseError, TooLarge,
+from .errors import (EmptySubset, HostMismatch, OverlapError, ParseError,
                      VerificationFailure)
 from .geom import (PLGraph, Point, UnionFind, format_rational,
                    merge_intervals, parse_index, parse_rational)
@@ -45,10 +51,7 @@ from .limits import Budget
 COVER_FORMAT = "sdimlab/cover"
 COVER_VERSION = 2
 SEPARATION_FORMAT = "sdimlab/separation"
-SEPARATION_VERSION = 2
-
-ORACLE_MAX_EDGES = 12
-_ORACLE_SEARCH_CAP = 300_000
+SEPARATION_VERSION = 3
 
 
 class _Work:
@@ -188,18 +191,6 @@ class GraphPoint:
 
 
 @dataclass(frozen=True)
-class DisconnectionWitness:
-    """The clipped eps-ball around point `center` separates the pair.
-
-    Verification recomputes the clip at fragment scale `delta`; the witness
-    carries no geometry of its own.
-    """
-    center: int
-    delta: Fraction
-    kind: str = field(default="disconnection", init=False)
-
-
-@dataclass(frozen=True)
 class TruncationGuard:
     """Ambient validity marker for shark-teeth hosts.
 
@@ -213,29 +204,39 @@ class TruncationGuard:
     amplitude_bound: Fraction
     threshold: Fraction
 
+    def at(self, eps: Fraction) -> "TruncationGuard":
+        """The same truncation guarded at scale eps.  K and the amplitude
+        bound do not depend on the scale; only the threshold does."""
+        return replace(self, threshold=self.amplitude_bound + eps)
+
 
 @dataclass(frozen=True)
 class SeparationCertificate:
     epsilon: Fraction
     points: tuple[GraphPoint, ...]
-    witnesses: tuple[tuple[int, int, DisconnectionWitness], ...]
     guard: TruncationGuard | None
     graph_id: str
 
     def __len__(self) -> int:
         return len(self.points)
 
+    @property
+    def witnesses(self) -> tuple:
+        """Always empty: a version 3 document lists no witnesses.  Its one
+        reader is `perfbench/tracing.py`, which counts witnesses by kind;
+        it goes with ROADMAP item 6, when the tracer reads a stats record.
+        """
+        return ()
+
     def json_members(self) -> dict:
-        """The document's members; `points` and `witnesses` are iterators
-        that serialize one item per step, for a streaming writer."""
-        ws = sorted(self.witnesses, key=lambda t: (t[0], t[1]))
+        """The document's members; `points` is an iterator that serializes
+        one point per step, for a streaming writer."""
         return {
             "format": SEPARATION_FORMAT,
             "version": SEPARATION_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
             "points": map(_point_to_json, self.points),
-            "witnesses": map(_witness_to_json, ws),
             "guard": None if self.guard is None else {
                 "K": self.guard.k,
                 "amplitude_bound": format_rational(self.guard.amplitude_bound),
@@ -246,7 +247,6 @@ class SeparationCertificate:
     def to_json_dict(self) -> dict:
         doc = self.json_members()
         doc["points"] = list(doc["points"])
-        doc["witnesses"] = list(doc["witnesses"])
         return doc
 
     @classmethod
@@ -265,7 +265,7 @@ class SeparationCertificate:
                 parse_rational(g["amplitude_bound"]),
                 parse_rational(g["threshold"]))
             return cls(parse_rational(fields["epsilon"]), fields["points"],
-                       fields["witnesses"], guard, str(fields["graph_id"]))
+                       guard, str(fields["graph_id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(
                 f"malformed separation certificate: {exc}") from exc
@@ -280,23 +280,10 @@ def _point_from_json(item: list) -> GraphPoint:
     return GraphPoint(parse_index(e), parse_rational(t))
 
 
-def _witness_to_json(w: tuple[int, int, DisconnectionWitness]) -> dict:
-    i, j, d = w
-    return {"i": i, "j": j, "center": d.center,
-            "delta": format_rational(d.delta)}
-
-
-def _witness_from_json(w: dict) -> tuple[int, int, DisconnectionWitness]:
-    return (parse_index(w["i"]), parse_index(w["j"]),
-            DisconnectionWitness(parse_index(w["center"]),
-                                 parse_rational(w["delta"])))
-
-
 # Array members and how one item of each is read.  An item is converted
 # as soon as it is decoded, so a streamed document is never held whole.
 _ITEM_READERS = {"elements": _subset_from_json,
-                 "points": _point_from_json,
-                 "witnesses": _witness_from_json}
+                 "points": _point_from_json}
 _SCALAR_KEYS = ("format", "version", "graph_id", "epsilon", "guard")
 
 
@@ -373,64 +360,61 @@ def _joined_runs(graph: PLGraph,
     return sets
 
 
-def _frag_count(len2: Fraction, delta: Fraction) -> int:
-    """Least n >= 1 with (edge length / n) <= delta."""
-    r = len2 / (delta * delta)
-    n = math.isqrt(r.numerator // r.denominator)
-    while n * n < r:
-        n += 1
-    return max(n, 1)
-
-
 class _ClipIndex:
     """Components of the closed eps-ball around `center`, on the graph.
 
-    Each edge within reach is split into fragments no longer than delta;
-    a fragment is kept when its exact distance to the center is <= eps.
-    Kept fragments merge into runs per edge, and runs that meet at a graph
-    vertex are joined.  The kept union contains the open eps-ball
-    intersected with the graph, so disjoint components here prove genuine
-    separation there.
+    A closed ball is convex, so it meets each edge in one closed interval
+    or not at all: an edge is kept when its exact distance to the center is
+    <= eps.  On a proper host two kept intervals can share only a common
+    vertex of their edges, and they do exactly when that vertex lies in the
+    ball, so the components of (ball ∩ graph) are the kept edges joined at
+    their vertices inside the ball.  One `point_seg_dist2` per edge and one
+    `dist2_q` per vertex of a kept edge decide it; nothing is subdivided.
+
+    A connected set of diameter < eps through the center lies in the open
+    ball, hence in one component here, so a point outside the center's
+    component is separated from it.  The truncation guard keeps this sound
+    for the full continuum although the ball is closed: every admissible
+    piece through the center lies in the open ball, and the omitted teeth,
+    at distance >= eps from a point above the threshold, miss the open
+    ball, so such a piece sees only material that is in the host.
     """
 
     def __init__(self, graph: PLGraph, center: GraphPoint, eps2: Fraction,
-                 delta: Fraction, work: _Work):
-        craw = center.locate(graph).raw()
+                 work: _Work):
+        self.raw = center.locate(graph).raw()
+        self.eps2 = eps2
         en, ed = eps2.numerator, eps2.denominator
-        self.runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
-        for e in range(len(graph.edges)):
-            a, b = graph.edge_endpoints(e)
-            work.add(1)
-            dn, dd = xc.point_seg_dist2(craw, a.raw(), b.raw())
+        verts = graph.raw_vertices()
+        inside: dict[int, bool] = {}
+        first_at: dict[int, int] = {}
+        kept: list[int] = []
+        sets = UnionFind()
+        work.add(len(graph.edges))
+        for e, (a, b) in enumerate(graph.edges):
+            dn, dd = xc.point_seg_dist2(self.raw, verts[a], verts[b])
             if dn * ed > en * dd:
                 continue
-            m = _frag_count(graph.edge_length2(e), delta)
-            work.add(m)
-            kept = []
-            prev = a
-            for j in range(1, m + 1):
-                nxt = graph.edge_point(e, Fraction(j, m))
-                dn, dd = xc.point_seg_dist2(craw, prev.raw(), nxt.raw())
-                if dn * ed <= en * dd:
-                    kept.append((j - 1, j))
-                prev = nxt
-            if kept:
-                self.runs[e] = [(Fraction(lo, m), Fraction(hi, m))
-                                for lo, hi in merge_intervals(kept)]
-        self._sets = _joined_runs(graph, self.runs)
-        self.center_comp = self.components_at(center)
+            kept.append(e)
+            sets.add(e)
+            for v in (a, b):
+                if v not in inside:
+                    work.add(1)
+                    dn, dd = xc.dist2_q(self.raw, verts[v])
+                    inside[v] = dn * ed <= en * dd
+                if inside[v]:
+                    sets.union(first_at.setdefault(v, e), e)
+        self._comp = {e: sets.find(e) for e in kept}
+        self.center_comp = self._comp[center.edge]
 
-    def components_at(self, gp: GraphPoint) -> tuple[int, int] | None:
-        """Root of the one kept run holding the point (runs are
-        disjoint), or None when no kept run does."""
-        for i, (lo, hi) in enumerate(self.runs.get(gp.edge, ())):
-            if lo <= gp.t <= hi:
-                return self._sets.find((gp.edge, i))
-        return None
-
-    def separates(self, gp: GraphPoint) -> bool:
-        comp = self.components_at(gp)
-        return comp is None or comp != self.center_comp
+    def separates(self, gp: GraphPoint, raw) -> bool:
+        """Whether the point gp, with kernel coordinates `raw`, lies
+        outside the center's component of the clipped ball."""
+        comp = self._comp.get(gp.edge)
+        if comp is None or comp != self.center_comp:
+            return True
+        dn, dd = xc.dist2_q(self.raw, raw)
+        return dn * self.eps2.denominator > self.eps2.numerator * dd
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +466,15 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
                      budget: Budget | None = None) -> int:
     """Recheck a separation certificate; returns the point count.
 
-    A pair listed with a disconnection witness must be separated by the
-    clipped eps-ball around the witness center; every unlisted pair must
-    be at distance >= eps, recomputed exactly.  When a guard is present,
-    `truncation_guard` rebuilds the host from its builder metadata and
-    recomputes the truncation index and amplitude bound, and every point
-    must clear the height threshold.  Raises VerificationFailure with the
-    first offending detail.
+    Every pair must be at distance >= eps, recomputed exactly, or be
+    separated by the clipped eps-ball around one of its two points; one
+    clip per point is computed, when first needed.  The clip's argument
+    needs a proper host.  A host that `truncation_guard` rebuilds is one;
+    any other host is checked with `PLGraph.validate_proper`, whose
+    E(E-1)/2 segment tests are charged to the budget first.  When a guard
+    is present, the rebuilt host must give its truncation index and
+    amplitude bound, and every point must clear the height threshold.
+    Raises VerificationFailure with the first offending detail.
     """
     budget = budget or Budget()
     budget.check_edges(len(graph.edges))
@@ -505,13 +491,16 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
         if not (0 <= gp.edge < ne):
             raise VerificationFailure(f"point {k}: edge out of range")
     located = [gp.locate(graph) for gp in cert.points]
+    raws = [p.raw() for p in located]
 
+    try:
+        host = truncation_guard(graph, cert.epsilon)
+    except ParseError as exc:
+        if cert.guard is not None:
+            raise VerificationFailure(f"host carries no usable truncation "
+                                      f"metadata: {exc}") from exc
+        host = None
     if cert.guard is not None:
-        try:
-            host = truncation_guard(graph, cert.epsilon)
-        except ParseError as exc:
-            raise VerificationFailure(
-                f"host carries no usable truncation metadata: {exc}") from exc
         if host is None:
             raise VerificationFailure("host has no shark-teeth builder "
                                       "metadata to guard with")
@@ -528,39 +517,32 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
             if p.y < cert.guard.threshold:
                 raise VerificationFailure(
                     f"point {k} lies below the guard threshold")
+    if host is None:
+        work.add(ne * (ne - 1) // 2)
+        try:
+            graph.validate_proper()
+        except (OverlapError, ValueError) as exc:
+            raise VerificationFailure(f"host is not proper: {exc}") from exc
 
     n = len(cert.points)
-    table = {}
-    for i, j, w in cert.witnesses:
-        if not (0 <= i < j < n):
-            raise VerificationFailure(f"witness indexes ({i},{j}) invalid")
-        table[(i, j)] = w
-    clips: dict[tuple[int, Fraction], _ClipIndex] = {}
+    clips: dict[int, _ClipIndex] = {}
+
+    def separated_by(c: int, o: int) -> bool:
+        if c not in clips:
+            clips[c] = _ClipIndex(graph, cert.points[c], eps2, work)
+        return clips[c].separates(cert.points[o], raws[o])
+
     for i in range(n):
         for j in range(i + 1, n):
-            w = table.get((i, j))
-            if w is None:
-                work.add(1)
-                dn, dd = xc.dist2_q(located[i].raw(), located[j].raw())
-                if dn * ed < en * dd:
-                    raise VerificationFailure(
-                        f"pair ({i},{j}): no witness and distance below "
-                        f"epsilon")
+            work.add(1)
+            dn, dd = xc.dist2_q(raws[i], raws[j])
+            if dn * ed >= en * dd:
                 continue
-            if w.center not in (i, j):
+            # The greedy keeps a point for the clip around it, so the
+            # later point's clip is tried first.
+            if not (separated_by(j, i) or separated_by(i, j)):
                 raise VerificationFailure(
-                    f"pair ({i},{j}): center must be one of the pair")
-            if w.delta <= 0:
-                raise VerificationFailure(
-                    f"pair ({i},{j}): delta must be positive")
-            c, o = (i, j) if w.center == i else (j, i)
-            key = (c, w.delta)
-            if key not in clips:
-                clips[key] = _ClipIndex(graph, cert.points[c], eps2,
-                                        w.delta, work)
-            if not clips[key].separates(cert.points[o]):
-                raise VerificationFailure(
-                    f"pair ({i},{j}): clipped ball does not separate")
+                    f"pair ({i},{j}): neither clipped ball separates")
     return n
 
 
@@ -676,12 +658,21 @@ def upper_cover(graph: PLGraph, eps: Fraction,
     ne = len(graph.edges)
     covered: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(ne)]
 
+    # Every edge before the last one `first_gap` returned is covered end
+    # to end, and coverage only grows, so the scan resumes there.
+    cursor = 0
+
     def first_gap() -> tuple[int, Fraction] | None:
-        for e, ivs in enumerate(covered):
+        nonlocal cursor
+        for e in range(cursor, ne):
+            ivs = covered[e]
             if not ivs or ivs[0][0] > 0:
+                cursor = e
                 return e, Fraction(0)
             if ivs[0][1] < 1:
+                cursor = e
                 return e, ivs[0][1]
+        cursor = ne
         return None
 
     elements: list[SubSet] = []
@@ -769,18 +760,17 @@ def _candidate_points(graph: PLGraph, eps: Fraction) -> list[GraphPoint]:
 def lower_separation(graph: PLGraph, eps: Fraction,
                      guard: TruncationGuard | None = None,
                      candidates: Sequence[GraphPoint] | None = None,
-                     delta: Fraction | None = None,
                      budget: Budget | None = None) -> SeparationCertificate:
-    """Greedy maximal family of pairwise-separated points with witnesses.
+    """Greedy maximal family of pairwise-separated points.
 
     Candidates are scanned from the highest point down; each is kept when
-    every already-kept point is either at distance >= eps or provably cut
-    off by the candidate's clipped eps-ball.  Only the cut-off pairs get a
-    witness in the certificate.  With a guard, candidates below the height
-    threshold are discarded first, which is what makes the resulting
-    certificate meaningful for the untruncated continuum.  `candidates`
-    replaces the default pool of `_candidate_points`, and `delta` the
-    default clip scale eps/8, for cross-checks on explicit point families.
+    every already-kept point is either at distance >= eps or cut off by
+    the candidate's clipped eps-ball.  With a guard, candidates below the
+    height threshold are discarded first, which is what makes the
+    resulting certificate meaningful for the untruncated continuum.
+    `candidates` replaces the default pool of `_candidate_points`, for
+    cross-checks on explicit point families.  The certificate holds for
+    a proper host, which `check_separation` confirms.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -788,7 +778,6 @@ def lower_separation(graph: PLGraph, eps: Fraction,
     work.budget.check_edges(len(graph.edges))
     eps2 = eps * eps
     en, ed = eps2.numerator, eps2.denominator
-    delta = delta if delta is not None else eps / 8
     pool = (_candidate_points(graph, eps) if candidates is None
             else list(candidates))
     located = [(gp, gp.locate(graph)) for gp in pool]
@@ -798,34 +787,22 @@ def lower_separation(graph: PLGraph, eps: Fraction,
 
     kept: list[GraphPoint] = []
     kept_raw: list = []
-    witnesses: list[tuple[int, int, DisconnectionWitness]] = []
     for gp, p in located:
         rp = p.raw()
         clip: _ClipIndex | None = None
-        found: list[tuple[int, DisconnectionWitness]] = []
-        ok = True
-        for i, rk in enumerate(kept_raw):
+        for k, rk in zip(kept, kept_raw):
             work.add(1)
             dn, dd = xc.dist2_q(rp, rk)
             if dn * ed >= en * dd:
                 continue
             if clip is None:
-                clip = _ClipIndex(graph, gp, eps2, delta, work)
-            if clip.separates(kept[i]):
-                found.append((i, DisconnectionWitness(center=len(kept),
-                                                      delta=delta)))
-            else:
-                ok = False
+                clip = _ClipIndex(graph, gp, eps2, work)
+            if not clip.separates(k, rk):
                 break
-        if ok:
-            j = len(kept)
-            witnesses.extend((i, j, w) for i, w in found)
+        else:
             kept.append(gp)
             kept_raw.append(rp)
-    # Canonical witness order so the JSON round trip is the identity.
-    witnesses.sort(key=lambda t: (t[0], t[1]))
-    return SeparationCertificate(eps, tuple(kept), tuple(witnesses), guard,
-                                 graph.graph_id())
+    return SeparationCertificate(eps, tuple(kept), guard, graph.graph_id())
 
 
 def truncation_guard(graph: PLGraph, eps: Fraction) -> TruncationGuard | None:
@@ -871,204 +848,3 @@ def s_bounds(graph: PLGraph, eps: Fraction,
     up = upper_cover(graph, eps, budget=budget)
     assert len(low.points) <= len(up.elements)
     return len(low.points), len(up.elements)
-
-
-# ---------------------------------------------------------------------------
-# small-instance oracle
-
-
-class _SearchCap(Exception):
-    pass
-
-
-def brute_force_oracle(graph: PLGraph, eps: Fraction,
-                       delta: Fraction | None = None,
-                       budget: Budget | None = None) -> tuple[int, int]:
-    """(lower, upper) bracket for tiny hosts, by exhaustion.
-
-    The graph is chopped into fragments no longer than min(delta, eps/2).
-    Upper: exact branch-and-bound set cover over a family of maximal
-    connected fragment unions of diameter < eps, grown from every seed.
-    Lower: exact branch-and-bound maximum independent set over fragment
-    endpoints under the pairwise-separation relation.  Both searches fall
-    back to their greedy seeds when the node cap trips, which keeps the
-    bracket valid either way; on the small hosts this is meant for, the
-    searches run to completion and the bracket is tight at this scale.
-
-    The upper side is independent of `upper_cover`: it builds its own
-    fragment graph.  The lower side decides separation with the same
-    `_ClipIndex` as `lower_separation` and `check_separation`, so a
-    defect in the clip test would not show up as a disagreement here.
-    """
-    if len(graph.edges) > ORACLE_MAX_EDGES:
-        raise TooLarge(f"{len(graph.edges)} edges exceeds oracle limit "
-                       f"{ORACLE_MAX_EDGES}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    work = _Work(budget or Budget())
-    eps2 = eps * eps
-    en, ed = eps2.numerator, eps2.denominator
-    d_eff = min(delta if delta is not None else eps / 4, eps / 2)
-
-    frag_of: list[tuple[int, int]] = []
-    frag_pts: list[tuple] = []
-    counts: list[int] = []
-    index: dict[tuple[int, int], int] = {}
-    for e in range(len(graph.edges)):
-        m = _frag_count(graph.edge_length2(e), d_eff)
-        counts.append(m)
-        for j in range(m):
-            index[(e, j)] = len(frag_of)
-            frag_of.append((e, j))
-            frag_pts.append((graph.edge_point(e, Fraction(j, m)).raw(),
-                             graph.edge_point(e, Fraction(j + 1, m)).raw()))
-    nfrag = len(frag_of)
-    adj: list[set[int]] = [set() for _ in range(nfrag)]
-    touch: dict[int, list[int]] = {}
-    for i, (e, j) in enumerate(frag_of):
-        if j + 1 < counts[e]:
-            k = index[(e, j + 1)]
-            adj[i].add(k)
-            adj[k].add(i)
-        if j == 0:
-            touch.setdefault(graph.edges[e][0], []).append(i)
-        if j == counts[e] - 1:
-            touch.setdefault(graph.edges[e][1], []).append(i)
-    for nodes in touch.values():
-        for i in nodes:
-            for k in nodes:
-                if i != k:
-                    adj[i].add(k)
-
-    upper = _oracle_upper(frag_pts, adj, en, ed, work)
-    lower = _oracle_lower(graph, counts, eps, eps2, d_eff, work)
-    return lower, upper
-
-
-def _oracle_upper(frag_pts, adj, en, ed, work) -> int:
-    nfrag = len(frag_pts)
-
-    def grow(seed: int, reverse: bool) -> frozenset:
-        chosen = {seed}
-        pts = [frag_pts[seed][0], frag_pts[seed][1]]
-        changed = True
-        while changed:
-            changed = False
-            frontier = sorted({k for i in chosen for k in adj[i]} - chosen,
-                              reverse=reverse)
-            for k in frontier:
-                qa, qb = frag_pts[k]
-                work.add(2 * len(pts))
-                if (xc.all_dist2_below(pts, qa, en, ed)
-                        and xc.all_dist2_below(pts, qb, en, ed)):
-                    chosen.add(k)
-                    for q in (qa, qb):
-                        if q not in pts:
-                            pts.append(q)
-                    changed = True
-        return frozenset(chosen)
-
-    family: list[frozenset] = []
-    seen: set[frozenset] = set()
-    for seed in range(nfrag):
-        for rev in (False, True):
-            s = grow(seed, rev)
-            if s not in seen:
-                seen.add(s)
-                family.append(s)
-
-    # Greedy cover seeds the branch-and-bound incumbent.
-    uncovered = set(range(nfrag))
-    greedy: list[int] = []
-    while uncovered:
-        si = max(range(len(family)), key=lambda i: len(family[i] & uncovered))
-        greedy.append(si)
-        uncovered -= family[si]
-    best = [len(greedy)]
-    maxsz = max(len(s) for s in family)
-    containing: list[list[int]] = [[] for _ in range(nfrag)]
-    for si, s in enumerate(family):
-        for i in s:
-            containing[i].append(si)
-    iters = [0]
-
-    def rec(uncov: frozenset, used: int) -> None:
-        iters[0] += 1
-        if iters[0] > _ORACLE_SEARCH_CAP:
-            raise _SearchCap
-        if not uncov:
-            best[0] = min(best[0], used)
-            return
-        if used + (len(uncov) + maxsz - 1) // maxsz >= best[0]:
-            return
-        pivot = min(uncov, key=lambda i: len(containing[i]))
-        for si in sorted(containing[pivot],
-                         key=lambda si: -len(family[si] & uncov)):
-            rec(uncov - family[si], used + 1)
-
-    try:
-        rec(frozenset(range(nfrag)), 0)
-    except _SearchCap:
-        pass
-    return best[0]
-
-
-def _oracle_lower(graph, counts, eps, eps2, d_eff, work) -> int:
-    en, ed = eps2.numerator, eps2.denominator
-    pts: list[GraphPoint] = []
-    raws: list = []
-    seen: set = set()
-    for e, m in enumerate(counts):
-        for j in range(m + 1):
-            gp = GraphPoint(e, Fraction(j, m))
-            r = gp.locate(graph).raw()
-            if r not in seen:
-                seen.add(r)
-                pts.append(gp)
-                raws.append(r)
-    n = len(pts)
-    clips: list[_ClipIndex | None] = [None] * n
-
-    def clip(i: int) -> _ClipIndex:
-        if clips[i] is None:
-            clips[i] = _ClipIndex(graph, pts[i], eps2, d_eff, work)
-        return clips[i]
-
-    conflict: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            work.add(1)
-            dn, dd = xc.dist2_q(raws[i], raws[j])
-            if dn * ed >= en * dd:
-                continue
-            if clip(i).separates(pts[j]) or clip(j).separates(pts[i]):
-                continue
-            conflict[i].add(j)
-            conflict[j].add(i)
-
-    order = sorted(range(n), key=lambda i: len(conflict[i]))
-    greedy: list[int] = []
-    for i in order:
-        if all(k not in conflict[i] for k in greedy):
-            greedy.append(i)
-    best = [len(greedy)]
-    iters = [0]
-
-    def rec(avail: list[int], cur: int) -> None:
-        iters[0] += 1
-        if iters[0] > _ORACLE_SEARCH_CAP:
-            raise _SearchCap
-        if cur + len(avail) <= best[0]:
-            return
-        if not avail:
-            best[0] = max(best[0], cur)
-            return
-        v, rest = avail[0], avail[1:]
-        rec([u for u in rest if u not in conflict[v]], cur + 1)
-        rec(rest, cur)
-
-    try:
-        rec(sorted(range(n), key=lambda i: -len(conflict[i])), 0)
-    except _SearchCap:
-        pass
-    return best[0]

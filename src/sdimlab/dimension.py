@@ -98,21 +98,21 @@ def sweep(graph: PLGraph, epsilons: Sequence[Fraction],
     """Certified bracket at each scale of a strictly decreasing schedule.
 
     The lower bound at each scale is guarded as `truncation_guard`
-    decides.  Guarded rows may report lower = 0 at coarse scales where no
-    point clears the height threshold; that is the honest guarded answer,
-    and `scale_ratio` maps it to 0.0.
+    decides.  It is asked once, since the host and so its truncation index
+    and amplitude bound are the same at every scale; each scale then takes
+    that guard at its own threshold.  Guarded rows may report lower = 0 at
+    coarse scales where no point clears the height threshold; that is the
+    honest guarded answer, and `scale_ratio` maps it to 0.0.
     """
     rows = []
-    truncation = None
+    guard = truncation_guard(graph, epsilons[0]) if epsilons else None
     for eps in epsilons:
-        g = truncation_guard(graph, eps)
-        if g is not None:
-            truncation = g.k
+        g = None if guard is None else guard.at(eps)
         low = lower_separation(graph, eps, guard=g, budget=budget)
         up = upper_cover(graph, eps, budget=budget)
         rows.append(make_row(eps, len(low.points), len(up.elements)))
     return DimensionProfile(tuple(rows), source=graph.graph_id(),
-                            truncation=truncation)
+                            truncation=None if guard is None else guard.k)
 
 
 def sdim_estimate(profile: DimensionProfile) -> tuple[float, float]:

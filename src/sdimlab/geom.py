@@ -154,6 +154,7 @@ class PLGraph:
         self.meta: dict = dict(meta or {})
         self._validate_cheap()
         self._incident: list[list[tuple[int, int]]] | None = None
+        self._raw: tuple[tuple[int, int, int, int], ...] | None = None
         self._id: str | None = None
 
     def _validate_cheap(self) -> None:
@@ -187,6 +188,12 @@ class PLGraph:
     def edge_length2(self, e: int) -> Fraction:
         a, b = self.edge_endpoints(e)
         return dist2(a, b)
+
+    def raw_vertices(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Every vertex in kernel representation, computed once."""
+        if self._raw is None:
+            self._raw = tuple(v.raw() for v in self.vertices)
+        return self._raw
 
     def incident(self, v: int) -> list[tuple[int, int]]:
         """Edges at vertex v as (edge id, endpoint param 0 or 1)."""

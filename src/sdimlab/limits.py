@@ -8,6 +8,7 @@ e.g. ``SDIMLAB_BUDGET="edges=2e5,pairs=5e7"``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -77,8 +78,18 @@ def from_env(base: Budget | None = None) -> Budget:
         key = key.strip().lower()
         if key not in _KEYS or not value:
             raise ParseError(f"bad {_ENV_VAR} entry {item!r}")
-        try:
-            overrides[_KEYS[key]] = int(float(value))
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"bad {_ENV_VAR} value {value!r}") from exc
+        overrides[_KEYS[key]] = _count(key, value)
     return replace(budget, **overrides)
+
+
+def _count(key: str, value: str) -> int:
+    """A budget value: a whole number >= 0, in integer or float notation
+    (``2e5``).  Anything else is a `ParseError` naming the setting."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not (math.isfinite(number) and number >= 0 and number.is_integer()):
+        raise ParseError(f"bad {_ENV_VAR} value {value!r} for {key}: "
+                         f"not a whole number >= 0")
+    return int(number)

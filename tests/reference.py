@@ -1,0 +1,293 @@
+"""Test-only references: the brute-force oracle and the delta-fragment clip.
+
+Neither is on any library path.  `DeltaClip` is the clipped ball that
+separation certificates used before the exact clip: every edge near the
+ball is cut into fragments no longer than delta, and a fragment is kept
+when its exact distance to the center is <= eps.  The kept union contains
+the closed ball's trace on the graph, so its components are coarser than
+the exact clip's, and a pair it separates the exact clip separates too.
+`brute_force_oracle` brackets the connected-cover number of a tiny host
+by exhaustive search, with `DeltaClip` deciding separation on its lower
+side, so it shares no clip code with the library.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from sdimlab import exactcore as xc
+from sdimlab.cover import GraphPoint, _Work
+from sdimlab.errors import TooLarge
+from sdimlab.geom import PLGraph, UnionFind, merge_intervals
+from sdimlab.limits import Budget
+
+ORACLE_MAX_EDGES = 12
+_ORACLE_SEARCH_CAP = 300_000
+
+
+def frag_count(len2: Fraction, delta: Fraction) -> int:
+    """Least n >= 1 with (edge length / n) <= delta."""
+    r = len2 / (delta * delta)
+    n = math.isqrt(r.numerator // r.denominator)
+    while n * n < r:
+        n += 1
+    return max(n, 1)
+
+
+class DeltaClip:
+    """Components of the closed eps-ball around `center`, coarsened to
+    fragments no longer than delta.
+
+    Kept fragments merge into runs per edge; runs that reach a common
+    vertex (lo == 0 at an edge's first vertex, hi == 1 at its second) are
+    joined.
+    """
+
+    def __init__(self, graph: PLGraph, center: GraphPoint, eps2: Fraction,
+                 delta: Fraction, work: _Work):
+        craw = center.locate(graph).raw()
+        en, ed = eps2.numerator, eps2.denominator
+        self.runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
+        for e in range(len(graph.edges)):
+            a, b = graph.edge_endpoints(e)
+            work.add(1)
+            dn, dd = xc.point_seg_dist2(craw, a.raw(), b.raw())
+            if dn * ed > en * dd:
+                continue
+            m = frag_count(graph.edge_length2(e), delta)
+            work.add(m)
+            kept = []
+            prev = a
+            for j in range(1, m + 1):
+                nxt = graph.edge_point(e, Fraction(j, m))
+                dn, dd = xc.point_seg_dist2(craw, prev.raw(), nxt.raw())
+                if dn * ed <= en * dd:
+                    kept.append((j - 1, j))
+                prev = nxt
+            if kept:
+                self.runs[e] = [(Fraction(lo, m), Fraction(hi, m))
+                                for lo, hi in merge_intervals(kept)]
+        self._sets = UnionFind()
+        first_at: dict[int, tuple[int, int]] = {}
+        for e, ivs in self.runs.items():
+            a, b = graph.edges[e]
+            for i, (lo, hi) in enumerate(ivs):
+                self._sets.add((e, i))
+                for v, reaches in ((a, lo == 0), (b, hi == 1)):
+                    if reaches:
+                        self._sets.union(first_at.setdefault(v, (e, i)),
+                                         (e, i))
+        self.center_comp = self.component_at(center)
+
+    def component_at(self, gp: GraphPoint) -> tuple[int, int] | None:
+        """Root of the one kept run holding the point (runs are
+        disjoint), or None when no kept run does."""
+        for i, (lo, hi) in enumerate(self.runs.get(gp.edge, ())):
+            if lo <= gp.t <= hi:
+                return self._sets.find((gp.edge, i))
+        return None
+
+    def separates(self, gp: GraphPoint) -> bool:
+        comp = self.component_at(gp)
+        return comp is None or comp != self.center_comp
+
+
+# ---------------------------------------------------------------------------
+# small-instance oracle
+
+
+class _SearchCap(Exception):
+    pass
+
+
+def brute_force_oracle(graph: PLGraph, eps: Fraction,
+                       budget: Budget | None = None) -> tuple[int, int]:
+    """(lower, upper) bracket for tiny hosts, by exhaustion.
+
+    The graph is chopped into fragments no longer than eps/4.
+    Upper: exact branch-and-bound set cover over a family of maximal
+    connected fragment unions of diameter < eps, grown from every seed.
+    Lower: exact branch-and-bound maximum independent set over fragment
+    endpoints under the pairwise-separation relation.  Both searches fall
+    back to their greedy seeds when the node cap trips, which keeps the
+    bracket valid either way; on the small hosts this is meant for, the
+    searches run to completion and the bracket is tight at this scale.
+
+    Both sides are independent of the library: the upper side builds its
+    own fragment graph, and the lower side decides separation with
+    `DeltaClip`, not with the exact clip of `lower_separation` and
+    `check_separation`.
+    """
+    if len(graph.edges) > ORACLE_MAX_EDGES:
+        raise TooLarge(f"{len(graph.edges)} edges exceeds oracle limit "
+                       f"{ORACLE_MAX_EDGES}")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    work = _Work(budget or Budget())
+    eps2 = eps * eps
+    en, ed = eps2.numerator, eps2.denominator
+    d_eff = eps / 4
+
+    frag_of: list[tuple[int, int]] = []
+    frag_pts: list[tuple] = []
+    counts: list[int] = []
+    index: dict[tuple[int, int], int] = {}
+    for e in range(len(graph.edges)):
+        m = frag_count(graph.edge_length2(e), d_eff)
+        counts.append(m)
+        for j in range(m):
+            index[(e, j)] = len(frag_of)
+            frag_of.append((e, j))
+            frag_pts.append((graph.edge_point(e, Fraction(j, m)).raw(),
+                             graph.edge_point(e, Fraction(j + 1, m)).raw()))
+    nfrag = len(frag_of)
+    adj: list[set[int]] = [set() for _ in range(nfrag)]
+    touch: dict[int, list[int]] = {}
+    for i, (e, j) in enumerate(frag_of):
+        if j + 1 < counts[e]:
+            k = index[(e, j + 1)]
+            adj[i].add(k)
+            adj[k].add(i)
+        if j == 0:
+            touch.setdefault(graph.edges[e][0], []).append(i)
+        if j == counts[e] - 1:
+            touch.setdefault(graph.edges[e][1], []).append(i)
+    for nodes in touch.values():
+        for i in nodes:
+            for k in nodes:
+                if i != k:
+                    adj[i].add(k)
+
+    upper = _oracle_upper(frag_pts, adj, en, ed, work)
+    lower = _oracle_lower(graph, counts, eps, eps2, d_eff, work)
+    return lower, upper
+
+
+def _oracle_upper(frag_pts, adj, en, ed, work) -> int:
+    nfrag = len(frag_pts)
+
+    def grow(seed: int, reverse: bool) -> frozenset:
+        chosen = {seed}
+        pts = [frag_pts[seed][0], frag_pts[seed][1]]
+        changed = True
+        while changed:
+            changed = False
+            frontier = sorted({k for i in chosen for k in adj[i]} - chosen,
+                              reverse=reverse)
+            for k in frontier:
+                qa, qb = frag_pts[k]
+                work.add(2 * len(pts))
+                if (xc.all_dist2_below(pts, qa, en, ed)
+                        and xc.all_dist2_below(pts, qb, en, ed)):
+                    chosen.add(k)
+                    for q in (qa, qb):
+                        if q not in pts:
+                            pts.append(q)
+                    changed = True
+        return frozenset(chosen)
+
+    family: list[frozenset] = []
+    seen: set[frozenset] = set()
+    for seed in range(nfrag):
+        for rev in (False, True):
+            s = grow(seed, rev)
+            if s not in seen:
+                seen.add(s)
+                family.append(s)
+
+    # Greedy cover seeds the branch-and-bound incumbent.
+    uncovered = set(range(nfrag))
+    greedy: list[int] = []
+    while uncovered:
+        si = max(range(len(family)), key=lambda i: len(family[i] & uncovered))
+        greedy.append(si)
+        uncovered -= family[si]
+    best = [len(greedy)]
+    maxsz = max(len(s) for s in family)
+    containing: list[list[int]] = [[] for _ in range(nfrag)]
+    for si, s in enumerate(family):
+        for i in s:
+            containing[i].append(si)
+    iters = [0]
+
+    def rec(uncov: frozenset, used: int) -> None:
+        iters[0] += 1
+        if iters[0] > _ORACLE_SEARCH_CAP:
+            raise _SearchCap
+        if not uncov:
+            best[0] = min(best[0], used)
+            return
+        if used + (len(uncov) + maxsz - 1) // maxsz >= best[0]:
+            return
+        pivot = min(uncov, key=lambda i: len(containing[i]))
+        for si in sorted(containing[pivot],
+                         key=lambda si: -len(family[si] & uncov)):
+            rec(uncov - family[si], used + 1)
+
+    try:
+        rec(frozenset(range(nfrag)), 0)
+    except _SearchCap:
+        pass
+    return best[0]
+
+
+def _oracle_lower(graph, counts, eps, eps2, d_eff, work) -> int:
+    en, ed = eps2.numerator, eps2.denominator
+    pts: list[GraphPoint] = []
+    raws: list = []
+    seen: set = set()
+    for e, m in enumerate(counts):
+        for j in range(m + 1):
+            gp = GraphPoint(e, Fraction(j, m))
+            r = gp.locate(graph).raw()
+            if r not in seen:
+                seen.add(r)
+                pts.append(gp)
+                raws.append(r)
+    n = len(pts)
+    clips: list[DeltaClip | None] = [None] * n
+
+    def clip(i: int) -> DeltaClip:
+        if clips[i] is None:
+            clips[i] = DeltaClip(graph, pts[i], eps2, d_eff, work)
+        return clips[i]
+
+    conflict: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            work.add(1)
+            dn, dd = xc.dist2_q(raws[i], raws[j])
+            if dn * ed >= en * dd:
+                continue
+            if clip(i).separates(pts[j]) or clip(j).separates(pts[i]):
+                continue
+            conflict[i].add(j)
+            conflict[j].add(i)
+
+    order = sorted(range(n), key=lambda i: len(conflict[i]))
+    greedy: list[int] = []
+    for i in order:
+        if all(k not in conflict[i] for k in greedy):
+            greedy.append(i)
+    best = [len(greedy)]
+    iters = [0]
+
+    def rec(avail: list[int], cur: int) -> None:
+        iters[0] += 1
+        if iters[0] > _ORACLE_SEARCH_CAP:
+            raise _SearchCap
+        if cur + len(avail) <= best[0]:
+            return
+        if not avail:
+            best[0] = max(best[0], cur)
+            return
+        v, rest = avail[0], avail[1:]
+        rec([u for u in rest if u not in conflict[v]], cur + 1)
+        rec(rest, cur)
+
+    try:
+        rec(sorted(range(n), key=lambda i: -len(conflict[i])), 0)
+    except _SearchCap:
+        pass
+    return best[0]

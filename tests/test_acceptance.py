@@ -27,11 +27,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from reference import brute_force_oracle
 
 from sdimlab.continuum import ToothSequenceSpec, build_shark_teeth, limit_check
-from sdimlab.cover import (brute_force_oracle, certificate_from_json_dict,
-                           check_cover, check_separation, lower_separation,
-                           s_bounds, truncation_guard, upper_cover)
+from sdimlab.cover import (certificate_from_json_dict, check_cover,
+                           check_separation, lower_separation, s_bounds,
+                           truncation_guard, upper_cover)
 from sdimlab.dimension import sweep
 from sdimlab.errors import SdimlabError
 from sdimlab.geom import dist2
@@ -161,47 +162,89 @@ def _sep_point(graph, entry):
     return graph.edge_point(entry[0], Fraction(entry[1]))
 
 
-def mut_sep_drop_witness(doc, graph, rng):
-    # An unlisted pair claims distance >= eps; a witnessed pair is closer.
-    w = doc["witnesses"].pop(rng.randrange(len(doc["witnesses"])))
-    d2 = dist2(_sep_point(graph, doc["points"][w["i"]]),
-               _sep_point(graph, doc["points"][w["j"]]))
+def _nudge(graph, e, t, toward, eps):
+    """Parameter on edge e, moved from t toward the end `toward` (0 or 1)
+    by the largest step 2^-k (k >= 1) that stays within eps/2."""
+    p = graph.edge_point(e, t)
+    h = Fraction(1, 2)
+    while True:
+        u = t + h if toward == 1 else t - h
+        if 0 <= u <= 1 and 4 * dist2(p, graph.edge_point(e, u)) < eps * eps:
+            return u
+        h /= 2
+
+
+def _edge_neighbour(doc, graph, rng):
+    """A point index i, a vertex v at an end of its edge within eps/2 of
+    it, and another edge at v: (i, v, edge, end of that edge at v), or
+    None when no point has one."""
     eps = Fraction(doc["epsilon"])
-    assert d2 < eps * eps
+    options = []
+    for i, (e, t) in enumerate(doc["points"]):
+        p = _sep_point(graph, [e, t])
+        for v in graph.edges[e]:
+            if 4 * dist2(p, graph.vertices[v]) >= eps * eps:
+                continue
+            options.extend((i, v, e2, end) for e2, end in graph.incident(v)
+                           if e2 != e)
+    return rng.choice(options) if options else None
+
+
+def _replace_other(doc, i, item, rng):
+    """Put `item` in place of a point other than i; returns its index."""
+    others = [k for k in range(len(doc["points"])) if k != i]
+    j = rng.choice(others)
+    doc["points"][j] = item
+    return j
+
+
+def mut_sep_same_edge_pair(doc, graph, rng):
+    # A second point on point i's edge, closer than eps: the stretch of
+    # edge between the two is connected with diameter below eps.
+    i = rng.randrange(len(doc["points"]))
+    e, t = doc["points"][i][0], Fraction(doc["points"][i][1])
+    eps = Fraction(doc["epsilon"])
+    u = _nudge(graph, e, t, 1 if t < 1 else 0, eps)
+    j = _replace_other(doc, i, [e, str(u)], rng)
+    pts = [_sep_point(graph, doc["points"][k]) for k in (i, j)]
+    assert _max_diam2(pts) < eps * eps
+    return doc
+
+
+def mut_sep_across_a_vertex(doc, graph, rng):
+    # A point moved onto another edge at a vertex v near point i: the path
+    # from point i to v to the moved point is connected, and its diameter
+    # is that of its three corners, below eps.
+    i, v, e2, end = _edge_neighbour(doc, graph, rng)
+    eps = Fraction(doc["epsilon"])
+    u = _nudge(graph, e2, Fraction(end), 1 - end, eps)
+    j = _replace_other(doc, i, [e2, str(u)], rng)
+    pts = [_sep_point(graph, doc["points"][i]), graph.vertices[v],
+           _sep_point(graph, doc["points"][j])]
+    assert pts[1] in (graph.edge_point(e2, Fraction(0)),
+                      graph.edge_point(e2, Fraction(1)))
+    assert _max_diam2(pts) < eps * eps
     return doc
 
 
 def mut_sep_dup_point(doc, graph, rng):
-    n = len(doc["points"])
+    # Two copies of one point: a single point is an admissible piece.
     doc["points"].append(copy.deepcopy(doc["points"][0]))
-    assert all(w["j"] != n for w in doc["witnesses"])
+    assert _sep_point(graph, doc["points"][0]) == \
+        _sep_point(graph, doc["points"][-1])
     return doc
 
 
-def _unlisted_pairs(doc):
-    listed = {(w["i"], w["j"]) for w in doc["witnesses"]}
-    return [p for p in itertools.combinations(range(len(doc["points"])), 2)
-            if p not in listed]
-
-
-def mut_sep_eps_above_distance(doc, graph, rng):
-    i, j = rng.choice(_unlisted_pairs(doc))
-    d2 = dist2(_sep_point(graph, doc["points"][i]),
-               _sep_point(graph, doc["points"][j]))
-    assert d2 > 0
-    # (p+q)/q squared always exceeds p/q, so the pair lands inside eps.
-    eps = Fraction(d2.numerator + d2.denominator, d2.denominator)
-    assert eps * eps > d2
+def mut_sep_eps_above_diameter(doc, graph, rng):
+    # The host is connected; with eps above its diameter it is one
+    # admissible piece, so no two points are separated.
+    assert len(doc["points"]) >= 2
+    xs = [v.x for v in graph.vertices]
+    ys = [v.y for v in graph.vertices]
+    box2 = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
+    eps = Fraction(math.isqrt(math.ceil(box2)) + 1)
+    assert _max_diam2(list(graph.vertices)) <= box2 < eps * eps
     doc["epsilon"] = str(eps)
-    return doc
-
-
-def mut_sep_foreign_center(doc, graph, rng):
-    w = rng.choice(doc["witnesses"])
-    n = len(doc["points"])
-    others = [k for k in range(n) if k not in (w["i"], w["j"])]
-    w["center"] = rng.choice(others) if others else n
-    assert w["center"] not in (w["i"], w["j"])
     return doc
 
 
@@ -236,11 +279,11 @@ def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
         cert = lower_separation(
             g, eps, guard=truncation_guard(g, eps) if guard else None)
         doc = cert.to_json_dict()
-        ops = [mut_sep_dup_point, mut_sep_wrong_host]
-        if doc["witnesses"]:
-            ops.extend([mut_sep_drop_witness, mut_sep_foreign_center])
-        if _unlisted_pairs(doc):
-            ops.append(mut_sep_eps_above_distance)
+        assert len(doc["points"]) >= 2
+        ops = [mut_sep_dup_point, mut_sep_wrong_host, mut_sep_same_edge_pair,
+               mut_sep_eps_above_diameter]
+        if _edge_neighbour(doc, g, random.Random(0)) is not None:
+            ops.append(mut_sep_across_a_vertex)
         if doc["guard"] is not None:
             ops.extend([mut_sep_guard_thin, mut_sep_guard_wrong_k])
         bases.append(("separation", g, doc, ops))

@@ -118,6 +118,29 @@ def test_build_refuses_a_budget_that_is_not_finite(tmp_path, paper3_spec,
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("setting", ["edges=-1", "pairs=0.5", "words=-2e3",
+                                     "pairs=1e-3", "edges=x"])
+def test_build_refuses_a_budget_that_is_not_a_whole_number(
+        tmp_path, paper3_spec, setting):
+    # edges=-1 was a budget failure (exit 4), pairs=0.5 a budget of 0.
+    res = invoke("build", "--spec", paper3_spec, "--out", tmp_path / "g.json",
+                 env={"SDIMLAB_BUDGET": setting})
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert f"for {setting.partition('=')[0]}" in res.stderr
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_build_takes_whole_budgets_in_float_notation(tmp_path, paper3_spec):
+    res = invoke("build", "--spec", paper3_spec, "--out", tmp_path / "g.json",
+                 env={"SDIMLAB_BUDGET": "edges=1e1,pairs=0"})
+    assert res.exit_code == 0
+    res = invoke("build", "--spec", paper3_spec, "--out", tmp_path / "g.json",
+                 env={"SDIMLAB_BUDGET": "edges=9.0"})
+    assert res.exit_code == 4
+    assert res.stderr.startswith("BUDGET: edge count 10 exceeds budget 9")
+
+
 def test_build_rejects_missing_file(tmp_path):
     res = invoke("build", "--spec", tmp_path / "absent.json",
                  "--out", tmp_path / "g.json")
@@ -321,6 +344,40 @@ def test_verify_refuses_v1_separation_document(tmp_path, m3_graph):
     res = invoke("verify", "--graph", m3_graph, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
+
+
+def test_verify_refuses_v2_separation_document(tmp_path, m3_graph):
+    cert = tmp_path / "low.json"
+    invoke("cover", "--graph", m3_graph, "--epsilon", "1/16",
+           "--mode", "lower", "--out", cert)
+    doc = json.loads(cert.read_text())
+    assert doc["version"] == 3 and "witnesses" not in doc
+    doc["version"] = 2
+    doc["witnesses"] = [{"i": 0, "j": 1, "center": 1, "delta": "1/128"}]
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", m3_graph, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: unsupported version 2")
+
+
+def test_verify_refuses_a_lower_certificate_on_a_crossing_host(tmp_path):
+    # Diagonals of the unit square cross at (1/2, 1/2) with no vertex
+    # there; a detour through (1,3) and (0,3) connects them as a graph.
+    # (0,0) and (1,0) lie 1 apart, and the path through the crossing joins
+    # them within diameter 1 < 3/2, so no lower certificate may list both,
+    # though each clip, blind to the crossing, keeps them apart.
+    host = PLGraph([point(0, 0), point(1, 1), point(0, 1), point(1, 0),
+                    point(1, 3), point(0, 3)],
+                   [(0, 1), (2, 3), (1, 4), (4, 5), (2, 5)])
+    graph, cert = tmp_path / "x.graph.json", tmp_path / "x.lower.json"
+    _write_json(str(graph), host.to_json_dict())
+    _write_json(str(cert), {
+        "format": "sdimlab/separation", "version": 3,
+        "graph_id": host.graph_id(), "epsilon": "3/2", "guard": None,
+        "points": [[0, "0"], [1, "1"]]})
+    res = invoke("verify", "--graph", graph, "--cert", cert)
+    assert res.exit_code == 1
+    assert res.stderr.startswith("VERIFY: host is not proper")
 
 
 def test_verify_refuses_v1_cover_document(tmp_path, seg_graph_file):

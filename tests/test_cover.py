@@ -4,10 +4,8 @@ Frozen counts were derived before being asserted here.  For the unit
 segment at eps = 1/m the exact answer is m + 1: m pieces of length 1/m
 fail the strict diameter bound, and m + 1 points at spacing 1/m pairwise
 reach it.  The small-host brackets were cross-checked against
-`brute_force_oracle`.  Its upper side is independent of the greedy cover,
-but its lower side runs the same clipped-ball test (`_ClipIndex`) as
-`lower_separation` and `check_separation`, so a defect in that test would
-not show up as a disagreement with the oracle.
+`reference.brute_force_oracle`, which shares no clip code with the
+library: its lower side decides separation with the delta-fragment clip.
 """
 
 from __future__ import annotations
@@ -17,19 +15,19 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import DeltaClip, brute_force_oracle
 
-from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
-                     DisconnectionWitness, EdgeFragment, EmptySubset,
-                     GraphPoint, HostMismatch, ParseError, PLGraph,
-                     SeparationCertificate, SubSet, TruncationGuard,
-                     VerificationFailure, brute_force_oracle,
-                     certificate_from_json_dict, check_cover,
-                     check_separation, dist2, lower_separation,
-                     points_diameter2, s_bounds, truncation_guard,
-                     upper_cover)
+from sdimlab import (Budget, BudgetExceeded, CoverCertificate, EdgeFragment,
+                     EmptySubset, GraphPoint, HostMismatch, ParseError,
+                     PLGraph, SeparationCertificate, SubSet, TruncationGuard,
+                     VerificationFailure, arrange, certificate_from_json_dict,
+                     check_cover, check_separation, dist2, lower_separation,
+                     point, points_diameter2, s_bounds, segment,
+                     truncation_guard, upper_cover)
 from sdimlab.cli import _json_chunks
+from sdimlab.cover import _ClipIndex, _Work
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -177,18 +175,24 @@ def test_interval_separation_reaches_m_plus_one(seg_graph, m):
     assert check_separation(seg_graph, cert) == m + 1
 
 
+def _clip(g, gp, eps):
+    return _ClipIndex(g, gp, eps * eps, _Work(Budget()))
+
+
 @pytest.mark.parametrize("host", ["m2", "m3", "w6"])
-def test_separation_witnesses_exactly_the_close_pairs(host, request):
-    # Listed pairs are closer than eps; every unlisted pair is eps apart.
+def test_every_close_pair_is_separated_by_a_clip(host, request):
+    # The greedy keeps a point when its own clip cuts off every kept point
+    # closer than eps, so the later point's clip separates each close pair.
     g = request.getfixturevalue(host)
     eps = Fraction(1, 64)
     cert = lower_separation(g, eps)
     located = [gp.locate(g) for gp in cert.points]
-    listed = {(i, j) for i, j, _ in cert.witnesses}
-    assert listed
-    for i, j in itertools.combinations(range(len(located)), 2):
-        close = dist2(located[i], located[j]) < eps * eps
-        assert ((i, j) in listed) == close, (i, j)
+    close = [(i, j) for i, j in itertools.combinations(range(len(located)), 2)
+             if dist2(located[i], located[j]) < eps * eps]
+    assert close
+    for i, j in close:
+        assert _clip(g, cert.points[j], eps).separates(
+            cert.points[i], located[i].raw()), (i, j)
     assert check_separation(g, cert) == len(cert.points)
 
 
@@ -206,14 +210,15 @@ def test_explicit_candidate_pool(seg_graph):
 
 def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
                                       m1, m2, m3):
-    # Frozen brackets; each was cross-checked against the oracle.
+    # Frozen brackets; each was cross-checked against the oracle.  m3 at
+    # 1/4 rose from 9 to 11 with the exact clip (oracle bracket (10, 15)).
     frozen = {
         ("seg", HALF): (3, 3), ("seg", QUARTER): (5, 5),
         ("cross", HALF): (5, 6), ("cross", QUARTER): (9, 12),
         ("lsh", HALF): (5, 5), ("lsh", QUARTER): (9, 9),
         ("m1", HALF): (4, 4), ("m1", QUARTER): (8, 9),
         ("m2", HALF): (4, 5), ("m2", QUARTER): (9, 12),
-        ("m3", HALF): (4, 5), ("m3", QUARTER): (9, 14),
+        ("m3", HALF): (4, 5), ("m3", QUARTER): (11, 14),
     }
     hosts = {"seg": seg_graph, "cross": cross_graph, "lsh": lshape_graph,
              "m1": m1, "m2": m2, "m3": m3}
@@ -222,41 +227,67 @@ def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
 
 
 # ---------------------------------------------------------------------------
-# disconnection witnesses
+# clipped balls
 
 
-def _pair_cert(g, a, b, center, delta):
-    """Two-point certificate whose one witness is the clipped ball around
-    point `center` (0 or 1) at fragment scale `delta`."""
-    return SeparationCertificate(
-        HALF, (a, b), ((0, 1, DisconnectionWitness(center, delta)),), None,
-        g.graph_id())
+def _pair_cert(g, a, b):
+    """Two-point certificate at eps = 1/2."""
+    return SeparationCertificate(HALF, (a, b), None, g.graph_id())
 
 
 def test_peaks_of_adjacent_teeth_are_separated(m2):
     peak1 = GraphPoint(1, Fraction(1))  # (1/2, 1/2)
     peak2 = GraphPoint(0, Fraction(1))  # (1/2, 1/4)
     assert dist2(peak1.locate(m2), peak2.locate(m2)) < HALF * HALF
-    for center in (0, 1):
-        cert = _pair_cert(m2, peak1, peak2, center, HALF / 8)
-        assert check_separation(m2, cert) == 2
+    for c, o in ((peak1, peak2), (peak2, peak1)):
+        assert _clip(m2, c, HALF).separates(o, o.locate(m2).raw())
+        assert check_separation(m2, _pair_cert(m2, c, o)) == 2
 
 
 def test_same_tooth_flanks_are_not_separated(m2):
     a = GraphPoint(1, Fraction(3, 4))
     b = GraphPoint(4, Fraction(1, 4))
-    for center in (0, 1):
-        with pytest.raises(VerificationFailure, match="does not separate"):
-            check_separation(m2, _pair_cert(m2, a, b, center, HALF / 8))
+    for c, o in ((a, b), (b, a)):
+        assert not _clip(m2, c, HALF).separates(o, o.locate(m2).raw())
+        with pytest.raises(VerificationFailure,
+                           match="neither clipped ball separates"):
+            check_separation(m2, _pair_cert(m2, c, o))
 
 
-def test_witness_survives_delta_refinement(m2):
-    # Refining delta only removes fragments, never reconnects them.
-    peak1 = GraphPoint(1, Fraction(1))
-    peak2 = GraphPoint(0, Fraction(1))
-    for div in (8, 16, 32):
-        cert = _pair_cert(m2, peak1, peak2, 0, HALF / div)
-        assert check_separation(m2, cert) == 2
+def test_clip_separates_a_point_outside_the_ball(seg_graph):
+    # Same edge, same component, but at distance > eps: not in the ball.
+    c, o = GraphPoint(0, Fraction(0)), GraphPoint(0, Fraction(3, 4))
+    assert _clip(seg_graph, c, HALF).separates(o, o.locate(seg_graph).raw())
+    assert not _clip(seg_graph, c, HALF).separates(
+        GraphPoint(0, HALF), GraphPoint(0, HALF).locate(seg_graph).raw())
+
+
+@st.composite
+def small_proper_hosts(draw):
+    """A random polyline on the grid of sixteenths in the unit square,
+    made proper by `arrange`: crossings become vertices, overlaps merge."""
+    grid = st.integers(0, 16)
+    pts = draw(st.lists(st.tuples(grid, grid), min_size=2, max_size=5,
+                        unique=True))
+    return arrange([segment(point(Fraction(ax, 16), Fraction(ay, 16)),
+                            point(Fraction(bx, 16), Fraction(by, 16)))
+                    for (ax, ay), (bx, by) in zip(pts, pts[1:])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_proper_hosts(), data=st.data())
+def test_exact_clip_separates_whatever_the_delta_clip_separates(g, data):
+    # The delta clip keeps a superset of the closed ball's trace, so its
+    # components are coarser: every pair it separates stays separated.
+    def graph_point():
+        e = data.draw(st.integers(0, len(g.edges) - 1))
+        return GraphPoint(e, Fraction(data.draw(st.integers(0, 8)), 8))
+
+    eps = Fraction(data.draw(st.integers(1, 12)), 16)
+    delta = eps / data.draw(st.integers(1, 8))
+    c, o = graph_point(), graph_point()
+    if DeltaClip(g, c, eps * eps, delta, _Work(Budget())).separates(o):
+        assert _clip(g, c, eps).separates(o, o.locate(g).raw())
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +348,7 @@ def _guarded_cert(m3):
 def test_guard_k_mismatch_fails(m3):
     cert = _guarded_cert(m3)
     bad = SeparationCertificate(
-        cert.epsilon, cert.points, cert.witnesses,
+        cert.epsilon, cert.points,
         TruncationGuard(4, cert.guard.amplitude_bound, cert.guard.threshold),
         cert.graph_id)
     with pytest.raises(VerificationFailure):
@@ -327,7 +358,7 @@ def test_guard_k_mismatch_fails(m3):
 def test_guard_understated_amplitude_fails(m3):
     cert = _guarded_cert(m3)
     bad = SeparationCertificate(
-        cert.epsilon, cert.points, cert.witnesses,
+        cert.epsilon, cert.points,
         TruncationGuard(3, Fraction(1, 32), cert.guard.threshold),
         cert.graph_id)
     with pytest.raises(VerificationFailure):
@@ -338,7 +369,7 @@ def test_guard_thin_threshold_fails(m3):
     # threshold must be >= amplitude + eps = 1/16 + 1/8.
     cert = _guarded_cert(m3)
     bad = SeparationCertificate(
-        cert.epsilon, cert.points, cert.witnesses,
+        cert.epsilon, cert.points,
         TruncationGuard(3, Fraction(1, 16), Fraction(5, 32)),
         cert.graph_id)
     with pytest.raises(VerificationFailure):
@@ -350,9 +381,8 @@ def test_guard_overstated_threshold_is_fine(m3):
     # stays valid as long as all its points clear the higher bar.
     cert = _guarded_cert(m3)
     taller = SeparationCertificate(
-        cert.epsilon, cert.points, cert.witnesses,
-        TruncationGuard(3, Fraction(1, 16), QUARTER),
-        cert.graph_id)
+        cert.epsilon, cert.points,
+        TruncationGuard(3, Fraction(1, 16), QUARTER), cert.graph_id)
     assert check_separation(m3, taller) == 2
 
 
@@ -360,23 +390,21 @@ def test_guard_point_below_threshold_fails(m3):
     cert = _guarded_cert(m3)
     base_point = GraphPoint(0, Fraction(0))
     pts = cert.points + (base_point,)
-    bad = SeparationCertificate(cert.epsilon, pts, cert.witnesses,
-                                cert.guard, cert.graph_id)
+    bad = SeparationCertificate(cert.epsilon, pts, cert.guard, cert.graph_id)
     with pytest.raises(VerificationFailure):
         check_separation(m3, bad)
 
 
 @pytest.mark.parametrize("meta", [{}, *MALFORMED_BUILDER_META])
 def test_guard_against_host_without_usable_metadata_fails(m3, meta):
-    # Same geometry, so every point and witness still checks; only the
-    # guard cannot be recomputed from the host.
+    # Same geometry, so every point still checks; only the guard cannot
+    # be recomputed from the host.
     cert = _guarded_cert(m3)
     host = PLGraph(m3.vertices, m3.edges, meta)
-    relabeled = SeparationCertificate(cert.epsilon, cert.points,
-                                      cert.witnesses, cert.guard,
+    relabeled = SeparationCertificate(cert.epsilon, cert.points, cert.guard,
                                       host.graph_id())
-    unguarded = SeparationCertificate(cert.epsilon, cert.points,
-                                      cert.witnesses, None, host.graph_id())
+    unguarded = SeparationCertificate(cert.epsilon, cert.points, None,
+                                      host.graph_id())
     assert check_separation(host, unguarded) == 2
     with pytest.raises(VerificationFailure):
         check_separation(host, relabeled)
@@ -388,13 +416,13 @@ def test_guard_refuses_a_host_its_builder_did_not_make(m3_moved_peak):
 
 
 def test_guarded_certificate_on_a_moved_peak_fails(m3, m3_moved_peak):
-    # Every point and witness checks on the moved host; only the guard,
-    # which holds for m3's continuum, does not hold for this one.
+    # Every point checks on the moved host; only the guard, which holds
+    # for m3's continuum, does not hold for this one.
     host = m3_moved_peak
     cert = lower_separation(host, EIGHTH, guard=truncation_guard(m3, EIGHTH),
                             candidates=_vertex_pool(host))
-    unguarded = SeparationCertificate(cert.epsilon, cert.points,
-                                      cert.witnesses, None, cert.graph_id)
+    unguarded = SeparationCertificate(cert.epsilon, cert.points, None,
+                                      cert.graph_id)
     assert check_separation(host, unguarded) == len(cert) > 0
     with pytest.raises(VerificationFailure, match="does not match"):
         check_separation(host, cert)
@@ -402,8 +430,7 @@ def test_guarded_certificate_on_a_moved_peak_fails(m3, m3_moved_peak):
 
 def test_guard_on_wrong_host_fails(m3, w6):
     cert = _guarded_cert(m3)
-    relabeled = SeparationCertificate(cert.epsilon, cert.points,
-                                      cert.witnesses, cert.guard,
+    relabeled = SeparationCertificate(cert.epsilon, cert.points, cert.guard,
                                       w6.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(w6, relabeled)
@@ -474,10 +501,10 @@ def test_check_cover_rejects_wrong_host(seg_graph, m1):
 
 
 def test_check_separation_rejects_missing_witness(seg_graph):
-    # An unlisted pair claims distance >= eps; these two are 1/4 apart.
+    # Two points 1/4 apart on one edge: closer than eps, and neither
+    # clipped ball can witness a separation, since the edge joins them.
     pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, QUARTER))
-    cert = SeparationCertificate(HALF, pts, (), None,
-                                 seg_graph.graph_id())
+    cert = SeparationCertificate(HALF, pts, None, seg_graph.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(seg_graph, cert)
 
@@ -485,30 +512,54 @@ def test_check_separation_rejects_missing_witness(seg_graph):
 def test_check_separation_accepts_distance_tie(seg_graph):
     # dist == eps is allowed for separation, unlike the cover side.
     pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, HALF))
-    cert = SeparationCertificate(HALF, pts, (), None, seg_graph.graph_id())
+    cert = SeparationCertificate(HALF, pts, None, seg_graph.graph_id())
     assert check_separation(seg_graph, cert) == 2
 
 
 def test_check_separation_rejects_false_disconnection(m2):
     a = GraphPoint(1, Fraction(3, 4))
     b = GraphPoint(4, Fraction(1, 4))
-    cert = SeparationCertificate(
-        HALF, (a, b),
-        ((0, 1, DisconnectionWitness(center=0, delta=Fraction(1, 16))),),
-        None, m2.graph_id())
+    cert = SeparationCertificate(HALF, (a, b), None, m2.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(m2, cert)
 
 
-def test_check_separation_rejects_foreign_center(m2):
-    peak1 = GraphPoint(1, Fraction(1))
-    peak2 = GraphPoint(0, Fraction(1))
-    cert = SeparationCertificate(
-        HALF, (peak1, peak2),
-        ((0, 1, DisconnectionWitness(center=2, delta=Fraction(1, 16))),),
-        None, m2.graph_id())
-    with pytest.raises(VerificationFailure):
-        check_separation(m2, cert)
+def test_check_separation_refuses_a_host_whose_edges_cross():
+    # As a set the X is connected with diameter sqrt(2) < 3/2, so S_eps is
+    # 1; as a graph its diagonals share no vertex, so each clip keeps them
+    # apart and only the properness check stands between it and a false 2.
+    host = PLGraph([point(0, 0), point(1, 1), point(0, 1), point(1, 0)],
+                   [(0, 1), (2, 3)])
+    eps = Fraction(3, 2)
+    cert = SeparationCertificate(eps, (GraphPoint(0, Fraction(0)),
+                                       GraphPoint(1, Fraction(0))),
+                                 None, host.graph_id())
+    assert _clip(host, cert.points[0], eps).separates(
+        cert.points[1], cert.points[1].locate(host).raw())
+    with pytest.raises(VerificationFailure, match="not proper"):
+        check_separation(host, cert)
+
+
+def test_check_separation_charges_the_properness_check(cross_graph):
+    cert = lower_separation(cross_graph, HALF)
+    ne = len(cross_graph.edges)
+    with pytest.raises(BudgetExceeded):
+        check_separation(cross_graph, cert,
+                         Budget(max_pair_checks=ne * (ne - 1) // 2 - 1))
+    assert check_separation(cross_graph, cert) == len(cert)
+
+
+def test_check_separation_trusts_a_rebuilt_host_to_be_proper(w6,
+                                                            monkeypatch):
+    cert = lower_separation(w6, Fraction(1, 32),
+                            guard=truncation_guard(w6, Fraction(1, 32)))
+
+    def refuse(self):
+        raise AssertionError("validate_proper called on a rebuilt host")
+    monkeypatch.setattr(PLGraph, "validate_proper", refuse)
+    assert check_separation(w6, cert) == len(cert)
+    bare = lower_separation(w6, Fraction(1, 8))
+    assert check_separation(w6, bare) == len(bare)
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +624,9 @@ def test_separation_certificate_round_trip(m2, m3):
                                candidates=_vertex_pool(m3))
     for g, cert in ((m2, plain), (m3, guarded)):
         doc = cert.to_json_dict()
-        assert doc["version"] == 2
-        assert all(set(w) == {"i", "j", "center", "delta"}
-                   for w in doc["witnesses"])
+        assert doc["version"] == 3
+        assert set(doc) == {"format", "version", "graph_id", "epsilon",
+                            "points", "guard"}
         back = SeparationCertificate.from_json_dict(doc)
         assert back == cert
         assert back.to_json_dict() == doc
@@ -585,9 +636,17 @@ def test_separation_certificate_round_trip(m2, m3):
 def test_separation_v1_document_is_refused(m2):
     doc = lower_separation(m2, HALF).to_json_dict()
     doc["version"] = 1
-    doc["witnesses"] = [{**w, "kind": "disconnection"}
-                        for w in doc["witnesses"]]
+    doc["witnesses"] = [{"i": 0, "j": 1, "kind": "disconnection"}]
     with pytest.raises(ParseError):
+        certificate_from_json_dict(doc)
+
+
+def test_separation_v2_document_is_refused(m2):
+    # Version 2 listed a clip center and fragment scale per close pair.
+    doc = lower_separation(m2, HALF).to_json_dict()
+    doc["version"] = 2
+    doc["witnesses"] = [{"i": 0, "j": 1, "center": 1, "delta": "1/16"}]
+    with pytest.raises(ParseError, match="unsupported version 2"):
         certificate_from_json_dict(doc)
 
 
@@ -616,22 +675,14 @@ def test_cover_reader_refuses_a_fragment_edge_that_is_not_an_integer(
     lambda doc: _with_item(doc, "points", 0, [1.0, "1"]),
     lambda doc: _with_item(doc, "points", 0, ["1", "1"]),
     lambda doc: _with_item(doc, "points", 0, [True, "1"]),
-    lambda doc: _with_item(doc, "witnesses", 0, {**doc["witnesses"][0],
-                                                 "i": 0.0}),
-    lambda doc: _with_item(doc, "witnesses", 0, {**doc["witnesses"][0],
-                                                 "j": "1"}),
-    lambda doc: _with_item(doc, "witnesses", 0, {**doc["witnesses"][0],
-                                                 "center": True}),
     lambda doc: {**doc, "guard": {"K": 2.0, "amplitude_bound": "1/24",
                                   "threshold": "13/24"}},
     lambda doc: {**doc, "guard": {"K": "2", "amplitude_bound": "1/24",
                                   "threshold": "13/24"}},
-], ids=["point-float", "point-string", "point-bool", "witness-i-float",
-        "witness-j-string", "witness-center-bool", "guard-k-float",
+], ids=["point-float", "point-string", "point-bool", "guard-k-float",
         "guard-k-string"])
 def test_separation_reader_refuses_indexes_that_are_not_integers(m2, mangle):
     doc = lower_separation(m2, HALF).to_json_dict()
-    assert doc["witnesses"]
     certificate_from_json_dict(doc)
     with pytest.raises(ParseError):
         certificate_from_json_dict(mangle(doc))
@@ -657,13 +708,16 @@ def _digest(cert) -> str:
 
 
 # (host, eps, guarded lower, unguarded lower or None, upper): the first 16
-# hex digits of the SHA-256 of each certificate as the CLI writes it.
+# hex digits of the SHA-256 of each certificate as the CLI writes it.  The
+# lower digests are of separation version 3; the guarded point lists are
+# the ones version 2 listed, while m3's unguarded list grew from 61 to 63
+# points with the exact clip.
 GOLDEN = [
-    ("m3", Fraction(1, 16), "036edd2bccef3551", "340eb1ee60e2ad8b",
+    ("m3", Fraction(1, 16), "76e004d03f32a4fc", "d75d3d3cf644cd58",
      "304670f9ec4f46f0"),
-    ("w6", Fraction(1, 64), "dab7de5abb0ad150", None, "da1ae3593d56dc9d"),
-    ("w6", Fraction(33, 2048), "b6f636ca8504f047", None, "8cc059ab86f2e691"),
-    ("m15", Fraction(1, 16), "c47859c4183c30d4", None, "8a5985af5fe3b8e8"),
+    ("w6", Fraction(1, 64), "5d79cf9ee29ef67a", None, "da1ae3593d56dc9d"),
+    ("w6", Fraction(33, 2048), "7607fe2599841d59", None, "8cc059ab86f2e691"),
+    ("m15", Fraction(1, 16), "d7ae7a1d4011d190", None, "8a5985af5fe3b8e8"),
 ]
 
 

@@ -104,6 +104,29 @@ def test_sweep_records_source_and_truncation(seg_profile, m3):
     assert prof.truncation == 3
 
 
+def test_sweep_rebuilds_the_host_once(w6, monkeypatch):
+    # Each scale takes the one guard at its own threshold; the profile is
+    # the one a fresh `truncation_guard` per scale gives.
+    import sdimlab.continuum as continuum
+    from sdimlab.cover import lower_separation, truncation_guard, upper_cover
+    scales = [Fraction(1, 2 ** j) for j in range(2, 7)]
+    want = [(len(lower_separation(w6, eps,
+                                  guard=truncation_guard(w6, eps))),
+             len(upper_cover(w6, eps))) for eps in scales]
+    builds = []
+    build = continuum.build_shark_teeth
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(continuum, "build_shark_teeth", counted)
+    prof = sweep(w6, scales)
+    assert [(r.lower, r.upper) for r in prof.rows] == want
+    assert want[-1][0] > 0
+    assert prof.truncation == 6
+    assert len(builds) == 1
+
+
 def test_sdim_estimate_interval(seg_profile):
     low, high = sdim_estimate(seg_profile)
     assert low == high == pytest.approx(math.log(9) / math.log(8), rel=1e-12)

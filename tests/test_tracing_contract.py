@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import importlib
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from sdimlab.cover import lower_separation
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -44,3 +47,16 @@ def test_every_method_span_target_is_defined_on_its_class(module, cls, meth,
 @pytest.mark.parametrize("kernel", tracing.KERNELS)
 def test_every_counted_kernel_is_bound_in_exactcore(kernel):
     assert kernel in vars(importlib.import_module("sdimlab.exactcore"))
+
+
+def test_lower_separation_result_has_what_the_tracer_reads(m3):
+    # The tracer counts the points and iterates the witnesses, of which a
+    # separation certificate has none.
+    result = lower_separation(m3, Fraction(1, 8))
+    assert len(result.points) > 0
+    assert list(iter(result.witnesses)) == []
+    tracer = tracing.Tracer()
+    tracer._observe("cover.lower_separation", result)
+    counts = tracer.layer_counts()
+    assert counts["cover.points"] == len(result.points)
+    assert counts["cover.witnesses.disconnection"] == 0
