@@ -25,23 +25,37 @@ import tempfile
 from collections.abc import Iterator
 from fractions import Fraction
 from json import JSONDecoder
-from typing import Iterable, NoReturn
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 import click
 
-from .continuum import ToothSequenceSpec, build_shark_teeth
-from .cover import (CoverCertificate, SeparationCertificate,
-                    certificate_from_json_dict, check_cover,
-                    check_separation, lower_separation, truncation_guard,
-                    upper_cover)
-from .dimension import ifs_bound_report, sdim_estimate, sweep, \
-    write_profile_csv
+from . import _lazy
 from .errors import (BudgetExceeded, HostMismatch, ParseError, SdimlabError,
                      SizeLimit, TooFewScales, TooLarge, VerificationFailure)
-from .geom import PLGraph, parse_rational
-from .ifs import IFSSpec, attractor_cloud, cloud_diameter
-from .limits import from_env
-from .render import render_cloud_svg, render_svg
+
+if TYPE_CHECKING:
+    from .geom import PLGraph
+
+# Each layer is imported when a command first calls into it, so `--help`
+# loads click and `errors` only.  The names stay bound here because a
+# tracer wraps them where this module looks them up.
+build_shark_teeth = _lazy("continuum", "build_shark_teeth")
+certificate_from_json_dict = _lazy("cover", "certificate_from_json_dict")
+check_cover = _lazy("cover", "check_cover")
+check_separation = _lazy("cover", "check_separation")
+lower_guard = _lazy("cover", "lower_guard")
+lower_separation = _lazy("cover", "lower_separation")
+upper_cover = _lazy("cover", "upper_cover")
+ifs_bound_report = _lazy("dimension", "ifs_bound_report")
+sdim_estimate = _lazy("dimension", "sdim_estimate")
+sweep = _lazy("dimension", "sweep")
+write_profile_csv = _lazy("dimension", "write_profile_csv")
+parse_rational = _lazy("geom", "parse_rational")
+attractor_cloud = _lazy("ifs", "attractor_cloud")
+cloud_diameter = _lazy("ifs", "cloud_diameter")
+from_env = _lazy("limits", "from_env")
+render_cloud_svg = _lazy("render", "render_cloud_svg")
+render_svg = _lazy("render", "render_svg")
 
 _EXIT_FOR = {
     VerificationFailure: 1,
@@ -221,6 +235,7 @@ def _check_distinct(out: str, *ins: str) -> None:
 
 
 def _load_graph(path: str) -> PLGraph:
+    from .geom import PLGraph
     return PLGraph.from_json_dict(_read_json(path))
 
 
@@ -238,6 +253,7 @@ def main() -> None:
 @_cli_errors
 def cmd_build(spec_path: str, out_path: str) -> None:
     """Build a shark-teeth truncation as an exact plane graph."""
+    from .continuum import ToothSequenceSpec
     _check_distinct(out_path, spec_path)
     spec = ToothSequenceSpec.from_json_dict(_read_json(spec_path))
     graph = build_shark_teeth(spec, budget=from_env())
@@ -269,7 +285,8 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     On hosts built by the shark-teeth builder the lower bound is guarded
     (see `truncation_guard`): its points clear the omitted-amplitude
     threshold, so the certificate holds for the ambient continuum, not
-    just the truncation.
+    just the truncation.  Any other host must be proper (see
+    `lower_guard`) before a lower bound is computed on it.
     """
     _check_distinct(out_path, graph_path)
     eps = _positive_rational(epsilon, "epsilon")
@@ -278,7 +295,8 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     paths = _cover_out_paths(out_path, mode)
     shown = []
     if "lower" in paths:
-        low = lower_separation(graph, eps, guard=truncation_guard(graph, eps),
+        low = lower_separation(graph, eps,
+                               guard=lower_guard(graph, eps, budget),
                                budget=budget)
         _check_distinct(paths["lower"], graph_path)
         _write_json(paths["lower"], low.json_members())
@@ -297,6 +315,7 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
 @_cli_errors
 def cmd_verify(graph_path: str, cert_path: str) -> None:
     """Recheck a certificate against its host graph from scratch."""
+    from .cover import CoverCertificate, SeparationCertificate
     graph = _load_graph(graph_path)
     cert = certificate_from_json_dict(_read_members(cert_path))
     budget = from_env()
@@ -354,6 +373,7 @@ def cmd_sweep(graph_path: str, eps_start: str, eps_factor: str, steps: int,
 def cmd_ifs(spec_path: str, delta: float, depth: int | None,
             out_path: str) -> None:
     """Dimension-bound report for an IFS: bound, k0, eps0, per-scale table."""
+    from .ifs import IFSSpec
     _check_distinct(out_path, spec_path)
     spec = IFSSpec.from_json_dict(_read_json(spec_path))
     if not math.isfinite(delta) or delta <= 0:
@@ -391,6 +411,7 @@ def cmd_render(graph_path: str | None, spec_path: str | None, depth: int,
     if graph_path is not None:
         lines = render_svg(_load_graph(graph_path))
     else:
+        from .ifs import IFSSpec
         spec = IFSSpec.from_json_dict(_read_json(spec_path))
         if depth < 0:
             raise ParseError(f"depth must be >= 0, got {depth}")

@@ -43,7 +43,7 @@ from typing import Sequence
 
 from . import exactcore as xc
 from .errors import (EmptySubset, HostMismatch, OverlapError, ParseError,
-                     VerificationFailure)
+                     SdimlabError, VerificationFailure)
 from .geom import (PLGraph, Point, UnionFind, format_rational,
                    merge_intervals, parse_index, parse_rational)
 from .limits import Budget
@@ -470,8 +470,7 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     separated by the clipped eps-ball around one of its two points; one
     clip per point is computed, when first needed.  The clip's argument
     needs a proper host.  A host that `truncation_guard` rebuilds is one;
-    any other host is checked with `PLGraph.validate_proper`, whose
-    E(E-1)/2 segment tests are charged to the budget first.  When a guard
+    any other host goes through `_require_proper`.  When a guard
     is present, the rebuilt host must give its truncation index and
     amplitude bound, and every point must clear the height threshold.
     Raises VerificationFailure with the first offending detail.
@@ -518,11 +517,7 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
                 raise VerificationFailure(
                     f"point {k} lies below the guard threshold")
     if host is None:
-        work.add(ne * (ne - 1) // 2)
-        try:
-            graph.validate_proper()
-        except (OverlapError, ValueError) as exc:
-            raise VerificationFailure(f"host is not proper: {exc}") from exc
+        _require_proper(graph, work, VerificationFailure)
 
     n = len(cert.points)
     clips: dict[int, _ClipIndex] = {}
@@ -835,6 +830,34 @@ def truncation_guard(graph: PLGraph, eps: Fraction) -> TruncationGuard | None:
     return TruncationGuard(spec.K, bound, bound + eps)
 
 
+def _require_proper(graph: PLGraph, work: _Work,
+                    error: type[SdimlabError]) -> None:
+    """Refuse a host whose edges cross or overlap other than at shared
+    vertices, as `error`.  `PLGraph.validate_proper` makes E(E-1)/2
+    segment tests, which are charged to the budget first."""
+    ne = len(graph.edges)
+    work.add(ne * (ne - 1) // 2)
+    try:
+        graph.validate_proper()
+    except (OverlapError, ValueError) as exc:
+        raise error(f"host is not proper: {exc}") from exc
+
+
+def lower_guard(graph: PLGraph, eps: Fraction,
+                budget: Budget | None = None) -> TruncationGuard | None:
+    """`truncation_guard(graph, eps)` for a producer of lower bounds.
+
+    A separation certificate holds only on a proper host.  A host that
+    `truncation_guard` rebuilds is proper by construction; any other host
+    is checked as `check_separation` checks it, and one that is not
+    proper is a `ParseError`, raised before any bound is computed.
+    """
+    guard = truncation_guard(graph, eps)
+    if guard is None:
+        _require_proper(graph, _Work(budget or Budget()), ParseError)
+    return guard
+
+
 def s_bounds(graph: PLGraph, eps: Fraction,
              budget: Budget | None = None) -> tuple[int, int]:
     """Unguarded certified bracket (lower, upper) on the connected-cover
@@ -842,8 +865,10 @@ def s_bounds(graph: PLGraph, eps: Fraction,
 
     Convenience over `lower_separation` and `upper_cover` for callers who
     want numbers rather than certificates.  lower <= upper always: both
-    sides bracket the same quantity.
+    sides bracket the same quantity.  The host is checked as `lower_guard`
+    checks it, but its guard is not used.
     """
+    lower_guard(graph, eps, budget)
     low = lower_separation(graph, eps, budget=budget)
     up = upper_cover(graph, eps, budget=budget)
     assert len(low.points) <= len(up.elements)

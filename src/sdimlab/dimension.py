@@ -5,7 +5,8 @@ upper over a strictly decreasing scale schedule, together with the ratios
 ln(count) / -ln(eps) whose limsup is the relevant dimension.  A host with
 shark-teeth builder metadata gets its lower bounds with the guard of
 `truncation_guard`, so they hold for the ambient continuum, not just the
-finite truncation in memory; any other host gets unguarded bounds.
+finite truncation in memory; any other host gets unguarded bounds once
+`lower_guard` has checked that it is proper.
 """
 
 from __future__ import annotations
@@ -15,13 +16,23 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cover import lower_separation, truncation_guard, upper_cover
+from . import _lazy
 from .errors import TooFewScales, VerificationFailure
-from .geom import PLGraph
-from .ifs import K0_WINDOW, IFSSpec, find_k0, ifs_dimension_bound
-from .limits import Budget
+
+if TYPE_CHECKING:
+    from .geom import PLGraph
+    from .ifs import IFSSpec
+    from .limits import Budget
+
+# Bound here, not imported, so that a sweep never loads `ifs` and an IFS
+# report never loads `cover`; a tracer wraps them in this namespace.
+find_k0 = _lazy("ifs", "find_k0")
+ifs_dimension_bound = _lazy("ifs", "ifs_dimension_bound")
+lower_guard = _lazy("cover", "lower_guard")
+lower_separation = _lazy("cover", "lower_separation")
+upper_cover = _lazy("cover", "upper_cover")
 
 CSV_HEADER = ("epsilon_num", "epsilon_den", "lower", "upper",
               "ratio_lower", "ratio_upper")
@@ -97,15 +108,16 @@ def sweep(graph: PLGraph, epsilons: Sequence[Fraction],
           budget: Budget | None = None) -> DimensionProfile:
     """Certified bracket at each scale of a strictly decreasing schedule.
 
-    The lower bound at each scale is guarded as `truncation_guard`
-    decides.  It is asked once, since the host and so its truncation index
-    and amplitude bound are the same at every scale; each scale then takes
-    that guard at its own threshold.  Guarded rows may report lower = 0 at
-    coarse scales where no point clears the height threshold; that is the
-    honest guarded answer, and `scale_ratio` maps it to 0.0.
+    The lower bound at each scale is guarded as `lower_guard` decides,
+    and a host it does not guard must be proper.  It is asked once, since
+    the host and so its truncation index and amplitude bound are the same
+    at every scale; each scale then takes that guard at its own threshold.
+    Guarded rows may report lower = 0 at coarse scales where no point
+    clears the height threshold; that is the honest guarded answer, and
+    `scale_ratio` maps it to 0.0.
     """
     rows = []
-    guard = truncation_guard(graph, epsilons[0]) if epsilons else None
+    guard = lower_guard(graph, epsilons[0], budget) if epsilons else None
     for eps in epsilons:
         g = None if guard is None else guard.at(eps)
         low = lower_separation(graph, eps, guard=g, budget=budget)
@@ -163,10 +175,11 @@ def ifs_bound_report(spec: IFSSpec, delta: float = 0.1,
 
     Shows the bound ln(n)/-ln(ratio), the first word length k0 whose cover
     ratio sits within delta of it, the scale eps0 this happens at, and a
-    pass/fail line for eps0 and each of the `K0_WINDOW` finer scales.  Counts are reported as
-    powers because they overflow anything sensible to print.
+    pass/fail line for eps0 and each of the `K0_WINDOW` finer scales.
+    Counts are reported as powers because they overflow anything sensible
+    to print.
     """
-    budget = budget or Budget()
+    from .ifs import K0_WINDOW
     n = len(spec.maps)
     lam = spec.ratio()
     bound = ifs_dimension_bound(spec)

@@ -8,10 +8,12 @@ decimals, so rendering the same input twice yields byte-identical output.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ParseError
-from .geom import PLGraph
+
+if TYPE_CHECKING:
+    from .geom import PLGraph
 
 _WIDTH = 800.0
 _STROKE = 0.0018

@@ -360,17 +360,26 @@ def test_verify_refuses_v2_separation_document(tmp_path, m3_graph):
     assert res.stderr.startswith("PARSE: unsupported version 2")
 
 
-def test_verify_refuses_a_lower_certificate_on_a_crossing_host(tmp_path):
-    # Diagonals of the unit square cross at (1/2, 1/2) with no vertex
-    # there; a detour through (1,3) and (0,3) connects them as a graph.
-    # (0,0) and (1,0) lie 1 apart, and the path through the crossing joins
-    # them within diameter 1 < 3/2, so no lower certificate may list both,
-    # though each clip, blind to the crossing, keeps them apart.
+@pytest.fixture()
+def crossing_host(tmp_path):
+    """Diagonals of the unit square that cross at (1/2, 1/2) with no vertex
+    there; a detour through (1,3) and (0,3) connects them as a graph.
+    (0,0) and (1,0) lie 1 apart, and the path through the crossing joins
+    them within diameter 1 < 3/2, so no lower certificate at 3/2 may list
+    both, though each clip, blind to the crossing, keeps them apart.
+    (host, path of its graph file)."""
     host = PLGraph([point(0, 0), point(1, 1), point(0, 1), point(1, 0),
                     point(1, 3), point(0, 3)],
                    [(0, 1), (2, 3), (1, 4), (4, 5), (2, 5)])
-    graph, cert = tmp_path / "x.graph.json", tmp_path / "x.lower.json"
-    _write_json(str(graph), host.to_json_dict())
+    path = tmp_path / "x.graph.json"
+    _write_json(str(path), host.to_json_dict())
+    return host, path
+
+
+def test_verify_refuses_a_lower_certificate_on_a_crossing_host(
+        tmp_path, crossing_host):
+    host, graph = crossing_host
+    cert = tmp_path / "x.lower.json"
     _write_json(str(cert), {
         "format": "sdimlab/separation", "version": 3,
         "graph_id": host.graph_id(), "epsilon": "3/2", "guard": None,
@@ -378,6 +387,35 @@ def test_verify_refuses_a_lower_certificate_on_a_crossing_host(tmp_path):
     res = invoke("verify", "--graph", graph, "--cert", cert)
     assert res.exit_code == 1
     assert res.stderr.startswith("VERIFY: host is not proper")
+
+
+@pytest.mark.parametrize("mode", ["lower", "both"])
+def test_cover_refuses_a_lower_bound_on_a_crossing_host(tmp_path,
+                                                        crossing_host, mode):
+    # Unchecked, `cover` printed lower=3 here and `verify` refused it.
+    res = invoke("cover", "--graph", crossing_host[1], "--epsilon", "3/2",
+                 "--mode", mode, "--out", tmp_path / "c.json")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: host is not proper")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.graph.json"]
+
+
+def test_cover_upper_needs_no_proper_host(tmp_path, crossing_host):
+    # Each cover element is connected in the graph, so in the set too.
+    res = invoke("cover", "--graph", crossing_host[1], "--epsilon", "3/2",
+                 "--mode", "upper", "--out", tmp_path / "c.json")
+    assert res.exit_code == 0
+    assert res.output.startswith("upper=")
+
+
+def test_sweep_refuses_a_crossing_host(tmp_path, crossing_host):
+    # Unchecked, `sweep` wrote lower bounds 3, 8 and 19 here.
+    res = invoke("sweep", "--graph", crossing_host[1],
+                 "--eps-start", "3/2", "--eps-factor", "1/2", "--steps", "3",
+                 "--out", tmp_path / "p.csv")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: host is not proper")
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_verify_refuses_v1_cover_document(tmp_path, seg_graph_file):
@@ -972,6 +1010,47 @@ def test_cli_import_does_not_load(module):
     # Every call, `--help` included, pays for what `sdimlab.cli` imports.
     probe = f"import sys, sdimlab.cli; print({module!r} in sys.modules)"
     assert _run_python(probe).strip() == "False"
+
+
+# Run one command as `python -m sdimlab.cli` does, then print, as the last
+# line, the sdimlab modules it loaded.
+_LOADED_BY = """
+import json, runpy, sys
+sys.argv[1:] = json.loads(sys.argv[1])
+try:
+    runpy.run_module("sdimlab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sdimlab."))))
+"""
+
+LAYERS = {"geom", "exactcore", "limits", "continuum", "cover", "dimension",
+          "ifs", "render"}
+
+
+@pytest.mark.parametrize("command, used, unused", [
+    ("--help", set(), LAYERS),
+    ("build", {"continuum"}, {"cover", "dimension", "ifs", "render"}),
+    ("ifs", {"dimension", "ifs"}, {"cover", "continuum"}),
+    ("render", {"render", "ifs"}, {"cover", "continuum"}),
+])
+def test_each_command_loads_only_its_layers(tmp_path, paper3_spec, command,
+                                            used, unused):
+    spec = tmp_path / "segment.ifs.json"
+    spec.write_text(json.dumps(FIXTURES["segment"]().to_json_dict()))
+    args = {
+        "--help": [],
+        "build": ["--spec", str(paper3_spec), "--out", str(tmp_path / "g")],
+        "ifs": ["--spec", str(spec), "--out", str(tmp_path / "r.txt")],
+        "render": ["--spec", str(spec), "--out", str(tmp_path / "s.svg")],
+    }[command]
+    out = _run_python(_LOADED_BY, json.dumps([command, *args]))
+    loaded = {m.removeprefix("sdimlab.")
+              for m in json.loads(out.splitlines()[-1])}
+    if command == "--help":
+        assert loaded == {"errors"}
+    assert used <= loaded
+    assert not unused & loaded
 
 
 _WITHOUT_NUMPY = """

@@ -27,7 +27,7 @@ from sdimlab import (Budget, BudgetExceeded, CoverCertificate, EdgeFragment,
                      point, points_diameter2, s_bounds, segment,
                      truncation_guard, upper_cover)
 from sdimlab.cli import _json_chunks
-from sdimlab.cover import _ClipIndex, _Work
+from sdimlab.cover import _ClipIndex, _Work, lower_guard
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -547,6 +547,36 @@ def test_check_separation_charges_the_properness_check(cross_graph):
         check_separation(cross_graph, cert,
                          Budget(max_pair_checks=ne * (ne - 1) // 2 - 1))
     assert check_separation(cross_graph, cert) == len(cert)
+
+
+def test_producers_refuse_a_host_whose_edges_cross():
+    # The X of the test above, whose S_eps is 1: unchecked, s_bounds gave
+    # a lower bound of 2.
+    host = PLGraph([point(0, 0), point(1, 1), point(0, 1), point(1, 0)],
+                   [(0, 1), (2, 3)])
+    eps = Fraction(3, 2)
+    with pytest.raises(ParseError, match="host is not proper"):
+        lower_guard(host, eps)
+    with pytest.raises(ParseError, match="host is not proper"):
+        s_bounds(host, eps)
+
+
+def test_lower_guard_charges_the_properness_check(cross_graph):
+    ne = len(cross_graph.edges)
+    with pytest.raises(BudgetExceeded):
+        lower_guard(cross_graph, HALF,
+                    Budget(max_pair_checks=ne * (ne - 1) // 2 - 1))
+    assert lower_guard(cross_graph, HALF,
+                       Budget(max_pair_checks=ne * (ne - 1) // 2)) is None
+
+
+def test_lower_guard_trusts_a_rebuilt_host_to_be_proper(w6, monkeypatch):
+    def refuse(self):
+        raise AssertionError("validate_proper called on a rebuilt host")
+    monkeypatch.setattr(PLGraph, "validate_proper", refuse)
+    eps = Fraction(1, 32)
+    assert lower_guard(w6, eps, Budget(max_pair_checks=0)) == \
+        truncation_guard(w6, eps)
 
 
 def test_check_separation_trusts_a_rebuilt_host_to_be_proper(w6,
