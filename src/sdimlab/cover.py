@@ -8,7 +8,8 @@ Everything here brackets that number for a `PLGraph` host:
     connected edge-fragment unions whose diameters are verified below eps
     and whose fragments cover every edge.  In a document each element is
     an array of `[edge, lo, hi]` fragments; a lone point, a vertex
-    included, is a fragment with lo == hi.
+    included, is a fragment with lo == hi.  A piece ends each stretch at
+    its exact reach, rounded down onto a dyadic grid in integers.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  The document
     is the points alone.  A pair at distance >= eps needs nothing more; for
@@ -19,7 +20,8 @@ Everything here brackets that number for a `PLGraph` host:
 The clip is exact: a closed ball is convex, so it meets each edge in one
 closed interval or not at all, and on a proper host two such intervals
 meet only at a shared vertex inside the ball.  Its components are then a
-union-find over the edges that reach the ball, joined at those vertices.
+union-find over the edges that reach the ball, joined at those vertices
+by `_joined_runs`, which joins the runs of a cover element too.
 
 Certificates are self-contained and re-checkable; `check_cover` and
 `check_separation` recompute every claim from scratch with exact rational
@@ -116,8 +118,9 @@ class SubSet:
         runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
         for f in self.fragments:
             runs.setdefault(f.edge, []).append((f.lo, f.hi))
-        runs = {e: merge_intervals(ivs) for e, ivs in runs.items()}
-        return _joined_runs(graph, runs).count() == 1
+        ends = {e: [(lo == 0, hi == 1) for lo, hi in merge_intervals(ivs)]
+                for e, ivs in runs.items()}
+        return _joined_runs(graph, ends).count() == 1
 
 
 @dataclass(frozen=True)
@@ -343,19 +346,17 @@ def certificate_from_json_dict(data):
 
 
 def _joined_runs(graph: PLGraph,
-                 runs: dict[int, list[tuple[Fraction, Fraction]]]) -> UnionFind:
-    """Union-find over the runs (e, i), where runs[e] holds the disjoint
-    closed parameter intervals kept on edge e, joining every two runs that
-    reach a common vertex (lo == 0 at the edge's first vertex, hi == 1 at
-    its second)."""
+                 ends: dict[int, list[tuple[bool, bool]]]) -> UnionFind:
+    """Union-find over the runs (e, i), the disjoint pieces kept on edge e,
+    joining every two runs that reach a common vertex; ends[e][i] tells
+    whether run i reaches the edge's first vertex and its second."""
     sets = UnionFind()
     first_at: dict[int, tuple[int, int]] = {}
-    for e, ivs in runs.items():
-        a, b = graph.edges[e]
-        for i, (lo, hi) in enumerate(ivs):
+    for e, flags in ends.items():
+        for i, reaches in enumerate(flags):
             sets.add((e, i))
-            for v, reaches in ((a, lo == 0), (b, hi == 1)):
-                if reaches:
+            for v, r in zip(graph.edges[e], reaches):
+                if r:
                     sets.union(first_at.setdefault(v, (e, i)), (e, i))
     return sets
 
@@ -387,24 +388,20 @@ class _ClipIndex:
         en, ed = eps2.numerator, eps2.denominator
         verts = graph.raw_vertices()
         inside: dict[int, bool] = {}
-        first_at: dict[int, int] = {}
-        kept: list[int] = []
-        sets = UnionFind()
+        ends: dict[int, list[tuple[bool, bool]]] = {}
         work.add(len(graph.edges))
         for e, (a, b) in enumerate(graph.edges):
             dn, dd = xc.point_seg_dist2(self.raw, verts[a], verts[b])
             if dn * ed > en * dd:
                 continue
-            kept.append(e)
-            sets.add(e)
             for v in (a, b):
                 if v not in inside:
                     work.add(1)
                     dn, dd = xc.dist2_q(self.raw, verts[v])
                     inside[v] = dn * ed <= en * dd
-                if inside[v]:
-                    sets.union(first_at.setdefault(v, e), e)
-        self._comp = {e: sets.find(e) for e in kept}
+            ends[e] = [(inside[a], inside[b])]
+        sets = _joined_runs(graph, ends)
+        self._comp = {e: sets.find((e, 0)) for e in ends}
         self.center_comp = self._comp[center.edge]
 
     def separates(self, gp: GraphPoint, raw) -> bool:
@@ -473,6 +470,7 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     any other host goes through `_require_proper`.  When a guard
     is present, the rebuilt host must give its truncation index and
     amplitude bound, and every point must clear the height threshold.
+    The n(n-1)/2 pair tests are charged to the budget before the first.
     Raises VerificationFailure with the first offending detail.
     """
     budget = budget or Budget()
@@ -527,9 +525,9 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
             clips[c] = _ClipIndex(graph, cert.points[c], eps2, work)
         return clips[c].separates(cert.points[o], raws[o])
 
+    work.add(n * (n - 1) // 2)
     for i in range(n):
         for j in range(i + 1, n):
-            work.add(1)
             dn, dd = xc.dist2_q(raws[i], raws[j])
             if dn * ed >= en * dd:
                 continue
@@ -575,14 +573,20 @@ def _gap_left(covered: list[tuple[Fraction, Fraction]],
 
 
 def _extend(graph: PLGraph, e: int, a: Fraction, b: Fraction, forward: bool,
-            s_raw: list, en: int, ed: int, work: _Work) -> Fraction | None:
-    """Farthest parameter c strictly between a and b (or b itself) such
-    that the point at c stays strictly within eps of every piece endpoint.
+            s_raw: list, en: int, ed: int, work: _Work) -> Fraction:
+    """b if the point at b lies strictly within eps of every piece
+    endpoint in `s_raw`, else the last point short of the reach on a
+    dyadic grid that the reach fixes.
 
-    Float search suggests a boundary; the returned value is snapped to a
-    coarse absolute dyadic grid and re-checked exactly, so denominators do
-    not compound across pieces.  Falls back to exact halving, which must
-    succeed eventually because the constraint is open and holds at a.
+    Write x = c forward and x = -c backward.  Each endpoint keeps the
+    point at x while A x^2 + 2B x + G < 0, with integers A, B, G over a
+    common denominator of the edge and that endpoint; x(a) is kept by
+    all, so the admissible x form an open interval whose upper end, the
+    reach R, is the least of the roots (sqrt(B^2 - AG) - B)/A.  With m
+    the least level at which x(a) + 2^-m < R (m >= 1, since b is not
+    admissible and |b - a| <= 1), the answer is the last multiple of
+    2^-(m+6) below R.  The grid is absolute, so denominators do not
+    compound across pieces; `math.isqrt` places each root on it exactly.
     """
     def ok(c: Fraction) -> bool:
         work.add(len(s_raw))
@@ -590,49 +594,40 @@ def _extend(graph: PLGraph, e: int, a: Fraction, b: Fraction, forward: bool,
 
     if ok(b):
         return b
-    pa, pb = graph.edge_point(e, a), graph.edge_point(e, b)
-    ax, ay = float(pa.x), float(pa.y)
-    bx, by = float(pb.x), float(pb.y)
-    sf = [(n0 / d0, n1 / d1) for n0, d0, n1, d1 in s_raw]
-    lim = en / ed
-
-    def okf(t: float) -> bool:
-        x, y = ax + t * (bx - ax), ay + t * (by - ay)
-        return all((x - px) ** 2 + (y - py) ** 2 < lim for px, py in sf)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(44):
-        mid = (lo + hi) / 2
-        if okf(mid):
-            lo = mid
-        else:
-            hi = mid
-    cstar = float(a) + lo * (float(b) - float(a))
-    span = abs(cstar - float(a))
-    if span > 0:
-        base = max(2, math.ceil(-math.log2(span)) + 6)
-        for s in (base, base + 8, base + 16):
-            if s > 200:
-                break
-            step = Fraction(1, 2 ** s)
-            if forward:
-                c = Fraction(math.floor(cstar * 2 ** s), 2 ** s)
-                for _ in range(3):
-                    if a < c < b and ok(c):
-                        return c
-                    c -= step
-            else:
-                c = Fraction(math.ceil(cstar * 2 ** s), 2 ** s)
-                for _ in range(3):
-                    if b < c < a and ok(c):
-                        return c
-                    c += step
-    c = (a + b) / 2
-    for _ in range(300):
-        if ok(c):
-            return c
-        c = (a + c) / 2
-    return None
+    sign = 1 if forward else -1
+    p0, p1 = (graph.raw_vertices()[v] for v in graph.edges[e])
+    d0 = math.lcm(p0[1], p0[3], p1[1], p1[3])
+    x0, y0 = p0[0] * (d0 // p0[1]), p0[2] * (d0 // p0[3])
+    vx0 = sign * (p1[0] * (d0 // p1[1]) - x0)
+    vy0 = sign * (p1[2] * (d0 // p1[3]) - y0)
+    p, q = (sign * a).numerator, a.denominator
+    m, roots = 0, []
+    for sxn, sxd, syn, syd in s_raw:
+        den = math.lcm(d0, sxd, syd)
+        f = den // d0
+        vx, vy = vx0 * f, vy0 * f
+        wx, wy = x0 * f - sxn * (den // sxd), y0 * f - syn * (den // syd)
+        A = ed * (vx * vx + vy * vy)
+        B = ed * (wx * vx + wy * vy)
+        G = ed * (wx * wx + wy * wy) - en * den * den
+        disc = B * B - A * G
+        # The least m with 2^-m < root - x(a) is the bit length of
+        # floor(1 / (root - x(a))) = floor((sqrt(disc) + B + A x(a)) /
+        # -(A x(a)^2 + 2B x(a) + G)); with x(a) = p/q, both terms of the
+        # quotient are taken times q^2.
+        inv = (math.isqrt(disc * q ** 4) + q * (B * q + A * p)) \
+            // -(A * p * p + 2 * B * p * q + G * q * q)
+        m = max(m, inv.bit_length())
+        roots.append((A, B, disc))
+    s = m + 6
+    # k / 2^s < root  iff  A k + B 2^s < sqrt(disc 4^s).
+    k = min((math.isqrt((disc << 2 * s) - 1) - (B << s)) // A
+            for A, B, disc in roots)
+    c = Fraction(sign * k, 1 << s)
+    if not ok(c):
+        raise RuntimeError(f"edge {e}: grid point {c} short of the reach "
+                           f"is not admissible")
+    return c
 
 
 def upper_cover(graph: PLGraph, eps: Fraction,
@@ -703,8 +698,6 @@ def upper_cover(graph: PLGraph, eps: Fraction,
                 s_seen.add(ra)
                 s_raw.append(ra)
             c = _extend(graph, e, a, b, forward, s_raw, en, ed, work)
-            if c is None:
-                continue
             rc = graph.edge_point(e, c).raw()
             if rc not in s_seen:
                 s_seen.add(rc)

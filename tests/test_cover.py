@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import DeltaClip, brute_force_oracle
 
@@ -26,8 +26,9 @@ from sdimlab import (Budget, BudgetExceeded, CoverCertificate, EdgeFragment,
                      check_cover, check_separation, dist2, lower_separation,
                      point, points_diameter2, s_bounds, segment,
                      truncation_guard, upper_cover)
+from sdimlab import exactcore as xc
 from sdimlab.cli import _json_chunks
-from sdimlab.cover import _ClipIndex, _Work, lower_guard
+from sdimlab.cover import _ClipIndex, _Work, _extend, lower_guard
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -162,6 +163,71 @@ def test_cover_respects_edge_budget(m3):
 def test_cover_rejects_nonpositive_eps(seg_graph):
     with pytest.raises(ValueError):
         upper_cover(seg_graph, Fraction(0))
+
+
+def _reach_case(p0, p1, a, b, ends, eps):
+    """`_extend` on the one edge p0-p1 from a toward b, with the piece
+    endpoints `ends`, and a test of admissibility by its definition."""
+    g = PLGraph([p0, p1], [(0, 1)])
+    eps2 = eps * eps
+
+    def admissible(c):
+        x, y = p0.x + c * (p1.x - p0.x), p0.y + c * (p1.y - p0.y)
+        return all((x - s.x) ** 2 + (y - s.y) ** 2 < eps2 for s in ends)
+
+    c = _extend(g, 0, a, b, b > a, [s.raw() for s in ends],
+                eps2.numerator, eps2.denominator, _Work(Budget()))
+    return c, admissible
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+_unit = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_extend_returns_b_or_the_last_grid_point_short_of_the_reach(data):
+    p0, p1 = point(data.draw(_small), data.draw(_small)), \
+        point(data.draw(_small), data.draw(_small))
+    assume(p0 != p1)
+    a, b = data.draw(st.lists(st.fractions(0, 1, max_denominator=64),
+                              min_size=2, max_size=2, unique=True))
+    eps = data.draw(st.fractions(Fraction(1, 8), 2, max_denominator=12))
+    pa = point(p0.x + a * (p1.x - p0.x), p0.y + a * (p1.y - p0.y))
+    # Piece endpoints lie strictly within eps of the point at a, which is
+    # itself one, as in `upper_cover`.
+    offsets = data.draw(st.lists(st.tuples(_unit, _unit).filter(
+        lambda u: u[0] ** 2 + u[1] ** 2 < 1), max_size=4))
+    ends = [pa] + [point(pa.x + eps * u, pa.y + eps * v) for u, v in offsets]
+    c, admissible = _reach_case(p0, p1, a, b, ends, eps)
+    if c == b:
+        assert admissible(b)
+        return
+    assert not admissible(b)
+    sign = 1 if b > a else -1
+    m = next(m for m in itertools.count()
+             if admissible(a + sign * Fraction(1, 2 ** m)))
+    step = Fraction(sign, 2 ** max(2, m + 6))
+    assert (c / step).denominator == 1
+    assert 0 < (c - a) * sign < (b - a) * sign
+    assert admissible(c)
+    assert not admissible(c + step)
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_extend_finds_a_reach_far_below_the_first_level(forward):
+    # The reach is 2^-70 from a: m = 71, so the grid is 2^-77.  Halving
+    # from b answered 2^-71, which is off that grid.
+    tiny = Fraction(1, 2 ** 70)
+    if forward:
+        a, b, far = Fraction(0), Fraction(1), point(-1 + tiny, 0)
+    else:
+        a, b, far = Fraction(1), Fraction(0), point(2 - tiny, 0)
+    ends = [point(a, 0), far]
+    c, admissible = _reach_case(point(0, 0), point(1, 0), a, b, ends,
+                                Fraction(1))
+    assert c == a + (b - a) * (tiny - Fraction(1, 2 ** 77))
+    assert admissible(c)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +615,23 @@ def test_check_separation_charges_the_properness_check(cross_graph):
     assert check_separation(cross_graph, cert) == len(cert)
 
 
+def test_check_separation_charges_its_pair_tests_before_the_first(
+        seg_graph, monkeypatch):
+    # 1,500 points make 1,124,250 pair tests, over a budget of 1,000,000:
+    # the certificate is refused before any exact distance is taken.
+    n = 1500
+    cert = SeparationCertificate(
+        Fraction(1, 2 * n), tuple(GraphPoint(0, Fraction(j, n))
+                                  for j in range(n)),
+        None, seg_graph.graph_id())
+    calls = []
+    monkeypatch.setattr(xc, "dist2_q", lambda *args: calls.append(args))
+    with pytest.raises(BudgetExceeded):
+        check_separation(seg_graph, cert,
+                         Budget(max_pair_checks=1_000_000))
+    assert calls == []
+
+
 def test_producers_refuse_a_host_whose_edges_cross():
     # The X of the test above, whose S_eps is 1: unchecked, s_bounds gave
     # a lower bound of 2.
@@ -767,6 +850,25 @@ def test_certificates_match_golden_digests(request, host, eps, guarded,
     up = upper_cover(graph, eps)
     assert _digest(up) == upper
     assert check_cover(graph, up) == len(up)
+
+
+# (host, eps, upper, element count) at scales off the dyadic grid, where
+# the reach of a piece is an irrational root.
+GOLDEN_UPPER = [
+    ("w6", Fraction(1033, 262144), "662f9fb196d16140", 1926),
+    ("m15", Fraction(1, 37), "047076a47b20a57a", 590),
+]
+
+
+@pytest.mark.parametrize("host, eps, upper, count", GOLDEN_UPPER,
+                         ids=[f"{g[0]}-{g[1].numerator}_{g[1].denominator}"
+                              for g in GOLDEN_UPPER])
+def test_upper_certificates_off_the_dyadic_grid_match_golden_digests(
+        request, host, eps, upper, count):
+    graph = request.getfixturevalue(host)
+    up = upper_cover(graph, eps)
+    assert (_digest(up), len(up)) == (upper, count)
+    assert check_cover(graph, up) == count
 
 
 # ---------------------------------------------------------------------------
