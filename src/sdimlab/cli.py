@@ -350,7 +350,7 @@ def cmd_sweep(graph_path: str, eps_start: str, eps_factor: str, steps: int,
     if steps < 1:
         raise ParseError(f"steps must be >= 1, got {steps}")
     graph = _load_graph(graph_path)
-    schedule = [start * factor ** i for i in range(steps)]
+    schedule = (start * factor ** i for i in range(steps))
     profile = sweep(graph, schedule, budget=from_env())
     buf = io.StringIO()
     write_profile_csv(profile, buf)

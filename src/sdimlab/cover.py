@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -46,8 +46,8 @@ from typing import Sequence
 from . import exactcore as xc
 from .errors import (EmptySubset, HostMismatch, OverlapError, ParseError,
                      SdimlabError, VerificationFailure)
-from .geom import (PLGraph, Point, UnionFind, format_rational,
-                   merge_intervals, parse_index, parse_rational)
+from .geom import (PLGraph, UnionFind, format_rational, merge_intervals,
+                   parse_index, parse_rational)
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
@@ -97,15 +97,6 @@ class SubSet:
     any point of the graph and no other kind of member is needed.
     """
     fragments: tuple[EdgeFragment, ...]
-
-    def endpoint_points(self, graph: PLGraph) -> list[Point]:
-        if not self.fragments:
-            raise EmptySubset("element has no fragments")
-        pts = []
-        for f in self.fragments:
-            pts.append(graph.edge_point(f.edge, f.lo))
-            pts.append(graph.edge_point(f.edge, f.hi))
-        return pts
 
     def is_connected(self, graph: PLGraph) -> bool:
         """Set connectivity: fragments touch iff they share a point.
@@ -188,9 +179,6 @@ class GraphPoint:
     def __post_init__(self):
         if not (0 <= self.t <= 1):
             raise ValueError(f"parameter {self.t} outside [0, 1]")
-
-    def locate(self, graph: PLGraph) -> Point:
-        return graph.edge_point(self.edge, self.t)
 
 
 @dataclass(frozen=True)
@@ -381,9 +369,9 @@ class _ClipIndex:
     ball, so such a piece sees only material that is in the host.
     """
 
-    def __init__(self, graph: PLGraph, center: GraphPoint, eps2: Fraction,
-                 work: _Work):
-        self.raw = center.locate(graph).raw()
+    def __init__(self, graph: PLGraph, center: GraphPoint, raw,
+                 eps2: Fraction, work: _Work):
+        self.raw = raw
         self.eps2 = eps2
         en, ed = eps2.numerator, eps2.denominator
         verts = graph.raw_vertices()
@@ -447,7 +435,8 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
             covered[f.edge].append((f.lo, f.hi))
         if not el.is_connected(graph):
             raise VerificationFailure(f"element {idx} is not connected")
-        pts = [p.raw() for p in el.endpoint_points(graph)]
+        pts = [graph.edge_raw(f.edge, t)
+               for f in el.fragments for t in (f.lo, f.hi)]
         work.add(len(pts) * len(pts))
         dn, dd = xc.max_pair_dist2(pts)
         if dn * eps2.denominator >= eps2.numerator * dd:
@@ -487,8 +476,7 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     for k, gp in enumerate(cert.points):
         if not (0 <= gp.edge < ne):
             raise VerificationFailure(f"point {k}: edge out of range")
-    located = [gp.locate(graph) for gp in cert.points]
-    raws = [p.raw() for p in located]
+    raws = [graph.edge_raw(gp.edge, gp.t) for gp in cert.points]
 
     try:
         host = truncation_guard(graph, cert.epsilon)
@@ -510,8 +498,9 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
         if cert.guard.threshold < cert.guard.amplitude_bound + cert.epsilon:
             raise VerificationFailure(
                 "guard threshold is below amplitude bound + epsilon")
-        for k, p in enumerate(located):
-            if p.y < cert.guard.threshold:
+        thr = cert.guard.threshold
+        for k, (_, _, yn, yd) in enumerate(raws):
+            if yn * thr.denominator < thr.numerator * yd:
                 raise VerificationFailure(
                     f"point {k} lies below the guard threshold")
     if host is None:
@@ -522,7 +511,7 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
 
     def separated_by(c: int, o: int) -> bool:
         if c not in clips:
-            clips[c] = _ClipIndex(graph, cert.points[c], eps2, work)
+            clips[c] = _ClipIndex(graph, cert.points[c], raws[c], eps2, work)
         return clips[c].separates(cert.points[o], raws[o])
 
     work.add(n * (n - 1) // 2)
@@ -573,7 +562,7 @@ def _gap_left(covered: list[tuple[Fraction, Fraction]],
 
 
 def _extend(graph: PLGraph, e: int, a: Fraction, b: Fraction, forward: bool,
-            s_raw: list, en: int, ed: int, work: _Work) -> Fraction:
+            s_raw: Collection, en: int, ed: int, work: _Work) -> Fraction:
     """b if the point at b lies strictly within eps of every piece
     endpoint in `s_raw`, else the last point short of the reach on a
     dyadic grid that the reach fixes.
@@ -590,7 +579,7 @@ def _extend(graph: PLGraph, e: int, a: Fraction, b: Fraction, forward: bool,
     """
     def ok(c: Fraction) -> bool:
         work.add(len(s_raw))
-        return xc.all_dist2_below(s_raw, graph.edge_point(e, c).raw(), en, ed)
+        return xc.all_dist2_below(s_raw, graph.edge_raw(e, c), en, ed)
 
     if ok(b):
         return b
@@ -671,8 +660,7 @@ def upper_cover(graph: PLGraph, eps: Fraction,
         if anchor is None:
             break
         e0, a0 = anchor
-        s_raw: list = []
-        s_seen: set = set()
+        s_raw: dict[tuple, None] = {}  # an ordered set of kernel tuples
         frags: dict[int, list[tuple[Fraction, Fraction]]] = {}
         piece_vertices: set[int] = set()
         queue: deque = deque([(e0, a0, True)])
@@ -689,19 +677,14 @@ def upper_cover(graph: PLGraph, eps: Fraction,
             b = (_gap_right if forward else _gap_left)(covered[e], a)
             if b is None:
                 continue
-            ra = graph.edge_point(e, a).raw()
-            if s_raw and ra not in s_seen:
+            ra = graph.edge_raw(e, a)
+            if s_raw and ra not in s_raw:
                 work.add(len(s_raw))
                 if not xc.all_dist2_below(s_raw, ra, en, ed):
                     continue
-            if ra not in s_seen:
-                s_seen.add(ra)
-                s_raw.append(ra)
+            s_raw[ra] = None
             c = _extend(graph, e, a, b, forward, s_raw, en, ed, work)
-            rc = graph.edge_point(e, c).raw()
-            if rc not in s_seen:
-                s_seen.add(rc)
-                s_raw.append(rc)
+            s_raw[graph.edge_raw(e, c)] = None
             lo, hi = (a, c) if forward else (c, a)
             frags.setdefault(e, []).append((lo, hi))
             covered[e] = merge_intervals(covered[e] + [(lo, hi)])
@@ -720,19 +703,23 @@ def upper_cover(graph: PLGraph, eps: Fraction,
 # lower bound: greedy separated set
 
 
-def _candidate_points(graph: PLGraph, eps: Fraction) -> list[GraphPoint]:
-    """Default candidate pool for the separated-set greedy: every vertex,
-    plus, per edge, the densest uniform subdivision whose spacing is still
-    >= eps (so same-edge neighbours separate by distance alone)."""
-    cands: list[GraphPoint] = []
-    seen: set[Point] = set()
+def _candidate_points(graph: PLGraph, eps: Fraction,
+                      work: _Work) -> list[tuple[GraphPoint, tuple]]:
+    """Default candidate pool for the separated-set greedy, each point with
+    its kernel tuple: every vertex, plus, per edge, the densest uniform
+    subdivision whose spacing is still >= eps (so same-edge neighbours
+    separate by distance alone).  The vertices, and then each edge's
+    points, are charged to `work` before they are made."""
+    cands: list[tuple[GraphPoint, tuple]] = []
+    seen: set[tuple] = set()
 
     def push(gp: GraphPoint) -> None:
-        p = gp.locate(graph)
-        if p not in seen:
-            seen.add(p)
-            cands.append(gp)
+        r = graph.edge_raw(gp.edge, gp.t)
+        if r not in seen:
+            seen.add(r)
+            cands.append((gp, r))
 
+    work.add(len(graph.vertices))
     for v in range(len(graph.vertices)):
         e, end = min(graph.incident(v))
         push(GraphPoint(e, Fraction(end)))
@@ -740,6 +727,7 @@ def _candidate_points(graph: PLGraph, eps: Fraction) -> list[GraphPoint]:
     for e in range(len(graph.edges)):
         r = graph.edge_length2(e) / eps2
         q = math.isqrt(r.numerator // r.denominator)
+        work.add(max(q - 1, 0))
         for j in range(1, q):
             push(GraphPoint(e, Fraction(j, q)))
     return cands
@@ -766,17 +754,20 @@ def lower_separation(graph: PLGraph, eps: Fraction,
     work.budget.check_edges(len(graph.edges))
     eps2 = eps * eps
     en, ed = eps2.numerator, eps2.denominator
-    pool = (_candidate_points(graph, eps) if candidates is None
-            else list(candidates))
-    located = [(gp, gp.locate(graph)) for gp in pool]
+    pool = (_candidate_points(graph, eps, work) if candidates is None
+            else [(gp, graph.edge_raw(gp.edge, gp.t)) for gp in candidates])
     if guard is not None:
-        located = [(gp, p) for gp, p in located if p.y >= guard.threshold]
-    located.sort(key=lambda it: (-it[1].y, it[1].x, it[0].edge, it[0].t))
+        thr = guard.threshold
+        pool = [(gp, r) for gp, r in pool
+                if r[2] * thr.denominator >= thr.numerator * r[3]]
+    # Highest first, then leftmost: y descending, x ascending.
+    pool.sort(key=lambda it: (Fraction(-it[1][2], it[1][3]),
+                              Fraction(it[1][0], it[1][1]),
+                              it[0].edge, it[0].t))
 
     kept: list[GraphPoint] = []
     kept_raw: list = []
-    for gp, p in located:
-        rp = p.raw()
+    for gp, rp in pool:
         clip: _ClipIndex | None = None
         for k, rk in zip(kept, kept_raw):
             work.add(1)
@@ -784,7 +775,7 @@ def lower_separation(graph: PLGraph, eps: Fraction,
             if dn * ed >= en * dd:
                 continue
             if clip is None:
-                clip = _ClipIndex(graph, gp, eps2, work)
+                clip = _ClipIndex(graph, gp, rp, eps2, work)
             if not clip.separates(k, rk):
                 break
         else:

@@ -16,7 +16,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from . import _lazy
 from .errors import TooFewScales, VerificationFailure
@@ -104,12 +104,14 @@ class DimensionProfile:
         return len(self.rows)
 
 
-def sweep(graph: PLGraph, epsilons: Sequence[Fraction],
+def sweep(graph: PLGraph, epsilons: Iterable[Fraction],
           budget: Budget | None = None) -> DimensionProfile:
     """Certified bracket at each scale of a strictly decreasing schedule.
 
-    The lower bound at each scale is guarded as `lower_guard` decides,
-    and a host it does not guard must be proper.  It is asked once, since
+    The schedule may be any iterable, a generator included; each scale is
+    drawn only when the one before it is done.  The lower bound at each
+    scale is guarded as `lower_guard` decides, and a host it does not
+    guard must be proper.  It is asked once, at the first scale, since
     the host and so its truncation index and amplitude bound are the same
     at every scale; each scale then takes that guard at its own threshold.
     Guarded rows may report lower = 0 at coarse scales where no point
@@ -117,8 +119,10 @@ def sweep(graph: PLGraph, epsilons: Sequence[Fraction],
     `scale_ratio` maps it to 0.0.
     """
     rows = []
-    guard = lower_guard(graph, epsilons[0], budget) if epsilons else None
-    for eps in epsilons:
+    guard = None
+    for i, eps in enumerate(epsilons):
+        if i == 0:
+            guard = lower_guard(graph, eps, budget)
         g = None if guard is None else guard.at(eps)
         low = lower_separation(graph, eps, guard=g, budget=budget)
         up = upper_cover(graph, eps, budget=budget)

@@ -2,8 +2,11 @@
 
 All coordinates are rationals (`fractions.Fraction`); nothing in this module
 ever rounds.  Squared distances are used throughout so no square roots are
-formed.  The central object is `PLGraph`, a plane graph produced by
-`arrange`, which resolves all pairwise segment intersections into vertices.
+formed.  The central object is `PLGraph`, a plane graph whose edges meet
+only at shared vertices.  `arrange` makes one from any segment soup by
+resolving every pairwise intersection into a vertex; the shark-teeth
+builder writes its graphs out directly, and a host read from a file is
+checked by `validate_proper` before a lower bound is claimed on it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     body = s[1:] if s[:1] in "+-" else s
     num, slash, den = body.partition("/")
-    if not num.isdigit() or (slash and not den.isdigit()):
+    # `isdigit` and `Fraction` both accept non-ASCII digits.
+    if not body.isascii() or not num.isdigit() or (
+            slash and not den.isdigit()):
         raise ParseError(f"not a rational: {text!r}")
     try:
         value = Fraction(s)
@@ -143,7 +148,9 @@ class PLGraph:
     """Immutable plane graph: vertices, undirected edges as index pairs.
 
     Invariants: coordinates pairwise distinct, no duplicate edges, edges
-    intersect only at shared endpoints (guaranteed by `arrange`), connected.
+    intersect only at shared endpoints, connected.  The constructor checks
+    only the first two; `validate_proper` checks the third, which `arrange`
+    and the shark-teeth builder guarantee by construction.
     """
 
     def __init__(self, vertices: Sequence[Point], edges: Sequence[tuple[int, int]],
@@ -185,6 +192,19 @@ class PLGraph:
         a, b = self.edge_endpoints(e)
         return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
+    def edge_raw(self, e: int, t: Fraction) -> tuple[int, int, int, int]:
+        """`edge_point(e, t).raw()`, computed in integers: the point is
+        (1 - t) a + t b, with t = tn/td, over the denominators of a and b."""
+        i, j = self.edges[e]
+        verts = self.raw_vertices()
+        a, b = verts[i], verts[j]
+        tn, td = t.numerator, t.denominator
+        xn, xd = xc.norm_q((td - tn) * a[0] * b[1] + tn * b[0] * a[1],
+                           td * a[1] * b[1])
+        yn, yd = xc.norm_q((td - tn) * a[2] * b[3] + tn * b[2] * a[3],
+                           td * a[3] * b[3])
+        return xn, xd, yn, yd
+
     def edge_length2(self, e: int) -> Fraction:
         a, b = self.edge_endpoints(e)
         return dist2(a, b)
@@ -213,19 +233,19 @@ class PLGraph:
 
     def validate_proper(self) -> None:
         """Full O(E^2) check that edges meet only at shared endpoints."""
-        pts = [(self.vertices[i], self.vertices[j]) for i, j in self.edges]
-        m = len(pts)
+        verts, raw, edges = self.vertices, self.raw_vertices(), self.edges
+        m = len(edges)
         for a in range(m):
-            pa, qa = pts[a]
-            ra, rqa = pa.raw(), qa.raw()
+            i, j = edges[a]
+            ra, rqa = raw[i], raw[j]
             for b in range(a + 1, m):
-                pb, qb = pts[b]
-                hit = xc.seg_intersection(ra, rqa, pb.raw(), qb.raw())
+                u, v = edges[b]
+                hit = xc.seg_intersection(ra, rqa, raw[u], raw[v])
                 if hit[0] == 2:
                     # Lexicographic order is monotone along any fixed line,
                     # so interval overlap can be tested on the points.
-                    lo_a, hi_a = sorted((pa, qa))
-                    lo_b, hi_b = sorted((pb, qb))
+                    lo_a, hi_a = sorted((verts[i], verts[j]))
+                    lo_b, hi_b = sorted((verts[u], verts[v]))
                     if max(lo_a, lo_b) < min(hi_a, hi_b):
                         raise OverlapError(f"edges {a} and {b} overlap")
                 elif hit[0] == 1:

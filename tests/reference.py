@@ -46,7 +46,7 @@ class DeltaClip:
 
     def __init__(self, graph: PLGraph, center: GraphPoint, eps2: Fraction,
                  delta: Fraction, work: _Work):
-        craw = center.locate(graph).raw()
+        craw = graph.edge_point(center.edge, center.t).raw()
         en, ed = eps2.numerator, eps2.denominator
         self.runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
         for e in range(len(graph.edges)):
@@ -240,7 +240,7 @@ def _oracle_lower(graph, counts, eps, eps2, d_eff, work) -> int:
     for e, m in enumerate(counts):
         for j in range(m + 1):
             gp = GraphPoint(e, Fraction(j, m))
-            r = gp.locate(graph).raw()
+            r = graph.edge_point(e, gp.t).raw()
             if r not in seen:
                 seen.add(r)
                 pts.append(gp)

@@ -783,6 +783,19 @@ def test_sweep_rejects_bad_factor(tmp_path, seg_graph_file, factor):
     assert res.exit_code == 2
 
 
+def test_sweep_draws_scales_only_as_it_reaches_them(tmp_path, m3_graph):
+    # A schedule built up front was quadratic in --steps; drawn lazily, the
+    # sweep meets the budget at a fine scale after a few steps.
+    start = time.perf_counter()
+    res = invoke("sweep", "--graph", m3_graph, "--eps-start", "1/2",
+                 "--eps-factor", "1/2", "--steps", "10000000",
+                 "--out", tmp_path / "p.csv",
+                 env={"SDIMLAB_BUDGET": "pairs=20000"})
+    assert res.exit_code == 4
+    assert res.stderr.startswith("BUDGET:")
+    assert time.perf_counter() - start < 5
+
+
 def test_sweep_rejects_zero_steps(tmp_path, seg_graph_file):
     res = invoke("sweep", "--graph", seg_graph_file, "--eps-start", "1/2",
                  "--eps-factor", "1/2", "--steps", "0",

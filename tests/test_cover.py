@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,8 +121,6 @@ def test_subset_connectivity_matches_pairwise_reference(request, host, data):
 def test_empty_subset_raises(seg_graph):
     with pytest.raises(EmptySubset):
         SubSet(()).is_connected(seg_graph)
-    with pytest.raises(EmptySubset):
-        SubSet(()).endpoint_points(seg_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,9 @@ def test_cover_diameters_strictly_below_eps(cross_graph):
     eps = QUARTER
     cert = upper_cover(cross_graph, eps)
     for el in cert.elements:
-        assert points_diameter2(el.endpoint_points(cross_graph)) < eps * eps
+        ends = [cross_graph.edge_point(f.edge, t)
+                for f in el.fragments for t in (f.lo, f.hi)]
+        assert points_diameter2(ends) < eps * eps
 
 
 def test_cover_verifies_on_all_fixtures(seg_graph, cross_graph, lshape_graph,
@@ -242,7 +243,8 @@ def test_interval_separation_reaches_m_plus_one(seg_graph, m):
 
 
 def _clip(g, gp, eps):
-    return _ClipIndex(g, gp, eps * eps, _Work(Budget()))
+    return _ClipIndex(g, gp, g.edge_raw(gp.edge, gp.t), eps * eps,
+                      _Work(Budget()))
 
 
 @pytest.mark.parametrize("host", ["m2", "m3", "w6"])
@@ -252,7 +254,7 @@ def test_every_close_pair_is_separated_by_a_clip(host, request):
     g = request.getfixturevalue(host)
     eps = Fraction(1, 64)
     cert = lower_separation(g, eps)
-    located = [gp.locate(g) for gp in cert.points]
+    located = [g.edge_point(gp.edge, gp.t) for gp in cert.points]
     close = [(i, j) for i, j in itertools.combinations(range(len(located)), 2)
              if dist2(located[i], located[j]) < eps * eps]
     assert close
@@ -266,6 +268,26 @@ def _vertex_pool(g):
     """Every vertex of g, named at the end of its first incident edge."""
     return [GraphPoint(e, Fraction(end))
             for e, end in (min(g.incident(v)) for v in range(len(g.vertices)))]
+
+
+def test_default_pool_is_charged_before_it_is_made(seg_graph, monkeypatch):
+    # At eps = 1e-9 the unit segment's pool is a billion points; it is
+    # refused on its charge, before one is made.  The one distance taken
+    # is the edge's squared length, which sets the charge; no pair is
+    # tested.
+    calls = []
+    dist2_q = xc.dist2_q
+
+    def counted(a, b):
+        calls.append((a, b))
+        return dist2_q(a, b)
+
+    monkeypatch.setattr(xc, "dist2_q", counted)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        lower_separation(seg_graph, Fraction(1, 10 ** 9))
+    assert time.perf_counter() - start < 1
+    assert calls == [seg_graph.raw_vertices()]
 
 
 def test_explicit_candidate_pool(seg_graph):
@@ -304,9 +326,10 @@ def _pair_cert(g, a, b):
 def test_peaks_of_adjacent_teeth_are_separated(m2):
     peak1 = GraphPoint(1, Fraction(1))  # (1/2, 1/2)
     peak2 = GraphPoint(0, Fraction(1))  # (1/2, 1/4)
-    assert dist2(peak1.locate(m2), peak2.locate(m2)) < HALF * HALF
+    assert dist2(m2.edge_point(1, Fraction(1)),
+                 m2.edge_point(0, Fraction(1))) < HALF * HALF
     for c, o in ((peak1, peak2), (peak2, peak1)):
-        assert _clip(m2, c, HALF).separates(o, o.locate(m2).raw())
+        assert _clip(m2, c, HALF).separates(o, m2.edge_raw(o.edge, o.t))
         assert check_separation(m2, _pair_cert(m2, c, o)) == 2
 
 
@@ -314,7 +337,8 @@ def test_same_tooth_flanks_are_not_separated(m2):
     a = GraphPoint(1, Fraction(3, 4))
     b = GraphPoint(4, Fraction(1, 4))
     for c, o in ((a, b), (b, a)):
-        assert not _clip(m2, c, HALF).separates(o, o.locate(m2).raw())
+        assert not _clip(m2, c, HALF).separates(o,
+                                                m2.edge_raw(o.edge, o.t))
         with pytest.raises(VerificationFailure,
                            match="neither clipped ball separates"):
             check_separation(m2, _pair_cert(m2, c, o))
@@ -323,9 +347,10 @@ def test_same_tooth_flanks_are_not_separated(m2):
 def test_clip_separates_a_point_outside_the_ball(seg_graph):
     # Same edge, same component, but at distance > eps: not in the ball.
     c, o = GraphPoint(0, Fraction(0)), GraphPoint(0, Fraction(3, 4))
-    assert _clip(seg_graph, c, HALF).separates(o, o.locate(seg_graph).raw())
+    assert _clip(seg_graph, c, HALF).separates(
+        o, seg_graph.edge_raw(o.edge, o.t))
     assert not _clip(seg_graph, c, HALF).separates(
-        GraphPoint(0, HALF), GraphPoint(0, HALF).locate(seg_graph).raw())
+        GraphPoint(0, HALF), seg_graph.edge_raw(0, HALF))
 
 
 @st.composite
@@ -353,7 +378,7 @@ def test_exact_clip_separates_whatever_the_delta_clip_separates(g, data):
     delta = eps / data.draw(st.integers(1, 8))
     c, o = graph_point(), graph_point()
     if DeltaClip(g, c, eps * eps, delta, _Work(Budget())).separates(o):
-        assert _clip(g, c, eps).separates(o, o.locate(g).raw())
+        assert _clip(g, c, eps).separates(o, g.edge_raw(o.edge, o.t))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +394,7 @@ def test_guard_frozen_values(m3):
 def test_guarded_lower_keeps_only_tall_points(m3):
     g = truncation_guard(m3, EIGHTH)
     cert = lower_separation(m3, EIGHTH, guard=g, candidates=_vertex_pool(m3))
-    located = sorted(p.locate(m3) for p in cert.points)
+    located = sorted(m3.edge_point(p.edge, p.t) for p in cert.points)
     assert [(p.x, p.y) for p in located] == [
         (HALF, QUARTER), (HALF, HALF)]
     assert check_separation(m3, cert) == 2
@@ -601,7 +626,7 @@ def test_check_separation_refuses_a_host_whose_edges_cross():
                                        GraphPoint(1, Fraction(0))),
                                  None, host.graph_id())
     assert _clip(host, cert.points[0], eps).separates(
-        cert.points[1], cert.points[1].locate(host).raw())
+        cert.points[1], host.edge_raw(1, Fraction(0)))
     with pytest.raises(VerificationFailure, match="not proper"):
         check_separation(host, cert)
 

@@ -7,7 +7,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sdimlab import (DisconnectedInput, EmptySubset, ParseError, PLGraph,
@@ -30,6 +30,7 @@ def test_parse_rational_accepts_integers_and_ratios():
 
 @pytest.mark.parametrize("bad", ["0.5", "1e-3", "", "1/", "/2", "1/0",
                                  "a/b", "1 / 2", "0x10", "nan",
+                                 "\u0661/\u0668", "\uff11/2",
                                  1.5, 2, None])
 def test_parse_rational_rejects_everything_else(bad):
     with pytest.raises(ParseError):
@@ -175,6 +176,18 @@ def test_graph_rejects_duplicate_and_loop_edges():
 def test_edge_point_interpolates_exactly(seg_graph):
     p = seg_graph.edge_point(0, Fraction(1, 3))
     assert p == Point(Fraction(1, 3), Fraction(0))
+
+
+_coord = st.fractions(min_value=-4, max_value=4, max_denominator=50)
+
+
+@given(a=st.tuples(_coord, _coord), b=st.tuples(_coord, _coord),
+       t=st.fractions(min_value=0, max_value=1, max_denominator=1000))
+def test_edge_raw_is_the_kernel_tuple_of_edge_point(a, b, t):
+    pa, pb = point(*a), point(*b)
+    assume(pa != pb)
+    g = PLGraph([pa, pb], [(0, 1)])
+    assert g.edge_raw(0, t) == g.edge_point(0, t).raw()
 
 
 def test_incident_lists_both_endpoints(lshape_graph):
