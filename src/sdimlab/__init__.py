@@ -32,7 +32,7 @@ _EXPORTS = {
                   "sdim_estimate", "sweep", "write_profile_csv"),
     "errors": ("BudgetExceeded", "DisconnectedInput", "EmptySubset",
                "HostMismatch", "OverlapError", "ParseError", "SdimlabError",
-               "SizeLimit", "TooFewScales", "TooLarge", "VerificationFailure"),
+               "SizeLimit", "TooFewScales", "VerificationFailure"),
     "exactcore": (),
     "geom": ("PLGraph", "Point", "Segment", "arrange", "dist2",
              "format_rational", "parse_rational", "point", "points_diameter2",

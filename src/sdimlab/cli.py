@@ -31,7 +31,7 @@ import click
 
 from . import _lazy
 from .errors import (BudgetExceeded, HostMismatch, ParseError, SdimlabError,
-                     SizeLimit, TooFewScales, TooLarge, VerificationFailure)
+                     SizeLimit, TooFewScales, VerificationFailure)
 
 if TYPE_CHECKING:
     from .geom import PLGraph
@@ -43,8 +43,8 @@ build_shark_teeth = _lazy("continuum", "build_shark_teeth")
 certificate_from_json_dict = _lazy("cover", "certificate_from_json_dict")
 check_cover = _lazy("cover", "check_cover")
 check_separation = _lazy("cover", "check_separation")
-lower_guard = _lazy("cover", "lower_guard")
 lower_separation = _lazy("cover", "lower_separation")
+truncation_guard = _lazy("cover", "truncation_guard")
 upper_cover = _lazy("cover", "upper_cover")
 ifs_bound_report = _lazy("dimension", "ifs_bound_report")
 sdim_estimate = _lazy("dimension", "sdim_estimate")
@@ -63,7 +63,6 @@ _EXIT_FOR = {
     ParseError: 2,
     BudgetExceeded: 4,
     SizeLimit: 4,
-    TooLarge: 4,
     TooFewScales: 5,
 }
 
@@ -282,11 +281,11 @@ def _cover_out_paths(out_path: str, mode: str) -> dict[str, str]:
 def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     """Compute certified bounds at one scale and write the certificates.
 
-    On hosts built by the shark-teeth builder the lower bound is guarded
-    (see `truncation_guard`): its points clear the omitted-amplitude
-    threshold, so the certificate holds for the ambient continuum, not
-    just the truncation.  Any other host must be proper (see
-    `lower_guard`) before a lower bound is computed on it.
+    `truncation_guard` checks the host before a lower bound is computed
+    on it.  On hosts built by the shark-teeth builder the lower bound is
+    guarded: its points clear the omitted-amplitude threshold, so the
+    certificate holds for the ambient continuum, not just the truncation.
+    Any other host must be proper.
     """
     _check_distinct(out_path, graph_path)
     eps = _positive_rational(epsilon, "epsilon")
@@ -296,7 +295,7 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     shown = []
     if "lower" in paths:
         low = lower_separation(graph, eps,
-                               guard=lower_guard(graph, eps, budget),
+                               guard=truncation_guard(graph, eps, budget),
                                budget=budget)
         _check_distinct(paths["lower"], graph_path)
         _write_json(paths["lower"], low.json_members())

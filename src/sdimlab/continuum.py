@@ -211,10 +211,11 @@ def build_shark_teeth(spec: ToothSequenceSpec,
     dyadics i / 2^max(levels), and each tooth's breakpoints.  Tooth k has
     slope +-1/k and, as levels are nondecreasing, lies below every earlier
     tooth except on the base, so two chains meet only at shared base
-    dyadics and no intersection is left to resolve.  Vertices are the chains' points in lexicographic
-    order and edges their consecutive pairs, sorted: the graph `arrange`
-    makes of the same segments, in the same order.  The edge budget is
-    charged with `predicted_counts` before any point is made.
+    dyadics and no intersection is left to resolve.  Vertices are the
+    chains' points in lexicographic order and edges their consecutive
+    pairs, sorted: the graph `arrange` makes of the same segments, in the
+    same order.  The edge budget is charged with `predicted_counts` before
+    any point is made.
     """
     if spec.K > MAX_TOOTH_COUNT:
         raise SizeLimit(f"{spec.K} teeth exceeds {MAX_TOOTH_COUNT}")

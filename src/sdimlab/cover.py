@@ -29,9 +29,9 @@ arithmetic.  A `TruncationGuard` extends a separation certificate from a
 finite shark-teeth truncation to the full continuum: when every chosen
 point sits at height >= (omitted amplitude bound) + eps, the omitted teeth
 cannot enter any relevant open eps-ball, so the clips remain valid
-ambiently.  `truncation_guard` is the one place that decides whether a
-host gets a guard and computes it, for the CLI, the sweep and the checker
-alike.
+ambiently.  `truncation_guard` is the one host check: it proves the host
+proper, by rebuild or by `PLGraph.validate_proper`, and computes its
+guard, for the CLI, the sweep and the checker alike.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Sequence
 
 from . import exactcore as xc
 from .errors import (EmptySubset, HostMismatch, OverlapError, ParseError,
-                     SdimlabError, VerificationFailure)
+                     VerificationFailure)
 from .geom import (PLGraph, UnionFind, format_rational, merge_intervals,
                    parse_index, parse_rational)
 from .limits import Budget
@@ -199,6 +199,12 @@ class TruncationGuard:
         """The same truncation guarded at scale eps.  K and the amplitude
         bound do not depend on the scale; only the threshold does."""
         return replace(self, threshold=self.amplitude_bound + eps)
+
+    def clears(self, raw) -> bool:
+        """Whether the point with kernel tuple `raw` is at height >= the
+        threshold."""
+        thr = self.threshold
+        return raw[2] * thr.denominator >= thr.numerator * raw[3]
 
 
 @dataclass(frozen=True)
@@ -454,11 +460,11 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
 
     Every pair must be at distance >= eps, recomputed exactly, or be
     separated by the clipped eps-ball around one of its two points; one
-    clip per point is computed, when first needed.  The clip's argument
-    needs a proper host.  A host that `truncation_guard` rebuilds is one;
-    any other host goes through `_require_proper`.  When a guard
-    is present, the rebuilt host must give its truncation index and
-    amplitude bound, and every point must clear the height threshold.
+    clip per point is computed, when first needed.  The host is checked
+    as `truncation_guard` checks it, charged to this check's budget: the
+    clip's argument needs a proper host.  A guard, when present, must be
+    the host's guard at the certificate's scale, and every point must
+    clear its threshold.
     The n(n-1)/2 pair tests are charged to the budget before the first.
     Raises VerificationFailure with the first offending detail.
     """
@@ -477,34 +483,18 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
         if not (0 <= gp.edge < ne):
             raise VerificationFailure(f"point {k}: edge out of range")
     raws = [graph.edge_raw(gp.edge, gp.t) for gp in cert.points]
-
     try:
-        host = truncation_guard(graph, cert.epsilon)
+        host = _host_guard(graph, cert.epsilon, work)
     except ParseError as exc:
-        if cert.guard is not None:
-            raise VerificationFailure(f"host carries no usable truncation "
-                                      f"metadata: {exc}") from exc
-        host = None
+        raise VerificationFailure(str(exc)) from exc
     if cert.guard is not None:
-        if host is None:
-            raise VerificationFailure("host has no shark-teeth builder "
-                                      "metadata to guard with")
-        if cert.guard.k != host.k:
-            raise VerificationFailure(
-                f"guard claims truncation {cert.guard.k}, host has {host.k}")
-        if cert.guard.amplitude_bound < host.amplitude_bound:
-            raise VerificationFailure(
-                "guard amplitude bound is below the recomputed bound")
-        if cert.guard.threshold < cert.guard.amplitude_bound + cert.epsilon:
-            raise VerificationFailure(
-                "guard threshold is below amplitude bound + epsilon")
-        thr = cert.guard.threshold
-        for k, (_, _, yn, yd) in enumerate(raws):
-            if yn * thr.denominator < thr.numerator * yd:
+        if cert.guard != host:
+            raise VerificationFailure(f"certificate guard {cert.guard} is "
+                                      f"not the host's guard {host}")
+        for k, r in enumerate(raws):
+            if not host.clears(r):
                 raise VerificationFailure(
                     f"point {k} lies below the guard threshold")
-    if host is None:
-        _require_proper(graph, work, VerificationFailure)
 
     n = len(cert.points)
     clips: dict[int, _ClipIndex] = {}
@@ -757,9 +747,7 @@ def lower_separation(graph: PLGraph, eps: Fraction,
     pool = (_candidate_points(graph, eps, work) if candidates is None
             else [(gp, graph.edge_raw(gp.edge, gp.t)) for gp in candidates])
     if guard is not None:
-        thr = guard.threshold
-        pool = [(gp, r) for gp, r in pool
-                if r[2] * thr.denominator >= thr.numerator * r[3]]
+        pool = [(gp, r) for gp, r in pool if guard.clears(r)]
     # Highest first, then leftmost: y descending, x ascending.
     pool.sort(key=lambda it: (Fraction(-it[1][2], it[1][3]),
                               Fraction(it[1][0], it[1][1]),
@@ -784,19 +772,35 @@ def lower_separation(graph: PLGraph, eps: Fraction,
     return SeparationCertificate(eps, tuple(kept), guard, graph.graph_id())
 
 
-def truncation_guard(graph: PLGraph, eps: Fraction) -> TruncationGuard | None:
-    """Guard for a host at scale eps, from its builder metadata.
+def truncation_guard(graph: PLGraph, eps: Fraction,
+                     budget: Budget | None = None) -> TruncationGuard | None:
+    """The one host check for a lower bound: the host's guard at scale
+    eps, or None.
 
-    A host whose metadata names the shark-teeth builder gets its guard;
-    any other host gets None.  Metadata that names the builder but does
-    not describe a valid spec is a `ParseError`, and so is a host that is
-    not exactly the graph the builder makes from that spec.  The counts
-    are compared first, so the rebuild is never larger than the host.
-    The amplitude bound is always recomputed here rather than accepted
-    from the caller, so a guard can never quietly overstate what was
-    built.
+    A separation certificate holds only on a proper host, and a guard only
+    for the continuum that the host's builder metadata names.  A host
+    whose metadata names the shark-teeth builder must be exactly the graph
+    the builder makes from that spec, which proves it proper, and gets its
+    guard; the counts are compared first, so the rebuild is never larger
+    than the host.  Any other host must pass `PLGraph.validate_proper`,
+    whose E(E-1)/2 segment tests are charged to the budget first, and gets
+    None.  Anything else is a `ParseError`.  The amplitude bound is always
+    recomputed here rather than accepted from the caller, so a guard can
+    never quietly overstate what was built.
     """
+    return _host_guard(graph, eps, _Work(budget or Budget()))
+
+
+def _host_guard(graph: PLGraph, eps: Fraction,
+                work: _Work) -> TruncationGuard | None:
+    """`truncation_guard`, charged to `work`."""
     if graph.meta.get("builder") != "shark-teeth":
+        ne = len(graph.edges)
+        work.add(ne * (ne - 1) // 2)
+        try:
+            graph.validate_proper()
+        except (OverlapError, ValueError) as exc:
+            raise ParseError(f"host is not proper: {exc}") from exc
         return None
     from .continuum import (build_shark_teeth, next_amplitude_bound,
                             predicted_counts, spec_from_meta)
@@ -814,34 +818,6 @@ def truncation_guard(graph: PLGraph, eps: Fraction) -> TruncationGuard | None:
     return TruncationGuard(spec.K, bound, bound + eps)
 
 
-def _require_proper(graph: PLGraph, work: _Work,
-                    error: type[SdimlabError]) -> None:
-    """Refuse a host whose edges cross or overlap other than at shared
-    vertices, as `error`.  `PLGraph.validate_proper` makes E(E-1)/2
-    segment tests, which are charged to the budget first."""
-    ne = len(graph.edges)
-    work.add(ne * (ne - 1) // 2)
-    try:
-        graph.validate_proper()
-    except (OverlapError, ValueError) as exc:
-        raise error(f"host is not proper: {exc}") from exc
-
-
-def lower_guard(graph: PLGraph, eps: Fraction,
-                budget: Budget | None = None) -> TruncationGuard | None:
-    """`truncation_guard(graph, eps)` for a producer of lower bounds.
-
-    A separation certificate holds only on a proper host.  A host that
-    `truncation_guard` rebuilds is proper by construction; any other host
-    is checked as `check_separation` checks it, and one that is not
-    proper is a `ParseError`, raised before any bound is computed.
-    """
-    guard = truncation_guard(graph, eps)
-    if guard is None:
-        _require_proper(graph, _Work(budget or Budget()), ParseError)
-    return guard
-
-
 def s_bounds(graph: PLGraph, eps: Fraction,
              budget: Budget | None = None) -> tuple[int, int]:
     """Unguarded certified bracket (lower, upper) on the connected-cover
@@ -849,10 +825,10 @@ def s_bounds(graph: PLGraph, eps: Fraction,
 
     Convenience over `lower_separation` and `upper_cover` for callers who
     want numbers rather than certificates.  lower <= upper always: both
-    sides bracket the same quantity.  The host is checked as `lower_guard`
-    checks it, but its guard is not used.
+    sides bracket the same quantity.  The host is checked as
+    `truncation_guard` checks it, but its guard is not used.
     """
-    lower_guard(graph, eps, budget)
+    truncation_guard(graph, eps, budget)
     low = lower_separation(graph, eps, budget=budget)
     up = upper_cover(graph, eps, budget=budget)
     assert len(low.points) <= len(up.elements)

@@ -6,7 +6,7 @@ ln(count) / -ln(eps) whose limsup is the relevant dimension.  A host with
 shark-teeth builder metadata gets its lower bounds with the guard of
 `truncation_guard`, so they hold for the ambient continuum, not just the
 finite truncation in memory; any other host gets unguarded bounds once
-`lower_guard` has checked that it is proper.
+`truncation_guard` has checked that it is proper.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 # report never loads `cover`; a tracer wraps them in this namespace.
 find_k0 = _lazy("ifs", "find_k0")
 ifs_dimension_bound = _lazy("ifs", "ifs_dimension_bound")
-lower_guard = _lazy("cover", "lower_guard")
 lower_separation = _lazy("cover", "lower_separation")
+truncation_guard = _lazy("cover", "truncation_guard")
 upper_cover = _lazy("cover", "upper_cover")
 
 CSV_HEADER = ("epsilon_num", "epsilon_den", "lower", "upper",
@@ -110,7 +110,7 @@ def sweep(graph: PLGraph, epsilons: Iterable[Fraction],
 
     The schedule may be any iterable, a generator included; each scale is
     drawn only when the one before it is done.  The lower bound at each
-    scale is guarded as `lower_guard` decides, and a host it does not
+    scale is guarded as `truncation_guard` decides, and a host it does not
     guard must be proper.  It is asked once, at the first scale, since
     the host and so its truncation index and amplitude bound are the same
     at every scale; each scale then takes that guard at its own threshold.
@@ -122,7 +122,7 @@ def sweep(graph: PLGraph, epsilons: Iterable[Fraction],
     guard = None
     for i, eps in enumerate(epsilons):
         if i == 0:
-            guard = lower_guard(graph, eps, budget)
+            guard = truncation_guard(graph, eps, budget)
         g = None if guard is None else guard.at(eps)
         low = lower_separation(graph, eps, guard=g, budget=budget)
         up = upper_cover(graph, eps, budget=budget)
@@ -166,9 +166,14 @@ def read_profile_csv(stream: io.TextIOBase) -> DimensionProfile:
     for rec in reader:
         if not rec:
             continue
-        num, den, lower, upper, rl, ru = rec
-        rows.append(ScaleRow(Fraction(int(num), int(den)), int(lower),
-                             int(upper), float(rl), float(ru)))
+        try:
+            num, den, lower, upper, rl, ru = rec
+            rows.append(ScaleRow(Fraction(int(num), int(den)), int(lower),
+                                 int(upper), float(rl), float(ru)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise VerificationFailure(
+                f"malformed profile CSV row {reader.line_num} {rec}: "
+                f"{exc}") from exc
     return DimensionProfile(tuple(rows))
 
 

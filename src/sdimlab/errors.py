@@ -43,12 +43,6 @@ class HostMismatch(SdimlabError):
     tag = "HOSTMISMATCH"
 
 
-class TooLarge(SdimlabError):
-    """Instance exceeds the hard size limit of the brute-force oracle."""
-
-    tag = "TOOLARGE"
-
-
 class SizeLimit(SdimlabError):
     """Requested enumeration would exceed the word/point budget."""
 

@@ -112,10 +112,13 @@ def point_seg_dist2(p, a, b):
 def seg_intersection(p1, p2, p3, p4):
     """Intersection of closed segments p1p2 and p3p4.
 
-    Returns (0,) when disjoint, (2,) when the segments are collinear (the
-    caller is expected to have merged collinear overlaps beforehand), and
-    otherwise (1, xn, xd, yn, yd, tn, td, un, ud) with the intersection
-    point and the two segment parameters, all normalized.
+    Returns (0,) when disjoint, (2,) when the segments lie on one line,
+    whether or not they overlap, and otherwise (1, xn, xd, yn, yd, tn, td,
+    un, ud) with the intersection point and the two segment parameters,
+    all normalized.  `arrange` merges collinear spans before it asks, so
+    (2,) there is an internal error; `PLGraph.validate_proper` asks on a
+    host's raw edges and decides a (2,) pair by the overlap of the two
+    spans on their line.
     """
     # Scale the four points onto a common integer grid.
     d1, d2, d3, d4 = p1[1], p1[3], p2[1], p2[3]

@@ -359,10 +359,9 @@ def arrange(segments: Iterable[Segment], meta: dict | None = None,
     line_list = list(lines.values())
     hull_segs: list[tuple[int, Point, Point]] = []
     for li, entry in enumerate(line_list):
-        ix, iy = entry["dir"]
         for lo, hi in entry["merged"]:
-            pa, pb = _line_point(entry, lo), _line_point(entry, hi)
-            hull_segs.append((li, pa, pb))
+            # A merged span ends at original endpoints, which are marks.
+            hull_segs.append((li, entry["marks"][lo], entry["marks"][hi]))
 
     n = len(hull_segs)
     budget.check_pairs(n * (n - 1) // 2)
@@ -414,14 +413,3 @@ def arrange(segments: Iterable[Segment], meta: dict | None = None,
         raise DisconnectedInput("input segments form a disconnected set")
     return graph
 
-
-def _line_point(entry: dict, s: Fraction) -> Point:
-    """Recover the concrete point for parameter s on a grouped line."""
-    if s in entry["marks"]:
-        return entry["marks"][s]
-    # Derive from any marked point: moving 1 in parameter moves dir/|dir|^2.
-    ix, iy = entry["dir"]
-    s0, p0 = next(iter(entry["marks"].items()))
-    norm = Fraction(ix * ix + iy * iy)
-    t = (s - s0) / norm
-    return Point(p0.x + t * ix, p0.y + t * iy)

@@ -49,6 +49,20 @@ def m3_moved_peak(m3):
     return PLGraph(vertices, m3.edges, m3.meta)
 
 
+@pytest.fixture(scope="session", params=["overlap", "t-junction"])
+def improper_graph(request):
+    """A connected host, written directly, in which edge 0 meets edge 1
+    away from a shared vertex: collinear along [1, 2] x {0}, or with
+    edge 1 ending at (1, 0) inside edge 0.  A detour joins the two."""
+    if request.param == "overlap":
+        return PLGraph([point(0, 0), point(2, 0), point(1, 0), point(3, 0),
+                        point(0, 1), point(3, 1)],
+                       [(0, 1), (2, 3), (0, 4), (4, 5), (5, 3)])
+    return PLGraph([point(0, 0), point(2, 0), point(1, 0), point(1, 1),
+                    point(2, 1)],
+                   [(0, 1), (2, 3), (3, 4), (4, 1)])
+
+
 @pytest.fixture(scope="session")
 def m15():
     return paper_truncation(15)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from sdimlab import exactcore as xc
 from sdimlab.cover import GraphPoint, _Work
-from sdimlab.errors import TooLarge
+from sdimlab.errors import SizeLimit
 from sdimlab.geom import PLGraph, UnionFind, merge_intervals
 from sdimlab.limits import Budget
 
@@ -120,8 +120,8 @@ def brute_force_oracle(graph: PLGraph, eps: Fraction,
     `check_separation`.
     """
     if len(graph.edges) > ORACLE_MAX_EDGES:
-        raise TooLarge(f"{len(graph.edges)} edges exceeds oracle limit "
-                       f"{ORACLE_MAX_EDGES}")
+        raise SizeLimit(f"{len(graph.edges)} edges exceeds oracle limit "
+                        f"{ORACLE_MAX_EDGES}")
     if eps <= 0:
         raise ValueError("eps must be positive")
     work = _Work(budget or Budget())

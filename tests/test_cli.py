@@ -408,6 +408,17 @@ def test_cover_upper_needs_no_proper_host(tmp_path, crossing_host):
     assert res.output.startswith("upper=")
 
 
+def test_cover_refuses_a_lower_bound_on_an_improper_host(tmp_path,
+                                                         improper_graph):
+    host = tmp_path / "h.graph.json"
+    _write_json(str(host), improper_graph.to_json_dict())
+    res = invoke("cover", "--graph", host, "--epsilon", "1/2",
+                 "--mode", "lower", "--out", tmp_path / "c.json")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: host is not proper")
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_sweep_refuses_a_crossing_host(tmp_path, crossing_host):
     # Unchecked, `sweep` wrote lower bounds 3, 8 and 19 here.
     res = invoke("sweep", "--graph", crossing_host[1],
@@ -535,6 +546,17 @@ def test_sweep_refuses_a_host_its_builder_did_not_make(tmp_path,
 
 def test_verify_refuses_a_guard_on_a_host_its_builder_did_not_make(
         mismatched_host):
+    res = invoke("verify", "--graph", mismatched_host[0],
+                 "--cert", mismatched_host[1])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("VERIFY:")
+
+
+def test_verify_refuses_an_unguarded_certificate_on_a_mismatched_host(
+        mismatched_host):
+    cert = json.loads(mismatched_host[1].read_text())
+    cert["guard"] = None
+    _write_json(str(mismatched_host[1]), cert)
     res = invoke("verify", "--graph", mismatched_host[0],
                  "--cert", mismatched_host[1])
     assert res.exit_code == 1

@@ -20,16 +20,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import DeltaClip, brute_force_oracle
 
-from sdimlab import (Budget, BudgetExceeded, CoverCertificate, EdgeFragment,
-                     EmptySubset, GraphPoint, HostMismatch, ParseError,
-                     PLGraph, SeparationCertificate, SubSet, TruncationGuard,
+from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
+                     DisconnectedInput, EdgeFragment, EmptySubset, GraphPoint,
+                     HostMismatch, ParseError, PLGraph,
+                     SeparationCertificate, SubSet, TruncationGuard,
                      VerificationFailure, arrange, certificate_from_json_dict,
                      check_cover, check_separation, dist2, lower_separation,
                      point, points_diameter2, s_bounds, segment,
                      truncation_guard, upper_cover)
 from sdimlab import exactcore as xc
 from sdimlab.cli import _json_chunks
-from sdimlab.cover import _ClipIndex, _Work, _extend, lower_guard
+from sdimlab.cover import _ClipIndex, _Work, _extend
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -467,14 +468,17 @@ def test_guard_thin_threshold_fails(m3):
         check_separation(m3, bad)
 
 
-def test_guard_overstated_threshold_is_fine(m3):
-    # Raising the threshold only strengthens the claim; the certificate
-    # stays valid as long as all its points clear the higher bar.
+def test_guard_overstated_threshold_fails(m3):
+    # Every point clears the raised bar, but no command writes this guard:
+    # a certificate's guard must be exactly the one the host gets.
     cert = _guarded_cert(m3)
     taller = SeparationCertificate(
         cert.epsilon, cert.points,
         TruncationGuard(3, Fraction(1, 16), QUARTER), cert.graph_id)
-    assert check_separation(m3, taller) == 2
+    assert all(taller.guard.clears(m3.edge_raw(p.edge, p.t))
+               for p in cert.points)
+    with pytest.raises(VerificationFailure, match="not the host's guard"):
+        check_separation(m3, taller)
 
 
 def test_guard_point_below_threshold_fails(m3):
@@ -489,14 +493,20 @@ def test_guard_point_below_threshold_fails(m3):
 @pytest.mark.parametrize("meta", [{}, *MALFORMED_BUILDER_META])
 def test_guard_against_host_without_usable_metadata_fails(m3, meta):
     # Same geometry, so every point still checks; only the guard cannot
-    # be recomputed from the host.
+    # be recomputed from the host.  Without metadata the host is checked
+    # for properness and takes the unguarded certificate; metadata that
+    # names the builder but does not rebuild the host refuses both.
     cert = _guarded_cert(m3)
     host = PLGraph(m3.vertices, m3.edges, meta)
     relabeled = SeparationCertificate(cert.epsilon, cert.points, cert.guard,
                                       host.graph_id())
     unguarded = SeparationCertificate(cert.epsilon, cert.points, None,
                                       host.graph_id())
-    assert check_separation(host, unguarded) == 2
+    if meta:
+        with pytest.raises(VerificationFailure):
+            check_separation(host, unguarded)
+    else:
+        assert check_separation(host, unguarded) == 2
     with pytest.raises(VerificationFailure):
         check_separation(host, relabeled)
 
@@ -507,16 +517,21 @@ def test_guard_refuses_a_host_its_builder_did_not_make(m3_moved_peak):
 
 
 def test_guarded_certificate_on_a_moved_peak_fails(m3, m3_moved_peak):
-    # Every point checks on the moved host; only the guard, which holds
-    # for m3's continuum, does not hold for this one.
+    # Every point checks on the moved geometry; only the guard, which
+    # holds for m3's continuum, does not hold for this one.  Its builder
+    # metadata does not rebuild the host, so nothing on it is accepted,
+    # guarded or not.
     host = m3_moved_peak
     cert = lower_separation(host, EIGHTH, guard=truncation_guard(m3, EIGHTH),
                             candidates=_vertex_pool(host))
+    bare = PLGraph(host.vertices, host.edges)
+    assert check_separation(bare, SeparationCertificate(
+        cert.epsilon, cert.points, None, bare.graph_id())) == len(cert) > 0
     unguarded = SeparationCertificate(cert.epsilon, cert.points, None,
                                       cert.graph_id)
-    assert check_separation(host, unguarded) == len(cert) > 0
-    with pytest.raises(VerificationFailure, match="does not match"):
-        check_separation(host, cert)
+    for c in (unguarded, cert):
+        with pytest.raises(VerificationFailure, match="does not match"):
+            check_separation(host, c)
 
 
 def test_guard_on_wrong_host_fails(m3, w6):
@@ -664,27 +679,37 @@ def test_producers_refuse_a_host_whose_edges_cross():
                    [(0, 1), (2, 3)])
     eps = Fraction(3, 2)
     with pytest.raises(ParseError, match="host is not proper"):
-        lower_guard(host, eps)
+        truncation_guard(host, eps)
     with pytest.raises(ParseError, match="host is not proper"):
         s_bounds(host, eps)
 
 
-def test_lower_guard_charges_the_properness_check(cross_graph):
+def test_check_separation_refuses_an_improper_host(improper_graph):
+    cert = SeparationCertificate(HALF, (GraphPoint(0, Fraction(0)),), None,
+                                 improper_graph.graph_id())
+    with pytest.raises(VerificationFailure, match="not proper"):
+        check_separation(improper_graph, cert)
+
+
+def test_truncation_guard_charges_the_properness_check(cross_graph):
     ne = len(cross_graph.edges)
     with pytest.raises(BudgetExceeded):
-        lower_guard(cross_graph, HALF,
-                    Budget(max_pair_checks=ne * (ne - 1) // 2 - 1))
-    assert lower_guard(cross_graph, HALF,
-                       Budget(max_pair_checks=ne * (ne - 1) // 2)) is None
+        truncation_guard(cross_graph, HALF,
+                         Budget(max_pair_checks=ne * (ne - 1) // 2 - 1))
+    assert truncation_guard(cross_graph, HALF,
+                            Budget(max_pair_checks=ne * (ne - 1) // 2)) \
+        is None
 
 
-def test_lower_guard_trusts_a_rebuilt_host_to_be_proper(w6, monkeypatch):
+def test_truncation_guard_trusts_a_rebuilt_host_to_be_proper(w6,
+                                                            monkeypatch):
+    eps = Fraction(1, 32)
+    want = truncation_guard(w6, eps)
+
     def refuse(self):
         raise AssertionError("validate_proper called on a rebuilt host")
     monkeypatch.setattr(PLGraph, "validate_proper", refuse)
-    eps = Fraction(1, 32)
-    assert lower_guard(w6, eps, Budget(max_pair_checks=0)) == \
-        truncation_guard(w6, eps)
+    assert truncation_guard(w6, eps, Budget(max_pair_checks=0)) == want
 
 
 def test_check_separation_trusts_a_rebuilt_host_to_be_proper(w6,
@@ -915,7 +940,33 @@ def test_oracle_brackets_library_bounds(seg_graph, cross_graph,
             assert olo <= up
 
 
+def _grid_point(i: int):
+    return point(i % 4, i // 4)
+
+
+# Segments between two distinct points of the grid {0, ..., 3}^2, drawn
+# as an index and a nonzero offset; `arrange` makes the host proper.
+_grid_segment = st.builds(
+    lambda i, k: segment(_grid_point(i), _grid_point((i + k) % 16)),
+    st.integers(0, 15), st.integers(1, 15))
+
+
+@settings(max_examples=20, deadline=None)
+@given(segs=st.lists(_grid_segment, min_size=2, max_size=4),
+       eps=st.sampled_from([HALF, Fraction(1), Fraction(3, 2)]))
+def test_oracle_brackets_library_bounds_on_random_hosts(segs, eps):
+    try:
+        g = arrange(segs)
+    except DisconnectedInput:
+        assume(False)
+    assume(len(g.edges) <= 12)
+    lo, up = s_bounds(g, eps)
+    olo, oup = brute_force_oracle(g, eps)
+    assert lo <= oup
+    assert olo <= up
+
+
 def test_oracle_refuses_large_hosts(m15):
-    from sdimlab import TooLarge
-    with pytest.raises(TooLarge):
+    from sdimlab import SizeLimit
+    with pytest.raises(SizeLimit):
         brute_force_oracle(m15, HALF)

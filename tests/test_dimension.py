@@ -12,6 +12,7 @@ from sdimlab import (DimensionProfile, ScaleRow, TooFewScales,
                      VerificationFailure, ifs_bound_report, make_row,
                      read_profile_csv, scale_ratio, sdim_estimate, sweep,
                      write_profile_csv)
+from sdimlab.dimension import CSV_HEADER
 from sdimlab.ifs import FIXTURES
 
 HALF = Fraction(1, 2)
@@ -174,6 +175,14 @@ def test_profile_csv_header():
 def test_profile_csv_rejects_foreign_header():
     with pytest.raises(VerificationFailure):
         read_profile_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+@pytest.mark.parametrize("row", ["1,0,1,2,0.0,0.0", "1,2,1",
+                                 "x,2,1,2,0.0,0.0", "1,2,1,2,a,0.0"])
+def test_profile_csv_refuses_a_malformed_row(row):
+    text = f"{','.join(CSV_HEADER)}\n1,2,1,1,0.0,0.0\n{row}\n"
+    with pytest.raises(VerificationFailure, match="row 3"):
+        read_profile_csv(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from sdimlab import (DisconnectedInput, EmptySubset, ParseError, PLGraph,
-                     Point, arrange, dist2, parse_rational, point,
-                     points_diameter2, segment)
+from sdimlab import (DisconnectedInput, EmptySubset, OverlapError,
+                     ParseError, PLGraph, Point, arrange, dist2,
+                     parse_rational, point, points_diameter2, segment)
 from sdimlab.geom import merge_intervals, parse_index
 from sdimlab.limits import Budget
 
@@ -202,6 +202,17 @@ def test_validate_proper_catches_a_planted_crossing():
                 [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         g.validate_proper()
+
+
+@pytest.mark.parametrize("improper_graph, error, detail", [
+    ("overlap", OverlapError, "overlap"),
+    ("t-junction", ValueError, "cross improperly"),
+], indirect=["improper_graph"])
+def test_validate_proper_catches_an_overlap_and_a_t_junction(
+        improper_graph, error, detail):
+    assert improper_graph.is_connected()
+    with pytest.raises(error, match=f"edges 0 and 1 {detail}"):
+        improper_graph.validate_proper()
 
 
 def test_is_connected_detects_the_obvious(seg_graph, m3):
