@@ -1,8 +1,14 @@
-"""Command-line front end.
+"""Command-line front end: one stdlib `argparse` parser, six subcommands.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
 4 budget or size limit, 5 too few scales for the dimension proxy.  Errors
-land on stderr as "TAG: detail" with a stable machine-matchable tag.
+land on stderr as one "TAG: detail" line with a stable machine-matchable
+tag; a usage error (a missing or unknown option, a bad choice or
+integer) is "PARSE: ..." with exit code 2.  `main` maps every error to
+its line and exit code in one place.  Options must be spelled out in
+full, and a value-taking option takes the next argument as its value
+even when that argument starts with "-".
+
 Scale parameters cross this boundary only as exact "p/q" strings;
 decimals are rejected so no binary-decimal drift can leak into
 certificates.  All output files are written atomically, with
@@ -14,7 +20,7 @@ top-level array item at a time.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import io
 import json
 import math
@@ -23,22 +29,21 @@ import re
 import sys
 import tempfile
 from collections.abc import Iterator
-from fractions import Fraction
 from json import JSONDecoder
 from typing import TYPE_CHECKING, Iterable, NoReturn
-
-import click
 
 from . import _lazy
 from .errors import (BudgetExceeded, HostMismatch, ParseError, SdimlabError,
                      SizeLimit, TooFewScales, VerificationFailure)
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .geom import PLGraph
 
 # Each layer is imported when a command first calls into it, so `--help`
-# loads click and `errors` only.  The names stay bound here because a
-# tracer wraps them where this module looks them up.
+# loads the standard library and `errors` only.  The names stay bound
+# here because a tracer wraps them where this module looks them up.
 build_shark_teeth = _lazy("continuum", "build_shark_teeth")
 certificate_from_json_dict = _lazy("cover", "certificate_from_json_dict")
 check_cover = _lazy("cover", "check_cover")
@@ -65,17 +70,6 @@ _EXIT_FOR = {
     SizeLimit: 4,
     TooFewScales: 5,
 }
-
-
-def _cli_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SdimlabError as exc:
-            click.echo(f"{exc.tag}: {exc}", err=True)
-            sys.exit(_EXIT_FOR.get(type(exc), 2))
-    return wrapper
 
 
 def _positive_rational(text: str, what: str) -> Fraction:
@@ -238,18 +232,6 @@ def _load_graph(path: str) -> PLGraph:
     return PLGraph.from_json_dict(_read_json(path))
 
 
-@click.group()
-def main() -> None:
-    """Certified connected-cover bounds for plane continua and IFS
-    attractors."""
-
-
-@main.command("build")
-@click.option("--spec", "spec_path", required=True, metavar="FILE",
-              help="Tooth sequence spec (JSON).")
-@click.option("--out", "out_path", required=True, metavar="FILE",
-              help="Graph file to write.")
-@_cli_errors
 def cmd_build(spec_path: str, out_path: str) -> None:
     """Build a shark-teeth truncation as an exact plane graph."""
     from .continuum import ToothSequenceSpec
@@ -257,7 +239,7 @@ def cmd_build(spec_path: str, out_path: str) -> None:
     spec = ToothSequenceSpec.from_json_dict(_read_json(spec_path))
     graph = build_shark_teeth(spec, budget=from_env())
     _write_json(out_path, graph.to_json_dict())
-    click.echo(f"{len(graph.vertices)} vertices, {len(graph.edges)} edges")
+    print(f"{len(graph.vertices)} vertices, {len(graph.edges)} edges")
 
 
 def _cover_out_paths(out_path: str, mode: str) -> dict[str, str]:
@@ -269,15 +251,6 @@ def _cover_out_paths(out_path: str, mode: str) -> dict[str, str]:
     return {"lower": f"{stem}.lower{ext}", "upper": f"{stem}.upper{ext}"}
 
 
-@main.command("cover")
-@click.option("--graph", "graph_path", required=True, metavar="FILE")
-@click.option("--epsilon", required=True, metavar="P/Q",
-              help="Scale as an exact rational.")
-@click.option("--mode", type=click.Choice(["upper", "lower", "both"]),
-              default="both", show_default=True)
-@click.option("--out", "out_path", required=True, metavar="FILE",
-              help="Certificate file; mode=both derives .lower/.upper names.")
-@_cli_errors
 def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     """Compute certified bounds at one scale and write the certificates.
 
@@ -305,13 +278,9 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
         _check_distinct(paths["upper"], graph_path)
         _write_json(paths["upper"], up.json_members())
         shown.append(f"upper={len(up.elements)}")
-    click.echo(" ".join(shown))
+    print(" ".join(shown))
 
 
-@main.command("verify")
-@click.option("--graph", "graph_path", required=True, metavar="FILE")
-@click.option("--cert", "cert_path", required=True, metavar="FILE")
-@_cli_errors
 def cmd_verify(graph_path: str, cert_path: str) -> None:
     """Recheck a certificate against its host graph from scratch."""
     from .cover import CoverCertificate, SeparationCertificate
@@ -319,21 +288,12 @@ def cmd_verify(graph_path: str, cert_path: str) -> None:
     cert = certificate_from_json_dict(_read_members(cert_path))
     budget = from_env()
     if isinstance(cert, CoverCertificate):
-        click.echo(f"upper={check_cover(graph, cert, budget)}")
+        print(f"upper={check_cover(graph, cert, budget)}")
     else:
         assert isinstance(cert, SeparationCertificate)
-        click.echo(f"lower={check_separation(graph, cert, budget)}")
+        print(f"lower={check_separation(graph, cert, budget)}")
 
 
-@main.command("sweep")
-@click.option("--graph", "graph_path", required=True, metavar="FILE")
-@click.option("--eps-start", required=True, metavar="P/Q")
-@click.option("--eps-factor", required=True, metavar="P/Q",
-              help="Geometric step, strictly between 0 and 1.")
-@click.option("--steps", required=True, type=int)
-@click.option("--out", "out_path", required=True, metavar="FILE",
-              help="Profile CSV to write.")
-@_cli_errors
 def cmd_sweep(graph_path: str, eps_start: str, eps_factor: str, steps: int,
               out_path: str) -> None:
     """Sweep a geometric scale schedule and write the profile CSV.
@@ -355,20 +315,9 @@ def cmd_sweep(graph_path: str, eps_start: str, eps_factor: str, steps: int,
     write_profile_csv(profile, buf)
     _atomic_write(out_path, [buf.getvalue()])
     low, high = sdim_estimate(profile)
-    click.echo(f"sdim proxy [{low:.6f}, {high:.6f}]")
+    print(f"sdim proxy [{low:.6f}, {high:.6f}]")
 
 
-@main.command("ifs")
-@click.option("--spec", "spec_path", required=True, metavar="FILE",
-              help="IFS spec (JSON).")
-@click.option("--delta", type=float, default=0.1, show_default=True,
-              help="Slack over the dimension bound.")
-@click.option("--depth", type=int, default=None,
-              help="Cloud depth for the diameter measurement "
-                   "(default: fixture hint or a size-capped cloud).")
-@click.option("--out", "out_path", required=True, metavar="FILE",
-              help="Report file to write.")
-@_cli_errors
 def cmd_ifs(spec_path: str, delta: float, depth: int | None,
             out_path: str) -> None:
     """Dimension-bound report for an IFS: bound, k0, eps0, per-scale table."""
@@ -389,18 +338,9 @@ def cmd_ifs(spec_path: str, delta: float, depth: int | None,
                 f"a diameter from it")
     report = ifs_bound_report(spec, delta, diameter=diameter, budget=budget)
     _atomic_write(out_path, [report])
-    click.echo(report, nl=False)
+    print(report, end="")
 
 
-@main.command("render")
-@click.option("--graph", "graph_path", default=None, metavar="FILE")
-@click.option("--spec", "spec_path", default=None, metavar="FILE",
-              help="IFS spec; rendered as a point cloud.")
-@click.option("--depth", type=int, default=6, show_default=True,
-              help="Cloud depth for IFS rendering.")
-@click.option("--out", "out_path", required=True, metavar="FILE",
-              help="SVG file to write.")
-@_cli_errors
 def cmd_render(graph_path: str | None, spec_path: str | None, depth: int,
                out_path: str) -> None:
     """Draw a graph (lines) or an IFS attractor cloud (markers) as SVG."""
@@ -419,5 +359,151 @@ def cmd_render(graph_path: str | None, spec_path: str | None, depth: int,
     _atomic_write(out_path, lines)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """The usage line reads "Usage: ..."; a description keeps its
+    paragraphs."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        # A subcommand's `prog` is formatted with prefix "", kept as is.
+        super().add_usage(usage, actions, groups,
+                          "Usage: " if prefix is None else prefix)
+
+    def _fill_text(self, text, width, indent):
+        fill = super()._fill_text
+        return "\n\n".join(fill(par, width, indent)
+                           for par in text.split("\n\n"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """`--help` but no `-h`, no abbreviated options, a usage error raised
+    as `ParseError`, and a value-taking option that takes the next
+    argument even when it starts with "-"."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False,
+                         formatter_class=_HelpFormatter, **kwargs)
+        self.takes_value: set[str] = set()
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs != 0:
+            self.takes_value.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # "--epsilon -1/2" would be an option with no value to argparse;
+        # "--epsilon=-1/2" is the same option with its value.
+        joined, rest = [], list(sys.argv[1:] if args is None else args)
+        while rest:
+            arg = rest.pop(0)
+            if arg in self.takes_value and rest:
+                arg = f"{arg}={rest.pop(0)}"
+            joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
+def _parser(prog: str | None) -> _Parser:
+    parser = _Parser(prog=prog, description=(
+        "Certified connected-cover bounds for plane continua and IFS "
+        "attractors."))
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                     required=True)
+
+    def command(fn) -> _Parser:
+        sub = commands.add_parser(fn.__name__.removeprefix("cmd_"),
+                                  help=fn.__doc__.split("\n\n")[0],
+                                  description=fn.__doc__)
+        sub.set_defaults(run=fn)
+        return sub
+
+    p = command(cmd_build)
+    p.add_argument("--spec", dest="spec_path", required=True, metavar="FILE",
+                   help="Tooth sequence spec (JSON).")
+    p.add_argument("--out", dest="out_path", required=True, metavar="FILE",
+                   help="Graph file to write.")
+
+    p = command(cmd_cover)
+    p.add_argument("--graph", dest="graph_path", required=True,
+                   metavar="FILE")
+    p.add_argument("--epsilon", required=True, metavar="P/Q",
+                   help="Scale as an exact rational.")
+    p.add_argument("--mode", choices=["upper", "lower", "both"],
+                   default="both", help="[default: %(default)s]")
+    p.add_argument("--out", dest="out_path", required=True, metavar="FILE",
+                   help="Certificate file; mode=both derives .lower/.upper "
+                        "names.")
+
+    p = command(cmd_verify)
+    p.add_argument("--graph", dest="graph_path", required=True,
+                   metavar="FILE")
+    p.add_argument("--cert", dest="cert_path", required=True, metavar="FILE")
+
+    p = command(cmd_sweep)
+    p.add_argument("--graph", dest="graph_path", required=True,
+                   metavar="FILE")
+    p.add_argument("--eps-start", required=True, metavar="P/Q")
+    p.add_argument("--eps-factor", required=True, metavar="P/Q",
+                   help="Geometric step, strictly between 0 and 1.")
+    p.add_argument("--steps", required=True, type=int, metavar="INTEGER")
+    p.add_argument("--out", dest="out_path", required=True, metavar="FILE",
+                   help="Profile CSV to write.")
+
+    p = command(cmd_ifs)
+    p.add_argument("--spec", dest="spec_path", required=True, metavar="FILE",
+                   help="IFS spec (JSON).")
+    p.add_argument("--delta", type=float, default=0.1, metavar="FLOAT",
+                   help="Slack over the dimension bound. "
+                        "[default: %(default)s]")
+    p.add_argument("--depth", type=int, default=None, metavar="INTEGER",
+                   help="Cloud depth for the diameter measurement "
+                        "(default: fixture hint or a size-capped cloud).")
+    p.add_argument("--out", dest="out_path", required=True, metavar="FILE",
+                   help="Report file to write.")
+
+    p = command(cmd_render)
+    p.add_argument("--graph", dest="graph_path", default=None, metavar="FILE")
+    p.add_argument("--spec", dest="spec_path", default=None, metavar="FILE",
+                   help="IFS spec; rendered as a point cloud.")
+    p.add_argument("--depth", type=int, default=6, metavar="INTEGER",
+                   help="Cloud depth for IFS rendering. "
+                        "[default: %(default)s]")
+    p.add_argument("--out", dest="out_path", required=True, metavar="FILE",
+                   help="SVG file to write.")
+    return parser
+
+
+def _run(args: list[str] | None, prog_name: str | None) -> int:
+    try:
+        try:
+            options = vars(_parser(prog_name).parse_args(args))
+        except SystemExit as exc:  # `--help` has printed its text
+            return exc.code
+        options.pop("run")(**options)
+    except SdimlabError as exc:
+        print(f"{exc.tag}: {exc}", file=sys.stderr)
+        return _EXIT_FOR.get(type(exc), 2)
+    return 0
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None,
+         standalone_mode: bool = True) -> int:
+    """Run one command line (default: `sys.argv[1:]`) and exit with its
+    code, or, with `standalone_mode=False`, return the code."""
+    code = _run(args, prog_name)
+    if standalone_mode:
+        sys.exit(code)
+    return code
+
+
+# perfbench/run.py's in-process runner calls
+# `main.main(args=..., prog_name="sdimlab", standalone_mode=False)`.
+main.main = main
+
+
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m sdimlab.cli")

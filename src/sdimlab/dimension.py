@@ -157,7 +157,18 @@ def write_profile_csv(profile: DimensionProfile, stream: io.TextIOBase) -> None:
                     repr(r.ratio_lower), repr(r.ratio_upper)])
 
 
+def _ascii_int(text: str) -> int:
+    # `int` also takes "1_0", " 1", "+1" and non-ASCII digits.
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a whole number: {text!r}")
+    return int(text)
+
+
 def read_profile_csv(stream: io.TextIOBase) -> DimensionProfile:
+    """Read what `write_profile_csv` writes.  The ratios are recomputed
+    from the counts, and a row whose written ratios are not the ones the
+    writer would write for them is refused, as is any other malformed
+    row."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(header) != CSV_HEADER:
@@ -168,12 +179,17 @@ def read_profile_csv(stream: io.TextIOBase) -> DimensionProfile:
             continue
         try:
             num, den, lower, upper, rl, ru = rec
-            rows.append(ScaleRow(Fraction(int(num), int(den)), int(lower),
-                                 int(upper), float(rl), float(ru)))
+            row = make_row(Fraction(_ascii_int(num), _ascii_int(den)),
+                           _ascii_int(lower), _ascii_int(upper))
+            if [rl, ru] != [repr(row.ratio_lower), repr(row.ratio_upper)]:
+                raise ValueError(
+                    f"ratios {rl}, {ru} are not those of the counts, "
+                    f"{row.ratio_lower!r}, {row.ratio_upper!r}")
         except (ValueError, ZeroDivisionError) as exc:
             raise VerificationFailure(
                 f"malformed profile CSV row {reader.line_num} {rec}: "
                 f"{exc}") from exc
+        rows.append(row)
     return DimensionProfile(tuple(rows))
 
 

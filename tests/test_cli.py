@@ -10,6 +10,9 @@ certificate.
 
 from __future__ import annotations
 
+import contextlib
+import inspect
+import io
 import json
 import os
 import subprocess
@@ -18,9 +21,10 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 import sdimlab
 from sdimlab import PLGraph, point, read_profile_csv
@@ -30,12 +34,22 @@ from sdimlab.cover import (certificate_from_json_dict, lower_separation,
 from sdimlab.ifs import FIXTURES, attractor_cloud
 from sdimlab.render import render_cloud_svg
 
-runner = CliRunner()
+
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout
+    stderr: str
 
 
-def invoke(*args, env=None):
-    return runner.invoke(main, [str(a) for a in args], env=env,
-                         catch_exceptions=False)
+def invoke(*args, env=None) -> Result:
+    """Run one command line through `main` in this process, with `env`
+    applied to `os.environ` for the call, and capture what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args], prog_name="sdimlab",
+                    standalone_mode=False)
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture()
@@ -1026,6 +1040,77 @@ def test_render_requires_exactly_one_input(tmp_path, m3_graph, sier_spec):
 
 
 # ---------------------------------------------------------------------------
+# usage
+
+COMMANDS = ["build", "cover", "verify", "sweep", "ifs", "render"]
+
+
+@pytest.mark.parametrize("args", [
+    ["cover", "--graph", "{graph}", "--mode", "upper", "--out", "{out}"],
+    ["bogus", "--graph", "{graph}"],
+    ["cover", "--graph", "{graph}", "--epsilon", "1/2", "--mode", "bogus",
+     "--out", "{out}"],
+    ["sweep", "--graph", "{graph}", "--eps-start", "1/2", "--eps-factor",
+     "1/2", "--steps", "abc", "--out", "{out}"],
+    # Accepted as --epsilon, this line would run and exit 0.
+    ["cover", "--graph", "{graph}", "--eps", "1/2", "--mode", "upper",
+     "--out", "{out}"],
+], ids=["missing-option", "unknown-command", "bad-choice", "bad-integer",
+        "abbreviation"])
+def test_usage_error_is_one_tagged_line(tmp_path, seg_graph_file, args):
+    out = tmp_path / "out"
+    res = invoke(*(a.format(graph=seg_graph_file, out=out) for a in args))
+    assert res.exit_code == 2
+    assert res.output == ""
+    assert res.stderr.startswith("PARSE: ")
+    assert res.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, detail", [
+    (["cover", "--graph", "{graph}", "--epsilon", "-1/2", "--out", "{out}"],
+     "epsilon must be positive"),
+    (["ifs", "--spec", "{spec}", "--delta", "-inf", "--out", "{out}"],
+     "delta must be finite"),
+])
+def test_an_option_takes_a_value_that_starts_with_a_dash(
+        tmp_path, seg_graph_file, sier_spec, args, detail):
+    # The value reaches the command's own check; it is not an option.
+    res = invoke(*(a.format(graph=seg_graph_file, spec=sier_spec,
+                            out=tmp_path / "out") for a in args))
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"PARSE: {detail}")
+
+
+def test_help_returns_zero_without_exiting(capsys):
+    assert main(["--help"], prog_name="sdimlab", standalone_mode=False) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Usage: sdimlab ")
+    for command in COMMANDS:
+        assert f"    {command}" in out
+
+
+def test_main_exits_with_the_code_in_standalone_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cover"], prog_name="sdimlab")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("PARSE: ")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_names_every_option_the_command_takes(command):
+    res = invoke(command, "--help")
+    assert res.exit_code == 0
+    assert res.output.startswith(f"Usage: sdimlab {command} ")
+    run = getattr(sdimlab.cli, f"cmd_{command}")
+    params = inspect.signature(run).parameters
+    assert params
+    for name in params:
+        option = "--" + name.removesuffix("_path").replace("_", "-")
+        assert f"  {option} " in res.output, (option, res.output)
+
+
+# ---------------------------------------------------------------------------
 # import boundary
 
 
@@ -1045,6 +1130,28 @@ def test_cli_import_does_not_load(module):
     # Every call, `--help` included, pays for what `sdimlab.cli` imports.
     probe = f"import sys, sdimlab.cli; print({module!r} in sys.modules)"
     assert _run_python(probe).strip() == "False"
+
+
+# `import sdimlab.cli` and `main(["--help"])`, then print the modules they
+# added.
+_ADDED_BY_HELP = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import sdimlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sdimlab.cli.main(["--help"], prog_name="sdimlab",
+                            standalone_mode=False)
+assert code == 0, code
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_help_loads_only_the_standard_library_and_sdimlab():
+    added = json.loads(_run_python(_ADDED_BY_HELP))
+    assert "sdimlab.cli" in added
+    foreign = [m for m in added if m.partition(".")[0] != "sdimlab"
+               and m.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 # Run one command as `python -m sdimlab.cli` does, then print, as the last
@@ -1099,7 +1206,7 @@ class NoNumpy:
 sys.meta_path.insert(0, NoNumpy())
 from sdimlab.cli import main
 for args in json.loads(sys.argv[1]):
-    main.main(args=args, prog_name="sdimlab", standalone_mode=False)
+    assert main(args, prog_name="sdimlab", standalone_mode=False) == 0
 print("numpy" in sys.modules)
 """
 

@@ -165,6 +165,14 @@ def test_profile_csv_round_trip_is_exact(seg_profile):
     assert back.rows == seg_profile.rows
 
 
+def test_w6_profile_csv_round_trip_is_exact(w6):
+    # The reader recomputes the ratios; they must be the ones written.
+    prof = sweep(w6, [Fraction(1, 2 ** j) for j in range(2, 7)])
+    buf = io.StringIO()
+    write_profile_csv(prof, buf)
+    assert read_profile_csv(io.StringIO(buf.getvalue())).rows == prof.rows
+
+
 def test_profile_csv_header():
     buf = io.StringIO()
     write_profile_csv(DimensionProfile(rows_for((HALF, 3, 3))), buf)
@@ -178,7 +186,12 @@ def test_profile_csv_rejects_foreign_header():
 
 
 @pytest.mark.parametrize("row", ["1,0,1,2,0.0,0.0", "1,2,1",
-                                 "x,2,1,2,0.0,0.0", "1,2,1,2,a,0.0"])
+                                 "x,2,1,2,0.0,0.0", "1,2,1,2,a,0.0",
+                                 # Rows no writer makes, each valid
+                                 # but for the one defect.
+                                 "1,4,1,2,5.0,0.5", "1,4,1,2,nan,inf",
+                                 "1_0,40,1,2,0.0,0.5",
+                                 "\u0661,4,1,2,0.0,0.5"])
 def test_profile_csv_refuses_a_malformed_row(row):
     text = f"{','.join(CSV_HEADER)}\n1,2,1,1,0.0,0.0\n{row}\n"
     with pytest.raises(VerificationFailure, match="row 3"):
