@@ -3,8 +3,9 @@
 Two worlds under one roof.  The exact side builds shark-teeth truncations
 as rational plane graphs and brackets their connected-cover numbers with
 re-checkable certificates; its per-scale ratios grow without any visible
-ceiling.  The floating-point side covers self-similar attractors by word
-pieces, where the same ratios stay pinned below ln(n)/-ln(ratio).  The
+ceiling.  The floating-point side finds, for self-similar attractors, the
+scale from which word covers keep the same ratios within a slack of
+ln(n)/-ln(ratio); it measures in floats and certifies nothing.  The
 dimension module sweeps both and puts the contrast side by side.
 
 Every submodule is imported on first use (PEP 562), so a command pays
@@ -37,10 +38,9 @@ _EXPORTS = {
     "geom": ("PLGraph", "Point", "Segment", "arrange", "dist2",
              "format_rational", "parse_rational", "point", "points_diameter2",
              "segment"),
-    "ifs": ("FIXTURES", "AffineMap2", "IFSSpec", "WordCover", "WordPiece",
-            "attractor_cloud", "cantor_dust", "cloud_diameter", "find_k0",
-            "hausdorff", "ifs_dimension_bound", "lip_affine", "s_upper_ifs",
-            "segment_halves", "sierpinski", "word_cover"),
+    "ifs": ("FIXTURES", "AffineMap2", "IFSSpec", "attractor_cloud",
+            "cantor_dust", "cloud_diameter", "find_k0", "ifs_dimension_bound",
+            "lip_affine", "segment_halves", "sierpinski"),
     "limits": ("Budget",),
     "render": ("render_cloud_svg", "render_svg"),
 }

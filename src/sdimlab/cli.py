@@ -332,10 +332,6 @@ def cmd_ifs(spec_path: str, delta: float, depth: int | None,
         if depth < 0:
             raise ParseError(f"depth must be >= 0, got {depth}")
         diameter = cloud_diameter(attractor_cloud(spec, depth, budget=budget))
-        if diameter <= 0:
-            raise ParseError(
-                f"depth {depth} cloud is a single point; cannot measure "
-                f"a diameter from it")
     report = ifs_bound_report(spec, delta, diameter=diameter, budget=budget)
     _atomic_write(out_path, [report])
     print(report, end="")

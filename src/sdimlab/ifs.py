@@ -1,30 +1,26 @@
-"""Plane iterated function systems and word covers of their attractors.
+"""Plane iterated function systems: specs, attractor clouds, scale selection.
 
 This is the floating-point half of the package: attractors of contracting
 affine systems live at machine precision, with a relative tolerance of 1e-9
 on every claimed inequality.  The useful contrast with the shark-teeth side
-is that here the cover counts n^k at scale ratio^k * D give a dimension
-bound that the covers themselves attain up to any slack, at an explicitly
-computable scale.
+is that n^k word pieces of diameter ratio^k * D keep the cover-count ratio
+near ln(n)/-ln(ratio).  Nothing here is a certificate: D is the spec's
+hint, checked against a fixed-point cloud, or a cloud's float diameter.
 
 A point is an `(x, y)` tuple of floats and a cloud is a list of points,
 so the module needs nothing beyond the standard library.  Coordinates are
 formed as `a*x + b*y + e` and distances as `sqrt(dx*dx + dy*dy)`, one
 rounding per operation in that order, so a result does not depend on the
-machine's summation order or fused multiply-add.
-
-Diameters are measured on convex-hull vertices, found by Andrew's
-monotone chain (A. M. Andrew, *Another efficient algorithm for convex
-hulls in two dimensions*, Inf. Process. Lett., 1979): sort the points by
-(x, y), then build the lower and upper chains, dropping every point that
-does not make a strict left turn.
+machine's summation order or fused multiply-add.  Diameters are
+measured on convex-hull vertices.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ParseError, VerificationFailure
@@ -52,14 +48,6 @@ class AffineMap2:
     def apply(self, pts: Iterable[Point]) -> list[Point]:
         a, b, c, d, e, f = self.a, self.b, self.c, self.d, self.e, self.f
         return [(a * x + b * y + e, c * x + d * y + f) for x, y in pts]
-
-    def compose(self, other: "AffineMap2") -> "AffineMap2":
-        """self after other: x -> A (B x + s) + t."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return AffineMap2(a * other.a + b * other.c, a * other.b + b * other.d,
-                          c * other.a + d * other.c, c * other.b + d * other.d,
-                          a * other.e + b * other.f + self.e,
-                          c * other.e + d * other.f + self.f)
 
     def fixed_point(self) -> Point:
         """Solve (I - A) x = t by Cramer's rule.
@@ -102,6 +90,8 @@ class IFSSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
+        if type(self.name) is not str:
+            raise TypeError(f"name must be a string, got {self.name!r}")
         if not self.maps:
             raise ValueError("need at least one map")
         for m in self.maps:
@@ -140,17 +130,24 @@ class IFSSpec:
         if data.get("version") != FORMAT_VERSION:
             raise ParseError(f"unsupported version {data.get('version')!r}")
         try:
-            maps = tuple(
-                AffineMap2(float(m["matrix"][0][0]), float(m["matrix"][0][1]),
-                           float(m["matrix"][1][0]), float(m["matrix"][1][1]),
-                           float(m["shift"][0]), float(m["shift"][1]))
-                for m in data["maps"]
-            )
+            maps = []
+            for m in data["maps"]:
+                (a, b), (c, d) = m["matrix"]
+                e, f = m["shift"]
+                maps.append(AffineMap2(*map(_number, (a, b, c, d, e, f))))
             hint = data.get("diameter_hint")
-            return cls(maps, str(data.get("name", "")),
-                       None if hint is None else float(hint))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            return cls(maps, data.get("name", ""),
+                       None if hint is None else _number(hint))
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed IFS document: {exc}") from exc
+
+
+def _number(value) -> float:
+    """A JSON number but not a bool, or an ASCII numeral with no space or _."""
+    if not (type(value) in (int, float) or type(value) is str and
+            re.fullmatch(r"[0-9A-Za-z.+-]+", value)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
 
 
 def _toward(point: tuple[float, float], scale: float) -> AffineMap2:
@@ -279,7 +276,10 @@ def _chain(pts: list[Point]) -> list[Point]:
 
 
 def _extreme_points(pts: Sequence[Point]) -> list[Point]:
-    """Hull vertices in counter-clockwise order, by Andrew's monotone chain.
+    """Hull vertices in counter-clockwise order, by Andrew's monotone chain
+    (A. M. Andrew, *Another efficient algorithm for convex hulls in two
+    dimensions*, Inf. Process. Lett., 1979): sort the points by (x, y),
+    then build the lower and upper chains.
 
     Points on a hull edge are dropped, so a collinear cloud yields its two
     end points and a cloud of copies of one point yields that point.  The
@@ -313,21 +313,7 @@ def cloud_diameter(pts: Sequence[Point]) -> float:
     return diameter
 
 
-def hausdorff(a: Sequence[Point], b: Sequence[Point]) -> float:
-    """Symmetric Hausdorff distance between two point clouds."""
-
-    def directed(src: Sequence[Point], dst: Sequence[Point]) -> float:
-        return max(min((qx - px) * (qx - px) + (qy - py) * (qy - py)
-                       for qx, qy in dst)
-                   for px, py in src)
-
-    return math.sqrt(max(directed(a, b), directed(b, a)))
-
-
-def _measured_diameter(spec: IFSSpec, budget: Budget,
-                       override: float | None = None) -> float:
-    if override is not None:
-        return override
+def _measured_diameter(spec: IFSSpec, budget: Budget) -> float:
     depth = _cloud_depth(len(spec.maps))
     measured = cloud_diameter(attractor_cloud(spec, depth, budget=budget))
     hint = spec.diameter_hint
@@ -341,84 +327,6 @@ def _measured_diameter(spec: IFSSpec, budget: Budget,
     return hint
 
 
-@dataclass(frozen=True)
-class WordPiece:
-    """One piece of a word cover: the word, the image of the attractor's
-    extreme points under it as a tuple of `(x, y)` points, and the piece
-    diameter measured on them."""
-    word: tuple[int, ...]
-    points: tuple[Point, ...]
-    diameter: float
-
-
-@dataclass(frozen=True)
-class WordCover:
-    """The word pieces w(A) over all words of one length.
-
-    `diameter` is the ambient attractor diameter D the bound is relative
-    to; `bound` is ratio^k * D, which every piece diameter must respect.
-    The piece count n^k is the cover count this scale certifies.
-    """
-    k: int
-    pieces: tuple[WordPiece, ...]
-    diameter: float
-    bound: float
-
-    @property
-    def words(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.word for p in self.pieces)
-
-    @property
-    def diameters(self) -> tuple[float, ...]:
-        return tuple(p.diameter for p in self.pieces)
-
-
-def word_cover(spec: IFSSpec, k: int,
-               base_cloud: Sequence[Point] | None = None,
-               budget: Budget | None = None) -> WordCover:
-    """Measure every length-k piece and check it against ratio^k * D.
-
-    Piece diameters are evaluated on the base cloud's extreme points: the
-    image of a compact set under an affine map has its diameter on hull
-    pairs, so pushing the pairwise difference vectors through the word's
-    composed linear part is exact up to roundoff.  The base cloud defaults
-    to a fixed-point cloud at a size-capped depth.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    budget = budget or Budget()
-    n = len(spec.maps)
-    budget.check_words(n, k)
-    budget.check_depth(k)
-    if base_cloud is None:
-        base_cloud = attractor_cloud(spec, _cloud_depth(n), budget=budget)
-    ext = _extreme_points(base_cloud)
-    diffs = [(px - qx, py - qy)
-             for i, (px, py) in enumerate(ext) for qx, qy in ext[i + 1:]]
-    diffs = diffs or [(0.0, 0.0)]
-    dhat = max(_norm(dx, dy) for dx, dy in diffs)
-    lam = spec.ratio()
-    bound = lam ** k * dhat
-    # One compose per tree node instead of k per word.  Each level lists
-    # its maps in the lexicographic order of their words, which `product`
-    # then builds once each, at the last level only.
-    level = [AffineMap2(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)]
-    for _ in range(k):
-        level = [comp.compose(m) for comp in level for m in spec.maps]
-    pieces = []
-    for word, comp in zip(product(range(n), repeat=k), level):
-        a, b, c, d = comp.a, comp.b, comp.c, comp.d
-        diam = max(_norm(a * dx + b * dy, c * dx + d * dy)
-                   for dx, dy in diffs)
-        pieces.append(WordPiece(word, tuple(comp.apply(ext)), diam))
-    worst = max(pieces, key=lambda p: p.diameter, default=None)
-    if worst is not None and worst.diameter > bound * (1 + REL_TOL):
-        raise VerificationFailure(
-            f"word {worst.word} has diameter {worst.diameter} above "
-            f"the contraction bound {bound}")
-    return WordCover(k, tuple(pieces), dhat, bound)
-
-
 def _cloud_depth(n: int) -> int:
     # Cap covers n == 1, where the point count never grows with depth.
     depth = 1
@@ -427,34 +335,11 @@ def _cloud_depth(n: int) -> int:
     return depth
 
 
-def s_upper_ifs(spec: IFSSpec, eps: float,
-                diameter: float | None = None,
-                budget: Budget | None = None) -> int:
-    """Certified cover count at scale eps: n^k for the first k that works.
-
-    k is the least exponent with ratio^k * D < eps; the n^k length-k word
-    pieces cover the attractor at diameter <= ratio^k * D < eps.  Each
-    piece is an affine image of the whole attractor, so when the attractor
-    is connected the pieces are admissible connected cover elements; for a
-    disconnected attractor the count bounds the unrestricted cover number.
-    Nothing is materialized, so the count may be astronomically large.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    budget = budget or Budget()
-    d = _measured_diameter(spec, budget, diameter)
-    lam = spec.ratio()
-    k = 0
-    while lam ** k * d >= eps:
-        k += 1
-    return len(spec.maps) ** k
-
-
 def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
             budget: Budget | None = None) -> tuple[int, float]:
     """Smallest word length whose cover ratio sits within delta of the bound.
 
-    At eps_k = ratio^(k-1) * D the certified count is n^k, giving the
+    At eps_k = ratio^(k-1) * D the word-cover count is n^k, giving the
     ratio k ln(n) / -ln(eps_k).  This decreases toward the dimension bound
     as k grows; the returned k0 is the first index where it is below
     bound + delta (with eps_k already below 1), re-checked over the
@@ -463,10 +348,10 @@ def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
     if not delta > 0:
         raise ValueError("delta must be positive")
     budget = budget or Budget()
-    d = _measured_diameter(spec, budget, diameter)
+    d = _measured_diameter(spec, budget) if diameter is None else diameter
     if not d > 0:
-        raise ParseError("attractor is a single point; there is no scale "
-                         "sequence to anchor")
+        raise ParseError(f"attractor diameter {d!r} is not positive; there "
+                         f"is no scale sequence to anchor")
     n = len(spec.maps)
     lam = spec.ratio()
     bound = ifs_dimension_bound(spec)

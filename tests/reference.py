@@ -1,6 +1,7 @@
-"""Test-only references: the brute-force oracle and the delta-fragment clip.
+"""Test-only references: the brute-force oracle, the delta-fragment clip,
+and float word pieces and Hausdorff distances for IFS clouds.
 
-Neither is on any library path.  `DeltaClip` is the clipped ball that
+None of them is on any library path.  `DeltaClip` is the clipped ball that
 separation certificates used before the exact clip: every edge near the
 ball is cut into fragments no longer than delta, and a fragment is kept
 when its exact distance to the center is <= eps.  The kept union contains
@@ -9,6 +10,10 @@ the exact clip's, and a pair it separates the exact clip separates too.
 `brute_force_oracle` brackets the connected-cover number of a tiny host
 by exhaustive search, with `DeltaClip` deciding separation on its lower
 side, so it shares no clip code with the library.
+
+`word_maps` composes every length-k word of an IFS into one affine map,
+so that tests can measure the word pieces that the library's dimension
+bound counts; `hausdorff` measures how far two point clouds are apart.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from sdimlab import exactcore as xc
 from sdimlab.cover import GraphPoint, _Work
 from sdimlab.errors import SizeLimit
 from sdimlab.geom import PLGraph, UnionFind, merge_intervals
+from sdimlab.ifs import AffineMap2, IFSSpec, Point
 from sdimlab.limits import Budget
 
 ORACLE_MAX_EDGES = 12
@@ -291,3 +297,32 @@ def _oracle_lower(graph, counts, eps, eps2, d_eff, work) -> int:
     except _SearchCap:
         pass
     return best[0]
+
+
+def compose(outer: AffineMap2, inner: AffineMap2) -> AffineMap2:
+    """outer after inner: x -> A (B x + s) + t."""
+    a, b, c, d = outer.a, outer.b, outer.c, outer.d
+    return AffineMap2(a * inner.a + b * inner.c, a * inner.b + b * inner.d,
+                      c * inner.a + d * inner.c, c * inner.b + d * inner.d,
+                      a * inner.e + b * inner.f + outer.e,
+                      c * inner.e + d * inner.f + outer.f)
+
+
+def word_maps(spec: IFSSpec, k: int) -> list[AffineMap2]:
+    """The map of every length-k word, leftmost symbol applied last, in
+    lexicographic word order: n^k maps from one compose per tree node."""
+    level = [AffineMap2(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)]
+    for _ in range(k):
+        level = [compose(w, m) for w in level for m in spec.maps]
+    return level
+
+
+def hausdorff(a: list[Point], b: list[Point]) -> float:
+    """Symmetric Hausdorff distance between two point clouds."""
+
+    def directed(src: list[Point], dst: list[Point]) -> float:
+        return max(min((qx - px) * (qx - px) + (qy - py) * (qy - py)
+                       for qx, qy in dst)
+                   for px, py in src)
+
+    return math.sqrt(max(directed(a, b), directed(b, a)))

@@ -864,6 +864,31 @@ def test_ifs_single_map_bound_zero(tmp_path):
     assert "bound=0.0000" in res.output
 
 
+def test_ifs_single_map_report_is_the_same_at_any_depth(tmp_path):
+    # A one-map cloud is a single point at every depth; its zero diameter
+    # anchors no scale, and the one-map report needs none.
+    spec = tmp_path / "solo.json"
+    doc = FIXTURES["sierpinski"]().to_json_dict()
+    doc["maps"] = doc["maps"][:1]
+    spec.write_text(json.dumps(doc))
+    plain = invoke("ifs", "--spec", spec, "--out", tmp_path / "a.txt")
+    deep = invoke("ifs", "--spec", spec, "--depth", "3",
+                  "--out", tmp_path / "b.txt")
+    assert plain.exit_code == deep.exit_code == 0
+    assert "single map" in plain.output
+    assert deep.output == plain.output
+    assert (tmp_path / "b.txt").read_text() == plain.output
+
+
+def test_ifs_depth_zero_cloud_anchors_no_scale(tmp_path, sier_spec):
+    out = tmp_path / "r.txt"
+    res = invoke("ifs", "--spec", sier_spec, "--depth", "0", "--out", out)
+    assert res.exit_code == 2
+    assert res.stderr.startswith(
+        "PARSE: attractor diameter 0.0 is not positive")
+    assert not out.exists()
+
+
 def test_ifs_rejects_expanding_maps(tmp_path):
     spec = tmp_path / "fat.json"
     doc = FIXTURES["sierpinski"]().to_json_dict()

@@ -1,4 +1,4 @@
-"""Contractive affine systems: Lipschitz ratios, clouds, word covers.
+"""Contractive affine systems: Lipschitz ratios, clouds, scale selection.
 
 Numeric assertions use a relative tolerance of 1e-9 except where a value
 is exact in floating point (powers of two, coordinates of fixed points).
@@ -6,7 +6,9 @@ The Lipschitz oracle is numpy's SVD, which shares nothing with the
 closed-form 2x2 computation under test; the hull-based cloud diameter is
 checked against a brute-force maximum over all pairs.  numpy is a test
 dependency only: it also serves as the vectorised reference for attractor
-clouds, and the tests that need it skip when it is missing.
+clouds, and the tests that need it skip when it is missing.  It is
+imported once per module, so that no Hypothesis example pays for the
+import inside its deadline.
 """
 
 from __future__ import annotations
@@ -18,15 +20,20 @@ import time
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from reference import compose, hausdorff
 
 from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
-                     VerificationFailure, attractor_cloud, cloud_diameter,
-                     find_k0, hausdorff, ifs_dimension_bound, lip_affine,
-                     s_upper_ifs, word_cover)
+                     attractor_cloud, cloud_diameter, find_k0,
+                     ifs_dimension_bound, lip_affine)
 from sdimlab.ifs import FIXTURES, _extreme_points
 from sdimlab.render import render_cloud_svg
 
 REL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def np():
+    return pytest.importorskip("numpy")
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +67,7 @@ coef = st.floats(min_value=-2, max_value=2, allow_nan=False,
 
 
 @given(a=coef, b=coef, c=coef, d=coef)
-def test_lip_affine_matches_svd_oracle(a, b, c, d):
-    np = pytest.importorskip("numpy")
+def test_lip_affine_matches_svd_oracle(np, a, b, c, d):
     m = AffineMap2(a, b, c, d, 0.0, 0.0)
     sigma = float(np.linalg.svd(np.array([[a, b], [c, d]]),
                                 compute_uv=False)[0])
@@ -85,7 +91,7 @@ def test_fixed_point_is_fixed(sier):
 def test_compose_matches_sequential_application(sier):
     m1, m2 = sier.maps[0], sier.maps[1]
     pts = [(0.2, 0.7), (1.0, -1.0)]
-    _all_close(m1.compose(m2).apply(pts), m1.apply(m2.apply(pts)),
+    _all_close(compose(m1, m2).apply(pts), m1.apply(m2.apply(pts)),
                atol=1e-12)
 
 
@@ -104,10 +110,10 @@ def test_spec_requires_at_least_one_map():
         IFSSpec(())
 
 
-def test_spec_json_round_trip(sier, dust):
-    for spec in (sier, dust):
-        back = IFSSpec.from_json_dict(spec.to_json_dict())
-        assert back == spec
+def test_spec_json_round_trip():
+    for make in FIXTURES.values():
+        spec = make()
+        assert IFSSpec.from_json_dict(spec.to_json_dict()) == spec
 
 
 def test_spec_json_rejects_malformed(sier):
@@ -117,6 +123,48 @@ def test_spec_json_rejects_malformed(sier):
                    lambda d: {**d, "maps": [{"matrix": [["1", "0"]]}]}):
         with pytest.raises(ParseError):
             IFSSpec.from_json_dict(mangle(good))
+
+
+def _set_entry(doc, where, value):
+    if where == "matrix":
+        doc["maps"][0]["matrix"][0][0] = value
+    elif where == "shift":
+        doc["maps"][1]["shift"][0] = value
+    else:
+        doc["diameter_hint"] = value
+
+
+# A bare `float()` reads the strings as 0.5 or 10.0 and the bools as 0.0
+# and 1.0.  A null hint is how a spec says it has none.
+_PROBES = ("\u0660.\u0665", " 0.5 ", "0.5\n", "1_0", False, True, None,
+           ["0.5"])
+
+
+@pytest.mark.parametrize("where,value", [
+    (where, value) for where in ("matrix", "shift", "diameter_hint")
+    for value in _PROBES if not (where == "diameter_hint" and value is None)])
+def test_spec_refuses_entries_no_writer_writes(sier, where, value):
+    doc = sier.to_json_dict()
+    _set_entry(doc, where, value)
+    with pytest.raises(ParseError, match="not a number"):
+        IFSSpec.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("value", [0.5, "0.5", "5e-1", ".5", "+0.50"])
+@pytest.mark.parametrize("where", ["matrix", "shift", "diameter_hint"])
+def test_spec_reads_json_numbers_and_plain_numerals(sier, where, value):
+    doc = sier.to_json_dict()
+    _set_entry(doc, where, value)
+    want = sier.to_json_dict()
+    _set_entry(want, where, "0.5")
+    assert IFSSpec.from_json_dict(doc) == IFSSpec.from_json_dict(want)
+
+
+@pytest.mark.parametrize("name", [["x"], 7, None, True])
+def test_spec_name_must_be_a_string(sier, name):
+    doc = {**sier.to_json_dict(), "name": name}
+    with pytest.raises(ParseError, match="name must be a string"):
+        IFSSpec.from_json_dict(doc)
 
 
 @pytest.mark.parametrize("hint", [-1.0, math.nan, math.inf, -math.inf])
@@ -130,13 +178,10 @@ def test_spec_rejects_impossible_diameter_hint(sier, hint):
 
 
 def test_hint_below_cloud_diameter_is_refused(sier):
-    # 0.01 would make s_upper_ifs(0.1) return 1 instead of 81.
     small = IFSSpec(sier.maps, "small", 0.01)
-    with pytest.raises(ParseError):
-        s_upper_ifs(small, 0.1)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="below the diameter"):
         find_k0(small, 0.1)
-    assert s_upper_ifs(sier, 0.1) == 81
+    assert find_k0(sier, 0.1) == (17, 2.0 ** -16)
 
 
 def test_json_rejects_expanding_system(sier):
@@ -224,8 +269,6 @@ def test_word_budget_refuses_huge_depth_promptly(sier, depth):
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded) as info:
         attractor_cloud(sier, depth)
-    with pytest.raises(BudgetExceeded):
-        word_cover(sier, depth)
     assert time.perf_counter() - t0 < 5.0
     assert str(info.value) == (f"word count 3^{depth} exceeds budget "
                                f"{Budget().max_words}")
@@ -235,12 +278,8 @@ def test_one_map_depth_is_bounded_by_the_word_budget(sier):
     solo = IFSSpec(sier.maps[:1])
     budget = Budget(max_words=5)
     assert len(attractor_cloud(solo, 5, budget=budget)) == 1
-    assert len(word_cover(solo, 5, base_cloud=[(0.0, 0.0), (1.0, 0.0)],
-                          budget=budget).pieces) == 1
     with pytest.raises(BudgetExceeded, match="depth 6 exceeds"):
         attractor_cloud(solo, 6, budget=budget)
-    with pytest.raises(BudgetExceeded, match="depth 6 exceeds"):
-        word_cover(solo, 6, base_cloud=[(0.0, 0.0)], budget=budget)
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded):
         attractor_cloud(solo, 30_000_000)
@@ -410,8 +449,7 @@ def _gasket_bench_spec() -> IFSSpec:
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["gasket-bench"])
-def test_cloud_is_bit_identical_to_numpy_reference(name):
-    np = pytest.importorskip("numpy")
+def test_cloud_is_bit_identical_to_numpy_reference(np, name):
     spec = _gasket_bench_spec() if name == "gasket-bench" else \
         FIXTURES[name]()
     for depth in range(9):
@@ -431,11 +469,10 @@ contractions = st.builds(AffineMap2, small, small, small, small, shift, shift)
 
 @given(maps=st.lists(contractions, min_size=1, max_size=3),
        depth=st.integers(0, 5))
-def test_cloud_matches_numpy_reference_on_random_maps(maps, depth):
+def test_cloud_matches_numpy_reference_on_random_maps(np, maps, depth):
     # Entries below 0.45 in size give a Frobenius norm, and so a ratio,
     # of at most 0.9.  The seed solve and fused multiply-adds may differ
     # in the last bits, hence a tolerance relative to the cloud's size.
-    np = pytest.importorskip("numpy")
     spec = IFSSpec(tuple(maps))
     cloud = np.array(attractor_cloud(spec, depth), dtype=float)
     ref = _numpy_cloud(np, spec, depth)
@@ -445,85 +482,7 @@ def test_cloud_matches_numpy_reference_on_random_maps(maps, depth):
 
 
 # ---------------------------------------------------------------------------
-# word covers
-
-
-def test_word_cover_piece_count_and_bound(sier):
-    wc = word_cover(sier, 3)
-    assert wc.k == 3
-    assert len(wc.pieces) == 27
-    assert len(set(wc.words)) == 27
-    assert all(len(w) == 3 for w in wc.words)
-    assert wc.bound == pytest.approx(0.5 ** 3 * wc.diameter, rel=REL)
-    assert max(wc.diameters) <= wc.bound * (1 + REL)
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-@pytest.mark.parametrize("k", [1, 2, 4, 8])
-def test_word_cover_bound_holds_on_fixtures(name, k):
-    spec = FIXTURES[name]()
-    wc = word_cover(spec, k)
-    assert len(wc.pieces) == len(spec.maps) ** k
-    assert max(wc.diameters) <= spec.ratio() ** k * wc.diameter * (1 + REL)
-
-
-def test_word_cover_respects_word_budget(sier):
-    with pytest.raises(BudgetExceeded):
-        word_cover(sier, 3, budget=Budget(max_words=10))
-
-
-def test_word_cover_k_zero_is_one_piece(sier):
-    wc = word_cover(sier, 0)
-    assert len(wc.pieces) == 1
-    assert wc.words == ((),)
-    assert wc.bound == pytest.approx(wc.diameter, rel=0)
-
-
-def test_word_cover_rejects_negative_k(sier):
-    with pytest.raises(ValueError):
-        word_cover(sier, -1)
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_word_cover_composes_each_word_in_tree_order(name):
-    # Words come in lexicographic order, and each word's map is its
-    # parent's map composed with the last symbol's, so every diameter is
-    # the same float as the tree walk gives.
-    spec = FIXTURES[name]()
-    level = [((), AffineMap2(1.0, 0.0, 0.0, 1.0, 0.0, 0.0))]
-    for _ in range(4):
-        level = [(w + (s,), comp.compose(m)) for w, comp in level
-                 for s, m in enumerate(spec.maps)]
-    cloud = attractor_cloud(spec, 4)
-    wc = word_cover(spec, 4, base_cloud=cloud)
-    assert wc.words == tuple(w for w, _ in level)
-    ext = _extreme_points(cloud)
-    assert [p.points for p in wc.pieces] \
-        == [tuple(comp.apply(ext)) for _, comp in level]
-
-
-def test_one_map_word_cover_is_linear_in_depth():
-    # Copying the word prefix at every level made depth 40,000 take 3 s.
-    solo = IFSSpec((AffineMap2(0.5, 0.0, 0.0, 0.5, 0.25, 0.0),), "solo")
-    t0 = time.perf_counter()
-    wc = word_cover(solo, 100_000, base_cloud=[(0.0, 0.0), (1.0, 0.0)])
-    assert time.perf_counter() - t0 < 5.0
-    assert wc.words == ((0,) * 100_000,)
-
-
-# ---------------------------------------------------------------------------
 # scale selection
-
-
-def test_s_upper_ifs_frozen_values(sier, halves):
-    assert s_upper_ifs(sier, 0.2) == 27
-    assert s_upper_ifs(halves, 1.0) == 2
-    assert s_upper_ifs(halves, 2 ** -10 + 1e-15) == 1024
-
-
-def test_s_upper_ifs_monotone_in_eps(sier):
-    counts = [s_upper_ifs(sier, eps) for eps in (0.5, 0.1, 0.02, 0.004)]
-    assert counts == sorted(counts)
 
 
 def test_find_k0_sierpinski_frozen(sier):
@@ -561,13 +520,6 @@ def test_find_k0_rejects_nan_delta(sier):
 def test_find_k0_rejects_point_attractor():
     twin = IFSSpec((AffineMap2(0.5, 0, 0, 0.5, 0, 0),
                     AffineMap2(0.25, 0, 0, 0.25, 0, 0)))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="diameter 0.0 is not positive"):
         find_k0(twin, 0.1)
 
-
-def test_word_cover_matches_s_upper_at_its_own_scale(sier):
-    # At eps just above the bound of a k-word cover, s_upper_ifs agrees.
-    for k in (2, 3, 4):
-        wc = word_cover(sier, k)
-        eps = wc.bound * (1 + 1e-12)
-        assert s_upper_ifs(sier, eps, diameter=wc.diameter) == 3 ** k

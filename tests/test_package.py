@@ -33,24 +33,24 @@ EXPORTS = (
     "SdimlabError", "Segment", "SeparationCertificate", "SizeLimit",
     "SubSet", "TooFewScales", "ToothPolyline",
     "ToothSequenceSpec", "TruncationGuard", "VerificationFailure",
-    "WordCover", "WordPiece", "arrange", "attractor_cloud",
+    "arrange", "attractor_cloud",
     "build_shark_teeth", "cantor_dust", "certificate_from_json_dict",
     "check_cover", "check_separation", "cloud_diameter", "continuum", "cover",
     "dimension", "dist2", "errors", "exactcore", "find_k0",
-    "format_rational", "geom", "hausdorff", "ifs", "ifs_bound_report",
+    "format_rational", "geom", "ifs", "ifs_bound_report",
     "ifs_dimension_bound", "limit_check", "limits", "lip_affine",
     "lower_separation", "make_row", "n_k", "next_amplitude_bound",
     "parse_rational", "phi", "phi_n", "point", "points_diameter2",
     "predicted_counts", "read_profile_csv", "render", "render_cloud_svg",
-    "render_svg", "s_bounds", "s_upper_ifs", "scale_ratio", "sdim_estimate",
+    "render_svg", "s_bounds", "scale_ratio", "sdim_estimate",
     "segment", "segment_halves", "sierpinski", "spec_from_meta", "sweep",
     "tooth_height", "tooth_polyline", "truncation_guard", "upper_cover",
-    "word_cover", "write_profile_csv",
+    "write_profile_csv",
 )
 
 
 def test_all_is_pinned():
-    assert len(EXPORTS) == 83
+    assert len(EXPORTS) == 78
     assert sdimlab.__all__ == sorted(EXPORTS)
 
 
