@@ -9,7 +9,9 @@ Everything here brackets that number for a `PLGraph` host:
     and whose fragments cover every edge.  In a document each element is
     an array of `[edge, lo, hi]` fragments; a lone point, a vertex
     included, is a fragment with lo == hi.  A piece ends each stretch at
-    its exact reach, rounded down onto a dyadic grid in integers.
+    its exact reach, rounded down onto a dyadic grid in integers.  The
+    greedy covers a prefix and a suffix of each edge, so two ends per edge
+    hold all that it has covered.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  The document
     is the points alone.  A pair at distance >= eps needs nothing more; for
@@ -221,7 +223,7 @@ class SeparationCertificate:
     def witnesses(self) -> tuple:
         """Always empty: a version 3 document lists no witnesses.  Its one
         reader is `perfbench/tracing.py`, which counts witnesses by kind;
-        it goes with ROADMAP item 6, when the tracer reads a stats record.
+        it goes with ROADMAP item 5, when the tracer reads a stats record.
         """
         return ()
 
@@ -522,35 +524,6 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
 # upper bound: greedy connected cover
 
 
-def _gap_right(covered: list[tuple[Fraction, Fraction]],
-               a: Fraction) -> Fraction | None:
-    """End of the uncovered stretch starting at a, or None if a is interior
-    to covered territory (or at the edge end)."""
-    if a >= 1:
-        return None
-    for lo, hi in covered:
-        if lo <= a:
-            if hi > a:
-                return None
-        else:
-            return lo
-    return Fraction(1)
-
-
-def _gap_left(covered: list[tuple[Fraction, Fraction]],
-              a: Fraction) -> Fraction | None:
-    if a <= 0:
-        return None
-    out = Fraction(0)
-    for lo, hi in covered:
-        if hi >= a:
-            if lo < a:
-                return None
-            break
-        out = hi
-    return out
-
-
 def _extend(graph: PLGraph, e: int, a: Fraction, b: Fraction, forward: bool,
             s_raw: Collection, en: int, ed: int, work: _Work) -> Fraction:
     """b if the point at b lies strictly within eps of every piece
@@ -617,6 +590,13 @@ def upper_cover(graph: PLGraph, eps: Fraction,
     along edges and fanning out at vertices, but only ever into territory
     no earlier piece has claimed; this keeps each piece's contribution
     maximal instead of re-treading covered ground.
+
+    The covered part of edge e is always [0, lo] ∪ [hi, 1] for
+    `ends[e] == [lo, hi]`, from [0, 1] at the start; the edge is done once
+    lo >= hi.  A forward stretch starts only at lo: at the anchor, or at
+    vertex 0 while lo is 0.  A backward one starts only at vertex 1 while
+    hi is 1.  A stretch stops at or before the other end, and `_extend`
+    returns a point strictly past its start, so each stretch moves one end.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -625,35 +605,19 @@ def upper_cover(graph: PLGraph, eps: Fraction,
     eps2 = eps * eps
     en, ed = eps2.numerator, eps2.denominator
     ne = len(graph.edges)
-    covered: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(ne)]
-
-    # Every edge before the last one `first_gap` returned is covered end
-    # to end, and coverage only grows, so the scan resumes there.
-    cursor = 0
-
-    def first_gap() -> tuple[int, Fraction] | None:
-        nonlocal cursor
-        for e in range(cursor, ne):
-            ivs = covered[e]
-            if not ivs or ivs[0][0] > 0:
-                cursor = e
-                return e, Fraction(0)
-            if ivs[0][1] < 1:
-                cursor = e
-                return e, ivs[0][1]
-        cursor = ne
-        return None
-
+    zero, one = Fraction(0), Fraction(1)
+    ends = [[zero, one] for _ in range(ne)]
     elements: list[SubSet] = []
+    e0 = 0  # every edge before e0 is covered end to end
     while True:
-        anchor = first_gap()
-        if anchor is None:
+        while e0 < ne and ends[e0][0] >= ends[e0][1]:
+            e0 += 1
+        if e0 == ne:
             break
-        e0, a0 = anchor
         s_raw: dict[tuple, None] = {}  # an ordered set of kernel tuples
         frags: dict[int, list[tuple[Fraction, Fraction]]] = {}
         piece_vertices: set[int] = set()
-        queue: deque = deque([(e0, a0, True)])
+        queue: deque = deque([(e0, ends[e0][0], True)])
 
         def absorb(v: int) -> None:
             if v in piece_vertices:
@@ -664,8 +628,8 @@ def upper_cover(graph: PLGraph, eps: Fraction,
 
         while queue:
             e, a, forward = queue.popleft()
-            b = (_gap_right if forward else _gap_left)(covered[e], a)
-            if b is None:
+            lo_e, hi_e = ends[e]
+            if lo_e >= hi_e or a != (lo_e if forward else hi_e):
                 continue
             ra = graph.edge_raw(e, a)
             if s_raw and ra not in s_raw:
@@ -673,11 +637,12 @@ def upper_cover(graph: PLGraph, eps: Fraction,
                 if not xc.all_dist2_below(s_raw, ra, en, ed):
                     continue
             s_raw[ra] = None
-            c = _extend(graph, e, a, b, forward, s_raw, en, ed, work)
+            c = _extend(graph, e, a, hi_e if forward else lo_e, forward,
+                        s_raw, en, ed, work)
             s_raw[graph.edge_raw(e, c)] = None
+            ends[e][0 if forward else 1] = c
             lo, hi = (a, c) if forward else (c, a)
             frags.setdefault(e, []).append((lo, hi))
-            covered[e] = merge_intervals(covered[e] + [(lo, hi)])
             if lo == 0:
                 absorb(graph.edges[e][0])
             if hi == 1:

@@ -60,6 +60,14 @@ def parse_index(value) -> int:
     return value
 
 
+def parse_pair(value) -> list:
+    """A JSON array of two items, as a vertex or an edge is written.  A
+    string, an object or any other iterable is rejected, not unpacked."""
+    if type(value) is not list or len(value) != 2:
+        raise ParseError(f"not a pair: {value!r}")
+    return value
+
+
 def format_rational(q: Fraction) -> str:
     return str(q)
 
@@ -274,10 +282,10 @@ class PLGraph:
         if data.get("version") != FORMAT_VERSION:
             raise ParseError(f"unsupported version {data.get('version')!r}")
         try:
-            vertices = [Point(parse_rational(x), parse_rational(y))
-                        for x, y in data["vertices"]]
-            edges = [(parse_index(i), parse_index(j))
-                     for i, j in data["edges"]]
+            vertices = [Point(*map(parse_rational, parse_pair(v)))
+                        for v in data["vertices"]]
+            edges = [tuple(map(parse_index, parse_pair(e)))
+                     for e in data["edges"]]
             meta = data.get("meta", {})
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph document: {exc}") from exc

@@ -132,8 +132,8 @@ class IFSSpec:
         try:
             maps = []
             for m in data["maps"]:
-                (a, b), (c, d) = m["matrix"]
-                e, f = m["shift"]
+                (a, b), (c, d) = map(_pair, _pair(m["matrix"]))
+                e, f = _pair(m["shift"])
                 maps.append(AffineMap2(*map(_number, (a, b, c, d, e, f))))
             hint = data.get("diameter_hint")
             return cls(maps, data.get("name", ""),
@@ -148,6 +148,15 @@ def _number(value) -> float:
             re.fullmatch(r"[0-9A-Za-z.+-]+", value)):
         raise ValueError(f"not a number: {value!r}")
     return float(value)
+
+
+def _pair(value) -> list:
+    """A JSON array of two items; a string or an object is not unpacked.
+    `geom.parse_pair` is the same check, but importing `geom` would load
+    the exact layer into the float commands."""
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"not a pair: {value!r}")
+    return value
 
 
 def _toward(point: tuple[float, float], scale: float) -> AffineMap2:

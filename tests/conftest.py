@@ -93,6 +93,31 @@ def lshape_graph():
     ])
 
 
+@pytest.fixture(scope="session")
+def kite_graph():
+    """Two crossing diagonals of the box [0, 4] x [0, 3], its floor, and a
+    post x = 1 that crosses both diagonals and stands on the floor in a
+    T-junction at (1, 0)."""
+    return arrange([
+        segment(point(0, 0), point(4, 3)),
+        segment(point(0, 3), point(4, 0)),
+        segment(point(1, 0), point(1, 3)),
+        segment(point(0, 0), point(4, 0)),
+    ])
+
+
+@pytest.fixture(scope="session")
+def fork_graph():
+    """A slope y = 2x/5 crossed at x = 35/19 by a second segment, and a
+    post from (4, 0) ending in a T-junction on the slope at (4, 8/5)."""
+    return arrange([
+        segment(point(0, 0), point(5, 2)),
+        segment(point(1, 2), point(3, -1)),
+        segment(point(4, 0), point(4, Fraction(8, 5))),
+        segment(point(3, -1), point(4, 0)),
+    ])
+
+
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 EIGHTH = Fraction(1, 8)

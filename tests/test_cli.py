@@ -669,6 +669,22 @@ def test_verify_refuses_a_host_whose_meta_is_not_an_object(tmp_path,
     assert res.stderr.startswith("PARSE:")
 
 
+def test_verify_refuses_a_host_whose_vertices_are_strings(tmp_path,
+                                                          seg_graph_file):
+    # "00" unpacked into "0", "0" read as the canonical host, graph_id and
+    # all, so the certificate was accepted.
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    doc = json.loads(seg_graph_file.read_text())
+    assert doc["vertices"] == [["0", "0"], ["1", "0"]]
+    doc["vertices"] = ["00", "10"]
+    seg_graph_file.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+
+
 def test_verify_rejects_non_certificate(tmp_path, seg_graph_file):
     junk = tmp_path / "junk.json"
     junk.write_text(json.dumps({"format": "sdimlab/etc"}))

@@ -903,10 +903,20 @@ def test_certificates_match_golden_digests(request, host, eps, guarded,
 
 
 # (host, eps, upper, element count) at scales off the dyadic grid, where
-# the reach of a piece is an irrational root.
+# the reach of a piece is an irrational root.  The hosts past the
+# shark-teeth pair are arranged ones, with slanted edges, crossings and
+# T-junctions, which no builder makes.
 GOLDEN_UPPER = [
     ("w6", Fraction(1033, 262144), "662f9fb196d16140", 1926),
     ("m15", Fraction(1, 37), "047076a47b20a57a", 590),
+    ("cross_graph", Fraction(1, 3), "752037f6b010b770", 10),
+    ("cross_graph", Fraction(2, 7), "3557d4798b25c8ca", 10),
+    ("lshape_graph", Fraction(1, 3), "5ddcfabcb6765c0d", 7),
+    ("lshape_graph", Fraction(3, 10), "143df32c69bc9d81", 8),
+    ("kite_graph", Fraction(1, 3), "f1297eacd77f7597", 50),
+    ("kite_graph", Fraction(5, 17), "c081d5538c519a04", 57),
+    ("fork_graph", Fraction(1, 3), "4f315a4e708383df", 37),
+    ("fork_graph", Fraction(4, 11), "c53115b4c0f1a9fa", 33),
 ]
 
 
@@ -961,6 +971,7 @@ def test_oracle_brackets_library_bounds_on_random_hosts(segs, eps):
         assume(False)
     assume(len(g.edges) <= 12)
     lo, up = s_bounds(g, eps)
+    assert check_cover(g, upper_cover(g, eps)) == up
     olo, oup = brute_force_oracle(g, eps)
     assert lo <= oup
     assert olo <= up

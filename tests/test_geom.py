@@ -281,6 +281,10 @@ def test_graph_id_is_sha256_of_the_canonical_document(m3, m15, w6):
     lambda d: {**d, "meta": [1]},
     lambda d: {**d, "meta": "ab"},
     lambda d: {**d, "meta": None},
+    lambda d: {**d, "vertices": ["00", "10"]},
+    lambda d: {**d, "vertices": [{"0": 0, "1": 0}, {"1": 0, "0": 0}]},
+    lambda d: {**d, "vertices": [["0", "0", "0"], ["1", "0"]]},
+    lambda d: {**d, "edges": [[0, 1, 1]]},
 ])
 def test_graph_from_json_rejects_malformed(seg_graph, mangle):
     with pytest.raises(ParseError):

@@ -116,11 +116,22 @@ def test_spec_json_round_trip():
         assert IFSSpec.from_json_dict(spec.to_json_dict()) == spec
 
 
+def _first_map(doc, **members):
+    """`doc` with members of its first map replaced."""
+    return {**doc, "maps": [{**doc["maps"][0], **members}, *doc["maps"][1:]]}
+
+
 def test_spec_json_rejects_malformed(sier):
     good = sier.to_json_dict()
     for mangle in (lambda d: {**d, "format": "nope"},
                    lambda d: {**d, "version": 2},
-                   lambda d: {**d, "maps": [{"matrix": [["1", "0"]]}]}):
+                   lambda d: {**d, "maps": [{"matrix": [["1", "0"]]}]},
+                   lambda d: _first_map(d, matrix=["00", "00"], shift="00"),
+                   lambda d: _first_map(d, matrix=["00", ["0", "0"]]),
+                   lambda d: _first_map(d, matrix={"00": 0, "01": 0}),
+                   lambda d: _first_map(d, shift="00"),
+                   lambda d: _first_map(d, shift={"0": 0, "1": 0}),
+                   lambda d: _first_map(d, shift=[0, 0, 0])):
         with pytest.raises(ParseError):
             IFSSpec.from_json_dict(mangle(good))
 
