@@ -339,7 +339,10 @@ def cmd_ifs(spec_path: str, delta: float, depth: int | None,
 
 def cmd_render(graph_path: str | None, spec_path: str | None, depth: int,
                out_path: str) -> None:
-    """Draw a graph (lines) or an IFS attractor cloud (markers) as SVG."""
+    """Draw a graph (segments) or an IFS attractor cloud (discs) as SVG.
+
+    The SVG is one path on a 1/100 px grid, one line per edge or point.
+    A graph or cloud too wide for floats is a parse error."""
     if (graph_path is None) == (spec_path is None):
         raise ParseError("pass exactly one of --graph and --spec")
     _check_distinct(out_path, graph_path or "", spec_path or "")

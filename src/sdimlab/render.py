@@ -1,14 +1,21 @@
 """Deterministic SVG pictures of plane graphs and point clouds.
 
-Graphs render as one <line> element per edge, in edge order; clouds as one
-<circle> per point, in cloud order.  Coordinates are printed with six
-decimals, so rendering the same input twice yields byte-identical output.
+A picture is a white background and one round-capped `<path>`.  Its
+viewBox is measured in integer quanta of 1/100 px, and every position is
+rounded to the nearest quantum, so it sits within 0.005 px of the float
+position.  The first point is an absolute `M`; every later one is a
+relative move between quantized integers, so no rounding error builds up
+along the path.  A graph edge is the subpath `m dx dy l dx dy`, in edge
+order.  A cloud point is the zero-length subpath `m dx dy h0`, in cloud
+order; SVG strokes a zero-length round-capped subpath as a disc of
+diameter `stroke-width`.  The document is streamed one line per edge or
+point, and rendering the same input twice yields byte-identical output.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -16,14 +23,57 @@ if TYPE_CHECKING:
     from .geom import PLGraph
 
 _WIDTH = 800.0
+_QUANTUM = 100  # path units per px
 _STROKE = 0.0018
 
 
-def _svg_head(height: float) -> Iterator[str]:
-    yield (f'<svg xmlns="http://www.w3.org/2000/svg" '
-           f'viewBox="0 0 {_WIDTH:.6f} {height:.6f}" '
+def _window(what: str, x0: float, x1: float, y0: float, y1: float,
+            pad: float) -> tuple[float, float, float]:
+    """The drawing window of the extent [x0, x1] x [y0, y1], as (scale,
+    margin, height): the point (x, y) is drawn at
+    ((x - x0) * scale + margin, (y1 - y) * scale + margin) px, the y axis
+    flipped, on a canvas `_WIDTH` px wide and `height` px high.
+
+    The margin is `pad` times the longer side of the extent; an extent
+    narrower than 1e-9 both ways (a single point, say) gets the margin of
+    a unit square around it.  The margin is added after the subtraction,
+    so a cloud far from the origin keeps it.  A window that overflows the
+    float range is a `ParseError` naming `what`.
+    """
+    side = max(x1 - x0, y1 - y0)
+    margin = pad * side if side >= 1e-9 else 0.5 + pad
+    span_x, span_y = x1 - x0 + 2 * margin, y1 - y0 + 2 * margin
+    height = _WIDTH * span_y / span_x
+    scale = _WIDTH / span_x
+    if not all(map(math.isfinite, (span_x, span_y, scale, height))):
+        raise ParseError(f"{what} is too wide for floats: its drawing "
+                         "window overflows")
+    return scale, margin * scale, height
+
+
+def _path_svg(height: float, stroke: float,
+              runs: Iterable[Sequence[tuple[float, float]]]) -> Iterator[str]:
+    """The document, one line per run: a polyline through the run's
+    points, given in px, or a disc for a run of one point.  `stroke` is
+    the line width, and the disc diameter, in px."""
+    w, h = round(_WIDTH * _QUANTUM), round(height * _QUANTUM)
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
            f'width="{_WIDTH:.0f}" height="{height:.0f}">\n')
-    yield f'<rect width="{_WIDTH:.6f}" height="{height:.6f}" fill="white"/>\n'
+    yield f'<rect width="{w}" height="{h}" fill="white"/>\n'
+    yield (f'<path fill="none" stroke="#20242c" '
+           f'stroke-width="{round(stroke * _QUANTUM)}" '
+           f'stroke-linecap="round" d="\n')
+    # From the origin, the first relative move is the absolute position.
+    cmd, at_x, at_y = "M", 0, 0
+    for run in runs:
+        line = ""
+        for x, y in run:
+            qx, qy = round(x * _QUANTUM), round(y * _QUANTUM)
+            line += f"{cmd}{qx - at_x} {qy - at_y}"
+            cmd, at_x, at_y = "l", qx, qy
+        yield line + ("h0\n" if len(run) == 1 else "\n")
+        cmd = "m"
+    yield '"/>\n</svg>\n'
 
 
 def render_svg(graph: PLGraph) -> Iterator[str]:
@@ -32,43 +82,33 @@ def render_svg(graph: PLGraph) -> Iterator[str]:
 
     The viewport always contains [0,1] x [0,0.55], the natural window for
     shark-teeth truncations, and grows as needed for other inputs.  The y
-    axis is flipped so the base line sits at the bottom.
+    axis is flipped so the base line sits at the bottom.  The window is
+    fixed, and a graph whose coordinates or window overflow the float
+    range refused with `ParseError`, before the iterator is returned.
     """
-    xs = [float(v.x) for v in graph.vertices]
-    ys = [float(v.y) for v in graph.vertices]
-    x0, x1 = min(0.0, min(xs)), max(1.0, max(xs))
-    y0, y1 = min(0.0, min(ys)), max(0.55, max(ys))
-    pad = 0.02 * max(x1 - x0, y1 - y0)
-    x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    span_x, span_y = x1 - x0, y1 - y0
-    height = _WIDTH * span_y / span_x
-    scale = _WIDTH / span_x
-
-    def sx(x: float) -> float:
-        return (x - x0) * scale
-
-    def sy(y: float) -> float:
-        return (y1 - y) * scale
-
-    yield from _svg_head(height)
-    stroke = max(_STROKE * scale, 0.5)
-    for e in range(len(graph.edges)):
-        a, b = graph.edge_endpoints(e)
-        yield (f'<line x1="{sx(float(a.x)):.6f}" y1="{sy(float(a.y)):.6f}" '
-               f'x2="{sx(float(b.x)):.6f}" y2="{sy(float(b.y)):.6f}" '
-               f'stroke="#20242c" stroke-width="{stroke:.6f}" '
-               f'stroke-linecap="round"/>\n')
-    yield "</svg>\n"
+    try:
+        xs = [float(v.x) for v in graph.vertices]
+        ys = [float(v.y) for v in graph.vertices]
+    except OverflowError as exc:
+        raise ParseError("graph is too wide for floats: a vertex "
+                         "coordinate overflows") from exc
+    x0, y1 = min(0.0, *xs), max(0.55, *ys)
+    scale, margin, height = _window("graph", x0, max(1.0, *xs),
+                                    min(0.0, *ys), y1, 0.02)
+    at = [((x - x0) * scale + margin, (y1 - y) * scale + margin)
+          for x, y in zip(xs, ys)]
+    return _path_svg(height, max(_STROKE * scale, 0.5),
+                     ((at[i], at[j]) for i, j in graph.edges))
 
 
 def render_cloud_svg(points: Sequence[Sequence[float]]) -> Iterator[str]:
     """Serialize a point cloud as a standalone SVG document, one line per
     item of the returned iterator.
 
-    One circle marker per point, radius scaled to stay visible down to a
-    few tens of thousands of points.  Degenerate clouds (a single point,
-    or all points collinear) get a unit window around their extent.  The
-    window is fixed, and a bad cloud refused, before the iterator is
+    One disc marker per point, radius scaled to stay visible down to a
+    few tens of thousands of points.  A cloud narrower than 1e-9 both ways
+    (a single point, say) gets the window of a unit square around it.
+    The window is fixed, and a bad cloud refused, before the iterator is
     returned: an empty cloud is a `ValueError`, and a cloud whose window
     overflows the float range is a `ParseError`.
     """
@@ -78,27 +118,8 @@ def render_cloud_svg(points: Sequence[Sequence[float]]) -> Iterator[str]:
     x1 = max(float(p[0]) for p in points)
     y0 = min(float(p[1]) for p in points)
     y1 = max(float(p[1]) for p in points)
-    if x1 - x0 < 1e-9 and y1 - y0 < 1e-9:
-        x0, x1, y0, y1 = x0 - 0.5, x1 + 0.5, y0 - 0.5, y1 + 0.5
-    side = max(x1 - x0, y1 - y0)
-    pad = 0.04 * side
-    x0, x1 = x0 - pad, x1 + pad
-    y0, y1 = y0 - pad, y1 + pad
-    span_x, span_y = x1 - x0, max(y1 - y0, 1e-9 * side)
-    height = _WIDTH * span_y / span_x
-    scale = _WIDTH / span_x
-    if not all(map(math.isfinite, (span_x, span_y, scale, height))):
-        raise ParseError("cloud is too wide for floats: its drawing "
-                         "window overflows")
+    scale, margin, height = _window("cloud", x0, x1, y0, y1, 0.04)
     r = max(0.35 * _WIDTH / len(points) ** 0.5, 0.6)
-    return _cloud_lines(points, x0, y1, scale, r, height)
-
-
-def _cloud_lines(points: Sequence[Sequence[float]], x0: float, y1: float,
-                 scale: float, r: float, height: float) -> Iterator[str]:
-    yield from _svg_head(height)
-    for p in points:
-        yield (f'<circle cx="{(float(p[0]) - x0) * scale:.6f}" '
-               f'cy="{(y1 - float(p[1])) * scale:.6f}" r="{r:.6f}" '
-               f'fill="#20242c"/>\n')
-    yield "</svg>\n"
+    return _path_svg(height, 2 * r, (
+        (((float(p[0]) - x0) * scale + margin,
+          (y1 - float(p[1])) * scale + margin),) for p in points))

@@ -14,12 +14,19 @@ side, so it shares no clip code with the library.
 `word_maps` composes every length-k word of an IFS into one affine map,
 so that tests can measure the word pieces that the library's dimension
 bound counts; `hausdorff` measures how far two point clouds are apart.
+
+`decode_svg` reads back the markers and segments of a rendered SVG path;
+`cloud_positions` and `graph_positions` give, in exact arithmetic, the
+positions in px that the renderer rounds to its 1/100 px quanta.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import xml.etree.ElementTree as ET
 from fractions import Fraction
+from typing import NamedTuple
 
 from sdimlab import exactcore as xc
 from sdimlab.cover import GraphPoint, _Work
@@ -326,3 +333,91 @@ def hausdorff(a: list[Point], b: list[Point]) -> float:
                    for px, py in src)
 
     return math.sqrt(max(directed(a, b), directed(b, a)))
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+_PATH_TOKEN = re.compile(r"[MmLlHh]|-?[0-9]+")
+
+
+class DecodedSvg(NamedTuple):
+    """A rendered document read back, every length in px."""
+    height: float
+    stroke: float
+    markers: list[Point]
+    segments: list[tuple[Point, Point]]
+
+
+def decode_svg(text: str) -> DecodedSvg:
+    """Parse a rendered document with `xml.etree.ElementTree` and decode
+    its one path.  The px size of a path unit is the viewBox width over
+    the `width` attribute.  The path data must be integer moves, the first
+    one `M` and every later one `m`, each followed by `h0` (a marker at
+    the moved-to point) or by one `l` (a segment from it); anything else
+    is an `AssertionError`."""
+    root = ET.fromstring(text)
+    assert root.tag == _SVG + "svg", root.tag
+    vx, vy, vw, vh = map(int, root.get("viewBox").split())
+    assert (vx, vy) == (0, 0)
+    unit = float(root.get("width")) / vw
+    (path,) = root.findall(_SVG + "path")
+    assert path.get("stroke-linecap") == "round"
+    assert path.get("fill") == "none"
+    d = path.get("d")
+    assert not _PATH_TOKEN.sub("", d).strip(), "undecoded path data"
+    tokens = _PATH_TOKEN.findall(d)
+    markers, segments = [], []
+    x = y = i = 0
+    while i < len(tokens):
+        assert tokens[i] == ("M" if i == 0 else "m"), tokens[i]
+        x, y = x + int(tokens[i + 1]), y + int(tokens[i + 2])
+        start = (x * unit, y * unit)
+        if tokens[i + 3] == "h":
+            assert tokens[i + 4] == "0"
+            markers.append(start)
+            i += 5
+        else:
+            assert tokens[i + 3] == "l", tokens[i + 3]
+            x, y = x + int(tokens[i + 4]), y + int(tokens[i + 5])
+            segments.append((start, (x * unit, y * unit)))
+            i += 6
+    return DecodedSvg(vh * unit, int(path.get("stroke-width")) * unit,
+                      markers, segments)
+
+
+def _exact_window(xs, ys, pad: Fraction
+                  ) -> tuple[list[Point], float, float]:
+    """Positions, height and scale, in px, of points drawn in the window
+    around them, in exact arithmetic: the margin is `pad` times the longer
+    side of their extent, or 1/2 + `pad` host units when the extent is
+    narrower than 1e-9 both ways; the y axis is flipped."""
+    xs, ys = list(map(Fraction, xs)), list(map(Fraction, ys))
+    x0, y1 = min(xs), max(ys)
+    w, h = max(xs) - x0, y1 - min(ys)
+    side = max(w, h)
+    margin = pad * side if side >= Fraction(1e-9) else Fraction(1, 2) + pad
+    scale = 800 / (w + 2 * margin)
+    return ([(float((x - x0 + margin) * scale),
+              float((y1 - y + margin) * scale)) for x, y in zip(xs, ys)],
+            float((h + 2 * margin) * scale), float(scale))
+
+
+def cloud_positions(points) -> tuple[float, float, list[Point]]:
+    """Height, disc diameter and point positions of a rendered cloud, in
+    px, unquantized."""
+    at, height, _ = _exact_window([p[0] for p in points],
+                                  [p[1] for p in points], Fraction(1, 25))
+    return height, 2 * max(0.35 * 800.0 / len(points) ** 0.5, 0.6), at
+
+
+def graph_positions(graph: PLGraph
+                    ) -> tuple[float, float, list[tuple[Point, Point]]]:
+    """Height, stroke width and edge end positions of a rendered graph,
+    in px, unquantized.  The window always holds [0,1] x [0,0.55], and the
+    stroke is 0.0018 host units wide and at least 0.5 px."""
+    # The corners (0, 0) and (1, 11/20) hold the window open.
+    at, height, scale = _exact_window(
+        [v.x for v in graph.vertices] + [0, 1],
+        [v.y for v in graph.vertices] + [0, Fraction(11, 20)],
+        Fraction(1, 50))
+    return height, max(0.0018 * scale, 0.5), [(at[i], at[j])
+                                              for i, j in graph.edges]

@@ -25,6 +25,7 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
+from reference import decode_svg
 
 import sdimlab
 from sdimlab import PLGraph, point, read_profile_csv
@@ -1000,6 +1001,22 @@ def test_cloud_too_wide_for_floats_exits_two(tmp_path, command, scale,
     assert not out.exists()
 
 
+def test_render_draws_a_cloud_far_from_the_origin(tmp_path):
+    # The cloud is 8 points on a segment of length 1 at x = 2e20, where
+    # the float spacing is 16384: its window was 0 px wide.
+    maps = [{"matrix": [["0.5", "0"], ["0", "0.5"]], "shift": ["1e20", y]}
+            for y in ("0", "0.5")]
+    spec = tmp_path / "far.json"
+    spec.write_text(json.dumps({"format": "sdimlab/ifs", "version": 1,
+                                "name": "far", "maps": maps}))
+    out = tmp_path / "far.svg"
+    res = invoke("render", "--spec", spec, "--depth", "3", "--out", out)
+    assert res.exit_code == 0
+    markers = decode_svg(out.read_text()).markers
+    assert len(markers) == 8
+    assert {x for x, _ in markers} == {400.0}
+
+
 def test_one_map_deep_render_exits_four_promptly(tmp_path):
     doc = FIXTURES["sierpinski"]().to_json_dict()
     doc["maps"] = doc["maps"][:1]
@@ -1030,7 +1047,7 @@ def test_one_map_deep_render_is_prompt(tmp_path):
                  "--out", out)
     assert time.perf_counter() - t0 < 2.0
     assert res.exit_code == 0
-    assert out.read_text().count("<circle") == 1
+    assert len(decode_svg(out.read_text()).markers) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1041,7 +1058,25 @@ def test_render_graph_line_count(tmp_path, m3_graph):
     out = tmp_path / "m3.svg"
     res = invoke("render", "--graph", m3_graph, "--out", out)
     assert res.exit_code == 0
-    assert out.read_text().count("<line") == 10
+    assert len(decode_svg(out.read_text()).segments) == 10
+
+
+@pytest.mark.parametrize("vertices,detail", [
+    # float() of this coordinate overflows.
+    ([["0", "0"], ["1" + "0" * 320, "0"]], "a vertex coordinate overflows"),
+    # Every coordinate is a float; the window's height is not.
+    ([["0", "-1" + "0" * 307], ["0", "1" + "0" * 307]],
+     "its drawing window overflows"),
+])
+def test_graph_too_wide_for_floats_exits_two(tmp_path, vertices, detail):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"format": "sdimlab/plgraph", "version": 1,
+                                 "vertices": vertices, "edges": [[0, 1]]}))
+    out = tmp_path / "g.svg"
+    res = invoke("render", "--graph", graph, "--out", out)
+    assert res.exit_code == 2
+    assert res.stderr == f"PARSE: graph is too wide for floats: {detail}\n"
+    assert not out.exists()
 
 
 def test_render_cloud_marker_count(tmp_path, sier_spec):
@@ -1049,16 +1084,16 @@ def test_render_cloud_marker_count(tmp_path, sier_spec):
     res = invoke("render", "--spec", sier_spec, "--depth", "0",
                  "--out", out)
     assert res.exit_code == 0
-    assert out.read_text().count("<circle") == 1
+    assert len(decode_svg(out.read_text()).markers) == 1
     res = invoke("render", "--spec", sier_spec, "--depth", "4",
                  "--out", out)
-    assert out.read_text().count("<circle") == 81
+    assert len(decode_svg(out.read_text()).markers) == 81
 
 
 def test_render_writer_holds_no_copy_of_the_text(tmp_path):
     # Building the document as one string took about five times the file
     # size at peak; the streamed writer holds a line at a time.
-    cloud = attractor_cloud(FIXTURES["sierpinski"](), 8)
+    cloud = attractor_cloud(FIXTURES["sierpinski"](), 10)
     out = tmp_path / "g.svg"
     tracemalloc.start()
     try:
@@ -1067,7 +1102,7 @@ def test_render_writer_holds_no_copy_of_the_text(tmp_path):
     finally:
         tracemalloc.stop()
     size = out.stat().st_size
-    assert out.read_text().count("<circle") == 3 ** 8
+    assert len(decode_svg(out.read_text()).markers) == 3 ** 10
     assert size >= 400_000
     assert peak < size / 4
 
@@ -1269,4 +1304,4 @@ def test_every_command_runs_without_numpy(tmp_path, paper3_spec, sier_spec):
     ]
     out = _run_python(_WITHOUT_NUMPY, json.dumps(commands))
     assert out.splitlines()[-1] == "False"
-    assert (tmp_path / "s.svg").read_text().count("<circle") == 81
+    assert len(decode_svg((tmp_path / "s.svg").read_text()).markers) == 81

@@ -20,7 +20,7 @@ import time
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import compose, hausdorff
+from reference import compose, decode_svg, hausdorff
 
 from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
                      attractor_cloud, cloud_diameter, find_k0,
@@ -367,8 +367,8 @@ def test_cloud_too_wide_for_floats_is_refused(half_width):
 
 
 def test_render_refuses_a_window_wider_than_floats():
-    assert "".join(render_cloud_svg([(-1e200, 0.0), (1e200, 0.0)])).count(
-        "<circle") == 2
+    assert len(decode_svg("".join(
+        render_cloud_svg([(-1e200, 0.0), (1e200, 0.0)]))).markers) == 2
     with pytest.raises(ParseError, match="too wide"):
         render_cloud_svg([(-1.6e308, 0.0), (1.6e308, 0.0)])
     with pytest.raises(ParseError, match="too wide"):
