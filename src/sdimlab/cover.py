@@ -17,7 +17,7 @@ Everything here brackets that number for a `PLGraph` host:
     is the points alone.  A pair at distance >= eps needs nothing more; for
     a pair closer than eps, the closed eps-ball around one of the two,
     clipped to the graph, must put the other outside its component.  The
-    checker recomputes both from the points.
+    checker recomputes both in `_scan_apart`, the greedy's own loop.
 
 The clip is exact: a closed ball is convex, so it meets each edge in one
 closed interval or not at all, and on a proper host two such intervals
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Collection, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -410,6 +410,37 @@ class _ClipIndex:
         return dn * self.eps2.denominator > self.eps2.numerator * dd
 
 
+def _scan_apart(graph: PLGraph, points: Iterable[tuple[GraphPoint, tuple]],
+                eps2: Fraction, work: _Work) -> Iterator[int | None]:
+    """The one separation rule: for each (point, kernel tuple) in turn,
+    None when the point is apart from every point kept so far, which
+    keeps it, else the index among the kept points of the first it is
+    not apart from.  Two points are apart when their distance is >= eps,
+    or the clip around the new point cuts the kept one off, or the kept
+    point's clip cuts the new one off, tested in that order.  A point's
+    clip is built at most once, when first needed.  Each distance test
+    is charged to `work` before it is made."""
+    en, ed = eps2.numerator, eps2.denominator
+    kept: list[list] = []  # [point, kernel tuple, clip or None]
+
+    def cuts(c: list, o: list) -> bool:
+        if c[2] is None:
+            c[2] = _ClipIndex(graph, c[0], c[1], eps2, work)
+        return c[2].separates(o[0], o[1])
+
+    for gp, rp in points:
+        new = [gp, rp, None]
+        for k, old in enumerate(kept):
+            work.add(1)
+            dn, dd = xc.dist2_q(rp, old[1])
+            if not (dn * ed >= en * dd or cuts(new, old) or cuts(old, new)):
+                yield k
+                break
+        else:
+            kept.append(new)
+            yield None
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -460,26 +491,23 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
                      budget: Budget | None = None) -> int:
     """Recheck a separation certificate; returns the point count.
 
-    Every pair must be at distance >= eps, recomputed exactly, or be
-    separated by the clipped eps-ball around one of its two points; one
-    clip per point is computed, when first needed.  The host is checked
-    as `truncation_guard` checks it, charged to this check's budget: the
-    clip's argument needs a proper host.  A guard, when present, must be
-    the host's guard at the certificate's scale, and every point must
-    clear its threshold.
-    The n(n-1)/2 pair tests are charged to the budget before the first.
-    Raises VerificationFailure with the first offending detail.
+    Every point, in order, must be kept by `_scan_apart`, the rule the
+    greedy keeps points by: each pair is >= eps apart, recomputed
+    exactly, or the clipped eps-ball around one of the two cuts the other
+    off.  The host is checked as `truncation_guard` checks it, charged to
+    this check's budget: the clip's argument needs a proper host.  A
+    guard, when present, must be the host's guard at the certificate's
+    scale, and every point must clear its threshold.  n(n-1)/2 pair tests
+    over the budget are refused before the first.  Raises
+    VerificationFailure with the first offending detail.
     """
-    budget = budget or Budget()
-    budget.check_edges(len(graph.edges))
-    work = _Work(budget)
+    work = _Work(budget or Budget())
+    work.budget.check_edges(len(graph.edges))
     if cert.graph_id != graph.graph_id():
         raise HostMismatch(f"certificate is for graph {cert.graph_id}, "
                            f"host is {graph.graph_id()}")
     if cert.epsilon <= 0:
         raise VerificationFailure("epsilon must be positive")
-    eps2 = cert.epsilon * cert.epsilon
-    en, ed = eps2.numerator, eps2.denominator
     ne = len(graph.edges)
     for k, gp in enumerate(cert.points):
         if not (0 <= gp.edge < ne):
@@ -499,24 +527,13 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
                     f"point {k} lies below the guard threshold")
 
     n = len(cert.points)
-    clips: dict[int, _ClipIndex] = {}
-
-    def separated_by(c: int, o: int) -> bool:
-        if c not in clips:
-            clips[c] = _ClipIndex(graph, cert.points[c], raws[c], eps2, work)
-        return clips[c].separates(cert.points[o], raws[o])
-
-    work.add(n * (n - 1) // 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dn, dd = xc.dist2_q(raws[i], raws[j])
-            if dn * ed >= en * dd:
-                continue
-            # The greedy keeps a point for the clip around it, so the
-            # later point's clip is tried first.
-            if not (separated_by(j, i) or separated_by(i, j)):
-                raise VerificationFailure(
-                    f"pair ({i},{j}): neither clipped ball separates")
+    work.budget.check_pairs(work.total + n * (n - 1) // 2)
+    scan = _scan_apart(graph, zip(cert.points, raws),
+                       cert.epsilon * cert.epsilon, work)
+    for j, i in enumerate(scan):
+        if i is not None:
+            raise VerificationFailure(
+                f"pair ({i},{j}): neither clipped ball separates")
     return n
 
 
@@ -665,27 +682,23 @@ def _candidate_points(graph: PLGraph, eps: Fraction,
     subdivision whose spacing is still >= eps (so same-edge neighbours
     separate by distance alone).  The vertices, and then each edge's
     points, are charged to `work` before they are made."""
-    cands: list[tuple[GraphPoint, tuple]] = []
-    seen: set[tuple] = set()
+    cands: dict[tuple, GraphPoint] = {}  # the first point at each tuple
 
-    def push(gp: GraphPoint) -> None:
-        r = graph.edge_raw(gp.edge, gp.t)
-        if r not in seen:
-            seen.add(r)
-            cands.append((gp, r))
+    def push(e: int, t: Fraction) -> None:
+        cands.setdefault(graph.edge_raw(e, t), GraphPoint(e, t))
 
     work.add(len(graph.vertices))
     for v in range(len(graph.vertices)):
         e, end = min(graph.incident(v))
-        push(GraphPoint(e, Fraction(end)))
+        push(e, Fraction(end))
     eps2 = eps * eps
     for e in range(len(graph.edges)):
         r = graph.edge_length2(e) / eps2
         q = math.isqrt(r.numerator // r.denominator)
         work.add(max(q - 1, 0))
         for j in range(1, q):
-            push(GraphPoint(e, Fraction(j, q)))
-    return cands
+            push(e, Fraction(j, q))
+    return [(gp, r) for r, gp in cands.items()]
 
 
 def lower_separation(graph: PLGraph, eps: Fraction,
@@ -694,21 +707,19 @@ def lower_separation(graph: PLGraph, eps: Fraction,
                      budget: Budget | None = None) -> SeparationCertificate:
     """Greedy maximal family of pairwise-separated points.
 
-    Candidates are scanned from the highest point down; each is kept when
-    every already-kept point is either at distance >= eps or cut off by
-    the candidate's clipped eps-ball.  With a guard, candidates below the
-    height threshold are discarded first, which is what makes the
-    resulting certificate meaningful for the untruncated continuum.
-    `candidates` replaces the default pool of `_candidate_points`, for
-    cross-checks on explicit point families.  The certificate holds for
-    a proper host, which `check_separation` confirms.
+    Candidates are scanned from the highest point down and kept by the
+    checker's rule, `_scan_apart`, so no dropped candidate could be added
+    to the certificate.  With a guard, candidates below the height
+    threshold are discarded first, which is what makes the resulting
+    certificate meaningful for the untruncated continuum.  `candidates`
+    replaces the default pool of `_candidate_points`, for cross-checks on
+    explicit point families.  The certificate holds for a proper host,
+    which `check_separation` confirms.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     work = _Work(budget or Budget())
     work.budget.check_edges(len(graph.edges))
-    eps2 = eps * eps
-    en, ed = eps2.numerator, eps2.denominator
     pool = (_candidate_points(graph, eps, work) if candidates is None
             else [(gp, graph.edge_raw(gp.edge, gp.t)) for gp in candidates])
     if guard is not None:
@@ -718,23 +729,9 @@ def lower_separation(graph: PLGraph, eps: Fraction,
                               Fraction(it[1][0], it[1][1]),
                               it[0].edge, it[0].t))
 
-    kept: list[GraphPoint] = []
-    kept_raw: list = []
-    for gp, rp in pool:
-        clip: _ClipIndex | None = None
-        for k, rk in zip(kept, kept_raw):
-            work.add(1)
-            dn, dd = xc.dist2_q(rp, rk)
-            if dn * ed >= en * dd:
-                continue
-            if clip is None:
-                clip = _ClipIndex(graph, gp, rp, eps2, work)
-            if not clip.separates(k, rk):
-                break
-        else:
-            kept.append(gp)
-            kept_raw.append(rp)
-    return SeparationCertificate(eps, tuple(kept), guard, graph.graph_id())
+    scan = _scan_apart(graph, pool, eps * eps, work)
+    kept = tuple(gp for (gp, _), hit in zip(pool, scan) if hit is None)
+    return SeparationCertificate(eps, kept, guard, graph.graph_id())
 
 
 def truncation_guard(graph: PLGraph, eps: Fraction,

@@ -91,14 +91,16 @@ class DimensionProfile:
                     f"bracket inverted at {r.epsilon}: "
                     f"{r.lower} > {r.upper}")
         # Coarser scales need no more pieces, so a coarse lower bound can
-        # never exceed a fine upper bound.
-        for i, coarse in enumerate(self.rows):
-            for fine in self.rows[i + 1:]:
-                if coarse.lower > fine.upper:
-                    raise VerificationFailure(
-                        f"lower bound {coarse.lower} at {coarse.epsilon} "
-                        f"exceeds upper bound {fine.upper} at "
-                        f"{fine.epsilon}")
+        # never exceed a fine upper bound: each row is tested against the
+        # largest lower bound above it.
+        coarse = None
+        for fine in self.rows:
+            if coarse is not None and coarse.lower > fine.upper:
+                raise VerificationFailure(
+                    f"lower bound {coarse.lower} at {coarse.epsilon} "
+                    f"exceeds upper bound {fine.upper} at {fine.epsilon}")
+            if coarse is None or fine.lower > coarse.lower:
+                coarse = fine
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -30,7 +30,7 @@ from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      truncation_guard, upper_cover)
 from sdimlab import exactcore as xc
 from sdimlab.cli import _json_chunks
-from sdimlab.cover import _ClipIndex, _Work, _extend
+from sdimlab.cover import _candidate_points, _ClipIndex, _Work, _extend
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -250,8 +250,9 @@ def _clip(g, gp, eps):
 
 @pytest.mark.parametrize("host", ["m2", "m3", "w6"])
 def test_every_close_pair_is_separated_by_a_clip(host, request):
-    # The greedy keeps a point when its own clip cuts off every kept point
-    # closer than eps, so the later point's clip separates each close pair.
+    # The greedy keeps a point when, for every kept point closer than eps,
+    # the clip around one of the two cuts the other off: the checker's
+    # rule.  Some pairs need the earlier point's clip.
     g = request.getfixturevalue(host)
     eps = Fraction(1, 64)
     cert = lower_separation(g, eps)
@@ -259,9 +260,15 @@ def test_every_close_pair_is_separated_by_a_clip(host, request):
     close = [(i, j) for i, j in itertools.combinations(range(len(located)), 2)
              if dist2(located[i], located[j]) < eps * eps]
     assert close
+    earlier_only = 0
     for i, j in close:
-        assert _clip(g, cert.points[j], eps).separates(
-            cert.points[i], located[i].raw()), (i, j)
+        by_later = _clip(g, cert.points[j], eps).separates(
+            cert.points[i], located[i].raw())
+        by_earlier = _clip(g, cert.points[i], eps).separates(
+            cert.points[j], located[j].raw())
+        assert by_later or by_earlier, (i, j)
+        earlier_only += not by_later
+    assert earlier_only
     assert check_separation(g, cert) == len(cert.points)
 
 
@@ -300,14 +307,17 @@ def test_explicit_candidate_pool(seg_graph):
 def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
                                       m1, m2, m3):
     # Frozen brackets; each was cross-checked against the oracle.  m3 at
-    # 1/4 rose from 9 to 11 with the exact clip (oracle bracket (10, 15)).
+    # 1/4 rose from 9 to 11 with the exact clip (oracle bracket (10, 15)),
+    # then to 13 when the greedy took the checker's either-clip rule, as
+    # m2 rose from 4 to 5 at 1/2 (now exact) and from 9 to 11 at 1/4
+    # (oracle upper 13).
     frozen = {
         ("seg", HALF): (3, 3), ("seg", QUARTER): (5, 5),
         ("cross", HALF): (5, 6), ("cross", QUARTER): (9, 12),
         ("lsh", HALF): (5, 5), ("lsh", QUARTER): (9, 9),
         ("m1", HALF): (4, 4), ("m1", QUARTER): (8, 9),
-        ("m2", HALF): (4, 5), ("m2", QUARTER): (9, 12),
-        ("m3", HALF): (4, 5), ("m3", QUARTER): (11, 14),
+        ("m2", HALF): (5, 5), ("m2", QUARTER): (11, 12),
+        ("m3", HALF): (4, 5), ("m3", QUARTER): (13, 14),
     }
     hosts = {"seg": seg_graph, "cross": cross_graph, "lsh": lshape_graph,
              "m1": m1, "m2": m2, "m3": m3}
@@ -380,6 +390,38 @@ def test_exact_clip_separates_whatever_the_delta_clip_separates(g, data):
     c, o = graph_point(), graph_point()
     if DeltaClip(g, c, eps * eps, delta, _Work(Budget())).separates(o):
         assert _clip(g, c, eps).separates(o, g.edge_raw(o.edge, o.t))
+
+
+def _assert_greedy_is_maximal(g, eps):
+    """The greedy keeps a certificate its checker accepts, and no pool
+    point it dropped can be appended to it."""
+    cert = lower_separation(g, eps)
+    assert check_separation(g, cert) == len(cert)
+    kept = set(cert.points)
+    for gp, _ in _candidate_points(g, eps, _Work(Budget())):
+        if gp in kept:
+            continue
+        grown = SeparationCertificate(eps, cert.points + (gp,), None,
+                                      g.graph_id())
+        with pytest.raises(VerificationFailure,
+                           match="neither clipped ball separates"):
+            check_separation(g, grown)
+    return cert
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=small_proper_hosts(),
+       eps=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(3, 16),
+                            Fraction(1, 8)]))
+def test_greedy_lower_is_maximal_for_its_checker(g, eps):
+    _assert_greedy_is_maximal(g, eps)
+
+
+def test_greedy_lower_on_m2_at_half_is_maximal_and_exact(m2):
+    # With the candidate's clip alone the greedy kept 4 points here and
+    # dropped one that the checker accepts; the oracle bracket is (4, 5).
+    assert len(_assert_greedy_is_maximal(m2, HALF)) == 5
+    assert s_bounds(m2, HALF) == (5, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +916,10 @@ def _digest(cert) -> str:
 # hex digits of the SHA-256 of each certificate as the CLI writes it.  The
 # lower digests are of separation version 3; the guarded point lists are
 # the ones version 2 listed, while m3's unguarded list grew from 61 to 63
-# points with the exact clip.
+# points with the exact clip, and to 67 when the greedy took the checker's
+# either-clip rule.
 GOLDEN = [
-    ("m3", Fraction(1, 16), "76e004d03f32a4fc", "d75d3d3cf644cd58",
+    ("m3", Fraction(1, 16), "76e004d03f32a4fc", "1cf8ff70aa3f5a57",
      "304670f9ec4f46f0"),
     ("w6", Fraction(1, 64), "5d79cf9ee29ef67a", None, "da1ae3593d56dc9d"),
     ("w6", Fraction(33, 2048), "7607fe2599841d59", None, "8cc059ab86f2e691"),

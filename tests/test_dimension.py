@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,29 @@ def test_profile_rejects_cross_scale_violation():
     # A coarse lower bound above a fine upper bound is impossible.
     with pytest.raises(VerificationFailure):
         DimensionProfile(rows_for((HALF, 6, 8), (Fraction(1, 4), 5, 5)))
+
+
+def _long_rows(n):
+    """n consistent rows at eps = 1/(j+2), lower j and upper j + 1."""
+    return [make_row(Fraction(1, j + 2), j, j + 1) for j in range(n)]
+
+
+def test_long_profile_builds_in_linear_time():
+    rows = _long_rows(50_000)
+    start = time.perf_counter()
+    DimensionProfile(rows)
+    assert time.perf_counter() - start < 1
+
+
+def test_cross_scale_violation_in_the_last_row_is_refused():
+    # The last row's upper bound, 997, is below the lower bound 998 of the
+    # row before it; the message names both rows.
+    rows = _long_rows(1000)
+    rows[-1] = make_row(Fraction(1, 1001), 990, 997)
+    with pytest.raises(VerificationFailure,
+                       match=r"lower bound 998 at 1/1000 exceeds upper bound "
+                             r"997 at 1/1001"):
+        DimensionProfile(rows)
 
 
 def test_profile_rejects_nonpositive_scale():
