@@ -36,8 +36,7 @@ _EXPORTS = {
                "SizeLimit", "TooFewScales", "VerificationFailure"),
     "exactcore": (),
     "geom": ("PLGraph", "Point", "Segment", "arrange", "dist2",
-             "format_rational", "parse_rational", "point", "points_diameter2",
-             "segment"),
+             "format_rational", "parse_rational", "point", "segment"),
     "ifs": ("FIXTURES", "AffineMap2", "IFSSpec", "attractor_cloud",
             "cantor_dust", "cloud_diameter", "find_k0", "ifs_dimension_bound",
             "lip_affine", "segment_halves", "sierpinski"),

@@ -192,11 +192,16 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
+# Values per chunk of an array item, so one long item, such as a cover
+# row on a long edge, is never held as one string.
+_SPAN = 256
+
+
 def _json_chunks(doc: dict) -> Iterator[str]:
     """`doc` as JSON text, in chunks: top-level keys sorted, one line per
     key and per item of a top-level array, every value compact.  A
     top-level array may be given as an iterator, which is drawn one item
-    per chunk."""
+    per chunk; an item that is an array goes `_SPAN` values per chunk."""
     def dumps(value) -> str:
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -209,7 +214,13 @@ def _json_chunks(doc: dict) -> Iterator[str]:
         if isinstance(value, (list, Iterator)):
             head = "[\n"
             for item in value:
-                yield head + dumps(item)
+                if type(item) is list and len(item) > _SPAN:
+                    yield head + "[" + dumps(item[:_SPAN])[1:-1]
+                    for i in range(_SPAN, len(item), _SPAN):
+                        yield "," + dumps(item[i:i + _SPAN])[1:-1]
+                    yield "]"
+                else:
+                    yield head + dumps(item)
                 head = ",\n"
             yield "[]" if head == "[\n" else "\n]"
         else:

@@ -6,12 +6,15 @@ Everything here brackets that number for a `PLGraph` host:
 
   * `upper_cover` produces a `CoverCertificate`, an explicit list of
     connected edge-fragment unions whose diameters are verified below eps
-    and whose fragments cover every edge.  In a document each element is
-    an array of `[edge, lo, hi]` fragments; a lone point, a vertex
-    included, is a fragment with lo == hi.  A piece ends each stretch at
+    and whose fragments cover every edge.  A piece ends each stretch at
     its exact reach, rounded down onto a dyadic grid in integers.  The
     greedy covers a prefix and a suffix of each edge, so two ends per edge
-    hold all that it has covered.
+    hold all that it has covered, and the pieces cut each edge into
+    consecutive intervals.  A document is those cuts: one row per edge,
+    `[k0, "c1", k1, ..., "cm", km]`, whose rational cuts rise strictly
+    inside (0, 1) and give the piece [c_i, c_(i+1)] to element k_i, with
+    c0 = 0 and c(m+1) = 1.  Ids are numbered in order of first
+    appearance, so no element is empty.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  The document
     is the points alone.  A pair at distance >= eps needs nothing more; for
@@ -39,6 +42,7 @@ guard, for the CLI, the sweep and the checker alike.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -53,7 +57,7 @@ from .geom import (PLGraph, UnionFind, format_rational, merge_intervals,
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
-COVER_VERSION = 2
+COVER_VERSION = 3
 SEPARATION_FORMAT = "sdimlab/separation"
 SEPARATION_VERSION = 3
 
@@ -79,8 +83,8 @@ class EdgeFragment:
     """Closed piece of one edge, parameters 0 <= lo <= hi <= 1.
 
     lo == hi is allowed and denotes a single point of the edge, such as a
-    vertex at one of its ends; the cover builder never emits these, but
-    hand-written certificates may.
+    vertex at one of its ends; `check_cover` takes one, but a document
+    cannot hold it: a row's pieces all have lo < hi.
     """
     edge: int
     lo: Fraction
@@ -126,19 +130,25 @@ class CoverCertificate:
         return len(self.elements)
 
     def json_members(self) -> dict:
-        """The document's members; `elements` is an iterator that
-        serializes one element per step, for a streaming writer."""
+        """The document's members; `pieces` is an iterator that
+        serializes one row per step, for a streaming writer.
+
+        Drawing the rows raises ValueError when the fragments do not cut
+        every edge up to the last one they name into consecutive pieces
+        of positive length, or an element has none: such a certificate
+        has no document.
+        """
         return {
             "format": COVER_FORMAT,
             "version": COVER_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "elements": map(_subset_to_json, self.elements),
+            "pieces": _rows_to_json(self.elements),
         }
 
     def to_json_dict(self) -> dict:
         doc = self.json_members()
-        doc["elements"] = list(doc["elements"])
+        doc["pieces"] = list(doc["pieces"])
         return doc
 
     @classmethod
@@ -151,25 +161,94 @@ class CoverCertificate:
     def _from_fields(cls, fields: dict) -> "CoverCertificate":
         _expect_format(fields, COVER_FORMAT, COVER_VERSION)
         try:
-            return cls(parse_rational(fields["epsilon"]), fields["elements"],
+            return cls(parse_rational(fields["epsilon"]), fields["pieces"],
                        str(fields["graph_id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
 
 
-def _subset_to_json(el: SubSet) -> list:
-    return [[f.edge, format_rational(f.lo), format_rational(f.hi)]
-            for f in sorted(el.fragments, key=lambda f: (f.edge, f.lo, f.hi))]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _subset_from_json(el: list) -> SubSet:
-    if not isinstance(el, list) or not all(isinstance(f, list) for f in el):
-        raise TypeError("an element is an array of [edge, lo, hi] arrays")
-    frags = [EdgeFragment(parse_index(e), parse_rational(lo),
-                          parse_rational(hi))
-             for e, lo, hi in el]
-    frags.sort(key=lambda f: (f.edge, f.lo, f.hi))
-    return SubSet(tuple(frags))
+def _rows_to_json(elements: Sequence[SubSet]) -> Iterator[list]:
+    """The rows of a cover document, one per step, numbering the elements
+    as they first appear.
+
+    A counting sort files the fragments by edge in one list, with their
+    elements' indices in an integer array beside it, so the writer holds
+    16 bytes per fragment beyond the certificate.
+    """
+    ne = 1 + max((f.edge for el in elements for f in el.fragments),
+                 default=-1)
+    start = array("q", bytes(8 * (ne + 1)))
+    for el in elements:
+        for f in el.fragments:
+            if f.edge < 0:
+                raise ValueError(f"edge {f.edge} is not an edge index")
+            start[f.edge + 1] += 1
+    for e in range(ne):
+        start[e + 1] += start[e]
+    frags, owner = [None] * start[ne], array("q", bytes(8 * start[ne]))
+    free = start[:ne]
+    for k, el in enumerate(elements):
+        for f in el.fragments:
+            frags[free[f.edge]], owner[free[f.edge]] = f, k
+            free[f.edge] += 1
+    ids = array("q", [-1]) * len(elements)
+    count = 0
+    for e in range(ne):
+        row, end = [], _ZERO
+        for i in sorted(range(start[e], start[e + 1]),
+                        key=lambda i: frags[i].lo):
+            f, k = frags[i], owner[i]
+            if f.lo != end or not f.lo < f.hi:
+                raise ValueError(f"edge {e}: the fragments do not cut it "
+                                 f"into consecutive pieces")
+            if ids[k] < 0:
+                ids[k], count = count, count + 1
+            row += (format_rational(f.lo), ids[k]) if row else (ids[k],)
+            end = f.hi
+        if end != 1:
+            raise ValueError(f"edge {e}: the fragments do not reach 1")
+        yield row
+    if count != len(elements):
+        raise ValueError("an element has no fragments")
+
+
+def _rows_from_json(rows: Iterable) -> tuple[SubSet, ...]:
+    """The elements a document's rows describe, drawn one row at a time.
+
+    Slot k of a dense list holds element k's one fragment, or a list of
+    them once it has a second; each cut's `Fraction` is shared by the
+    two pieces it bounds.
+    """
+    slots: list = []
+    for e, row in enumerate(rows):
+        if type(row) is not list or len(row) % 2 == 0:
+            raise ParseError(f"row {e} is not [id, cut, id, ..., id]")
+        lo = _ZERO
+        for i in range(0, len(row), 2):
+            k = parse_index(row[i])
+            if i + 1 < len(row):
+                hi = parse_rational(row[i + 1])
+                if not lo < hi < 1:
+                    raise ParseError(f"row {e}: cut {row[i + 1]!r} does not "
+                                     f"rise inside (0, 1)")
+            else:
+                hi = _ONE
+            frag = EdgeFragment(e, lo, hi)
+            if k == len(slots):
+                slots.append(frag)
+            elif not 0 <= k < len(slots):
+                raise ParseError(f"row {e}: element id {k} is not one of "
+                                 f"the {len(slots)} seen or the next")
+            elif type(slots[k]) is list:
+                slots[k].append(frag)
+            else:
+                slots[k] = [slots[k], frag]
+            lo = hi
+    return tuple(SubSet(tuple(s) if type(s) is list else (s,))
+                 for s in slots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,15 +358,19 @@ def _point_from_json(item: list) -> GraphPoint:
     return GraphPoint(parse_index(e), parse_rational(t))
 
 
-# Array members and how one item of each is read.  An item is converted
-# as soon as it is decoded, so a streamed document is never held whole.
-_ITEM_READERS = {"elements": _subset_from_json,
-                 "points": _point_from_json}
+def _points_from_json(items: Iterable) -> tuple[GraphPoint, ...]:
+    return tuple(map(_point_from_json, items))
+
+
+# Array members and how each is read.  Each item is converted as soon as
+# it is decoded, so a streamed document is never held whole.
+_ARRAY_READERS = {"pieces": _rows_from_json,
+                  "points": _points_from_json}
 _SCALAR_KEYS = ("format", "version", "graph_id", "epsilon", "guard")
 
 
 def _read_fields(data) -> dict:
-    """The members a certificate reads, with array items converted.
+    """The members a certificate reads, with arrays converted.
 
     `data` is a decoded JSON object, or an iterator over its members as
     (key, value) pairs in document order, where an array value may be an
@@ -299,10 +382,10 @@ def _read_fields(data) -> dict:
         raise ParseError("not a certificate document")
     fields: dict = {}
     for key, value in data:
-        read = _ITEM_READERS.get(key)
+        read = _ARRAY_READERS.get(key)
         if read is not None:
             try:
-                fields[key] = tuple(read(item) for item in value)
+                fields[key] = read(value)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"malformed {key} in certificate: "
                                  f"{exc}") from exc
@@ -326,7 +409,7 @@ def certificate_from_json_dict(data):
     (key, value) pairs in document order, where an array value may be an
     iterator over its items: each item is converted before the next is
     drawn.  A document of the wrong shape is a `ParseError`; so is a
-    malformed item of any of the arrays in `_ITEM_READERS`, even one
+    malformed item of any of the arrays in `_ARRAY_READERS`, even one
     that the document's format does not read.
     """
     fields = _read_fields(data)

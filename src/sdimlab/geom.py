@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from . import exactcore as xc
-from .errors import DisconnectedInput, EmptySubset, OverlapError, ParseError
+from .errors import DisconnectedInput, OverlapError, ParseError
 from .limits import Budget
 
 # The interpreter's own SHA-256, as `random` takes its SHA-512: `hashlib`
@@ -100,14 +100,6 @@ def segment(a: Point, b: Point) -> Segment:
 def dist2(p: Point, q: Point) -> Fraction:
     """Squared Euclidean distance."""
     n, d = xc.dist2_q(p.raw(), q.raw())
-    return Fraction(n, d)
-
-
-def points_diameter2(points: Sequence[Point]) -> Fraction:
-    """Max pairwise squared distance; EmptySubset when no points."""
-    if not points:
-        raise EmptySubset("diameter of the empty set")
-    n, d = xc.max_pair_dist2([p.raw() for p in points])
     return Fraction(n, d)
 
 

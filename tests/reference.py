@@ -15,6 +15,9 @@ side, so it shares no clip code with the library.
 so that tests can measure the word pieces that the library's dimension
 bound counts; `hausdorff` measures how far two point clouds are apart.
 
+`points_diameter2` is the exact diameter of a point set, for checks on
+cover elements.
+
 `decode_svg` reads back the markers and segments of a rendered SVG path;
 `cloud_positions` and `graph_positions` give, in exact arithmetic, the
 positions in px that the renderer rounds to its 1/100 px quanta.
@@ -30,13 +33,22 @@ from typing import NamedTuple
 
 from sdimlab import exactcore as xc
 from sdimlab.cover import GraphPoint, _Work
-from sdimlab.errors import SizeLimit
+from sdimlab.errors import EmptySubset, SizeLimit
 from sdimlab.geom import PLGraph, UnionFind, merge_intervals
 from sdimlab.ifs import AffineMap2, IFSSpec, Point
 from sdimlab.limits import Budget
 
 ORACLE_MAX_EDGES = 12
 _ORACLE_SEARCH_CAP = 300_000
+
+
+def points_diameter2(points) -> Fraction:
+    """Max pairwise squared distance of exact points; EmptySubset when
+    there are none."""
+    if not points:
+        raise EmptySubset("diameter of the empty set")
+    n, d = xc.max_pair_dist2([p.raw() for p in points])
+    return Fraction(n, d)
 
 
 def frag_count(len2: Fraction, delta: Fraction) -> int:

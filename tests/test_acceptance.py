@@ -109,6 +109,17 @@ def test_criterion_2_brute_force_brackets(seg_graph, cross_graph,
 # them has a soundness hole.
 
 
+def _doc_elements(doc):
+    """Each element's (edge, lo, hi) fragments, from a cover document's
+    rows."""
+    elements = {}
+    for e, row in enumerate(doc["pieces"]):
+        cuts = [Fraction(0), *map(Fraction, row[1::2]), Fraction(1)]
+        for i, k in enumerate(row[::2]):
+            elements.setdefault(k, []).append((e, cuts[i], cuts[i + 1]))
+    return list(elements.values())
+
+
 def _element_points(graph, element):
     pts = []
     for e, lo, hi in element:
@@ -133,16 +144,16 @@ def _flip_id(doc):
 
 def mut_cover_tiny_eps(doc, graph, rng):
     worst = max(_max_diam2(_element_points(graph, el))
-                for el in doc["elements"])
+                for el in _doc_elements(doc))
     assert worst >= Fraction(1, 10 ** 12)
     doc["epsilon"] = "1/1000000"
     return doc
 
 
 def mut_cover_drop_edge(doc, graph, rng):
-    present = sorted({f[0] for el in doc["elements"] for f in el})
-    e = rng.choice(present)
-    doc["elements"] = [[f for f in el if f[0] != e] for el in doc["elements"]]
+    # Without its row, the last edge is not covered.
+    assert len(doc["pieces"]) == len(graph.edges)
+    doc["pieces"].pop()
     return doc
 
 
@@ -152,10 +163,44 @@ def mut_cover_wrong_host(doc, graph, rng):
 
 
 def mut_cover_merge_all(doc, graph, rng):
-    merged = [f for el in doc["elements"] for f in el]
+    merged = [f for el in _doc_elements(doc) for f in el]
     eps = Fraction(doc["epsilon"])
     assert _max_diam2(_element_points(graph, merged)) >= eps * eps
-    doc["elements"] = [merged]
+    for row in doc["pieces"]:
+        row[::2] = [0] * len(row[::2])
+    return doc
+
+
+def mut_cover_repeated_cut(doc, graph, rng):
+    # A cut written twice: the piece between the copies has no length.
+    row = rng.choice([row for row in doc["pieces"] if len(row) > 1])
+    i = rng.randrange(1, len(row), 2)
+    row[i:i] = [row[i], row[i - 1]]
+    assert not Fraction(row[i]) < Fraction(row[i + 2])
+    return doc
+
+
+def mut_cover_cut_at_an_end(doc, graph, rng):
+    # A cut at 0 or 1: a piece of no length at an end of the edge.
+    row = rng.choice(doc["pieces"])
+    if rng.random() < 0.5:
+        row[:0] = [row[0], "0"]
+        assert Fraction(row[1]) == 0
+    else:
+        row += ["1", row[-1]]
+        assert Fraction(row[-2]) == 1
+    return doc
+
+
+def mut_cover_id_past_the_count(doc, graph, rng):
+    # An id beyond every id of the document skips at least one id.
+    rows = doc["pieces"]
+    n = len({k for row in rows for k in row[::2]})
+    e = rng.randrange(len(rows))
+    i = rng.randrange(0, len(rows[e]), 2)
+    rows[e][i] = n + 1
+    seen = {k for row in rows[:e] for k in row[::2]} | set(rows[e][:i:2])
+    assert rows[e][i] > len(seen)
     return doc
 
 
@@ -270,7 +315,9 @@ def mut_sep_wrong_host(doc, graph, rng):
 def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
     t0 = time.perf_counter()
     cover_ops = [mut_cover_tiny_eps, mut_cover_drop_edge,
-                 mut_cover_wrong_host, mut_cover_merge_all]
+                 mut_cover_wrong_host, mut_cover_merge_all,
+                 mut_cover_repeated_cut, mut_cover_cut_at_an_end,
+                 mut_cover_id_past_the_count]
     bases = []
     for g, eps in ((seg_graph, HALF), (m2, HALF), (m3, QUARTER)):
         bases.append(("cover", g, upper_cover(g, eps).to_json_dict(),

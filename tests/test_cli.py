@@ -237,7 +237,7 @@ def test_json_writer_round_trips_edge_values(tmp_path):
 def test_json_writer_holds_no_copy_of_the_text(tmp_path, m3):
     # The indented writer allocated about six times the file size at
     # peak; the streamed one holds a few I/O buffers whatever the size.
-    doc = upper_cover(m3, Fraction(1, 1024)).to_json_dict()
+    doc = upper_cover(m3, Fraction(1, 2048)).to_json_dict()
     out = tmp_path / "up.json"
     tracemalloc.start()
     try:
@@ -330,23 +330,27 @@ def test_verify_tampered_certificate_exits_one(tmp_path, seg_graph_file):
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
-    del doc["elements"][0]
+    del doc["pieces"][0]
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 1
     assert res.stderr.startswith("VERIFY:")
 
 
-def test_verify_empty_element_exits_one(tmp_path, seg_graph_file):
+def test_verify_refuses_an_element_id_past_the_count(tmp_path,
+                                                     seg_graph_file):
+    # An id that skips one would leave an element empty, so a document
+    # cannot name one.
     cert = tmp_path / "c.json"
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
-    doc["elements"].append([])
+    assert doc["pieces"] == [[0, "127/256", 1, "127/128", 2]]
+    doc["pieces"] = [[0, "127/256", 2, "127/128", 1]]
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
-    assert res.exit_code == 1
-    assert res.stderr.startswith("VERIFY:")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: row 0: element id 2")
 
 
 def test_verify_refuses_v1_separation_document(tmp_path, m3_graph):
@@ -449,13 +453,33 @@ def test_verify_refuses_v1_cover_document(tmp_path, seg_graph_file):
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
+    del doc["pieces"]
     doc["version"] = 1
-    doc["elements"] = [{"anchor_vertices": [], "partial_edges": el,
-                        "whole_edges": []} for el in doc["elements"]]
+    doc["elements"] = [{"anchor_vertices": [], "whole_edges": [],
+                        "partial_edges": [[0, "0", "1/2"]]},
+                       {"anchor_vertices": [], "whole_edges": [],
+                        "partial_edges": [[0, "1/2", "1"]]}]
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
+
+
+def test_verify_refuses_v2_cover_document(tmp_path, seg_graph_file):
+    # Version 2 listed each element's [edge, lo, hi] fragments; this one
+    # is a valid cover of the unit segment at 1/2.
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    doc = json.loads(cert.read_text())
+    del doc["pieces"]
+    doc["version"] = 2
+    doc["elements"] = [[[0, "0", "1/4"]], [[0, "1/4", "5/8"]],
+                       [[0, "5/8", "1"]]]
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: unsupported version 2")
 
 
 @pytest.fixture()
@@ -472,9 +496,9 @@ def test_verify_refuses_a_host_with_no_edges(tmp_path, point_host):
     # upper=0.
     host, graph_id = point_host
     cert = tmp_path / "c.json"
-    cert.write_text(json.dumps({"format": "sdimlab/cover", "version": 2,
+    cert.write_text(json.dumps({"format": "sdimlab/cover", "version": 3,
                                 "graph_id": graph_id, "epsilon": "1/2",
-                                "elements": []}))
+                                "pieces": []}))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
@@ -578,24 +602,25 @@ def test_verify_refuses_an_unguarded_certificate_on_a_mismatched_host(
     assert res.stderr.startswith("VERIFY:")
 
 
-@pytest.mark.parametrize("element", [
-    [[0.7, "0", "1"], [1.2, "0", "1"]],
-    [[0, "0", "1"], ["1", "0", "1"]],
-    [[0, "0", "1"], [True, "0", "1"]],
+@pytest.mark.parametrize("pieces", [
+    [[0.7], [0.2]],
+    [[0], ["0"]],
+    [[0], [False]],
 ], ids=["float-edges", "string-edge", "bool-edge"])
 def test_verify_refuses_fragment_edges_that_are_not_integers(
-        tmp_path, lshape_graph, element):
-    # Read through int(), the first element verified as upper=1.
+        tmp_path, lshape_graph, pieces):
+    # A fragment's edge is its row's place; the integers in a row are the
+    # element ids.  Read through int(), each of these verified as upper=1.
     host = tmp_path / "l.graph.json"
     host.write_text(json.dumps(lshape_graph.to_json_dict()))
     cert = tmp_path / "c.json"
-    doc = {"format": "sdimlab/cover", "version": 2,
+    doc = {"format": "sdimlab/cover", "version": 3,
            "graph_id": lshape_graph.graph_id(), "epsilon": "3",
-           "elements": [[[0, "0", "1"], [1, "0", "1"]]]}
+           "pieces": [[0], [0]]}
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 0 and res.output.strip() == "upper=1"
-    cert.write_text(json.dumps({**doc, "elements": [element]}))
+    cert.write_text(json.dumps({**doc, "pieces": pieces}))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
@@ -756,12 +781,12 @@ def test_verify_refuses_broken_json_with_exit_two(tmp_path, m3_graph, kind,
 
 
 @pytest.mark.parametrize("mangle", [
-    lambda doc: {**doc, "elements": [5] + doc["elements"]},
-    lambda doc: {**doc, "elements": [["whole_edges"]]},
+    lambda doc: {**doc, "pieces": [5] + doc["pieces"]},
+    lambda doc: {**doc, "pieces": [["whole_edges"]]},
     lambda doc: {**doc, "epsilon": 5},
-    lambda doc: {**doc, "elements": [[[0, 0, 1]]]},
-    lambda doc: {**doc, "elements": [{"partial_edges": [[0, "0", "1"]]}]},
-    lambda doc: {**doc, "elements": [["101"]]},
+    lambda doc: {**doc, "pieces": [[0, 1, 1]]},
+    lambda doc: {**doc, "pieces": [{"0": [0, "1/2", 1]}]},
+    lambda doc: {**doc, "pieces": ["0"]},
 ], ids=["int-element", "list-element", "int-epsilon", "int-parameters",
         "object-element", "string-fragment"])
 def test_verify_refuses_wrongly_typed_items_with_exit_two(
@@ -781,7 +806,7 @@ def test_verify_reader_holds_no_decoded_copy(tmp_path, w6):
     # certificate was built from it, about seven times the file size
     # beyond the certificate; the streamed reader holds the text and one
     # item.
-    eps = Fraction(1, 512)
+    eps = Fraction(1, 1024)
     cert = tmp_path / "up.json"
     _write_json(str(cert), upper_cover(w6, eps).json_members())
     size = cert.stat().st_size
@@ -792,12 +817,12 @@ def test_verify_reader_holds_no_decoded_copy(tmp_path, w6):
     finally:
         tracemalloc.stop()
     assert size >= 100_000
-    assert len(back.elements) == 3958
+    assert len(back.elements) == 7870
     assert peak - kept < 2 * size
     graph = tmp_path / "w6.json"
     _write_json(str(graph), w6.to_json_dict())
     res = invoke("verify", "--graph", graph, "--cert", cert)
-    assert res.exit_code == 0 and res.output.strip() == "upper=3958"
+    assert res.exit_code == 0 and res.output.strip() == "upper=7870"
 
 
 # ---------------------------------------------------------------------------

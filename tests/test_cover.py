@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import DeltaClip, brute_force_oracle
+from reference import DeltaClip, brute_force_oracle, points_diameter2
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      DisconnectedInput, EdgeFragment, EmptySubset, GraphPoint,
@@ -26,8 +27,7 @@ from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      SeparationCertificate, SubSet, TruncationGuard,
                      VerificationFailure, arrange, certificate_from_json_dict,
                      check_cover, check_separation, dist2, lower_separation,
-                     point, points_diameter2, s_bounds, segment,
-                     truncation_guard, upper_cover)
+                     point, s_bounds, segment, truncation_guard, upper_cover)
 from sdimlab import exactcore as xc
 from sdimlab.cli import _json_chunks
 from sdimlab.cover import _candidate_points, _ClipIndex, _Work, _extend
@@ -774,52 +774,135 @@ def test_check_separation_trusts_a_rebuilt_host_to_be_proper(w6,
 def test_cover_certificate_round_trip(m2):
     cert = upper_cover(m2, HALF)
     doc = cert.to_json_dict()
-    assert doc["version"] == 2
-    assert all(isinstance(el, list) and el
-               and all(isinstance(f, list) and len(f) == 3 for f in el)
-               for el in doc["elements"])
+    assert doc["version"] == 3
+    assert len(doc["pieces"]) == len(m2.edges)
+    assert all(type(row) is list and len(row) % 2 == 1
+               and all(type(k) is int for k in row[::2])
+               and all(type(c) is str for c in row[1::2])
+               for row in doc["pieces"])
     back = CoverCertificate.from_json_dict(doc)
     assert back == cert
     assert back.to_json_dict() == doc
     assert check_cover(m2, back) == len(cert.elements)
 
 
-def test_cover_round_trip_keeps_whole_edges_and_points(lshape_graph):
-    # The origin is the first end of both legs; [1, 0, 0] names it as a
-    # degenerate fragment, which is how a lone vertex is written.
-    assert [i for i, _ in lshape_graph.edges] == [0, 0]
+def _fragment_sets(cert) -> list[set]:
+    return [set(el.fragments) for el in cert.elements]
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=small_proper_hosts(),
+       eps=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(3, 16),
+                            Fraction(1, 8), Fraction(2, 7)]))
+def test_cover_document_round_trips_on_small_hosts(g, eps):
+    cert = upper_cover(g, eps)
+    text = "".join(_json_chunks(cert.json_members()))
+    assert "".join(_json_chunks(cert.json_members())) == text
+    back = CoverCertificate.from_json_dict(json.loads(text))
+    assert [set(el.fragments) for el in back.elements] \
+        == [set(el.fragments) for el in cert.elements]
+    assert check_cover(g, back) == check_cover(g, cert)
+
+
+def test_cover_document_numbers_elements_by_first_appearance(lshape_graph):
+    # Element 1 is the first on edge 0, so it is written as id 0; a whole
+    # edge is a row with one id and no cut.
     one, zero = Fraction(1), Fraction(0)
-    cert = CoverCertificate(
-        Fraction(3),
-        (SubSet((EdgeFragment(0, zero, one), EdgeFragment(1, zero, zero))),
-         SubSet((EdgeFragment(1, zero, HALF), EdgeFragment(1, HALF, one)))),
-        lshape_graph.graph_id())
+    first, second = (SubSet((EdgeFragment(1, zero, HALF),
+                             EdgeFragment(1, HALF, one))),
+                     SubSet((EdgeFragment(0, zero, one),)))
+    cert = CoverCertificate(Fraction(3), (first, second),
+                            lshape_graph.graph_id())
     doc = cert.to_json_dict()
-    assert doc["elements"] == [[[0, "0", "1"], [1, "0", "0"]],
-                               [[1, "0", "1/2"], [1, "1/2", "1"]]]
+    assert doc["pieces"] == [[0], [1, "1/2", 1]]
     back = CoverCertificate.from_json_dict(doc)
-    assert back == cert
+    assert back.elements == (second, first)
     assert check_cover(lshape_graph, back) == 2
 
 
-def test_cover_reader_sorts_fragments(seg_graph):
+@pytest.mark.parametrize("elements", [
+    [[(0, 0, 1)], [(1, 0, 1), (1, 0, 0)]],
+    [[(0, 0, 1)], [(1, 0, HALF)], [(1, QUARTER, 1)]],
+    [[(0, 0, 1)], [(1, 0, QUARTER)], [(1, HALF, 1)]],
+    [[(0, 0, 1)], [(1, 0, HALF)]],
+    [[(1, 0, 1)]],
+    [[(0, 0, 1), (1, 0, 1)], []],
+    [[(0, 0, 1), (1, 0, 1), (-1, 0, 1)]],
+], ids=["point", "overlap", "gap", "short", "missing-edge", "empty-element",
+        "negative-edge"])
+def test_cover_writer_refuses_fragments_that_do_not_cut_each_edge(
+        lshape_graph, elements):
+    # A document cuts every edge into pieces of positive length; these
+    # certificates have none, whatever `check_cover` makes of them.
+    cert = CoverCertificate(
+        Fraction(3),
+        tuple(SubSet(tuple(EdgeFragment(e, Fraction(lo), Fraction(hi))
+                           for e, lo, hi in el)) for el in elements),
+        lshape_graph.graph_id())
+    with pytest.raises(ValueError):
+        cert.to_json_dict()
+
+
+def test_cover_reader_shares_each_cut_between_its_pieces(seg_graph):
     doc = upper_cover(seg_graph, HALF).to_json_dict()
-    doc["elements"] = [[[0, "1/2", "1"], [0, "0", "1/2"]]]
+    assert doc["pieces"] == [[0, "127/256", 1, "127/128", 2]]
     back = CoverCertificate.from_json_dict(doc)
-    assert [(f.lo, f.hi) for f in back.elements[0].fragments] \
-        == [(0, HALF), (HALF, 1)]
+    (a,), (b,), (c,) = (el.fragments for el in back.elements)
+    assert (a.lo, a.hi, b.hi, c.hi) == (0, Fraction(127, 256),
+                                        Fraction(127, 128), 1)
+    assert a.hi is b.lo and b.hi is c.lo
+
+
+@pytest.mark.parametrize("row", [
+    [0, "1/2", 1, "1/2", 2],
+    [0, "1/2", 1, "1/4", 2],
+    [0, "0", 1, "1/2", 2],
+    [0, "1/2", 1, "1", 2],
+    [0, "1/2", 2],
+    [1, "1/2", 0],
+    [0, "1/2", -1],
+    [0, "1/2"],
+    [],
+], ids=["repeated-cut", "falling-cut", "cut-at-0", "cut-at-1",
+        "id-past-the-count", "first-id-not-0", "negative-id", "even-length",
+        "empty-row"])
+def test_cover_reader_refuses_rows_that_break_the_layout(seg_graph, row):
+    doc = upper_cover(seg_graph, HALF).to_json_dict()
+    certificate_from_json_dict(doc)
+    with pytest.raises(ParseError):
+        certificate_from_json_dict({**doc, "pieces": [row]})
+
+
+def _v2_elements(cert) -> list:
+    return [[[f.edge, str(f.lo), str(f.hi)] for f in el.fragments]
+            for el in cert.elements]
 
 
 def test_cover_v1_document_is_refused(m2):
-    doc = upper_cover(m2, HALF).to_json_dict()
-    # Version 1 alone, on v2 elements, is refused by its version...
-    doc["version"] = 1
-    with pytest.raises(ParseError, match="unsupported version"):
-        certificate_from_json_dict(doc)
+    cert = upper_cover(m2, HALF)
+    doc = cert.to_json_dict()
+    # Version 1 alone, on v3 rows, is refused by its version...
+    with pytest.raises(ParseError, match="unsupported version 1"):
+        certificate_from_json_dict({**doc, "version": 1})
     # ...and a whole v1 document by its elements, which are objects.
+    del doc["pieces"]
+    doc["version"] = 1
     doc["elements"] = [{"whole_edges": [], "partial_edges": el,
-                        "anchor_vertices": []} for el in doc["elements"]]
+                        "anchor_vertices": []} for el in _v2_elements(cert)]
     with pytest.raises(ParseError):
+        certificate_from_json_dict(doc)
+
+
+def test_cover_v2_document_is_refused(m2):
+    # Version 2 listed each element's [edge, lo, hi] fragments.
+    cert = upper_cover(m2, HALF)
+    doc = cert.to_json_dict()
+    with pytest.raises(ParseError, match="unsupported version 2"):
+        certificate_from_json_dict({**doc, "version": 2})
+    del doc["pieces"]
+    doc["version"] = 2
+    doc["elements"] = _v2_elements(cert)
+    with pytest.raises(ParseError, match="unsupported version 2"):
         certificate_from_json_dict(doc)
 
 
@@ -870,10 +953,11 @@ def _with_item(doc, key, index, item):
 @pytest.mark.parametrize("edge", [0.7, 1.2, 1.0, "1", True, None])
 def test_cover_reader_refuses_a_fragment_edge_that_is_not_an_integer(
         m2, edge):
+    # A fragment's edge is its row's place; the integers in a row are the
+    # element ids, read as strictly as an edge index was.
     doc = upper_cover(m2, HALF).to_json_dict()
     with pytest.raises(ParseError):
-        certificate_from_json_dict(
-            _with_item(doc, "elements", 0, [[edge, "0", "1"]]))
+        certificate_from_json_dict(_with_item(doc, "pieces", 0, [edge]))
 
 
 @pytest.mark.parametrize("mangle", [
@@ -917,13 +1001,14 @@ def _digest(cert) -> str:
 # lower digests are of separation version 3; the guarded point lists are
 # the ones version 2 listed, while m3's unguarded list grew from 61 to 63
 # points with the exact clip, and to 67 when the greedy took the checker's
-# either-clip rule.
+# either-clip rule.  The upper digests are of cover version 3, whose
+# elements are the ones version 2 listed, fragment for fragment.
 GOLDEN = [
     ("m3", Fraction(1, 16), "76e004d03f32a4fc", "1cf8ff70aa3f5a57",
-     "304670f9ec4f46f0"),
-    ("w6", Fraction(1, 64), "5d79cf9ee29ef67a", None, "da1ae3593d56dc9d"),
-    ("w6", Fraction(33, 2048), "7607fe2599841d59", None, "8cc059ab86f2e691"),
-    ("m15", Fraction(1, 16), "d7ae7a1d4011d190", None, "8a5985af5fe3b8e8"),
+     "435ee97da42ef4bc"),
+    ("w6", Fraction(1, 64), "5d79cf9ee29ef67a", None, "2719c5bd30f1c162"),
+    ("w6", Fraction(33, 2048), "7607fe2599841d59", None, "f657802d37e6e5ad"),
+    ("m15", Fraction(1, 16), "d7ae7a1d4011d190", None, "5b999cdbb6c4b45c"),
 ]
 
 
@@ -950,16 +1035,16 @@ def test_certificates_match_golden_digests(request, host, eps, guarded,
 # shark-teeth pair are arranged ones, with slanted edges, crossings and
 # T-junctions, which no builder makes.
 GOLDEN_UPPER = [
-    ("w6", Fraction(1033, 262144), "662f9fb196d16140", 1926),
-    ("m15", Fraction(1, 37), "047076a47b20a57a", 590),
-    ("cross_graph", Fraction(1, 3), "752037f6b010b770", 10),
-    ("cross_graph", Fraction(2, 7), "3557d4798b25c8ca", 10),
-    ("lshape_graph", Fraction(1, 3), "5ddcfabcb6765c0d", 7),
-    ("lshape_graph", Fraction(3, 10), "143df32c69bc9d81", 8),
-    ("kite_graph", Fraction(1, 3), "f1297eacd77f7597", 50),
-    ("kite_graph", Fraction(5, 17), "c081d5538c519a04", 57),
-    ("fork_graph", Fraction(1, 3), "4f315a4e708383df", 37),
-    ("fork_graph", Fraction(4, 11), "c53115b4c0f1a9fa", 33),
+    ("w6", Fraction(1033, 262144), "d6b11a5a8da37e85", 1926),
+    ("m15", Fraction(1, 37), "53939792b7a7ddaa", 590),
+    ("cross_graph", Fraction(1, 3), "e541e1993780fb79", 10),
+    ("cross_graph", Fraction(2, 7), "e45bacb5ce72a6fc", 10),
+    ("lshape_graph", Fraction(1, 3), "e2af0f71dd02a466", 7),
+    ("lshape_graph", Fraction(3, 10), "2f12dd01035884e5", 8),
+    ("kite_graph", Fraction(1, 3), "5ed7d707744640e4", 50),
+    ("kite_graph", Fraction(5, 17), "64aff8a3ea6f9e0d", 57),
+    ("fork_graph", Fraction(1, 3), "38f57c619a18a996", 37),
+    ("fork_graph", Fraction(4, 11), "1dd1e478c299cfa2", 33),
 ]
 
 

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from reference import points_diameter2
+
 from sdimlab import (DisconnectedInput, EmptySubset, OverlapError,
                      ParseError, PLGraph, Point, arrange, dist2,
-                     parse_rational, point, points_diameter2, segment)
+                     parse_rational, point, segment)
 from sdimlab.geom import merge_intervals, parse_index
 from sdimlab.limits import Budget
 

@@ -40,17 +40,16 @@ EXPORTS = (
     "format_rational", "geom", "ifs", "ifs_bound_report",
     "ifs_dimension_bound", "limit_check", "limits", "lip_affine",
     "lower_separation", "make_row", "n_k", "next_amplitude_bound",
-    "parse_rational", "phi", "phi_n", "point", "points_diameter2",
-    "predicted_counts", "read_profile_csv", "render", "render_cloud_svg",
-    "render_svg", "s_bounds", "scale_ratio", "sdim_estimate",
-    "segment", "segment_halves", "sierpinski", "spec_from_meta", "sweep",
-    "tooth_height", "tooth_polyline", "truncation_guard", "upper_cover",
-    "write_profile_csv",
+    "parse_rational", "phi", "phi_n", "point", "predicted_counts",
+    "read_profile_csv", "render", "render_cloud_svg", "render_svg",
+    "s_bounds", "scale_ratio", "sdim_estimate", "segment", "segment_halves",
+    "sierpinski", "spec_from_meta", "sweep", "tooth_height", "tooth_polyline",
+    "truncation_guard", "upper_cover", "write_profile_csv",
 )
 
 
 def test_all_is_pinned():
-    assert len(EXPORTS) == 78
+    assert len(EXPORTS) == 77
     assert sdimlab.__all__ == sorted(EXPORTS)
 
 
