@@ -13,9 +13,8 @@ Scale parameters cross this boundary only as exact "p/q" strings;
 decimals are rejected so no binary-decimal drift can leak into
 certificates.  All output files are written atomically, with
 the mode the umask gives a new file.  JSON outputs are streamed: sorted
-top-level keys, one line per item of a top-level array.  Certificates
-are streamed both ways: written one item at a time, and read one
-top-level array item at a time.
+top-level keys, one line per item of a top-level array.  Every JSON
+input, a certificate included, is read with `json.load`.
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 from collections.abc import Iterator
-from json import JSONDecoder
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from . import _lazy
@@ -87,87 +84,6 @@ def _read_json(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-
-
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
-_raw_decode = JSONDecoder().raw_decode
-
-
-def _read_members(path: str) -> Iterator[tuple[str, object]]:
-    """The members of the JSON object in `path`, in document order, for
-    `certificate_from_json_dict`.
-
-    The value of a member that is an array comes as an iterator that
-    decodes one item per step, so the document is never held decoded
-    whole.  Its items must be drawn before the next member; any left
-    undrawn are skipped.  Any JSON layout is accepted, and a document
-    that `json.load` would refuse, or that is not an object, is a
-    `ParseError`.
-    """
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    i = 0
-
-    def fail(what: str) -> NoReturn:
-        raise ParseError(f"{path} is not valid JSON: {what}: char {i}")
-
-    def skip(chars: str) -> str:
-        """Skip whitespace, then one of `chars`, which is returned."""
-        nonlocal i
-        i = _WHITESPACE.match(text, i).end()
-        c = text[i:i + 1]
-        if not c or c not in chars:
-            fail("Expecting " + " or ".join(map(repr, chars)))
-        i += 1
-        return c
-
-    def value():
-        nonlocal i
-        i = _WHITESPACE.match(text, i).end()
-        try:
-            v, i = _raw_decode(text, i)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-        return v
-
-    def items() -> Iterator:
-        nonlocal i
-        i = _WHITESPACE.match(text, i).end()
-        if text.startswith("]", i):
-            i += 1
-            return
-        while True:
-            yield value()
-            if skip(",]") == "]":
-                return
-
-    skip("{")
-    i = _WHITESPACE.match(text, i).end()
-    if text.startswith("}", i):
-        i += 1
-    else:
-        while True:
-            i = _WHITESPACE.match(text, i).end()
-            if not text.startswith('"', i):
-                fail("Expecting property name enclosed in double quotes")
-            key = value()
-            skip(":")
-            i = _WHITESPACE.match(text, i).end()
-            if text.startswith("[", i):
-                i += 1
-                rest = items()
-                yield key, rest
-                for _ in rest:
-                    pass
-            else:
-                yield key, value()
-            if skip(",}") == "}":
-                break
-    if _WHITESPACE.match(text, i).end() != len(text):
-        fail("Extra data")
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -296,7 +212,7 @@ def cmd_verify(graph_path: str, cert_path: str) -> None:
     """Recheck a certificate against its host graph from scratch."""
     from .cover import CoverCertificate, SeparationCertificate
     graph = _load_graph(graph_path)
-    cert = certificate_from_json_dict(_read_members(cert_path))
+    cert = certificate_from_json_dict(_read_json(cert_path))
     budget = from_env()
     if isinstance(cert, CoverCertificate):
         print(f"upper={check_cover(graph, cert, budget)}")

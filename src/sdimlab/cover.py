@@ -153,17 +153,12 @@ class CoverCertificate:
 
     @classmethod
     def from_json_dict(cls, data) -> "CoverCertificate":
-        """Read a decoded document, or its members as
-        `certificate_from_json_dict` takes them."""
-        return cls._from_fields(_read_fields(data))
-
-    @classmethod
-    def _from_fields(cls, fields: dict) -> "CoverCertificate":
-        _expect_format(fields, COVER_FORMAT, COVER_VERSION)
+        _expect_format(data, COVER_FORMAT, COVER_VERSION)
         try:
-            return cls(parse_rational(fields["epsilon"]), fields["pieces"],
-                       str(fields["graph_id"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(parse_rational(data["epsilon"]),
+                       _rows_from_json(data["pieces"]),
+                       str(data["graph_id"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
 
 
@@ -216,7 +211,7 @@ def _rows_to_json(elements: Sequence[SubSet]) -> Iterator[list]:
 
 
 def _rows_from_json(rows: Iterable) -> tuple[SubSet, ...]:
-    """The elements a document's rows describe, drawn one row at a time.
+    """The elements a document's rows describe.
 
     Slot k of a dense list holds element k's one fragment, or a list of
     them once it has a second; each cut's `Fraction` is shared by the
@@ -302,7 +297,7 @@ class SeparationCertificate:
     def witnesses(self) -> tuple:
         """Always empty: a version 3 document lists no witnesses.  Its one
         reader is `perfbench/tracing.py`, which counts witnesses by kind;
-        it goes with ROADMAP item 5, when the tracer reads a stats record.
+        it goes with ROADMAP item 6, when the tracer reads a stats record.
         """
         return ()
 
@@ -329,22 +324,17 @@ class SeparationCertificate:
 
     @classmethod
     def from_json_dict(cls, data) -> "SeparationCertificate":
-        """Read a decoded document, or its members as
-        `certificate_from_json_dict` takes them."""
-        return cls._from_fields(_read_fields(data))
-
-    @classmethod
-    def _from_fields(cls, fields: dict) -> "SeparationCertificate":
-        _expect_format(fields, SEPARATION_FORMAT, SEPARATION_VERSION)
+        _expect_format(data, SEPARATION_FORMAT, SEPARATION_VERSION)
         try:
-            g = fields.get("guard")
+            g = data.get("guard")
             guard = None if g is None else TruncationGuard(
                 parse_index(g["K"]),
                 parse_rational(g["amplitude_bound"]),
                 parse_rational(g["threshold"]))
-            return cls(parse_rational(fields["epsilon"]), fields["points"],
-                       guard, str(fields["graph_id"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(parse_rational(data["epsilon"]),
+                       tuple(map(_point_from_json, data["points"])),
+                       guard, str(data["graph_id"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(
                 f"malformed separation certificate: {exc}") from exc
 
@@ -358,65 +348,27 @@ def _point_from_json(item: list) -> GraphPoint:
     return GraphPoint(parse_index(e), parse_rational(t))
 
 
-def _points_from_json(items: Iterable) -> tuple[GraphPoint, ...]:
-    return tuple(map(_point_from_json, items))
-
-
-# Array members and how each is read.  Each item is converted as soon as
-# it is decoded, so a streamed document is never held whole.
-_ARRAY_READERS = {"pieces": _rows_from_json,
-                  "points": _points_from_json}
-_SCALAR_KEYS = ("format", "version", "graph_id", "epsilon", "guard")
-
-
-def _read_fields(data) -> dict:
-    """The members a certificate reads, with arrays converted.
-
-    `data` is a decoded JSON object, or an iterator over its members as
-    (key, value) pairs in document order, where an array value may be an
-    iterator over its items.  A later duplicate key wins, as in `json`.
-    """
-    if isinstance(data, dict):
-        data = iter(data.items())
-    elif not isinstance(data, Iterator):
-        raise ParseError("not a certificate document")
-    fields: dict = {}
-    for key, value in data:
-        read = _ARRAY_READERS.get(key)
-        if read is not None:
-            try:
-                fields[key] = read(value)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"malformed {key} in certificate: "
-                                 f"{exc}") from exc
-        elif key in _SCALAR_KEYS:
-            fields[key] = list(value) if isinstance(value, Iterator) \
-                else value
-    return fields
-
-
-def _expect_format(data: dict, name: str, version: int) -> None:
-    if data.get("format") != name:
+def _expect_format(data, name: str, version: int) -> None:
+    if not isinstance(data, dict) or data.get("format") != name:
         raise ParseError(f"not a {name} document")
     if data.get("version") != version:
         raise ParseError(f"unsupported version {data.get('version')!r}")
 
 
 def certificate_from_json_dict(data):
-    """Read either certificate kind, dispatching on its format field.
+    """Read either certificate kind from a decoded JSON document,
+    dispatching on its format field.
 
-    `data` is a decoded JSON object, or an iterator over its members as
-    (key, value) pairs in document order, where an array value may be an
-    iterator over its items: each item is converted before the next is
-    drawn.  A document of the wrong shape is a `ParseError`; so is a
-    malformed item of any of the arrays in `_ARRAY_READERS`, even one
-    that the document's format does not read.
+    A document that is not an object, is of neither format, or holds a
+    malformed member that its format reads is a `ParseError`.  Members
+    that the format does not read are ignored.
     """
-    fields = _read_fields(data)
-    if fields.get("format") == COVER_FORMAT:
-        return CoverCertificate._from_fields(fields)
-    if fields.get("format") == SEPARATION_FORMAT:
-        return SeparationCertificate._from_fields(fields)
+    if not isinstance(data, dict):
+        raise ParseError("not a certificate document")
+    if data.get("format") == COVER_FORMAT:
+        return CoverCertificate.from_json_dict(data)
+    if data.get("format") == SEPARATION_FORMAT:
+        return SeparationCertificate.from_json_dict(data)
     raise ParseError("not a certificate document")
 
 

@@ -19,7 +19,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import DeltaClip, brute_force_oracle, points_diameter2
+from reference import (ORACLE_MAX_EDGES, DeltaClip, brute_force_oracle,
+                       points_diameter2)
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      DisconnectedInput, EdgeFragment, EmptySubset, GraphPoint,
@@ -987,6 +988,25 @@ def test_certificate_dispatch(m2):
         certificate_from_json_dict({"format": "mystery"})
 
 
+@pytest.mark.parametrize("data", [[], "x", None, 3])
+@pytest.mark.parametrize("read", [CoverCertificate.from_json_dict,
+                                  SeparationCertificate.from_json_dict,
+                                  certificate_from_json_dict],
+                         ids=["cover", "separation", "either"])
+def test_certificate_readers_refuse_a_document_that_is_not_an_object(
+        read, data):
+    with pytest.raises(ParseError):
+        read(data)
+
+
+def test_certificate_reader_ignores_a_member_its_format_does_not_read(m2):
+    up = upper_cover(m2, HALF).to_json_dict()
+    low = lower_separation(m2, HALF).to_json_dict()
+    for doc, key in ((up, "points"), (low, "pieces")):
+        assert certificate_from_json_dict({**doc, key: [5]}) \
+            == certificate_from_json_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # golden outputs
 
@@ -1103,6 +1123,116 @@ def test_oracle_brackets_library_bounds_on_random_hosts(segs, eps):
     olo, oup = brute_force_oracle(g, eps)
     assert lo <= oup
     assert olo <= up
+
+
+def _free_family(g: PLGraph, data) -> list[GraphPoint]:
+    """Points drawn without the greedy: on each edge a run of sixteenths
+    a/16, (a + s)/16, ... or none, then vertices named through a random
+    edge at them, then maybe a twin of one: the same point again, a
+    vertex through any edge at it."""
+    def at_vertex(v: int) -> GraphPoint:
+        e, end = data.draw(st.sampled_from(g.incident(v)))
+        return GraphPoint(e, Fraction(end))
+
+    pts = []
+    for e in range(len(g.edges)):
+        s = data.draw(st.integers(0, 16))
+        if s:
+            a = data.draw(st.integers(0, 16))
+            pts += [GraphPoint(e, Fraction(j, 16)) for j in range(a, 17, s)]
+    vertices = st.integers(0, len(g.vertices) - 1)
+    pts += [at_vertex(v) for v in data.draw(st.lists(vertices, max_size=3))]
+    assume(pts)
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from(pts))
+        twin = at_vertex(g.edges[p.edge][int(p.t)]) if p.t in (0, 1) else p
+        pts.insert(data.draw(st.integers(0, len(pts))), twin)
+    return pts
+
+
+def _free_rows(g: PLGraph, data) -> list[list]:
+    """Cover rows drawn without the greedy: on each edge cuts at eighths,
+    a/8, (a + s)/8, ..., and more at random.  Either every piece goes to
+    the element of the grid cell of side c/16 that holds its midpoint, or
+    each to a new element, its left neighbour's or any seen so far."""
+    side = data.draw(st.integers(0, 16))
+    cells: dict[tuple[int, int], int] = {}
+    rows, count = [], 0
+    for e in range(len(g.edges)):
+        s = data.draw(st.integers(1, 8))
+        a = data.draw(st.integers(1, 8))
+        cuts = sorted(set(range(a, 8, s))
+                      | data.draw(st.sets(st.integers(1, 7))))
+        ends = [0, *cuts, 8]
+        row = []
+        for i in range(len(ends) - 1):
+            if side:
+                xn, xd, yn, yd = g.edge_raw(
+                    e, Fraction(ends[i] + ends[i + 1], 16))
+                k = cells.setdefault((16 * xn // (side * xd),
+                                      16 * yn // (side * yd)), count)
+            else:
+                how = data.draw(st.sampled_from(["new", "left", "any"]))
+                if how == "left" and row:
+                    k = row[-1]
+                elif how == "any" and count:
+                    k = data.draw(st.integers(0, count - 1))
+                else:
+                    k = count
+            count = max(count, k + 1)
+            row += [f"{ends[i]}/8", k] if i else [k]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_proper_hosts(), data=st.data())
+def test_accepted_separation_is_within_the_oracle_upper(g, data):
+    # A family the checker accepts shows S >= its size; the oracle's
+    # upper side is a cover, so S <= that bound.
+    assume(len(g.edges) <= ORACLE_MAX_EDGES)
+    eps = Fraction(data.draw(st.integers(2, 12)), 16)
+    cert = SeparationCertificate(eps, tuple(_free_family(g, data)), None,
+                                 g.graph_id())
+    try:
+        n = check_separation(g, cert)
+    except VerificationFailure:
+        return
+    assert n <= brute_force_oracle(g, eps)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_proper_hosts(), data=st.data())
+def test_accepted_cover_is_above_the_oracle_lower(g, data):
+    # A cover the checker accepts shows S <= its size; the oracle's lower
+    # side is a separated family, so S >= that bound.
+    assume(len(g.edges) <= ORACLE_MAX_EDGES)
+    eps = Fraction(data.draw(st.integers(2, 12)), 16)
+    cert = certificate_from_json_dict({
+        "format": "sdimlab/cover", "version": 3, "graph_id": g.graph_id(),
+        "epsilon": str(eps), "pieces": _free_rows(g, data)})
+    try:
+        n = check_cover(g, cert)
+    except VerificationFailure:
+        return
+    assert n >= brute_force_oracle(g, eps)[0]
+
+
+def test_check_cover_refuses_a_disconnected_element():
+    # Two arms of a V whose open ends are 1/4 apart: their outer halves
+    # make one set of diameter < 5/8 that is not connected.  Two such
+    # sets would claim fewer elements than the oracle's lower bound.
+    g = PLGraph([point(Fraction(1, 16), EIGHTH),
+                 point(Fraction(1, 16), Fraction(3, 8)),
+                 point(Fraction(13, 16), Fraction(1, 16))], [(0, 2), (1, 2)])
+    eps = Fraction(5, 8)
+    cert = certificate_from_json_dict({
+        "format": "sdimlab/cover", "version": 3, "graph_id": g.graph_id(),
+        "epsilon": str(eps), "pieces": [[0, "1/2", 1], [0, "1/2", 1]]})
+    with pytest.raises(VerificationFailure,
+                       match="element 0 is not connected"):
+        check_cover(g, cert)
+    assert brute_force_oracle(g, eps)[0] == 3
 
 
 def test_oracle_refuses_large_hosts(m15):
