@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 
 # Submodule -> the names the package exports from it.
 _EXPORTS = {
-    "continuum": ("LimitCheck", "ToothPolyline", "ToothSequenceSpec",
-                  "build_shark_teeth", "limit_check", "n_k",
-                  "next_amplitude_bound", "phi", "phi_n", "predicted_counts",
+    "continuum": ("ToothPolyline", "ToothSequenceSpec", "build_shark_teeth",
+                  "n_k", "next_amplitude_bound", "predicted_counts",
                   "spec_from_meta", "tooth_height", "tooth_polyline"),
     "cover": ("CoverCertificate", "EdgeFragment", "GraphPoint",
               "SeparationCertificate", "SubSet", "TruncationGuard",
@@ -31,15 +30,14 @@ _EXPORTS = {
     "dimension": ("DimensionProfile", "ScaleRow", "ifs_bound_report",
                   "make_row", "read_profile_csv", "scale_ratio",
                   "sdim_estimate", "sweep", "write_profile_csv"),
-    "errors": ("BudgetExceeded", "DisconnectedInput", "EmptySubset",
-               "HostMismatch", "OverlapError", "ParseError", "SdimlabError",
-               "SizeLimit", "TooFewScales", "VerificationFailure"),
+    "errors": ("BudgetExceeded", "DisconnectedInput", "HostMismatch",
+               "OverlapError", "ParseError", "SdimlabError", "SizeLimit",
+               "TooFewScales", "VerificationFailure"),
     "exactcore": (),
-    "geom": ("PLGraph", "Point", "Segment", "arrange", "dist2",
-             "format_rational", "parse_rational", "point", "segment"),
-    "ifs": ("FIXTURES", "AffineMap2", "IFSSpec", "attractor_cloud",
-            "cantor_dust", "cloud_diameter", "find_k0", "ifs_dimension_bound",
-            "lip_affine", "segment_halves", "sierpinski"),
+    "geom": ("PLGraph", "Point", "Segment", "arrange", "format_rational",
+             "parse_rational", "point", "segment"),
+    "ifs": ("AffineMap2", "IFSSpec", "attractor_cloud", "cloud_diameter",
+            "find_k0", "ifs_dimension_bound", "lip_affine"),
     "limits": ("Budget",),
     "render": ("render_cloud_svg", "render_svg"),
 }

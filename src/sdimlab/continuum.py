@@ -10,12 +10,11 @@ truncation is built exactly here; the ambient continuum is their closure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import ParseError, SizeLimit
+from .errors import ParseError, SizeLimit, expect_format
 # `arrange` is not called here; perfbench/tracing.py wraps this name.
 from .geom import PLGraph, Point, arrange, parse_index  # noqa: F401
 from .limits import Budget
@@ -25,19 +24,6 @@ FORMAT_VERSION = 1
 
 MAX_TOOTH_COUNT = 4096
 MAX_LEVEL = 20
-
-
-def phi(t: Fraction) -> Fraction:
-    """Distance from t to the nearest integer."""
-    frac = t - math.floor(t)
-    return min(frac, 1 - frac)
-
-
-def phi_n(n: int, t: Fraction) -> Fraction:
-    """Tent wave with 2^n teeth on [0,1]: dist(t, 2^-n Z)."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return phi(t * 2 ** n) / 2 ** n
 
 
 def n_k(k: int) -> int:
@@ -51,8 +37,6 @@ def n_k(k: int) -> int:
     m = 0
     while 2 ** (2 ** (m + 1)) <= k + 1:
         m += 1
-    if 2 ** (2 ** m) > k + 1:
-        raise ValueError(f"no level for k={k}")
     return m
 
 
@@ -133,10 +117,7 @@ class ToothSequenceSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ToothSequenceSpec":
-        if not isinstance(data, dict) or data.get("format") != TOOTH_SPEC_FORMAT:
-            raise ParseError(f"not a {TOOTH_SPEC_FORMAT} document")
-        if data.get("version") != FORMAT_VERSION:
-            raise ParseError(f"unsupported version {data.get('version')!r}")
+        expect_format(data, TOOTH_SPEC_FORMAT, FORMAT_VERSION)
         try:
             kind = str(data["kind"])
             if kind == "paper":
@@ -244,28 +225,3 @@ def build_shark_teeth(spec: ToothSequenceSpec,
     }
     return PLGraph(vertices, sorted(edges), meta)
 
-
-class LimitCheck(NamedTuple):
-    """Scaled peak counts 2^{n_k} / k^alpha for k = 1..k_max."""
-    alpha: int
-    rows: tuple[tuple[int, Fraction], ...]
-    below_initial: bool
-
-
-def limit_check(spec: ToothSequenceSpec, alpha: int, k_max: int) -> LimitCheck:
-    """Tabulate 2^{n_k} / k^alpha exactly along the paper schedule.
-
-    The peak count 2^{n_k} grows like log(k), so for alpha >= 1 the ratio
-    drifts toward zero despite jumping up whenever the level increments.
-    below_initial records whether the value at k_max sits strictly below
-    the value at k=1, by exact rational comparison.
-    """
-    if spec.kind != "paper":
-        raise ValueError("limit_check applies to the paper schedule")
-    if not isinstance(alpha, int) or alpha < 0:
-        raise ValueError("alpha must be a nonnegative integer")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    rows = tuple((k, Fraction(2 ** n_k(k), k ** alpha))
-                 for k in range(1, k_max + 1))
-    return LimitCheck(alpha, rows, rows[-1][1] < rows[0][1])

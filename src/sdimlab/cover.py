@@ -50,8 +50,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exactcore as xc
-from .errors import (EmptySubset, HostMismatch, OverlapError, ParseError,
-                     VerificationFailure)
+from .errors import (HostMismatch, OverlapError, ParseError,
+                     VerificationFailure, expect_format)
 from .geom import (PLGraph, UnionFind, format_rational, merge_intervals,
                    parse_index, parse_rational)
 from .limits import Budget
@@ -109,9 +109,8 @@ class SubSet:
 
         Fragments of distinct edges can only meet at a graph vertex, so
         the merged runs per edge, joined at shared vertices, decide it.
+        An element with no fragments is not connected.
         """
-        if not self.fragments:
-            raise EmptySubset("element has no fragments")
         runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
         for f in self.fragments:
             runs.setdefault(f.edge, []).append((f.lo, f.hi))
@@ -153,7 +152,7 @@ class CoverCertificate:
 
     @classmethod
     def from_json_dict(cls, data) -> "CoverCertificate":
-        _expect_format(data, COVER_FORMAT, COVER_VERSION)
+        expect_format(data, COVER_FORMAT, COVER_VERSION)
         try:
             return cls(parse_rational(data["epsilon"]),
                        _rows_from_json(data["pieces"]),
@@ -324,7 +323,7 @@ class SeparationCertificate:
 
     @classmethod
     def from_json_dict(cls, data) -> "SeparationCertificate":
-        _expect_format(data, SEPARATION_FORMAT, SEPARATION_VERSION)
+        expect_format(data, SEPARATION_FORMAT, SEPARATION_VERSION)
         try:
             g = data.get("guard")
             guard = None if g is None else TruncationGuard(
@@ -346,13 +345,6 @@ def _point_to_json(p: GraphPoint) -> list:
 def _point_from_json(item: list) -> GraphPoint:
     e, t = item
     return GraphPoint(parse_index(e), parse_rational(t))
-
-
-def _expect_format(data, name: str, version: int) -> None:
-    if not isinstance(data, dict) or data.get("format") != name:
-        raise ParseError(f"not a {name} document")
-    if data.get("version") != version:
-        raise ParseError(f"unsupported version {data.get('version')!r}")
 
 
 def certificate_from_json_dict(data):

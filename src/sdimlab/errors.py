@@ -31,12 +31,6 @@ class OverlapError(SdimlabError):
     tag = "OVERLAP"
 
 
-class EmptySubset(SdimlabError):
-    """Diameter of a subset with no points is undefined."""
-
-    tag = "EMPTY"
-
-
 class HostMismatch(SdimlabError):
     """Certificate references a different host graph than the one supplied."""
 
@@ -65,3 +59,12 @@ class VerificationFailure(SdimlabError):
     """A certificate failed verification (CLI exit path)."""
 
     tag = "VERIFY"
+
+
+def expect_format(data, name: str, version: int) -> None:
+    """Refuse a decoded document that is not an object with this `format`
+    and `version`."""
+    if not isinstance(data, dict) or data.get("format") != name:
+        raise ParseError(f"not a {name} document")
+    if data.get("version") != version:
+        raise ParseError(f"unsupported version {data.get('version')!r}")

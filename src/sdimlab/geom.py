@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from . import exactcore as xc
-from .errors import DisconnectedInput, OverlapError, ParseError
+from .errors import (DisconnectedInput, OverlapError, ParseError,
+                     expect_format)
 from .limits import Budget
 
 # The interpreter's own SHA-256, as `random` takes its SHA-512: `hashlib`
@@ -95,12 +96,6 @@ def segment(a: Point, b: Point) -> Segment:
     if a == b:
         raise ValueError(f"degenerate segment at {a}")
     return Segment(a, b)
-
-
-def dist2(p: Point, q: Point) -> Fraction:
-    """Squared Euclidean distance."""
-    n, d = xc.dist2_q(p.raw(), q.raw())
-    return Fraction(n, d)
 
 
 def merge_intervals(intervals: Iterable[tuple]) -> list[tuple]:
@@ -183,18 +178,11 @@ class PLGraph:
 
     # -- geometry ---------------------------------------------------------
 
-    def edge_endpoints(self, e: int) -> tuple[Point, Point]:
-        i, j = self.edges[e]
-        return self.vertices[i], self.vertices[j]
-
-    def edge_point(self, e: int, t: Fraction) -> Point:
-        """Point at parameter t in [0, 1] along edge e."""
-        a, b = self.edge_endpoints(e)
-        return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-
     def edge_raw(self, e: int, t: Fraction) -> tuple[int, int, int, int]:
-        """`edge_point(e, t).raw()`, computed in integers: the point is
-        (1 - t) a + t b, with t = tn/td, over the denominators of a and b."""
+        """Kernel tuple of the point at parameter t in [0, 1] along edge e,
+        computed in integers: the point is (1 - t) a + t b, with t = tn/td,
+        over the denominators of a and b.  It equals the test reference's
+        `edge_point(graph, e, t).raw()`, which computes in `Fraction`s."""
         i, j = self.edges[e]
         verts = self.raw_vertices()
         a, b = verts[i], verts[j]
@@ -206,8 +194,9 @@ class PLGraph:
         return xn, xd, yn, yd
 
     def edge_length2(self, e: int) -> Fraction:
-        a, b = self.edge_endpoints(e)
-        return dist2(a, b)
+        i, j = self.edges[e]
+        verts = self.raw_vertices()
+        return Fraction(*xc.dist2_q(verts[i], verts[j]))
 
     def raw_vertices(self) -> tuple[tuple[int, int, int, int], ...]:
         """Every vertex in kernel representation, computed once."""
@@ -269,10 +258,7 @@ class PLGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PLGraph":
-        if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
-            raise ParseError("not a plane-graph document")
-        if data.get("version") != FORMAT_VERSION:
-            raise ParseError(f"unsupported version {data.get('version')!r}")
+        expect_format(data, FORMAT_NAME, FORMAT_VERSION)
         try:
             vertices = [Point(*map(parse_rational, parse_pair(v)))
                         for v in data["vertices"]]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import ParseError, VerificationFailure
+from .errors import ParseError, VerificationFailure, expect_format
 from .limits import Budget
 
 IFS_FORMAT = "sdimlab/ifs"
@@ -79,7 +79,7 @@ class IFSSpec:
     """A finite list of contracting affine maps.
 
     `diameter_hint`, when the exact attractor diameter is known by hand
-    (as for the bundled fixtures), replaces the cloud-based measurement.
+    (as for the test fixtures), replaces the cloud-based measurement.
     It must be finite and >= 0, and a hint below the diameter of a
     fixed-point cloud is refused when it is used.  Every matrix and shift
     entry must be finite.
@@ -125,10 +125,7 @@ class IFSSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IFSSpec":
-        if not isinstance(data, dict) or data.get("format") != IFS_FORMAT:
-            raise ParseError("not an IFS document")
-        if data.get("version") != FORMAT_VERSION:
-            raise ParseError(f"unsupported version {data.get('version')!r}")
+        expect_format(data, IFS_FORMAT, FORMAT_VERSION)
         try:
             maps = []
             for m in data["maps"]:
@@ -157,40 +154,6 @@ def _pair(value) -> list:
     if type(value) is not list or len(value) != 2:
         raise ValueError(f"not a pair: {value!r}")
     return value
-
-
-def _toward(point: tuple[float, float], scale: float) -> AffineMap2:
-    """Similarity contracting by `scale` with the given fixed point."""
-    px, py = point
-    return AffineMap2(scale, 0.0, 0.0, scale,
-                      (1 - scale) * px, (1 - scale) * py)
-
-
-def sierpinski() -> IFSSpec:
-    """Three half-scale maps toward the corners of a unit-side triangle."""
-    h = math.sqrt(3) / 2
-    return IFSSpec((_toward((0, 0), 0.5), _toward((1, 0), 0.5),
-                    _toward((0.5, h), 0.5)), "sierpinski", 1.0)
-
-
-def cantor_dust() -> IFSSpec:
-    """Four quarter-scale maps fixing the unit square's corners."""
-    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
-    return IFSSpec(tuple(_toward(c, 0.25) for c in corners),
-                   "cantor-dust", math.sqrt(2))
-
-
-def segment_halves() -> IFSSpec:
-    """Two half-scale maps whose attractor is the unit segment."""
-    return IFSSpec((_toward((0, 0), 0.5), _toward((1, 0), 0.5)),
-                   "segment", 1.0)
-
-
-FIXTURES = {
-    "sierpinski": sierpinski,
-    "cantor-dust": cantor_dust,
-    "segment": segment_halves,
-}
 
 
 def ifs_dimension_bound(spec: IFSSpec) -> float:

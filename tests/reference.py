@@ -15,8 +15,11 @@ side, so it shares no clip code with the library.
 so that tests can measure the word pieces that the library's dimension
 bound counts; `hausdorff` measures how far two point clouds are apart.
 
-`points_diameter2` is the exact diameter of a point set, for checks on
-cover elements.
+`edge_point` and `dist2` locate and measure graph points in `Fraction`s,
+apart from the library's integer kernel tuples; `points_diameter2` is the
+exact diameter of a point set, for checks on cover elements.  `phi` and
+`phi_n` are the paper's tent maps, which the teeth follow.  `FIXTURES`
+holds three small IFS specs whose diameters are known by hand.
 
 `decode_svg` reads back the markers and segments of a rendered SVG path;
 `cloud_positions` and `graph_positions` give, in exact arithmetic, the
@@ -33,8 +36,9 @@ from typing import NamedTuple
 
 from sdimlab import exactcore as xc
 from sdimlab.cover import GraphPoint, _Work
-from sdimlab.errors import EmptySubset, SizeLimit
+from sdimlab.errors import SizeLimit
 from sdimlab.geom import PLGraph, UnionFind, merge_intervals
+from sdimlab.geom import Point as GeomPoint
 from sdimlab.ifs import AffineMap2, IFSSpec, Point
 from sdimlab.limits import Budget
 
@@ -42,13 +46,38 @@ ORACLE_MAX_EDGES = 12
 _ORACLE_SEARCH_CAP = 300_000
 
 
+def edge_point(graph: PLGraph, e: int, t: Fraction) -> GeomPoint:
+    """Point at parameter t in [0, 1] along edge e."""
+    i, j = graph.edges[e]
+    a, b = graph.vertices[i], graph.vertices[j]
+    return GeomPoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+def dist2(p: GeomPoint, q: GeomPoint) -> Fraction:
+    """Squared Euclidean distance."""
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+
 def points_diameter2(points) -> Fraction:
-    """Max pairwise squared distance of exact points; EmptySubset when
+    """Max pairwise squared distance of exact points; ValueError when
     there are none."""
     if not points:
-        raise EmptySubset("diameter of the empty set")
+        raise ValueError("diameter of the empty set")
     n, d = xc.max_pair_dist2([p.raw() for p in points])
     return Fraction(n, d)
+
+
+def phi(t: Fraction) -> Fraction:
+    """Distance from t to the nearest integer."""
+    frac = t - math.floor(t)
+    return min(frac, 1 - frac)
+
+
+def phi_n(n: int, t: Fraction) -> Fraction:
+    """Tent wave with 2^n teeth on [0,1]: dist(t, 2^-n Z)."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    return phi(t * 2 ** n) / 2 ** n
 
 
 def frag_count(len2: Fraction, delta: Fraction) -> int:
@@ -71,21 +100,21 @@ class DeltaClip:
 
     def __init__(self, graph: PLGraph, center: GraphPoint, eps2: Fraction,
                  delta: Fraction, work: _Work):
-        craw = graph.edge_point(center.edge, center.t).raw()
+        craw = edge_point(graph, center.edge, center.t).raw()
         en, ed = eps2.numerator, eps2.denominator
         self.runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
-        for e in range(len(graph.edges)):
-            a, b = graph.edge_endpoints(e)
+        for e, (u, v) in enumerate(graph.edges):
+            a, b = graph.vertices[u], graph.vertices[v]
             work.add(1)
             dn, dd = xc.point_seg_dist2(craw, a.raw(), b.raw())
             if dn * ed > en * dd:
                 continue
-            m = frag_count(graph.edge_length2(e), delta)
+            m = frag_count(dist2(a, b), delta)
             work.add(m)
             kept = []
             prev = a
             for j in range(1, m + 1):
-                nxt = graph.edge_point(e, Fraction(j, m))
+                nxt = edge_point(graph, e, Fraction(j, m))
                 dn, dd = xc.point_seg_dist2(craw, prev.raw(), nxt.raw())
                 if dn * ed <= en * dd:
                     kept.append((j - 1, j))
@@ -158,14 +187,14 @@ def brute_force_oracle(graph: PLGraph, eps: Fraction,
     frag_pts: list[tuple] = []
     counts: list[int] = []
     index: dict[tuple[int, int], int] = {}
-    for e in range(len(graph.edges)):
-        m = frag_count(graph.edge_length2(e), d_eff)
+    for e, (a, b) in enumerate(graph.edges):
+        m = frag_count(dist2(graph.vertices[a], graph.vertices[b]), d_eff)
         counts.append(m)
         for j in range(m):
             index[(e, j)] = len(frag_of)
             frag_of.append((e, j))
-            frag_pts.append((graph.edge_point(e, Fraction(j, m)).raw(),
-                             graph.edge_point(e, Fraction(j + 1, m)).raw()))
+            frag_pts.append((edge_point(graph, e, Fraction(j, m)).raw(),
+                             edge_point(graph, e, Fraction(j + 1, m)).raw()))
     nfrag = len(frag_of)
     adj: list[set[int]] = [set() for _ in range(nfrag)]
     touch: dict[int, list[int]] = {}
@@ -265,7 +294,7 @@ def _oracle_lower(graph, counts, eps, eps2, d_eff, work) -> int:
     for e, m in enumerate(counts):
         for j in range(m + 1):
             gp = GraphPoint(e, Fraction(j, m))
-            r = graph.edge_point(e, gp.t).raw()
+            r = edge_point(graph, e, gp.t).raw()
             if r not in seen:
                 seen.add(r)
                 pts.append(gp)
@@ -316,6 +345,40 @@ def _oracle_lower(graph, counts, eps, eps2, d_eff, work) -> int:
     except _SearchCap:
         pass
     return best[0]
+
+
+def _toward(point: tuple[float, float], scale: float) -> AffineMap2:
+    """Similarity contracting by `scale` with the given fixed point."""
+    px, py = point
+    return AffineMap2(scale, 0.0, 0.0, scale,
+                      (1 - scale) * px, (1 - scale) * py)
+
+
+def sierpinski() -> IFSSpec:
+    """Three half-scale maps toward the corners of a unit-side triangle."""
+    h = math.sqrt(3) / 2
+    return IFSSpec((_toward((0, 0), 0.5), _toward((1, 0), 0.5),
+                    _toward((0.5, h), 0.5)), "sierpinski", 1.0)
+
+
+def cantor_dust() -> IFSSpec:
+    """Four quarter-scale maps fixing the unit square's corners."""
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
+    return IFSSpec(tuple(_toward(c, 0.25) for c in corners),
+                   "cantor-dust", math.sqrt(2))
+
+
+def segment_halves() -> IFSSpec:
+    """Two half-scale maps whose attractor is the unit segment."""
+    return IFSSpec((_toward((0, 0), 0.5), _toward((1, 0), 0.5)),
+                   "segment", 1.0)
+
+
+FIXTURES = {
+    "sierpinski": sierpinski,
+    "cantor-dust": cantor_dust,
+    "segment": segment_halves,
+}
 
 
 def compose(outer: AffineMap2, inner: AffineMap2) -> AffineMap2:

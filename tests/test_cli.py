@@ -25,13 +25,13 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from reference import decode_svg
+from reference import FIXTURES, decode_svg
 
 import sdimlab
 from sdimlab import PLGraph, point, read_profile_csv
 from sdimlab.cli import _atomic_write, _write_json, main
 from sdimlab.cover import lower_separation, truncation_guard, upper_cover
-from sdimlab.ifs import FIXTURES, attractor_cloud
+from sdimlab.ifs import attractor_cloud
 from sdimlab.render import render_cloud_svg
 
 

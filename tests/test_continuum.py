@@ -19,12 +19,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import phi, phi_n
 
 from sdimlab import (Budget, BudgetExceeded, ParseError, Point, SizeLimit,
-                     ToothSequenceSpec, arrange, build_shark_teeth,
-                     limit_check, n_k, next_amplitude_bound, phi, phi_n,
-                     point, predicted_counts, segment, tooth_height,
-                     tooth_polyline)
+                     ToothSequenceSpec, arrange, build_shark_teeth, n_k,
+                     next_amplitude_bound, point, predicted_counts, segment,
+                     tooth_height, tooth_polyline)
 from sdimlab import continuum
 from sdimlab.continuum import MAX_TOOTH_COUNT
 from tests.conftest import paper_truncation
@@ -106,6 +106,17 @@ def test_tooth_polyline_shape():
     assert len(tp.breakpoints) == 5
     hs = [p.y for p in tp.breakpoints]
     assert max(hs) == tooth_height(3, 1)
+
+
+@given(st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=6))
+def test_tooth_polyline_is_the_scaled_tent_map(k, level):
+    # Tooth k at level n is t -> phi_n(t) / k, and phi_n is linear between
+    # the multiples of 2^-(n+1), where the breakpoints sit.
+    tp = tooth_polyline(k, level)
+    assert len(tp.breakpoints) == 2 ** (level + 1) + 1
+    for p in tp.breakpoints:
+        assert p.y == phi_n(level, p.x) / k
 
 
 # ---------------------------------------------------------------------------
@@ -323,35 +334,3 @@ def test_next_amplitude_bound_explicit_uses_last_level():
     spec = ToothSequenceSpec(kind="explicit", levels=(1, 2))
     # Omitted tooth 3 at level >= 2: height at most 1/(3 * 8).
     assert next_amplitude_bound(spec) == Fraction(1, 24)
-
-
-# ---------------------------------------------------------------------------
-# height-to-index ratio table
-
-
-def test_limit_check_frozen_row():
-    lc = limit_check(ToothSequenceSpec(kind="paper", K=1), 1, 300)
-    table = dict(lc.rows)
-    assert table[255] == Fraction(8, 255)
-    assert table[1] == Fraction(1)
-    assert table[2] == Fraction(1, 2)
-    assert table[3] == Fraction(2, 3)
-
-
-def test_limit_check_values_are_exact_rationals():
-    lc = limit_check(ToothSequenceSpec(kind="paper", K=1), 1, 64)
-    for k, value in lc.rows:
-        assert isinstance(value, Fraction)
-        assert value == Fraction(2 ** n_k(k), k)
-
-
-def test_limit_check_alpha_one_drops_below_start():
-    lc = limit_check(ToothSequenceSpec(kind="paper", K=1), 1, 10 ** 4)
-    assert lc.below_initial
-    assert lc.rows[-1][1] < lc.rows[0][1]
-
-
-def test_limit_check_alpha_zero_does_not_drop():
-    # 2^(n_k) alone never falls below its initial value 1.
-    lc = limit_check(ToothSequenceSpec(kind="paper", K=1), 0, 10 ** 3)
-    assert not lc.below_initial

@@ -20,15 +20,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (ORACLE_MAX_EDGES, DeltaClip, brute_force_oracle,
-                       points_diameter2)
+                       dist2, edge_point, points_diameter2)
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
-                     DisconnectedInput, EdgeFragment, EmptySubset, GraphPoint,
-                     HostMismatch, ParseError, PLGraph,
-                     SeparationCertificate, SubSet, TruncationGuard,
-                     VerificationFailure, arrange, certificate_from_json_dict,
-                     check_cover, check_separation, dist2, lower_separation,
-                     point, s_bounds, segment, truncation_guard, upper_cover)
+                     DisconnectedInput, EdgeFragment, GraphPoint,
+                     HostMismatch, IFSSpec, ParseError, PLGraph,
+                     SeparationCertificate, SubSet, ToothSequenceSpec,
+                     TruncationGuard, VerificationFailure, arrange,
+                     certificate_from_json_dict, check_cover,
+                     check_separation, lower_separation, point, s_bounds,
+                     segment, truncation_guard, upper_cover)
 from sdimlab import exactcore as xc
 from sdimlab.cli import _json_chunks
 from sdimlab.cover import _candidate_points, _ClipIndex, _Work, _extend
@@ -120,9 +121,8 @@ def test_subset_connectivity_matches_pairwise_reference(request, host, data):
         _connected_pairwise(graph, frags)
 
 
-def test_empty_subset_raises(seg_graph):
-    with pytest.raises(EmptySubset):
-        SubSet(()).is_connected(seg_graph)
+def test_empty_subset_is_not_connected(seg_graph):
+    assert not SubSet(()).is_connected(seg_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_cover_diameters_strictly_below_eps(cross_graph):
     eps = QUARTER
     cert = upper_cover(cross_graph, eps)
     for el in cert.elements:
-        ends = [cross_graph.edge_point(f.edge, t)
+        ends = [edge_point(cross_graph, f.edge, t)
                 for f in el.fragments for t in (f.lo, f.hi)]
         assert points_diameter2(ends) < eps * eps
 
@@ -257,7 +257,7 @@ def test_every_close_pair_is_separated_by_a_clip(host, request):
     g = request.getfixturevalue(host)
     eps = Fraction(1, 64)
     cert = lower_separation(g, eps)
-    located = [g.edge_point(gp.edge, gp.t) for gp in cert.points]
+    located = [edge_point(g, gp.edge, gp.t) for gp in cert.points]
     close = [(i, j) for i, j in itertools.combinations(range(len(located)), 2)
              if dist2(located[i], located[j]) < eps * eps]
     assert close
@@ -338,8 +338,8 @@ def _pair_cert(g, a, b):
 def test_peaks_of_adjacent_teeth_are_separated(m2):
     peak1 = GraphPoint(1, Fraction(1))  # (1/2, 1/2)
     peak2 = GraphPoint(0, Fraction(1))  # (1/2, 1/4)
-    assert dist2(m2.edge_point(1, Fraction(1)),
-                 m2.edge_point(0, Fraction(1))) < HALF * HALF
+    assert dist2(edge_point(m2, 1, Fraction(1)),
+                 edge_point(m2, 0, Fraction(1))) < HALF * HALF
     for c, o in ((peak1, peak2), (peak2, peak1)):
         assert _clip(m2, c, HALF).separates(o, m2.edge_raw(o.edge, o.t))
         assert check_separation(m2, _pair_cert(m2, c, o)) == 2
@@ -438,7 +438,7 @@ def test_guard_frozen_values(m3):
 def test_guarded_lower_keeps_only_tall_points(m3):
     g = truncation_guard(m3, EIGHTH)
     cert = lower_separation(m3, EIGHTH, guard=g, candidates=_vertex_pool(m3))
-    located = sorted(m3.edge_point(p.edge, p.t) for p in cert.points)
+    located = sorted(edge_point(m3, p.edge, p.t) for p in cert.points)
     assert [(p.x, p.y) for p in located] == [
         (HALF, QUARTER), (HALF, HALF)]
     assert check_separation(m3, cert) == 2
@@ -631,8 +631,7 @@ def test_check_cover_rejects_disconnected_element(seg_graph):
 
 
 def test_check_cover_rejects_empty_element(seg_graph):
-    # Valid apart from the empty element, which must fail, not raise
-    # EmptySubset.
+    # Valid apart from the empty element, which must fail with its index.
     cert = CoverCertificate(
         Fraction(3, 4),
         (SubSet((EdgeFragment(0, Fraction(0), HALF),)),
@@ -663,6 +662,25 @@ def test_check_separation_accepts_distance_tie(seg_graph):
     pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, HALF))
     cert = SeparationCertificate(HALF, pts, None, seg_graph.graph_id())
     assert check_separation(seg_graph, cert) == 2
+
+
+def test_check_separation_tries_the_new_points_clip():
+    # A V with its apex at (1/8, 3/8).  a = (13/32, 3/16) on one arm and
+    # b = (9/32, 3/8) on the other are sqrt(52)/32 apart, under eps.  The
+    # apex is within eps of b, so b's clip holds a; it is sqrt(117)/32
+    # from a, so a's clip cuts b off.  With b kept first, only the new
+    # point's clip separates the pair.
+    g = arrange([segment(point(Fraction(3, 4), Fraction(3, 8)),
+                         point(Fraction(1, 8), Fraction(3, 8))),
+                 segment(point(Fraction(1, 8), Fraction(3, 8)),
+                         point(Fraction(1, 2), Fraction(1, 8)))])
+    a, b = GraphPoint(0, Fraction(3, 4)), GraphPoint(1, QUARTER)
+    assert edge_point(g, 0, a.t) == point(Fraction(13, 32), Fraction(3, 16))
+    assert edge_point(g, 1, b.t) == point(Fraction(9, 32), Fraction(3, 8))
+    assert _clip(g, a, QUARTER).separates(b, g.edge_raw(1, b.t))
+    assert not _clip(g, b, QUARTER).separates(a, g.edge_raw(0, a.t))
+    cert = SeparationCertificate(QUARTER, (b, a), None, g.graph_id())
+    assert check_separation(g, cert) == 2
 
 
 def test_check_separation_rejects_false_disconnection(m2):
@@ -999,6 +1017,26 @@ def test_certificate_readers_refuse_a_document_that_is_not_an_object(
         read(data)
 
 
+_READERS = {"sdimlab/plgraph": PLGraph.from_json_dict,
+            "sdimlab/tooth-spec": ToothSequenceSpec.from_json_dict,
+            "sdimlab/ifs": IFSSpec.from_json_dict,
+            "sdimlab/cover": CoverCertificate.from_json_dict,
+            "sdimlab/separation": SeparationCertificate.from_json_dict}
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@pytest.mark.parametrize("header", ["array", "other-format", "version-99"])
+def test_every_reader_refuses_a_wrong_header(kind, header):
+    data, message = {
+        "array": ([], f"not a {kind} document"),
+        "other-format": ({"format": "x"}, f"not a {kind} document"),
+        "version-99": ({"format": kind, "version": 99},
+                       "unsupported version 99"),
+    }[header]
+    with pytest.raises(ParseError, match=message):
+        _READERS[kind](data)
+
+
 def test_certificate_reader_ignores_a_member_its_format_does_not_read(m2):
     up = upper_cover(m2, HALF).to_json_dict()
     low = lower_separation(m2, HALF).to_json_dict()
@@ -1199,6 +1237,35 @@ def test_accepted_separation_is_within_the_oracle_upper(g, data):
     except VerificationFailure:
         return
     assert n <= brute_force_oracle(g, eps)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_proper_hosts(), data=st.data())
+def test_check_separation_accepts_every_family_the_delta_clip_separates(
+        g, data):
+    # Completeness: a pair that is >= eps apart, or that the delta clip of
+    # one of its points cuts apart, is apart for the checker too, since
+    # the exact clip separates whatever the delta clip separates.  The
+    # family keeps each drawn point at j/16 that is so apart from every
+    # point kept before it.
+    eps = Fraction(data.draw(st.integers(2, 12)), 16)
+    eps2 = eps * eps
+    delta = eps / data.draw(st.integers(1, 4))
+    work = _Work(Budget())
+    kept = []  # (point, its location, its delta clip)
+    edges = st.integers(0, len(g.edges) - 1)
+    for e, j in data.draw(st.lists(st.tuples(edges, st.integers(0, 16)),
+                                   min_size=1, max_size=12)):
+        gp = GraphPoint(e, Fraction(j, 16))
+        p = edge_point(g, e, gp.t)
+        clip = DeltaClip(g, gp, eps2, delta, work)
+        if all(dist2(p, q) >= eps2 or clip.separates(o) or c.separates(gp)
+               for o, q, c in kept):
+            kept.append((gp, p, clip))
+    # The rule is symmetric, so the family passes in any order.
+    order = data.draw(st.permutations([gp for gp, _, _ in kept]))
+    cert = SeparationCertificate(eps, tuple(order), None, g.graph_id())
+    assert check_separation(g, cert) == len(kept)
 
 
 @settings(max_examples=150, deadline=None)

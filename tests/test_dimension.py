@@ -8,13 +8,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from reference import FIXTURES
 
 from sdimlab import (DimensionProfile, ScaleRow, TooFewScales,
                      VerificationFailure, ifs_bound_report, make_row,
                      read_profile_csv, scale_ratio, sdim_estimate, sweep,
                      write_profile_csv)
 from sdimlab.dimension import CSV_HEADER
-from sdimlab.ifs import FIXTURES
 
 HALF = Fraction(1, 2)
 

@@ -20,12 +20,12 @@ import time
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import compose, decode_svg, hausdorff
+from reference import FIXTURES, compose, decode_svg, hausdorff
 
 from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
                      attractor_cloud, cloud_diameter, find_k0,
                      ifs_dimension_bound, lip_affine)
-from sdimlab.ifs import FIXTURES, _extreme_points
+from sdimlab.ifs import _extreme_points
 from sdimlab.render import render_cloud_svg
 
 REL = 1e-9

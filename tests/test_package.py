@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference import FIXTURES
 
 import sdimlab
 from sdimlab import cli, dimension
@@ -27,29 +28,26 @@ SUBMODULES = ("continuum", "cover", "dimension", "errors", "exactcore",
 
 EXPORTS = (
     "AffineMap2", "Budget", "BudgetExceeded", "CoverCertificate",
-    "DimensionProfile", "DisconnectedInput", "EdgeFragment", "EmptySubset",
-    "FIXTURES", "GraphPoint", "HostMismatch", "IFSSpec", "LimitCheck",
-    "OverlapError", "PLGraph", "ParseError", "Point", "ScaleRow",
-    "SdimlabError", "Segment", "SeparationCertificate", "SizeLimit",
-    "SubSet", "TooFewScales", "ToothPolyline",
+    "DimensionProfile", "DisconnectedInput", "EdgeFragment", "GraphPoint",
+    "HostMismatch", "IFSSpec", "OverlapError", "PLGraph", "ParseError",
+    "Point", "ScaleRow", "SdimlabError", "Segment", "SeparationCertificate",
+    "SizeLimit", "SubSet", "TooFewScales", "ToothPolyline",
     "ToothSequenceSpec", "TruncationGuard", "VerificationFailure",
-    "arrange", "attractor_cloud",
-    "build_shark_teeth", "cantor_dust", "certificate_from_json_dict",
-    "check_cover", "check_separation", "cloud_diameter", "continuum", "cover",
-    "dimension", "dist2", "errors", "exactcore", "find_k0",
-    "format_rational", "geom", "ifs", "ifs_bound_report",
-    "ifs_dimension_bound", "limit_check", "limits", "lip_affine",
+    "arrange", "attractor_cloud", "build_shark_teeth",
+    "certificate_from_json_dict", "check_cover", "check_separation",
+    "cloud_diameter", "continuum", "cover", "dimension", "errors",
+    "exactcore", "find_k0", "format_rational", "geom", "ifs",
+    "ifs_bound_report", "ifs_dimension_bound", "limits", "lip_affine",
     "lower_separation", "make_row", "n_k", "next_amplitude_bound",
-    "parse_rational", "phi", "phi_n", "point", "predicted_counts",
-    "read_profile_csv", "render", "render_cloud_svg", "render_svg",
-    "s_bounds", "scale_ratio", "sdim_estimate", "segment", "segment_halves",
-    "sierpinski", "spec_from_meta", "sweep", "tooth_height", "tooth_polyline",
-    "truncation_guard", "upper_cover", "write_profile_csv",
+    "parse_rational", "point", "predicted_counts", "read_profile_csv",
+    "render", "render_cloud_svg", "render_svg", "s_bounds", "scale_ratio",
+    "sdim_estimate", "segment", "spec_from_meta", "sweep", "tooth_height",
+    "tooth_polyline", "truncation_guard", "upper_cover", "write_profile_csv",
 )
 
 
 def test_all_is_pinned():
-    assert len(EXPORTS) == 77
+    assert len(EXPORTS) == 67
     assert sdimlab.__all__ == sorted(EXPORTS)
 
 
@@ -134,7 +132,7 @@ def test_forwarders_give_what_their_functions_give(m3):
     assert dimension.upper_cover(m3, eps) == cover.upper_cover(m3, eps)
     assert cli.sweep(m3, [Fraction(1, 4), eps]) == dimension.sweep(
         m3, [Fraction(1, 4), eps])
-    spec = ifs.FIXTURES["segment"]()
+    spec = FIXTURES["segment"]()
     assert cli.attractor_cloud(spec, 3) == ifs.attractor_cloud(spec, 3)
     assert dimension.find_k0(spec, 0.1) == ifs.find_k0(spec, 0.1)
     assert cli.parse_rational("3/6") == Fraction(1, 2)
