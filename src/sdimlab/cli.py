@@ -204,7 +204,7 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
         up = upper_cover(graph, eps, budget=budget)
         _check_distinct(paths["upper"], graph_path)
         _write_json(paths["upper"], up.json_members())
-        shown.append(f"upper={len(up.elements)}")
+        shown.append(f"upper={len(up)}")
     print(" ".join(shown))
 
 

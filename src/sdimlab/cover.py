@@ -4,17 +4,12 @@ For a compact set X and scale eps, the quantity of interest is the least
 number of connected subsets of diameter strictly below eps that cover X.
 Everything here brackets that number for a `PLGraph` host:
 
-  * `upper_cover` produces a `CoverCertificate`, an explicit list of
-    connected edge-fragment unions whose diameters are verified below eps
-    and whose fragments cover every edge.  A piece ends each stretch at
-    its exact reach, rounded down onto a dyadic grid in integers.  The
-    greedy covers a prefix and a suffix of each edge, so two ends per edge
-    hold all that it has covered, and the pieces cut each edge into
-    consecutive intervals.  A document is those cuts: one row per edge,
-    `[k0, "c1", k1, ..., "cm", km]`, whose rational cuts rise strictly
-    inside (0, 1) and give the piece [c_i, c_(i+1)] to element k_i, with
-    c0 = 0 and c(m+1) = 1.  Ids are numbered in order of first
-    appearance, so no element is empty.
+  * `upper_cover` produces a `CoverCertificate`, one row of cuts per
+    edge that gives each piece of the edge to a cover element; the
+    checker takes the elements from the rows and verifies each connected
+    with diameter below eps.  A piece ends each stretch at its exact
+    reach, rounded down onto a dyadic grid in integers.  A document is the
+    rows, `[k0, "c1", k1, ..., "cm", km]`.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  The document
     is the points alone.  A pair at distance >= eps needs nothing more; for
@@ -42,18 +37,17 @@ guard, for the CLI, the sweep and the checker alike.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import exactcore as xc
 from .errors import (HostMismatch, OverlapError, ParseError,
                      VerificationFailure, expect_format)
-from .geom import (PLGraph, UnionFind, format_rational, merge_intervals,
-                   parse_index, parse_rational)
+from .geom import (PLGraph, UnionFind, format_rational, parse_index,
+                   parse_rational)
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
@@ -78,71 +72,62 @@ class _Work:
 # certificate data types
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeFragment:
-    """Closed piece of one edge, parameters 0 <= lo <= hi <= 1.
-
-    lo == hi is allowed and denotes a single point of the edge, such as a
-    vertex at one of its ends; `check_cover` takes one, but a document
-    cannot hold it: a row's pieces all have lo < hi.
-    """
-    edge: int
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi <= 1):
-            raise ValueError(f"bad fragment [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True, slots=True)
-class SubSet:
-    """Union of edge fragments; one cover element.
-
-    Every vertex of a loaded host is an edge end, so a fragment can name
-    any point of the graph and no other kind of member is needed.
-    """
-    fragments: tuple[EdgeFragment, ...]
-
-    def is_connected(self, graph: PLGraph) -> bool:
-        """Set connectivity: fragments touch iff they share a point.
-
-        Fragments of distinct edges can only meet at a graph vertex, so
-        the merged runs per edge, joined at shared vertices, decide it.
-        An element with no fragments is not connected.
-        """
-        runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
-        for f in self.fragments:
-            runs.setdefault(f.edge, []).append((f.lo, f.hi))
-        ends = {e: [(lo == 0, hi == 1) for lo, hi in merge_intervals(ivs)]
-                for e, ivs in runs.items()}
-        return _joined_runs(graph, ends).count() == 1
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
 class CoverCertificate:
+    """An upper certificate: one row per host edge, in edge order.
+
+    A row `(k0, c1, k1, ..., cm, km)` cuts its edge at the `Fraction`s
+    c1 < ... < cm inside (0, 1) and gives the piece [c_i, c_(i+1)] to
+    element k_i, with c0 = 0 and c(m+1) = 1, so the pieces of a row cover
+    its edge.  Element ids are numbered in order of first appearance,
+    reading the rows in order and each row left to right, so no element
+    is empty.  A row that breaks this layout is a ValueError.
+    """
     epsilon: Fraction
-    elements: tuple[SubSet, ...]
+    pieces: tuple[tuple, ...]
     graph_id: str
+    _count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        count = 0
+        for e, row in enumerate(self.pieces):
+            if len(row) % 2 == 0:
+                raise ValueError(f"row {e} is not [id, cut, id, ..., id]")
+            for k in row[::2]:
+                if k == count:
+                    count += 1
+                elif not 0 <= k < count:
+                    raise ValueError(f"row {e}: element id {k} is not one of "
+                                     f"the {count} seen or the next")
+            cuts = row[1::2]
+            for lo, c in zip((_ZERO, *cuts), cuts):
+                if not lo < c < 1:
+                    raise ValueError(f"row {e}: cut {format_rational(c)!r} "
+                                     f"does not rise inside (0, 1)")
+        object.__setattr__(self, "_count", count)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._count
+
+    @property
+    def elements(self) -> range:
+        """The element ids.  Its one reader is `perfbench/tracing.py`,
+        which counts them; it goes with ROADMAP item 6, when the tracer
+        reads a stats record."""
+        return range(self._count)
 
     def json_members(self) -> dict:
         """The document's members; `pieces` is an iterator that
-        serializes one row per step, for a streaming writer.
-
-        Drawing the rows raises ValueError when the fragments do not cut
-        every edge up to the last one they name into consecutive pieces
-        of positive length, or an element has none: such a certificate
-        has no document.
-        """
+        serializes one row per step, for a streaming writer."""
         return {
             "format": COVER_FORMAT,
             "version": COVER_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "pieces": _rows_to_json(self.elements),
+            "pieces": map(_row_to_json, self.pieces),
         }
 
     def to_json_dict(self) -> dict:
@@ -155,94 +140,30 @@ class CoverCertificate:
         expect_format(data, COVER_FORMAT, COVER_VERSION)
         try:
             return cls(parse_rational(data["epsilon"]),
-                       _rows_from_json(data["pieces"]),
+                       tuple(map(_row_from_json, enumerate(data["pieces"]))),
                        str(data["graph_id"]))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
+        except ValueError as exc:  # the layout, from the constructor
+            raise ParseError(str(exc)) from exc
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _row_to_json(row: tuple) -> list:
+    out = list(row)
+    out[1::2] = map(format_rational, row[1::2])
+    return out
 
 
-def _rows_to_json(elements: Sequence[SubSet]) -> Iterator[list]:
-    """The rows of a cover document, one per step, numbering the elements
-    as they first appear.
-
-    A counting sort files the fragments by edge in one list, with their
-    elements' indices in an integer array beside it, so the writer holds
-    16 bytes per fragment beyond the certificate.
-    """
-    ne = 1 + max((f.edge for el in elements for f in el.fragments),
-                 default=-1)
-    start = array("q", bytes(8 * (ne + 1)))
-    for el in elements:
-        for f in el.fragments:
-            if f.edge < 0:
-                raise ValueError(f"edge {f.edge} is not an edge index")
-            start[f.edge + 1] += 1
-    for e in range(ne):
-        start[e + 1] += start[e]
-    frags, owner = [None] * start[ne], array("q", bytes(8 * start[ne]))
-    free = start[:ne]
-    for k, el in enumerate(elements):
-        for f in el.fragments:
-            frags[free[f.edge]], owner[free[f.edge]] = f, k
-            free[f.edge] += 1
-    ids = array("q", [-1]) * len(elements)
-    count = 0
-    for e in range(ne):
-        row, end = [], _ZERO
-        for i in sorted(range(start[e], start[e + 1]),
-                        key=lambda i: frags[i].lo):
-            f, k = frags[i], owner[i]
-            if f.lo != end or not f.lo < f.hi:
-                raise ValueError(f"edge {e}: the fragments do not cut it "
-                                 f"into consecutive pieces")
-            if ids[k] < 0:
-                ids[k], count = count, count + 1
-            row += (format_rational(f.lo), ids[k]) if row else (ids[k],)
-            end = f.hi
-        if end != 1:
-            raise ValueError(f"edge {e}: the fragments do not reach 1")
-        yield row
-    if count != len(elements):
-        raise ValueError("an element has no fragments")
-
-
-def _rows_from_json(rows: Iterable) -> tuple[SubSet, ...]:
-    """The elements a document's rows describe.
-
-    Slot k of a dense list holds element k's one fragment, or a list of
-    them once it has a second; each cut's `Fraction` is shared by the
-    two pieces it bounds.
-    """
-    slots: list = []
-    for e, row in enumerate(rows):
-        if type(row) is not list or len(row) % 2 == 0:
-            raise ParseError(f"row {e} is not [id, cut, id, ..., id]")
-        lo = _ZERO
-        for i in range(0, len(row), 2):
-            k = parse_index(row[i])
-            if i + 1 < len(row):
-                hi = parse_rational(row[i + 1])
-                if not lo < hi < 1:
-                    raise ParseError(f"row {e}: cut {row[i + 1]!r} does not "
-                                     f"rise inside (0, 1)")
-            else:
-                hi = _ONE
-            frag = EdgeFragment(e, lo, hi)
-            if k == len(slots):
-                slots.append(frag)
-            elif not 0 <= k < len(slots):
-                raise ParseError(f"row {e}: element id {k} is not one of "
-                                 f"the {len(slots)} seen or the next")
-            elif type(slots[k]) is list:
-                slots[k].append(frag)
-            else:
-                slots[k] = [slots[k], frag]
-            lo = hi
-    return tuple(SubSet(tuple(s) if type(s) is list else (s,))
-                 for s in slots)
+def _row_from_json(item: tuple[int, list]) -> tuple:
+    """Row e of a document with its ids and cuts parsed; the layout is
+    the constructor's to check."""
+    e, row = item
+    if type(row) is not list:
+        raise ParseError(f"row {e} is not [id, cut, id, ..., id]")
+    out = list(row)
+    out[::2] = map(parse_index, row[::2])
+    out[1::2] = map(parse_rational, row[1::2])
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,18 +290,16 @@ def certificate_from_json_dict(data):
 
 
 def _joined_runs(graph: PLGraph,
-                 ends: dict[int, list[tuple[bool, bool]]]) -> UnionFind:
-    """Union-find over the runs (e, i), the disjoint pieces kept on edge e,
-    joining every two runs that reach a common vertex; ends[e][i] tells
-    whether run i reaches the edge's first vertex and its second."""
-    sets = UnionFind()
-    first_at: dict[int, tuple[int, int]] = {}
-    for e, flags in ends.items():
-        for i, reaches in enumerate(flags):
-            sets.add((e, i))
-            for v, r in zip(graph.edges[e], reaches):
-                if r:
-                    sets.union(first_at.setdefault(v, (e, i)), (e, i))
+                 runs: Sequence[tuple[int, bool, bool]]) -> UnionFind:
+    """Union-find over the indices of `runs`, disjoint pieces of edges,
+    joining every two runs that reach a common vertex.  Run (e, r0, r1)
+    lies on edge e and reaches its first vertex if r0, its second if r1."""
+    sets = UnionFind(range(len(runs)))
+    first_at: dict[int, int] = {}
+    for j, (e, *reaches) in enumerate(runs):
+        for v, r in zip(graph.edges[e], reaches):
+            if r:
+                sets.union(first_at.setdefault(v, j), j)
     return sets
 
 
@@ -411,7 +330,7 @@ class _ClipIndex:
         en, ed = eps2.numerator, eps2.denominator
         verts = graph.raw_vertices()
         inside: dict[int, bool] = {}
-        ends: dict[int, list[tuple[bool, bool]]] = {}
+        runs: list[tuple[int, bool, bool]] = []
         work.add(len(graph.edges))
         for e, (a, b) in enumerate(graph.edges):
             dn, dd = xc.point_seg_dist2(self.raw, verts[a], verts[b])
@@ -422,9 +341,9 @@ class _ClipIndex:
                     work.add(1)
                     dn, dd = xc.dist2_q(self.raw, verts[v])
                     inside[v] = dn * ed <= en * dd
-            ends[e] = [(inside[a], inside[b])]
-        sets = _joined_runs(graph, ends)
-        self._comp = {e: sets.find((e, 0)) for e in ends}
+            runs.append((e, inside[a], inside[b]))
+        sets = _joined_runs(graph, runs)
+        self._comp = {e: sets.find(j) for j, (e, _, _) in enumerate(runs)}
         self.center_comp = self._comp[center.edge]
 
     def separates(self, gp: GraphPoint, raw) -> bool:
@@ -472,15 +391,10 @@ def _scan_apart(graph: PLGraph, points: Iterable[tuple[GraphPoint, tuple]],
 # verification
 
 
-def check_cover(graph: PLGraph, cert: CoverCertificate,
-                budget: Budget | None = None) -> int:
-    """Recheck a cover certificate; returns the element count.
-
-    Checks, in order: host identity, per-element well-formedness,
-    connectivity, strict diameter < eps, and that the per-edge fragment
-    unions cover every edge end to end.  Raises VerificationFailure with
-    the first offending detail.
-    """
+def _checker_work(graph: PLGraph, cert, budget: Budget | None) -> _Work:
+    """What both checkers check first: the host's edges against the
+    budget, host identity and a positive eps.  Returns the work counter
+    for the rest of the check."""
     work = _Work(budget or Budget())
     work.budget.check_edges(len(graph.edges))
     if cert.graph_id != graph.graph_id():
@@ -488,30 +402,47 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
                            f"host is {graph.graph_id()}")
     if cert.epsilon <= 0:
         raise VerificationFailure("epsilon must be positive")
+    return work
+
+
+def check_cover(graph: PLGraph, cert: CoverCertificate,
+                budget: Budget | None = None) -> int:
+    """Recheck a cover certificate; returns the element count.
+
+    Each row covers its edge by the certificate's layout, so one row per
+    host edge covers the host.  Each element's runs, its pieces with each
+    merged into its left neighbour when that one is the element's too,
+    must then be connected and of diameter strictly below eps, whose pair
+    work is charged first.  Raises VerificationFailure with the first
+    offending detail.
+    """
+    work = _checker_work(graph, cert, budget)
+    if len(cert.pieces) != len(graph.edges):
+        raise VerificationFailure(f"certificate has {len(cert.pieces)} "
+                                  f"rows, host has {len(graph.edges)} edges")
     eps2 = cert.epsilon * cert.epsilon
-    ne = len(graph.edges)
-    covered: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(ne)]
-    for idx, el in enumerate(cert.elements):
-        if not el.fragments:
-            raise VerificationFailure(f"element {idx} is empty")
-        for f in el.fragments:
-            if not (0 <= f.edge < ne):
-                raise VerificationFailure(
-                    f"element {idx}: edge {f.edge} out of range")
-            covered[f.edge].append((f.lo, f.hi))
-        if not el.is_connected(graph):
-            raise VerificationFailure(f"element {idx} is not connected")
-        pts = [graph.edge_raw(f.edge, t)
-               for f in el.fragments for t in (f.lo, f.hi)]
+    runs: list[list] = [[] for _ in range(len(cert))]  # e, lo, hi, e, ...
+    for e, row in enumerate(cert.pieces):
+        lo = _ZERO
+        for i in range(0, len(row), 2):
+            k = row[i]
+            hi = row[i + 1] if i + 1 < len(row) else _ONE
+            if i and row[i - 2] == k:
+                runs[k][-1] = hi
+            else:
+                runs[k] += (e, lo, hi)
+            lo = hi
+    for k, el in enumerate(runs):
+        at = range(0, len(el), 3)
+        if _joined_runs(graph, [(el[j], el[j + 1] == 0, el[j + 2] == 1)
+                                for j in at]).count() != 1:
+            raise VerificationFailure(f"element {k} is not connected")
+        pts = [graph.edge_raw(el[j], el[j + i]) for j in at for i in (1, 2)]
         work.add(len(pts) * len(pts))
         dn, dd = xc.max_pair_dist2(pts)
         if dn * eps2.denominator >= eps2.numerator * dd:
-            raise VerificationFailure(
-                f"element {idx} has diameter >= epsilon")
-    for e in range(ne):
-        if merge_intervals(covered[e]) != [(0, 1)]:
-            raise VerificationFailure(f"edge {e} is not fully covered")
-    return len(cert.elements)
+            raise VerificationFailure(f"element {k} has diameter >= epsilon")
+    return len(cert)
 
 
 def check_separation(graph: PLGraph, cert: SeparationCertificate,
@@ -528,13 +459,7 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     over the budget are refused before the first.  Raises
     VerificationFailure with the first offending detail.
     """
-    work = _Work(budget or Budget())
-    work.budget.check_edges(len(graph.edges))
-    if cert.graph_id != graph.graph_id():
-        raise HostMismatch(f"certificate is for graph {cert.graph_id}, "
-                           f"host is {graph.graph_id()}")
-    if cert.epsilon <= 0:
-        raise VerificationFailure("epsilon must be positive")
+    work = _checker_work(graph, cert, budget)
     ne = len(graph.edges)
     for k, gp in enumerate(cert.points):
         if not (0 <= gp.edge < ne):
@@ -640,7 +565,19 @@ def upper_cover(graph: PLGraph, eps: Fraction,
     lo >= hi.  A forward stretch starts only at lo: at the anchor, or at
     vertex 0 while lo is 0.  A backward one starts only at vertex 1 while
     hi is 1.  A stretch stops at or before the other end, and `_extend`
-    returns a point strictly past its start, so each stretch moves one end.
+    returns a point strictly past its start, so each stretch moves one end
+    and the stretches cut each edge into consecutive pieces, its row.  No
+    two neighbours in a row belong to one element: a piece makes at most
+    one stretch each way on an edge, and one that starts at the far
+    vertex of an earlier one needs that vertex strictly within eps of
+    every endpoint so far.  The earlier stretch tested that vertex first,
+    against fewer endpoints, so it ran to it and left nothing to cover.
+
+    Elements are numbered as they are created, which is their order of
+    first appearance in the rows.  Element k starts at ends[e0][0] on the
+    first edge e0 not yet covered, so it has no piece before that point in
+    reading order, while every earlier element started on an edge before
+    e0, or on e0 left of that point, since its first stretch moved lo.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -649,9 +586,9 @@ def upper_cover(graph: PLGraph, eps: Fraction,
     eps2 = eps * eps
     en, ed = eps2.numerator, eps2.denominator
     ne = len(graph.edges)
-    zero, one = Fraction(0), Fraction(1)
-    ends = [[zero, one] for _ in range(ne)]
-    elements: list[SubSet] = []
+    ends = [[_ZERO, _ONE] for _ in range(ne)]
+    starts: list[list[tuple[Fraction, int]]] = [[] for _ in range(ne)]
+    count = 0
     e0 = 0  # every edge before e0 is covered end to end
     while True:
         while e0 < ne and ends[e0][0] >= ends[e0][1]:
@@ -659,7 +596,6 @@ def upper_cover(graph: PLGraph, eps: Fraction,
         if e0 == ne:
             break
         s_raw: dict[tuple, None] = {}  # an ordered set of kernel tuples
-        frags: dict[int, list[tuple[Fraction, Fraction]]] = {}
         piece_vertices: set[int] = set()
         queue: deque = deque([(e0, ends[e0][0], True)])
 
@@ -686,16 +622,21 @@ def upper_cover(graph: PLGraph, eps: Fraction,
             s_raw[graph.edge_raw(e, c)] = None
             ends[e][0 if forward else 1] = c
             lo, hi = (a, c) if forward else (c, a)
-            frags.setdefault(e, []).append((lo, hi))
+            starts[e].append((lo, count))
             if lo == 0:
                 absorb(graph.edges[e][0])
             if hi == 1:
                 absorb(graph.edges[e][1])
 
-        elements.append(SubSet(tuple(
-            EdgeFragment(e, lo, hi) for e in sorted(frags)
-            for lo, hi in merge_intervals(frags[e]))))
-    return CoverCertificate(eps, tuple(elements), graph.graph_id())
+        count += 1
+    rows = []
+    for pieces in starts:
+        pieces.sort()
+        row = [pieces[0][1]]
+        for lo, k in pieces[1:]:
+            row += (lo, k)
+        rows.append(tuple(row))
+    return CoverCertificate(eps, tuple(rows), graph.graph_id())
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +681,10 @@ def lower_separation(graph: PLGraph, eps: Fraction,
     threshold are discarded first, which is what makes the resulting
     certificate meaningful for the untruncated continuum.  `candidates`
     replaces the default pool of `_candidate_points`, for cross-checks on
-    explicit point families.  The certificate holds for a proper host,
-    which `check_separation` confirms.
+    explicit point families.  The greedy may test every pair of the
+    pool, so n(n-1)/2 pair tests over the budget are refused before the
+    first, as `check_separation` refuses them.  The certificate holds for
+    a proper host, which `check_separation` confirms.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -751,6 +694,7 @@ def lower_separation(graph: PLGraph, eps: Fraction,
             else [(gp, graph.edge_raw(gp.edge, gp.t)) for gp in candidates])
     if guard is not None:
         pool = [(gp, r) for gp, r in pool if guard.clears(r)]
+    work.budget.check_pairs(work.total + len(pool) * (len(pool) - 1) // 2)
     # Highest first, then leftmost: y descending, x ascending.
     pool.sort(key=lambda it: (Fraction(-it[1][2], it[1][3]),
                               Fraction(it[1][0], it[1][1]),
@@ -820,5 +764,5 @@ def s_bounds(graph: PLGraph, eps: Fraction,
     truncation_guard(graph, eps, budget)
     low = lower_separation(graph, eps, budget=budget)
     up = upper_cover(graph, eps, budget=budget)
-    assert len(low.points) <= len(up.elements)
-    return len(low.points), len(up.elements)
+    assert len(low) <= len(up)
+    return len(low), len(up)

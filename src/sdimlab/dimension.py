@@ -128,7 +128,7 @@ def sweep(graph: PLGraph, epsilons: Iterable[Fraction],
         g = None if guard is None else guard.at(eps)
         low = lower_separation(graph, eps, guard=g, budget=budget)
         up = upper_cover(graph, eps, budget=budget)
-        rows.append(make_row(eps, len(low.points), len(up.elements)))
+        rows.append(make_row(eps, len(low.points), len(up)))
     return DimensionProfile(tuple(rows), source=graph.graph_id(),
                             truncation=None if guard is None else guard.k)
 

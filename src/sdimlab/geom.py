@@ -116,11 +116,8 @@ def merge_intervals(intervals: Iterable[tuple]) -> list[tuple]:
 class UnionFind:
     """Disjoint sets over hashable keys, with path halving."""
 
-    def __init__(self, keys: Iterable[Hashable] = ()):
+    def __init__(self, keys: Iterable[Hashable]):
         self._parent = {k: k for k in keys}
-
-    def add(self, k: Hashable) -> None:
-        self._parent.setdefault(k, k)
 
     def find(self, k: Hashable) -> Hashable:
         parent = self._parent

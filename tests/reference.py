@@ -122,12 +122,12 @@ class DeltaClip:
             if kept:
                 self.runs[e] = [(Fraction(lo, m), Fraction(hi, m))
                                 for lo, hi in merge_intervals(kept)]
-        self._sets = UnionFind()
+        self._sets = UnionFind((e, i) for e, ivs in self.runs.items()
+                               for i in range(len(ivs)))
         first_at: dict[int, tuple[int, int]] = {}
         for e, ivs in self.runs.items():
             a, b = graph.edges[e]
             for i, (lo, hi) in enumerate(ivs):
-                self._sets.add((e, i))
                 for v, reaches in ((a, lo == 0), (b, hi == 1)):
                     if reaches:
                         self._sets.union(first_at.setdefault(v, (e, i)),

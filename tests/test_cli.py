@@ -291,6 +291,20 @@ def test_cover_rejects_non_rational_scales(tmp_path, seg_graph_file, eps):
     assert res.stderr.startswith("PARSE:")
 
 
+def test_cover_refuses_an_over_budget_lower_pool_before_its_pair_tests(
+        tmp_path, seg_graph_file):
+    # At 1/100000 the unit segment's pool is 100,001 points, whose
+    # 5,000,050,000 pairs are over the default budget: the pool is made
+    # and refused before the first pair test.
+    start = time.perf_counter()
+    res = invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/100000",
+                 "--mode", "lower", "--out", tmp_path / "c.json")
+    assert res.exit_code == 4
+    assert res.stderr.startswith("BUDGET: pair checks 5000")
+    assert time.perf_counter() - start < 3
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_cover_budget_env_is_honored(tmp_path, m3_graph):
     res = invoke("cover", "--graph", m3_graph, "--epsilon", "1/4",
                  "--mode", "upper", "--out", tmp_path / "c.json",
@@ -334,6 +348,21 @@ def test_verify_tampered_certificate_exits_one(tmp_path, seg_graph_file):
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 1
     assert res.stderr.startswith("VERIFY:")
+
+
+@pytest.mark.parametrize("rows", [[], [[0, "1/2", 1], [2]]],
+                         ids=["fewer", "more"])
+def test_verify_refuses_rows_that_do_not_match_the_edges(
+        tmp_path, seg_graph_file, rows):
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    doc = json.loads(cert.read_text())
+    cert.write_text(json.dumps({**doc, "pieces": rows}))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 1
+    assert res.stderr.startswith(
+        f"VERIFY: certificate has {len(rows)} rows, host has 1 edges")
 
 
 def test_verify_refuses_an_element_id_past_the_count(tmp_path,

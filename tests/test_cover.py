@@ -23,11 +23,10 @@ from reference import (ORACLE_MAX_EDGES, DeltaClip, brute_force_oracle,
                        dist2, edge_point, points_diameter2)
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
-                     DisconnectedInput, EdgeFragment, GraphPoint,
-                     HostMismatch, IFSSpec, ParseError, PLGraph,
-                     SeparationCertificate, SubSet, ToothSequenceSpec,
-                     TruncationGuard, VerificationFailure, arrange,
-                     certificate_from_json_dict, check_cover,
+                     DisconnectedInput, GraphPoint, HostMismatch, IFSSpec,
+                     ParseError, PLGraph, SeparationCertificate,
+                     ToothSequenceSpec, TruncationGuard, VerificationFailure,
+                     arrange, certificate_from_json_dict, check_cover,
                      check_separation, lower_separation, point, s_bounds,
                      segment, truncation_guard, upper_cover)
 from sdimlab import exactcore as xc
@@ -40,89 +39,97 @@ EIGHTH = Fraction(1, 8)
 
 
 # ---------------------------------------------------------------------------
-# fragments and elements
+# cover rows
 
 
-def test_fragment_bounds_are_enforced():
-    EdgeFragment(0, Fraction(0), Fraction(1))
-    EdgeFragment(0, HALF, HALF)
-    with pytest.raises(ValueError):
-        EdgeFragment(0, Fraction(2, 3), Fraction(1, 3))
-    with pytest.raises(ValueError):
-        EdgeFragment(0, Fraction(-1, 4), HALF)
-    with pytest.raises(ValueError):
-        EdgeFragment(0, HALF, Fraction(5, 4))
+def _cover(g: PLGraph, eps, rows: list) -> CoverCertificate:
+    """The certificate that a document with these rows reads as."""
+    return certificate_from_json_dict({
+        "format": "sdimlab/cover", "version": 3, "graph_id": g.graph_id(),
+        "epsilon": str(eps), "pieces": rows})
+
+
+def _element_pieces(cert: CoverCertificate) -> list[list[tuple]]:
+    """Each element's pieces (edge, lo, hi), read off the rows."""
+    out = [[] for _ in range(len(cert))]
+    for e, row in enumerate(cert.pieces):
+        cuts = (Fraction(0), *row[1::2], Fraction(1))
+        for i, k in enumerate(row[::2]):
+            out[k].append((e, cuts[i], cuts[i + 1]))
+    return out
+
+
+def test_fragment_bounds_are_enforced(seg_graph):
+    # A row's cuts rise strictly inside (0, 1), so each piece lies on its
+    # edge and has positive length.
+    gid = seg_graph.graph_id()
+    assert len(CoverCertificate(HALF, ((0, HALF, 1),), gid)) == 2
+    for row in [(0, -QUARTER, 1), (0, Fraction(5, 4), 1),
+                (0, Fraction(2, 3), 1, Fraction(1, 3), 2)]:
+        with pytest.raises(ValueError, match="does not rise inside"):
+            CoverCertificate(HALF, (row,), gid)
 
 
 def test_subset_connectivity_on_one_edge(seg_graph):
-    joined = SubSet((EdgeFragment(0, Fraction(0), HALF),
-                     EdgeFragment(0, HALF, Fraction(1))))
-    assert joined.is_connected(seg_graph)
-    gapped = SubSet((EdgeFragment(0, Fraction(0), QUARTER),
-                     EdgeFragment(0, HALF, Fraction(1))))
-    assert not gapped.is_connected(seg_graph)
+    # Element 0's two pieces meet at 1/2 and make one run; with element 1
+    # between them, element 0 holds both ends of the edge but not its
+    # middle.
+    assert check_cover(seg_graph, _cover(seg_graph, 3, [[0, "1/2", 0]])) == 1
+    gapped = _cover(seg_graph, 3, [[0, "1/4", 1, "1/2", 0]])
+    with pytest.raises(VerificationFailure,
+                       match="element 0 is not connected"):
+        check_cover(seg_graph, gapped)
 
 
 def test_subset_connects_through_shared_vertex(lshape_graph):
-    # Both legs leave the origin; fragments touching it join up.
-    origin = lshape_graph.vertices.index(
-        min(lshape_graph.vertices))
-    frags = []
-    for e, (i, j) in enumerate(lshape_graph.edges):
-        if i == origin:
-            frags.append(EdgeFragment(e, Fraction(0), HALF))
-        elif j == origin:
-            frags.append(EdgeFragment(e, HALF, Fraction(1)))
-    assert len(frags) == 2
-    assert SubSet(tuple(frags)).is_connected(lshape_graph)
+    # Both legs leave the origin; element 0 holds the half of each at it.
+    assert [a for a, _ in lshape_graph.edges] == [0, 0]
+    assert lshape_graph.vertices[0] == point(0, 0)
+    cert = _cover(lshape_graph, 1, [[0, "1/2", 1], [0, "1/2", 2]])
+    assert check_cover(lshape_graph, cert) == 3
 
 
-def test_subset_isolated_anchor_vertex_disconnects(seg_graph):
-    # A lone vertex is the degenerate fragment at its edge end.
-    s = SubSet((EdgeFragment(0, Fraction(0), QUARTER),
-                EdgeFragment(0, Fraction(1), Fraction(1))))
-    assert not s.is_connected(seg_graph)
+def _vertices_of(graph, piece):
+    e, lo, hi = piece
+    a, b = graph.edges[e]
+    return {v for v, at in ((a, lo == 0), (b, hi == 1)) if at}
 
 
-def _vertices_of(graph, f):
-    a, b = graph.edges[f.edge]
-    return {v for v, at in ((a, f.lo == 0), (b, f.hi == 1)) if at}
-
-
-def _connected_pairwise(graph, frags) -> bool:
-    """Reference: search over the pairs of fragments that share a point,
-    on one edge by interval overlap, across edges by a common vertex."""
+def _connected_pairwise(graph, pieces) -> bool:
+    """Reference: search over the pairs of pieces that share a point, on
+    one edge by interval overlap, across edges by a common vertex."""
     def touch(f, g):
-        if f.edge == g.edge:
-            return max(f.lo, g.lo) <= min(f.hi, g.hi)
+        if f[0] == g[0]:
+            return max(f[1], g[1]) <= min(f[2], g[2])
         return bool(_vertices_of(graph, f) & _vertices_of(graph, g))
 
     reached, todo = {0}, [0]
     while todo:
         i = todo.pop()
-        for j, g in enumerate(frags):
-            if j not in reached and touch(frags[i], g):
+        for j, g in enumerate(pieces):
+            if j not in reached and touch(pieces[i], g):
                 reached.add(j)
                 todo.append(j)
-    return len(reached) == len(frags)
+    return len(reached) == len(pieces)
 
 
 @pytest.mark.parametrize("host", ["lshape_graph", "cross_graph", "m2"])
+@settings(deadline=None)
 @given(data=st.data())
 def test_subset_connectivity_matches_pairwise_reference(request, host, data):
+    # These hosts lie in the unit square, so at eps = 2 no diameter fails:
+    # the checker refuses the first element that the pairwise search
+    # calls disconnected, and accepts when there is none.
     graph = request.getfixturevalue(host)
-    frags = []
-    for _ in range(data.draw(st.integers(1, 6))):
-        e = data.draw(st.integers(0, len(graph.edges) - 1))
-        lo = data.draw(st.integers(0, 8))
-        hi = data.draw(st.integers(lo, 8))
-        frags.append(EdgeFragment(e, Fraction(lo, 8), Fraction(hi, 8)))
-    assert SubSet(tuple(frags)).is_connected(graph) == \
-        _connected_pairwise(graph, frags)
-
-
-def test_empty_subset_is_not_connected(seg_graph):
-    assert not SubSet(()).is_connected(seg_graph)
+    cert = _cover(graph, 2, _free_rows(graph, data))
+    split = [k for k, pieces in enumerate(_element_pieces(cert))
+             if not _connected_pairwise(graph, pieces)]
+    if not split:
+        assert check_cover(graph, cert) == len(cert)
+        return
+    with pytest.raises(VerificationFailure,
+                       match=f"^element {split[0]} is not connected$"):
+        check_cover(graph, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +139,16 @@ def test_empty_subset_is_not_connected(seg_graph):
 @pytest.mark.parametrize("m", range(2, 11))
 def test_interval_cover_needs_m_plus_one_pieces(seg_graph, m):
     cert = upper_cover(seg_graph, Fraction(1, m))
-    assert len(cert.elements) == m + 1
+    assert len(cert) == m + 1
     assert check_cover(seg_graph, cert) == m + 1
 
 
 def test_cover_diameters_strictly_below_eps(cross_graph):
     eps = QUARTER
     cert = upper_cover(cross_graph, eps)
-    for el in cert.elements:
-        ends = [edge_point(cross_graph, f.edge, t)
-                for f in el.fragments for t in (f.lo, f.hi)]
+    for pieces in _element_pieces(cert):
+        ends = [edge_point(cross_graph, e, t)
+                for e, lo, hi in pieces for t in (lo, hi)]
         assert points_diameter2(ends) < eps * eps
 
 
@@ -150,7 +157,7 @@ def test_cover_verifies_on_all_fixtures(seg_graph, cross_graph, lshape_graph,
     for g in (seg_graph, cross_graph, lshape_graph, m1, m2, m3):
         for eps in (HALF, QUARTER):
             cert = upper_cover(g, eps)
-            assert check_cover(g, cert) == len(cert.elements)
+            assert check_cover(g, cert) == len(cert)
 
 
 def test_cover_respects_pair_budget(m3):
@@ -589,57 +596,45 @@ def test_guard_on_wrong_host_fails(m3, w6):
 # verification failure modes
 
 
-def test_check_cover_rejects_gap(seg_graph):
-    cert = CoverCertificate(
-        HALF,
-        (SubSet((EdgeFragment(0, Fraction(0), QUARTER),)),
-         SubSet((EdgeFragment(0, HALF, Fraction(1)),))),
-        seg_graph.graph_id())
-    with pytest.raises(VerificationFailure):
-        check_cover(seg_graph, cert)
+def test_check_cover_rejects_gap(lshape_graph):
+    # Each row covers its edge, so the rows cover the host when there is
+    # one per edge: a missing row leaves an edge uncovered.
+    rows = [[0, "1/2", 1], [2, "1/2", 3]]
+    assert check_cover(lshape_graph, _cover(lshape_graph, 1, rows)) == 4
+    for bad in (rows[:1], rows + [[4]]):
+        with pytest.raises(VerificationFailure,
+                           match=f"has {len(bad)} rows, host has 2 edges"):
+            check_cover(lshape_graph, _cover(lshape_graph, 1, bad))
 
 
 def test_check_cover_rejects_fat_element(seg_graph):
-    cert = CoverCertificate(
-        HALF,
-        (SubSet((EdgeFragment(0, Fraction(0), Fraction(1)),)),),
-        seg_graph.graph_id())
-    with pytest.raises(VerificationFailure):
-        check_cover(seg_graph, cert)
+    with pytest.raises(VerificationFailure,
+                       match="element 0 has diameter >= epsilon"):
+        check_cover(seg_graph, _cover(seg_graph, HALF, [[0]]))
 
 
 def test_check_cover_rejects_exact_diameter_tie(seg_graph):
     # diam == eps must fail: the bound is strict.
-    cert = CoverCertificate(
-        HALF,
-        (SubSet((EdgeFragment(0, Fraction(0), HALF),)),
-         SubSet((EdgeFragment(0, HALF, Fraction(1)),))),
-        seg_graph.graph_id())
-    with pytest.raises(VerificationFailure):
-        check_cover(seg_graph, cert)
+    with pytest.raises(VerificationFailure,
+                       match="element 0 has diameter >= epsilon"):
+        check_cover(seg_graph, _cover(seg_graph, HALF, [[0, "1/2", 1]]))
 
 
 def test_check_cover_rejects_disconnected_element(seg_graph):
-    cert = CoverCertificate(
-        HALF,
-        (SubSet((EdgeFragment(0, Fraction(0), Fraction(1, 8)),
-                 EdgeFragment(0, QUARTER, Fraction(3, 8)),)),
-         SubSet((EdgeFragment(0, Fraction(1, 8), Fraction(1)),))),
-        seg_graph.graph_id())
-    with pytest.raises(VerificationFailure):
+    # Element 0 holds [0, 1/8] and [1/4, 3/8], of diameter 3/8 < 1/2.
+    cert = _cover(seg_graph, HALF, [[0, "1/8", 1, "1/4", 0, "3/8", 1]])
+    with pytest.raises(VerificationFailure,
+                       match="element 0 is not connected"):
         check_cover(seg_graph, cert)
 
 
 def test_check_cover_rejects_empty_element(seg_graph):
-    # Valid apart from the empty element, which must fail with its index.
-    cert = CoverCertificate(
-        Fraction(3, 4),
-        (SubSet((EdgeFragment(0, Fraction(0), HALF),)),
-         SubSet(()),
-         SubSet((EdgeFragment(0, HALF, Fraction(1)),))),
-        seg_graph.graph_id())
-    with pytest.raises(VerificationFailure, match="element 1 is empty"):
-        check_cover(seg_graph, cert)
+    # An id that skips one would leave element 1 empty; a certificate
+    # cannot hold one.
+    with pytest.raises(ValueError,
+                       match="row 0: element id 2 is not one of the 1"):
+        CoverCertificate(Fraction(3, 4), ((0, HALF, 2),),
+                         seg_graph.graph_id())
 
 
 def test_check_cover_rejects_wrong_host(seg_graph, m1):
@@ -802,11 +797,7 @@ def test_cover_certificate_round_trip(m2):
     back = CoverCertificate.from_json_dict(doc)
     assert back == cert
     assert back.to_json_dict() == doc
-    assert check_cover(m2, back) == len(cert.elements)
-
-
-def _fragment_sets(cert) -> list[set]:
-    return [set(el.fragments) for el in cert.elements]
+    assert check_cover(m2, back) == len(cert)
 
 
 @settings(max_examples=40, deadline=None)
@@ -815,61 +806,57 @@ def _fragment_sets(cert) -> list[set]:
                             Fraction(1, 8), Fraction(2, 7)]))
 def test_cover_document_round_trips_on_small_hosts(g, eps):
     cert = upper_cover(g, eps)
+    # The greedy never gives two neighbouring pieces to one element.
+    assert all(a != b for row in cert.pieces
+               for a, b in zip(row[::2], row[2::2]))
     text = "".join(_json_chunks(cert.json_members()))
     assert "".join(_json_chunks(cert.json_members())) == text
     back = CoverCertificate.from_json_dict(json.loads(text))
-    assert [set(el.fragments) for el in back.elements] \
-        == [set(el.fragments) for el in cert.elements]
-    assert check_cover(g, back) == check_cover(g, cert)
+    assert back == cert
+    assert check_cover(g, back) == check_cover(g, cert) == len(cert)
 
 
 def test_cover_document_numbers_elements_by_first_appearance(lshape_graph):
-    # Element 1 is the first on edge 0, so it is written as id 0; a whole
-    # edge is a row with one id and no cut.
-    one, zero = Fraction(1), Fraction(0)
-    first, second = (SubSet((EdgeFragment(1, zero, HALF),
-                             EdgeFragment(1, HALF, one))),
-                     SubSet((EdgeFragment(0, zero, one),)))
-    cert = CoverCertificate(Fraction(3), (first, second),
-                            lshape_graph.graph_id())
+    # Ids are numbered as they first appear, reading the rows in order;
+    # a whole edge is a row with one id and no cut.
+    gid = lshape_graph.graph_id()
+    with pytest.raises(ValueError, match="row 0: element id 1"):
+        CoverCertificate(Fraction(3), ((1,), (0, HALF, 0)), gid)
+    cert = CoverCertificate(Fraction(3), ((0,), (1, HALF, 1)), gid)
     doc = cert.to_json_dict()
     assert doc["pieces"] == [[0], [1, "1/2", 1]]
-    back = CoverCertificate.from_json_dict(doc)
-    assert back.elements == (second, first)
-    assert check_cover(lshape_graph, back) == 2
+    assert CoverCertificate.from_json_dict(doc) == cert
+    assert check_cover(lshape_graph, cert) == 2
 
 
-@pytest.mark.parametrize("elements", [
-    [[(0, 0, 1)], [(1, 0, 1), (1, 0, 0)]],
-    [[(0, 0, 1)], [(1, 0, HALF)], [(1, QUARTER, 1)]],
-    [[(0, 0, 1)], [(1, 0, QUARTER)], [(1, HALF, 1)]],
-    [[(0, 0, 1)], [(1, 0, HALF)]],
-    [[(1, 0, 1)]],
-    [[(0, 0, 1), (1, 0, 1)], []],
-    [[(0, 0, 1), (1, 0, 1), (-1, 0, 1)]],
+@pytest.mark.parametrize("rows", [
+    ((0, HALF, 1, HALF, 2), (0,)),
+    ((0, HALF, 1, QUARTER, 2), (0,)),
+    ((0, HALF), (1,)),
+    ((0, Fraction(1), 1), (0,)),
+    ((0,), ()),
+    ((0,), (2,)),
+    ((0,), (-1,)),
 ], ids=["point", "overlap", "gap", "short", "missing-edge", "empty-element",
         "negative-edge"])
 def test_cover_writer_refuses_fragments_that_do_not_cut_each_edge(
-        lshape_graph, elements):
-    # A document cuts every edge into pieces of positive length; these
-    # certificates have none, whatever `check_cover` makes of them.
-    cert = CoverCertificate(
-        Fraction(3),
-        tuple(SubSet(tuple(EdgeFragment(e, Fraction(lo), Fraction(hi))
-                           for e, lo, hi in el)) for el in elements),
-        lshape_graph.graph_id())
+        lshape_graph, rows):
+    # A certificate cuts each edge into pieces of positive length that
+    # each belong to an element; its constructor refuses rows that do not.
     with pytest.raises(ValueError):
-        cert.to_json_dict()
+        CoverCertificate(Fraction(3), rows, lshape_graph.graph_id())
 
 
 def test_cover_reader_shares_each_cut_between_its_pieces(seg_graph):
+    # Each cut is held once, in its row, though it bounds two pieces.
     doc = upper_cover(seg_graph, HALF).to_json_dict()
     assert doc["pieces"] == [[0, "127/256", 1, "127/128", 2]]
     back = CoverCertificate.from_json_dict(doc)
-    (a,), (b,), (c,) = (el.fragments for el in back.elements)
-    assert (a.lo, a.hi, b.hi, c.hi) == (0, Fraction(127, 256),
-                                        Fraction(127, 128), 1)
-    assert a.hi is b.lo and b.hi is c.lo
+    assert back.pieces == ((0, Fraction(127, 256), 1, Fraction(127, 128), 2),)
+    assert _element_pieces(back) == [
+        [(0, 0, Fraction(127, 256))],
+        [(0, Fraction(127, 256), Fraction(127, 128))],
+        [(0, Fraction(127, 128), 1)]]
 
 
 @pytest.mark.parametrize("row", [
@@ -893,8 +880,8 @@ def test_cover_reader_refuses_rows_that_break_the_layout(seg_graph, row):
 
 
 def _v2_elements(cert) -> list:
-    return [[[f.edge, str(f.lo), str(f.hi)] for f in el.fragments]
-            for el in cert.elements]
+    return [[[e, str(lo), str(hi)] for e, lo, hi in pieces]
+            for pieces in _element_pieces(cert)]
 
 
 def test_cover_v1_document_is_refused(m2):
@@ -1275,9 +1262,7 @@ def test_accepted_cover_is_above_the_oracle_lower(g, data):
     # side is a separated family, so S >= that bound.
     assume(len(g.edges) <= ORACLE_MAX_EDGES)
     eps = Fraction(data.draw(st.integers(2, 12)), 16)
-    cert = certificate_from_json_dict({
-        "format": "sdimlab/cover", "version": 3, "graph_id": g.graph_id(),
-        "epsilon": str(eps), "pieces": _free_rows(g, data)})
+    cert = _cover(g, eps, _free_rows(g, data))
     try:
         n = check_cover(g, cert)
     except VerificationFailure:
@@ -1293,9 +1278,7 @@ def test_check_cover_refuses_a_disconnected_element():
                  point(Fraction(1, 16), Fraction(3, 8)),
                  point(Fraction(13, 16), Fraction(1, 16))], [(0, 2), (1, 2)])
     eps = Fraction(5, 8)
-    cert = certificate_from_json_dict({
-        "format": "sdimlab/cover", "version": 3, "graph_id": g.graph_id(),
-        "epsilon": str(eps), "pieces": [[0, "1/2", 1], [0, "1/2", 1]]})
+    cert = _cover(g, eps, [[0, "1/2", 1], [0, "1/2", 1]])
     with pytest.raises(VerificationFailure,
                        match="element 0 is not connected"):
         check_cover(g, cert)
