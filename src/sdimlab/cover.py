@@ -11,11 +11,12 @@ Everything here brackets that number for a `PLGraph` host:
     reach, rounded down onto a dyadic grid in integers.  A document is the
     rows, `[k0, "c1", k1, ..., "cm", km]`.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
-    no two of which any single admissible piece can contain.  The document
-    is the points alone.  A pair at distance >= eps needs nothing more; for
-    a pair closer than eps, the closed eps-ball around one of the two,
-    clipped to the graph, must put the other outside its component.  The
-    checker recomputes both in `_scan_apart`, the greedy's own loop.
+    no two of which any single admissible piece can contain.  A point is
+    an `(edge, t)` pair, in memory as in the document, `[e, "t"]`, and the
+    document is the points alone.  A pair at distance >= eps needs nothing
+    more; for a pair closer than eps, the closed eps-ball around one of the
+    two, clipped to the graph, must put the other outside its component.
+    The checker recomputes both in `_scan_apart`, the greedy's own loop.
 
 The clip is exact: a closed ball is convex, so it meets each edge in one
 closed interval or not at all, and on a proper host two such intervals
@@ -47,7 +48,7 @@ from . import exactcore as xc
 from .errors import (HostMismatch, OverlapError, ParseError,
                      VerificationFailure, expect_format)
 from .geom import (PLGraph, UnionFind, format_rational, parse_index,
-                   parse_rational)
+                   parse_pair, parse_rational)
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
@@ -166,17 +167,6 @@ def _row_from_json(item: tuple[int, list]) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class GraphPoint:
-    """Point on a plane graph: parameter t in [0, 1] along an edge."""
-    edge: int
-    t: Fraction
-
-    def __post_init__(self):
-        if not (0 <= self.t <= 1):
-            raise ValueError(f"parameter {self.t} outside [0, 1]")
-
-
 @dataclass(frozen=True)
 class TruncationGuard:
     """Ambient validity marker for shark-teeth hosts.
@@ -205,10 +195,19 @@ class TruncationGuard:
 
 @dataclass(frozen=True)
 class SeparationCertificate:
+    """A lower certificate: its points, each an `(edge, t)` pair, the
+    point at the `Fraction` t in [0, 1] along that edge, as the document
+    writes it.  A t outside [0, 1] is a ValueError; the edges are the
+    checker's to check against the host."""
     epsilon: Fraction
-    points: tuple[GraphPoint, ...]
+    points: tuple[tuple[int, Fraction], ...]
     guard: TruncationGuard | None
     graph_id: str
+
+    def __post_init__(self):
+        for _, t in self.points:
+            if not 0 <= t <= 1:
+                raise ValueError(f"parameter {t} outside [0, 1]")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -229,7 +228,7 @@ class SeparationCertificate:
             "version": SEPARATION_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "points": map(_point_to_json, self.points),
+            "points": ([e, format_rational(t)] for e, t in self.points),
             "guard": None if self.guard is None else {
                 "K": self.guard.k,
                 "amplitude_bound": format_rational(self.guard.amplitude_bound),
@@ -252,20 +251,12 @@ class SeparationCertificate:
                 parse_rational(g["amplitude_bound"]),
                 parse_rational(g["threshold"]))
             return cls(parse_rational(data["epsilon"]),
-                       tuple(map(_point_from_json, data["points"])),
+                       tuple((parse_index(e), parse_rational(t))
+                             for e, t in map(parse_pair, data["points"])),
                        guard, str(data["graph_id"]))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(
                 f"malformed separation certificate: {exc}") from exc
-
-
-def _point_to_json(p: GraphPoint) -> list:
-    return [p.edge, format_rational(p.t)]
-
-
-def _point_from_json(item: list) -> GraphPoint:
-    e, t = item
-    return GraphPoint(parse_index(e), parse_rational(t))
 
 
 def certificate_from_json_dict(data):
@@ -304,7 +295,8 @@ def _joined_runs(graph: PLGraph,
 
 
 class _ClipIndex:
-    """Components of the closed eps-ball around `center`, on the graph.
+    """Components of the closed eps-ball around the point on `edge` with
+    kernel tuple `raw`, on the graph.
 
     A closed ball is convex, so it meets each edge in one closed interval
     or not at all: an edge is kept when its exact distance to the center is
@@ -323,8 +315,8 @@ class _ClipIndex:
     ball, so such a piece sees only material that is in the host.
     """
 
-    def __init__(self, graph: PLGraph, center: GraphPoint, raw,
-                 eps2: Fraction, work: _Work):
+    def __init__(self, graph: PLGraph, edge: int, raw, eps2: Fraction,
+                 work: _Work):
         self.raw = raw
         self.eps2 = eps2
         en, ed = eps2.numerator, eps2.denominator
@@ -344,21 +336,21 @@ class _ClipIndex:
             runs.append((e, inside[a], inside[b]))
         sets = _joined_runs(graph, runs)
         self._comp = {e: sets.find(j) for j, (e, _, _) in enumerate(runs)}
-        self.center_comp = self._comp[center.edge]
+        self.center_comp = self._comp[edge]
 
-    def separates(self, gp: GraphPoint, raw) -> bool:
-        """Whether the point gp, with kernel coordinates `raw`, lies
-        outside the center's component of the clipped ball."""
-        comp = self._comp.get(gp.edge)
+    def separates(self, edge: int, raw) -> bool:
+        """Whether the point on `edge` with kernel tuple `raw` lies outside
+        the center's component of the clipped ball."""
+        comp = self._comp.get(edge)
         if comp is None or comp != self.center_comp:
             return True
         dn, dd = xc.dist2_q(self.raw, raw)
         return dn * self.eps2.denominator > self.eps2.numerator * dd
 
 
-def _scan_apart(graph: PLGraph, points: Iterable[tuple[GraphPoint, tuple]],
+def _scan_apart(graph: PLGraph, points: Iterable[tuple[int, tuple]],
                 eps2: Fraction, work: _Work) -> Iterator[int | None]:
-    """The one separation rule: for each (point, kernel tuple) in turn,
+    """The one separation rule: for each point (edge, kernel tuple) in turn,
     None when the point is apart from every point kept so far, which
     keeps it, else the index among the kept points of the first it is
     not apart from.  Two points are apart when their distance is >= eps,
@@ -367,15 +359,15 @@ def _scan_apart(graph: PLGraph, points: Iterable[tuple[GraphPoint, tuple]],
     clip is built at most once, when first needed.  Each distance test
     is charged to `work` before it is made."""
     en, ed = eps2.numerator, eps2.denominator
-    kept: list[list] = []  # [point, kernel tuple, clip or None]
+    kept: list[list] = []  # [edge, kernel tuple, clip or None]
 
     def cuts(c: list, o: list) -> bool:
         if c[2] is None:
             c[2] = _ClipIndex(graph, c[0], c[1], eps2, work)
         return c[2].separates(o[0], o[1])
 
-    for gp, rp in points:
-        new = [gp, rp, None]
+    for e, rp in points:
+        new = [e, rp, None]
         for k, old in enumerate(kept):
             work.add(1)
             dn, dd = xc.dist2_q(rp, old[1])
@@ -461,10 +453,10 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     """
     work = _checker_work(graph, cert, budget)
     ne = len(graph.edges)
-    for k, gp in enumerate(cert.points):
-        if not (0 <= gp.edge < ne):
+    for k, (e, _) in enumerate(cert.points):
+        if not (0 <= e < ne):
             raise VerificationFailure(f"point {k}: edge out of range")
-    raws = [graph.edge_raw(gp.edge, gp.t) for gp in cert.points]
+    pts = [(e, graph.edge_raw(e, t)) for e, t in cert.points]
     try:
         host = _host_guard(graph, cert.epsilon, work)
     except ParseError as exc:
@@ -473,15 +465,14 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
         if cert.guard != host:
             raise VerificationFailure(f"certificate guard {cert.guard} is "
                                       f"not the host's guard {host}")
-        for k, r in enumerate(raws):
+        for k, (_, r) in enumerate(pts):
             if not host.clears(r):
                 raise VerificationFailure(
                     f"point {k} lies below the guard threshold")
 
-    n = len(cert.points)
+    n = len(pts)
     work.budget.check_pairs(work.total + n * (n - 1) // 2)
-    scan = _scan_apart(graph, zip(cert.points, raws),
-                       cert.epsilon * cert.epsilon, work)
+    scan = _scan_apart(graph, pts, cert.epsilon * cert.epsilon, work)
     for j, i in enumerate(scan):
         if i is not None:
             raise VerificationFailure(
@@ -643,65 +634,65 @@ def upper_cover(graph: PLGraph, eps: Fraction,
 # lower bound: greedy separated set
 
 
-def _candidate_points(graph: PLGraph, eps: Fraction,
-                      work: _Work) -> list[tuple[GraphPoint, tuple]]:
-    """Default candidate pool for the separated-set greedy, each point with
-    its kernel tuple: every vertex, plus, per edge, the densest uniform
-    subdivision whose spacing is still >= eps (so same-edge neighbours
-    separate by distance alone).  The vertices, and then each edge's
-    points, are charged to `work` before they are made."""
-    cands: dict[tuple, GraphPoint] = {}  # the first point at each tuple
-
-    def push(e: int, t: Fraction) -> None:
-        cands.setdefault(graph.edge_raw(e, t), GraphPoint(e, t))
-
-    work.add(len(graph.vertices))
-    for v in range(len(graph.vertices)):
-        e, end = min(graph.incident(v))
-        push(e, Fraction(end))
+def _candidate_points(graph: PLGraph, eps: Fraction, work: _Work
+                      ) -> tuple[int, Iterator[tuple[int, Fraction, tuple]]]:
+    """The default candidate pool for the separated-set greedy: its size,
+    and an iterator that makes its points as (edge, t, kernel tuple).  The
+    pool is every vertex, named at the end of its first incident edge, then,
+    per edge, the densest uniform subdivision whose spacing is still >= eps
+    (so same-edge neighbours separate by distance alone).  On a proper host
+    no two of its points coincide.  The size is charged to `work` here,
+    before any point is made."""
     eps2 = eps * eps
+    qs = []
     for e in range(len(graph.edges)):
         r = graph.edge_length2(e) / eps2
-        q = math.isqrt(r.numerator // r.denominator)
-        work.add(max(q - 1, 0))
-        for j in range(1, q):
-            push(e, Fraction(j, q))
-    return [(gp, r) for r, gp in cands.items()]
+        qs.append(math.isqrt(r.numerator // r.denominator))
+    n = len(graph.vertices) + sum(max(q - 1, 0) for q in qs)
+    work.add(n)
+
+    def points() -> Iterator[tuple[int, Fraction, tuple]]:
+        for v, raw in enumerate(graph.raw_vertices()):
+            e, end = min(graph.incident(v))
+            yield e, Fraction(end), raw
+        for e, q in enumerate(qs):
+            for j in range(1, q):
+                t = Fraction(j, q)
+                yield e, t, graph.edge_raw(e, t)
+
+    return n, points()
 
 
 def lower_separation(graph: PLGraph, eps: Fraction,
                      guard: TruncationGuard | None = None,
-                     candidates: Sequence[GraphPoint] | None = None,
                      budget: Budget | None = None) -> SeparationCertificate:
     """Greedy maximal family of pairwise-separated points.
 
-    Candidates are scanned from the highest point down and kept by the
-    checker's rule, `_scan_apart`, so no dropped candidate could be added
-    to the certificate.  With a guard, candidates below the height
-    threshold are discarded first, which is what makes the resulting
-    certificate meaningful for the untruncated continuum.  `candidates`
-    replaces the default pool of `_candidate_points`, for cross-checks on
-    explicit point families.  The greedy may test every pair of the
-    pool, so n(n-1)/2 pair tests over the budget are refused before the
-    first, as `check_separation` refuses them.  The certificate holds for
-    a proper host, which `check_separation` confirms.
+    The pool of `_candidate_points` is scanned from the highest point down
+    and kept by the checker's rule, `_scan_apart`, so no dropped candidate
+    could be added to the certificate.  With a guard, candidates below the
+    height threshold are discarded first, which is what makes the
+    resulting certificate meaningful for the untruncated continuum.  The
+    greedy may test every pair of the pool, so n(n-1)/2 pair tests over
+    the budget are refused before the first, as `check_separation` refuses
+    them; without a guard, before the first point is made.  The
+    certificate holds for a proper host, which `check_separation` confirms.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     work = _Work(budget or Budget())
     work.budget.check_edges(len(graph.edges))
-    pool = (_candidate_points(graph, eps, work) if candidates is None
-            else [(gp, graph.edge_raw(gp.edge, gp.t)) for gp in candidates])
+    n, pool = _candidate_points(graph, eps, work)
     if guard is not None:
-        pool = [(gp, r) for gp, r in pool if guard.clears(r)]
-    work.budget.check_pairs(work.total + len(pool) * (len(pool) - 1) // 2)
+        pool = [p for p in pool if guard.clears(p[2])]
+        n = len(pool)
+    work.budget.check_pairs(work.total + n * (n - 1) // 2)
     # Highest first, then leftmost: y descending, x ascending.
-    pool.sort(key=lambda it: (Fraction(-it[1][2], it[1][3]),
-                              Fraction(it[1][0], it[1][1]),
-                              it[0].edge, it[0].t))
-
-    scan = _scan_apart(graph, pool, eps * eps, work)
-    kept = tuple(gp for (gp, _), hit in zip(pool, scan) if hit is None)
+    pool = sorted(pool, key=lambda p: (Fraction(-p[2][2], p[2][3]),
+                                       Fraction(p[2][0], p[2][1]),
+                                       p[0], p[1]))
+    scan = _scan_apart(graph, ((e, r) for e, _, r in pool), eps * eps, work)
+    kept = tuple((e, t) for (e, t, _), hit in zip(pool, scan) if hit is None)
     return SeparationCertificate(eps, kept, guard, graph.graph_id())
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from sdimlab import exactcore as xc
-from sdimlab.cover import GraphPoint, _Work
+from sdimlab.cover import _Work
 from sdimlab.errors import SizeLimit
 from sdimlab.geom import PLGraph, UnionFind, merge_intervals
 from sdimlab.geom import Point as GeomPoint
@@ -90,17 +90,17 @@ def frag_count(len2: Fraction, delta: Fraction) -> int:
 
 
 class DeltaClip:
-    """Components of the closed eps-ball around `center`, coarsened to
-    fragments no longer than delta.
+    """Components of the closed eps-ball around `center`, a point (edge, t)
+    of the graph, coarsened to fragments no longer than delta.
 
     Kept fragments merge into runs per edge; runs that reach a common
     vertex (lo == 0 at an edge's first vertex, hi == 1 at its second) are
     joined.
     """
 
-    def __init__(self, graph: PLGraph, center: GraphPoint, eps2: Fraction,
-                 delta: Fraction, work: _Work):
-        craw = edge_point(graph, center.edge, center.t).raw()
+    def __init__(self, graph: PLGraph, center: tuple[int, Fraction],
+                 eps2: Fraction, delta: Fraction, work: _Work):
+        craw = edge_point(graph, *center).raw()
         en, ed = eps2.numerator, eps2.denominator
         self.runs: dict[int, list[tuple[Fraction, Fraction]]] = {}
         for e, (u, v) in enumerate(graph.edges):
@@ -134,16 +134,17 @@ class DeltaClip:
                                          (e, i))
         self.center_comp = self.component_at(center)
 
-    def component_at(self, gp: GraphPoint) -> tuple[int, int] | None:
-        """Root of the one kept run holding the point (runs are
+    def component_at(self, p: tuple[int, Fraction]) -> tuple[int, int] | None:
+        """Root of the one kept run holding the point (edge, t) (runs are
         disjoint), or None when no kept run does."""
-        for i, (lo, hi) in enumerate(self.runs.get(gp.edge, ())):
-            if lo <= gp.t <= hi:
-                return self._sets.find((gp.edge, i))
+        e, t = p
+        for i, (lo, hi) in enumerate(self.runs.get(e, ())):
+            if lo <= t <= hi:
+                return self._sets.find((e, i))
         return None
 
-    def separates(self, gp: GraphPoint) -> bool:
-        comp = self.component_at(gp)
+    def separates(self, p: tuple[int, Fraction]) -> bool:
+        comp = self.component_at(p)
         return comp is None or comp != self.center_comp
 
 
@@ -288,16 +289,16 @@ def _oracle_upper(frag_pts, adj, en, ed, work) -> int:
 
 def _oracle_lower(graph, counts, eps, eps2, d_eff, work) -> int:
     en, ed = eps2.numerator, eps2.denominator
-    pts: list[GraphPoint] = []
+    pts: list[tuple[int, Fraction]] = []
     raws: list = []
     seen: set = set()
     for e, m in enumerate(counts):
         for j in range(m + 1):
-            gp = GraphPoint(e, Fraction(j, m))
-            r = edge_point(graph, e, gp.t).raw()
+            t = Fraction(j, m)
+            r = edge_point(graph, e, t).raw()
             if r not in seen:
                 seen.add(r)
-                pts.append(gp)
+                pts.append((e, t))
                 raws.append(r)
     n = len(pts)
     clips: list[DeltaClip | None] = [None] * n

@@ -294,8 +294,8 @@ def test_cover_rejects_non_rational_scales(tmp_path, seg_graph_file, eps):
 def test_cover_refuses_an_over_budget_lower_pool_before_its_pair_tests(
         tmp_path, seg_graph_file):
     # At 1/100000 the unit segment's pool is 100,001 points, whose
-    # 5,000,050,000 pairs are over the default budget: the pool is made
-    # and refused before the first pair test.
+    # 5,000,050,000 pairs are over the default budget: the pool is
+    # refused on its size, before any of its points is made.
     start = time.perf_counter()
     res = invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/100000",
                  "--mode", "lower", "--out", tmp_path / "c.json")
@@ -405,6 +405,26 @@ def test_verify_refuses_v2_separation_document(tmp_path, m3_graph):
     res = invoke("verify", "--graph", m3_graph, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE: unsupported version 2")
+
+
+@pytest.mark.parametrize("item", ["01", [0], [0, "1", 2], {"0": "1"},
+                                  [0, "3/2"]],
+                         ids=["not-a-list", "short", "long", "object",
+                              "t-past-1"])
+def test_verify_refuses_a_point_that_is_not_an_edge_and_a_parameter(
+        tmp_path, seg_graph_file, item):
+    # A point is [edge, "t"] with t in [0, 1]; anything else is a parse
+    # error, exit 2.
+    cert = tmp_path / "low.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "lower", "--out", cert)
+    doc = json.loads(cert.read_text())
+    assert doc["points"][0] == [0, "0"]
+    doc["points"][0] = item
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
 
 
 @pytest.fixture()

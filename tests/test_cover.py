@@ -23,7 +23,7 @@ from reference import (ORACLE_MAX_EDGES, DeltaClip, brute_force_oracle,
                        dist2, edge_point, points_diameter2)
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
-                     DisconnectedInput, GraphPoint, HostMismatch, IFSSpec,
+                     DisconnectedInput, HostMismatch, IFSSpec,
                      ParseError, PLGraph, SeparationCertificate,
                      ToothSequenceSpec, TruncationGuard, VerificationFailure,
                      arrange, certificate_from_json_dict, check_cover,
@@ -251,9 +251,11 @@ def test_interval_separation_reaches_m_plus_one(seg_graph, m):
     assert check_separation(seg_graph, cert) == m + 1
 
 
-def _clip(g, gp, eps):
-    return _ClipIndex(g, gp, g.edge_raw(gp.edge, gp.t), eps * eps,
-                      _Work(Budget()))
+def _separates(g, c, o, eps) -> bool:
+    """Whether the exact clip at eps around the point c = (edge, t) cuts
+    the point o off."""
+    clip = _ClipIndex(g, c[0], g.edge_raw(*c), eps * eps, _Work(Budget()))
+    return clip.separates(o[0], g.edge_raw(*o))
 
 
 @pytest.mark.parametrize("host", ["m2", "m3", "w6"])
@@ -264,52 +266,45 @@ def test_every_close_pair_is_separated_by_a_clip(host, request):
     g = request.getfixturevalue(host)
     eps = Fraction(1, 64)
     cert = lower_separation(g, eps)
-    located = [edge_point(g, gp.edge, gp.t) for gp in cert.points]
+    located = [edge_point(g, *p) for p in cert.points]
     close = [(i, j) for i, j in itertools.combinations(range(len(located)), 2)
              if dist2(located[i], located[j]) < eps * eps]
     assert close
     earlier_only = 0
     for i, j in close:
-        by_later = _clip(g, cert.points[j], eps).separates(
-            cert.points[i], located[i].raw())
-        by_earlier = _clip(g, cert.points[i], eps).separates(
-            cert.points[j], located[j].raw())
+        by_later = _separates(g, cert.points[j], cert.points[i], eps)
+        by_earlier = _separates(g, cert.points[i], cert.points[j], eps)
         assert by_later or by_earlier, (i, j)
         earlier_only += not by_later
     assert earlier_only
     assert check_separation(g, cert) == len(cert.points)
 
 
-def _vertex_pool(g):
-    """Every vertex of g, named at the end of its first incident edge."""
-    return [GraphPoint(e, Fraction(end))
-            for e, end in (min(g.incident(v)) for v in range(len(g.vertices)))]
-
-
 def test_default_pool_is_charged_before_it_is_made(seg_graph, monkeypatch):
-    # At eps = 1e-9 the unit segment's pool is a billion points; it is
-    # refused on its charge, before one is made.  The one distance taken
-    # is the edge's squared length, which sets the charge; no pair is
-    # tested.
-    calls = []
-    dist2_q = xc.dist2_q
+    # At eps = 1e-9 the unit segment's pool is a billion points, refused
+    # on its own charge; at 1/100000 it is 100,001 points, whose
+    # 5,000,050,000 pairs are refused.  Either way no point is made: the
+    # one distance taken is the edge's squared length, which sets the
+    # charge, no pool point is located and no pair is tested.
+    dist2_q, edge_raw = xc.dist2_q, PLGraph.edge_raw
+    for eps in (Fraction(1, 10 ** 9), Fraction(1, 100000)):
+        calls, made = [], []
 
-    def counted(a, b):
-        calls.append((a, b))
-        return dist2_q(a, b)
+        def counted(a, b):
+            calls.append((a, b))
+            return dist2_q(a, b)
 
-    monkeypatch.setattr(xc, "dist2_q", counted)
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded):
-        lower_separation(seg_graph, Fraction(1, 10 ** 9))
-    assert time.perf_counter() - start < 1
-    assert calls == [seg_graph.raw_vertices()]
+        def located(graph, e, t):
+            made.append((e, t))
+            return edge_raw(graph, e, t)
 
-
-def test_explicit_candidate_pool(seg_graph):
-    pool = [GraphPoint(0, Fraction(i, 4)) for i in range(5)]
-    cert = lower_separation(seg_graph, QUARTER, candidates=pool)
-    assert len(cert.points) == 5
+        monkeypatch.setattr(xc, "dist2_q", counted)
+        monkeypatch.setattr(PLGraph, "edge_raw", located)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            lower_separation(seg_graph, eps)
+        assert time.perf_counter() - start < 1
+        assert (calls, made) == ([seg_graph.raw_vertices()], []), eps
 
 
 def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
@@ -343,21 +338,19 @@ def _pair_cert(g, a, b):
 
 
 def test_peaks_of_adjacent_teeth_are_separated(m2):
-    peak1 = GraphPoint(1, Fraction(1))  # (1/2, 1/2)
-    peak2 = GraphPoint(0, Fraction(1))  # (1/2, 1/4)
-    assert dist2(edge_point(m2, 1, Fraction(1)),
-                 edge_point(m2, 0, Fraction(1))) < HALF * HALF
+    peak1 = (1, Fraction(1))  # (1/2, 1/2)
+    peak2 = (0, Fraction(1))  # (1/2, 1/4)
+    assert dist2(edge_point(m2, *peak1), edge_point(m2, *peak2)) < HALF * HALF
     for c, o in ((peak1, peak2), (peak2, peak1)):
-        assert _clip(m2, c, HALF).separates(o, m2.edge_raw(o.edge, o.t))
+        assert _separates(m2, c, o, HALF)
         assert check_separation(m2, _pair_cert(m2, c, o)) == 2
 
 
 def test_same_tooth_flanks_are_not_separated(m2):
-    a = GraphPoint(1, Fraction(3, 4))
-    b = GraphPoint(4, Fraction(1, 4))
+    a = (1, Fraction(3, 4))
+    b = (4, Fraction(1, 4))
     for c, o in ((a, b), (b, a)):
-        assert not _clip(m2, c, HALF).separates(o,
-                                                m2.edge_raw(o.edge, o.t))
+        assert not _separates(m2, c, o, HALF)
         with pytest.raises(VerificationFailure,
                            match="neither clipped ball separates"):
             check_separation(m2, _pair_cert(m2, c, o))
@@ -365,11 +358,9 @@ def test_same_tooth_flanks_are_not_separated(m2):
 
 def test_clip_separates_a_point_outside_the_ball(seg_graph):
     # Same edge, same component, but at distance > eps: not in the ball.
-    c, o = GraphPoint(0, Fraction(0)), GraphPoint(0, Fraction(3, 4))
-    assert _clip(seg_graph, c, HALF).separates(
-        o, seg_graph.edge_raw(o.edge, o.t))
-    assert not _clip(seg_graph, c, HALF).separates(
-        GraphPoint(0, HALF), seg_graph.edge_raw(0, HALF))
+    c, o = (0, Fraction(0)), (0, Fraction(3, 4))
+    assert _separates(seg_graph, c, o, HALF)
+    assert not _separates(seg_graph, c, (0, HALF), HALF)
 
 
 @st.composite
@@ -391,13 +382,13 @@ def test_exact_clip_separates_whatever_the_delta_clip_separates(g, data):
     # components are coarser: every pair it separates stays separated.
     def graph_point():
         e = data.draw(st.integers(0, len(g.edges) - 1))
-        return GraphPoint(e, Fraction(data.draw(st.integers(0, 8)), 8))
+        return e, Fraction(data.draw(st.integers(0, 8)), 8)
 
     eps = Fraction(data.draw(st.integers(1, 12)), 16)
     delta = eps / data.draw(st.integers(1, 8))
     c, o = graph_point(), graph_point()
     if DeltaClip(g, c, eps * eps, delta, _Work(Budget())).separates(o):
-        assert _clip(g, c, eps).separates(o, g.edge_raw(o.edge, o.t))
+        assert _separates(g, c, o, eps)
 
 
 def _assert_greedy_is_maximal(g, eps):
@@ -406,10 +397,10 @@ def _assert_greedy_is_maximal(g, eps):
     cert = lower_separation(g, eps)
     assert check_separation(g, cert) == len(cert)
     kept = set(cert.points)
-    for gp, _ in _candidate_points(g, eps, _Work(Budget())):
-        if gp in kept:
+    for e, t, _ in _candidate_points(g, eps, _Work(Budget()))[1]:
+        if (e, t) in kept:
             continue
-        grown = SeparationCertificate(eps, cert.points + (gp,), None,
+        grown = SeparationCertificate(eps, cert.points + ((e, t),), None,
                                       g.graph_id())
         with pytest.raises(VerificationFailure,
                            match="neither clipped ball separates"):
@@ -443,12 +434,15 @@ def test_guard_frozen_values(m3):
 
 
 def test_guarded_lower_keeps_only_tall_points(m3):
+    # 10 of the 31 pool points clear the threshold 3/16; the greedy
+    # discards the other 21 and keeps all ten.
     g = truncation_guard(m3, EIGHTH)
-    cert = lower_separation(m3, EIGHTH, guard=g, candidates=_vertex_pool(m3))
-    located = sorted(edge_point(m3, p.edge, p.t) for p in cert.points)
-    assert [(p.x, p.y) for p in located] == [
-        (HALF, QUARTER), (HALF, HALF)]
-    assert check_separation(m3, cert) == 2
+    cert = lower_separation(m3, EIGHTH, guard=g)
+    n, pool = _candidate_points(m3, EIGHTH, _Work(Budget()))
+    tall = {(e, t) for e, t, raw in pool if g.clears(raw)}
+    assert (n, len(tall)) == (31, 10)
+    assert set(cert.points) == tall
+    assert check_separation(m3, cert) == 10
 
 
 def test_guard_requires_builder_metadata(seg_graph, m3):
@@ -483,8 +477,13 @@ def test_guard_refuses_malformed_builder_metadata(m3, meta):
 
 
 def _guarded_cert(m3):
-    g = truncation_guard(m3, EIGHTH)
-    return lower_separation(m3, EIGHTH, guard=g, candidates=_vertex_pool(m3))
+    """The peaks (1/2, 1/2) and (1/2, 1/4) of m3, which clear its guard at
+    1/8, highest first, each named at the end of its first edge."""
+    peaks = ((3, Fraction(1)), (2, Fraction(1)))
+    assert [edge_point(m3, *p) for p in peaks] == [point(HALF, HALF),
+                                                    point(HALF, QUARTER)]
+    return SeparationCertificate(EIGHTH, peaks, truncation_guard(m3, EIGHTH),
+                                 m3.graph_id())
 
 
 def test_guard_k_mismatch_fails(m3):
@@ -525,16 +524,14 @@ def test_guard_overstated_threshold_fails(m3):
     taller = SeparationCertificate(
         cert.epsilon, cert.points,
         TruncationGuard(3, Fraction(1, 16), QUARTER), cert.graph_id)
-    assert all(taller.guard.clears(m3.edge_raw(p.edge, p.t))
-               for p in cert.points)
+    assert all(taller.guard.clears(m3.edge_raw(*p)) for p in cert.points)
     with pytest.raises(VerificationFailure, match="not the host's guard"):
         check_separation(m3, taller)
 
 
 def test_guard_point_below_threshold_fails(m3):
     cert = _guarded_cert(m3)
-    base_point = GraphPoint(0, Fraction(0))
-    pts = cert.points + (base_point,)
+    pts = cert.points + ((0, Fraction(0)),)
     bad = SeparationCertificate(cert.epsilon, pts, cert.guard, cert.graph_id)
     with pytest.raises(VerificationFailure):
         check_separation(m3, bad)
@@ -572,8 +569,7 @@ def test_guarded_certificate_on_a_moved_peak_fails(m3, m3_moved_peak):
     # metadata does not rebuild the host, so nothing on it is accepted,
     # guarded or not.
     host = m3_moved_peak
-    cert = lower_separation(host, EIGHTH, guard=truncation_guard(m3, EIGHTH),
-                            candidates=_vertex_pool(host))
+    cert = lower_separation(host, EIGHTH, guard=truncation_guard(m3, EIGHTH))
     bare = PLGraph(host.vertices, host.edges)
     assert check_separation(bare, SeparationCertificate(
         cert.epsilon, cert.points, None, bare.graph_id())) == len(cert) > 0
@@ -646,7 +642,7 @@ def test_check_cover_rejects_wrong_host(seg_graph, m1):
 def test_check_separation_rejects_missing_witness(seg_graph):
     # Two points 1/4 apart on one edge: closer than eps, and neither
     # clipped ball can witness a separation, since the edge joins them.
-    pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, QUARTER))
+    pts = ((0, Fraction(0)), (0, QUARTER))
     cert = SeparationCertificate(HALF, pts, None, seg_graph.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(seg_graph, cert)
@@ -654,7 +650,7 @@ def test_check_separation_rejects_missing_witness(seg_graph):
 
 def test_check_separation_accepts_distance_tie(seg_graph):
     # dist == eps is allowed for separation, unlike the cover side.
-    pts = (GraphPoint(0, Fraction(0)), GraphPoint(0, HALF))
+    pts = ((0, Fraction(0)), (0, HALF))
     cert = SeparationCertificate(HALF, pts, None, seg_graph.graph_id())
     assert check_separation(seg_graph, cert) == 2
 
@@ -669,18 +665,18 @@ def test_check_separation_tries_the_new_points_clip():
                          point(Fraction(1, 8), Fraction(3, 8))),
                  segment(point(Fraction(1, 8), Fraction(3, 8)),
                          point(Fraction(1, 2), Fraction(1, 8)))])
-    a, b = GraphPoint(0, Fraction(3, 4)), GraphPoint(1, QUARTER)
-    assert edge_point(g, 0, a.t) == point(Fraction(13, 32), Fraction(3, 16))
-    assert edge_point(g, 1, b.t) == point(Fraction(9, 32), Fraction(3, 8))
-    assert _clip(g, a, QUARTER).separates(b, g.edge_raw(1, b.t))
-    assert not _clip(g, b, QUARTER).separates(a, g.edge_raw(0, a.t))
+    a, b = (0, Fraction(3, 4)), (1, QUARTER)
+    assert edge_point(g, *a) == point(Fraction(13, 32), Fraction(3, 16))
+    assert edge_point(g, *b) == point(Fraction(9, 32), Fraction(3, 8))
+    assert _separates(g, a, b, QUARTER)
+    assert not _separates(g, b, a, QUARTER)
     cert = SeparationCertificate(QUARTER, (b, a), None, g.graph_id())
     assert check_separation(g, cert) == 2
 
 
 def test_check_separation_rejects_false_disconnection(m2):
-    a = GraphPoint(1, Fraction(3, 4))
-    b = GraphPoint(4, Fraction(1, 4))
+    a = (1, Fraction(3, 4))
+    b = (4, Fraction(1, 4))
     cert = SeparationCertificate(HALF, (a, b), None, m2.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(m2, cert)
@@ -693,11 +689,9 @@ def test_check_separation_refuses_a_host_whose_edges_cross():
     host = PLGraph([point(0, 0), point(1, 1), point(0, 1), point(1, 0)],
                    [(0, 1), (2, 3)])
     eps = Fraction(3, 2)
-    cert = SeparationCertificate(eps, (GraphPoint(0, Fraction(0)),
-                                       GraphPoint(1, Fraction(0))),
+    cert = SeparationCertificate(eps, ((0, Fraction(0)), (1, Fraction(0))),
                                  None, host.graph_id())
-    assert _clip(host, cert.points[0], eps).separates(
-        cert.points[1], host.edge_raw(1, Fraction(0)))
+    assert _separates(host, *cert.points, eps)
     with pytest.raises(VerificationFailure, match="not proper"):
         check_separation(host, cert)
 
@@ -717,8 +711,7 @@ def test_check_separation_charges_its_pair_tests_before_the_first(
     # the certificate is refused before any exact distance is taken.
     n = 1500
     cert = SeparationCertificate(
-        Fraction(1, 2 * n), tuple(GraphPoint(0, Fraction(j, n))
-                                  for j in range(n)),
+        Fraction(1, 2 * n), tuple((0, Fraction(j, n)) for j in range(n)),
         None, seg_graph.graph_id())
     calls = []
     monkeypatch.setattr(xc, "dist2_q", lambda *args: calls.append(args))
@@ -740,8 +733,18 @@ def test_producers_refuse_a_host_whose_edges_cross():
         s_bounds(host, eps)
 
 
+@pytest.mark.parametrize("edge", [-1, 1])
+def test_check_separation_refuses_an_edge_off_the_host(seg_graph, edge):
+    # Edge -1 would name the last edge if read as a Python index.
+    cert = SeparationCertificate(HALF, ((edge, Fraction(0)),), None,
+                                 seg_graph.graph_id())
+    with pytest.raises(VerificationFailure,
+                       match="point 0: edge out of range"):
+        check_separation(seg_graph, cert)
+
+
 def test_check_separation_refuses_an_improper_host(improper_graph):
-    cert = SeparationCertificate(HALF, (GraphPoint(0, Fraction(0)),), None,
+    cert = SeparationCertificate(HALF, ((0, Fraction(0)),), None,
                                  improper_graph.graph_id())
     with pytest.raises(VerificationFailure, match="not proper"):
         check_separation(improper_graph, cert)
@@ -914,8 +917,7 @@ def test_cover_v2_document_is_refused(m2):
 
 def test_separation_certificate_round_trip(m2, m3):
     plain = lower_separation(m2, HALF)
-    guarded = lower_separation(m3, EIGHTH, guard=truncation_guard(m3, EIGHTH),
-                               candidates=_vertex_pool(m3))
+    guarded = lower_separation(m3, EIGHTH, guard=truncation_guard(m3, EIGHTH))
     for g, cert in ((m2, plain), (m3, guarded)):
         doc = cert.to_json_dict()
         assert doc["version"] == 3
@@ -974,9 +976,16 @@ def test_cover_reader_refuses_a_fragment_edge_that_is_not_an_integer(
                                   "threshold": "13/24"}},
     lambda doc: {**doc, "guard": {"K": "2", "amplitude_bound": "1/24",
                                   "threshold": "13/24"}},
+    lambda doc: _with_item(doc, "points", 0, "01"),
+    lambda doc: _with_item(doc, "points", 0, [0]),
+    lambda doc: _with_item(doc, "points", 0, [0, "1", 2]),
+    lambda doc: _with_item(doc, "points", 0, {"0": "1"}),
+    lambda doc: _with_item(doc, "points", 0, [0, "3/2"]),
 ], ids=["point-float", "point-string", "point-bool", "guard-k-float",
-        "guard-k-string"])
+        "guard-k-string", "point-not-a-list", "point-short", "point-long",
+        "point-object", "point-t-past-1"])
 def test_separation_reader_refuses_indexes_that_are_not_integers(m2, mangle):
+    # And points that are not an [edge, "t"] pair with t in [0, 1].
     doc = lower_separation(m2, HALF).to_json_dict()
     certificate_from_json_dict(doc)
     with pytest.raises(ParseError):
@@ -1150,27 +1159,27 @@ def test_oracle_brackets_library_bounds_on_random_hosts(segs, eps):
     assert olo <= up
 
 
-def _free_family(g: PLGraph, data) -> list[GraphPoint]:
+def _free_family(g: PLGraph, data) -> list[tuple[int, Fraction]]:
     """Points drawn without the greedy: on each edge a run of sixteenths
     a/16, (a + s)/16, ... or none, then vertices named through a random
     edge at them, then maybe a twin of one: the same point again, a
     vertex through any edge at it."""
-    def at_vertex(v: int) -> GraphPoint:
+    def at_vertex(v: int) -> tuple[int, Fraction]:
         e, end = data.draw(st.sampled_from(g.incident(v)))
-        return GraphPoint(e, Fraction(end))
+        return e, Fraction(end)
 
     pts = []
     for e in range(len(g.edges)):
         s = data.draw(st.integers(0, 16))
         if s:
             a = data.draw(st.integers(0, 16))
-            pts += [GraphPoint(e, Fraction(j, 16)) for j in range(a, 17, s)]
+            pts += [(e, Fraction(j, 16)) for j in range(a, 17, s)]
     vertices = st.integers(0, len(g.vertices) - 1)
     pts += [at_vertex(v) for v in data.draw(st.lists(vertices, max_size=3))]
     assume(pts)
     if data.draw(st.booleans()):
-        p = data.draw(st.sampled_from(pts))
-        twin = at_vertex(g.edges[p.edge][int(p.t)]) if p.t in (0, 1) else p
+        e, t = data.draw(st.sampled_from(pts))
+        twin = at_vertex(g.edges[e][int(t)]) if t in (0, 1) else (e, t)
         pts.insert(data.draw(st.integers(0, len(pts))), twin)
     return pts
 
@@ -1243,8 +1252,8 @@ def test_check_separation_accepts_every_family_the_delta_clip_separates(
     edges = st.integers(0, len(g.edges) - 1)
     for e, j in data.draw(st.lists(st.tuples(edges, st.integers(0, 16)),
                                    min_size=1, max_size=12)):
-        gp = GraphPoint(e, Fraction(j, 16))
-        p = edge_point(g, e, gp.t)
+        gp = (e, Fraction(j, 16))
+        p = edge_point(g, *gp)
         clip = DeltaClip(g, gp, eps2, delta, work)
         if all(dist2(p, q) >= eps2 or clip.separates(o) or c.separates(gp)
                for o, q, c in kept):

@@ -3,7 +3,8 @@
 `sdimlab` imports its submodules only when one of their names is first
 asked for, and `cli` and `dimension` bind the functions they call to
 forwarders made by `sdimlab._lazy`.  These tests pin what the package
-exports and check that every forwarder reaches the function it names.
+exports and check that every forwarder reaches the function it names,
+and that every mutant of `tests/mutants.py` still edits one place.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mutants import MUTANTS
 from reference import FIXTURES
 
 import sdimlab
@@ -28,8 +30,8 @@ SUBMODULES = ("continuum", "cover", "dimension", "errors", "exactcore",
 
 EXPORTS = (
     "AffineMap2", "Budget", "BudgetExceeded", "CoverCertificate",
-    "DimensionProfile", "DisconnectedInput", "GraphPoint",
-    "HostMismatch", "IFSSpec", "OverlapError", "PLGraph", "ParseError",
+    "DimensionProfile", "DisconnectedInput", "HostMismatch", "IFSSpec",
+    "OverlapError", "PLGraph", "ParseError",
     "Point", "ScaleRow", "SdimlabError", "Segment", "SeparationCertificate",
     "SizeLimit", "TooFewScales", "ToothPolyline",
     "ToothSequenceSpec", "TruncationGuard", "VerificationFailure",
@@ -47,7 +49,7 @@ EXPORTS = (
 
 
 def test_all_is_pinned():
-    assert len(EXPORTS) == 65
+    assert len(EXPORTS) == 64
     assert sdimlab.__all__ == sorted(EXPORTS)
 
 
@@ -136,3 +138,18 @@ def test_forwarders_give_what_their_functions_give(m3):
     assert cli.attractor_cloud(spec, 3) == ifs.attractor_cloud(spec, 3)
     assert dimension.find_k0(spec, 0.1) == ifs.find_k0(spec, 0.1)
     assert cli.parse_rational("3/6") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_every_mutant_edits_one_place_in_src(mutant):
+    # Each old text occurs once in `src/`, in the mutant's file, and each
+    # test that kills it is defined where its id says.
+    src = Path(sdimlab.__file__).resolve().parent
+    counts = {f.name: f.read_text().count(mutant.old)
+              for f in src.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {mutant.file: 1}
+    assert mutant.kills
+    root = src.parents[1]
+    for test_id in mutant.kills:
+        path, _, name = test_id.partition("::")
+        assert f"def {name.split('[')[0]}(" in (root / path).read_text()
