@@ -675,18 +675,25 @@ def lower_separation(graph: PLGraph, eps: Fraction,
     resulting certificate meaningful for the untruncated continuum.  The
     greedy may test every pair of the pool, so n(n-1)/2 pair tests over
     the budget are refused before the first, as `check_separation` refuses
-    them; without a guard, before the first point is made.  The
-    certificate holds for a proper host, which `check_separation` confirms.
+    them: without a guard, before the first point is made, and with one,
+    as soon as the points that clear it are that many.  The certificate
+    holds for a proper host, which `check_separation` confirms.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     work = _Work(budget or Budget())
     work.budget.check_edges(len(graph.edges))
     n, pool = _candidate_points(graph, eps, work)
-    if guard is not None:
-        pool = [p for p in pool if guard.clears(p[2])]
-        n = len(pool)
-    work.budget.check_pairs(work.total + n * (n - 1) // 2)
+    if guard is None:
+        work.budget.check_pairs(work.total + n * (n - 1) // 2)
+    else:
+        cleared = []
+        for p in pool:
+            if guard.clears(p[2]):
+                cleared.append(p)
+                n = len(cleared)
+                work.budget.check_pairs(work.total + n * (n - 1) // 2)
+        pool = cleared
     # Highest first, then leftmost: y descending, x ascending.
     pool = sorted(pool, key=lambda p: (Fraction(-p[2][2], p[2][3]),
                                        Fraction(p[2][0], p[2][1]),

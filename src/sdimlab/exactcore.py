@@ -115,10 +115,8 @@ def seg_intersection(p1, p2, p3, p4):
     Returns (0,) when disjoint, (2,) when the segments lie on one line,
     whether or not they overlap, and otherwise (1, xn, xd, yn, yd, tn, td,
     un, ud) with the intersection point and the two segment parameters,
-    all normalized.  `arrange` merges collinear spans before it asks, so
-    (2,) there is an internal error; `PLGraph.validate_proper` asks on a
-    host's raw edges and decides a (2,) pair by the overlap of the two
-    spans on their line.
+    all normalized.  Its one caller, `geom._cuts`, decides a (2,) pair
+    by which ends of each segment lie strictly inside the other.
     """
     # Scale the four points onto a common integer grid.
     d1, d2, d3, d4 = p1[1], p1[3], p2[1], p2[3]

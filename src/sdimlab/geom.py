@@ -12,7 +12,6 @@ checked by `validate_proper` before a lower bound is claimed on it.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -98,19 +97,35 @@ def segment(a: Point, b: Point) -> Segment:
     return Segment(a, b)
 
 
-def merge_intervals(intervals: Iterable[tuple]) -> list[tuple]:
-    """Union of closed intervals (lo, hi) as sorted disjoint intervals.
+def _cuts(segs: Sequence[tuple[Point, Point]]):
+    """Every pair a < b of segments where one holds a point of the other
+    strictly inside it, as (a, b, collinear, points).
 
-    Intervals that overlap or touch merge, and a point interval lo == hi
-    is kept.
+    The points are the crossing point, or, for collinear segments, the
+    endpoints of each that lie strictly inside the other.  Segments that
+    are apart, or meet at an endpoint of both, yield nothing.
     """
-    merged: list[tuple] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    ps = [p.raw() for p, _ in segs]
+    qs = [q.raw() for _, q in segs]
+    # Lexicographic order is monotone along any fixed line, so the
+    # collinear tests compare points.
+    spans = [(min(p, q), max(p, q)) for p, q in segs]
+    for a in range(len(segs)):
+        pa, qa = ps[a], qs[a]
+        lo_a, hi_a = spans[a]
+        for b in range(a + 1, len(segs)):
+            hit = xc.seg_intersection(pa, qa, ps[b], qs[b])
+            if hit[0] == 1:
+                tn, td, un, ud = hit[5], hit[6], hit[7], hit[8]
+                if not (tn in (0, td) and un in (0, ud)):
+                    yield a, b, False, (Point(Fraction(hit[1], hit[2]),
+                                              Fraction(hit[3], hit[4])),)
+            elif hit[0] == 2:
+                lo_b, hi_b = spans[b]
+                points = ([p for p in spans[b] if lo_a < p < hi_a]
+                          + [p for p in spans[a] if lo_b < p < hi_b])
+                if points:
+                    yield a, b, True, points
 
 
 class UnionFind:
@@ -219,27 +234,12 @@ class PLGraph:
 
     def validate_proper(self) -> None:
         """Full O(E^2) check that edges meet only at shared endpoints."""
-        verts, raw, edges = self.vertices, self.raw_vertices(), self.edges
-        m = len(edges)
-        for a in range(m):
-            i, j = edges[a]
-            ra, rqa = raw[i], raw[j]
-            for b in range(a + 1, m):
-                u, v = edges[b]
-                hit = xc.seg_intersection(ra, rqa, raw[u], raw[v])
-                if hit[0] == 2:
-                    # Lexicographic order is monotone along any fixed line,
-                    # so interval overlap can be tested on the points.
-                    lo_a, hi_a = sorted((verts[i], verts[j]))
-                    lo_b, hi_b = sorted((verts[u], verts[v]))
-                    if max(lo_a, lo_b) < min(hi_a, hi_b):
-                        raise OverlapError(f"edges {a} and {b} overlap")
-                elif hit[0] == 1:
-                    tn, td, un, ud = hit[5], hit[6], hit[7], hit[8]
-                    t_end = tn == 0 or tn == td
-                    u_end = un == 0 or un == ud
-                    if not (t_end and u_end):
-                        raise ValueError(f"edges {a} and {b} cross improperly")
+        verts = self.vertices
+        for a, b, collinear, _ in _cuts([(verts[i], verts[j])
+                                         for i, j in self.edges]):
+            if collinear:
+                raise OverlapError(f"edges {a} and {b} overlap")
+            raise ValueError(f"edges {a} and {b} cross improperly")
 
     # -- serialization ----------------------------------------------------
 
@@ -287,112 +287,34 @@ class PLGraph:
         return self._id
 
 
-def _primitive_direction(a: Point, b: Point) -> tuple[int, int]:
-    """Integer direction vector in lowest terms with canonical sign."""
-    dx, dy = b.x - a.x, b.y - a.y
-    scale = dx.denominator * dy.denominator // math.gcd(dx.denominator,
-                                                        dy.denominator)
-    ix, iy = int(dx * scale), int(dy * scale)
-    g = math.gcd(ix, iy)
-    ix, iy = ix // g, iy // g
-    if ix < 0 or (ix == 0 and iy < 0):
-        ix, iy = -ix, -iy
-    return ix, iy
-
-
 def arrange(segments: Iterable[Segment], meta: dict | None = None,
             budget: Budget | None = None) -> PLGraph:
     """Resolve pairwise intersections of segments into a plane graph.
 
-    Collinear inputs on a common line are merged through a per-line interval
-    union, never rejected; every original endpoint and every cross-line
-    intersection point becomes a vertex.  All-pairs testing keeps this exact
-    and simple, which is the intended operating point (thousands of
-    segments, not millions).
+    Each segment is cut at its endpoints and at every point that `_cuts`
+    finds inside it, so collinear overlaps merge, never rejected; its
+    edges join consecutive cuts.  All-pairs testing keeps this exact and
+    simple, which is the intended operating point (thousands of segments,
+    not millions).
     """
     budget = budget or Budget()
     segs = [segment(s.a, s.b) for s in segments]
     if not segs:
         raise ValueError("no segments")
-
-    # Group by supporting line: key = primitive direction + line offset.
-    lines: dict[tuple[int, int, Fraction], dict] = {}
-    for s in segs:
-        ix, iy = _primitive_direction(s.a, s.b)
-        offset = iy * s.a.x - ix * s.a.y
-        key = (ix, iy, offset)
-        entry = lines.setdefault(key, {"dir": (ix, iy), "spans": [],
-                                       "marks": {}})
-
-        def param(p: Point, d=(ix, iy)) -> Fraction:
-            return d[0] * p.x + d[1] * p.y
-
-        sa, sb = param(s.a), param(s.b)
-        if sa > sb:
-            sa, sb, s = sb, sa, Segment(s.b, s.a)
-        entry["spans"].append((sa, sb))
-        entry["marks"][sa] = s.a
-        entry["marks"][sb] = s.b
-
-    # Per line: merge the span union (collinear overlap handling).
-    for entry in lines.values():
-        entry["merged"] = merge_intervals(entry["spans"])
-
-    # Maximal spans as concrete segments for the cross-line pass.
-    line_list = list(lines.values())
-    hull_segs: list[tuple[int, Point, Point]] = []
-    for li, entry in enumerate(line_list):
-        for lo, hi in entry["merged"]:
-            # A merged span ends at original endpoints, which are marks.
-            hull_segs.append((li, entry["marks"][lo], entry["marks"][hi]))
-
-    n = len(hull_segs)
+    n = len(segs)
     budget.check_pairs(n * (n - 1) // 2)
-    for a in range(n):
-        la, pa, qa = hull_segs[a]
-        ra, rqa = pa.raw(), qa.raw()
-        for b in range(a + 1, n):
-            lb, pb, qb = hull_segs[b]
-            if la == lb:
-                continue
-            hit = xc.seg_intersection(ra, rqa, pb.raw(), qb.raw())
-            if hit[0] == 2:
-                # Same line under distinct keys cannot happen; guard anyway.
-                raise OverlapError("unmerged collinear overlap")
-            if hit[0] == 1:
-                p = Point(Fraction(hit[1], hit[2]), Fraction(hit[3], hit[4]))
-                for li in (la, lb):
-                    entry = line_list[li]
-                    ix, iy = entry["dir"]
-                    entry["marks"][ix * p.x + iy * p.y] = p
-
-    # Emit edges: consecutive marks inside each covered interval.
-    vertex_index: dict[Point, int] = {}
-    vertices: list[Point] = []
+    cuts = [set(s) for s in segs]
+    for a, b, _, points in _cuts(segs):
+        cuts[a].update(points)
+        cuts[b].update(points)
+    vertices = sorted(set().union(*cuts))
+    index = {p: k for k, p in enumerate(vertices)}
     edge_set: set[tuple[int, int]] = set()
-
-    def vid(p: Point) -> int:
-        if p not in vertex_index:
-            vertex_index[p] = len(vertices)
-            vertices.append(p)
-        return vertex_index[p]
-
-    for entry in line_list:
-        marks = sorted(entry["marks"])
-        for lo, hi in entry["merged"]:
-            inside = [m for m in marks if lo <= m <= hi]
-            for s0, s1 in zip(inside, inside[1:]):
-                i, j = vid(entry["marks"][s0]), vid(entry["marks"][s1])
-                edge_set.add((min(i, j), max(i, j)))
-
+    for c in cuts:
+        ids = [index[p] for p in sorted(c)]
+        edge_set.update(zip(ids, ids[1:]))
     budget.check_edges(len(edge_set))
-    order = sorted(range(len(vertices)), key=lambda k: vertices[k])
-    rank = {old: new for new, old in enumerate(order)}
-    vertices = [vertices[old] for old in order]
-    edges = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]))
-                   for i, j in edge_set)
-    graph = PLGraph(vertices, edges, meta)
+    graph = PLGraph(vertices, sorted(edge_set), meta)
     if not graph.is_connected():
         raise DisconnectedInput("input segments form a disconnected set")
     return graph
-

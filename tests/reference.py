@@ -17,9 +17,11 @@ bound counts; `hausdorff` measures how far two point clouds are apart.
 
 `edge_point` and `dist2` locate and measure graph points in `Fraction`s,
 apart from the library's integer kernel tuples; `points_diameter2` is the
-exact diameter of a point set, for checks on cover elements.  `phi` and
-`phi_n` are the paper's tent maps, which the teeth follow.  `FIXTURES`
-holds three small IFS specs whose diameters are known by hand.
+exact diameter of a point set, for checks on cover elements.
+`proper_violation` decides whether a graph's edges meet only at shared
+vertices by orientation tests alone, apart from the library's `_cuts`.
+`phi` and `phi_n` are the paper's tent maps, which the teeth follow.
+`FIXTURES` holds three small IFS specs whose diameters are known by hand.
 
 `decode_svg` reads back the markers and segments of a rendered SVG path;
 `cloud_positions` and `graph_positions` give, in exact arithmetic, the
@@ -37,7 +39,7 @@ from typing import NamedTuple
 from sdimlab import exactcore as xc
 from sdimlab.cover import _Work
 from sdimlab.errors import SizeLimit
-from sdimlab.geom import PLGraph, UnionFind, merge_intervals
+from sdimlab.geom import PLGraph, UnionFind
 from sdimlab.geom import Point as GeomPoint
 from sdimlab.ifs import AffineMap2, IFSSpec, Point
 from sdimlab.limits import Budget
@@ -65,6 +67,43 @@ def points_diameter2(points) -> Fraction:
         raise ValueError("diameter of the empty set")
     n, d = xc.max_pair_dist2([p.raw() for p in points])
     return Fraction(n, d)
+
+
+def _turn(p: GeomPoint, q: GeomPoint, r: GeomPoint) -> int:
+    """Sign of the turn p -> q -> r: 1 left, -1 right, 0 collinear."""
+    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    return (d > 0) - (d < 0)
+
+
+def _strictly_between(p: GeomPoint, a: GeomPoint, b: GeomPoint) -> bool:
+    """For p on the line ab: p lies inside ab and is neither end."""
+    return (p.x - a.x) * (p.x - b.x) + (p.y - a.y) * (p.y - b.y) < 0
+
+
+def proper_violation(graph: PLGraph) -> tuple[int, int, bool] | None:
+    """The first pair a < b of edges, in index order, that meet other than
+    at a shared vertex, as (a, b, collinear); None on a proper graph.
+
+    Collinear edges violate when an end of one lies strictly inside the
+    other.  Other edges meet in at most one point, and a graph's vertices
+    are distinct, so they violate exactly when they meet and share no
+    vertex."""
+    verts, edges = graph.vertices, graph.edges
+    for a, (i, j) in enumerate(edges):
+        p, q = verts[i], verts[j]
+        for b in range(a + 1, len(edges)):
+            u, v = edges[b]
+            r, s = verts[u], verts[v]
+            o1, o2 = _turn(p, q, r), _turn(p, q, s)
+            if o1 == o2 == 0:
+                if (_strictly_between(r, p, q) or _strictly_between(s, p, q)
+                        or _strictly_between(p, r, s)
+                        or _strictly_between(q, r, s)):
+                    return a, b, True
+            elif (o1 * o2 <= 0 and _turn(r, s, p) * _turn(r, s, q) <= 0
+                  and not {i, j} & {u, v}):
+                return a, b, False
+    return None
 
 
 def phi(t: Fraction) -> Fraction:
@@ -111,17 +150,21 @@ class DeltaClip:
                 continue
             m = frag_count(dist2(a, b), delta)
             work.add(m)
-            kept = []
+            kept: list[list[int]] = []
             prev = a
             for j in range(1, m + 1):
                 nxt = edge_point(graph, e, Fraction(j, m))
                 dn, dd = xc.point_seg_dist2(craw, prev.raw(), nxt.raw())
                 if dn * ed <= en * dd:
-                    kept.append((j - 1, j))
+                    # A fragment next to the last kept one extends its run.
+                    if kept and kept[-1][1] == j - 1:
+                        kept[-1][1] = j
+                    else:
+                        kept.append([j - 1, j])
                 prev = nxt
             if kept:
                 self.runs[e] = [(Fraction(lo, m), Fraction(hi, m))
-                                for lo, hi in merge_intervals(kept)]
+                                for lo, hi in kept]
         self._sets = UnionFind((e, i) for e, ivs in self.runs.items()
                                for i in range(len(ivs)))
         first_at: dict[int, tuple[int, int]] = {}

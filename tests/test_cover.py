@@ -280,7 +280,8 @@ def test_every_close_pair_is_separated_by_a_clip(host, request):
     assert check_separation(g, cert) == len(cert.points)
 
 
-def test_default_pool_is_charged_before_it_is_made(seg_graph, monkeypatch):
+def test_default_pool_is_charged_before_it_is_made(seg_graph, m3,
+                                                  monkeypatch):
     # At eps = 1e-9 the unit segment's pool is a billion points, refused
     # on its own charge; at 1/100000 it is 100,001 points, whose
     # 5,000,050,000 pairs are refused.  Either way no point is made: the
@@ -305,6 +306,24 @@ def test_default_pool_is_charged_before_it_is_made(seg_graph, monkeypatch):
             lower_separation(seg_graph, eps)
         assert time.perf_counter() - start < 1
         assert (calls, made) == ([seg_graph.raw_vertices()], []), eps
+    # With a guard, each point that clears it is charged as it is made.
+    # On m3 at 1/10000 the pool is 45,859 points, of which 23,374 clear
+    # the guard: the greedy is refused at the first cleared point whose
+    # pairs pass the budget, and the rest of the pool is never made.
+    eps, n = Fraction(1, 10000), 45859
+    guard = truncation_guard(m3, eps)
+    made = []  # `located` still records each point made
+    with pytest.raises(BudgetExceeded) as info:
+        lower_separation(m3, eps, guard)
+    monkeypatch.undo()
+    k = sum(map(guard.clears, [*m3.raw_vertices(),
+                               *(m3.edge_raw(e, t) for e, t in made)]))
+    cap = Budget().max_pair_checks
+    assert n + (k - 1) * (k - 2) // 2 <= cap
+    assert str(info.value) == (f"pair checks {n + k * (k - 1) // 2} "
+                               f"exceed budget {cap}")
+    assert guard.clears(m3.edge_raw(*made[-1]))
+    assert len(made) < n - len(m3.vertices)
 
 
 def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,

@@ -7,14 +7,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import dist2, edge_point, points_diameter2
+from reference import dist2, edge_point, points_diameter2, proper_violation
 
 from sdimlab import (DisconnectedInput, OverlapError, ParseError, PLGraph,
                      Point, arrange, parse_rational, point, segment)
-from sdimlab.geom import merge_intervals, parse_index
+from sdimlab.geom import parse_index
 from sdimlab.limits import Budget
 
 
@@ -79,24 +79,6 @@ def test_degenerate_segment_rejected():
 
 
 # ---------------------------------------------------------------------------
-# interval merge
-
-
-@pytest.mark.parametrize("intervals, merged", [
-    ([], []),
-    ([(2, 3), (0, 1)], [(0, 1), (2, 3)]),
-    ([(Fraction(1, 2), 1), (0, Fraction(1, 2))], [(0, 1)]),
-    ([(0, 4), (1, 2), (3, 3)], [(0, 4)]),
-    ([(0, 1), (1, 1)], [(0, 1)]),
-    ([(2, 2), (0, 1), (2, 2)], [(0, 1), (2, 2)]),
-    ([(3, 5), (0, 2), (1, 4)], [(0, 5)]),
-], ids=["empty", "unsorted-disjoint", "touching", "nested", "point-at-end",
-        "lone-points", "chain"])
-def test_merge_intervals(intervals, merged):
-    assert merge_intervals(intervals) == merged
-
-
-# ---------------------------------------------------------------------------
 # arrangement
 
 
@@ -108,14 +90,41 @@ def test_arrange_splits_a_crossing(cross_graph):
     cross_graph.validate_proper()
 
 
-def test_arrange_merges_collinear_overlap():
-    g = arrange([
-        segment(point(0, 0), point(2, 0)),
-        segment(point(1, 0), point(3, 0)),
-    ])
-    # One line, marks at 0, 1, 2, 3.
-    assert len(g.vertices) == 4
-    assert len(g.edges) == 3
+def _soup(*pairs):
+    """Segments between points given as (x, y) pairs."""
+    return [segment(point(*a), point(*b)) for a, b in pairs]
+
+
+H = Fraction(1, 2)
+
+
+# Soups on one line, each with the vertices and edges `arrange` makes of
+# it, or the error it raises: spans that touch or overlap merge into one
+# run cut at every end, and spans apart are disconnected.
+@pytest.mark.parametrize("segs, vertices, edges", [
+    (_soup(((2, 0), (3, 0)), ((0, 0), (1, 0))), DisconnectedInput, None),
+    (_soup(((H, 0), (1, 0)), ((0, 0), (H, 0))),
+     [(0, 0), (H, 0), (1, 0)], [(0, 1), (1, 2)]),
+    (_soup(((0, 0), (2, 0)), ((1, 0), (3, 0))),
+     [(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 1), (1, 2), (2, 3)]),
+    (_soup(((0, 0), (4, 0)), ((1, 0), (2, 0))),
+     [(0, 0), (1, 0), (2, 0), (4, 0)], [(0, 1), (1, 2), (2, 3)]),
+    # On the falling line y = -x, so cuts run in (x, y) order there too.
+    (_soup(((3, -3), (5, -5)), ((2, -2), (0, 0)), ((1, -1), (4, -4))),
+     [(0, 0), (1, -1), (2, -2), (3, -3), (4, -4), (5, -5)],
+     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+    (_soup(((0, 0), (1, 0)), ((0, 0), (1, 0))), [(0, 0), (1, 0)], [(0, 1)]),
+    (_soup(((0, 0), (1, 0)), ((1, 0), (0, 0))), [(0, 0), (1, 0)], [(0, 1)]),
+], ids=["unsorted-disjoint", "touching", "overlap", "nested", "chain",
+        "duplicate", "reversed-duplicate"])
+def test_arrange_merges_collinear_overlap(segs, vertices, edges):
+    if vertices is DisconnectedInput:
+        with pytest.raises(DisconnectedInput):
+            arrange(segs)
+        return
+    g = arrange(segs)
+    assert g.vertices == tuple(point(*v) for v in vertices)
+    assert g.edges == tuple(edges)
     g.validate_proper()
 
 
@@ -155,6 +164,33 @@ def test_arrange_is_deterministic():
     assert a.vertices == b.vertices
     assert a.edges == b.edges
     assert a.graph_id() == b.graph_id()
+
+
+_quarter = st.integers(0, 8).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def connected_soups(draw):
+    """Segments on the grid of quarters in [0, 2]^2, each new one from an
+    end of an earlier one, so the soup is connected; the coarse grid makes
+    crossings, T-junctions and collinear overlaps common."""
+    ends = [point(draw(_quarter), draw(_quarter))]
+    segs = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.sampled_from(ends))
+        b = point(draw(_quarter), draw(_quarter))
+        assume(a != b)
+        segs.append(segment(a, b))
+        ends.append(b)
+    return segs
+
+
+@settings(max_examples=150, deadline=None)
+@given(segs=connected_soups())
+def test_arrangements_are_proper_and_keep_every_end(segs):
+    g = arrange(segs)
+    assert proper_violation(g) is None
+    assert {p for s in segs for p in s} <= set(g.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +250,35 @@ def test_validate_proper_catches_an_overlap_and_a_t_junction(
     assert improper_graph.is_connected()
     with pytest.raises(error, match=f"edges 0 and 1 {detail}"):
         improper_graph.validate_proper()
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to six distinct vertices on the grid of halves in [0, 2]^2, half
+    of the time all on the x-axis, and a few distinct edges among them."""
+    halves = st.integers(0, 4).map(lambda k: Fraction(k, 2))
+    ys = st.just(Fraction(0)) if draw(st.booleans()) else halves
+    verts = draw(st.lists(st.builds(point, halves, ys), min_size=2,
+                          max_size=6, unique=True))
+    pairs = st.tuples(*[st.integers(0, len(verts) - 1)] * 2).filter(
+        lambda e: e[0] < e[1])
+    return PLGraph(verts, draw(st.lists(pairs, min_size=1, max_size=7,
+                                        unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=small_graphs())
+def test_validate_proper_refuses_exactly_the_reference_violation(g):
+    found = proper_violation(g)
+    if found is None:
+        g.validate_proper()
+        return
+    a, b, collinear = found
+    error, detail = ((OverlapError, "overlap") if collinear
+                     else (ValueError, "cross improperly"))
+    with pytest.raises(error, match=f"^edges {a} and {b} {detail}$") as info:
+        g.validate_proper()
+    assert type(info.value) is error
 
 
 def test_is_connected_detects_the_obvious(seg_graph, m3):
