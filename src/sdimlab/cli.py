@@ -268,8 +268,9 @@ def cmd_render(graph_path: str | None, spec_path: str | None, depth: int,
                out_path: str) -> None:
     """Draw a graph (segments) or an IFS attractor cloud (discs) as SVG.
 
-    The SVG is one path on a 1/100 px grid, one line per edge or point.
-    A graph or cloud too wide for floats is a parse error."""
+    A graph is one path on a 1/100 px grid, one line per edge; a cloud is
+    one `<use>` per map and level.  A graph or cloud too wide for floats
+    is a parse error."""
     if (graph_path is None) == (spec_path is None):
         raise ParseError("pass exactly one of --graph and --spec")
     _check_distinct(out_path, graph_path or "", spec_path or "")
@@ -280,8 +281,7 @@ def cmd_render(graph_path: str | None, spec_path: str | None, depth: int,
         spec = IFSSpec.from_json_dict(_read_json(spec_path))
         if depth < 0:
             raise ParseError(f"depth must be >= 0, got {depth}")
-        lines = render_cloud_svg(attractor_cloud(spec, depth,
-                                                 budget=from_env()))
+        lines = render_cloud_svg(spec, depth, from_env())
     _atomic_write(out_path, lines)
 
 

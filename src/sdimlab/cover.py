@@ -116,7 +116,7 @@ class CoverCertificate:
     @property
     def elements(self) -> range:
         """The element ids.  Its one reader is `perfbench/tracing.py`,
-        which counts them; it goes with ROADMAP item 6, when the tracer
+        which counts them; it goes with ROADMAP item 8, when the tracer
         reads a stats record."""
         return range(self._count)
 
@@ -216,7 +216,7 @@ class SeparationCertificate:
     def witnesses(self) -> tuple:
         """Always empty: a version 3 document lists no witnesses.  Its one
         reader is `perfbench/tracing.py`, which counts witnesses by kind;
-        it goes with ROADMAP item 6, when the tracer reads a stats record.
+        it goes with ROADMAP item 8, when the tracer reads a stats record.
         """
         return ()
 

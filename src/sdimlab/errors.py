@@ -26,7 +26,8 @@ class DisconnectedInput(SdimlabError):
 
 
 class OverlapError(SdimlabError):
-    """Nondegenerate segment overlap that collinear merging could not absorb."""
+    """Two host edges that run along each other, which
+    `PLGraph.validate_proper` refuses."""
 
     tag = "OVERLAP"
 

@@ -175,23 +175,58 @@ def attractor_cloud(spec: IFSSpec, depth: int,
     reproducible run to run.  A cloud with a coordinate that is not
     finite, because the spec's entries overflow it, is a `ParseError`.
     """
+    p = _seed(spec, depth, seed, budget)
+    if len(spec.maps) == 1:
+        return _finite(spec, depth, [_orbit_point(spec.maps[0], p, depth)])
+    pts = [p]
+    for _ in range(depth):
+        pts = [q for m in spec.maps for q in m.apply(pts)]
+    # A non-finite point has only non-finite images, so checking the last
+    # level catches an overflow at any depth.
+    return _finite(spec, depth, pts)
+
+
+def attractor_hull(spec: IFSSpec, depth: int,
+                   budget: Budget | None = None) -> list[Point]:
+    """The extreme points of `attractor_cloud(spec, depth)`, level by
+    level, in n * depth * h float work for hulls of h points, not n^depth.
+
+    The convex hull of an affine image is the image of the hull, so
+    level k's hull is that of the images of level k - 1's hull under
+    every map.  Each hull point is a cloud point, computed by the same
+    float operations; a cloud point within rounding of a hull edge may
+    fall outside, so the two extents agree up to rounding.  The budget
+    checks and the `ParseError` on a non-finite point are the cloud's,
+    made before any work and at every level.
+    """
+    if len(spec.maps) == 1:
+        # One point, its own hull.
+        return attractor_cloud(spec, depth, budget=budget)
+    hull = _finite(spec, depth, [_seed(spec, depth, None, budget)])
+    for _ in range(depth):
+        # `_extreme_points` needs finite points to sort.
+        hull = _extreme_points(_finite(spec, depth, [
+            q for m in spec.maps for q in m.apply(hull)]))
+    return hull
+
+
+def _seed(spec: IFSSpec, depth: int, seed: Sequence[float] | None,
+          budget: Budget | None) -> Point:
+    """The seed point, once the depth is checked against the budget."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     budget = budget or Budget()
     budget.check_words(len(spec.maps), depth)
     budget.check_depth(depth)
     if seed is None:
-        pts = [spec.maps[0].fixed_point()]
-    else:
-        x, y = seed
-        pts = [(float(x), float(y))]
-    if len(spec.maps) == 1:
-        pts = [_orbit_point(spec.maps[0], pts[0], depth)]
-    else:
-        for _ in range(depth):
-            pts = [p for m in spec.maps for p in m.apply(pts)]
-    # A non-finite point has only non-finite images, so checking the last
-    # level catches an overflow at any depth.
+        return spec.maps[0].fixed_point()
+    x, y = seed
+    return float(x), float(y)
+
+
+def _finite(spec: IFSSpec, depth: int, pts: list[Point]) -> list[Point]:
+    """`pts`, points of the depth-`depth` cloud or of one of its levels,
+    once checked to be finite."""
     if not all(map(math.isfinite, chain.from_iterable(pts))):
         raise ParseError(f"IFS {spec.name or '(unnamed)'} overflows: its "
                          f"depth-{depth} cloud has non-finite coordinates")
@@ -247,6 +282,12 @@ def _chain(pts: list[Point]) -> list[Point]:
     return out
 
 
+# Nonzero coordinates within this range keep every nonzero difference of
+# two within [2^-510, 2^511], so the products of the turn test neither
+# underflow nor overflow.
+_TURN_RANGE = (2.0 ** -458, 2.0 ** 510)
+
+
 def _extreme_points(pts: Sequence[Point]) -> list[Point]:
     """Hull vertices in counter-clockwise order, by Andrew's monotone chain
     (A. M. Andrew, *Another efficient algorithm for convex hulls in two
@@ -255,9 +296,23 @@ def _extreme_points(pts: Sequence[Point]) -> list[Point]:
 
     Points on a hull edge are dropped, so a collinear cloud yields its two
     end points and a cloud of copies of one point yields that point.  The
-    points must be finite: `sorted` has no defined order on NaN.
+    points must be finite: `sorted` has no defined order on NaN.  Points
+    with a coordinate outside `_TURN_RANGE` turn in exact rationals.
     """
     srt = sorted(pts)
+    lo, hi = _TURN_RANGE
+    least = min(map(abs, filter(None, chain.from_iterable(srt))), default=lo)
+    most = max(map(abs, chain.from_iterable(srt)), default=0.0)
+    if lo <= least and most <= hi:
+        return _hull(srt)
+    # Imported for this rare case alone.
+    from fractions import Fraction
+    return [(float(x), float(y)) for x, y in
+            _hull([(Fraction(x), Fraction(y)) for x, y in srt])]
+
+
+def _hull(srt: list) -> list:
+    """The hull vertices of points sorted by (x, y)."""
     if len(srt) < 2:
         return srt
     hull = _chain(srt)[:-1] + _chain(srt[::-1])[:-1]

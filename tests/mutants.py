@@ -1,5 +1,5 @@
-"""Mutants of the separation and properness code: small edits that some
-test must catch.
+"""Mutants of the checkers, the properness code and the cloud renderer:
+small edits that some test must catch.
 
 Each row names a mutant, the file under `src/sdimlab/` that it edits, the
 exact text it replaces, the replacement, and the ids of tests that fail
@@ -28,7 +28,14 @@ _ACCEPT = "tests/test_acceptance.py::"
 _GEOM = "tests/test_geom.py::"
 _BUILD = "tests/test_continuum.py::"
 _OFF_GRID = _COVER + "test_upper_certificates_off_the_dyadic_grid_match_golden_"
+_RENDER = "tests/test_render.py::"
 _MERGES = _GEOM + "test_arrange_merges_collinear_overlap"
+_CONNECTED = _COVER + "test_subset_connectivity_matches_pairwise_reference"
+_WRITER = _COVER + ("test_cover_writer_refuses_fragments_that_do_not_cut_"
+                     "each_edge")
+_LAYOUT = _COVER + "test_cover_reader_refuses_rows_that_break_the_layout"
+_SHEARED = _RENDER + ("test_cloud_draws_every_point_of_its_spec_within_one_"
+                      "quantum[sheared-")
 
 MUTANTS = (
     Mutant("scan-distance-at-half-eps", "cover.py",
@@ -156,4 +163,56 @@ MUTANTS = (
             *(_OFF_GRID + f"digests[{host}]" for host in (
                 "cross_graph-1_3", "cross_graph-2_7", "kite_graph-1_3",
                 "kite_graph-5_17", "fork_graph-1_3", "fork_graph-4_11")))),
+    Mutant("check-cover-without-its-connectivity-test", "cover.py",
+           "for j in at]).count() != 1:",
+           "for j in at]).count() != 1 and False:",
+           (_COVER + "test_subset_connectivity_on_one_edge",
+            _CONNECTED + "[cross_graph]", _CONNECTED + "[m2]",
+            _COVER + "test_check_cover_rejects_disconnected_element",
+            _COVER + "test_check_cover_refuses_a_disconnected_element")),
+    Mutant("check-cover-without-its-row-count", "cover.py",
+           "    if len(cert.pieces) != len(graph.edges):\n",
+           "    if False:\n",
+           (_COVER + "test_check_cover_rejects_gap",
+            _CLI + "test_verify_tampered_certificate_exits_one",
+            _CLI + "test_verify_refuses_rows_that_do_not_match_the_edges"
+            "[fewer]",
+            _CLI + "test_verify_refuses_rows_that_do_not_match_the_edges"
+            "[more]",
+            _ACCEPT + "test_criterion_3_certificate_fuzzing",
+            _ACCEPT + "test_criterion_3_host_mutations")),
+    Mutant("check-cover-without-its-run-merge", "cover.py",
+           "            if i and row[i - 2] == k:\n",
+           "            if False:\n",
+           (_COVER + "test_subset_connectivity_on_one_edge",
+            _CONNECTED + "[lshape_graph]", _CONNECTED + "[cross_graph]",
+            _CONNECTED + "[m2]",
+            _COVER + "test_cover_document_numbers_elements_by_first_"
+            "appearance")),
+    Mutant("cover-rows-without-their-id-check", "cover.py",
+           "                elif not 0 <= k < count:\n",
+           "                elif False:\n",
+           (_COVER + "test_check_cover_rejects_empty_element",
+            _COVER + "test_cover_document_numbers_elements_by_first_"
+            "appearance",
+            _WRITER + "[empty-element]", _WRITER + "[negative-edge]",
+            _LAYOUT + "[id-past-the-count]", _LAYOUT + "[first-id-not-0]",
+            _LAYOUT + "[negative-id]",
+            _CLI + "test_verify_refuses_an_element_id_past_the_count",
+            _ACCEPT + "test_criterion_3_certificate_fuzzing")),
+    Mutant("cover-rows-without-their-cut-check", "cover.py",
+           "                if not lo < c < 1:\n",
+           "                if False:\n",
+           (_COVER + "test_fragment_bounds_are_enforced",
+            _WRITER + "[point]", _WRITER + "[overlap]", _WRITER + "[short]",
+            _LAYOUT + "[repeated-cut]", _LAYOUT + "[falling-cut]",
+            _LAYOUT + "[cut-at-0]", _LAYOUT + "[cut-at-1]",
+            _ACCEPT + "test_criterion_3_certificate_fuzzing")),
+    # Maps whose b and c differ are the only ones a transposed matrix
+    # moves: the gasket's are diagonal, so depth 0 and the gasket pass.
+    Mutant("render-matrix-in-row-order", "render.py",
+           'f"matrix({_num(m.a)} {_num(m.c)} {_num(m.b)} {_num(m.d)} "',
+           'f"matrix({_num(m.a)} {_num(m.b)} {_num(m.c)} {_num(m.d)} "',
+           (_SHEARED + "4]", _SHEARED + "8]", _SHEARED + "10]",
+            _RENDER + "test_cloud_draws_every_point_within_one_quantum")),
 )

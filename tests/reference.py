@@ -23,9 +23,10 @@ vertices by orientation tests alone, apart from the library's `_cuts`.
 `phi` and `phi_n` are the paper's tent maps, which the teeth follow.
 `FIXTURES` holds three small IFS specs whose diameters are known by hand.
 
-`decode_svg` reads back the markers and segments of a rendered SVG path;
-`cloud_positions` and `graph_positions` give, in exact arithmetic, the
-positions in px that the renderer rounds to its 1/100 px quanta.
+`decode_svg` draws a rendered SVG as a viewer would, expanding each
+`<use>` chain and composing its matrices in float64, and reads back its
+markers and segments; `cloud_positions` and `graph_positions` give, in
+exact arithmetic, the positions in px that the renderer draws.
 """
 
 from __future__ import annotations
@@ -455,7 +456,10 @@ def hausdorff(a: list[Point], b: list[Point]) -> float:
 
 
 _SVG = "{http://www.w3.org/2000/svg}"
+_HREF = "{http://www.w3.org/1999/xlink}href"
 _PATH_TOKEN = re.compile(r"[MmLlHh]|-?[0-9]+")
+_MATRIX = re.compile(r"matrix\(([^()]*)\)")
+_IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 class DecodedSvg(NamedTuple):
@@ -466,41 +470,88 @@ class DecodedSvg(NamedTuple):
     segments: list[tuple[Point, Point]]
 
 
+def _then(ctm: tuple, transform: str | None) -> tuple:
+    """The current transformation matrix `ctm` followed by one
+    `matrix(a b c d e f)`, which maps (x, y) to (a x + c y + e,
+    b x + d y + f), composed in float64 as a viewer composes them."""
+    if transform is None:
+        return ctm
+    m = _MATRIX.fullmatch(transform)
+    assert m, transform
+    a, b, c, d, e, f = map(float, m[1].split())
+    p, q, r, s, t, u = ctm
+    return (p * a + r * b, q * a + s * b, p * c + r * d, q * c + s * d,
+            p * e + r * f + t, q * e + s * f + u)
+
+
 def decode_svg(text: str) -> DecodedSvg:
-    """Parse a rendered document with `xml.etree.ElementTree` and decode
-    its one path.  The px size of a path unit is the viewBox width over
-    the `width` attribute.  The path data must be integer moves, the first
-    one `M` and every later one `m`, each followed by `h0` (a marker at
-    the moved-to point) or by one `l` (a segment from it); anything else
-    is an `AssertionError`."""
+    """Parse a rendered document with `xml.etree.ElementTree` and draw it
+    as a viewer would: every `<path>` outside `<defs>`, and every `<use>`
+    chain down to a `<path>` inside it, composing each element's
+    `transform` into the current matrix.
+
+    The px size of a viewBox unit is the viewBox width over the `width`
+    attribute.  Path data must be integer moves, the first one `M` and
+    every later one `m`, each followed by `h0` (a marker at the moved-to
+    point) or by one `l` (a segment from it).  Every drawn path must be
+    filled with none and round-capped, and all of them stroked alike.  A
+    `vector-effect="non-scaling-stroke"` path's stroke width is in px;
+    any other path's is in viewBox units and takes no transform.
+    Anything else is an `AssertionError`."""
     root = ET.fromstring(text)
     assert root.tag == _SVG + "svg", root.tag
     vx, vy, vw, vh = map(int, root.get("viewBox").split())
     assert (vx, vy) == (0, 0)
     unit = float(root.get("width")) / vw
-    (path,) = root.findall(_SVG + "path")
-    assert path.get("stroke-linecap") == "round"
-    assert path.get("fill") == "none"
-    d = path.get("d")
-    assert not _PATH_TOKEN.sub("", d).strip(), "undecoded path data"
-    tokens = _PATH_TOKEN.findall(d)
-    markers, segments = [], []
-    x = y = i = 0
-    while i < len(tokens):
-        assert tokens[i] == ("M" if i == 0 else "m"), tokens[i]
-        x, y = x + int(tokens[i + 1]), y + int(tokens[i + 2])
-        start = (x * unit, y * unit)
-        if tokens[i + 3] == "h":
-            assert tokens[i + 4] == "0"
-            markers.append(start)
-            i += 5
+    defs = {el.get("id"): el for el in root.iter() if el.get("id")}
+    markers, segments, strokes = [], [], set()
+
+    def place(ctm: tuple, x: int, y: int) -> Point:
+        a, b, c, d, e, f = ctm
+        return ((a * x + c * y + e) * unit, (b * x + d * y + f) * unit)
+
+    def draw(el, ctm: tuple, style: dict) -> None:
+        style = {**style, **{k: v for k, v in el.attrib.items()
+                             if k in ("fill", "stroke-width",
+                                      "stroke-linecap")}}
+        ctm = _then(ctm, el.get("transform"))
+        if el.tag == _SVG + "g":
+            for child in el:
+                draw(child, ctm, style)
+        elif el.tag == _SVG + "use":
+            draw(defs[el.get(_HREF).removeprefix("#")], ctm, style)
+        elif el.tag == _SVG + "path":
+            assert style.get("stroke-linecap") == "round"
+            assert style.get("fill") == "none"
+            if el.get("vector-effect") == "non-scaling-stroke":
+                strokes.add(float(style["stroke-width"]))
+            else:
+                assert ctm == _IDENTITY, ctm
+                strokes.add(int(style["stroke-width"]) * unit)
+            d = el.get("d")
+            assert not _PATH_TOKEN.sub("", d).strip(), "undecoded path data"
+            tokens = _PATH_TOKEN.findall(d)
+            x = y = i = 0
+            while i < len(tokens):
+                assert tokens[i] == ("M" if i == 0 else "m"), tokens[i]
+                x, y = x + int(tokens[i + 1]), y + int(tokens[i + 2])
+                start = place(ctm, x, y)
+                if tokens[i + 3] == "h":
+                    assert tokens[i + 4] == "0"
+                    markers.append(start)
+                    i += 5
+                else:
+                    assert tokens[i + 3] == "l", tokens[i + 3]
+                    x, y = x + int(tokens[i + 4]), y + int(tokens[i + 5])
+                    segments.append((start, place(ctm, x, y)))
+                    i += 6
         else:
-            assert tokens[i + 3] == "l", tokens[i + 3]
-            x, y = x + int(tokens[i + 4]), y + int(tokens[i + 5])
-            segments.append((start, (x * unit, y * unit)))
-            i += 6
-    return DecodedSvg(vh * unit, int(path.get("stroke-width")) * unit,
-                      markers, segments)
+            assert el.tag in (_SVG + "rect", _SVG + "defs"), el.tag
+
+    for el in root:
+        draw(el, _IDENTITY, {})
+    (stroke,) = strokes
+    return DecodedSvg(vh * unit, stroke, markers, segments)
 
 
 def _exact_window(xs, ys, pad: Fraction
@@ -520,12 +571,13 @@ def _exact_window(xs, ys, pad: Fraction
             float((h + 2 * margin) * scale), float(scale))
 
 
-def cloud_positions(points) -> tuple[float, float, list[Point]]:
+def cloud_positions(points) -> tuple[float, float, list[Point], float]:
     """Height, disc diameter and point positions of a rendered cloud, in
-    px, unquantized."""
-    at, height, _ = _exact_window([p[0] for p in points],
-                                  [p[1] for p in points], Fraction(1, 25))
-    return height, 2 * max(0.35 * 800.0 / len(points) ** 0.5, 0.6), at
+    px, unquantized, and the scale in px per host unit."""
+    at, height, scale = _exact_window([p[0] for p in points],
+                                      [p[1] for p in points], Fraction(1, 25))
+    return (height, 2 * max(0.35 * 800.0 / len(points) ** 0.5, 0.6), at,
+            scale)
 
 
 def graph_positions(graph: PLGraph

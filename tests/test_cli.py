@@ -31,8 +31,7 @@ import sdimlab
 from sdimlab import PLGraph, point, read_profile_csv
 from sdimlab.cli import _atomic_write, _write_json, main
 from sdimlab.cover import lower_separation, truncation_guard, upper_cover
-from sdimlab.ifs import attractor_cloud
-from sdimlab.render import render_cloud_svg
+from sdimlab.render import render_svg
 
 
 class Result(NamedTuple):
@@ -1152,17 +1151,22 @@ def test_render_cloud_marker_count(tmp_path, sier_spec):
 
 def test_render_writer_holds_no_copy_of_the_text(tmp_path):
     # Building the document as one string took about five times the file
-    # size at peak; the streamed writer holds a line at a time.
-    cloud = attractor_cloud(FIXTURES["sierpinski"](), 10)
+    # size at peak; the streamed writer holds a line at a time.  A graph
+    # is the document that grows with its input: one line per edge, here
+    # a zigzag of 40,000 edges across the window.
+    n = 40_000
+    graph = PLGraph([point(Fraction(i, n), Fraction(i % 2, 2))
+                     for i in range(n + 1)], [(i, i + 1) for i in range(n)])
+    lines = render_svg(graph)
     out = tmp_path / "g.svg"
     tracemalloc.start()
     try:
-        _atomic_write(str(out), render_cloud_svg(cloud))
+        _atomic_write(str(out), lines)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = out.stat().st_size
-    assert len(decode_svg(out.read_text()).markers) == 3 ** 10
+    assert len(decode_svg(out.read_text()).segments) == n
     assert size >= 400_000
     assert peak < size / 4
 

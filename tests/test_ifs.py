@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -25,7 +26,7 @@ from reference import FIXTURES, compose, decode_svg, hausdorff
 from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
                      attractor_cloud, cloud_diameter, find_k0,
                      ifs_dimension_bound, lip_affine)
-from sdimlab.ifs import _extreme_points
+from sdimlab.ifs import _extreme_points, attractor_hull
 from sdimlab.render import render_cloud_svg
 
 REL = 1e-9
@@ -256,8 +257,9 @@ def test_cloud_default_seed_is_a_fixed_point(sier):
 
 
 def test_cloud_respects_word_budget(sier):
-    with pytest.raises(BudgetExceeded):
-        attractor_cloud(sier, 5, budget=Budget(max_words=100))
+    for build in (attractor_cloud, attractor_hull):
+        with pytest.raises(BudgetExceeded):
+            build(sier, 5, budget=Budget(max_words=100))
 
 
 def test_cloud_refuses_overflowing_coordinates(sier):
@@ -265,14 +267,17 @@ def test_cloud_refuses_overflowing_coordinates(sier):
     # map the shift 1e308 overflows the seed, its fixed point 2e308; on
     # the second, the depth-k image x = 1e308 * (2 - 2**(1 - k)) of the
     # seed passes the largest float at k = 4.
+    # The hull refuses them at the same depths.
     huge = AffineMap2(0.5, 0, 0, 0.5, 1e308, 0.0)
     first = IFSSpec((huge,) + sier.maps[1:])
-    with pytest.raises(ParseError, match="non-finite"):
-        attractor_cloud(first, 0)
     second = IFSSpec((sier.maps[0], huge, sier.maps[2]))
     assert len(attractor_cloud(second, 3)) == 27
-    with pytest.raises(ParseError, match="non-finite"):
-        attractor_cloud(second, 4)
+    assert max(x for x, _ in attractor_hull(second, 3)) == 1.75e308
+    for build in (attractor_cloud, attractor_hull):
+        with pytest.raises(ParseError, match="non-finite"):
+            build(first, 0)
+        with pytest.raises(ParseError, match="non-finite"):
+            build(second, 4)
 
 
 @pytest.mark.parametrize("depth", [10_000, 30_000_000])
@@ -366,13 +371,19 @@ def test_cloud_too_wide_for_floats_is_refused(half_width):
         cloud_diameter(pts)
 
 
+def _constants(*points) -> IFSSpec:
+    """Maps onto the given points, whose depth-1 cloud is the points."""
+    return IFSSpec(tuple(AffineMap2(0.0, 0.0, 0.0, 0.0, x, y)
+                         for x, y in points))
+
+
 def test_render_refuses_a_window_wider_than_floats():
-    assert len(decode_svg("".join(
-        render_cloud_svg([(-1e200, 0.0), (1e200, 0.0)]))).markers) == 2
+    assert len(decode_svg("".join(render_cloud_svg(
+        _constants((-1e200, 0.0), (1e200, 0.0)), 1))).markers) == 2
     with pytest.raises(ParseError, match="too wide"):
-        render_cloud_svg([(-1.6e308, 0.0), (1.6e308, 0.0)])
+        render_cloud_svg(_constants((-1.6e308, 0.0), (1.6e308, 0.0)), 1)
     with pytest.raises(ParseError, match="too wide"):
-        render_cloud_svg([(0.0, -1.6e308), (1e300, 1.6e308)])
+        render_cloud_svg(_constants((0.0, -1.6e308), (1e300, 1.6e308)), 1)
 
 
 def test_hausdorff_of_known_clouds():
@@ -434,6 +445,17 @@ def test_cloud_diameter_matches_all_pairs(cloud):
                                                 rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("size", [1e-200, 1e200])
+def test_extreme_points_far_from_unit_size(size):
+    # The turn test's products underflowed to 0 - 0, or overflowed to
+    # inf - inf: the lower chain dropped its middle vertex.
+    tri = [(0.0, 0.0), (size, size), (2 * size, 2.1 * size)]
+    assert sorted(_extreme_points(tri)) == tri
+    edges = [(size, 1.05 * size), (1.5 * size, 1.5 * size)]
+    assert sorted(_extreme_points(tri + edges)) == \
+        [(0.0, 0.0), (1.5 * size, 1.5 * size), (2 * size, 2.1 * size)]
+
+
 # ---------------------------------------------------------------------------
 # numpy reference: the vectorised cloud x -> x A^T + t, one map at a time
 
@@ -490,6 +512,28 @@ def test_cloud_matches_numpy_reference_on_random_maps(np, maps, depth):
     assert cloud.shape == ref.shape
     scale = max(1.0, float(np.abs(ref).max()))
     assert np.allclose(cloud, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+@given(maps=st.lists(contractions, min_size=1, max_size=4),
+       depth=st.integers(0, 6))
+def test_hull_extent_is_the_cloud_extent(maps, depth):
+    # In exact arithmetic the hull of an affine image is the image of the
+    # hull.  In floats each hull point is still a cloud point, computed by
+    # the same operations, but a cloud point within rounding of a hull
+    # edge can fall outside the float hull: a zero map beside one with a
+    # shift of 7e-103 loses that shift, against offsets of 0.25, in the
+    # turn test.  The extents then differ by rounding of the largest
+    # coordinate, made once per level.
+    spec = IFSSpec(tuple(maps))
+    cloud = attractor_cloud(spec, depth)
+    hull = attractor_hull(spec, depth)
+    assert set(hull) <= set(cloud)
+    big = max(abs(v) for p in cloud for v in p)
+    tolerance = 8 * (depth + 1) * sys.float_info.epsilon * big
+    for axis in (0, 1):
+        for edge in (min, max):
+            assert abs(edge(p[axis] for p in hull)
+                       - edge(p[axis] for p in cloud)) <= tolerance
 
 
 # ---------------------------------------------------------------------------
