@@ -35,7 +35,7 @@ _EXPORTS = {
     "exactcore": (),
     "geom": ("PLGraph", "Point", "Segment", "arrange", "format_rational",
              "parse_rational", "point", "segment"),
-    "ifs": ("AffineMap2", "IFSSpec", "attractor_cloud", "cloud_diameter",
+    "ifs": ("AffineMap2", "IFSSpec", "attractor_hull", "cloud_diameter",
             "find_k0", "ifs_dimension_bound", "lip_affine"),
     "limits": ("Budget",),
     "render": ("render_cloud_svg", "render_svg"),

@@ -53,7 +53,8 @@ sdim_estimate = _lazy("dimension", "sdim_estimate")
 sweep = _lazy("dimension", "sweep")
 write_profile_csv = _lazy("dimension", "write_profile_csv")
 parse_rational = _lazy("geom", "parse_rational")
-attractor_cloud = _lazy("ifs", "attractor_cloud")
+# The tracer wraps the hull under its old name until ROADMAP item 8.
+attractor_cloud = _lazy("ifs", "attractor_hull")
 cloud_diameter = _lazy("ifs", "cloud_diameter")
 from_env = _lazy("limits", "from_env")
 render_cloud_svg = _lazy("render", "render_cloud_svg")

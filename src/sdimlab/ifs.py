@@ -1,4 +1,4 @@
-"""Plane iterated function systems: specs, attractor clouds, scale selection.
+"""Plane iterated function systems: specs, attractor hulls, scale selection.
 
 This is the floating-point half of the package: attractors of contracting
 affine systems live at machine precision, with a relative tolerance of 1e-9
@@ -7,12 +7,12 @@ is that n^k word pieces of diameter ratio^k * D keep the cover-count ratio
 near ln(n)/-ln(ratio).  Nothing here is a certificate: D is the spec's
 hint, checked against a fixed-point cloud, or a cloud's float diameter.
 
-A point is an `(x, y)` tuple of floats and a cloud is a list of points,
-so the module needs nothing beyond the standard library.  Coordinates are
+A point is an `(x, y)` tuple of floats, so the module needs nothing beyond
+the standard library.  Every extent and diameter is read off a cloud's
+hull, `attractor_hull`; the n^k points are never built.  Coordinates are
 formed as `a*x + b*y + e` and distances as `sqrt(dx*dx + dy*dy)`, one
 rounding per operation in that order, so a result does not depend on the
-machine's summation order or fused multiply-add.  Diameters are
-measured on convex-hull vertices.
+machine's summation order or fused multiply-add.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class IFSSpec:
     """A finite list of contracting affine maps.
 
     `diameter_hint`, when the exact attractor diameter is known by hand
-    (as for the test fixtures), replaces the cloud-based measurement.
+    (as for the test fixtures), replaces the hull-based measurement.
     It must be finite and >= 0, and a hint below the diameter of a
     fixed-point cloud is refused when it is used.  Every matrix and shift
     entry must be finite.
@@ -162,47 +162,27 @@ def ifs_dimension_bound(spec: IFSSpec) -> float:
     return math.log(len(spec.maps)) / -math.log(lam)
 
 
-def attractor_cloud(spec: IFSSpec, depth: int,
-                    seed: Sequence[float] | None = None,
-                    budget: Budget | None = None) -> list[Point]:
-    """All length-`depth` words applied to the seed point, as a list of
-    `(x, y)` tuples.
-
-    The seed defaults to the first map's fixed point, which lies on the
-    attractor, making the cloud a subset of it.  Points come out in
-    lexicographic word order, leftmost symbol applied last: every image
-    under map 0, then every image under map 1, and so on, so the list is
-    reproducible run to run.  A cloud with a coordinate that is not
-    finite, because the spec's entries overflow it, is a `ParseError`.
-    """
-    p = _seed(spec, depth, seed, budget)
-    if len(spec.maps) == 1:
-        return _finite(spec, depth, [_orbit_point(spec.maps[0], p, depth)])
-    pts = [p]
-    for _ in range(depth):
-        pts = [q for m in spec.maps for q in m.apply(pts)]
-    # A non-finite point has only non-finite images, so checking the last
-    # level catches an overflow at any depth.
-    return _finite(spec, depth, pts)
-
-
 def attractor_hull(spec: IFSSpec, depth: int,
                    budget: Budget | None = None) -> list[Point]:
-    """The extreme points of `attractor_cloud(spec, depth)`, level by
-    level, in n * depth * h float work for hulls of h points, not n^depth.
+    """The extreme points of the depth-`depth` cloud, the first map's
+    fixed point under every length-`depth` word, found level by level in
+    n * depth * h float work for hulls of h points, not n^depth.
 
-    The convex hull of an affine image is the image of the hull, so
-    level k's hull is that of the images of level k - 1's hull under
-    every map.  Each hull point is a cloud point, computed by the same
-    float operations; a cloud point within rounding of a hull edge may
-    fall outside, so the two extents agree up to rounding.  The budget
-    checks and the `ParseError` on a non-finite point are the cloud's,
-    made before any work and at every level.
+    The hull of an affine image is the image of the hull, so level k's
+    hull is that of the maps' images of level k - 1's hull.  Each hull
+    point is a cloud point; a cloud point within rounding of a hull edge
+    may fall outside.  One map's attractor, and hull, is its fixed point.
+    The budgets are checked before any work, and a non-finite point, from
+    entries that overflow it, is a `ParseError` at any level.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    budget = budget or Budget()
+    budget.check_words(len(spec.maps), depth)
+    budget.check_depth(depth)
+    hull = _finite(spec, depth, [spec.maps[0].fixed_point()])
     if len(spec.maps) == 1:
-        # One point, its own hull.
-        return attractor_cloud(spec, depth, budget=budget)
-    hull = _finite(spec, depth, [_seed(spec, depth, None, budget)])
+        return hull
     for _ in range(depth):
         # `_extreme_points` needs finite points to sort.
         hull = _extreme_points(_finite(spec, depth, [
@@ -210,63 +190,13 @@ def attractor_hull(spec: IFSSpec, depth: int,
     return hull
 
 
-def _seed(spec: IFSSpec, depth: int, seed: Sequence[float] | None,
-          budget: Budget | None) -> Point:
-    """The seed point, once the depth is checked against the budget."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    budget = budget or Budget()
-    budget.check_words(len(spec.maps), depth)
-    budget.check_depth(depth)
-    if seed is None:
-        return spec.maps[0].fixed_point()
-    x, y = seed
-    return float(x), float(y)
-
-
 def _finite(spec: IFSSpec, depth: int, pts: list[Point]) -> list[Point]:
-    """`pts`, points of the depth-`depth` cloud or of one of its levels,
-    once checked to be finite."""
+    """`pts`, points of one level of the depth-`depth` cloud, once checked
+    to be finite."""
     if not all(map(math.isfinite, chain.from_iterable(pts))):
         raise ParseError(f"IFS {spec.name or '(unnamed)'} overflows: its "
                          f"depth-{depth} cloud has non-finite coordinates")
     return pts
-
-
-def _orbit_point(m: AffineMap2, p: Point, depth: int) -> Point:
-    """`m` applied `depth` times to `p`, computed as `apply` computes it.
-
-    A point's orbit under `m` takes finitely many float values, so it
-    ends in a cycle, often within a few hundred steps and not always at a
-    fixed point.  Brent's cycle finding (R. P. Brent, *An improved Monte
-    Carlo factorization algorithm*, BIT, 1980) stops at the first repeat
-    it sees and reads the point at `depth` off the cycle, in constant
-    memory: the orbit before its cycle can be long for a map that
-    contracts slowly.  Points repeat only when their bits agree, so the
-    two zeros count as different values.
-    """
-    def step(q: Point) -> Point:
-        return m.apply((q,))[0]
-
-    def same(q: Point, r: Point) -> bool:
-        # Equal floats differ in their bits only as 0.0 and -0.0.
-        return q == r and all(math.copysign(1.0, a) == math.copysign(1.0, b)
-                              for a, b in zip(q, r))
-
-    if depth == 0:
-        return p
-    # Invariant: hare is the point at `level`, tortoise the one at
-    # level - lam.
-    tortoise, hare, level = p, step(p), 1
-    power = lam = 1
-    while level < depth and not same(tortoise, hare):
-        if power == lam:
-            tortoise, power, lam = hare, 2 * power, 0
-        hare, level, lam = step(hare), level + 1, lam + 1
-    # The orbit repeats with period lam from level - lam on.
-    for _ in range((depth - level) % lam):
-        hare = step(hare)
-    return hare
 
 
 def _chain(pts: list[Point]) -> list[Point]:
@@ -283,9 +213,16 @@ def _chain(pts: list[Point]) -> list[Point]:
 
 
 # Nonzero coordinates within this range keep every nonzero difference of
-# two within [2^-510, 2^511], so the products of the turn test neither
-# underflow nor overflow.
+# two within [2^-510, 2^511], so the products of the turn test, and the
+# squares of a distance, neither underflow nor overflow.
 _TURN_RANGE = (2.0 ** -458, 2.0 ** 510)
+
+
+def _in_turn_range(pts: Sequence[Point]) -> bool:
+    """Whether every nonzero coordinate of `pts` lies within `_TURN_RANGE`."""
+    sizes = [abs(v) for v in chain.from_iterable(pts) if v]
+    return _TURN_RANGE[0] <= min(sizes, default=1.0) and \
+        max(sizes, default=1.0) <= _TURN_RANGE[1]
 
 
 def _extreme_points(pts: Sequence[Point]) -> list[Point]:
@@ -300,10 +237,7 @@ def _extreme_points(pts: Sequence[Point]) -> list[Point]:
     with a coordinate outside `_TURN_RANGE` turn in exact rationals.
     """
     srt = sorted(pts)
-    lo, hi = _TURN_RANGE
-    least = min(map(abs, filter(None, chain.from_iterable(srt))), default=lo)
-    most = max(map(abs, chain.from_iterable(srt)), default=0.0)
-    if lo <= least and most <= hi:
+    if _in_turn_range(srt):
         return _hull(srt)
     # Imported for this rare case alone.
     from fractions import Fraction
@@ -328,11 +262,13 @@ def _norm(dx: float, dy: float) -> float:
 def cloud_diameter(pts: Sequence[Point]) -> float:
     """Max pairwise distance, attained on the extreme points.
 
-    A cloud whose diameter overflows the float range, though each of its
-    coordinates is finite, is a `ParseError`.
+    Past `_TURN_RANGE`, where squares underflow or overflow, distances
+    are `math.hypot`.  A cloud whose diameter overflows the float range,
+    though each of its coordinates is finite, is a `ParseError`.
     """
     ext = _extreme_points(pts)
-    diameter = max(_norm(px - qx, py - qy)
+    norm = _norm if _in_turn_range(ext) else math.hypot
+    diameter = max(norm(px - qx, py - qy)
                    for i, (px, py) in enumerate(ext) for qx, qy in ext[i:])
     if not math.isfinite(diameter):
         raise ParseError(f"cloud is too wide for floats: its diameter "
@@ -342,7 +278,7 @@ def cloud_diameter(pts: Sequence[Point]) -> float:
 
 def _measured_diameter(spec: IFSSpec, budget: Budget) -> float:
     depth = _cloud_depth(len(spec.maps))
-    measured = cloud_diameter(attractor_cloud(spec, depth, budget=budget))
+    measured = cloud_diameter(attractor_hull(spec, depth, budget))
     hint = spec.diameter_hint
     if hint is None:
         return measured
@@ -370,7 +306,8 @@ def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
     ratio k ln(n) / -ln(eps_k).  This decreases toward the dimension bound
     as k grows; the returned k0 is the first index where it is below
     bound + delta (with eps_k already below 1), re-checked over the
-    `K0_WINDOW` further indices.  Returns (k0, eps_k0).
+    `K0_WINDOW` further indices.  Returns (k0, eps_k0).  D is `diameter`,
+    else the hint, checked against the hull of about 4096 cloud points.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -387,6 +324,9 @@ def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
         return lam ** (k - 1) * d
 
     def ratio_at(k: int) -> float:
+        if not eps_at(k):  # a wide attractor's scales underflow first
+            raise VerificationFailure(f"no admissible word length before "
+                                      f"the scale underflows at {k}")
         return k * math.log(n) / -math.log(eps_at(k))
 
     k = 1

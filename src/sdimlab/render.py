@@ -13,14 +13,15 @@ document is streamed one line per edge.
 
 An attractor is the union of its own images, A = f_1(A) u ... u f_n(A)
 (Hutchinson, *Fractals and self-similarity*, 1981), and its depth-k
-cloud is drawn the same way, by composition.  Inside `<defs>`, the path
-`w0` is the zero-length round-capped subpath `M0 0h0` at the seed, which
-SVG strokes as a disc of diameter `stroke-width`; the group `w<k>` holds
-one `<use>` of `w<k-1>` per map, under the map's `matrix(a c b d e f)`,
-SVG's order for x' = a x + b y + e.  One group outside `<defs>` draws
-`w<depth>` under the window transform.  So the document holds n * depth
-`<use>` elements, not n^depth discs, and the viewer composes each
-position from the maps' repr floats: the gasket at depth 8 takes 2,164 B.
+cloud is drawn the same way, by composition, and never built: its window
+is read off its hull.  Inside `<defs>`, the path `w0` is the zero-length
+round-capped subpath `M0 0h0` at the seed, which SVG strokes as a disc of
+diameter `stroke-width`; the group `w<k>` holds one `<use>` of `w<k-1>`
+per map, under the map's `matrix(a c b d e f)`, SVG's order for
+x' = a x + b y + e.  One group outside `<defs>` draws `w<depth>` under
+the window transform.  So the document holds n * depth `<use>` elements,
+not n^depth discs, and the viewer composes each position from the maps'
+repr floats: the gasket at depth 8 takes 2,164 B.
 The seed path has `vector-effect="non-scaling-stroke"` (SVG Tiny 1.2,
 SVG 2), so the maps do not shrink its discs: the stroke width is in px.
 
@@ -137,21 +138,19 @@ def render_cloud_svg(spec: IFSSpec, depth: int,
     """The depth-`depth` attractor cloud of `spec` as a standalone SVG
     document, one line per item, drawn by composition of the maps.
 
-    The window is that of `attractor_cloud(spec, depth)`, taken from the
-    cloud's extreme points, `attractor_hull`, so the work is n * depth
-    hull images, not n^depth points; a cloud narrower than 1e-9 both ways
-    (a single point, say) gets the window of a unit square around it.
-    One disc per point, radius scaled to stay visible down to a few tens
-    of thousands of points.  A one-map cloud is one point, the seed's
-    orbit point, drawn with no levels.  The depth budget is checked
-    before any work, and a cloud with a non-finite point or a window that
-    overflows the float range is a `ParseError`.
+    The window is that of the cloud's extreme points, `attractor_hull`,
+    so the work is n * depth hull images, not n^depth points; a cloud
+    narrower than 1e-9 both ways (a single point, say) gets the window of
+    a unit square around it.  One disc per point, radius scaled to stay
+    visible down to a few tens of thousands of points.  A one-map cloud
+    is its fixed point, the seed, drawn with no levels.  The depth budget
+    is checked before any work, and a cloud with a non-finite point or a
+    window that overflows the float range is a `ParseError`.
     """
     # Here, so that drawing a graph does not load the IFS layer.
     from .ifs import attractor_hull
     hull = attractor_hull(spec, depth, budget)
-    maps = spec.maps if len(spec.maps) > 1 else ()
-    sx, sy = maps[0].fixed_point() if maps else hull[0]
+    sx, sy = spec.maps[0].fixed_point()
     x0, x1 = min(x for x, _ in hull), max(x for x, _ in hull)
     y0, y1 = min(y for _, y in hull), max(y for _, y in hull)
     scale, margin, height = _window("cloud", x0, x1, y0, y1, 0.04)
@@ -167,8 +166,8 @@ def render_cloud_svg(spec: IFSSpec, depth: int,
     transforms = [
         f"matrix({_num(m.a)} {_num(m.c)} {_num(m.b)} {_num(m.d)} "
         f"{_num(ex - sx)} {_num(fy - sy)})"
-        for m in maps for ex, fy in m.apply(((sx, sy),))]
-    levels = depth if maps else 0
+        for m in spec.maps for ex, fy in m.apply(((sx, sy),))]
+    levels = depth if len(spec.maps) > 1 else 0
     return [
         *_header(height, ' xmlns:xlink="http://www.w3.org/1999/xlink"'),
         "<defs>\n",

@@ -1,5 +1,5 @@
-"""Mutants of the checkers, the properness code and the cloud renderer:
-small edits that some test must catch.
+"""Mutants of the checkers, the properness code, the attractor hull and
+the cloud renderer: small edits that some test must catch.
 
 Each row names a mutant, the file under `src/sdimlab/` that it edits, the
 exact text it replaces, the replacement, and the ids of tests that fail
@@ -36,6 +36,9 @@ _WRITER = _COVER + ("test_cover_writer_refuses_fragments_that_do_not_cut_"
 _LAYOUT = _COVER + "test_cover_reader_refuses_rows_that_break_the_layout"
 _SHEARED = _RENDER + ("test_cloud_draws_every_point_of_its_spec_within_one_"
                       "quantum[sheared-")
+_IFS = "tests/test_ifs.py::"
+_NUMPY = _IFS + "test_cloud_is_bit_identical_to_numpy_reference"
+_OVERFLOW = _CLI + "test_non_finite_or_overflowing_shift_exits_two"
 
 MUTANTS = (
     Mutant("scan-distance-at-half-eps", "cover.py",
@@ -215,4 +218,32 @@ MUTANTS = (
            'f"matrix({_num(m.a)} {_num(m.b)} {_num(m.c)} {_num(m.d)} "',
            (_SHEARED + "4]", _SHEARED + "8]", _SHEARED + "10]",
             _RENDER + "test_cloud_draws_every_point_within_one_quantum")),
+    Mutant("hull-images-under-the-first-map-only", "ifs.py",
+           "q for m in spec.maps for q in m.apply(hull)]))",
+           "q for m in spec.maps[:1] for q in m.apply(hull)]))",
+           (_IFS + "test_cloud_sizes_are_powers",
+            _IFS + "test_hull_extent_is_the_cloud_extent",
+            _NUMPY + "[sierpinski]", _NUMPY + "[gasket-bench]",
+            _IFS + "test_hint_below_cloud_diameter_is_refused",
+            _CLI + "test_ifs_depth_overrides_diameter",
+            _SHEARED + "4]",
+            _ACCEPT + "test_criterion_5_word_cover_contraction")),
+    # Without the check, an overflowed point reaches `_extreme_points`,
+    # whose exact fallback raises OverflowError on it.
+    Mutant("hull-without-its-per-level-finite-check", "ifs.py",
+           "hull = _extreme_points(_finite(spec, depth, [",
+           "hull = _extreme_points(list([",
+           (_IFS + "test_cloud_refuses_overflowing_coordinates",
+            _OVERFLOW + "[ifs-1e308]", _OVERFLOW + "[render-1e308]")),
+    Mutant("diameter-hint-never-checked", "ifs.py",
+           "if hint < measured * (1 - REL_TOL):",
+           "if False:",
+           (_IFS + "test_hint_below_cloud_diameter_is_refused",
+            _CLI + "test_ifs_rejects_false_diameter_hint[0.01]")),
+    Mutant("cloud-diameter-without-hypot", "ifs.py",
+           "norm = _norm if _in_turn_range(ext) else math.hypot",
+           "norm = _norm",
+           (_IFS + "test_cloud_wider_than_the_turn_range_is_measured",
+            _IFS + "test_cloud_narrower_than_the_turn_range_is_measured",
+            _CLI + "test_ifs_measures_a_cloud_narrower_than_squares_reach")),
 )

@@ -11,6 +11,8 @@ the exact clip's, and a pair it separates the exact clip separates too.
 by exhaustive search, with `DeltaClip` deciding separation on its lower
 side, so it shares no clip code with the library.
 
+`attractor_cloud` is the naive depth-k attractor cloud, all n^k points,
+against which the library's level-by-level `attractor_hull` is checked.
 `word_maps` composes every length-k word of an IFS into one affine map,
 so that tests can measure the word pieces that the library's dimension
 bound counts; `hausdorff` measures how far two point clouds are apart.
@@ -424,6 +426,18 @@ FIXTURES = {
     "cantor-dust": cantor_dust,
     "segment": segment_halves,
 }
+
+
+def attractor_cloud(spec: IFSSpec, depth: int) -> list[Point]:
+    """Every length-`depth` word applied to the first map's fixed point,
+    n^depth points in lexicographic word order, leftmost symbol applied
+    last: every image under map 0, then every image under map 1, and so
+    on.  Each point is formed by `AffineMap2.apply`, as the library forms
+    the points of `attractor_hull`; no budget, no finiteness check."""
+    pts = [spec.maps[0].fixed_point()]
+    for _ in range(depth):
+        pts = [q for m in spec.maps for q in m.apply(pts)]
+    return pts
 
 
 def compose(outer: AffineMap2, inner: AffineMap2) -> AffineMap2:

@@ -29,8 +29,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from reference import (FIXTURES, brute_force_oracle, dist2, edge_point,
-                       word_maps)
+from reference import (FIXTURES, attractor_cloud, brute_force_oracle, dist2,
+                       edge_point, word_maps)
 
 from sdimlab.continuum import ToothSequenceSpec, build_shark_teeth, n_k
 from sdimlab.cover import (certificate_from_json_dict, check_cover,
@@ -39,8 +39,8 @@ from sdimlab.cover import (certificate_from_json_dict, check_cover,
 from sdimlab.dimension import sweep
 from sdimlab.errors import SdimlabError
 from sdimlab.geom import PLGraph
-from sdimlab.ifs import (_extreme_points, attractor_cloud, cloud_diameter,
-                         find_k0, ifs_dimension_bound)
+from sdimlab.ifs import (attractor_hull, cloud_diameter, find_k0,
+                         ifs_dimension_bound)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -479,8 +479,9 @@ def test_criterion_5_word_cover_contraction():
         lam = spec.ratio()
         # An affine image of a cloud has its hull at the image of the
         # cloud's hull, so the pieces are measured on the hull alone.
-        ext = _extreme_points(attractor_cloud(spec, 6))
+        ext = attractor_hull(spec, 6)
         d = cloud_diameter(ext)
+        assert d == cloud_diameter(attractor_cloud(spec, 6))
         for k in range(9):
             pieces = [cloud_diameter(w.apply(ext))
                       for w in word_maps(spec, k)]

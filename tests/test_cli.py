@@ -1040,24 +1040,53 @@ def test_non_finite_or_overflowing_shift_exits_two(tmp_path, command,
     assert not out.exists()
 
 
+def _pair_spec(tmp_path, scale: str, shifts) -> Path:
+    """Two maps x -> scale * x + (shift, 0), with no diameter hint."""
+    doc = FIXTURES["sierpinski"]().to_json_dict()
+    doc["diameter_hint"] = None
+    doc["maps"] = [{"matrix": [[scale, "0"], ["0", scale]],
+                    "shift": [shift, "0"]} for shift in shifts]
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(doc))
+    return spec
+
+
 @pytest.mark.parametrize("command,scale,shift", [
-    ("ifs", "0.5", "1e200"),    # finite cloud, squared widths overflow
     ("ifs", "0.1", "1.6e308"),  # finite cloud, widths overflow
     ("render", "0.1", "1.6e308"),
 ])
 def test_cloud_too_wide_for_floats_exits_two(tmp_path, command, scale,
                                              shift):
-    doc = FIXTURES["sierpinski"]().to_json_dict()
-    doc["diameter_hint"] = None
-    doc["maps"] = [{"matrix": [[scale, "0"], ["0", scale]],
-                    "shift": [sign + shift, "0"]} for sign in "-+"]
-    spec = tmp_path / "s.json"
-    spec.write_text(json.dumps(doc))
+    spec = _pair_spec(tmp_path, scale, ("-" + shift, "+" + shift))
     out = tmp_path / "out"
     res = invoke(command, "--spec", spec, "--out", out)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE: cloud is too wide for floats")
     assert not out.exists()
+
+
+def test_ifs_wide_cloud_has_no_scale_in_floats(tmp_path):
+    # The cloud is about 4e200 wide, whose squared width overflows but
+    # whose width does not.  Its ratio needs a word length past 7000 to
+    # come within delta, where the scale has long underflowed to 0.
+    spec = _pair_spec(tmp_path, "0.5", ("-1e200", "1e200"))
+    out = tmp_path / "out"
+    res = invoke("ifs", "--spec", spec, "--out", out)
+    assert res.exit_code == 1
+    assert res.stderr == ("VERIFY: no admissible word length before the "
+                          "scale underflows at 1076\n")
+    assert not out.exists()
+
+
+def test_ifs_measures_a_cloud_narrower_than_squares_reach(tmp_path):
+    # The depth-4 cloud is 1.875e-200 wide; the squares of its width
+    # underflow to 0, which measured it as a point.
+    spec = _pair_spec(tmp_path, "0.5", ("0", "1e-200"))
+    out = tmp_path / "out"
+    res = invoke("ifs", "--spec", spec, "--depth", "4", "--out", out)
+    assert res.exit_code == 0, res.stderr
+    assert "target slack delta=0.1000: k0=1 eps0=1.875e-200\n" in \
+        out.read_text()
 
 
 def test_render_draws_a_cloud_far_from_the_origin(tmp_path):

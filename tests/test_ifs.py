@@ -4,11 +4,12 @@ Numeric assertions use a relative tolerance of 1e-9 except where a value
 is exact in floating point (powers of two, coordinates of fixed points).
 The Lipschitz oracle is numpy's SVD, which shares nothing with the
 closed-form 2x2 computation under test; the hull-based cloud diameter is
-checked against a brute-force maximum over all pairs.  numpy is a test
-dependency only: it also serves as the vectorised reference for attractor
-clouds, and the tests that need it skip when it is missing.  It is
-imported once per module, so that no Hypothesis example pays for the
-import inside its deadline.
+checked against a brute-force maximum over all pairs, and the
+level-by-level attractor hull against the naive n^depth cloud of
+`reference.attractor_cloud`.  numpy is a test dependency only: it also
+serves as the vectorised reference for attractor clouds, and the tests
+that need it skip when it is missing.  It is imported once per module,
+so that no Hypothesis example pays for the import inside its deadline.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import time
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import FIXTURES, compose, decode_svg, hausdorff
+from reference import (FIXTURES, attractor_cloud, compose, decode_svg,
+                       hausdorff)
 
 from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
-                     attractor_cloud, cloud_diameter, find_k0,
+                     attractor_hull, cloud_diameter, find_k0,
                      ifs_dimension_bound, lip_affine)
-from sdimlab.ifs import _extreme_points, attractor_hull
+from sdimlab.ifs import _extreme_points
 from sdimlab.render import render_cloud_svg
 
 REL = 1e-9
@@ -240,51 +242,60 @@ def test_dimension_bound_single_map_is_zero():
 
 
 def test_cloud_sizes_are_powers(sier):
+    # The reference cloud has n^depth points, the hull a few of them.
     for depth, size in ((0, 1), (3, 27)):
         cloud = attractor_cloud(sier, depth)
         assert len(cloud) == size
         assert all(len(p) == 2 for p in cloud)
+        hull = attractor_hull(sier, depth)
+        assert set(hull) <= set(cloud)
+        assert cloud_diameter(hull) == cloud_diameter(cloud)
 
 
 def test_cloud_depth_zero_is_the_seed(sier):
-    seed = (0.25, 0.3)
-    assert attractor_cloud(sier, 0, seed=seed) == [seed]
+    for spec in (sier, IFSSpec(sier.maps[1:2])):
+        assert attractor_hull(spec, 0) == attractor_cloud(spec, 0) == \
+            [spec.maps[0].fixed_point()]
 
 
 def test_cloud_default_seed_is_a_fixed_point(sier):
-    cloud = attractor_cloud(sier, 0)
-    assert cloud[0] == sier.maps[0].fixed_point()
+    (seed,) = attractor_hull(sier, 0)
+    _all_close(sier.maps[0].apply([seed]), [seed], atol=1e-12)
 
 
 def test_cloud_respects_word_budget(sier):
-    for build in (attractor_cloud, attractor_hull):
-        with pytest.raises(BudgetExceeded):
-            build(sier, 5, budget=Budget(max_words=100))
+    with pytest.raises(BudgetExceeded):
+        attractor_hull(sier, 5, budget=Budget(max_words=100))
+    assert len(attractor_hull(sier, 4, budget=Budget(max_words=81))) == 3
 
 
 def test_cloud_refuses_overflowing_coordinates(sier):
     # Finite entries whose images leave the float range.  On the first
     # map the shift 1e308 overflows the seed, its fixed point 2e308; on
     # the second, the depth-k image x = 1e308 * (2 - 2**(1 - k)) of the
-    # seed passes the largest float at k = 4.
-    # The hull refuses them at the same depths.
+    # seed passes the largest float at k = 4.  The hull refuses each at
+    # the depth where the reference cloud first holds a non-finite point.
     huge = AffineMap2(0.5, 0, 0, 0.5, 1e308, 0.0)
     first = IFSSpec((huge,) + sier.maps[1:])
     second = IFSSpec((sier.maps[0], huge, sier.maps[2]))
-    assert len(attractor_cloud(second, 3)) == 27
-    assert max(x for x, _ in attractor_hull(second, 3)) == 1.75e308
-    for build in (attractor_cloud, attractor_hull):
+    cloud = attractor_cloud(second, 3)
+    assert all(map(math.isfinite, (v for p in cloud for v in p)))
+    assert max(x for x, _ in attractor_hull(second, 3)) == \
+        max(x for x, _ in cloud) == 1.75e308
+    for spec, depth in ((first, 0), (second, 4)):
+        assert not all(map(math.isfinite, (v for p in attractor_cloud(
+            spec, depth) for v in p)))
         with pytest.raises(ParseError, match="non-finite"):
-            build(first, 0)
-        with pytest.raises(ParseError, match="non-finite"):
-            build(second, 4)
+            attractor_hull(spec, depth)
+    with pytest.raises(ParseError, match="non-finite"):
+        attractor_hull(IFSSpec((huge,)), 0)
 
 
 @pytest.mark.parametrize("depth", [10_000, 30_000_000])
 def test_word_budget_refuses_huge_depth_promptly(sier, depth):
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded) as info:
-        attractor_cloud(sier, depth)
+        attractor_hull(sier, depth)
     assert time.perf_counter() - t0 < 5.0
     assert str(info.value) == (f"word count 3^{depth} exceeds budget "
                                f"{Budget().max_words}")
@@ -293,47 +304,28 @@ def test_word_budget_refuses_huge_depth_promptly(sier, depth):
 def test_one_map_depth_is_bounded_by_the_word_budget(sier):
     solo = IFSSpec(sier.maps[:1])
     budget = Budget(max_words=5)
-    assert len(attractor_cloud(solo, 5, budget=budget)) == 1
+    assert len(attractor_hull(solo, 5, budget=budget)) == 1
     with pytest.raises(BudgetExceeded, match="depth 6 exceeds"):
-        attractor_cloud(solo, 6, budget=budget)
+        attractor_hull(solo, 6, budget=budget)
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded):
-        attractor_cloud(solo, 30_000_000)
+        attractor_hull(solo, 30_000_000)
     assert time.perf_counter() - t0 < 1.0
-
-
-def _naive_orbit(m, p, depth):
-    for _ in range(depth):
-        p = m.apply([p])[0]
-    return p
 
 
 _entry = st.floats(-0.7, 0.7)
 
 
 @given(a=_entry, b=_entry, c=_entry, d=_entry,
-       e=st.floats(-4, 4), f=st.floats(-4, 4),
-       seed=st.none() | st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
-       depth=st.integers(0, 3000))
-def test_one_map_cloud_is_the_orbit_point(a, b, c, d, e, f, seed, depth):
+       e=st.floats(-4, 4), f=st.floats(-4, 4))
+def test_one_map_hull_is_its_fixed_point(a, b, c, d, e, f):
+    # The attractor of one map is that map's fixed point, at every depth.
     m = AffineMap2(a, b, c, d, e, f)
     assume(lip_affine(m) < 1)
     solo = IFSSpec((m,))
-    start = m.fixed_point() if seed is None else seed
-    want = [_naive_orbit(m, start, depth)]
-    # repr tells 0.0 from -0.0, which the orbit must keep apart.
-    assert repr(attractor_cloud(solo, depth, seed=seed)) == repr(want)
-
-
-def test_one_map_orbit_keeps_signed_zeros_apart():
-    # From (1, 0), x -> -x/2 - 0.0*y - 0.0 reaches 0.0 at step 1075 and
-    # then alternates between -0.0 and 0.0: a 2-cycle that equality alone
-    # would take for a fixed point.
-    solo = IFSSpec((AffineMap2(-0.5, -0.0, 0.0, 0.5, -0.0, 0.0),))
-    for depth in (1100, 1101, 5000, 5001):
-        got = attractor_cloud(solo, depth, seed=(1.0, 0.0))
-        assert repr(got) == repr([_naive_orbit(solo.maps[0], (1.0, 0.0),
-                                               depth)])
+    for depth in (0, 1, 10 ** 6):
+        # repr tells 0.0 from -0.0.
+        assert repr(attractor_hull(solo, depth)) == repr([m.fixed_point()])
 
 
 def test_word_budget_matches_the_power():
@@ -362,13 +354,27 @@ def test_cloud_diameter_of_known_cloud():
     assert cloud_diameter(pts) == pytest.approx(5.0, rel=0)
 
 
-@pytest.mark.parametrize("half_width", [1e200, 1.6e308])
+@pytest.mark.parametrize("half_width", [1.6e308])
 def test_cloud_too_wide_for_floats_is_refused(half_width):
-    # Every coordinate is finite; the squared width, or the width itself,
-    # is not.
+    # Every coordinate is finite; the width is not.
     pts = [(-half_width, 0.0), (0.0, 1.0), (half_width, 0.0)]
     with pytest.raises(ParseError, match="too wide"):
         cloud_diameter(pts)
+
+
+def test_cloud_wider_than_the_turn_range_is_measured():
+    # The squared width 4e400 overflows; the width does not.
+    pts = [(-1e200, 0.0), (0.0, 1.0), (1e200, 0.0)]
+    assert cloud_diameter(pts) == 2e200
+
+
+def test_cloud_narrower_than_the_turn_range_is_measured():
+    # Two half-scale maps 1e-200 apart: the squares of the depth-4 width
+    # 1.875e-200 underflow to 0.
+    tiny = IFSSpec((AffineMap2(0.5, 0.0, 0.0, 0.5, 0.0, 0.0),
+                    AffineMap2(0.5, 0.0, 0.0, 0.5, 1e-200, 0.0)))
+    assert cloud_diameter(attractor_hull(tiny, 4)) == \
+        pytest.approx(1.875e-200, rel=REL, abs=0)
 
 
 def _constants(*points) -> IFSSpec:
@@ -483,15 +489,18 @@ def _gasket_bench_spec() -> IFSSpec:
 
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["gasket-bench"])
 def test_cloud_is_bit_identical_to_numpy_reference(np, name):
+    # Every hull point is, bit for bit, a point of numpy's cloud, and the
+    # hull's diameter is numpy's all-pairs maximum, exactly.
     spec = _gasket_bench_spec() if name == "gasket-bench" else \
         FIXTURES[name]()
     for depth in range(9):
-        cloud = attractor_cloud(spec, depth)
+        hull = attractor_hull(spec, depth)
         ref = _numpy_cloud(np, spec, depth)
-        assert np.array(cloud, dtype=float).tobytes() == ref.tobytes()
+        rows = {row.tobytes() for row in ref}
+        assert all(np.array(p, dtype=float).tobytes() in rows for p in hull)
         if depth <= 6:
             diff = ref[:, None, :] - ref[None, :, :]
-            assert cloud_diameter(cloud) == \
+            assert cloud_diameter(hull) == \
                 float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
@@ -523,9 +532,11 @@ def test_hull_extent_is_the_cloud_extent(maps, depth):
     # edge can fall outside the float hull: a zero map beside one with a
     # shift of 7e-103 loses that shift, against offsets of 0.25, in the
     # turn test.  The extents then differ by rounding of the largest
-    # coordinate, made once per level.
+    # coordinate, made once per level.  One map's attractor is its fixed
+    # point, which the naive orbit reaches only up to rounding.
     spec = IFSSpec(tuple(maps))
-    cloud = attractor_cloud(spec, depth)
+    cloud = ([maps[0].fixed_point()] if len(maps) == 1
+             else attractor_cloud(spec, depth))
     hull = attractor_hull(spec, depth)
     assert set(hull) <= set(cloud)
     big = max(abs(v) for p in cloud for v in p)

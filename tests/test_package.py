@@ -35,7 +35,7 @@ EXPORTS = (
     "Point", "ScaleRow", "SdimlabError", "Segment", "SeparationCertificate",
     "SizeLimit", "TooFewScales", "ToothPolyline",
     "ToothSequenceSpec", "TruncationGuard", "VerificationFailure",
-    "arrange", "attractor_cloud", "build_shark_teeth",
+    "arrange", "attractor_hull", "build_shark_teeth",
     "certificate_from_json_dict", "check_cover", "check_separation",
     "cloud_diameter", "continuum", "cover", "dimension", "errors",
     "exactcore", "find_k0", "format_rational", "geom", "ifs",
@@ -106,13 +106,20 @@ def _forwarders(module) -> dict[str, tuple[str, str]]:
     return found
 
 
+# The one forwarder bound under another name: the benchmark's tracer
+# wraps `cli.attractor_cloud`, the hull's name before it replaced the
+# cloud, until its stats record replaces the wrapping (ROADMAP item 8).
+_RENAMED = {"attractor_cloud": "attractor_hull"}
+
+
 @pytest.mark.parametrize("module", [cli, dimension],
                          ids=["cli", "dimension"])
 def test_every_forwarder_calls_the_function_it_names(module, monkeypatch):
     forwarders = _forwarders(module)
     assert forwarders
     for name, (path, target) in forwarders.items():
-        assert name == target == module.__dict__[name].__name__
+        assert _RENAMED.get(name, name) == target == \
+            module.__dict__[name].__name__
         calls = []
 
         def stand_in(*args, **kwargs):
@@ -135,7 +142,7 @@ def test_forwarders_give_what_their_functions_give(m3):
     assert cli.sweep(m3, [Fraction(1, 4), eps]) == dimension.sweep(
         m3, [Fraction(1, 4), eps])
     spec = FIXTURES["segment"]()
-    assert cli.attractor_cloud(spec, 3) == ifs.attractor_cloud(spec, 3)
+    assert cli.attractor_cloud(spec, 3) == ifs.attractor_hull(spec, 3)
     assert dimension.find_k0(spec, 0.1) == ifs.find_k0(spec, 0.1)
     assert cli.parse_rational("3/6") == Fraction(1, 2)
 

@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import FIXTURES, cloud_positions, decode_svg, graph_positions
+from reference import (FIXTURES, attractor_cloud, cloud_positions, decode_svg,
+                       graph_positions)
 
 from sdimlab import AffineMap2, IFSSpec, arrange, point, segment
-from sdimlab.ifs import attractor_cloud
 from sdimlab.render import render_cloud_svg, render_svg
 
 # Half a quantum, with room for the float error of scaling back to px.
