@@ -39,7 +39,7 @@ class HostMismatch(SdimlabError):
 
 
 class SizeLimit(SdimlabError):
-    """Requested enumeration would exceed the word/point budget."""
+    """A shark-teeth spec past the builder's tooth-count or level cap."""
 
     tag = "SIZE"
 

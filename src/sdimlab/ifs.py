@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -29,7 +30,7 @@ from .limits import Budget
 IFS_FORMAT = "sdimlab/ifs"
 FORMAT_VERSION = 1
 REL_TOL = 1e-9
-# Word lengths past k0 that `find_k0` re-checks and the report tabulates.
+# Word lengths past k0 that `find_k0` checks and returns.
 K0_WINDOW = 8
 
 Point = tuple[float, float]
@@ -157,9 +158,10 @@ def _pair(value) -> list:
 
 
 def ifs_dimension_bound(spec: IFSSpec) -> float:
-    """ln(n) / -ln(ratio): the cover-count dimension bound for the system."""
+    """ln(n) / -ln(ratio), the cover-count dimension bound; 0, its limit,
+    for constant maps, whose attractor is at most n points."""
     lam = spec.ratio()
-    return math.log(len(spec.maps)) / -math.log(lam)
+    return math.log(len(spec.maps)) / -math.log(lam) if lam else 0.0
 
 
 def attractor_hull(spec: IFSSpec, depth: int,
@@ -299,15 +301,17 @@ def _cloud_depth(n: int) -> int:
 
 
 def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
-            budget: Budget | None = None) -> tuple[int, float]:
-    """Smallest word length whose cover ratio sits within delta of the bound.
+            budget: Budget | None = None) -> list[tuple[int, float, float]]:
+    """The scale table: rows (k, eps_k, ratio_k) for k0 .. k0 + `K0_WINDOW`.
 
     At eps_k = ratio^(k-1) * D the word-cover count is n^k, giving the
-    ratio k ln(n) / -ln(eps_k).  This decreases toward the dimension bound
-    as k grows; the returned k0 is the first index where it is below
-    bound + delta (with eps_k already below 1), re-checked over the
-    `K0_WINDOW` further indices.  Returns (k0, eps_k0).  D is `diameter`,
-    else the hint, checked against the hull of about 4096 cloud points.
+    ratio k ln(n) / -ln(eps_k), which decreases toward the dimension bound
+    as k grows.  One walk from eps_1 = D, times the ratio per step, finds
+    k0, the first k with eps_k < 1 and a ratio below bound + delta, and
+    checks the rows after it.  A later row above bound + delta, no k0 by
+    k = 10000, or a scale that is not a normal float (too few bits for its
+    ratio) is a `VerificationFailure`.  D is `diameter`, else the hint,
+    checked against the hull of about 4096 cloud points.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -316,27 +320,24 @@ def find_k0(spec: IFSSpec, delta: float, diameter: float | None = None,
     if not d > 0:
         raise ParseError(f"attractor diameter {d!r} is not positive; there "
                          f"is no scale sequence to anchor")
-    n = len(spec.maps)
+    log_n = math.log(len(spec.maps))
     lam = spec.ratio()
-    bound = ifs_dimension_bound(spec)
-
-    def eps_at(k: int) -> float:
-        return lam ** (k - 1) * d
-
-    def ratio_at(k: int) -> float:
-        if not eps_at(k):  # a wide attractor's scales underflow first
+    limit = ifs_dimension_bound(spec) + delta
+    rows: list[tuple[int, float, float]] = []
+    k, eps = 1, d
+    while len(rows) <= K0_WINDOW:
+        if eps < sys.float_info.min:  # subnormal or 0: too few bits
             raise VerificationFailure(f"no admissible word length before "
                                       f"the scale underflows at {k}")
-        return k * math.log(n) / -math.log(eps_at(k))
-
-    k = 1
-    while not (eps_at(k) < 1 and ratio_at(k) < bound + delta):
-        k += 1
-        if k > 10_000:
+        ratio = k * log_n / -math.log(eps) if eps < 1 else math.inf
+        if ratio < limit:
+            rows.append((k, eps, ratio))
+        elif rows:
+            raise VerificationFailure(
+                f"ratio at word length {k} regressed above bound + delta")
+        elif k == 10_000:
             raise VerificationFailure(
                 "no admissible word length below 10000")
-    for kk in range(k, k + K0_WINDOW + 1):
-        if not ratio_at(kk) < bound + delta:
-            raise VerificationFailure(
-                f"ratio at word length {kk} regressed above bound + delta")
-    return k, eps_at(k)
+        k += 1
+        eps *= lam
+    return rows

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ParseError
 
@@ -63,14 +63,10 @@ class Budget:
                                  f"{self.max_words}")
 
 
-def from_env(base: Budget | None = None) -> Budget:
+def from_env() -> Budget:
     """Budget with overrides taken from SDIMLAB_BUDGET, if set."""
-    budget = base or Budget()
-    raw = os.environ.get(_ENV_VAR, "").strip()
-    if not raw:
-        return budget
     overrides = {}
-    for item in raw.split(","):
+    for item in os.environ.get(_ENV_VAR, "").split(","):
         item = item.strip()
         if not item:
             continue
@@ -79,7 +75,7 @@ def from_env(base: Budget | None = None) -> Budget:
         if key not in _KEYS or not value:
             raise ParseError(f"bad {_ENV_VAR} entry {item!r}")
         overrides[_KEYS[key]] = _count(key, value)
-    return replace(budget, **overrides)
+    return Budget(**overrides)
 
 
 def _count(key: str, value: str) -> int:

@@ -1,5 +1,6 @@
-"""Mutants of the checkers, the properness code, the attractor hull and
-the cloud renderer: small edits that some test must catch.
+"""Mutants of the checkers, the properness code, the attractor hull, the
+IFS scale table and the cloud renderer: small edits that some test must
+catch.
 
 Each row names a mutant, the file under `src/sdimlab/` that it edits, the
 exact text it replaces, the replacement, and the ids of tests that fail
@@ -39,6 +40,7 @@ _SHEARED = _RENDER + ("test_cloud_draws_every_point_of_its_spec_within_one_"
 _IFS = "tests/test_ifs.py::"
 _NUMPY = _IFS + "test_cloud_is_bit_identical_to_numpy_reference"
 _OVERFLOW = _CLI + "test_non_finite_or_overflowing_shift_exits_two"
+_WIDE = _CLI + "test_ifs_wide_cloud_has_no_scale_in_floats"
 
 MUTANTS = (
     Mutant("scan-distance-at-half-eps", "cover.py",
@@ -100,6 +102,11 @@ MUTANTS = (
            (_COVER + "test_default_pool_is_charged_before_it_is_made",
             _CLI + "test_cover_refuses_an_over_budget_lower_pool_before_its_"
             "pair_tests")),
+    # The guarded refusal names a total that counts the pool's size.
+    Mutant("candidate-pool-without-its-size-charge", "cover.py",
+           "    work.add(n)\n",
+           "",
+           (_COVER + "test_default_pool_is_charged_before_it_is_made",)),
     Mutant("lower-separation-guard-without-its-pair-charge", "cover.py",
            "                n = len(cleared)\n"
            "                work.budget.check_pairs(work.total + n * (n - 1) // 2)\n",
@@ -240,6 +247,28 @@ MUTANTS = (
            "if False:",
            (_IFS + "test_hint_below_cloud_diameter_is_refused",
             _CLI + "test_ifs_rejects_false_diameter_hint[0.01]")),
+    # No spec ties its ratio to bound + delta by chance; the tie test
+    # makes one with an exact delta.
+    Mutant("scale-table-ratio-limit-not-strict", "ifs.py",
+           "if ratio < limit:",
+           "if ratio <= limit:",
+           (_IFS + "test_find_k0_needs_the_ratio_strictly_below_bound_plus_"
+            "delta",)),
+    # The test for a normal float written as a test for 0: a subnormal
+    # scale is walked on until it is 0.  Constant maps reach 0 in one
+    # step, so their test does not see it.
+    Mutant("scale-table-normal-test-as-nonzero", "ifs.py",
+           "if eps < sys.float_info.min:",
+           "if not eps:",
+           (_WIDE,)),
+    # The step written as the power it replaces: the power underflows
+    # before it is multiplied by D.
+    Mutant("scale-table-step-as-a-power", "ifs.py",
+           "        eps *= lam\n",
+           "        eps = lam ** (k - 1) * d\n",
+           (_WIDE, _CLI + "test_ifs_wide_cloud_finds_its_scale_past_the_"
+            "power_underflow",
+            _IFS + "test_report_prints_the_rows_find_k0_checked")),
     Mutant("cloud-diameter-without-hypot", "ifs.py",
            "norm = _norm if _in_turn_range(ext) else math.hypot",
            "norm = _norm",

@@ -455,7 +455,7 @@ def test_criterion_4_gasket_scale_selection():
     spec = FIXTURES["sierpinski"]()
     bound = ifs_dimension_bound(spec)
     assert abs(bound - math.log2(3)) < 1e-12
-    k0, eps0 = find_k0(spec, 0.1)
+    k0, eps0, _ = find_k0(spec, 0.1)[0]
     assert k0 == 17
     assert eps0 == 2.0 ** -16
     for k in range(17, 31):

@@ -1041,7 +1041,8 @@ def test_non_finite_or_overflowing_shift_exits_two(tmp_path, command,
 
 
 def _pair_spec(tmp_path, scale: str, shifts) -> Path:
-    """Two maps x -> scale * x + (shift, 0), with no diameter hint."""
+    """One map x -> scale * x + (shift, 0) per shift, with no diameter
+    hint."""
     doc = FIXTURES["sierpinski"]().to_json_dict()
     doc["diameter_hint"] = None
     doc["maps"] = [{"matrix": [[scale, "0"], ["0", scale]],
@@ -1068,14 +1069,48 @@ def test_cloud_too_wide_for_floats_exits_two(tmp_path, command, scale,
 def test_ifs_wide_cloud_has_no_scale_in_floats(tmp_path):
     # The cloud is about 4e200 wide, whose squared width overflows but
     # whose width does not.  Its ratio needs a word length past 7000 to
-    # come within delta, where the scale has long underflowed to 0.
+    # come within delta, where the scale has long left the normal floats:
+    # 2^-1689 * 4e200 is below 2^-1022.
     spec = _pair_spec(tmp_path, "0.5", ("-1e200", "1e200"))
     out = tmp_path / "out"
     res = invoke("ifs", "--spec", spec, "--out", out)
     assert res.exit_code == 1
     assert res.stderr == ("VERIFY: no admissible word length before the "
-                          "scale underflows at 1076\n")
+                          "scale underflows at 1690\n")
     assert not out.exists()
+
+
+def test_ifs_wide_cloud_finds_its_scale_past_the_power_underflow(tmp_path):
+    # At delta 1 the same cloud's ratio comes within delta at k = 1335,
+    # where 0.5^1334 alone is below the smallest float but the scale,
+    # 0.5^1334 * 4e200, is a normal float.
+    spec = _pair_spec(tmp_path, "0.5", ("-1e200", "1e200"))
+    res = invoke("ifs", "--spec", spec, "--delta", "1",
+                 "--out", tmp_path / "out")
+    assert res.exit_code == 0, res.stderr
+    assert "target slack delta=1.0000: k0=1335 eps0=1.06645e-201\n" in \
+        res.output
+
+
+def test_ifs_constant_maps_have_no_scale(tmp_path):
+    # Ratio 0: the bound is 0, eps_1 = D = 1 is not below 1, and
+    # eps_2 = 0 has left the floats.
+    spec = _pair_spec(tmp_path, "0", ("0", "1"))
+    out = tmp_path / "out"
+    res = invoke("ifs", "--spec", spec, "--out", out)
+    assert res.exit_code == 1
+    assert res.stderr == ("VERIFY: no admissible word length before the "
+                          "scale underflows at 2\n")
+    assert not out.exists()
+
+
+def test_ifs_one_constant_map_reports_bound_zero(tmp_path):
+    spec = _pair_spec(tmp_path, "0", ("1",))
+    res = invoke("ifs", "--spec", spec, "--out", tmp_path / "out")
+    assert res.exit_code == 0, res.stderr
+    assert res.output == ("ifs sierpinski: n=1 ratio=0 bound=0.0000\n"
+                          "  single map: every scale is covered by one "
+                          "piece\n")
 
 
 def test_ifs_measures_a_cloud_narrower_than_squares_reach(tmp_path):

@@ -20,15 +20,16 @@ import sys
 import time
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (FIXTURES, attractor_cloud, compose, decode_svg,
                        hausdorff)
 
 from sdimlab import (AffineMap2, Budget, BudgetExceeded, IFSSpec, ParseError,
-                     attractor_hull, cloud_diameter, find_k0,
-                     ifs_dimension_bound, lip_affine)
-from sdimlab.ifs import _extreme_points
+                     VerificationFailure, attractor_hull, cloud_diameter,
+                     find_k0, ifs_bound_report, ifs_dimension_bound,
+                     lip_affine)
+from sdimlab.ifs import K0_WINDOW, _extreme_points
 from sdimlab.render import render_cloud_svg
 
 REL = 1e-9
@@ -195,7 +196,7 @@ def test_hint_below_cloud_diameter_is_refused(sier):
     small = IFSSpec(sier.maps, "small", 0.01)
     with pytest.raises(ParseError, match="below the diameter"):
         find_k0(small, 0.1)
-    assert find_k0(sier, 0.1) == (17, 2.0 ** -16)
+    assert find_k0(sier, 0.1)[0][:2] == (17, 2.0 ** -16)
 
 
 def test_json_rejects_expanding_system(sier):
@@ -552,25 +553,61 @@ def test_hull_extent_is_the_cloud_extent(maps, depth):
 
 
 def test_find_k0_sierpinski_frozen(sier):
-    k0, eps0 = find_k0(sier, 0.1)
+    k0, eps0, _ = find_k0(sier, 0.1)[0]
     assert k0 == 17
     assert eps0 == 2.0 ** -16
 
 
 def test_find_k0_dust_frozen(dust):
-    k0, eps0 = find_k0(dust, 0.1)
+    k0, eps0, _ = find_k0(dust, 0.1)[0]
     assert k0 == 14
     assert eps0 == pytest.approx(math.sqrt(2) * 0.25 ** 13, rel=REL)
 
 
 def test_find_k0_ratio_below_bound_after_k0(sier):
-    k0, _ = find_k0(sier, 0.1)
+    k0, _, _ = find_k0(sier, 0.1)[0]
     bound = ifs_dimension_bound(sier)
     d = 1.0
     for k in range(k0, 31):
         eps_k = 0.5 ** (k - 1) * d
         ratio = k * math.log(3) / -math.log(eps_k)
         assert ratio < bound + 0.1 - 1e-12
+
+
+def test_find_k0_needs_the_ratio_strictly_below_bound_plus_delta(sier):
+    # The gasket's ratio at k = 17 is 17 ln 3 / (16 ln 2).  Sterbenz's
+    # lemma makes delta = ratio - bound exact, so bound + delta is that
+    # ratio to the bit: k = 17 ties the limit and k0 is 18.
+    bound = ifs_dimension_bound(sier)
+    tie = 17 * math.log(3) / -math.log(2.0 ** -16)
+    rows = find_k0(sier, tie - bound)
+    assert bound + (tie - bound) == tie
+    assert [k for k, _, _ in rows] == list(range(18, 18 + K0_WINDOW + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=st.lists(contractions, min_size=2, max_size=4),
+       delta=st.sampled_from((0.01, 0.1, 0.5, 1.0)))
+def test_report_prints_the_rows_find_k0_checked(maps, delta):
+    spec = IFSSpec(tuple(maps))
+    try:
+        rows = find_k0(spec, delta)
+    except (ParseError, VerificationFailure):
+        # A point attractor anchors no scale; constant maps run out of
+        # scales; neither has a table to print.
+        assume(False)
+    lam, limit = spec.ratio(), ifs_dimension_bound(spec) + delta
+    printed = [ln for ln in ifs_bound_report(spec, delta).splitlines()
+               if ln.startswith("  k=")]
+    assert printed == [f"  k={k} eps={eps:.6g} count=n^{k} "
+                       f"ratio={ratio:.4f} ok" for k, eps, ratio in rows]
+    k0 = rows[0][0]
+    assert [k for k, _, _ in rows] == list(range(k0, k0 + K0_WINDOW + 1))
+    for _, eps, ratio in rows:
+        assert sys.float_info.min <= eps < 1
+        assert ratio < limit
+    for (_, eps, _), (_, finer, _) in zip(rows, rows[1:]):
+        assert finer == eps * lam
 
 
 def test_find_k0_needs_positive_delta(sier):
