@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 # Submodule -> the names the package exports from it.
 _EXPORTS = {
-    "continuum": ("ToothPolyline", "ToothSequenceSpec", "build_shark_teeth",
-                  "n_k", "next_amplitude_bound", "predicted_counts",
+    "continuum": ("ToothSequenceSpec", "build_shark_teeth", "n_k",
+                  "next_amplitude_bound", "predicted_counts",
                   "spec_from_meta", "tooth_height", "tooth_polyline"),
     "cover": ("CoverCertificate", "SeparationCertificate", "TruncationGuard",
               "certificate_from_json_dict", "check_cover", "check_separation",
@@ -30,8 +30,8 @@ _EXPORTS = {
                   "make_row", "read_profile_csv", "scale_ratio",
                   "sdim_estimate", "sweep", "write_profile_csv"),
     "errors": ("BudgetExceeded", "DisconnectedInput", "HostMismatch",
-               "OverlapError", "ParseError", "SdimlabError", "SizeLimit",
-               "TooFewScales", "VerificationFailure"),
+               "ParseError", "SdimlabError", "SizeLimit", "TooFewScales",
+               "VerificationFailure"),
     "exactcore": (),
     "geom": ("PLGraph", "Point", "Segment", "arrange", "format_rational",
              "parse_rational", "point", "segment"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import ParseError, SizeLimit, expect_format
 # `arrange` is not called here; perfbench/tracing.py wraps this name.
@@ -45,24 +45,17 @@ def tooth_height(k: int, level: int) -> Fraction:
     return Fraction(1, k * 2 ** (level + 1))
 
 
-class ToothPolyline(NamedTuple):
-    """One tooth as an ordered breakpoint chain from (0,0) to (1,0)."""
-    k: int
-    level: int
-    breakpoints: tuple[Point, ...]
-
-
-def tooth_polyline(k: int, level: int) -> ToothPolyline:
-    """Tooth k at the given level: alternating base and peak points.
+def tooth_polyline(k: int, level: int) -> tuple[Point, ...]:
+    """Tooth k at the given level as its breakpoint chain from (0,0) to
+    (1,0), alternating base and peak points.
 
     Breakpoints sit at t = j / 2^(level+1); even j on the base line, odd j
     at the peak height.
     """
     steps = 2 ** (level + 1)
     h = tooth_height(k, level)
-    pts = tuple(Point(Fraction(j, steps), h if j % 2 else Fraction(0))
-                for j in range(steps + 1))
-    return ToothPolyline(k, level, pts)
+    return tuple(Point(Fraction(j, steps), h if j % 2 else Fraction(0))
+                 for j in range(steps + 1))
 
 
 @dataclass(frozen=True)
@@ -129,31 +122,20 @@ class ToothSequenceSpec:
 
 
 def spec_from_meta(meta: dict) -> ToothSequenceSpec:
-    """Rebuild the tooth spec recorded in graph metadata by the builder.
+    """The tooth spec that the builder recorded in graph metadata.
 
-    Metadata that does not name the shark-teeth builder, or that does not
-    describe a valid spec, is a `ParseError`; so is a spec the builder
-    would refuse for its size, more than MAX_TOOTH_COUNT teeth or a level
-    above MAX_LEVEL.
+    A parser and nothing more: metadata that does not describe a valid
+    spec is a `ParseError`.  Whether the builder accepts the spec's size,
+    and whether it makes the graph the metadata came with, is for the
+    caller to find out by rebuilding, as `cover.truncation_guard` does.
     """
-    if not isinstance(meta, dict) or meta.get("builder") != "shark-teeth":
-        raise ParseError("graph was not built by the shark-teeth builder")
     try:
         if meta.get("kind") == "paper":
-            spec = ToothSequenceSpec("paper", K=parse_index(meta["teeth"]))
-        else:
-            spec = ToothSequenceSpec(
-                "explicit", levels=tuple(map(parse_index, meta["levels"])))
+            return ToothSequenceSpec("paper", K=parse_index(meta["teeth"]))
+        return ToothSequenceSpec(
+            "explicit", levels=tuple(map(parse_index, meta["levels"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed builder metadata: {exc}") from exc
-    if spec.K > MAX_TOOTH_COUNT:
-        raise ParseError(f"builder metadata claims {spec.K} teeth, "
-                         f"more than {MAX_TOOTH_COUNT}")
-    # Levels are nondecreasing, so the last is the largest.
-    if spec.levels and spec.levels[-1] > MAX_LEVEL:
-        raise ParseError(f"builder metadata claims level "
-                         f"{spec.levels[-1]}, above {MAX_LEVEL}")
-    return spec
 
 
 def predicted_counts(levels: Sequence[int]) -> tuple[int, int]:
@@ -208,8 +190,7 @@ def build_shark_teeth(spec: ToothSequenceSpec,
 
     base = 2 ** top
     chains = [[Point(Fraction(i, base), Fraction(0)) for i in range(base + 1)]]
-    chains.extend(tooth_polyline(k, m).breakpoints
-                  for k, m in enumerate(levels, start=1))
+    chains.extend(tooth_polyline(k, m) for k, m in enumerate(levels, start=1))
     vertices = sorted({p for chain in chains for p in chain})
     rank = {p: i for i, p in enumerate(vertices)}
     # Chains run left to right, so each pair is already (lower, higher).

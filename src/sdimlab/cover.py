@@ -30,9 +30,10 @@ arithmetic.  A `TruncationGuard` extends a separation certificate from a
 finite shark-teeth truncation to the full continuum: when every chosen
 point sits at height >= (omitted amplitude bound) + eps, the omitted teeth
 cannot enter any relevant open eps-ball, so the clips remain valid
-ambiently.  `truncation_guard` is the one host check: it proves the host
-proper, by rebuild or by `PLGraph.validate_proper`, and computes its
-guard, for the CLI, the sweep and the checker alike.
+ambiently.  `truncation_guard` is the one host check, for the CLI, the
+sweep and the checker alike, and it holds two proofs: a builder host is
+its metadata rebuilt and compared by fingerprint, which also gives its
+guard, and any other host passes `PLGraph.validate_proper`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exactcore as xc
-from .errors import (HostMismatch, OverlapError, ParseError,
+from .errors import (BudgetExceeded, HostMismatch, ParseError, SizeLimit,
                      VerificationFailure, expect_format)
 from .geom import (PLGraph, UnionFind, format_rational, parse_index,
                    parse_pair, parse_rational)
@@ -712,37 +713,39 @@ def truncation_guard(graph: PLGraph, eps: Fraction,
     for the continuum that the host's builder metadata names.  A host
     whose metadata names the shark-teeth builder must be exactly the graph
     the builder makes from that spec, which proves it proper, and gets its
-    guard; the counts are compared first, so the rebuild is never larger
-    than the host.  Any other host must pass `PLGraph.validate_proper`,
-    whose E(E-1)/2 segment tests are charged to the budget first, and gets
-    None.  Anything else is a `ParseError`.  The amplitude bound is always
-    recomputed here rather than accepted from the caller, so a guard can
-    never quietly overstate what was built.
+    guard.  The spec is rebuilt under the host's edge count as its edge
+    budget, which the builder charges with `predicted_counts` before it
+    makes any point, so the rebuild is never larger than the host; a
+    spec the builder refuses, for its size or that budget, fails here.
+    Any other host must pass `PLGraph.validate_proper`, whose E(E-1)/2
+    segment tests are charged to the budget first, and gets None.  A
+    host that fails either proof is a `ParseError`.  The amplitude bound
+    is always recomputed here rather than accepted from the caller, so a
+    guard can never quietly overstate what was built.
     """
     return _host_guard(graph, eps, _Work(budget or Budget()))
 
 
 def _host_guard(graph: PLGraph, eps: Fraction,
                 work: _Work) -> TruncationGuard | None:
-    """`truncation_guard`, charged to `work`."""
+    """`truncation_guard`, charged to `work`: the rebuild compared by
+    fingerprint for a builder host, `validate_proper` for any other."""
     if graph.meta.get("builder") != "shark-teeth":
         ne = len(graph.edges)
         work.add(ne * (ne - 1) // 2)
         try:
             graph.validate_proper()
-        except (OverlapError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"host is not proper: {exc}") from exc
         return None
     from .continuum import (build_shark_teeth, next_amplitude_bound,
-                            predicted_counts, spec_from_meta)
+                            spec_from_meta)
     spec = spec_from_meta(graph.meta)
-    counts = (len(graph.vertices), len(graph.edges))
-    want = predicted_counts(spec.level_list())
-    if counts != want:
-        raise ParseError(f"host has {counts[0]} vertices and {counts[1]} "
-                         f"edges, its builder metadata {want[0]} and "
-                         f"{want[1]}")
-    rebuilt = build_shark_teeth(spec, Budget(max_edges=counts[1]))
+    try:
+        rebuilt = build_shark_teeth(spec, Budget(max_edges=len(graph.edges)))
+    except (SizeLimit, BudgetExceeded) as exc:
+        raise ParseError(f"builder metadata does not fit the host: "
+                         f"{exc}") from exc
     if rebuilt.graph_id() != graph.graph_id():
         raise ParseError("host geometry does not match its builder metadata")
     bound = next_amplitude_bound(spec)

@@ -68,13 +68,9 @@ class DimensionProfile:
 
     Scales strictly decrease; each row has lower <= upper; and any coarser
     lower bound stays below any finer upper bound, since cover numbers
-    only grow as the scale shrinks.  `source` labels where the rows came
-    from; `truncation` records the tooth count when the lower bounds were
-    guarded, making them statements about the ambient continuum.
+    only grow as the scale shrinks.
     """
     rows: tuple[ScaleRow, ...]
-    source: str = ""
-    truncation: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -129,8 +125,7 @@ def sweep(graph: PLGraph, epsilons: Iterable[Fraction],
         low = lower_separation(graph, eps, guard=g, budget=budget)
         up = upper_cover(graph, eps, budget=budget)
         rows.append(make_row(eps, len(low.points), len(up)))
-    return DimensionProfile(tuple(rows), source=graph.graph_id(),
-                            truncation=None if guard is None else guard.k)
+    return DimensionProfile(tuple(rows))
 
 
 def sdim_estimate(profile: DimensionProfile) -> tuple[float, float]:

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Every error that can surface through the CLI carries a short machine tag so
-scripts can match on stderr without parsing prose.
+scripts can match on stderr without parsing prose.  An improper host is
+the plain `ValueError` of `PLGraph.validate_proper`, which the host check
+turns into a `ParseError`.
 """
 
 from __future__ import annotations
@@ -23,13 +25,6 @@ class DisconnectedInput(SdimlabError):
     """Arrangement input or a loaded host is not one connected graph."""
 
     tag = "DISCONNECTED"
-
-
-class OverlapError(SdimlabError):
-    """Two host edges that run along each other, which
-    `PLGraph.validate_proper` refuses."""
-
-    tag = "OVERLAP"
 
 
 class HostMismatch(SdimlabError):

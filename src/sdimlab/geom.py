@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from . import exactcore as xc
-from .errors import (DisconnectedInput, OverlapError, ParseError,
-                     expect_format)
+from .errors import DisconnectedInput, ParseError, expect_format
 from .limits import Budget
 
 # The interpreter's own SHA-256, as `random` takes its SHA-512: `hashlib`
@@ -238,7 +237,7 @@ class PLGraph:
         for a, b, collinear, _ in _cuts([(verts[i], verts[j])
                                          for i, j in self.edges]):
             if collinear:
-                raise OverlapError(f"edges {a} and {b} overlap")
+                raise ValueError(f"edges {a} and {b} overlap")
             raise ValueError(f"edges {a} and {b} cross improperly")
 
     # -- serialization ----------------------------------------------------

@@ -1,6 +1,6 @@
-"""Mutants of the checkers, the properness code, the attractor hull, the
-IFS scale table and the cloud renderer: small edits that some test must
-catch.
+"""Mutants of the checkers, the host check, the properness code, the
+attractor hull, the IFS scale table and the cloud renderer: small edits
+that some test must catch.
 
 Each row names a mutant, the file under `src/sdimlab/` that it edits, the
 exact text it replaces, the replacement, and the ids of tests that fail
@@ -124,6 +124,51 @@ MUTANTS = (
            "if False:",
            (_COVER + "test_check_separation_refuses_an_edge_off_the_host[-1]",
             _COVER + "test_check_separation_refuses_an_edge_off_the_host[1]")),
+    # Every malformed metadata is still refused under the default budget,
+    # K = 4095 only after a full rebuild; the test counts the teeth made.
+    Mutant("host-rebuild-under-the-default-budget", "cover.py",
+           "build_shark_teeth(spec, Budget(max_edges=len(graph.edges)))",
+           "build_shark_teeth(spec, Budget())",
+           (_COVER + "test_guard_rebuilds_no_larger_than_the_host",)),
+    Mutant("host-without-its-graph-id-comparison", "cover.py",
+           "    if rebuilt.graph_id() != graph.graph_id():\n",
+           "    if False:\n",
+           (_COVER + "test_guard_refuses_a_host_its_builder_did_not_make",
+            _COVER + "test_guarded_certificate_on_a_moved_peak_fails",
+            _CLI + "test_cover_refuses_a_host_its_builder_did_not_make"
+            "[moved-peak]",
+            _CLI + "test_sweep_refuses_a_host_its_builder_did_not_make"
+            "[moved-peak]",
+            _CLI + "test_verify_refuses_a_guard_on_a_host_its_builder_did_"
+            "not_make[moved-peak]",
+            _CLI + "test_verify_refuses_an_unguarded_certificate_on_a_"
+            "mismatched_host[moved-peak]")),
+    Mutant("guard-clears-strictly-above-its-threshold", "cover.py",
+           "return raw[2] * thr.denominator >= thr.numerator * raw[3]",
+           "return raw[2] * thr.denominator > thr.numerator * raw[3]",
+           (_COVER + "test_guarded_lower_keeps_only_tall_points",
+            _COVER + "test_guard_overstated_threshold_fails",
+            _COVER + "test_certificates_match_golden_digests[m3-1_16]")),
+    Mutant("amplitude-bound-of-the-last-built-tooth", "continuum.py",
+           "    k_next = spec.K + 1\n",
+           "    k_next = spec.K\n",
+           (_BUILD + "test_next_amplitude_bound_paper",
+            _BUILD + "test_next_amplitude_bound_explicit_uses_last_level",
+            _COVER + "test_guard_frozen_values",
+            _COVER + "test_guarded_lower_keeps_only_tall_points",
+            *(_COVER + f"test_certificates_match_golden_digests[{case}]"
+              for case in ("m3-1_16", "w6-1_64", "w6-33_2048", "m15-1_16")))),
+    Mutant("validate-proper-passes-a-collinear-pair", "geom.py",
+           '                raise ValueError(f"edges {a} and {b} overlap")\n',
+           "                return\n",
+           (_GEOM + "test_validate_proper_catches_an_overlap_and_a_t_junction"
+            "[overlap-ValueError-overlap]",
+            _GEOM + "test_validate_proper_refuses_exactly_the_reference_"
+            "violation",
+            _COVER + "test_check_separation_refuses_an_improper_host"
+            "[overlap]",
+            _CLI + "test_cover_refuses_a_lower_bound_on_an_improper_host"
+            "[overlap]")),
     Mutant("cuts-endpoint-rule-with-or", "geom.py",
            "if not (tn in (0, td) and un in (0, ud)):",
            "if not (tn in (0, td) or un in (0, ud)):",

@@ -551,7 +551,6 @@ def test_criterion_6_shark_teeth_structure():
 
 def test_criterion_7_growth_witness(w6_profile):
     profile, elapsed = w6_profile
-    assert profile.truncation == 6
     assert len(profile.rows) == 7
     lowers = [r.lower for r in profile.rows]
     ratios = [r.ratio_lower for r in profile.rows]

@@ -97,14 +97,13 @@ def test_tooth_height_closed_form():
 
 def test_tooth_polyline_shape():
     tp = tooth_polyline(3, 1)
-    assert tp.k == 3 and tp.level == 1
     # Level 1: breakpoints at multiples of 1/4, heights 0 at even ones.
-    assert tp.breakpoints[0] == Point(Fraction(0), Fraction(0))
-    assert tp.breakpoints[-1] == Point(Fraction(1), Fraction(0))
-    assert tp.breakpoints[1] == Point(Fraction(1, 4), Fraction(1, 12))
-    assert tp.breakpoints[2] == Point(Fraction(1, 2), Fraction(0))
-    assert len(tp.breakpoints) == 5
-    hs = [p.y for p in tp.breakpoints]
+    assert tp[0] == Point(Fraction(0), Fraction(0))
+    assert tp[-1] == Point(Fraction(1), Fraction(0))
+    assert tp[1] == Point(Fraction(1, 4), Fraction(1, 12))
+    assert tp[2] == Point(Fraction(1, 2), Fraction(0))
+    assert len(tp) == 5
+    hs = [p.y for p in tp]
     assert max(hs) == tooth_height(3, 1)
 
 
@@ -114,8 +113,8 @@ def test_tooth_polyline_is_the_scaled_tent_map(k, level):
     # Tooth k at level n is t -> phi_n(t) / k, and phi_n is linear between
     # the multiples of 2^-(n+1), where the breakpoints sit.
     tp = tooth_polyline(k, level)
-    assert len(tp.breakpoints) == 2 ** (level + 1) + 1
-    for p in tp.breakpoints:
+    assert len(tp) == 2 ** (level + 1) + 1
+    for p in tp:
         assert p.y == phi_n(level, p.x) / k
 
 
@@ -251,7 +250,7 @@ def _arranged(spec):
     levels = spec.level_list()
     segments = [segment(point(0, 0), point(1, 0))]
     for k, m in enumerate(levels, start=1):
-        pts = tooth_polyline(k, m).breakpoints
+        pts = tooth_polyline(k, m)
         segments.extend(segment(a, b) for a, b in zip(pts, pts[1:]))
     meta = {"builder": "shark-teeth", "kind": spec.kind,
             "teeth": len(levels), "levels": levels}

@@ -495,6 +495,24 @@ def test_guard_refuses_malformed_builder_metadata(m3, meta):
         truncation_guard(host, EIGHTH)
 
 
+def test_guard_rebuilds_no_larger_than_the_host(m3, monkeypatch):
+    # Paper K = 4095 builds 63,436 edges, within the default budget but
+    # not within m3's 10: the rebuild is refused before any tooth is made.
+    import sdimlab.continuum as continuum
+    made = []
+    tooth = continuum.tooth_polyline
+
+    def counted(*args):
+        made.append(args)
+        return tooth(*args)
+    monkeypatch.setattr(continuum, "tooth_polyline", counted)
+    host = PLGraph(m3.vertices, m3.edges, {"builder": "shark-teeth",
+                                           "kind": "paper", "teeth": 4095})
+    with pytest.raises(ParseError, match="does not fit the host"):
+        truncation_guard(host, EIGHTH)
+    assert made == []
+
+
 def _guarded_cert(m3):
     """The peaks (1/2, 1/2) and (1/2, 1/4) of m3, which clear its guard at
     1/8, highest first, each named at the end of its first edge."""

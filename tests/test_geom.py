@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from reference import dist2, edge_point, points_diameter2, proper_violation
 
-from sdimlab import (DisconnectedInput, OverlapError, ParseError, PLGraph,
+from sdimlab import (DisconnectedInput, ParseError, PLGraph,
                      Point, arrange, parse_rational, point, segment)
 from sdimlab.geom import parse_index
 from sdimlab.limits import Budget
@@ -242,7 +242,7 @@ def test_validate_proper_catches_a_planted_crossing():
 
 
 @pytest.mark.parametrize("improper_graph, error, detail", [
-    ("overlap", OverlapError, "overlap"),
+    ("overlap", ValueError, "overlap"),
     ("t-junction", ValueError, "cross improperly"),
 ], indirect=["improper_graph"])
 def test_validate_proper_catches_an_overlap_and_a_t_junction(
@@ -274,11 +274,11 @@ def test_validate_proper_refuses_exactly_the_reference_violation(g):
         g.validate_proper()
         return
     a, b, collinear = found
-    error, detail = ((OverlapError, "overlap") if collinear
-                     else (ValueError, "cross improperly"))
-    with pytest.raises(error, match=f"^edges {a} and {b} {detail}$") as info:
+    detail = "overlap" if collinear else "cross improperly"
+    with pytest.raises(ValueError,
+                       match=f"^edges {a} and {b} {detail}$") as info:
         g.validate_proper()
-    assert type(info.value) is error
+    assert type(info.value) is ValueError
 
 
 def test_is_connected_detects_the_obvious(seg_graph, m3):
