@@ -9,7 +9,7 @@ Everything here brackets that number for a `PLGraph` host:
     checker takes the elements from the rows and verifies each connected
     with diameter below eps.  A piece ends each stretch at its exact
     reach, rounded down onto a dyadic grid in integers.  A document is the
-    rows, `[k0, "c1", k1, ..., "cm", km]`.
+    rows, `[k0?, "c1", k1?, ..., "cm", km?]`; a left-out id is a new one.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  A point is
     an `(edge, t)` pair, in memory as in the document, `[e, "t"]`, and the
@@ -53,7 +53,7 @@ from .geom import (PLGraph, UnionFind, format_rational, parse_index,
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
-COVER_VERSION = 3
+COVER_VERSION = 4
 SEPARATION_FORMAT = "sdimlab/separation"
 SEPARATION_VERSION = 3
 
@@ -86,7 +86,8 @@ class CoverCertificate:
     element k_i, with c0 = 0 and c(m+1) = 1, so the pieces of a row cover
     its edge.  Element ids are numbered in order of first appearance,
     reading the rows in order and each row left to right, so no element
-    is empty.  A row that breaks this layout is a ValueError.
+    is empty.  A row that breaks this layout is a ValueError.  A document
+    writes the rows with the cuts as strings and without each new id.
     """
     epsilon: Fraction
     pieces: tuple[tuple, ...]
@@ -129,7 +130,7 @@ class CoverCertificate:
             "version": COVER_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "pieces": map(_row_to_json, self.pieces),
+            "pieces": _rows_to_json(self.pieces),
         }
 
     def to_json_dict(self) -> dict:
@@ -142,7 +143,7 @@ class CoverCertificate:
         expect_format(data, COVER_FORMAT, COVER_VERSION)
         try:
             return cls(parse_rational(data["epsilon"]),
-                       tuple(map(_row_from_json, enumerate(data["pieces"]))),
+                       tuple(_rows_from_json(data["pieces"])),
                        str(data["graph_id"]))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
@@ -150,22 +151,46 @@ class CoverCertificate:
             raise ParseError(str(exc)) from exc
 
 
-def _row_to_json(row: tuple) -> list:
-    out = list(row)
-    out[1::2] = map(format_rational, row[1::2])
-    return out
+def _rows_to_json(pieces) -> Iterator[list]:
+    """Each row as a document writes it, with no id that is the next new
+    one."""
+    count = 0
+    for row in pieces:
+        out = []
+        for i, x in enumerate(row):
+            if i % 2:
+                out.append(format_rational(x))
+            elif x < count:
+                out.append(x)
+            else:
+                count += 1
+        yield out
 
 
-def _row_from_json(item: tuple[int, list]) -> tuple:
-    """Row e of a document with its ids and cuts parsed; the layout is
-    the constructor's to check."""
-    e, row = item
-    if type(row) is not list:
-        raise ParseError(f"row {e} is not [id, cut, id, ..., id]")
-    out = list(row)
-    out[::2] = map(parse_index, row[::2])
-    out[1::2] = map(parse_rational, row[1::2])
-    return tuple(out)
+def _rows_from_json(rows) -> Iterator[tuple]:
+    """The rows of a document, each left-out id put back as the next new
+    one; the cuts are the constructor's to check."""
+    count = 0
+    for e, row in enumerate(rows):
+        if type(row) is not list:
+            raise ParseError(f"row {e} is not [id?, cut, id?, ..., id?]")
+        out, k = [], None
+        for x in row:
+            if type(x) is str:
+                if k is None:
+                    k, count = count, count + 1
+                out += (k, parse_rational(x))
+                k = None
+            elif k is not None:
+                raise ParseError(f"row {e}: two ids with no cut between them")
+            elif parse_index(x) < count:
+                k = x
+            else:
+                raise ParseError(f"row {e}: element id {x} is not one of "
+                                 f"the {count} seen")
+        if k is None:
+            k, count = count, count + 1
+        yield (*out, k)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Mutants of the checkers, the host check, the properness code, the
-attractor hull, the IFS scale table and the cloud renderer: small edits
-that some test must catch.
+"""Mutants of the checkers, the cover reader, the host check, the
+properness code, the attractor hull, the IFS scale table and the cloud
+renderer: small edits that some test must catch.
 
 Each row names a mutant, the file under `src/sdimlab/` that it edits, the
 exact text it replaces, the replacement, and the ids of tests that fail
@@ -244,6 +244,8 @@ MUTANTS = (
             _CONNECTED + "[m2]",
             _COVER + "test_cover_document_numbers_elements_by_first_"
             "appearance")),
+    # The reader refuses a written id at or past the count itself, so
+    # only a negative id, or rows made in memory, reach this check.
     Mutant("cover-rows-without-their-id-check", "cover.py",
            "                elif not 0 <= k < count:\n",
            "                elif False:\n",
@@ -251,10 +253,8 @@ MUTANTS = (
             _COVER + "test_cover_document_numbers_elements_by_first_"
             "appearance",
             _WRITER + "[empty-element]", _WRITER + "[negative-edge]",
-            _LAYOUT + "[id-past-the-count]", _LAYOUT + "[first-id-not-0]",
-            _LAYOUT + "[negative-id]",
-            _CLI + "test_verify_refuses_an_element_id_past_the_count",
-            _ACCEPT + "test_criterion_3_certificate_fuzzing")),
+            _LAYOUT + "[negative-id]")),
+    # In version 4 a string in a row is a cut, so a string id is one too.
     Mutant("cover-rows-without-their-cut-check", "cover.py",
            "                if not lo < c < 1:\n",
            "                if False:\n",
@@ -262,7 +262,23 @@ MUTANTS = (
             _WRITER + "[point]", _WRITER + "[overlap]", _WRITER + "[short]",
             _LAYOUT + "[repeated-cut]", _LAYOUT + "[falling-cut]",
             _LAYOUT + "[cut-at-0]", _LAYOUT + "[cut-at-1]",
+            _LAYOUT + "[string-id]",
+            _COVER + "test_cover_reader_refuses_a_fragment_edge_that_is_"
+            "not_an_integer[1]",
+            _CLI + "test_verify_refuses_fragment_edges_that_are_not_"
+            "integers[string-edge]",
             _ACCEPT + "test_criterion_3_certificate_fuzzing")),
+    # A written id equal to the count would read as a new element that
+    # the reader does not count, so a new id could name an old element.
+    Mutant("cover-reader-takes-a-written-id-at-the-count", "cover.py",
+           "            elif parse_index(x) < count:\n",
+           "            elif parse_index(x) <= count:\n",
+           (_LAYOUT + "[first-id-at-the-count]",
+            _LAYOUT + "[id-at-the-count]")),
+    Mutant("cover-reader-takes-two-ids-for-one-piece", "cover.py",
+           "            elif k is not None:\n",
+           "            elif False:\n",
+           (_LAYOUT + "[two-ids]", _LAYOUT + "[two-ids-mid-row]")),
     # Maps whose b and c differ are the only ones a transposed matrix
     # moves: the gasket's are diagonal, so depth 0 and the gasket pass.
     Mutant("render-matrix-in-row-order", "render.py",

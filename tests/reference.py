@@ -23,6 +23,9 @@ exact diameter of a point set, for checks on cover elements.
 `proper_violation` decides whether a graph's edges meet only at shared
 vertices by orientation tests alone, apart from the library's `_cuts`.
 `phi` and `phi_n` are the paper's tent maps, which the teeth follow.
+`cover_v3_doc` writes an upper certificate as cover version 3 did,
+every element id written, and `cover_v4` rewrites a version 3 document
+as version 4, so hand-written rows stay in the older, fuller form.
 `FIXTURES` holds three small IFS specs whose diameters are known by hand.
 
 `decode_svg` draws a rendered SVG as a viewer would, expanding each
@@ -61,6 +64,30 @@ def edge_point(graph: PLGraph, e: int, t: Fraction) -> GeomPoint:
 def dist2(p: GeomPoint, q: GeomPoint) -> Fraction:
     """Squared Euclidean distance."""
     return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+
+def cover_v3_doc(cert) -> dict:
+    """The cover version 3 document of `cert`: its rows as they are in
+    memory, with the cuts as strings."""
+    rows = [[str(x) if i % 2 else x for i, x in enumerate(row)]
+            for row in cert.pieces]
+    return {**cert.json_members(), "version": 3, "pieces": rows}
+
+
+def cover_v4(doc: dict) -> dict:
+    """A cover version 3 document as version 4: each id that equals the
+    count of ids seen so far is left out, and every other item, valid or
+    not, stays where it is."""
+    count, rows = 0, []
+    for row in doc["pieces"]:
+        out = []
+        for i, x in enumerate(row):
+            if i % 2 == 0 and type(x) is int and x == count:
+                count += 1
+            else:
+                out.append(x)
+        rows.append(out)
+    return {**doc, "version": 4, "pieces": rows}
 
 
 def points_diameter2(points) -> Fraction:

@@ -29,8 +29,9 @@ import time
 from fractions import Fraction
 
 import pytest
-from reference import (FIXTURES, attractor_cloud, brute_force_oracle, dist2,
-                       edge_point, word_maps)
+from reference import (FIXTURES, attractor_cloud, brute_force_oracle,
+                       cover_v3_doc, cover_v4, dist2, edge_point,
+                       word_maps)
 
 from sdimlab.continuum import ToothSequenceSpec, build_shark_teeth, n_k
 from sdimlab.cover import (certificate_from_json_dict, check_cover,
@@ -109,12 +110,13 @@ def test_criterion_2_brute_force_brackets(seg_graph, cross_graph,
 # 3. Certificate fuzzing.  Every mutation below is built to invalidate the
 # certificate it touches, with the invalidating fact asserted in exact
 # arithmetic inside the mutation itself.  A checker that accepts any of
-# them has a soundness hole.
+# them has a soundness hole.  A cover mutation edits the version 3 rows,
+# where every id is written, and the reader gets them as version 4.
 
 
 def _doc_elements(doc):
-    """Each element's (edge, lo, hi) fragments, from a cover document's
-    rows."""
+    """Each element's (edge, lo, hi) fragments, from a version 3 cover
+    document's rows."""
     elements = {}
     for e, row in enumerate(doc["pieces"]):
         cuts = [Fraction(0), *map(Fraction, row[1::2]), Fraction(1)]
@@ -323,7 +325,7 @@ def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
                  mut_cover_id_past_the_count]
     bases = []
     for g, eps in ((seg_graph, HALF), (m2, HALF), (m3, QUARTER)):
-        bases.append(("cover", g, upper_cover(g, eps).to_json_dict(),
+        bases.append(("cover", g, cover_v3_doc(upper_cover(g, eps)),
                       cover_ops))
     for g, eps, guard in ((seg_graph, HALF, None), (m2, HALF, None),
                           (m3, EIGHTH, "yes")):
@@ -350,6 +352,8 @@ def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
         op = ops[(trial // len(bases)) % len(ops)]
         drawn.add(op.__name__)
         mutated = op(copy.deepcopy(doc), graph, rng)
+        if kind == "cover":
+            mutated = cover_v4(mutated)
         try:
             cert = certificate_from_json_dict(mutated)
             if kind == "cover":

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from reference import FIXTURES, decode_svg
+from reference import FIXTURES, cover_v4, decode_svg
 
 import sdimlab
 from sdimlab import PLGraph, point, read_profile_csv
@@ -234,8 +234,9 @@ def test_json_writer_round_trips_edge_values(tmp_path):
 
 def test_json_writer_holds_no_copy_of_the_text(tmp_path, m3):
     # The indented writer allocated about six times the file size at
-    # peak; the streamed one holds a few I/O buffers whatever the size.
-    doc = upper_cover(m3, Fraction(1, 2048)).to_json_dict()
+    # peak; the streamed one holds a few I/O buffers whatever the size,
+    # about 41 KB here, for a 276 KB file.
+    doc = upper_cover(m3, Fraction(1, 4096)).to_json_dict()
     out = tmp_path / "up.json"
     tracemalloc.start()
     try:
@@ -357,7 +358,7 @@ def test_verify_refuses_rows_that_do_not_match_the_edges(
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
-    cert.write_text(json.dumps({**doc, "pieces": rows}))
+    cert.write_text(json.dumps(cover_v4({**doc, "pieces": rows})))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 1
     assert res.stderr.startswith(
@@ -372,8 +373,9 @@ def test_verify_refuses_an_element_id_past_the_count(tmp_path,
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
-    assert doc["pieces"] == [[0, "127/256", 1, "127/128", 2]]
-    doc["pieces"] = [[0, "127/256", 2, "127/128", 1]]
+    assert doc["pieces"] == [["127/256", "127/128"]]
+    doc = cover_v4({**doc, "pieces": [[0, "127/256", 2, "127/128", 1]]})
+    assert doc["pieces"] == [["127/256", 2, "127/128"]]
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 2
@@ -512,6 +514,22 @@ def test_verify_refuses_v1_cover_document(tmp_path, seg_graph_file):
     assert res.stderr.startswith("PARSE:")
 
 
+def test_verify_refuses_v3_cover_document(tmp_path, seg_graph_file):
+    # Version 3 wrote every id; this one is a valid cover of the unit
+    # segment at 1/2 in that layout.
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    doc = json.loads(cert.read_text())
+    assert doc["version"] == 4
+    doc["version"] = 3
+    doc["pieces"] = [[0, "127/256", 1, "127/128", 2]]
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: unsupported version 3")
+
+
 def test_verify_refuses_v2_cover_document(tmp_path, seg_graph_file):
     # Version 2 listed each element's [edge, lo, hi] fragments; this one
     # is a valid cover of the unit segment at 1/2.
@@ -543,9 +561,9 @@ def test_verify_refuses_a_host_with_no_edges(tmp_path, point_host):
     # upper=0.
     host, graph_id = point_host
     cert = tmp_path / "c.json"
-    cert.write_text(json.dumps({"format": "sdimlab/cover", "version": 3,
-                                "graph_id": graph_id, "epsilon": "1/2",
-                                "pieces": []}))
+    cert.write_text(json.dumps(cover_v4({
+        "format": "sdimlab/cover", "version": 3, "graph_id": graph_id,
+        "epsilon": "1/2", "pieces": []})))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
@@ -658,16 +676,17 @@ def test_verify_refuses_fragment_edges_that_are_not_integers(
         tmp_path, lshape_graph, pieces):
     # A fragment's edge is its row's place; the integers in a row are the
     # element ids.  Read through int(), each of these verified as upper=1.
+    # In version 4 a string is a cut, and "0" is not inside (0, 1).
     host = tmp_path / "l.graph.json"
     host.write_text(json.dumps(lshape_graph.to_json_dict()))
     cert = tmp_path / "c.json"
     doc = {"format": "sdimlab/cover", "version": 3,
            "graph_id": lshape_graph.graph_id(), "epsilon": "3",
            "pieces": [[0], [0]]}
-    cert.write_text(json.dumps(doc))
+    cert.write_text(json.dumps(cover_v4(doc)))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 0 and res.output.strip() == "upper=1"
-    cert.write_text(json.dumps({**doc, "pieces": pieces}))
+    cert.write_text(json.dumps(cover_v4({**doc, "pieces": pieces})))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
@@ -849,14 +868,14 @@ def test_verify_refuses_wrongly_typed_items_with_exit_two(
 
 
 def test_verify_reads_a_large_upper_certificate(tmp_path, w6):
-    # Over 100 KB, one row per edge of 7,870 elements.
+    # Over 100 KB, one row per edge of 9,814 elements.
     cert = tmp_path / "up.json"
-    _write_json(str(cert), upper_cover(w6, Fraction(1, 1024)).json_members())
+    _write_json(str(cert), upper_cover(w6, Fraction(1, 1280)).json_members())
     assert cert.stat().st_size >= 100_000
     graph = tmp_path / "w6.json"
     _write_json(str(graph), w6.to_json_dict())
     res = invoke("verify", "--graph", graph, "--cert", cert)
-    assert res.exit_code == 0 and res.output.strip() == "upper=7870"
+    assert res.exit_code == 0 and res.output.strip() == "upper=9814"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (ORACLE_MAX_EDGES, DeltaClip, brute_force_oracle,
-                       dist2, edge_point, points_diameter2)
+                       cover_v3_doc, cover_v4, dist2, edge_point,
+                       points_diameter2)
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      DisconnectedInput, HostMismatch, IFSSpec,
@@ -43,10 +44,11 @@ EIGHTH = Fraction(1, 8)
 
 
 def _cover(g: PLGraph, eps, rows: list) -> CoverCertificate:
-    """The certificate that a document with these rows reads as."""
-    return certificate_from_json_dict({
+    """The certificate that a document with these rows, every id written
+    as in version 3, reads as."""
+    return certificate_from_json_dict(cover_v4({
         "format": "sdimlab/cover", "version": 3, "graph_id": g.graph_id(),
-        "epsilon": str(eps), "pieces": rows})
+        "epsilon": str(eps), "pieces": rows}))
 
 
 def _element_pieces(cert: CoverCertificate) -> list[list[tuple]]:
@@ -828,12 +830,10 @@ def test_check_separation_trusts_a_rebuilt_host_to_be_proper(w6,
 def test_cover_certificate_round_trip(m2):
     cert = upper_cover(m2, HALF)
     doc = cert.to_json_dict()
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     assert len(doc["pieces"]) == len(m2.edges)
-    assert all(type(row) is list and len(row) % 2 == 1
-               and all(type(k) is int for k in row[::2])
-               and all(type(c) is str for c in row[1::2])
-               for row in doc["pieces"])
+    # The version 3 rows less each id that is the next new one.
+    assert doc == cover_v4(cover_v3_doc(cert))
     back = CoverCertificate.from_json_dict(doc)
     assert back == cert
     assert back.to_json_dict() == doc
@@ -851,20 +851,44 @@ def test_cover_document_round_trips_on_small_hosts(g, eps):
                for a, b in zip(row[::2], row[2::2]))
     text = "".join(_json_chunks(cert.json_members()))
     assert "".join(_json_chunks(cert.json_members())) == text
-    back = CoverCertificate.from_json_dict(json.loads(text))
+    doc = json.loads(text)
+    assert doc == cover_v4(cover_v3_doc(cert))
+    back = certificate_from_json_dict(doc)
     assert back == cert
     assert check_cover(g, back) == check_cover(g, cert) == len(cert)
 
 
+@pytest.mark.parametrize("host", ["lshape_graph", "cross_graph", "m2"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_cover_document_round_trips_rows_the_greedy_never_writes(
+        request, host, data):
+    # Any valid rows: neighbours of one element, an element again after
+    # others, whole edges.  The reader puts back every left-out id, and
+    # the writer leaves out exactly the ids that are the next new one.
+    graph = request.getfixturevalue(host)
+    rows = _free_rows(graph, data)
+    cert = _cover(graph, 2, rows)
+    assert cert.pieces == tuple(
+        tuple(Fraction(x) if i % 2 else x for i, x in enumerate(row))
+        for row in rows)
+    doc = cert.to_json_dict()
+    assert doc == cover_v4(cover_v3_doc(cert))
+    assert sum(type(x) is int for row in doc["pieces"] for x in row) \
+        == sum(len(row) // 2 + 1 for row in rows) - len(cert)
+    assert certificate_from_json_dict(doc) == cert
+
+
 def test_cover_document_numbers_elements_by_first_appearance(lshape_graph):
     # Ids are numbered as they first appear, reading the rows in order;
-    # a whole edge is a row with one id and no cut.
+    # a whole edge is a row with one id and no cut.  A document leaves
+    # out each id that is new: here element 0 and 1 where each begins.
     gid = lshape_graph.graph_id()
     with pytest.raises(ValueError, match="row 0: element id 1"):
         CoverCertificate(Fraction(3), ((1,), (0, HALF, 0)), gid)
     cert = CoverCertificate(Fraction(3), ((0,), (1, HALF, 1)), gid)
     doc = cert.to_json_dict()
-    assert doc["pieces"] == [[0], [1, "1/2", 1]]
+    assert doc["pieces"] == [[], ["1/2", 1]]
     assert CoverCertificate.from_json_dict(doc) == cert
     assert check_cover(lshape_graph, cert) == 2
 
@@ -890,7 +914,7 @@ def test_cover_writer_refuses_fragments_that_do_not_cut_each_edge(
 def test_cover_reader_shares_each_cut_between_its_pieces(seg_graph):
     # Each cut is held once, in its row, though it bounds two pieces.
     doc = upper_cover(seg_graph, HALF).to_json_dict()
-    assert doc["pieces"] == [[0, "127/256", 1, "127/128", 2]]
+    assert doc["pieces"] == [["127/256", "127/128"]]
     back = CoverCertificate.from_json_dict(doc)
     assert back.pieces == ((0, Fraction(127, 256), 1, Fraction(127, 128), 2),)
     assert _element_pieces(back) == [
@@ -900,23 +924,49 @@ def test_cover_reader_shares_each_cut_between_its_pieces(seg_graph):
 
 
 @pytest.mark.parametrize("row", [
-    [0, "1/2", 1, "1/2", 2],
-    [0, "1/2", 1, "1/4", 2],
-    [0, "0", 1, "1/2", 2],
-    [0, "1/2", 1, "1", 2],
-    [0, "1/2", 2],
-    [1, "1/2", 0],
-    [0, "1/2", -1],
-    [0, "1/2"],
-    [],
+    ["1/2", "1/2"],
+    ["1/2", "1/4"],
+    ["0", "1/2"],
+    ["1/2", "1"],
+    ["1/2", 2],
+    [1, "1/2"],
+    ["1/2", -1],
+    [0],
+    ["1/2", 1],
+    ["1/2", 0, 0],
+    ["1/4", 0, 0, "1/2"],
+    ["1/2", True],
+    ["1/2", 0.0],
+    ["1/2", "0"],
+    ["1/2", None],
+    "1/2",
 ], ids=["repeated-cut", "falling-cut", "cut-at-0", "cut-at-1",
-        "id-past-the-count", "first-id-not-0", "negative-id", "even-length",
-        "empty-row"])
+        "id-past-the-count", "first-id-not-0", "negative-id",
+        "first-id-at-the-count", "id-at-the-count", "two-ids",
+        "two-ids-mid-row", "bool-id", "float-id", "string-id", "null-id",
+        "not-a-list"])
 def test_cover_reader_refuses_rows_that_break_the_layout(seg_graph, row):
+    # A version 4 row: a written id must be below the count of ids seen
+    # so far, at most one id stands before each cut and after the last,
+    # and a string is always a cut.
     doc = upper_cover(seg_graph, HALF).to_json_dict()
     certificate_from_json_dict(doc)
     with pytest.raises(ParseError):
         certificate_from_json_dict({**doc, "pieces": [row]})
+
+
+@pytest.mark.parametrize("row, pieces", [
+    ([], (0,)),
+    (["1/2"], (0, HALF, 1)),
+    (["1/2", 0], (0, HALF, 0)),
+    (["1/4", "1/2", 0, "3/4"], (0, QUARTER, 1, HALF, 0, Fraction(3, 4), 2)),
+], ids=["empty-row", "one-cut", "an-id-seen-before", "ids-left-out-around"])
+def test_cover_reader_puts_back_each_left_out_id(seg_graph, row, pieces):
+    # An empty row is one new element that covers the whole edge.
+    doc = upper_cover(seg_graph, HALF).to_json_dict()
+    cert = certificate_from_json_dict({**doc, "pieces": [row]})
+    assert cert.pieces == (pieces,)
+    assert cert.to_json_dict()["pieces"] == [row]
 
 
 def _v2_elements(cert) -> list:
@@ -937,6 +987,15 @@ def test_cover_v1_document_is_refused(m2):
                         "anchor_vertices": []} for el in _v2_elements(cert)]
     with pytest.raises(ParseError):
         certificate_from_json_dict(doc)
+
+
+def test_cover_v3_document_is_refused(m2):
+    # Version 3 wrote every id, and its rows are no fallback.
+    cert = upper_cover(m2, HALF)
+    with pytest.raises(ParseError, match="unsupported version 3"):
+        certificate_from_json_dict(cover_v3_doc(cert))
+    with pytest.raises(ParseError, match="unsupported version 3"):
+        certificate_from_json_dict({**cert.to_json_dict(), "version": 3})
 
 
 def test_cover_v2_document_is_refused(m2):
@@ -1082,24 +1141,34 @@ def test_certificate_reader_ignores_a_member_its_format_does_not_read(m2):
 # golden outputs
 
 
-def _digest(cert) -> str:
-    text = "".join(_json_chunks(cert.json_members()))
+def _digest(members: dict) -> str:
+    text = "".join(_json_chunks(members))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# (host, eps, guarded lower, unguarded lower or None, upper): the first 16
-# hex digits of the SHA-256 of each certificate as the CLI writes it.  The
-# lower digests are of separation version 3; the guarded point lists are
-# the ones version 2 listed, while m3's unguarded list grew from 61 to 63
-# points with the exact clip, and to 67 when the greedy took the checker's
-# either-clip rule.  The upper digests are of cover version 3, whose
-# elements are the ones version 2 listed, fragment for fragment.
+def _upper_digests(cert) -> tuple[str, str]:
+    """The digests of `cert` as cover version 3 and as version 4."""
+    return _digest(cover_v3_doc(cert)), _digest(cert.json_members())
+
+
+# (host, eps, guarded lower, unguarded lower or None, (upper v3, upper
+# v4)): the first 16 hex digits of the SHA-256 of each certificate as the
+# CLI writes it.  The lower digests are of separation version 3; the
+# guarded point lists are the ones version 2 listed, while m3's unguarded
+# list grew from 61 to 63 points with the exact clip, and to 67 when the
+# greedy took the checker's either-clip rule.  The upper certificates'
+# elements are the ones cover version 2 listed, fragment for fragment:
+# their version 3 digests have held since version 3, and version 4 writes
+# the same rows less each new id.
 GOLDEN = [
     ("m3", Fraction(1, 16), "76e004d03f32a4fc", "1cf8ff70aa3f5a57",
-     "435ee97da42ef4bc"),
-    ("w6", Fraction(1, 64), "5d79cf9ee29ef67a", None, "2719c5bd30f1c162"),
-    ("w6", Fraction(33, 2048), "7607fe2599841d59", None, "f657802d37e6e5ad"),
-    ("m15", Fraction(1, 16), "d7ae7a1d4011d190", None, "5b999cdbb6c4b45c"),
+     ("435ee97da42ef4bc", "671424fcf87d226b")),
+    ("w6", Fraction(1, 64), "5d79cf9ee29ef67a", None,
+     ("2719c5bd30f1c162", "978606c6738d8ad7")),
+    ("w6", Fraction(33, 2048), "7607fe2599841d59", None,
+     ("f657802d37e6e5ad", "8a117cd03ec3c731")),
+    ("m15", Fraction(1, 16), "d7ae7a1d4011d190", None,
+     ("5b999cdbb6c4b45c", "6d2f4f0d980c7037")),
 ]
 
 
@@ -1110,32 +1179,42 @@ def test_certificates_match_golden_digests(request, host, eps, guarded,
                                            unguarded, upper):
     graph = request.getfixturevalue(host)
     low = lower_separation(graph, eps, guard=truncation_guard(graph, eps))
-    assert _digest(low) == guarded
+    assert _digest(low.json_members()) == guarded
     assert check_separation(graph, low) == len(low)
     if unguarded is not None:
         bare = lower_separation(graph, eps)
-        assert _digest(bare) == unguarded
+        assert _digest(bare.json_members()) == unguarded
         assert check_separation(graph, bare) == len(bare)
     up = upper_cover(graph, eps)
-    assert _digest(up) == upper
+    assert _upper_digests(up) == upper
     assert check_cover(graph, up) == len(up)
 
 
-# (host, eps, upper, element count) at scales off the dyadic grid, where
-# the reach of a piece is an irrational root.  The hosts past the
-# shark-teeth pair are arranged ones, with slanted edges, crossings and
-# T-junctions, which no builder makes.
+# (host, eps, (upper v3, upper v4), element count) at scales off the
+# dyadic grid, where the reach of a piece is an irrational root.  The
+# hosts past the shark-teeth pair are arranged ones, with slanted edges,
+# crossings and T-junctions, which no builder makes.
 GOLDEN_UPPER = [
-    ("w6", Fraction(1033, 262144), "d6b11a5a8da37e85", 1926),
-    ("m15", Fraction(1, 37), "53939792b7a7ddaa", 590),
-    ("cross_graph", Fraction(1, 3), "e541e1993780fb79", 10),
-    ("cross_graph", Fraction(2, 7), "e45bacb5ce72a6fc", 10),
-    ("lshape_graph", Fraction(1, 3), "e2af0f71dd02a466", 7),
-    ("lshape_graph", Fraction(3, 10), "2f12dd01035884e5", 8),
-    ("kite_graph", Fraction(1, 3), "5ed7d707744640e4", 50),
-    ("kite_graph", Fraction(5, 17), "64aff8a3ea6f9e0d", 57),
-    ("fork_graph", Fraction(1, 3), "38f57c619a18a996", 37),
-    ("fork_graph", Fraction(4, 11), "1dd1e478c299cfa2", 33),
+    ("w6", Fraction(1033, 262144),
+     ("d6b11a5a8da37e85", "89f23902cc79b33e"), 1926),
+    ("m15", Fraction(1, 37),
+     ("53939792b7a7ddaa", "7c6dfd7f95012154"), 590),
+    ("cross_graph", Fraction(1, 3),
+     ("e541e1993780fb79", "58bdc11a1ae4d2e9"), 10),
+    ("cross_graph", Fraction(2, 7),
+     ("e45bacb5ce72a6fc", "4c43907ce5f016c9"), 10),
+    ("lshape_graph", Fraction(1, 3),
+     ("e2af0f71dd02a466", "5dc3e34f0d8cce09"), 7),
+    ("lshape_graph", Fraction(3, 10),
+     ("2f12dd01035884e5", "1251f8f63876403b"), 8),
+    ("kite_graph", Fraction(1, 3),
+     ("5ed7d707744640e4", "04b84c12520d8631"), 50),
+    ("kite_graph", Fraction(5, 17),
+     ("64aff8a3ea6f9e0d", "21587860f7912e78"), 57),
+    ("fork_graph", Fraction(1, 3),
+     ("38f57c619a18a996", "137a94e64bdcfbd4"), 37),
+    ("fork_graph", Fraction(4, 11),
+     ("1dd1e478c299cfa2", "65b820918878ad05"), 33),
 ]
 
 
@@ -1146,7 +1225,7 @@ def test_upper_certificates_off_the_dyadic_grid_match_golden_digests(
         request, host, eps, upper, count):
     graph = request.getfixturevalue(host)
     up = upper_cover(graph, eps)
-    assert (_digest(up), len(up)) == (upper, count)
+    assert (_upper_digests(up), len(up)) == (upper, count)
     assert check_cover(graph, up) == count
 
 
