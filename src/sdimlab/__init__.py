@@ -22,10 +22,9 @@ _EXPORTS = {
     "continuum": ("ToothSequenceSpec", "build_shark_teeth", "n_k",
                   "next_amplitude_bound", "predicted_counts",
                   "spec_from_meta", "tooth_height", "tooth_polyline"),
-    "cover": ("CoverCertificate", "SeparationCertificate", "TruncationGuard",
+    "cover": ("CoverCertificate", "SeparationCertificate",
               "certificate_from_json_dict", "check_cover", "check_separation",
-              "lower_separation", "s_bounds", "truncation_guard",
-              "upper_cover"),
+              "lower_separation", "upper_cover"),
     "dimension": ("DimensionProfile", "ScaleRow", "ifs_bound_report",
                   "make_row", "read_profile_csv", "scale_ratio",
                   "sdim_estimate", "sweep", "write_profile_csv"),

@@ -46,7 +46,6 @@ certificate_from_json_dict = _lazy("cover", "certificate_from_json_dict")
 check_cover = _lazy("cover", "check_cover")
 check_separation = _lazy("cover", "check_separation")
 lower_separation = _lazy("cover", "lower_separation")
-truncation_guard = _lazy("cover", "truncation_guard")
 upper_cover = _lazy("cover", "upper_cover")
 ifs_bound_report = _lazy("dimension", "ifs_bound_report")
 sdim_estimate = _lazy("dimension", "sdim_estimate")
@@ -182,28 +181,25 @@ def _cover_out_paths(out_path: str, mode: str) -> dict[str, str]:
 def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     """Compute certified bounds at one scale and write the certificates.
 
-    `truncation_guard` checks the host before a lower bound is computed
-    on it.  On hosts built by the shark-teeth builder the lower bound is
-    guarded: its points clear the omitted-amplitude threshold, so the
-    certificate holds for the ambient continuum, not just the truncation.
-    Any other host must be proper.
+    A lower bound is made only on a host that passes the checker's host
+    check.  On hosts built by the shark-teeth builder it is guarded: its
+    points clear the omitted-amplitude threshold, so the certificate holds
+    for the ambient continuum, not just the truncation.  Any other host
+    must be proper.  No file is written when an output path is the graph's.
     """
-    _check_distinct(out_path, graph_path)
     eps = _positive_rational(epsilon, "epsilon")
+    paths = _cover_out_paths(out_path, mode)
+    for path in paths.values():
+        _check_distinct(path, graph_path)
     graph = _load_graph(graph_path)
     budget = from_env()
-    paths = _cover_out_paths(out_path, mode)
     shown = []
     if "lower" in paths:
-        low = lower_separation(graph, eps,
-                               guard=truncation_guard(graph, eps, budget),
-                               budget=budget)
-        _check_distinct(paths["lower"], graph_path)
+        low = lower_separation(graph, eps, budget=budget)
         _write_json(paths["lower"], low.json_members())
         shown.append(f"lower={len(low.points)}")
     if "upper" in paths:
         up = upper_cover(graph, eps, budget=budget)
-        _check_distinct(paths["upper"], graph_path)
         _write_json(paths["upper"], up.json_members())
         shown.append(f"upper={len(up)}")
     print(" ".join(shown))

@@ -127,7 +127,7 @@ def spec_from_meta(meta: dict) -> ToothSequenceSpec:
     A parser and nothing more: metadata that does not describe a valid
     spec is a `ParseError`.  Whether the builder accepts the spec's size,
     and whether it makes the graph the metadata came with, is for the
-    caller to find out by rebuilding, as `cover.truncation_guard` does.
+    caller to find out by rebuilding, as `cover._host_threshold` does.
     """
     try:
         if meta.get("kind") == "paper":
@@ -155,7 +155,7 @@ def predicted_counts(levels: Sequence[int]) -> tuple[int, int]:
 def next_amplitude_bound(spec: ToothSequenceSpec) -> Fraction:
     """Upper bound on the peak height of the first omitted tooth.
 
-    Used by truncation guards: every point of the ambient space missing
+    Used by the guard threshold: every point of the ambient space missing
     from the truncation lies at or below this height.  For the paper
     schedule the omitted level is known exactly; for explicit levels only
     monotonicity is available, so the last built level stands in.

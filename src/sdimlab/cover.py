@@ -26,14 +26,15 @@ by `_joined_runs`, which joins the runs of a cover element too.
 
 Certificates are self-contained and re-checkable; `check_cover` and
 `check_separation` recompute every claim from scratch with exact rational
-arithmetic.  A `TruncationGuard` extends a separation certificate from a
-finite shark-teeth truncation to the full continuum: when every chosen
-point sits at height >= (omitted amplitude bound) + eps, the omitted teeth
-cannot enter any relevant open eps-ball, so the clips remain valid
-ambiently.  `truncation_guard` is the one host check, for the CLI, the
-sweep and the checker alike, and it holds two proofs: a builder host is
-its metadata rebuilt and compared by fingerprint, which also gives its
-guard, and any other host passes `PLGraph.validate_proper`.
+arithmetic.  A lower bound on a shark-teeth host is guarded: every point
+sits at height >= (omitted amplitude bound) + eps, the guard threshold,
+so the omitted teeth cannot enter any relevant open eps-ball and the
+clips hold for the full continuum.  The guard is the host's, not the
+document's: `_host_threshold`, the one host check, which
+`lower_separation` and `check_separation` each run on their own budget,
+rebuilds a builder host from its metadata and compares fingerprints,
+which gives the threshold, and any other host passes
+`PLGraph.validate_proper` and has none.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,7 +56,7 @@ from .limits import Budget
 COVER_FORMAT = "sdimlab/cover"
 COVER_VERSION = 4
 SEPARATION_FORMAT = "sdimlab/separation"
-SEPARATION_VERSION = 3
+SEPARATION_VERSION = 4
 
 
 class _Work:
@@ -193,30 +194,10 @@ def _rows_from_json(rows) -> Iterator[tuple]:
         yield (*out, k)
 
 
-@dataclass(frozen=True)
-class TruncationGuard:
-    """Ambient validity marker for shark-teeth hosts.
-
-    `k` is the number of teeth actually built; `amplitude_bound` dominates
-    the peak height of every omitted tooth; `threshold` must be at least
-    amplitude_bound + eps.  Points at height >= threshold are at distance
-    >= eps from everything omitted, so omitted material never enters their
-    open eps-balls and witnesses computed on the truncation hold ambiently.
-    """
-    k: int
-    amplitude_bound: Fraction
-    threshold: Fraction
-
-    def at(self, eps: Fraction) -> "TruncationGuard":
-        """The same truncation guarded at scale eps.  K and the amplitude
-        bound do not depend on the scale; only the threshold does."""
-        return replace(self, threshold=self.amplitude_bound + eps)
-
-    def clears(self, raw) -> bool:
-        """Whether the point with kernel tuple `raw` is at height >= the
-        threshold."""
-        thr = self.threshold
-        return raw[2] * thr.denominator >= thr.numerator * raw[3]
+def _clears(raw, threshold: Fraction) -> bool:
+    """Whether the point with kernel tuple `raw` is at height >= the
+    guard threshold."""
+    return raw[2] * threshold.denominator >= threshold.numerator * raw[3]
 
 
 @dataclass(frozen=True)
@@ -227,7 +208,6 @@ class SeparationCertificate:
     checker's to check against the host."""
     epsilon: Fraction
     points: tuple[tuple[int, Fraction], ...]
-    guard: TruncationGuard | None
     graph_id: str
 
     def __post_init__(self):
@@ -240,7 +220,7 @@ class SeparationCertificate:
 
     @property
     def witnesses(self) -> tuple:
-        """Always empty: a version 3 document lists no witnesses.  Its one
+        """Always empty: a version 4 document lists no witnesses.  Its one
         reader is `perfbench/tracing.py`, which counts witnesses by kind;
         it goes with ROADMAP item 8, when the tracer reads a stats record.
         """
@@ -255,11 +235,6 @@ class SeparationCertificate:
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
             "points": ([e, format_rational(t)] for e, t in self.points),
-            "guard": None if self.guard is None else {
-                "K": self.guard.k,
-                "amplitude_bound": format_rational(self.guard.amplitude_bound),
-                "threshold": format_rational(self.guard.threshold),
-            },
         }
 
     def to_json_dict(self) -> dict:
@@ -271,15 +246,10 @@ class SeparationCertificate:
     def from_json_dict(cls, data) -> "SeparationCertificate":
         expect_format(data, SEPARATION_FORMAT, SEPARATION_VERSION)
         try:
-            g = data.get("guard")
-            guard = None if g is None else TruncationGuard(
-                parse_index(g["K"]),
-                parse_rational(g["amplitude_bound"]),
-                parse_rational(g["threshold"]))
             return cls(parse_rational(data["epsilon"]),
                        tuple((parse_index(e), parse_rational(t))
                              for e, t in map(parse_pair, data["points"])),
-                       guard, str(data["graph_id"]))
+                       str(data["graph_id"]))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(
                 f"malformed separation certificate: {exc}") from exc
@@ -334,7 +304,7 @@ class _ClipIndex:
 
     A connected set of diameter < eps through the center lies in the open
     ball, hence in one component here, so a point outside the center's
-    component is separated from it.  The truncation guard keeps this sound
+    component is separated from it.  The guard threshold keeps this sound
     for the full continuum although the ball is closed: every admissible
     piece through the center lies in the open ball, and the omitted teeth,
     at distance >= eps from a point above the threshold, miss the open
@@ -470,11 +440,11 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
     Every point, in order, must be kept by `_scan_apart`, the rule the
     greedy keeps points by: each pair is >= eps apart, recomputed
     exactly, or the clipped eps-ball around one of the two cuts the other
-    off.  The host is checked as `truncation_guard` checks it, charged to
-    this check's budget: the clip's argument needs a proper host.  A
-    guard, when present, must be the host's guard at the certificate's
-    scale, and every point must clear its threshold.  n(n-1)/2 pair tests
-    over the budget are refused before the first.  Raises
+    off.  The host is checked by `_host_threshold`, charged to this
+    check's budget, as `lower_separation` checks it: the clip's argument
+    needs a proper host.  On a builder host every point must clear the
+    host's guard threshold at the certificate's scale.  n(n-1)/2 pair
+    tests over the budget are refused before the first.  Raises
     VerificationFailure with the first offending detail.
     """
     work = _checker_work(graph, cert, budget)
@@ -484,15 +454,12 @@ def check_separation(graph: PLGraph, cert: SeparationCertificate,
             raise VerificationFailure(f"point {k}: edge out of range")
     pts = [(e, graph.edge_raw(e, t)) for e, t in cert.points]
     try:
-        host = _host_guard(graph, cert.epsilon, work)
+        threshold = _host_threshold(graph, cert.epsilon, work)
     except ParseError as exc:
         raise VerificationFailure(str(exc)) from exc
-    if cert.guard is not None:
-        if cert.guard != host:
-            raise VerificationFailure(f"certificate guard {cert.guard} is "
-                                      f"not the host's guard {host}")
+    if threshold is not None:
         for k, (_, r) in enumerate(pts):
-            if not host.clears(r):
+            if not _clears(r, threshold):
                 raise VerificationFailure(
                     f"point {k} lies below the guard threshold")
 
@@ -690,32 +657,35 @@ def _candidate_points(graph: PLGraph, eps: Fraction, work: _Work
 
 
 def lower_separation(graph: PLGraph, eps: Fraction,
-                     guard: TruncationGuard | None = None,
                      budget: Budget | None = None) -> SeparationCertificate:
     """Greedy maximal family of pairwise-separated points.
 
-    The pool of `_candidate_points` is scanned from the highest point down
-    and kept by the checker's rule, `_scan_apart`, so no dropped candidate
-    could be added to the certificate.  With a guard, candidates below the
-    height threshold are discarded first, which is what makes the
-    resulting certificate meaningful for the untruncated continuum.  The
-    greedy may test every pair of the pool, so n(n-1)/2 pair tests over
-    the budget are refused before the first, as `check_separation` refuses
-    them: without a guard, before the first point is made, and with one,
-    as soon as the points that clear it are that many.  The certificate
-    holds for a proper host, which `check_separation` confirms.
+    The host is checked first, by `_host_threshold` on this call's budget
+    as `check_separation` checks it.  The pool of `_candidate_points` is
+    scanned from the highest point down and kept by the checker's rule,
+    `_scan_apart`, so no dropped candidate could be added to the
+    certificate.  On a builder host, candidates below the guard threshold
+    are discarded first, which makes the certificate hold for the
+    untruncated continuum.  The greedy may test every pair of the pool, so
+    n(n-1)/2 pair tests over the budget are refused before the first, as
+    `check_separation` refuses them: on a plain host, before the first
+    point is made, and on a builder host, as soon as the points that clear
+    the threshold are that many.  Each test the checker makes is made and
+    charged here too, so no budget that this call passes refuses its
+    certificate.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     work = _Work(budget or Budget())
     work.budget.check_edges(len(graph.edges))
+    threshold = _host_threshold(graph, eps, work)
     n, pool = _candidate_points(graph, eps, work)
-    if guard is None:
+    if threshold is None:
         work.budget.check_pairs(work.total + n * (n - 1) // 2)
     else:
         cleared = []
         for p in pool:
-            if guard.clears(p[2]):
+            if _clears(p[2], threshold):
                 cleared.append(p)
                 n = len(cleared)
                 work.budget.check_pairs(work.total + n * (n - 1) // 2)
@@ -726,35 +696,27 @@ def lower_separation(graph: PLGraph, eps: Fraction,
                                        p[0], p[1]))
     scan = _scan_apart(graph, ((e, r) for e, _, r in pool), eps * eps, work)
     kept = tuple((e, t) for (e, t, _), hit in zip(pool, scan) if hit is None)
-    return SeparationCertificate(eps, kept, guard, graph.graph_id())
+    return SeparationCertificate(eps, kept, graph.graph_id())
 
 
-def truncation_guard(graph: PLGraph, eps: Fraction,
-                     budget: Budget | None = None) -> TruncationGuard | None:
-    """The one host check for a lower bound: the host's guard at scale
-    eps, or None.
+def _host_threshold(graph: PLGraph, eps: Fraction,
+                    work: _Work) -> Fraction | None:
+    """The one host check for a lower bound, charged to `work`: the
+    host's guard threshold at scale eps, or None.
 
     A separation certificate holds only on a proper host, and a guard only
     for the continuum that the host's builder metadata names.  A host
     whose metadata names the shark-teeth builder must be exactly the graph
-    the builder makes from that spec, which proves it proper, and gets its
-    guard.  The spec is rebuilt under the host's edge count as its edge
-    budget, which the builder charges with `predicted_counts` before it
-    makes any point, so the rebuild is never larger than the host; a
-    spec the builder refuses, for its size or that budget, fails here.
-    Any other host must pass `PLGraph.validate_proper`, whose E(E-1)/2
-    segment tests are charged to the budget first, and gets None.  A
-    host that fails either proof is a `ParseError`.  The amplitude bound
-    is always recomputed here rather than accepted from the caller, so a
-    guard can never quietly overstate what was built.
+    the builder makes from that spec, which proves it proper, and gets the
+    threshold (omitted amplitude bound) + eps.  The spec is rebuilt under
+    the host's edge count as its edge budget, which the builder charges
+    with `predicted_counts` before it makes any point, so the rebuild is
+    never larger than the host; a spec the builder refuses, for its size
+    or that budget, fails here.  Any other host must pass
+    `PLGraph.validate_proper`, whose E(E-1)/2 segment tests are charged
+    first, and gets None.  A host that fails either proof is a
+    `ParseError`.
     """
-    return _host_guard(graph, eps, _Work(budget or Budget()))
-
-
-def _host_guard(graph: PLGraph, eps: Fraction,
-                work: _Work) -> TruncationGuard | None:
-    """`truncation_guard`, charged to `work`: the rebuild compared by
-    fingerprint for a builder host, `validate_proper` for any other."""
     if graph.meta.get("builder") != "shark-teeth":
         ne = len(graph.edges)
         work.add(ne * (ne - 1) // 2)
@@ -773,22 +735,4 @@ def _host_guard(graph: PLGraph, eps: Fraction,
                          f"{exc}") from exc
     if rebuilt.graph_id() != graph.graph_id():
         raise ParseError("host geometry does not match its builder metadata")
-    bound = next_amplitude_bound(spec)
-    return TruncationGuard(spec.K, bound, bound + eps)
-
-
-def s_bounds(graph: PLGraph, eps: Fraction,
-             budget: Budget | None = None) -> tuple[int, int]:
-    """Unguarded certified bracket (lower, upper) on the connected-cover
-    number of the graph as given.
-
-    Convenience over `lower_separation` and `upper_cover` for callers who
-    want numbers rather than certificates.  lower <= upper always: both
-    sides bracket the same quantity.  The host is checked as
-    `truncation_guard` checks it, but its guard is not used.
-    """
-    truncation_guard(graph, eps, budget)
-    low = lower_separation(graph, eps, budget=budget)
-    up = upper_cover(graph, eps, budget=budget)
-    assert len(low) <= len(up)
-    return len(low), len(up)
+    return next_amplitude_bound(spec) + eps

@@ -2,11 +2,10 @@
 
 A `DimensionProfile` is a table of certified brackets lower <= S_eps <=
 upper over a strictly decreasing scale schedule, together with the ratios
-ln(count) / -ln(eps) whose limsup is the relevant dimension.  A host with
-shark-teeth builder metadata gets its lower bounds with the guard of
-`truncation_guard`, so they hold for the ambient continuum, not just the
-finite truncation in memory; any other host gets unguarded bounds once
-`truncation_guard` has checked that it is proper.
+ln(count) / -ln(eps) whose limsup is the relevant dimension.  The lower
+bounds are `lower_separation`'s: on a host with shark-teeth builder
+metadata they are guarded, so they hold for the ambient continuum, not
+just the finite truncation in memory, and any other host must be proper.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ if TYPE_CHECKING:
 find_k0 = _lazy("ifs", "find_k0")
 ifs_dimension_bound = _lazy("ifs", "ifs_dimension_bound")
 lower_separation = _lazy("cover", "lower_separation")
-truncation_guard = _lazy("cover", "truncation_guard")
 upper_cover = _lazy("cover", "upper_cover")
 
 CSV_HEADER = ("epsilon_num", "epsilon_den", "lower", "upper",
@@ -107,22 +105,15 @@ def sweep(graph: PLGraph, epsilons: Iterable[Fraction],
     """Certified bracket at each scale of a strictly decreasing schedule.
 
     The schedule may be any iterable, a generator included; each scale is
-    drawn only when the one before it is done.  The lower bound at each
-    scale is guarded as `truncation_guard` decides, and a host it does not
-    guard must be proper.  It is asked once, at the first scale, since
-    the host and so its truncation index and amplitude bound are the same
-    at every scale; each scale then takes that guard at its own threshold.
+    drawn only when the one before it is done.  `lower_separation` checks
+    the host at each scale, so a builder host is rebuilt once per scale.
     Guarded rows may report lower = 0 at coarse scales where no point
     clears the height threshold; that is the honest guarded answer, and
     `scale_ratio` maps it to 0.0.
     """
     rows = []
-    guard = None
-    for i, eps in enumerate(epsilons):
-        if i == 0:
-            guard = truncation_guard(graph, eps, budget)
-        g = None if guard is None else guard.at(eps)
-        low = lower_separation(graph, eps, guard=g, budget=budget)
+    for eps in epsilons:
+        low = lower_separation(graph, eps, budget=budget)
         up = upper_cover(graph, eps, budget=budget)
         rows.append(make_row(eps, len(low.points), len(up)))
     return DimensionProfile(tuple(rows))

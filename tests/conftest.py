@@ -76,6 +76,15 @@ def w6():
 
 
 @pytest.fixture(scope="session")
+def plain4():
+    """The explicit schedule with levels 1..4 without its builder
+    metadata: a plain host of 76 edges, checked for properness."""
+    g = build_shark_teeth(
+        ToothSequenceSpec(kind="explicit", levels=(1, 2, 3, 4)))
+    return PLGraph(g.vertices, g.edges)
+
+
+@pytest.fixture(scope="session")
 def cross_graph():
     """Two crossing diagonals; arrange splits them at the center."""
     return arrange([

@@ -95,9 +95,9 @@ MUTANTS = (
            (_COVER + "test_check_separation_charges_its_pair_tests_before_"
             "the_first",)),
     Mutant("lower-separation-without-its-pair-charge", "cover.py",
-           "    if guard is None:\n"
+           "    if threshold is None:\n"
            "        work.budget.check_pairs(work.total + n * (n - 1) // 2)\n",
-           "    if guard is None:\n"
+           "    if threshold is None:\n"
            "        pass\n",
            (_COVER + "test_default_pool_is_charged_before_it_is_made",
             _CLI + "test_cover_refuses_an_over_budget_lower_pool_before_its_"
@@ -140,14 +140,30 @@ MUTANTS = (
             _CLI + "test_sweep_refuses_a_host_its_builder_did_not_make"
             "[moved-peak]",
             _CLI + "test_verify_refuses_a_guard_on_a_host_its_builder_did_"
-            "not_make[moved-peak]",
-            _CLI + "test_verify_refuses_an_unguarded_certificate_on_a_"
-            "mismatched_host[moved-peak]")),
-    Mutant("guard-clears-strictly-above-its-threshold", "cover.py",
-           "return raw[2] * thr.denominator >= thr.numerator * raw[3]",
-           "return raw[2] * thr.denominator > thr.numerator * raw[3]",
+            "not_make[moved-peak]")),
+    Mutant("lower-separation-without-its-host-check", "cover.py",
+           "    threshold = _host_threshold(graph, eps, work)\n",
+           "    threshold = None\n",
            (_COVER + "test_guarded_lower_keeps_only_tall_points",
-            _COVER + "test_guard_overstated_threshold_fails",
+            _COVER + "test_guard_refuses_a_host_its_builder_did_not_make",
+            _COVER + "test_producers_refuse_a_host_whose_edges_cross",
+            _COVER + "test_lower_separation_is_refused_where_its_checker_"
+            "would_be",
+            _COVER + "test_certificates_match_golden_digests[m3-1_16]",
+            _CLI + "test_cover_refuses_a_lower_bound_its_checker_would_"
+            "refuse",
+            _CLI + "test_cover_refuses_a_lower_bound_on_a_crossing_host"
+            "[lower]")),
+    Mutant("check-separation-without-its-threshold-refusal", "cover.py",
+           "            if not _clears(r, threshold):\n",
+           "            if False:\n",
+           (_COVER + "test_guard_thin_threshold_fails",
+            _COVER + "test_guard_point_below_threshold_fails",
+            _ACCEPT + "test_criterion_3_certificate_fuzzing")),
+    Mutant("guard-clears-strictly-above-its-threshold", "cover.py",
+           "return raw[2] * threshold.denominator >= threshold.numerator",
+           "return raw[2] * threshold.denominator > threshold.numerator",
+           (_COVER + "test_guarded_lower_keeps_only_tall_points",
             _COVER + "test_certificates_match_golden_digests[m3-1_16]")),
     Mutant("amplitude-bound-of-the-last-built-tooth", "continuum.py",
            "    k_next = spec.K + 1\n",

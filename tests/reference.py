@@ -26,6 +26,12 @@ vertices by orientation tests alone, apart from the library's `_cuts`.
 `cover_v3_doc` writes an upper certificate as cover version 3 did,
 every element id written, and `cover_v4` rewrites a version 3 document
 as version 4, so hand-written rows stay in the older, fuller form.
+`separation_v3_doc` writes a lower certificate as separation version 3
+did, with the guard member that version carried, so the golden digests
+of the older documents keep pinning the points.
+`bare` is a host without its builder metadata, whose lower bound holds
+for the truncation alone, and `s_bounds` is the certified bracket of a
+host as given.
 `FIXTURES` holds three small IFS specs whose diameters are known by hand.
 
 `decode_svg` draws a rendered SVG as a viewer would, expanding each
@@ -43,9 +49,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from sdimlab import exactcore as xc
-from sdimlab.cover import _Work
+from sdimlab.continuum import next_amplitude_bound, spec_from_meta
+from sdimlab.cover import _Work, lower_separation, upper_cover
 from sdimlab.errors import SizeLimit
-from sdimlab.geom import PLGraph, UnionFind
+from sdimlab.geom import PLGraph, UnionFind, format_rational
 from sdimlab.geom import Point as GeomPoint
 from sdimlab.ifs import AffineMap2, IFSSpec, Point
 from sdimlab.limits import Budget
@@ -88,6 +95,37 @@ def cover_v4(doc: dict) -> dict:
                 out.append(x)
         rows.append(out)
     return {**doc, "version": 4, "pieces": rows}
+
+
+def separation_v3_doc(cert, host: PLGraph, guarded: bool) -> dict:
+    """The separation version 3 document of `cert`'s points as it was
+    written on `host`: version 4's members, `host`'s graph id, and a guard
+    member that holds the truncation index of `host`'s builder metadata,
+    its amplitude bound and the threshold at `cert`'s scale when
+    `guarded`, else null."""
+    guard = None
+    if guarded:
+        spec = spec_from_meta(host.meta)
+        bound = next_amplitude_bound(spec)
+        guard = {"K": spec.K, "amplitude_bound": format_rational(bound),
+                 "threshold": format_rational(bound + cert.epsilon)}
+    return {**cert.json_members(), "version": 3,
+            "graph_id": host.graph_id(), "guard": guard}
+
+
+def bare(graph: PLGraph) -> PLGraph:
+    """`graph` without its metadata: a plain host, checked for
+    properness, whose lower bound holds for the truncation alone."""
+    return PLGraph(graph.vertices, graph.edges)
+
+
+def s_bounds(graph: PLGraph, eps: Fraction) -> tuple[int, int]:
+    """The certified bracket (lower, upper) of the greedy bounds on
+    `graph` as given, lower guarded on a builder host."""
+    low = len(lower_separation(graph, eps))
+    up = len(upper_cover(graph, eps))
+    assert low <= up
+    return low, up
 
 
 def points_diameter2(points) -> Fraction:

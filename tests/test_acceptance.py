@@ -29,14 +29,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from reference import (FIXTURES, attractor_cloud, brute_force_oracle,
-                       cover_v3_doc, cover_v4, dist2, edge_point,
+from reference import (FIXTURES, attractor_cloud, bare, brute_force_oracle,
+                       cover_v3_doc, cover_v4, dist2, edge_point, s_bounds,
                        word_maps)
 
 from sdimlab.continuum import ToothSequenceSpec, build_shark_teeth, n_k
 from sdimlab.cover import (certificate_from_json_dict, check_cover,
-                           check_separation, lower_separation, s_bounds,
-                           truncation_guard, upper_cover)
+                           check_separation, lower_separation, upper_cover)
 from sdimlab.dimension import sweep
 from sdimlab.errors import SdimlabError
 from sdimlab.geom import PLGraph
@@ -88,8 +87,10 @@ def test_criterion_1_interval_oracle(seg_graph):
 
 def test_criterion_2_brute_force_brackets(seg_graph, cross_graph,
                                           lshape_graph, m1, m2, m3):
+    # The teeth hosts are bare: the oracle brackets the truncation alone.
     fixtures = {"segment": seg_graph, "cross": cross_graph,
-                "lshape": lshape_graph, "m1": m1, "m2": m2, "m3": m3}
+                "lshape": lshape_graph, "m1": bare(m1), "m2": bare(m2),
+                "m3": bare(m3)}
     assert len(fixtures) >= 5
     assert all(len(g.edges) <= 12 for g in fixtures.values())
     t0 = time.perf_counter()
@@ -299,16 +300,14 @@ def mut_sep_eps_above_diameter(doc, graph, rng):
     return doc
 
 
-def mut_sep_guard_thin(doc, graph, rng):
-    assert doc["guard"] is not None
-    assert Fraction(doc["epsilon"]) > 0
-    doc["guard"]["threshold"] = doc["guard"]["amplitude_bound"]
-    return doc
-
-
-def mut_sep_guard_wrong_k(doc, graph, rng):
-    assert doc["guard"] is not None
-    doc["guard"]["K"] += 1
+def mut_sep_point_on_the_base(doc, graph, rng):
+    # t = 0 of a tooth edge is on the base line, at height 0, below the
+    # guard threshold of any builder host.
+    assert graph.meta["builder"] == "shark-teeth"
+    teeth = [e for e, (a, b) in enumerate(graph.edges)
+             if graph.vertices[a].y == 0 < graph.vertices[b].y]
+    doc["points"][rng.randrange(len(doc["points"]))] = [rng.choice(teeth),
+                                                        "0"]
     return doc
 
 
@@ -327,18 +326,15 @@ def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
     for g, eps in ((seg_graph, HALF), (m2, HALF), (m3, QUARTER)):
         bases.append(("cover", g, cover_v3_doc(upper_cover(g, eps)),
                       cover_ops))
-    for g, eps, guard in ((seg_graph, HALF, None), (m2, HALF, None),
-                          (m3, EIGHTH, "yes")):
-        cert = lower_separation(
-            g, eps, guard=truncation_guard(g, eps) if guard else None)
-        doc = cert.to_json_dict()
+    for g, eps in ((seg_graph, HALF), (bare(m2), HALF), (m3, EIGHTH)):
+        doc = lower_separation(g, eps).to_json_dict()
         assert len(doc["points"]) >= 2
         ops = [mut_sep_dup_point, mut_sep_wrong_host, mut_sep_same_edge_pair,
                mut_sep_eps_above_diameter]
         if _edge_neighbour(doc, g, random.Random(0)) is not None:
             ops.append(mut_sep_across_a_vertex)
-        if doc["guard"] is not None:
-            ops.extend([mut_sep_guard_thin, mut_sep_guard_wrong_k])
+        if g.meta:
+            ops.append(mut_sep_point_on_the_base)
         bases.append(("separation", g, doc, ops))
 
     rng = random.Random(20260822)
@@ -410,15 +406,14 @@ def test_criterion_3_host_mutations(seg_graph, lshape_graph, m2, m3):
     t0 = time.perf_counter()
     # m2 without its builder metadata is a plain host with cycles, so a
     # dropped edge can leave it connected and a lower bound unguarded.
-    plain_m2 = PLGraph(m2.vertices, m2.edges)
+    plain_m2 = bare(m2)
     bases = []
     for g, eps in ((seg_graph, HALF), (lshape_graph, HALF), (plain_m2, HALF),
                    (m3, QUARTER)):
         bases.append(("cover", g, eps, upper_cover(g, eps).to_json_dict()))
-    for g, eps, guard in ((seg_graph, HALF, None), (lshape_graph, HALF, None),
-                          (plain_m2, HALF, None),
-                          (m3, EIGHTH, truncation_guard(m3, EIGHTH))):
-        cert = lower_separation(g, eps, guard=guard)
+    for g, eps in ((seg_graph, HALF), (lshape_graph, HALF), (plain_m2, HALF),
+                   (m3, EIGHTH)):
+        cert = lower_separation(g, eps)
         bases.append(("separation", g, eps, cert.to_json_dict()))
     assert all(len(g.edges) <= 12 for _, g, _, _ in bases)
 

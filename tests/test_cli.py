@@ -4,7 +4,7 @@ Exit codes under test: 0 success, 1 verification failure, 2 parse error,
 4 budget or size limit, 5 too few scales; there is no other.  Error text
 must start with the machine tag.  A host with shark-teeth builder
 metadata that its builder would not make from that metadata is a parse
-error for `cover` and `sweep` and a verification failure for a guarded
+error for `cover` and `sweep` and a verification failure for any lower
 certificate.
 """
 
@@ -25,12 +25,14 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from reference import FIXTURES, cover_v4, decode_svg
+from reference import (FIXTURES, bare, cover_v4, decode_svg, edge_point,
+                       separation_v3_doc)
 
 import sdimlab
 from sdimlab import PLGraph, point, read_profile_csv
 from sdimlab.cli import _atomic_write, _write_json, main
-from sdimlab.cover import lower_separation, truncation_guard, upper_cover
+from sdimlab.cover import (SeparationCertificate, lower_separation,
+                           upper_cover)
 from sdimlab.render import render_svg
 
 
@@ -215,7 +217,7 @@ def test_build_and_cover_write_their_documents(tmp_path, paper3_spec, m3):
     res = invoke("cover", "--graph", graph, "--epsilon", "1/8",
                  "--mode", "both", "--out", tmp_path / "c.json")
     assert res.exit_code == 0
-    low = lower_separation(m3, eps, guard=truncation_guard(m3, eps))
+    low = lower_separation(m3, eps)
     _assert_written_layout(tmp_path / "c.lower.json", low.to_json_dict())
     _assert_written_layout(tmp_path / "c.upper.json",
                            upper_cover(m3, eps).to_json_dict())
@@ -272,15 +274,47 @@ def test_cover_single_mode_output(tmp_path, seg_graph_file):
     assert json.loads(out.read_text())["format"].endswith("cover")
 
 
-def test_cover_applies_guard_on_built_hosts(tmp_path, m3_graph):
+def test_cover_applies_guard_on_built_hosts(tmp_path, m3_graph, m3):
+    # The guard is the host's: every point clears m3's threshold at 1/8,
+    # 1/16 + 1/8, and the document does not write it.
     out = tmp_path / "low.json"
     res = invoke("cover", "--graph", m3_graph, "--epsilon", "1/8",
                  "--mode", "lower", "--out", out)
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
-    assert doc["guard"] is not None
-    assert doc["guard"]["K"] == 3
-    assert len(doc["points"]) >= 2
+    assert doc["version"] == 4 and "guard" not in doc
+    assert len(doc["points"]) == 10
+    for e, t in doc["points"]:
+        assert edge_point(m3, e, Fraction(t)).y >= Fraction(3, 16)
+
+
+def test_cover_refuses_a_lower_bound_its_checker_would_refuse(tmp_path,
+                                                              plain4):
+    # On the plain host the host check's 2,850 segment tests are charged
+    # to the producer's budget as to the checker's: at 7,198 pair checks
+    # the checker refuses the 54 points, and so does `cover`.
+    graph = tmp_path / "plain4.graph.json"
+    _write_json(str(graph), plain4.to_json_dict())
+    res = invoke("cover", "--graph", graph, "--epsilon", "1/16",
+                 "--mode", "lower", "--out", tmp_path / "low.json",
+                 env={"SDIMLAB_BUDGET": "pairs=7198"})
+    assert res.exit_code == 4
+    assert res.stderr.startswith("BUDGET:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain4.graph.json"]
+
+
+def test_cover_both_refuses_an_output_path_that_is_its_graph(tmp_path,
+                                                             seg_graph):
+    # `--out h.json` writes h.lower.json first and h.upper.json next, so
+    # the upper path is the graph's: nothing is written.
+    graph = tmp_path / "h.upper.json"
+    _write_json(str(graph), seg_graph.to_json_dict())
+    res = invoke("cover", "--graph", graph, "--epsilon", "1/2",
+                 "--mode", "both", "--out", tmp_path / "h.json")
+    assert res.exit_code == 2
+    assert res.stderr == (f"PARSE: output path {str(graph)!r} equals an "
+                          f"input path\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.upper.json"]
 
 
 @pytest.mark.parametrize("eps", ["0.5", "1e-3", "0/1", "-1/2", "half"])
@@ -399,7 +433,7 @@ def test_verify_refuses_v2_separation_document(tmp_path, m3_graph):
     invoke("cover", "--graph", m3_graph, "--epsilon", "1/16",
            "--mode", "lower", "--out", cert)
     doc = json.loads(cert.read_text())
-    assert doc["version"] == 3 and "witnesses" not in doc
+    assert doc["version"] == 4 and "witnesses" not in doc
     doc["version"] = 2
     doc["witnesses"] = [{"i": 0, "j": 1, "center": 1, "delta": "1/128"}]
     cert.write_text(json.dumps(doc))
@@ -449,8 +483,8 @@ def test_verify_refuses_a_lower_certificate_on_a_crossing_host(
     host, graph = crossing_host
     cert = tmp_path / "x.lower.json"
     _write_json(str(cert), {
-        "format": "sdimlab/separation", "version": 3,
-        "graph_id": host.graph_id(), "epsilon": "3/2", "guard": None,
+        "format": "sdimlab/separation", "version": 4,
+        "graph_id": host.graph_id(), "epsilon": "3/2",
         "points": [[0, "0"], [1, "1"]]})
     res = invoke("verify", "--graph", graph, "--cert", cert)
     assert res.exit_code == 1
@@ -526,6 +560,19 @@ def test_verify_refuses_v3_cover_document(tmp_path, seg_graph_file):
     doc["pieces"] = [[0, "127/256", 1, "127/128", 2]]
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: unsupported version 3")
+
+
+def test_verify_refuses_v3_separation_document(tmp_path, m3_graph, m3):
+    # Version 3 wrote the guard; this one is `cover`'s certificate of m3
+    # at 1/8 with the guard that version wrote for it.
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", m3_graph, "--epsilon", "1/8",
+           "--mode", "lower", "--out", cert)
+    low = SeparationCertificate.from_json_dict(json.loads(cert.read_text()))
+    _write_json(str(cert), separation_v3_doc(low, m3, True))
+    res = invoke("verify", "--graph", m3_graph, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE: unsupported version 3")
 
@@ -617,15 +664,19 @@ def test_sweep_refuses_malformed_builder_metadata(tmp_path,
 @pytest.fixture(params=["moved-peak", "w6-meta"])
 def mismatched_host(request, tmp_path, m3, w6, m3_moved_peak):
     """A host whose builder metadata parses but does not describe its
-    geometry, and a guarded lower certificate made on it under m3's
-    guard: (host path, certificate path)."""
+    geometry, and two lower certificates relabeled to it: m3's guarded
+    one, and the one made on the host without its metadata, which bounds
+    that truncation alone: (host path, guarded path, unguarded path)."""
     host = (m3_moved_peak if request.param == "moved-peak"
             else PLGraph(m3.vertices, m3.edges, w6.meta))
     eps = Fraction(1, 8)
-    cert = lower_separation(host, eps, guard=truncation_guard(m3, eps))
-    paths = tmp_path / "host.graph.json", tmp_path / "guarded.json"
+    paths = (tmp_path / "host.graph.json", tmp_path / "guarded.json",
+             tmp_path / "unguarded.json")
     _write_json(paths[0], host.to_json_dict())
-    _write_json(paths[1], cert.json_members())
+    for path, made_on in zip(paths[1:], (m3, bare(host))):
+        points = lower_separation(made_on, eps).points
+        _write_json(path, SeparationCertificate(eps, points, host.graph_id())
+                    .json_members())
     return paths
 
 
@@ -658,11 +709,8 @@ def test_verify_refuses_a_guard_on_a_host_its_builder_did_not_make(
 
 def test_verify_refuses_an_unguarded_certificate_on_a_mismatched_host(
         mismatched_host):
-    cert = json.loads(mismatched_host[1].read_text())
-    cert["guard"] = None
-    _write_json(str(mismatched_host[1]), cert)
     res = invoke("verify", "--graph", mismatched_host[0],
-                 "--cert", mismatched_host[1])
+                 "--cert", mismatched_host[2])
     assert res.exit_code == 1
     assert res.stderr.startswith("VERIFY:")
 

@@ -19,20 +19,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import (ORACLE_MAX_EDGES, DeltaClip, brute_force_oracle,
-                       cover_v3_doc, cover_v4, dist2, edge_point,
-                       points_diameter2)
+from reference import (ORACLE_MAX_EDGES, DeltaClip, bare,
+                       brute_force_oracle, cover_v3_doc, cover_v4, dist2,
+                       edge_point, points_diameter2, s_bounds,
+                       separation_v3_doc)
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      DisconnectedInput, HostMismatch, IFSSpec,
                      ParseError, PLGraph, SeparationCertificate,
-                     ToothSequenceSpec, TruncationGuard, VerificationFailure,
-                     arrange, certificate_from_json_dict, check_cover,
-                     check_separation, lower_separation, point, s_bounds,
-                     segment, truncation_guard, upper_cover)
+                     ToothSequenceSpec, VerificationFailure, arrange,
+                     certificate_from_json_dict, check_cover,
+                     check_separation, lower_separation, point, segment,
+                     upper_cover)
 from sdimlab import exactcore as xc
 from sdimlab.cli import _json_chunks
-from sdimlab.cover import _candidate_points, _ClipIndex, _Work, _extend
+from sdimlab.cover import (_candidate_points, _clears, _ClipIndex,
+                           _host_threshold, _Work, _extend)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -265,7 +267,7 @@ def test_every_close_pair_is_separated_by_a_clip(host, request):
     # The greedy keeps a point when, for every kept point closer than eps,
     # the clip around one of the two cuts the other off: the checker's
     # rule.  Some pairs need the earlier point's clip.
-    g = request.getfixturevalue(host)
+    g = bare(request.getfixturevalue(host))
     eps = Fraction(1, 64)
     cert = lower_separation(g, eps)
     located = [edge_point(g, *p) for p in cert.points]
@@ -308,23 +310,25 @@ def test_default_pool_is_charged_before_it_is_made(seg_graph, m3,
             lower_separation(seg_graph, eps)
         assert time.perf_counter() - start < 1
         assert (calls, made) == ([seg_graph.raw_vertices()], []), eps
-    # With a guard, each point that clears it is charged as it is made.
-    # On m3 at 1/10000 the pool is 45,859 points, of which 23,374 clear
-    # the guard: the greedy is refused at the first cleared point whose
-    # pairs pass the budget, and the rest of the pool is never made.
+    # On a builder host, each point that clears the guard is charged as
+    # it is made.  On m3 at 1/10000 the pool is 45,859 points, of which
+    # 23,374 clear the guard: the greedy is refused at the first cleared
+    # point whose pairs pass the budget, and the rest of the pool is never
+    # made.
     eps, n = Fraction(1, 10000), 45859
-    guard = truncation_guard(m3, eps)
+    threshold = _threshold(m3, eps)
     made = []  # `located` still records each point made
     with pytest.raises(BudgetExceeded) as info:
-        lower_separation(m3, eps, guard)
+        lower_separation(m3, eps)
     monkeypatch.undo()
-    k = sum(map(guard.clears, [*m3.raw_vertices(),
-                               *(m3.edge_raw(e, t) for e, t in made)]))
+    k = sum(_clears(raw, threshold)
+            for raw in [*m3.raw_vertices(),
+                        *(m3.edge_raw(e, t) for e, t in made)])
     cap = Budget().max_pair_checks
     assert n + (k - 1) * (k - 2) // 2 <= cap
     assert str(info.value) == (f"pair checks {n + k * (k - 1) // 2} "
                                f"exceed budget {cap}")
-    assert guard.clears(m3.edge_raw(*made[-1]))
+    assert _clears(m3.edge_raw(*made[-1]), threshold)
     assert len(made) < n - len(m3.vertices)
 
 
@@ -334,7 +338,8 @@ def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
     # 1/4 rose from 9 to 11 with the exact clip (oracle bracket (10, 15)),
     # then to 13 when the greedy took the checker's either-clip rule, as
     # m2 rose from 4 to 5 at 1/2 (now exact) and from 9 to 11 at 1/4
-    # (oracle upper 13).
+    # (oracle upper 13).  The teeth hosts are bare, so each bracket is of
+    # the truncation alone.
     frozen = {
         ("seg", HALF): (3, 3), ("seg", QUARTER): (5, 5),
         ("cross", HALF): (5, 6), ("cross", QUARTER): (9, 12),
@@ -344,7 +349,7 @@ def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
         ("m3", HALF): (4, 5), ("m3", QUARTER): (13, 14),
     }
     hosts = {"seg": seg_graph, "cross": cross_graph, "lsh": lshape_graph,
-             "m1": m1, "m2": m2, "m3": m3}
+             "m1": bare(m1), "m2": bare(m2), "m3": bare(m3)}
     for (name, eps), expected in frozen.items():
         assert s_bounds(hosts[name], eps) == expected
 
@@ -355,26 +360,28 @@ def test_s_bounds_bracket_small_hosts(seg_graph, cross_graph, lshape_graph,
 
 def _pair_cert(g, a, b):
     """Two-point certificate at eps = 1/2."""
-    return SeparationCertificate(HALF, (a, b), None, g.graph_id())
+    return SeparationCertificate(HALF, (a, b), g.graph_id())
 
 
 def test_peaks_of_adjacent_teeth_are_separated(m2):
+    g = bare(m2)
     peak1 = (1, Fraction(1))  # (1/2, 1/2)
     peak2 = (0, Fraction(1))  # (1/2, 1/4)
-    assert dist2(edge_point(m2, *peak1), edge_point(m2, *peak2)) < HALF * HALF
+    assert dist2(edge_point(g, *peak1), edge_point(g, *peak2)) < HALF * HALF
     for c, o in ((peak1, peak2), (peak2, peak1)):
-        assert _separates(m2, c, o, HALF)
-        assert check_separation(m2, _pair_cert(m2, c, o)) == 2
+        assert _separates(g, c, o, HALF)
+        assert check_separation(g, _pair_cert(g, c, o)) == 2
 
 
 def test_same_tooth_flanks_are_not_separated(m2):
+    g = bare(m2)
     a = (1, Fraction(3, 4))
     b = (4, Fraction(1, 4))
     for c, o in ((a, b), (b, a)):
-        assert not _separates(m2, c, o, HALF)
+        assert not _separates(g, c, o, HALF)
         with pytest.raises(VerificationFailure,
                            match="neither clipped ball separates"):
-            check_separation(m2, _pair_cert(m2, c, o))
+            check_separation(g, _pair_cert(g, c, o))
 
 
 def test_clip_separates_a_point_outside_the_ball(seg_graph):
@@ -421,7 +428,7 @@ def _assert_greedy_is_maximal(g, eps):
     for e, t, _ in _candidate_points(g, eps, _Work(Budget()))[1]:
         if (e, t) in kept:
             continue
-        grown = SeparationCertificate(eps, cert.points + ((e, t),), None,
+        grown = SeparationCertificate(eps, cert.points + ((e, t),),
                                       g.graph_id())
         with pytest.raises(VerificationFailure,
                            match="neither clipped ball separates"):
@@ -440,37 +447,39 @@ def test_greedy_lower_is_maximal_for_its_checker(g, eps):
 def test_greedy_lower_on_m2_at_half_is_maximal_and_exact(m2):
     # With the candidate's clip alone the greedy kept 4 points here and
     # dropped one that the checker accepts; the oracle bracket is (4, 5).
-    assert len(_assert_greedy_is_maximal(m2, HALF)) == 5
-    assert s_bounds(m2, HALF) == (5, 5)
+    assert len(_assert_greedy_is_maximal(bare(m2), HALF)) == 5
+    assert s_bounds(bare(m2), HALF) == (5, 5)
 
 
 # ---------------------------------------------------------------------------
 # truncation guard
 
 
+def _threshold(graph, eps, budget=None):
+    return _host_threshold(graph, eps, _Work(budget or Budget()))
+
+
 def test_guard_frozen_values(m3):
-    g = truncation_guard(m3, EIGHTH)
-    assert g == TruncationGuard(k=3, amplitude_bound=Fraction(1, 16),
-                                threshold=Fraction(3, 16))
+    # m3 omits tooth 4, whose amplitude is at most 1/16.
+    assert _threshold(m3, EIGHTH) == Fraction(1, 16) + EIGHTH
 
 
 def test_guarded_lower_keeps_only_tall_points(m3):
     # 10 of the 31 pool points clear the threshold 3/16; the greedy
     # discards the other 21 and keeps all ten.
-    g = truncation_guard(m3, EIGHTH)
-    cert = lower_separation(m3, EIGHTH, guard=g)
+    cert = lower_separation(m3, EIGHTH)
     n, pool = _candidate_points(m3, EIGHTH, _Work(Budget()))
-    tall = {(e, t) for e, t, raw in pool if g.clears(raw)}
+    tall = {(e, t) for e, t, raw in pool if _clears(raw, Fraction(3, 16))}
     assert (n, len(tall)) == (31, 10)
     assert set(cert.points) == tall
     assert check_separation(m3, cert) == 10
 
 
 def test_guard_requires_builder_metadata(seg_graph, m3):
-    # A host without shark-teeth builder metadata gets no guard.
-    assert truncation_guard(seg_graph, EIGHTH) is None
+    # A host without shark-teeth builder metadata gets no threshold.
+    assert _threshold(seg_graph, EIGHTH) is None
     other = PLGraph(m3.vertices, m3.edges, {"builder": "hand"})
-    assert truncation_guard(other, EIGHTH) is None
+    assert _threshold(other, EIGHTH) is None
 
 
 # Metadata that names the builder but describes no valid spec, or a spec
@@ -494,7 +503,7 @@ MALFORMED_BUILDER_META = [
 def test_guard_refuses_malformed_builder_metadata(m3, meta):
     host = PLGraph(m3.vertices, m3.edges, meta)
     with pytest.raises(ParseError):
-        truncation_guard(host, EIGHTH)
+        lower_separation(host, EIGHTH)
 
 
 def test_guard_rebuilds_no_larger_than_the_host(m3, monkeypatch):
@@ -511,7 +520,7 @@ def test_guard_rebuilds_no_larger_than_the_host(m3, monkeypatch):
     host = PLGraph(m3.vertices, m3.edges, {"builder": "shark-teeth",
                                            "kind": "paper", "teeth": 4095})
     with pytest.raises(ParseError, match="does not fit the host"):
-        truncation_guard(host, EIGHTH)
+        lower_separation(host, EIGHTH)
     assert made == []
 
 
@@ -521,107 +530,73 @@ def _guarded_cert(m3):
     peaks = ((3, Fraction(1)), (2, Fraction(1)))
     assert [edge_point(m3, *p) for p in peaks] == [point(HALF, HALF),
                                                     point(HALF, QUARTER)]
-    return SeparationCertificate(EIGHTH, peaks, truncation_guard(m3, EIGHTH),
-                                 m3.graph_id())
-
-
-def test_guard_k_mismatch_fails(m3):
-    cert = _guarded_cert(m3)
-    bad = SeparationCertificate(
-        cert.epsilon, cert.points,
-        TruncationGuard(4, cert.guard.amplitude_bound, cert.guard.threshold),
-        cert.graph_id)
-    with pytest.raises(VerificationFailure):
-        check_separation(m3, bad)
-
-
-def test_guard_understated_amplitude_fails(m3):
-    cert = _guarded_cert(m3)
-    bad = SeparationCertificate(
-        cert.epsilon, cert.points,
-        TruncationGuard(3, Fraction(1, 32), cert.guard.threshold),
-        cert.graph_id)
-    with pytest.raises(VerificationFailure):
-        check_separation(m3, bad)
+    return SeparationCertificate(EIGHTH, peaks, m3.graph_id())
 
 
 def test_guard_thin_threshold_fails(m3):
-    # threshold must be >= amplitude + eps = 1/16 + 1/8.
+    # The threshold is the amplitude bound plus eps, 1/16 + 1/8: the peak
+    # of tooth 3 at (1/4, 1/12) is above every omitted tooth but closer
+    # than eps to them, and is refused before any pair is tested.
     cert = _guarded_cert(m3)
-    bad = SeparationCertificate(
-        cert.epsilon, cert.points,
-        TruncationGuard(3, Fraction(1, 16), Fraction(5, 32)),
-        cert.graph_id)
-    with pytest.raises(VerificationFailure):
+    assert edge_point(m3, 0, Fraction(1)) == point(QUARTER, Fraction(1, 12))
+    bad = SeparationCertificate(cert.epsilon,
+                                cert.points + ((0, Fraction(1)),),
+                                cert.graph_id)
+    with pytest.raises(VerificationFailure,
+                       match="point 2 lies below the guard threshold"):
         check_separation(m3, bad)
-
-
-def test_guard_overstated_threshold_fails(m3):
-    # Every point clears the raised bar, but no command writes this guard:
-    # a certificate's guard must be exactly the one the host gets.
-    cert = _guarded_cert(m3)
-    taller = SeparationCertificate(
-        cert.epsilon, cert.points,
-        TruncationGuard(3, Fraction(1, 16), QUARTER), cert.graph_id)
-    assert all(taller.guard.clears(m3.edge_raw(*p)) for p in cert.points)
-    with pytest.raises(VerificationFailure, match="not the host's guard"):
-        check_separation(m3, taller)
+    assert check_separation(bare(m3), SeparationCertificate(
+        bad.epsilon, bad.points, bare(m3).graph_id())) == 3
 
 
 def test_guard_point_below_threshold_fails(m3):
     cert = _guarded_cert(m3)
     pts = cert.points + ((0, Fraction(0)),)
-    bad = SeparationCertificate(cert.epsilon, pts, cert.guard, cert.graph_id)
-    with pytest.raises(VerificationFailure):
+    bad = SeparationCertificate(cert.epsilon, pts, cert.graph_id)
+    with pytest.raises(VerificationFailure,
+                       match="lies below the guard threshold"):
         check_separation(m3, bad)
 
 
 @pytest.mark.parametrize("meta", [{}, *MALFORMED_BUILDER_META])
 def test_guard_against_host_without_usable_metadata_fails(m3, meta):
-    # Same geometry, so every point still checks; only the guard cannot
-    # be recomputed from the host.  Without metadata the host is checked
-    # for properness and takes the unguarded certificate; metadata that
-    # names the builder but does not rebuild the host refuses both.
+    # Same geometry, so every point still checks; only the threshold
+    # cannot be recomputed from the host.  Without metadata the host is
+    # checked for properness and the certificate bounds the truncation
+    # alone; metadata that names the builder but does not rebuild the
+    # host refuses it.
     cert = _guarded_cert(m3)
     host = PLGraph(m3.vertices, m3.edges, meta)
-    relabeled = SeparationCertificate(cert.epsilon, cert.points, cert.guard,
-                                      host.graph_id())
-    unguarded = SeparationCertificate(cert.epsilon, cert.points, None,
+    relabeled = SeparationCertificate(cert.epsilon, cert.points,
                                       host.graph_id())
     if meta:
         with pytest.raises(VerificationFailure):
-            check_separation(host, unguarded)
+            check_separation(host, relabeled)
     else:
-        assert check_separation(host, unguarded) == 2
-    with pytest.raises(VerificationFailure):
-        check_separation(host, relabeled)
+        assert check_separation(host, relabeled) == 2
 
 
 def test_guard_refuses_a_host_its_builder_did_not_make(m3_moved_peak):
     with pytest.raises(ParseError, match="does not match"):
-        truncation_guard(m3_moved_peak, EIGHTH)
+        lower_separation(m3_moved_peak, EIGHTH)
 
 
-def test_guarded_certificate_on_a_moved_peak_fails(m3, m3_moved_peak):
-    # Every point checks on the moved geometry; only the guard, which
-    # holds for m3's continuum, does not hold for this one.  Its builder
-    # metadata does not rebuild the host, so nothing on it is accepted,
-    # guarded or not.
-    host = m3_moved_peak
-    cert = lower_separation(host, EIGHTH, guard=truncation_guard(m3, EIGHTH))
-    bare = PLGraph(host.vertices, host.edges)
-    assert check_separation(bare, SeparationCertificate(
-        cert.epsilon, cert.points, None, bare.graph_id())) == len(cert) > 0
-    unguarded = SeparationCertificate(cert.epsilon, cert.points, None,
-                                      cert.graph_id)
-    for c in (unguarded, cert):
-        with pytest.raises(VerificationFailure, match="does not match"):
-            check_separation(host, c)
+def test_guarded_certificate_on_a_moved_peak_fails(m3_moved_peak):
+    # The points bound the moved truncation alone, and check there; the
+    # builder metadata does not rebuild the host, so nothing on the host
+    # itself is accepted.
+    host, plain = m3_moved_peak, bare(m3_moved_peak)
+    cert = lower_separation(plain, EIGHTH)
+    assert check_separation(plain, cert) == len(cert) > 0
+    relabeled = SeparationCertificate(cert.epsilon, cert.points,
+                                      host.graph_id())
+    with pytest.raises(VerificationFailure, match="does not match"):
+        check_separation(host, relabeled)
 
 
 def test_guard_on_wrong_host_fails(m3, w6):
     cert = _guarded_cert(m3)
-    relabeled = SeparationCertificate(cert.epsilon, cert.points, cert.guard,
+    relabeled = SeparationCertificate(cert.epsilon, cert.points,
                                       w6.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(w6, relabeled)
@@ -682,7 +657,7 @@ def test_check_separation_rejects_missing_witness(seg_graph):
     # Two points 1/4 apart on one edge: closer than eps, and neither
     # clipped ball can witness a separation, since the edge joins them.
     pts = ((0, Fraction(0)), (0, QUARTER))
-    cert = SeparationCertificate(HALF, pts, None, seg_graph.graph_id())
+    cert = SeparationCertificate(HALF, pts, seg_graph.graph_id())
     with pytest.raises(VerificationFailure):
         check_separation(seg_graph, cert)
 
@@ -690,7 +665,7 @@ def test_check_separation_rejects_missing_witness(seg_graph):
 def test_check_separation_accepts_distance_tie(seg_graph):
     # dist == eps is allowed for separation, unlike the cover side.
     pts = ((0, Fraction(0)), (0, HALF))
-    cert = SeparationCertificate(HALF, pts, None, seg_graph.graph_id())
+    cert = SeparationCertificate(HALF, pts, seg_graph.graph_id())
     assert check_separation(seg_graph, cert) == 2
 
 
@@ -709,16 +684,17 @@ def test_check_separation_tries_the_new_points_clip():
     assert edge_point(g, *b) == point(Fraction(9, 32), Fraction(3, 8))
     assert _separates(g, a, b, QUARTER)
     assert not _separates(g, b, a, QUARTER)
-    cert = SeparationCertificate(QUARTER, (b, a), None, g.graph_id())
+    cert = SeparationCertificate(QUARTER, (b, a), g.graph_id())
     assert check_separation(g, cert) == 2
 
 
 def test_check_separation_rejects_false_disconnection(m2):
+    g = bare(m2)
     a = (1, Fraction(3, 4))
     b = (4, Fraction(1, 4))
-    cert = SeparationCertificate(HALF, (a, b), None, m2.graph_id())
+    cert = SeparationCertificate(HALF, (a, b), g.graph_id())
     with pytest.raises(VerificationFailure):
-        check_separation(m2, cert)
+        check_separation(g, cert)
 
 
 def test_check_separation_refuses_a_host_whose_edges_cross():
@@ -729,7 +705,7 @@ def test_check_separation_refuses_a_host_whose_edges_cross():
                    [(0, 1), (2, 3)])
     eps = Fraction(3, 2)
     cert = SeparationCertificate(eps, ((0, Fraction(0)), (1, Fraction(0))),
-                                 None, host.graph_id())
+                                 host.graph_id())
     assert _separates(host, *cert.points, eps)
     with pytest.raises(VerificationFailure, match="not proper"):
         check_separation(host, cert)
@@ -744,6 +720,33 @@ def test_check_separation_charges_the_properness_check(cross_graph):
     assert check_separation(cross_graph, cert) == len(cert)
 
 
+def test_lower_separation_is_refused_where_its_checker_would_be(plain4):
+    # The producer runs the checker's host check on its own budget, and
+    # its pool and scan hold every pair test the checker makes, so no
+    # budget passes the producer that refuses its certificate.  At 7,198
+    # pair checks the checker refuses the 54 points on this 76-edge host,
+    # and the producer refuses to make them; at the producer's peak, the
+    # least budget it passes, the checker accepts them.
+    eps = Fraction(1, 16)
+    with pytest.raises(BudgetExceeded):
+        lower_separation(plain4, eps, Budget(max_pair_checks=7198))
+    peaks = []
+
+    class Recording(Budget):
+        def check_pairs(self, n: int) -> None:
+            peaks.append(n)
+            super().check_pairs(n)
+
+    cert = lower_separation(plain4, eps, Recording())
+    peak = max(peaks)
+    assert len(cert) == 54
+    with pytest.raises(BudgetExceeded):
+        check_separation(plain4, cert, Budget(max_pair_checks=7198))
+    with pytest.raises(BudgetExceeded):
+        lower_separation(plain4, eps, Budget(max_pair_checks=peak - 1))
+    assert check_separation(plain4, cert, Budget(max_pair_checks=peak)) == 54
+
+
 def test_check_separation_charges_its_pair_tests_before_the_first(
         seg_graph, monkeypatch):
     # 1,500 points make 1,124,250 pair tests, over a budget of 1,000,000:
@@ -751,7 +754,7 @@ def test_check_separation_charges_its_pair_tests_before_the_first(
     n = 1500
     cert = SeparationCertificate(
         Fraction(1, 2 * n), tuple((0, Fraction(j, n)) for j in range(n)),
-        None, seg_graph.graph_id())
+        seg_graph.graph_id())
     calls = []
     monkeypatch.setattr(xc, "dist2_q", lambda *args: calls.append(args))
     with pytest.raises(BudgetExceeded):
@@ -767,15 +770,13 @@ def test_producers_refuse_a_host_whose_edges_cross():
                    [(0, 1), (2, 3)])
     eps = Fraction(3, 2)
     with pytest.raises(ParseError, match="host is not proper"):
-        truncation_guard(host, eps)
-    with pytest.raises(ParseError, match="host is not proper"):
-        s_bounds(host, eps)
+        lower_separation(host, eps)
 
 
 @pytest.mark.parametrize("edge", [-1, 1])
 def test_check_separation_refuses_an_edge_off_the_host(seg_graph, edge):
     # Edge -1 would name the last edge if read as a Python index.
-    cert = SeparationCertificate(HALF, ((edge, Fraction(0)),), None,
+    cert = SeparationCertificate(HALF, ((edge, Fraction(0)),),
                                  seg_graph.graph_id())
     with pytest.raises(VerificationFailure,
                        match="point 0: edge out of range"):
@@ -783,44 +784,42 @@ def test_check_separation_refuses_an_edge_off_the_host(seg_graph, edge):
 
 
 def test_check_separation_refuses_an_improper_host(improper_graph):
-    cert = SeparationCertificate(HALF, ((0, Fraction(0)),), None,
+    cert = SeparationCertificate(HALF, ((0, Fraction(0)),),
                                  improper_graph.graph_id())
     with pytest.raises(VerificationFailure, match="not proper"):
         check_separation(improper_graph, cert)
 
 
 def test_truncation_guard_charges_the_properness_check(cross_graph):
+    # The producer's host check is charged to its own budget, first.
     ne = len(cross_graph.edges)
     with pytest.raises(BudgetExceeded):
-        truncation_guard(cross_graph, HALF,
+        lower_separation(cross_graph, HALF,
                          Budget(max_pair_checks=ne * (ne - 1) // 2 - 1))
-    assert truncation_guard(cross_graph, HALF,
-                            Budget(max_pair_checks=ne * (ne - 1) // 2)) \
-        is None
+    assert _threshold(cross_graph, HALF,
+                      Budget(max_pair_checks=ne * (ne - 1) // 2)) is None
 
 
 def test_truncation_guard_trusts_a_rebuilt_host_to_be_proper(w6,
                                                             monkeypatch):
     eps = Fraction(1, 32)
-    want = truncation_guard(w6, eps)
+    want = _threshold(w6, eps)
 
     def refuse(self):
         raise AssertionError("validate_proper called on a rebuilt host")
     monkeypatch.setattr(PLGraph, "validate_proper", refuse)
-    assert truncation_guard(w6, eps, Budget(max_pair_checks=0)) == want
+    assert _threshold(w6, eps, Budget(max_pair_checks=0)) == want
 
 
 def test_check_separation_trusts_a_rebuilt_host_to_be_proper(w6,
                                                             monkeypatch):
-    cert = lower_separation(w6, Fraction(1, 32),
-                            guard=truncation_guard(w6, Fraction(1, 32)))
-
+    # And so does the producer, which runs the same host check.
     def refuse(self):
         raise AssertionError("validate_proper called on a rebuilt host")
     monkeypatch.setattr(PLGraph, "validate_proper", refuse)
-    assert check_separation(w6, cert) == len(cert)
-    bare = lower_separation(w6, Fraction(1, 8))
-    assert check_separation(w6, bare) == len(bare)
+    for eps in (Fraction(1, 32), Fraction(1, 8)):
+        cert = lower_separation(w6, eps)
+        assert check_separation(w6, cert) == len(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,13 +1011,13 @@ def test_cover_v2_document_is_refused(m2):
 
 
 def test_separation_certificate_round_trip(m2, m3):
-    plain = lower_separation(m2, HALF)
-    guarded = lower_separation(m3, EIGHTH, guard=truncation_guard(m3, EIGHTH))
-    for g, cert in ((m2, plain), (m3, guarded)):
+    # A guarded document and a plain one have the same members.
+    for g, eps in ((bare(m2), HALF), (m3, EIGHTH)):
+        cert = lower_separation(g, eps)
         doc = cert.to_json_dict()
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert set(doc) == {"format", "version", "graph_id", "epsilon",
-                            "points", "guard"}
+                            "points"}
         back = SeparationCertificate.from_json_dict(doc)
         assert back == cert
         assert back.to_json_dict() == doc
@@ -1026,7 +1025,7 @@ def test_separation_certificate_round_trip(m2, m3):
 
 
 def test_separation_v1_document_is_refused(m2):
-    doc = lower_separation(m2, HALF).to_json_dict()
+    doc = lower_separation(bare(m2), HALF).to_json_dict()
     doc["version"] = 1
     doc["witnesses"] = [{"i": 0, "j": 1, "kind": "disconnection"}]
     with pytest.raises(ParseError):
@@ -1035,17 +1034,22 @@ def test_separation_v1_document_is_refused(m2):
 
 def test_separation_v2_document_is_refused(m2):
     # Version 2 listed a clip center and fragment scale per close pair.
-    doc = lower_separation(m2, HALF).to_json_dict()
+    doc = lower_separation(bare(m2), HALF).to_json_dict()
     doc["version"] = 2
     doc["witnesses"] = [{"i": 0, "j": 1, "center": 1, "delta": "1/16"}]
     with pytest.raises(ParseError, match="unsupported version 2"):
         certificate_from_json_dict(doc)
 
 
-def test_guard_serialized_under_uppercase_k(m3):
-    cert = lower_separation(m3, EIGHTH, guard=truncation_guard(m3, EIGHTH))
-    doc = cert.to_json_dict()
-    assert doc["guard"]["K"] == 3
+def test_separation_v3_document_is_refused(m3):
+    # Version 3 wrote the guard, which version 4 leaves to the host.
+    doc = separation_v3_doc(lower_separation(m3, EIGHTH), m3, True)
+    assert doc["guard"] == {"K": 3, "amplitude_bound": "1/16",
+                            "threshold": "3/16"}
+    with pytest.raises(ParseError, match="unsupported version 3"):
+        certificate_from_json_dict(doc)
+    assert certificate_from_json_dict({**doc, "version": 4}) \
+        == lower_separation(m3, EIGHTH)
 
 
 def _with_item(doc, key, index, item):
@@ -1068,21 +1072,16 @@ def test_cover_reader_refuses_a_fragment_edge_that_is_not_an_integer(
     lambda doc: _with_item(doc, "points", 0, [1.0, "1"]),
     lambda doc: _with_item(doc, "points", 0, ["1", "1"]),
     lambda doc: _with_item(doc, "points", 0, [True, "1"]),
-    lambda doc: {**doc, "guard": {"K": 2.0, "amplitude_bound": "1/24",
-                                  "threshold": "13/24"}},
-    lambda doc: {**doc, "guard": {"K": "2", "amplitude_bound": "1/24",
-                                  "threshold": "13/24"}},
     lambda doc: _with_item(doc, "points", 0, "01"),
     lambda doc: _with_item(doc, "points", 0, [0]),
     lambda doc: _with_item(doc, "points", 0, [0, "1", 2]),
     lambda doc: _with_item(doc, "points", 0, {"0": "1"}),
     lambda doc: _with_item(doc, "points", 0, [0, "3/2"]),
-], ids=["point-float", "point-string", "point-bool", "guard-k-float",
-        "guard-k-string", "point-not-a-list", "point-short", "point-long",
-        "point-object", "point-t-past-1"])
+], ids=["point-float", "point-string", "point-bool", "point-not-a-list",
+        "point-short", "point-long", "point-object", "point-t-past-1"])
 def test_separation_reader_refuses_indexes_that_are_not_integers(m2, mangle):
     # And points that are not an [edge, "t"] pair with t in [0, 1].
-    doc = lower_separation(m2, HALF).to_json_dict()
+    doc = lower_separation(bare(m2), HALF).to_json_dict()
     certificate_from_json_dict(doc)
     with pytest.raises(ParseError):
         certificate_from_json_dict(mangle(doc))
@@ -1090,7 +1089,7 @@ def test_separation_reader_refuses_indexes_that_are_not_integers(m2, mangle):
 
 def test_certificate_dispatch(m2):
     up = upper_cover(m2, HALF).to_json_dict()
-    low = lower_separation(m2, HALF).to_json_dict()
+    low = lower_separation(bare(m2), HALF).to_json_dict()
     assert isinstance(certificate_from_json_dict(up), CoverCertificate)
     assert isinstance(certificate_from_json_dict(low),
                       SeparationCertificate)
@@ -1131,7 +1130,7 @@ def test_every_reader_refuses_a_wrong_header(kind, header):
 
 def test_certificate_reader_ignores_a_member_its_format_does_not_read(m2):
     up = upper_cover(m2, HALF).to_json_dict()
-    low = lower_separation(m2, HALF).to_json_dict()
+    low = lower_separation(bare(m2), HALF).to_json_dict()
     for doc, key in ((up, "points"), (low, "pieces")):
         assert certificate_from_json_dict({**doc, key: [5]}) \
             == certificate_from_json_dict(doc)
@@ -1151,23 +1150,34 @@ def _upper_digests(cert) -> tuple[str, str]:
     return _digest(cover_v3_doc(cert)), _digest(cert.json_members())
 
 
-# (host, eps, guarded lower, unguarded lower or None, (upper v3, upper
-# v4)): the first 16 hex digits of the SHA-256 of each certificate as the
-# CLI writes it.  The lower digests are of separation version 3; the
-# guarded point lists are the ones version 2 listed, while m3's unguarded
-# list grew from 61 to 63 points with the exact clip, and to 67 when the
-# greedy took the checker's either-clip rule.  The upper certificates'
-# elements are the ones cover version 2 listed, fragment for fragment:
-# their version 3 digests have held since version 3, and version 4 writes
-# the same rows less each new id.
+def _lower_digests(cert, host, guarded) -> tuple[str, str]:
+    """The digests of `cert` as separation version 3 on `host` and as
+    version 4."""
+    return (_digest(separation_v3_doc(cert, host, guarded)),
+            _digest(cert.json_members()))
+
+
+# (host, eps, (guarded lower v3, v4), (unguarded lower v3, v4) or None,
+# (upper v3, upper v4)): the first 16 hex digits of the SHA-256 of each
+# certificate as the CLI writes it.  The lower certificate on the host is
+# guarded, and the unguarded one is made on the host without its builder
+# metadata; each version 3 digest is of that document relabeled to the
+# host and with the guard member version 3 wrote, so its points are the
+# ones version 3 listed.  The guarded point lists are the ones version 2
+# listed, while m3's unguarded list grew from 61 to 63 points with the
+# exact clip, and to 67 when the greedy took the checker's either-clip
+# rule.  The upper certificates' elements are the ones cover version 2
+# listed, fragment for fragment: their version 3 digests have held since
+# version 3, and version 4 writes the same rows less each new id.
 GOLDEN = [
-    ("m3", Fraction(1, 16), "76e004d03f32a4fc", "1cf8ff70aa3f5a57",
+    ("m3", Fraction(1, 16), ("76e004d03f32a4fc", "9323854f1404df68"),
+     ("1cf8ff70aa3f5a57", "f4fff69453bd60fb"),
      ("435ee97da42ef4bc", "671424fcf87d226b")),
-    ("w6", Fraction(1, 64), "5d79cf9ee29ef67a", None,
+    ("w6", Fraction(1, 64), ("5d79cf9ee29ef67a", "6c8b1fb2cf96b180"), None,
      ("2719c5bd30f1c162", "978606c6738d8ad7")),
-    ("w6", Fraction(33, 2048), "7607fe2599841d59", None,
-     ("f657802d37e6e5ad", "8a117cd03ec3c731")),
-    ("m15", Fraction(1, 16), "d7ae7a1d4011d190", None,
+    ("w6", Fraction(33, 2048), ("7607fe2599841d59", "717ffeb13d6fba8b"),
+     None, ("f657802d37e6e5ad", "8a117cd03ec3c731")),
+    ("m15", Fraction(1, 16), ("d7ae7a1d4011d190", "e3f2e85d64fdfb9a"), None,
      ("5b999cdbb6c4b45c", "6d2f4f0d980c7037")),
 ]
 
@@ -1178,13 +1188,14 @@ GOLDEN = [
 def test_certificates_match_golden_digests(request, host, eps, guarded,
                                            unguarded, upper):
     graph = request.getfixturevalue(host)
-    low = lower_separation(graph, eps, guard=truncation_guard(graph, eps))
-    assert _digest(low.json_members()) == guarded
+    low = lower_separation(graph, eps)
+    assert _lower_digests(low, graph, True) == guarded
     assert check_separation(graph, low) == len(low)
     if unguarded is not None:
-        bare = lower_separation(graph, eps)
-        assert _digest(bare.json_members()) == unguarded
-        assert check_separation(graph, bare) == len(bare)
+        plain = bare(graph)
+        low = lower_separation(plain, eps)
+        assert _lower_digests(low, graph, False) == unguarded
+        assert check_separation(plain, low) == len(low)
     up = upper_cover(graph, eps)
     assert _upper_digests(up) == upper
     assert check_cover(graph, up) == len(up)
@@ -1239,7 +1250,8 @@ def test_oracle_matches_interval_closed_form(seg_graph):
 
 def test_oracle_brackets_library_bounds(seg_graph, cross_graph,
                                         lshape_graph, m1, m2, m3):
-    for g in (seg_graph, cross_graph, lshape_graph, m1, m2, m3):
+    for g in (seg_graph, cross_graph, lshape_graph,
+              *map(bare, (m1, m2, m3))):
         for eps in (HALF, QUARTER):
             lo, up = s_bounds(g, eps)
             olo, oup = brute_force_oracle(g, eps)
@@ -1342,7 +1354,7 @@ def test_accepted_separation_is_within_the_oracle_upper(g, data):
     # upper side is a cover, so S <= that bound.
     assume(len(g.edges) <= ORACLE_MAX_EDGES)
     eps = Fraction(data.draw(st.integers(2, 12)), 16)
-    cert = SeparationCertificate(eps, tuple(_free_family(g, data)), None,
+    cert = SeparationCertificate(eps, tuple(_free_family(g, data)),
                                  g.graph_id())
     try:
         n = check_separation(g, cert)
@@ -1376,7 +1388,7 @@ def test_check_separation_accepts_every_family_the_delta_clip_separates(
             kept.append((gp, p, clip))
     # The rule is symmetric, so the family passes in any order.
     order = data.draw(st.permutations([gp for gp, _, _ in kept]))
-    cert = SeparationCertificate(eps, tuple(order), None, g.graph_id())
+    cert = SeparationCertificate(eps, tuple(order), g.graph_id())
     assert check_separation(g, cert) == len(kept)
 
 

@@ -33,7 +33,7 @@ EXPORTS = (
     "DimensionProfile", "DisconnectedInput", "HostMismatch", "IFSSpec",
     "PLGraph", "ParseError", "Point", "ScaleRow", "SdimlabError", "Segment",
     "SeparationCertificate", "SizeLimit", "TooFewScales", "ToothSequenceSpec",
-    "TruncationGuard", "VerificationFailure",
+    "VerificationFailure",
     "arrange", "attractor_hull", "build_shark_teeth",
     "certificate_from_json_dict", "check_cover", "check_separation",
     "cloud_diameter", "continuum", "cover", "dimension", "errors",
@@ -41,14 +41,14 @@ EXPORTS = (
     "ifs_bound_report", "ifs_dimension_bound", "limits", "lip_affine",
     "lower_separation", "make_row", "n_k", "next_amplitude_bound",
     "parse_rational", "point", "predicted_counts", "read_profile_csv",
-    "render", "render_cloud_svg", "render_svg", "s_bounds", "scale_ratio",
+    "render", "render_cloud_svg", "render_svg", "scale_ratio",
     "sdim_estimate", "segment", "spec_from_meta", "sweep", "tooth_height",
-    "tooth_polyline", "truncation_guard", "upper_cover", "write_profile_csv",
+    "tooth_polyline", "upper_cover", "write_profile_csv",
 )
 
 
 def test_all_is_pinned():
-    assert len(EXPORTS) == 62
+    assert len(EXPORTS) == 59
     assert sdimlab.__all__ == sorted(EXPORTS)
 
 
@@ -133,9 +133,9 @@ def test_forwarders_give_what_their_functions_give(m3):
     from sdimlab import cover, ifs
 
     eps = Fraction(1, 8)
-    assert (cli.lower_separation(m3, eps, guard=cli.truncation_guard(m3, eps))
-            == cover.lower_separation(m3, eps,
-                                      guard=cover.truncation_guard(m3, eps)))
+    assert cli.lower_separation(m3, eps) == cover.lower_separation(m3, eps)
+    assert dimension.lower_separation(m3, eps) \
+        == cover.lower_separation(m3, eps)
     assert cli.upper_cover(m3, eps) == cover.upper_cover(m3, eps)
     assert dimension.upper_cover(m3, eps) == cover.upper_cover(m3, eps)
     assert cli.sweep(m3, [Fraction(1, 4), eps]) == dimension.sweep(

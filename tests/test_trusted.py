@@ -23,8 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import sdimlab
-from sdimlab import (PLGraph, cli, lower_separation, truncation_guard,
-                     upper_cover)
+from sdimlab import PLGraph, cli, lower_separation, upper_cover
 
 TRUSTED = Path(__file__).resolve().parent / "trusted.txt"
 
@@ -89,8 +88,7 @@ def test_verify_runs_exactly_the_listed_trusted_base(m3, tmp_path):
     docs = {
         "m3.graph.json": m3.to_json_dict(),
         "plain.graph.json": plain.to_json_dict(),
-        "guarded.json": lower_separation(
-            m3, eps, guard=truncation_guard(m3, eps)).json_members(),
+        "guarded.json": lower_separation(m3, eps).json_members(),
         "unguarded.json": lower_separation(plain, eps).json_members(),
         "upper.json": upper_cover(m3, eps).json_members(),
     }
