@@ -209,8 +209,8 @@ def cmd_verify(graph_path: str, cert_path: str) -> None:
     """Recheck a certificate against its host graph from scratch."""
     from .cover import CoverCertificate, SeparationCertificate
     graph = _load_graph(graph_path)
-    cert = certificate_from_json_dict(_read_json(cert_path))
     budget = from_env()
+    cert = certificate_from_json_dict(_read_json(cert_path), budget)
     if isinstance(cert, CoverCertificate):
         print(f"upper={check_cover(graph, cert, budget)}")
     else:

@@ -9,7 +9,9 @@ Everything here brackets that number for a `PLGraph` host:
     checker takes the elements from the rows and verifies each connected
     with diameter below eps.  A piece ends each stretch at its exact
     reach, rounded down onto a dyadic grid in integers.  A document is the
-    rows, `[k0?, "c1", k1?, ..., "cm", km?]`; a left-out id is a new one.
+    rows, `[k0?, "c1", k1?, ..., "cm", km?]`; a left-out id is a new one,
+    and a run `["s", n]` is the n cuts s, 2s, ..., ns past the cut before
+    it, as the greedy cuts a straight edge off that grid.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  A point is
     an `(edge, t)` pair, in memory as in the document, `[e, "t"]`, and the
@@ -54,7 +56,7 @@ from .geom import (PLGraph, UnionFind, format_rational, parse_index,
 from .limits import Budget
 
 COVER_FORMAT = "sdimlab/cover"
-COVER_VERSION = 4
+COVER_VERSION = 5
 SEPARATION_FORMAT = "sdimlab/separation"
 SEPARATION_VERSION = 4
 
@@ -88,7 +90,12 @@ class CoverCertificate:
     its edge.  Element ids are numbered in order of first appearance,
     reading the rows in order and each row left to right, so no element
     is empty.  A row that breaks this layout is a ValueError.  A document
-    writes the rows with the cuts as strings and without each new id.
+    (version 5) writes the rows with the cuts as strings, without each new
+    id, and each stretch of two or more cuts with equal steps and no id
+    written between them as one run `["s", n]`: the n cuts s, 2s, ..., ns
+    past the cut before it, or past 0 at the row's start.  Versions 1 to
+    4, which wrote elements, fragments, every id and every cut, are
+    refused.
     """
     epsilon: Fraction
     pieces: tuple[tuple, ...]
@@ -140,11 +147,15 @@ class CoverCertificate:
         return doc
 
     @classmethod
-    def from_json_dict(cls, data) -> "CoverCertificate":
+    def from_json_dict(cls, data,
+                       budget: Budget | None = None) -> "CoverCertificate":
+        """The certificate a document holds; the cuts its runs stand for
+        are charged to `budget`'s pair checks before any is made."""
         expect_format(data, COVER_FORMAT, COVER_VERSION)
         try:
             return cls(parse_rational(data["epsilon"]),
-                       tuple(_rows_from_json(data["pieces"])),
+                       tuple(_rows_from_json(data["pieces"],
+                                             _Work(budget or Budget()))),
                        str(data["graph_id"]))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
@@ -154,44 +165,75 @@ class CoverCertificate:
 
 def _rows_to_json(pieces) -> Iterator[list]:
     """Each row as a document writes it, with no id that is the next new
-    one."""
+    one, and, left to right, each longest stretch of two or more cuts with
+    equal steps and no written id between them as one run."""
     count = 0
     for row in pieces:
-        out = []
+        # `step` is the last cut's, or None once an id is written.
+        out, prev, step = [], _ZERO, None
         for i, x in enumerate(row):
-            if i % 2:
+            if i % 2 == 0:
+                if x < count:
+                    out.append(x)
+                    step = None
+                else:
+                    count += 1
+                continue
+            d, prev = x - prev, x
+            if d != step:
                 out.append(format_rational(x))
-            elif x < count:
-                out.append(x)
+                step = d
+            elif type(out[-1]) is str:
+                out[-1] = [format_rational(d), 2]
             else:
-                count += 1
+                out[-1][1] += 1
         yield out
 
 
-def _rows_from_json(rows) -> Iterator[tuple]:
+def _rows_from_json(rows, work: _Work) -> Iterator[tuple]:
     """The rows of a document, each left-out id put back as the next new
-    one; the cuts are the constructor's to check."""
+    one and each run as its cuts; the cuts are the constructor's to
+    check."""
     count = 0
     for e, row in enumerate(rows):
         if type(row) is not list:
             raise ParseError(f"row {e} is not [id?, cut, id?, ..., id?]")
-        out, k = [], None
+        out, k, prev = [], None, _ZERO
         for x in row:
             if type(x) is str:
-                if k is None:
-                    k, count = count, count + 1
-                out += (k, parse_rational(x))
-                k = None
+                cuts = (parse_rational(x),)
+            elif type(x) is list:
+                cuts = _run_cuts(e, x, prev, work)
             elif k is not None:
                 raise ParseError(f"row {e}: two ids with no cut between them")
             elif parse_index(x) < count:
                 k = x
+                continue
             else:
                 raise ParseError(f"row {e}: element id {x} is not one of "
                                  f"the {count} seen")
+            for prev in cuts:
+                if k is None:
+                    k, count = count, count + 1
+                out += (k, prev)
+                k = None
         if k is None:
             k, count = count, count + 1
         yield (*out, k)
+
+
+def _run_cuts(e: int, run, prev: Fraction, work: _Work) -> Iterator[Fraction]:
+    """The cuts of the run `["s", n]` in row e after the cut `prev`: prev +
+    s, ..., prev + n s, for s > 0 and n >= 2, the last below 1.  The n
+    cuts are charged to `work` before any is made, so a short document
+    cannot name more cuts than the budget."""
+    step, length = parse_pair(run)
+    step, length = parse_rational(step), parse_index(length)
+    if not (step > 0 and length >= 2 and prev + length * step < 1):
+        raise ParseError(f"row {e}: run {run!r} is not [step > 0, n >= 2] "
+                         f"ending below 1")
+    work.add(length)
+    return (prev + i * step for i in range(1, length + 1))
 
 
 def _clears(raw, threshold: Fraction) -> bool:
@@ -255,18 +297,20 @@ class SeparationCertificate:
                 f"malformed separation certificate: {exc}") from exc
 
 
-def certificate_from_json_dict(data):
+def certificate_from_json_dict(data, budget: Budget | None = None):
     """Read either certificate kind from a decoded JSON document,
     dispatching on its format field.
 
     A document that is not an object, is of neither format, or holds a
     malformed member that its format reads is a `ParseError`.  Members
-    that the format does not read are ignored.
+    that the format does not read are ignored.  The cuts of a cover
+    document's runs are charged to `budget`, a `BudgetExceeded` when they
+    pass it.
     """
     if not isinstance(data, dict):
         raise ParseError("not a certificate document")
     if data.get("format") == COVER_FORMAT:
-        return CoverCertificate.from_json_dict(data)
+        return CoverCertificate.from_json_dict(data, budget)
     if data.get("format") == SEPARATION_FORMAT:
         return SeparationCertificate.from_json_dict(data)
     raise ParseError("not a certificate document")

@@ -35,6 +35,9 @@ _CONNECTED = _COVER + "test_subset_connectivity_matches_pairwise_reference"
 _WRITER = _COVER + ("test_cover_writer_refuses_fragments_that_do_not_cut_"
                      "each_edge")
 _LAYOUT = _COVER + "test_cover_reader_refuses_rows_that_break_the_layout"
+_LEFT_OUT = _COVER + "test_cover_reader_puts_back_each_left_out_id"
+_CHARGED = _COVER + ("test_cover_reader_charges_a_runs_cuts_before_making_"
+                     "them")
 _SHEARED = _RENDER + ("test_cloud_draws_every_point_of_its_spec_within_one_"
                       "quantum[sheared-")
 _IFS = "tests/test_ifs.py::"
@@ -295,6 +298,31 @@ MUTANTS = (
            "            elif k is not None:\n",
            "            elif False:\n",
            (_LAYOUT + "[two-ids]", _LAYOUT + "[two-ids-mid-row]")),
+    # A run's cuts count from the cut before it, which only a run after
+    # a cut in its row tells apart from 0.
+    Mutant("cover-run-from-0", "cover.py",
+           "(prev + i * step for i",
+           "(i * step for i",
+           (_LEFT_OUT + "[run-after-a-cut]", _LEFT_OUT + "[ids-around-a-run]",
+            _CHARGED, _COVER + "test_certificates_match_golden_digests"
+            "[m3-1_16]",
+            _CLI + "test_verify_reads_a_large_upper_certificate")),
+    Mutant("cover-run-one-cut-short", "cover.py",
+           "range(1, length + 1)",
+           "range(1, length)",
+           (_LEFT_OUT + "[one-run]", _CHARGED,
+            _COVER + "test_cover_reader_shares_each_cut_between_its_pieces",
+            _COVER + "test_cover_certificate_round_trip",
+            _COVER + "test_certificates_match_golden_digests[m3-1_16]",
+            _CLI + "test_verify_round_trip",
+            _CLI + "test_verify_reads_a_large_upper_certificate")),
+    # Without the charge a document of under 200 B makes a billion cuts;
+    # the killing tests fail on a run of 499 first.
+    Mutant("cover-reader-without-its-run-charge", "cover.py",
+           "    work.add(length)\n",
+           "",
+           (_CHARGED,
+            _CLI + "test_verify_refuses_a_run_past_the_budget_at_once")),
     # Maps whose b and c differ are the only ones a transposed matrix
     # moves: the gasket's are diagonal, so depth 0 and the gasket pass.
     Mutant("render-matrix-in-row-order", "render.py",

@@ -24,8 +24,14 @@ exact diameter of a point set, for checks on cover elements.
 vertices by orientation tests alone, apart from the library's `_cuts`.
 `phi` and `phi_n` are the paper's tent maps, which the teeth follow.
 `cover_v3_doc` writes an upper certificate as cover version 3 did,
-every element id written, and `cover_v4` rewrites a version 3 document
-as version 4, so hand-written rows stay in the older, fuller form.
+every element id written; `cover_v4` rewrites a version 3 document as
+version 4, with each new id left out, and `cover_v5` a version 4 one as
+version 5, with each stretch of equally spaced cuts as one run.  The
+library reads version 5 alone, so hand-written rows stay in the fuller
+version 3 form and are read through both, and the golden digests of the
+older versions are taken along this path: the version 3 and version 4
+digests of a certificate pin its rows in memory, whatever version 5
+writes.
 `separation_v3_doc` writes a lower certificate as separation version 3
 did, with the guard member that version carried, so the golden digests
 of the older documents keep pinning the points.
@@ -95,6 +101,38 @@ def cover_v4(doc: dict) -> dict:
                 out.append(x)
         rows.append(out)
     return {**doc, "version": 4, "pieces": rows}
+
+
+def cover_v5(doc: dict) -> dict:
+    """A cover version 4 document as version 5: left to right, each
+    longest stretch of two or more cuts with equal steps and no id
+    between them is one run [step, n], the step taken from the cut
+    before the stretch, or 0.  Every other item, valid or not, stays
+    where it is; an item that is not a rational string ends a stretch,
+    and the steps after it are taken from the last cut that is one."""
+    def cut(x):
+        try:
+            return Fraction(x) if type(x) is str else None
+        except (ValueError, ZeroDivisionError):
+            return None
+
+    rows = []
+    for row in doc["pieces"]:
+        out, prev, i = [], Fraction(0), 0
+        while i < len(row):
+            c = cut(row[i])
+            if c is None:
+                out.append(row[i])
+                i += 1
+                continue
+            j = i + 1
+            while (j < len(row) and cut(row[j]) is not None
+                   and cut(row[j]) - cut(row[j - 1]) == c - prev):
+                j += 1
+            out.append([str(c - prev), j - i] if j - i >= 2 else row[i])
+            prev, i = cut(row[j - 1]), j
+        rows.append(out)
+    return {**doc, "version": 5, "pieces": rows}
 
 
 def separation_v3_doc(cert, host: PLGraph, guarded: bool) -> dict:

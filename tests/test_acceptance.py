@@ -30,8 +30,8 @@ from fractions import Fraction
 
 import pytest
 from reference import (FIXTURES, attractor_cloud, bare, brute_force_oracle,
-                       cover_v3_doc, cover_v4, dist2, edge_point, s_bounds,
-                       word_maps)
+                       cover_v3_doc, cover_v4, cover_v5, dist2, edge_point,
+                       s_bounds, word_maps)
 
 from sdimlab.continuum import ToothSequenceSpec, build_shark_teeth, n_k
 from sdimlab.cover import (certificate_from_json_dict, check_cover,
@@ -112,7 +112,8 @@ def test_criterion_2_brute_force_brackets(seg_graph, cross_graph,
 # certificate it touches, with the invalidating fact asserted in exact
 # arithmetic inside the mutation itself.  A checker that accepts any of
 # them has a soundness hole.  A cover mutation edits the version 3 rows,
-# where every id is written, and the reader gets them as version 4.
+# where every id and every cut is written, and the reader gets them as
+# version 5.
 
 
 def _doc_elements(doc):
@@ -349,7 +350,7 @@ def test_criterion_3_certificate_fuzzing(seg_graph, m2, m3):
         drawn.add(op.__name__)
         mutated = op(copy.deepcopy(doc), graph, rng)
         if kind == "cover":
-            mutated = cover_v4(mutated)
+            mutated = cover_v5(cover_v4(mutated))
         try:
             cert = certificate_from_json_dict(mutated)
             if kind == "cover":

@@ -25,11 +25,12 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from reference import (FIXTURES, bare, cover_v4, decode_svg, edge_point,
-                       separation_v3_doc)
+from reference import (FIXTURES, bare, cover_v4, cover_v5, decode_svg,
+                       edge_point, separation_v3_doc)
 
 import sdimlab
-from sdimlab import PLGraph, point, read_profile_csv
+from sdimlab import (PLGraph, ToothSequenceSpec, build_shark_teeth, point,
+                     read_profile_csv)
 from sdimlab.cli import _atomic_write, _write_json, main
 from sdimlab.cover import (SeparationCertificate, lower_separation,
                            upper_cover)
@@ -234,11 +235,19 @@ def test_json_writer_round_trips_edge_values(tmp_path):
     assert '"empty":[],' in out.read_text()
 
 
-def test_json_writer_holds_no_copy_of_the_text(tmp_path, m3):
+def _teeth(top: int) -> PLGraph:
+    """The explicit host with one tooth at each level 1..top."""
+    return build_shark_teeth(
+        ToothSequenceSpec(kind="explicit", levels=tuple(range(1, top + 1))))
+
+
+def test_json_writer_holds_no_copy_of_the_text(tmp_path):
     # The indented writer allocated about six times the file size at
     # peak; the streamed one holds a few I/O buffers whatever the size,
-    # about 41 KB here, for a 276 KB file.
-    doc = upper_cover(m3, Fraction(1, 4096)).to_json_dict()
+    # about 44 KB here, for a 254 KB file.  Cover version 5 writes a run
+    # of equally spaced cuts once, so the file takes a host of 10,236
+    # edges, where m3 at 1/4096 now writes 544 B.
+    doc = upper_cover(_teeth(11), Fraction(1, 2048)).to_json_dict()
     out = tmp_path / "up.json"
     tracemalloc.start()
     try:
@@ -392,7 +401,7 @@ def test_verify_refuses_rows_that_do_not_match_the_edges(
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
-    cert.write_text(json.dumps(cover_v4({**doc, "pieces": rows})))
+    cert.write_text(json.dumps(cover_v5(cover_v4({**doc, "pieces": rows}))))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 1
     assert res.stderr.startswith(
@@ -407,8 +416,9 @@ def test_verify_refuses_an_element_id_past_the_count(tmp_path,
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
-    assert doc["pieces"] == [["127/256", "127/128"]]
-    doc = cover_v4({**doc, "pieces": [[0, "127/256", 2, "127/128", 1]]})
+    assert doc["pieces"] == [[["127/256", 2]]]
+    doc = cover_v5(cover_v4(
+        {**doc, "pieces": [[0, "127/256", 2, "127/128", 1]]}))
     assert doc["pieces"] == [["127/256", 2, "127/128"]]
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
@@ -555,13 +565,60 @@ def test_verify_refuses_v3_cover_document(tmp_path, seg_graph_file):
     invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
            "--mode", "upper", "--out", cert)
     doc = json.loads(cert.read_text())
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     doc["version"] = 3
     doc["pieces"] = [[0, "127/256", 1, "127/128", 2]]
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE: unsupported version 3")
+
+
+def test_verify_refuses_v4_cover_document(tmp_path, seg_graph_file):
+    # Version 4 wrote every cut; this one is `cover`'s certificate of the
+    # unit segment at 1/2 in that layout.
+    cert = tmp_path / "c.json"
+    invoke("cover", "--graph", seg_graph_file, "--epsilon", "1/2",
+           "--mode", "upper", "--out", cert)
+    doc = json.loads(cert.read_text())
+    assert doc["pieces"] == [[["127/256", 2]]]
+    doc["version"] = 4
+    doc["pieces"] = [["127/256", "127/128"]]
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE: unsupported version 4")
+
+
+def test_verify_refuses_a_run_past_the_budget_at_once(tmp_path, seg_graph,
+                                                      seg_graph_file):
+    # Under 200 B name a billion cuts in one run: `verify` reads the
+    # budget first, and the reader charges the cuts to it before it makes
+    # any.  On a budget of 998, a run of 999 cuts is the reader's refusal:
+    # `check_cover` would pass 998 at its 250th element, at 1,000.
+    cert = tmp_path / "c.json"
+    doc = {"format": "sdimlab/cover", "version": 5,
+           "graph_id": seg_graph.graph_id(), "epsilon": "1/2",
+           "pieces": [[["1/1000", 999]]]}
+    cert.write_text(json.dumps(doc))
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert,
+                 env={"SDIMLAB_BUDGET": "pairs=998"})
+    assert res.exit_code == 4
+    assert res.stderr.startswith("BUDGET: pair checks 999 exceed budget 998")
+    doc["pieces"] = [[["1/1000000000", 999_999_999]]]
+    cert.write_text(json.dumps(doc))
+    assert cert.stat().st_size < 200
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 4
+    assert res.stderr.startswith("BUDGET: pair checks 999999999 exceed")
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1_000_000
 
 
 def test_verify_refuses_v3_separation_document(tmp_path, m3_graph, m3):
@@ -608,9 +665,9 @@ def test_verify_refuses_a_host_with_no_edges(tmp_path, point_host):
     # upper=0.
     host, graph_id = point_host
     cert = tmp_path / "c.json"
-    cert.write_text(json.dumps(cover_v4({
+    cert.write_text(json.dumps(cover_v5(cover_v4({
         "format": "sdimlab/cover", "version": 3, "graph_id": graph_id,
-        "epsilon": "1/2", "pieces": []})))
+        "epsilon": "1/2", "pieces": []}))))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
@@ -724,17 +781,17 @@ def test_verify_refuses_fragment_edges_that_are_not_integers(
         tmp_path, lshape_graph, pieces):
     # A fragment's edge is its row's place; the integers in a row are the
     # element ids.  Read through int(), each of these verified as upper=1.
-    # In version 4 a string is a cut, and "0" is not inside (0, 1).
+    # Since version 4 a string is a cut, and "0" is not inside (0, 1).
     host = tmp_path / "l.graph.json"
     host.write_text(json.dumps(lshape_graph.to_json_dict()))
     cert = tmp_path / "c.json"
     doc = {"format": "sdimlab/cover", "version": 3,
            "graph_id": lshape_graph.graph_id(), "epsilon": "3",
            "pieces": [[0], [0]]}
-    cert.write_text(json.dumps(cover_v4(doc)))
+    cert.write_text(json.dumps(cover_v5(cover_v4(doc))))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 0 and res.output.strip() == "upper=1"
-    cert.write_text(json.dumps(cover_v4({**doc, "pieces": pieces})))
+    cert.write_text(json.dumps(cover_v5(cover_v4({**doc, "pieces": pieces}))))
     res = invoke("verify", "--graph", host, "--cert", cert)
     assert res.exit_code == 2
     assert res.stderr.startswith("PARSE:")
@@ -915,15 +972,18 @@ def test_verify_refuses_wrongly_typed_items_with_exit_two(
     assert res.stderr.startswith("PARSE:")
 
 
-def test_verify_reads_a_large_upper_certificate(tmp_path, w6):
-    # Over 100 KB, one row per edge of 9,814 elements.
+def test_verify_reads_a_large_upper_certificate(tmp_path):
+    # Over 100 KB, one row per edge of 11,126 elements.  Cover version 5
+    # writes a run of equally spaced cuts once, so the file takes a host
+    # of 5,116 edges, where w6 at 1/1280 now writes 15 KB.
+    host = _teeth(10)
     cert = tmp_path / "up.json"
-    _write_json(str(cert), upper_cover(w6, Fraction(1, 1280)).json_members())
+    _write_json(str(cert), upper_cover(host, Fraction(1, 1024)).json_members())
     assert cert.stat().st_size >= 100_000
-    graph = tmp_path / "w6.json"
-    _write_json(str(graph), w6.to_json_dict())
+    graph = tmp_path / "w10.json"
+    _write_json(str(graph), host.to_json_dict())
     res = invoke("verify", "--graph", graph, "--cert", cert)
-    assert res.exit_code == 0 and res.output.strip() == "upper=9814"
+    assert res.exit_code == 0 and res.output.strip() == "upper=11126"
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,15 @@ import hashlib
 import itertools
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (ORACLE_MAX_EDGES, DeltaClip, bare,
-                       brute_force_oracle, cover_v3_doc, cover_v4, dist2,
-                       edge_point, points_diameter2, s_bounds,
+                       brute_force_oracle, cover_v3_doc, cover_v4, cover_v5,
+                       dist2, edge_point, points_diameter2, s_bounds,
                        separation_v3_doc)
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
@@ -47,10 +48,10 @@ EIGHTH = Fraction(1, 8)
 
 def _cover(g: PLGraph, eps, rows: list) -> CoverCertificate:
     """The certificate that a document with these rows, every id written
-    as in version 3, reads as."""
-    return certificate_from_json_dict(cover_v4({
+    and every cut as in version 3, reads as."""
+    return certificate_from_json_dict(cover_v5(cover_v4({
         "format": "sdimlab/cover", "version": 3, "graph_id": g.graph_id(),
-        "epsilon": str(eps), "pieces": rows}))
+        "epsilon": str(eps), "pieces": rows})))
 
 
 def _element_pieces(cert: CoverCertificate) -> list[list[tuple]]:
@@ -829,10 +830,11 @@ def test_check_separation_trusts_a_rebuilt_host_to_be_proper(w6,
 def test_cover_certificate_round_trip(m2):
     cert = upper_cover(m2, HALF)
     doc = cert.to_json_dict()
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     assert len(doc["pieces"]) == len(m2.edges)
-    # The version 3 rows less each id that is the next new one.
-    assert doc == cover_v4(cover_v3_doc(cert))
+    # The version 3 rows less each id that is the next new one, and each
+    # stretch of equally spaced cuts as one run.
+    assert doc == cover_v5(cover_v4(cover_v3_doc(cert)))
     back = CoverCertificate.from_json_dict(doc)
     assert back == cert
     assert back.to_json_dict() == doc
@@ -851,7 +853,7 @@ def test_cover_document_round_trips_on_small_hosts(g, eps):
     text = "".join(_json_chunks(cert.json_members()))
     assert "".join(_json_chunks(cert.json_members())) == text
     doc = json.loads(text)
-    assert doc == cover_v4(cover_v3_doc(cert))
+    assert doc == cover_v5(cover_v4(cover_v3_doc(cert)))
     back = certificate_from_json_dict(doc)
     assert back == cert
     assert check_cover(g, back) == check_cover(g, cert) == len(cert)
@@ -863,19 +865,36 @@ def test_cover_document_round_trips_on_small_hosts(g, eps):
 def test_cover_document_round_trips_rows_the_greedy_never_writes(
         request, host, data):
     # Any valid rows: neighbours of one element, an element again after
-    # others, whole edges.  The reader puts back every left-out id, and
-    # the writer leaves out exactly the ids that are the next new one.
+    # others, whole edges, equally spaced cuts with ids inside and around
+    # them.  The reader puts back every left-out id and every run's cuts,
+    # and the writer leaves out exactly the ids that are the next new one.
     graph = request.getfixturevalue(host)
-    rows = _free_rows(graph, data)
+    rows = data.draw(st.sampled_from([_free_rows, _spaced_rows]))(graph, data)
     cert = _cover(graph, 2, rows)
     assert cert.pieces == tuple(
         tuple(Fraction(x) if i % 2 else x for i, x in enumerate(row))
         for row in rows)
     doc = cert.to_json_dict()
-    assert doc == cover_v4(cover_v3_doc(cert))
+    assert doc == cover_v5(cover_v4(cover_v3_doc(cert)))
     assert sum(type(x) is int for row in doc["pieces"] for x in row) \
         == sum(len(row) // 2 + 1 for row in rows) - len(cert)
     assert certificate_from_json_dict(doc) == cert
+    # Each run is a longest one: a cut or run that follows another with
+    # no id written between them has a different step.
+    for row in doc["pieces"]:
+        prev, last = Fraction(0), None
+        for x in row:
+            if type(x) is int:
+                last = None
+                continue
+            if type(x) is list:
+                step = Fraction(x[0])
+                assert step > 0 and x[1] >= 2
+                prev += x[1] * step
+            else:
+                step, prev = Fraction(x) - prev, Fraction(x)
+            assert step != last, row
+            last = step
 
 
 def test_cover_document_numbers_elements_by_first_appearance(lshape_graph):
@@ -912,8 +931,9 @@ def test_cover_writer_refuses_fragments_that_do_not_cut_each_edge(
 
 def test_cover_reader_shares_each_cut_between_its_pieces(seg_graph):
     # Each cut is held once, in its row, though it bounds two pieces.
+    # Here the two cuts are equally spaced, one run of two.
     doc = upper_cover(seg_graph, HALF).to_json_dict()
-    assert doc["pieces"] == [["127/256", "127/128"]]
+    assert doc["pieces"] == [[["127/256", 2]]]
     back = CoverCertificate.from_json_dict(doc)
     assert back.pieces == ((0, Fraction(127, 256), 1, Fraction(127, 128), 2),)
     assert _element_pieces(back) == [
@@ -939,15 +959,31 @@ def test_cover_reader_shares_each_cut_between_its_pieces(seg_graph):
     ["1/2", "0"],
     ["1/2", None],
     "1/2",
+    [["1/4", 0]],
+    [["1/4", 1]],
+    [["1/4", -1]],
+    [["1/4", True]],
+    [["1/4", 2.0]],
+    [["1/4", "2"]],
+    [["0", 2]],
+    [["-1/8", 2]],
+    [[0.25, 2]],
+    [["1/4", 2, 0]],
+    [["1/4", 4]],
+    ["1/2", ["1/4", 2]],
 ], ids=["repeated-cut", "falling-cut", "cut-at-0", "cut-at-1",
         "id-past-the-count", "first-id-not-0", "negative-id",
         "first-id-at-the-count", "id-at-the-count", "two-ids",
         "two-ids-mid-row", "bool-id", "float-id", "string-id", "null-id",
-        "not-a-list"])
+        "not-a-list", "run-of-0", "run-of-1", "run-of-minus-1",
+        "bool-run-length", "float-run-length", "string-run-length",
+        "zero-step", "negative-step", "number-step", "run-with-a-third-item",
+        "run-reaching-1", "run-after-a-cut-reaching-1"])
 def test_cover_reader_refuses_rows_that_break_the_layout(seg_graph, row):
-    # A version 4 row: a written id must be below the count of ids seen
-    # so far, at most one id stands before each cut and after the last,
-    # and a string is always a cut.
+    # A version 5 row: a written id must be below the count of ids seen
+    # so far, at most one id stands before each cut or run and after the
+    # last, a string is always a cut, and a run is a positive rational
+    # string step and a JSON integer n >= 2 whose last cut is below 1.
     doc = upper_cover(seg_graph, HALF).to_json_dict()
     certificate_from_json_dict(doc)
     with pytest.raises(ParseError):
@@ -958,8 +994,15 @@ def test_cover_reader_refuses_rows_that_break_the_layout(seg_graph, row):
     ([], (0,)),
     (["1/2"], (0, HALF, 1)),
     (["1/2", 0], (0, HALF, 0)),
-    (["1/4", "1/2", 0, "3/4"], (0, QUARTER, 1, HALF, 0, Fraction(3, 4), 2)),
-], ids=["empty-row", "one-cut", "an-id-seen-before", "ids-left-out-around"])
+    ([["1/4", 2], 0, "3/4"], (0, QUARTER, 1, HALF, 0, Fraction(3, 4), 2)),
+    ([["1/4", 3]], (0, QUARTER, 1, HALF, 2, Fraction(3, 4), 3)),
+    (["1/8", ["1/4", 2], "15/16"],
+     (0, EIGHTH, 1, Fraction(3, 8), 2, Fraction(5, 8), 3, Fraction(15, 16),
+      4)),
+    (["1/2", 0, ["1/8", 2], 1],
+     (0, HALF, 0, Fraction(5, 8), 1, Fraction(3, 4), 1)),
+], ids=["empty-row", "one-cut", "an-id-seen-before", "ids-left-out-around",
+        "one-run", "run-after-a-cut", "ids-around-a-run"])
 def test_cover_reader_puts_back_each_left_out_id(seg_graph, row, pieces):
     # An empty row is one new element that covers the whole edge.
     doc = upper_cover(seg_graph, HALF).to_json_dict()
@@ -995,6 +1038,42 @@ def test_cover_v3_document_is_refused(m2):
         certificate_from_json_dict(cover_v3_doc(cert))
     with pytest.raises(ParseError, match="unsupported version 3"):
         certificate_from_json_dict({**cert.to_json_dict(), "version": 3})
+
+
+def test_cover_v4_document_is_refused(m2):
+    # Version 4 wrote every cut.  Its rows are valid version 5 rows, which
+    # read as the same certificate, but the document is no fallback.
+    cert = upper_cover(m2, HALF)
+    doc = cover_v4(cover_v3_doc(cert))
+    assert doc != cert.to_json_dict()
+    with pytest.raises(ParseError, match="unsupported version 4"):
+        certificate_from_json_dict(doc)
+    assert certificate_from_json_dict({**doc, "version": 5}) == cert
+
+
+def test_cover_reader_charges_a_runs_cuts_before_making_them(seg_graph):
+    # A run names its cuts in a few bytes, so the reader charges them to
+    # the pair budget first: a run of n cuts reads on a budget of n and
+    # not of n - 1, and a billion is refused at once, in little memory.
+    doc = {"format": "sdimlab/cover", "version": 5,
+           "graph_id": seg_graph.graph_id(), "epsilon": "1/2",
+           "pieces": [["1/2", ["1/1000", 499]]]}
+    with pytest.raises(BudgetExceeded, match="pair checks 499 exceed"):
+        certificate_from_json_dict(doc, Budget(max_pair_checks=498))
+    cert = certificate_from_json_dict(doc, Budget(max_pair_checks=499))
+    assert len(cert) == 501
+    doc["pieces"] = [[["1/1000000000", 999_999_999]]]
+    assert len(json.dumps(doc)) < 200
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            certificate_from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1_000_000
 
 
 def test_cover_v2_document_is_refused(m2):
@@ -1145,9 +1224,36 @@ def _digest(members: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _upper_digests(cert) -> tuple[str, str]:
-    """The digests of `cert` as cover version 3 and as version 4."""
-    return _digest(cover_v3_doc(cert)), _digest(cert.json_members())
+class _PeakBudget(Budget):
+    """The default budget, remembering the largest pair count that it was
+    asked about: a call's final charge."""
+
+    def __init__(self):
+        super().__init__()
+        # A frozen dataclass refuses assignment only to its own fields.
+        self.peak = 0
+
+    def check_pairs(self, n: int) -> None:
+        self.peak = max(self.peak, n)
+        super().check_pairs(n)
+
+
+def _check_upper(graph: PLGraph, cert: CoverCertificate) -> int:
+    """`check_cover`'s count for `cert`, once its document reads back as
+    `cert` on a charge no larger than `check_cover`'s own."""
+    reader, checker = _PeakBudget(), _PeakBudget()
+    n = check_cover(graph, cert, checker)
+    assert certificate_from_json_dict(cert.to_json_dict(), reader) == cert
+    assert reader.peak <= checker.peak
+    return n
+
+
+def _upper_digests(cert) -> tuple[str, str, str]:
+    """The digests of `cert` as cover version 3, as version 4 and as the
+    writer writes it, version 5."""
+    v3 = cover_v3_doc(cert)
+    return (_digest(v3), _digest(cover_v4(v3)),
+            _digest(cert.json_members()))
 
 
 def _lower_digests(cert, host, guarded) -> tuple[str, str]:
@@ -1158,7 +1264,7 @@ def _lower_digests(cert, host, guarded) -> tuple[str, str]:
 
 
 # (host, eps, (guarded lower v3, v4), (unguarded lower v3, v4) or None,
-# (upper v3, upper v4)): the first 16 hex digits of the SHA-256 of each
+# (upper v3, v4, v5)): the first 16 hex digits of the SHA-256 of each
 # certificate as the CLI writes it.  The lower certificate on the host is
 # guarded, and the unguarded one is made on the host without its builder
 # metadata; each version 3 digest is of that document relabeled to the
@@ -1168,17 +1274,22 @@ def _lower_digests(cert, host, guarded) -> tuple[str, str]:
 # exact clip, and to 67 when the greedy took the checker's either-clip
 # rule.  The upper certificates' elements are the ones cover version 2
 # listed, fragment for fragment: their version 3 digests have held since
-# version 3, and version 4 writes the same rows less each new id.
+# version 3, version 4 writes the same rows less each new id, and
+# version 5 writes each stretch of equally spaced cuts as one run.
 GOLDEN = [
     ("m3", Fraction(1, 16), ("76e004d03f32a4fc", "9323854f1404df68"),
      ("1cf8ff70aa3f5a57", "f4fff69453bd60fb"),
-     ("435ee97da42ef4bc", "671424fcf87d226b")),
+     ("435ee97da42ef4bc", "671424fcf87d226b",
+      "ebbb2c7488dd949e")),
     ("w6", Fraction(1, 64), ("5d79cf9ee29ef67a", "6c8b1fb2cf96b180"), None,
-     ("2719c5bd30f1c162", "978606c6738d8ad7")),
+     ("2719c5bd30f1c162", "978606c6738d8ad7",
+      "4602cde6f6d61c37")),
     ("w6", Fraction(33, 2048), ("7607fe2599841d59", "717ffeb13d6fba8b"),
-     None, ("f657802d37e6e5ad", "8a117cd03ec3c731")),
+     None, ("f657802d37e6e5ad", "8a117cd03ec3c731",
+            "2a8fdd5cf00ad931")),
     ("m15", Fraction(1, 16), ("d7ae7a1d4011d190", "e3f2e85d64fdfb9a"), None,
-     ("5b999cdbb6c4b45c", "6d2f4f0d980c7037")),
+     ("5b999cdbb6c4b45c", "6d2f4f0d980c7037",
+      "0749bc0783efca8e")),
 ]
 
 
@@ -1198,34 +1309,44 @@ def test_certificates_match_golden_digests(request, host, eps, guarded,
         assert check_separation(plain, low) == len(low)
     up = upper_cover(graph, eps)
     assert _upper_digests(up) == upper
-    assert check_cover(graph, up) == len(up)
+    assert _check_upper(graph, up) == len(up)
 
 
-# (host, eps, (upper v3, upper v4), element count) at scales off the
+# (host, eps, (upper v3, v4, v5), element count) at scales off the
 # dyadic grid, where the reach of a piece is an irrational root.  The
 # hosts past the shark-teeth pair are arranged ones, with slanted edges,
 # crossings and T-junctions, which no builder makes.
 GOLDEN_UPPER = [
     ("w6", Fraction(1033, 262144),
-     ("d6b11a5a8da37e85", "89f23902cc79b33e"), 1926),
+     ("d6b11a5a8da37e85", "89f23902cc79b33e",
+      "8231cc707d990aa1"), 1926),
     ("m15", Fraction(1, 37),
-     ("53939792b7a7ddaa", "7c6dfd7f95012154"), 590),
+     ("53939792b7a7ddaa", "7c6dfd7f95012154",
+      "9e91ac3e85350677"), 590),
     ("cross_graph", Fraction(1, 3),
-     ("e541e1993780fb79", "58bdc11a1ae4d2e9"), 10),
+     ("e541e1993780fb79", "58bdc11a1ae4d2e9",
+      "3f05ae612af4d28e"), 10),
     ("cross_graph", Fraction(2, 7),
-     ("e45bacb5ce72a6fc", "4c43907ce5f016c9"), 10),
+     ("e45bacb5ce72a6fc", "4c43907ce5f016c9",
+      "70d1dd0da9f8e6bf"), 10),
     ("lshape_graph", Fraction(1, 3),
-     ("e2af0f71dd02a466", "5dc3e34f0d8cce09"), 7),
+     ("e2af0f71dd02a466", "5dc3e34f0d8cce09",
+      "26caed62fa128d94"), 7),
     ("lshape_graph", Fraction(3, 10),
-     ("2f12dd01035884e5", "1251f8f63876403b"), 8),
+     ("2f12dd01035884e5", "1251f8f63876403b",
+      "042b81ceedad7e8d"), 8),
     ("kite_graph", Fraction(1, 3),
-     ("5ed7d707744640e4", "04b84c12520d8631"), 50),
+     ("5ed7d707744640e4", "04b84c12520d8631",
+      "edfcdbf6affa993c"), 50),
     ("kite_graph", Fraction(5, 17),
-     ("64aff8a3ea6f9e0d", "21587860f7912e78"), 57),
+     ("64aff8a3ea6f9e0d", "21587860f7912e78",
+      "7e70a62714551676"), 57),
     ("fork_graph", Fraction(1, 3),
-     ("38f57c619a18a996", "137a94e64bdcfbd4"), 37),
+     ("38f57c619a18a996", "137a94e64bdcfbd4",
+      "2462060802832e54"), 37),
     ("fork_graph", Fraction(4, 11),
-     ("1dd1e478c299cfa2", "65b820918878ad05"), 33),
+     ("1dd1e478c299cfa2", "65b820918878ad05",
+      "747d5ca84796da09"), 33),
 ]
 
 
@@ -1237,7 +1358,7 @@ def test_upper_certificates_off_the_dyadic_grid_match_golden_digests(
     graph = request.getfixturevalue(host)
     up = upper_cover(graph, eps)
     assert (_upper_digests(up), len(up)) == (upper, count)
-    assert check_cover(graph, up) == count
+    assert _check_upper(graph, up) == count
 
 
 # ---------------------------------------------------------------------------
@@ -1343,6 +1464,35 @@ def _free_rows(g: PLGraph, data) -> list[list]:
                     k = count
             count = max(count, k + 1)
             row += [f"{ends[i]}/8", k] if i else [k]
+        rows.append(row)
+    return rows
+
+
+def _spaced_rows(g: PLGraph, data) -> list[list]:
+    """Cover rows drawn as a straight edge is cut: on each edge up to two
+    stretches of cuts a/d, (a + s)/d, ... on a grid of 1/d, each piece
+    most often a new element, else its left neighbour's or any seen so
+    far, so that written ids fall inside and around the stretches."""
+    rows, count = [], 0
+    for e in range(len(g.edges)):
+        d = data.draw(st.sampled_from([8, 12, 64, 4096]))
+        cuts: set[int] = set()
+        for _ in range(data.draw(st.integers(0, 2))):
+            a = data.draw(st.integers(1, d - 1))
+            s = data.draw(st.integers(1, max(1, (d - a) // 2)))
+            cuts.update(range(a, d, s)[:data.draw(st.integers(1, 12))])
+        ends = [0, *sorted(cuts), d]
+        row = []
+        for i in range(len(ends) - 1):
+            how = data.draw(st.sampled_from(["new", "new", "left", "any"]))
+            if how == "left" and row:
+                k = row[-1]
+            elif how == "any" and count:
+                k = data.draw(st.integers(0, count - 1))
+            else:
+                k = count
+            count = max(count, k + 1)
+            row += [f"{ends[i]}/{d}", k] if i else [k]
         rows.append(row)
     return rows
 
