@@ -12,9 +12,9 @@ even when that argument starts with "-".
 Scale parameters cross this boundary only as exact "p/q" strings;
 decimals are rejected so no binary-decimal drift can leak into
 certificates.  All output files are written atomically, with
-the mode the umask gives a new file.  JSON outputs are streamed: sorted
-top-level keys, one line per item of a top-level array.  Every JSON
-input, a certificate included, is read with `json.load`.
+the mode the umask gives a new file.  JSON outputs have sorted top-level
+keys and one line per item of a top-level array.  Every JSON input, a
+certificate included, is read with `json.load`.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterator
-from typing import TYPE_CHECKING, Iterable, NoReturn
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn
 
 from . import _lazy
 from .errors import (BudgetExceeded, HostMismatch, ParseError, SdimlabError,
@@ -108,16 +107,10 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-# Values per chunk of an array item, so one long item, such as a cover
-# row on a long edge, is never held as one string.
-_SPAN = 256
-
-
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """`doc` as JSON text, in chunks: top-level keys sorted, one line per
-    key and per item of a top-level array, every value compact.  A
-    top-level array may be given as an iterator, which is drawn one item
-    per chunk; an item that is an array goes `_SPAN` values per chunk."""
+    """`doc` as JSON text, a line at a time: top-level keys sorted, one
+    line per key and per item of a top-level array, every value
+    compact."""
     def dumps(value) -> str:
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -127,16 +120,10 @@ def _json_chunks(doc: dict) -> Iterator[str]:
         value = doc[key]
         yield sep + dumps(key) + ":"
         sep = ",\n"
-        if isinstance(value, (list, Iterator)):
+        if isinstance(value, list):
             head = "[\n"
             for item in value:
-                if type(item) is list and len(item) > _SPAN:
-                    yield head + "[" + dumps(item[:_SPAN])[1:-1]
-                    for i in range(_SPAN, len(item), _SPAN):
-                        yield "," + dumps(item[i:i + _SPAN])[1:-1]
-                    yield "]"
-                else:
-                    yield head + dumps(item)
+                yield head + dumps(item)
                 head = ",\n"
             yield "[]" if head == "[\n" else "\n]"
         else:
@@ -196,11 +183,11 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     shown = []
     if "lower" in paths:
         low = lower_separation(graph, eps, budget=budget)
-        _write_json(paths["lower"], low.json_members())
+        _write_json(paths["lower"], low.to_json_dict())
         shown.append(f"lower={len(low.points)}")
     if "upper" in paths:
         up = upper_cover(graph, eps, budget=budget)
-        _write_json(paths["upper"], up.json_members())
+        _write_json(paths["upper"], up.to_json_dict())
         shown.append(f"upper={len(up)}")
     print(" ".join(shown))
 

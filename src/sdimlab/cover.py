@@ -130,27 +130,20 @@ class CoverCertificate:
         reads a stats record."""
         return range(self._count)
 
-    def json_members(self) -> dict:
-        """The document's members; `pieces` is an iterator that
-        serializes one row per step, for a streaming writer."""
+    def to_json_dict(self) -> dict:
         return {
             "format": COVER_FORMAT,
             "version": COVER_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "pieces": _rows_to_json(self.pieces),
+            "pieces": list(_rows_to_json(self.pieces)),
         }
-
-    def to_json_dict(self) -> dict:
-        doc = self.json_members()
-        doc["pieces"] = list(doc["pieces"])
-        return doc
 
     @classmethod
     def from_json_dict(cls, data,
                        budget: Budget | None = None) -> "CoverCertificate":
-        """The certificate a document holds; the cuts its runs stand for
-        are charged to `budget`'s pair checks before any is made."""
+        """The certificate a document holds; the elements its runs start
+        are charged to `budget`'s pair checks before any cut is made."""
         expect_format(data, COVER_FORMAT, COVER_VERSION)
         try:
             return cls(parse_rational(data["epsilon"]),
@@ -203,7 +196,7 @@ def _rows_from_json(rows, work: _Work) -> Iterator[tuple]:
             if type(x) is str:
                 cuts = (parse_rational(x),)
             elif type(x) is list:
-                cuts = _run_cuts(e, x, prev, work)
+                cuts = _run_cuts(e, x, prev, k is None, work)
             elif k is not None:
                 raise ParseError(f"row {e}: two ids with no cut between them")
             elif parse_index(x) < count:
@@ -222,17 +215,19 @@ def _rows_from_json(rows, work: _Work) -> Iterator[tuple]:
         yield (*out, k)
 
 
-def _run_cuts(e: int, run, prev: Fraction, work: _Work) -> Iterator[Fraction]:
+def _run_cuts(e: int, run, prev: Fraction, first_new: bool,
+              work: _Work) -> Iterator[Fraction]:
     """The cuts of the run `["s", n]` in row e after the cut `prev`: prev +
-    s, ..., prev + n s, for s > 0 and n >= 2, the last below 1.  The n
-    cuts are charged to `work` before any is made, so a short document
-    cannot name more cuts than the budget."""
+    s, ..., prev + n s, for s > 0 and n >= 2, the last below 1.  Before
+    any is made, `work` is charged the 2 * 2 point pairs that `check_cover`
+    charges at least for each new element the run starts: its n - 1 inner
+    pieces, and its first when `first_new`, no id written before it."""
     step, length = parse_pair(run)
     step, length = parse_rational(step), parse_index(length)
     if not (step > 0 and length >= 2 and prev + length * step < 1):
         raise ParseError(f"row {e}: run {run!r} is not [step > 0, n >= 2] "
                          f"ending below 1")
-    work.add(length)
+    work.add(4 * (length - 1 + first_new))
     return (prev + i * step for i in range(1, length + 1))
 
 
@@ -268,21 +263,14 @@ class SeparationCertificate:
         """
         return ()
 
-    def json_members(self) -> dict:
-        """The document's members; `points` is an iterator that serializes
-        one point per step, for a streaming writer."""
+    def to_json_dict(self) -> dict:
         return {
             "format": SEPARATION_FORMAT,
             "version": SEPARATION_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "points": ([e, format_rational(t)] for e, t in self.points),
+            "points": [[e, format_rational(t)] for e, t in self.points],
         }
-
-    def to_json_dict(self) -> dict:
-        doc = self.json_members()
-        doc["points"] = list(doc["points"])
-        return doc
 
     @classmethod
     def from_json_dict(cls, data) -> "SeparationCertificate":
@@ -303,9 +291,9 @@ def certificate_from_json_dict(data, budget: Budget | None = None):
 
     A document that is not an object, is of neither format, or holds a
     malformed member that its format reads is a `ParseError`.  Members
-    that the format does not read are ignored.  The cuts of a cover
-    document's runs are charged to `budget`, a `BudgetExceeded` when they
-    pass it.
+    that the format does not read are ignored.  The elements that a cover
+    document's runs start are charged to `budget`, a `BudgetExceeded` when
+    they pass it.
     """
     if not isinstance(data, dict):
         raise ParseError("not a certificate document")

@@ -3,11 +3,12 @@ properness code, the attractor hull, the IFS scale table and the cloud
 renderer: small edits that some test must catch.
 
 Each row names a mutant, the file under `src/sdimlab/` that it edits, the
-exact text it replaces, the replacement, and the ids of tests that fail
-on it.  To apply one, replace its old text in a copy of `src/` and run
-its tests against that copy.  `test_package` checks that every old text
-still occurs exactly once in `src/`, so a refactor that moves checked
-code has to carry its mutants along.
+exact text it replaces, the replacement, the ids of tests that fail on
+it, and, for a mutant that no test can kill, the reason it survives.
+`tests/run_mutants.py` applies each one to a copy of the checkout and
+runs its tests there.  `test_package` checks that every old text still
+occurs exactly once in `src/`, so a refactor that moves checked code has
+to carry its mutants along.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     kills: tuple[str, ...]
+    survives: str = ""
 
 
 _COVER = "tests/test_cover.py::"
@@ -143,7 +145,9 @@ MUTANTS = (
             _CLI + "test_sweep_refuses_a_host_its_builder_did_not_make"
             "[moved-peak]",
             _CLI + "test_verify_refuses_a_guard_on_a_host_its_builder_did_"
-            "not_make[moved-peak]")),
+            "not_make[moved-peak]",
+            _CLI + "test_verify_refuses_an_unguarded_certificate_on_a_"
+            "mismatched_host[moved-peak]")),
     Mutant("lower-separation-without-its-host-check", "cover.py",
            "    threshold = _host_threshold(graph, eps, work)\n",
            "    threshold = None\n",
@@ -317,12 +321,25 @@ MUTANTS = (
             _CLI + "test_verify_round_trip",
             _CLI + "test_verify_reads_a_large_upper_certificate")),
     # Without the charge a document of under 200 B makes a billion cuts;
-    # the killing tests fail on a run of 499 first.
+    # the killing tests fail on a run of 499 or 999 first.
     Mutant("cover-reader-without-its-run-charge", "cover.py",
-           "    work.add(length)\n",
+           "    work.add(4 * (length - 1 + first_new))\n",
            "",
            (_CHARGED,
             _CLI + "test_verify_refuses_a_run_past_the_budget_at_once")),
+    # One pair check per new element lets a run of n cuts hold n cuts on
+    # a budget of about n, where `check_cover` would charge 4n.
+    Mutant("cover-reader-charges-one-pair-per-run-element", "cover.py",
+           "work.add(4 * (length - 1 + first_new))",
+           "work.add(length - 1 + first_new)",
+           (_CHARGED,
+            _CLI + "test_verify_refuses_a_run_past_the_budget_at_once")),
+    # After a written id a run's first piece is in an old element, so
+    # charging it too could refuse a document that `check_cover` pays for.
+    Mutant("cover-reader-charges-each-runs-first-piece", "cover.py",
+           "cuts = _run_cuts(e, x, prev, k is None, work)",
+           "cuts = _run_cuts(e, x, prev, True, work)",
+           (_CHARGED,)),
     # Maps whose b and c differ are the only ones a transposed matrix
     # moves: the gasket's are diagonal, so depth 0 and the gasket pass.
     Mutant("render-matrix-in-row-order", "render.py",

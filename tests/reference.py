@@ -84,7 +84,7 @@ def cover_v3_doc(cert) -> dict:
     memory, with the cuts as strings."""
     rows = [[str(x) if i % 2 else x for i, x in enumerate(row)]
             for row in cert.pieces]
-    return {**cert.json_members(), "version": 3, "pieces": rows}
+    return {**cert.to_json_dict(), "version": 3, "pieces": rows}
 
 
 def cover_v4(doc: dict) -> dict:
@@ -147,7 +147,7 @@ def separation_v3_doc(cert, host: PLGraph, guarded: bool) -> dict:
         bound = next_amplitude_bound(spec)
         guard = {"K": spec.K, "amplitude_bound": format_rational(bound),
                  "threshold": format_rational(bound + cert.epsilon)}
-    return {**cert.json_members(), "version": 3,
+    return {**cert.to_json_dict(), "version": 3,
             "graph_id": host.graph_id(), "guard": guard}
 
 

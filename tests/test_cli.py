@@ -243,7 +243,7 @@ def _teeth(top: int) -> PLGraph:
 
 def test_json_writer_holds_no_copy_of_the_text(tmp_path):
     # The indented writer allocated about six times the file size at
-    # peak; the streamed one holds a few I/O buffers whatever the size,
+    # peak; the line-at-a-time one holds a line and a few I/O buffers,
     # about 44 KB here, for a 254 KB file.  Cover version 5 writes a run
     # of equally spaced cuts once, so the file takes a host of 10,236
     # edges, where m3 at 1/4096 now writes 544 B.
@@ -593,18 +593,25 @@ def test_verify_refuses_v4_cover_document(tmp_path, seg_graph_file):
 def test_verify_refuses_a_run_past_the_budget_at_once(tmp_path, seg_graph,
                                                       seg_graph_file):
     # Under 200 B name a billion cuts in one run: `verify` reads the
-    # budget first, and the reader charges the cuts to it before it makes
-    # any.  On a budget of 998, a run of 999 cuts is the reader's refusal:
-    # `check_cover` would pass 998 at its 250th element, at 1,000.
+    # budget first, and the reader charges it, before it makes any cut,
+    # the 2 * 2 pair checks that `check_cover` charges for each element
+    # that the run starts.  A run of 999 cuts from 0 starts 999 of the
+    # 1,000 elements, which `check_cover` charges 4,000.  On a budget of
+    # 3,991 the reader refuses the document at 3,996, where `check_cover`
+    # would stop at 3,992, and on 4,000 `verify` takes it.
     cert = tmp_path / "c.json"
     doc = {"format": "sdimlab/cover", "version": 5,
            "graph_id": seg_graph.graph_id(), "epsilon": "1/2",
            "pieces": [[["1/1000", 999]]]}
     cert.write_text(json.dumps(doc))
     res = invoke("verify", "--graph", seg_graph_file, "--cert", cert,
-                 env={"SDIMLAB_BUDGET": "pairs=998"})
+                 env={"SDIMLAB_BUDGET": "pairs=3991"})
     assert res.exit_code == 4
-    assert res.stderr.startswith("BUDGET: pair checks 999 exceed budget 998")
+    assert res.stderr.startswith("BUDGET: pair checks 3996 exceed budget "
+                                 "3991")
+    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert,
+                 env={"SDIMLAB_BUDGET": "pairs=4000"})
+    assert res.exit_code == 0 and res.output.strip() == "upper=1000"
     doc["pieces"] = [[["1/1000000000", 999_999_999]]]
     cert.write_text(json.dumps(doc))
     assert cert.stat().st_size < 200
@@ -616,7 +623,7 @@ def test_verify_refuses_a_run_past_the_budget_at_once(tmp_path, seg_graph,
     finally:
         tracemalloc.stop()
     assert res.exit_code == 4
-    assert res.stderr.startswith("BUDGET: pair checks 999999999 exceed")
+    assert res.stderr.startswith("BUDGET: pair checks 3999999996 exceed")
     assert time.perf_counter() - t0 < 1.0
     assert peak < 1_000_000
 
@@ -723,17 +730,23 @@ def mismatched_host(request, tmp_path, m3, w6, m3_moved_peak):
     """A host whose builder metadata parses but does not describe its
     geometry, and two lower certificates relabeled to it: m3's guarded
     one, and the one made on the host without its metadata, which bounds
-    that truncation alone: (host path, guarded path, unguarded path)."""
+    that truncation alone: (host path, guarded path, unguarded path).
+    The unguarded one keeps only its points that clear m3's guard
+    threshold at 1/8, 3/16, so that only the rebuild's fingerprint
+    comparison can refuse it on the moved peak."""
     host = (m3_moved_peak if request.param == "moved-peak"
             else PLGraph(m3.vertices, m3.edges, w6.meta))
     eps = Fraction(1, 8)
     paths = (tmp_path / "host.graph.json", tmp_path / "guarded.json",
              tmp_path / "unguarded.json")
     _write_json(paths[0], host.to_json_dict())
-    for path, made_on in zip(paths[1:], (m3, bare(host))):
-        points = lower_separation(made_on, eps).points
+    guarded = lower_separation(m3, eps).points
+    unguarded = [(e, t) for e, t in lower_separation(bare(host), eps).points
+                 if edge_point(host, e, t).y >= Fraction(3, 16)]
+    assert unguarded
+    for path, points in zip(paths[1:], (guarded, unguarded)):
         _write_json(path, SeparationCertificate(eps, points, host.graph_id())
-                    .json_members())
+                    .to_json_dict())
     return paths
 
 
@@ -978,7 +991,7 @@ def test_verify_reads_a_large_upper_certificate(tmp_path):
     # of 5,116 edges, where w6 at 1/1280 now writes 15 KB.
     host = _teeth(10)
     cert = tmp_path / "up.json"
-    _write_json(str(cert), upper_cover(host, Fraction(1, 1024)).json_members())
+    _write_json(str(cert), upper_cover(host, Fraction(1, 1024)).to_json_dict())
     assert cert.stat().st_size >= 100_000
     graph = tmp_path / "w10.json"
     _write_json(str(graph), host.to_json_dict())

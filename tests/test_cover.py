@@ -850,8 +850,7 @@ def test_cover_document_round_trips_on_small_hosts(g, eps):
     # The greedy never gives two neighbouring pieces to one element.
     assert all(a != b for row in cert.pieces
                for a, b in zip(row[::2], row[2::2]))
-    text = "".join(_json_chunks(cert.json_members()))
-    assert "".join(_json_chunks(cert.json_members())) == text
+    text = "".join(_json_chunks(cert.to_json_dict()))
     doc = json.loads(text)
     assert doc == cover_v5(cover_v4(cover_v3_doc(cert)))
     back = certificate_from_json_dict(doc)
@@ -1052,16 +1051,25 @@ def test_cover_v4_document_is_refused(m2):
 
 
 def test_cover_reader_charges_a_runs_cuts_before_making_them(seg_graph):
-    # A run names its cuts in a few bytes, so the reader charges them to
-    # the pair budget first: a run of n cuts reads on a budget of n and
-    # not of n - 1, and a billion is refused at once, in little memory.
+    # A run names its cuts in a few bytes, so the reader charges the pair
+    # budget first with what `check_cover` will charge at least, 2 * 2 for
+    # each new element the run starts: its n - 1 inner pieces, and its
+    # first unless an id is written before it.  A run of 499 cuts after a
+    # cut starts 499 elements and reads on a budget of 1,996, not 1,995;
+    # with an id before it, 498 on 1,992.  A billion is refused at once,
+    # in little memory.
     doc = {"format": "sdimlab/cover", "version": 5,
            "graph_id": seg_graph.graph_id(), "epsilon": "1/2",
-           "pieces": [["1/2", ["1/1000", 499]]]}
-    with pytest.raises(BudgetExceeded, match="pair checks 499 exceed"):
-        certificate_from_json_dict(doc, Budget(max_pair_checks=498))
-    cert = certificate_from_json_dict(doc, Budget(max_pair_checks=499))
-    assert len(cert) == 501
+           "pieces": []}
+    for row, charge, count in ((["1/2", ["1/1000", 499]], 1996, 501),
+                               (["1/2", 0, ["1/1000", 499]], 1992, 500)):
+        doc["pieces"] = [row]
+        short = Budget(max_pair_checks=charge - 1)
+        with pytest.raises(BudgetExceeded,
+                           match=f"pair checks {charge} exceed"):
+            certificate_from_json_dict(doc, short)
+        cert = certificate_from_json_dict(doc, Budget(max_pair_checks=charge))
+        assert len(cert) == count
     doc["pieces"] = [[["1/1000000000", 999_999_999]]]
     assert len(json.dumps(doc)) < 200
     t0 = time.perf_counter()
@@ -1219,8 +1227,8 @@ def test_certificate_reader_ignores_a_member_its_format_does_not_read(m2):
 # golden outputs
 
 
-def _digest(members: dict) -> str:
-    text = "".join(_json_chunks(members))
+def _digest(doc: dict) -> str:
+    text = "".join(_json_chunks(doc))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -1240,12 +1248,23 @@ class _PeakBudget(Budget):
 
 def _check_upper(graph: PLGraph, cert: CoverCertificate) -> int:
     """`check_cover`'s count for `cert`, once its document reads back as
-    `cert` on a charge no larger than `check_cover`'s own."""
-    reader, checker = _PeakBudget(), _PeakBudget()
-    n = check_cover(graph, cert, checker)
-    assert certificate_from_json_dict(cert.to_json_dict(), reader) == cert
-    assert reader.peak <= checker.peak
-    return n
+    `cert`."""
+    assert certificate_from_json_dict(cert.to_json_dict()) == cert
+    return check_cover(graph, cert)
+
+
+@pytest.fixture(scope="module")
+def golden_upper(request):
+    """(host, eps) -> the host fixture named `host` and its upper
+    certificate at eps, made once for the golden tests."""
+    covers: dict[tuple[str, Fraction], CoverCertificate] = {}
+
+    def get(host: str, eps: Fraction) -> tuple[PLGraph, CoverCertificate]:
+        graph = request.getfixturevalue(host)
+        if (host, eps) not in covers:
+            covers[host, eps] = upper_cover(graph, eps)
+        return graph, covers[host, eps]
+    return get
 
 
 def _upper_digests(cert) -> tuple[str, str, str]:
@@ -1253,14 +1272,14 @@ def _upper_digests(cert) -> tuple[str, str, str]:
     writer writes it, version 5."""
     v3 = cover_v3_doc(cert)
     return (_digest(v3), _digest(cover_v4(v3)),
-            _digest(cert.json_members()))
+            _digest(cert.to_json_dict()))
 
 
 def _lower_digests(cert, host, guarded) -> tuple[str, str]:
     """The digests of `cert` as separation version 3 on `host` and as
     version 4."""
     return (_digest(separation_v3_doc(cert, host, guarded)),
-            _digest(cert.json_members()))
+            _digest(cert.to_json_dict()))
 
 
 # (host, eps, (guarded lower v3, v4), (unguarded lower v3, v4) or None,
@@ -1296,8 +1315,8 @@ GOLDEN = [
 @pytest.mark.parametrize("host, eps, guarded, unguarded, upper", GOLDEN,
                          ids=[f"{g[0]}-{g[1].numerator}_{g[1].denominator}"
                               for g in GOLDEN])
-def test_certificates_match_golden_digests(request, host, eps, guarded,
-                                           unguarded, upper):
+def test_certificates_match_golden_digests(request, golden_upper, host, eps,
+                                           guarded, unguarded, upper):
     graph = request.getfixturevalue(host)
     low = lower_separation(graph, eps)
     assert _lower_digests(low, graph, True) == guarded
@@ -1307,7 +1326,7 @@ def test_certificates_match_golden_digests(request, host, eps, guarded,
         low = lower_separation(plain, eps)
         assert _lower_digests(low, graph, False) == unguarded
         assert check_separation(plain, low) == len(low)
-    up = upper_cover(graph, eps)
+    _, up = golden_upper(host, eps)
     assert _upper_digests(up) == upper
     assert _check_upper(graph, up) == len(up)
 
@@ -1354,11 +1373,28 @@ GOLDEN_UPPER = [
                          ids=[f"{g[0]}-{g[1].numerator}_{g[1].denominator}"
                               for g in GOLDEN_UPPER])
 def test_upper_certificates_off_the_dyadic_grid_match_golden_digests(
-        request, host, eps, upper, count):
-    graph = request.getfixturevalue(host)
-    up = upper_cover(graph, eps)
+        golden_upper, host, eps, upper, count):
+    graph, up = golden_upper(host, eps)
     assert (_upper_digests(up), len(up)) == (upper, count)
     assert _check_upper(graph, up) == count
+
+
+@pytest.mark.parametrize("host, eps", [g[:2] for g in GOLDEN + GOLDEN_UPPER],
+                         ids=[f"{g[0]}-{g[1].numerator}_{g[1].denominator}"
+                              for g in GOLDEN + GOLDEN_UPPER])
+def test_cover_reader_charges_no_more_than_check_cover_on_golden_certificates(
+        golden_upper, host, eps):
+    # The reader charges each element that a run starts the 2 * 2 point
+    # pairs that `check_cover` charges at least for any element, so no
+    # budget that the checker passes refuses the document.
+    graph, up = golden_upper(host, eps)
+    doc = up.to_json_dict()
+    reader, checker = _PeakBudget(), _PeakBudget()
+    assert certificate_from_json_dict(doc, reader) == up
+    assert check_cover(graph, up, checker) == len(up)
+    runs = sum(type(x) is list for row in doc["pieces"] for x in row)
+    assert (reader.peak > 0) == (runs > 0)
+    assert reader.peak <= checker.peak
 
 
 # ---------------------------------------------------------------------------

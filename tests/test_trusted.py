@@ -17,6 +17,7 @@ import importlib
 import inspect
 import io
 import pkgutil
+import re
 import sys
 import types
 from fractions import Fraction
@@ -26,6 +27,12 @@ import sdimlab
 from sdimlab import PLGraph, cli, lower_separation, upper_cover
 
 TRUSTED = Path(__file__).resolve().parent / "trusted.txt"
+README = TRUSTED.parents[1] / "README.md"
+
+
+def _listed() -> set[str]:
+    return {line for line in TRUSTED.read_text().splitlines()
+            if line and not line.startswith("#")}
 
 
 def _nested(code: types.CodeType, prefix: str):
@@ -88,9 +95,9 @@ def test_verify_runs_exactly_the_listed_trusted_base(m3, tmp_path):
     docs = {
         "m3.graph.json": m3.to_json_dict(),
         "plain.graph.json": plain.to_json_dict(),
-        "guarded.json": lower_separation(m3, eps).json_members(),
-        "unguarded.json": lower_separation(plain, eps).json_members(),
-        "upper.json": upper_cover(m3, eps).json_members(),
+        "guarded.json": lower_separation(m3, eps).to_json_dict(),
+        "unguarded.json": lower_separation(plain, eps).to_json_dict(),
+        "upper.json": upper_cover(m3, eps).to_json_dict(),
     }
     for name, doc in docs.items():
         cli._write_json(tmp_path / name, doc)
@@ -99,7 +106,12 @@ def test_verify_runs_exactly_the_listed_trusted_base(m3, tmp_path):
         (tmp_path / "plain.graph.json", tmp_path / "unguarded.json"),
         (tmp_path / "m3.graph.json", tmp_path / "upper.json"),
     ])
-    listed = {line for line in TRUSTED.read_text().splitlines()
-              if line and not line.startswith("#")}
+    listed = _listed()
     assert sorted(reached - listed) == [], "reached but not listed"
     assert sorted(listed - reached) == [], "listed but not reached"
+
+
+def test_readme_states_the_size_of_the_trusted_base():
+    stated = re.findall(r"The trusted base is (\d+) functions\.",
+                        README.read_text())
+    assert stated == [str(len(_listed()))]
