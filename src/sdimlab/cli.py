@@ -51,7 +51,7 @@ sdim_estimate = _lazy("dimension", "sdim_estimate")
 sweep = _lazy("dimension", "sweep")
 write_profile_csv = _lazy("dimension", "write_profile_csv")
 parse_rational = _lazy("geom", "parse_rational")
-# The tracer wraps the hull under its old name until ROADMAP item 8.
+# The tracer wraps the hull under its old name until ROADMAP item 11.
 attractor_cloud = _lazy("ifs", "attractor_hull")
 cloud_diameter = _lazy("ifs", "cloud_diameter")
 from_env = _lazy("limits", "from_env")
@@ -188,7 +188,7 @@ def cmd_cover(graph_path: str, epsilon: str, mode: str, out_path: str) -> None:
     if "upper" in paths:
         up = upper_cover(graph, eps, budget=budget)
         _write_json(paths["upper"], up.to_json_dict())
-        shown.append(f"upper={len(up)}")
+        shown.append(f"upper={up.count}")
     print(" ".join(shown))
 
 
@@ -197,7 +197,7 @@ def cmd_verify(graph_path: str, cert_path: str) -> None:
     from .cover import CoverCertificate, SeparationCertificate
     graph = _load_graph(graph_path)
     budget = from_env()
-    cert = certificate_from_json_dict(_read_json(cert_path), budget)
+    cert = certificate_from_json_dict(_read_json(cert_path))
     if isinstance(cert, CoverCertificate):
         print(f"upper={check_cover(graph, cert, budget)}")
     else:

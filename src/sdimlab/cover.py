@@ -11,7 +11,8 @@ Everything here brackets that number for a `PLGraph` host:
     reach, rounded down onto a dyadic grid in integers.  A document is the
     rows, `[k0?, "c1", k1?, ..., "cm", km?]`; a left-out id is a new one,
     and a run `["s", n]` is the n cuts s, 2s, ..., ns past the cut before
-    it, as the greedy cuts a straight edge off that grid.
+    it, as the greedy cuts a straight edge off that grid; in memory as
+    on disk, so the checker takes a run's elements with one test.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  A point is
     an `(edge, t)` pair, in memory as in the document, `[e, "t"]`, and the
@@ -24,7 +25,7 @@ The clip is exact: a closed ball is convex, so it meets each edge in one
 closed interval or not at all, and on a proper host two such intervals
 meet only at a shared vertex inside the ball.  Its components are then a
 union-find over the edges that reach the ball, joined at those vertices
-by `_joined_runs`, which joins the runs of a cover element too.
+by `_joined_runs`, which joins the stretches of a cover element too.
 
 Certificates are self-contained and re-checkable; `check_cover` and
 `check_separation` recompute every claim from scratch with exact rational
@@ -42,7 +43,8 @@ which gives the threshold, and any other host passes
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_left
+from collections import defaultdict, deque
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,53 +84,65 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    """An upper certificate: one row per host edge, in edge order.
+    """An upper certificate: one row per host edge, in edge order, in
+    memory as a document (version 5) writes it, with each cut a string
+    there and each run `["s", n]`; versions 1 to 4 are refused.
 
-    A row `(k0, c1, k1, ..., cm, km)` cuts its edge at the `Fraction`s
+    A row `(k0?, c1, k1?, ..., cm, km?)` cuts its edge at the `Fraction`s
     c1 < ... < cm inside (0, 1) and gives the piece [c_i, c_(i+1)] to
     element k_i, with c0 = 0 and c(m+1) = 1, so the pieces of a row cover
     its edge.  Element ids are numbered in order of first appearance,
-    reading the rows in order and each row left to right, so no element
-    is empty.  A row that breaks this layout is a ValueError.  A document
-    (version 5) writes the rows with the cuts as strings, without each new
-    id, and each stretch of two or more cuts with equal steps and no id
-    written between them as one run `["s", n]`: the n cuts s, 2s, ..., ns
-    past the cut before it, or past 0 at the row's start.  Versions 1 to
-    4, which wrote elements, fragments, every id and every cut, are
-    refused.
+    reading the rows in order and each row left to right, so a written id
+    is one seen before and a piece with none is a new element.  An item
+    `(s, n)` is a run: the n cuts s, 2s, ..., ns past the cut before it,
+    or past 0, each piece between two of them a new element.  `count` is
+    the number of elements.  A row that breaks this layout is a
+    ValueError.
     """
     epsilon: Fraction
     pieces: tuple[tuple, ...]
     graph_id: str
-    _count: int = field(init=False, repr=False, compare=False)
+    count: int = field(init=False, compare=False)
 
     def __post_init__(self):
         count = 0
         for e, row in enumerate(self.pieces):
-            if len(row) % 2 == 0:
-                raise ValueError(f"row {e} is not [id, cut, id, ..., id]")
-            for k in row[::2]:
-                if k == count:
-                    count += 1
-                elif not 0 <= k < count:
-                    raise ValueError(f"row {e}: element id {k} is not one of "
-                                     f"the {count} seen or the next")
-            cuts = row[1::2]
-            for lo, c in zip((_ZERO, *cuts), cuts):
-                if not lo < c < 1:
-                    raise ValueError(f"row {e}: cut {format_rational(c)!r} "
+            # `named`: an id is written for the piece after the last cut.
+            prev, named = _ZERO, False
+            for x in row:
+                if type(x) is int:
+                    if named:
+                        raise ValueError(f"row {e}: two ids with no cut "
+                                         f"between them")
+                    if not 0 <= x < count:
+                        raise ValueError(f"row {e}: element id {x} is not "
+                                         f"one of the {count} seen")
+                    named = True
+                    continue
+                count += not named
+                if type(x) is tuple:
+                    step, n = x
+                    if not (step > 0 and n >= 2 and prev + n * step < 1):
+                        raise ValueError(
+                            f"row {e}: run [{format_rational(step)!r}, {n}] "
+                            f"is not [step > 0, n >= 2] ending below 1")
+                    prev += n * step
+                    count += n - 1
+                elif prev < x < 1:
+                    prev = x
+                else:
+                    raise ValueError(f"row {e}: cut {format_rational(x)!r} "
                                      f"does not rise inside (0, 1)")
-        object.__setattr__(self, "_count", count)
-
-    def __len__(self) -> int:
-        return self._count
+                named = False
+            count += not named
+        object.__setattr__(self, "count", count)
 
     @property
     def elements(self) -> range:
         """The element ids.  Its one reader is `perfbench/tracing.py`,
-        which counts them; it goes with ROADMAP item 8, when the tracer
+        which counts them; it goes with ROADMAP item 11, when the tracer
         reads a stats record."""
-        return range(self._count)
+        return range(self.count)
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,19 +150,18 @@ class CoverCertificate:
             "version": COVER_VERSION,
             "graph_id": self.graph_id,
             "epsilon": format_rational(self.epsilon),
-            "pieces": list(_rows_to_json(self.pieces)),
+            "pieces": [[format_rational(x) if type(x) is Fraction
+                        else [format_rational(x[0]), x[1]]
+                        if type(x) is tuple else x for x in row]
+                       for row in self.pieces],
         }
 
     @classmethod
-    def from_json_dict(cls, data,
-                       budget: Budget | None = None) -> "CoverCertificate":
-        """The certificate a document holds; the elements its runs start
-        are charged to `budget`'s pair checks before any cut is made."""
+    def from_json_dict(cls, data) -> "CoverCertificate":
         expect_format(data, COVER_FORMAT, COVER_VERSION)
         try:
             return cls(parse_rational(data["epsilon"]),
-                       tuple(_rows_from_json(data["pieces"],
-                                             _Work(budget or Budget()))),
+                       tuple(_rows_from_json(data["pieces"])),
                        str(data["graph_id"]))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
@@ -156,79 +169,22 @@ class CoverCertificate:
             raise ParseError(str(exc)) from exc
 
 
-def _rows_to_json(pieces) -> Iterator[list]:
-    """Each row as a document writes it, with no id that is the next new
-    one, and, left to right, each longest stretch of two or more cuts with
-    equal steps and no written id between them as one run."""
-    count = 0
-    for row in pieces:
-        # `step` is the last cut's, or None once an id is written.
-        out, prev, step = [], _ZERO, None
-        for i, x in enumerate(row):
-            if i % 2 == 0:
-                if x < count:
-                    out.append(x)
-                    step = None
-                else:
-                    count += 1
-                continue
-            d, prev = x - prev, x
-            if d != step:
-                out.append(format_rational(x))
-                step = d
-            elif type(out[-1]) is str:
-                out[-1] = [format_rational(d), 2]
-            else:
-                out[-1][1] += 1
-        yield out
-
-
-def _rows_from_json(rows, work: _Work) -> Iterator[tuple]:
-    """The rows of a document, each left-out id put back as the next new
-    one and each run as its cuts; the cuts are the constructor's to
-    check."""
-    count = 0
+def _rows_from_json(rows) -> Iterator[tuple]:
+    """The rows of a document, each cut a `Fraction` and each run a
+    `(step, n)` pair; the layout is the constructor's to check."""
     for e, row in enumerate(rows):
         if type(row) is not list:
             raise ParseError(f"row {e} is not [id?, cut, id?, ..., id?]")
-        out, k, prev = [], None, _ZERO
+        out = []
         for x in row:
             if type(x) is str:
-                cuts = (parse_rational(x),)
+                out.append(parse_rational(x))
             elif type(x) is list:
-                cuts = _run_cuts(e, x, prev, k is None, work)
-            elif k is not None:
-                raise ParseError(f"row {e}: two ids with no cut between them")
-            elif parse_index(x) < count:
-                k = x
-                continue
+                step, n = parse_pair(x)
+                out.append((parse_rational(step), parse_index(n)))
             else:
-                raise ParseError(f"row {e}: element id {x} is not one of "
-                                 f"the {count} seen")
-            for prev in cuts:
-                if k is None:
-                    k, count = count, count + 1
-                out += (k, prev)
-                k = None
-        if k is None:
-            k, count = count, count + 1
-        yield (*out, k)
-
-
-def _run_cuts(e: int, run, prev: Fraction, first_new: bool,
-              work: _Work) -> Iterator[Fraction]:
-    """The cuts of the run `["s", n]` in row e after the cut `prev`: prev +
-    s, ..., prev + n s, for s > 0 and n >= 2, the last below 1.  Before
-    any is made, `work` is charged the 2 * 2 point pairs that `check_cover`
-    charges at least for each new element the run starts: its n - 1 inner
-    pieces, and its first when `first_new`, no id written before it."""
-    step, length = parse_pair(run)
-    step, length = parse_rational(step), parse_index(length)
-    if not (step > 0 and length >= 2 and prev + length * step < 1):
-        raise ParseError(f"row {e}: run {run!r} is not [step > 0, n >= 2] "
-                         f"ending below 1")
-    work.add(4 * (length - 1 + first_new))
-    return (prev + i * step for i in range(1, length + 1))
+                out.append(parse_index(x))
+        yield tuple(out)
 
 
 def _clears(raw, threshold: Fraction) -> bool:
@@ -259,7 +215,7 @@ class SeparationCertificate:
     def witnesses(self) -> tuple:
         """Always empty: a version 4 document lists no witnesses.  Its one
         reader is `perfbench/tracing.py`, which counts witnesses by kind;
-        it goes with ROADMAP item 8, when the tracer reads a stats record.
+        it goes with ROADMAP item 11, when the tracer reads a stats record.
         """
         return ()
 
@@ -285,20 +241,18 @@ class SeparationCertificate:
                 f"malformed separation certificate: {exc}") from exc
 
 
-def certificate_from_json_dict(data, budget: Budget | None = None):
+def certificate_from_json_dict(data):
     """Read either certificate kind from a decoded JSON document,
     dispatching on its format field.
 
     A document that is not an object, is of neither format, or holds a
     malformed member that its format reads is a `ParseError`.  Members
-    that the format does not read are ignored.  The elements that a cover
-    document's runs start are charged to `budget`, a `BudgetExceeded` when
-    they pass it.
+    that the format does not read are ignored.
     """
     if not isinstance(data, dict):
         raise ParseError("not a certificate document")
     if data.get("format") == COVER_FORMAT:
-        return CoverCertificate.from_json_dict(data, budget)
+        return CoverCertificate.from_json_dict(data)
     if data.get("format") == SEPARATION_FORMAT:
         return SeparationCertificate.from_json_dict(data)
     raise ParseError("not a certificate document")
@@ -430,29 +384,59 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
     """Recheck a cover certificate; returns the element count.
 
     Each row covers its edge by the certificate's layout, so one row per
-    host edge covers the host.  Each element's runs, its pieces with each
-    merged into its left neighbour when that one is the element's too,
-    must then be connected and of diameter strictly below eps, whose pair
-    work is charged first.  Raises VerificationFailure with the first
-    offending detail.
+    host edge covers the host.  Each element's stretches, its pieces with
+    each merged into its left neighbour when that one is the element's
+    too, must then be connected and of diameter strictly below eps, whose
+    pair work is charged first.  A run's pieces on edge e have parameter
+    length s, so an element with one is at least s|e| wide, and one that
+    the run starts and no written id names again is that piece alone: a
+    straight segment, connected, of diameter s|e|.  One test per run,
+    s^2 |e|^2 < eps^2, charged as one pair, checks all of those and
+    refuses no element that holds.  A run element that a written id names
+    again takes the general path with its piece, so time and memory are
+    linear in the certificate's items, whatever count they name.  Raises
+    VerificationFailure with the first offending detail.
     """
     work = _checker_work(graph, cert, budget)
     if len(cert.pieces) != len(graph.edges):
         raise VerificationFailure(f"certificate has {len(cert.pieces)} "
                                   f"rows, host has {len(graph.edges)} edges")
     eps2 = cert.epsilon * cert.epsilon
-    runs: list[list] = [[] for _ in range(len(cert))]  # e, lo, hi, e, ...
+    named = sorted({x for row in cert.pieces for x in row if type(x) is int})
+    stretches: defaultdict[int, list] = defaultdict(list)  # e, lo, hi, ...
+    count = 0
     for e, row in enumerate(cert.pieces):
-        lo = _ZERO
-        for i in range(0, len(row), 2):
-            k = row[i]
-            hi = row[i + 1] if i + 1 < len(row) else _ONE
-            if i and row[i - 2] == k:
-                runs[k][-1] = hi
-            else:
-                runs[k] += (e, lo, hi)
-            lo = hi
-    for k, el in enumerate(runs):
+        lo, k = _ZERO, None  # k: the id written for the piece from lo
+        for x in (*row, _ONE):
+            if type(x) is int:
+                k = x
+                continue
+            run = type(x) is tuple  # n pieces; a cut, or 1, is one
+            step, n = x if run else (x - lo, 1)
+            if run:
+                work.add(1)
+                if not step * step * graph.edge_length2(e) < eps2:
+                    raise VerificationFailure(
+                        f"element {count if k is None else k} has "
+                        f"diameter >= epsilon")
+            if k is not None:  # the first piece is element k's
+                el = stretches[k]
+                if el[-3::2] == [e, lo]:  # it goes on from its last piece
+                    el[-1] = lo + step
+                else:
+                    el += (e, lo, lo + step)
+                lo, n = lo + step, n - 1
+            # The other n are new; a run's go on only if named again.
+            first, count = count, count + n
+            ids = range(first, count)
+            if run:
+                ids = named[bisect_left(named, first):
+                            bisect_left(named, count)]
+            for j in ids:
+                p = lo + (j - first) * step
+                stretches[j] += (e, p, p + step)
+            lo, k = lo + n * step, None
+    for k, el in stretches.items():  # in id order, as they were made
         at = range(0, len(el), 3)
         if _joined_runs(graph, [(el[j], el[j + 1] == 0, el[j + 2] == 1)
                                 for j in at]).count() != 1:
@@ -462,7 +446,7 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
         dn, dd = xc.max_pair_dist2(pts)
         if dn * eps2.denominator >= eps2.numerator * dd:
             raise VerificationFailure(f"element {k} has diameter >= epsilon")
-    return len(cert)
+    return cert.count
 
 
 def check_separation(graph: PLGraph, cert: SeparationCertificate,
@@ -594,6 +578,8 @@ def upper_cover(graph: PLGraph, eps: Fraction,
     first edge e0 not yet covered, so it has no piece before that point in
     reading order, while every earlier element started on an edge before
     e0, or on e0 left of that point, since its first stretch moved lo.
+    A row leaves out each id that is the next new one and writes each
+    longest stretch of two or more equal steps with no id as one run.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -645,12 +631,25 @@ def upper_cover(graph: PLGraph, eps: Fraction,
                 absorb(graph.edges[e][1])
 
         count += 1
-    rows = []
+    rows, seen = [], 0
     for pieces in starts:
         pieces.sort()
-        row = [pieces[0][1]]
-        for lo, k in pieces[1:]:
-            row += (lo, k)
+        # `step` is the last cut's, or None once an id is written.
+        row, prev, step = [], _ZERO, None
+        for lo, k in pieces:
+            if lo:
+                d, prev = lo - prev, lo
+                if d != step:
+                    row.append(lo)
+                    step = d
+                else:
+                    row[-1] = (d, row[-1][1] + 1 if type(row[-1]) is tuple
+                               else 2)
+            if k < seen:
+                row.append(k)
+                step = None
+            else:
+                seen += 1
         rows.append(tuple(row))
     return CoverCertificate(eps, tuple(rows), graph.graph_id())
 

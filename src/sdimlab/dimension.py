@@ -115,7 +115,7 @@ def sweep(graph: PLGraph, epsilons: Iterable[Fraction],
     for eps in epsilons:
         low = lower_separation(graph, eps, budget=budget)
         up = upper_cover(graph, eps, budget=budget)
-        rows.append(make_row(eps, len(low.points), len(up)))
+        rows.append(make_row(eps, len(low.points), up.count))
     return DimensionProfile(tuple(rows))
 
 

@@ -1,4 +1,4 @@
-"""Mutants of the checkers, the cover reader, the host check, the
+"""Mutants of the checkers, the cover row layout, the host check, the
 properness code, the attractor hull, the IFS scale table and the cloud
 renderer: small edits that some test must catch.
 
@@ -38,8 +38,8 @@ _WRITER = _COVER + ("test_cover_writer_refuses_fragments_that_do_not_cut_"
                      "each_edge")
 _LAYOUT = _COVER + "test_cover_reader_refuses_rows_that_break_the_layout"
 _LEFT_OUT = _COVER + "test_cover_reader_puts_back_each_left_out_id"
-_CHARGED = _COVER + ("test_cover_reader_charges_a_runs_cuts_before_making_"
-                     "them")
+_NAMED = _COVER + ("test_check_cover_takes_a_run_element_named_again_on_the_"
+                   "general_path")
 _SHEARED = _RENDER + ("test_cloud_draws_every_point_of_its_spec_within_one_"
                       "quantum[sheared-")
 _IFS = "tests/test_ifs.py::"
@@ -161,6 +161,20 @@ MUTANTS = (
             "refuse",
             _CLI + "test_cover_refuses_a_lower_bound_on_a_crossing_host"
             "[lower]")),
+    # The clip's argument needs a proper host, and a guard the host that
+    # its builder metadata names.
+    Mutant("check-separation-without-its-host-check", "cover.py",
+           "        threshold = _host_threshold(graph, cert.epsilon, work)\n",
+           "        threshold = None\n",
+           (_COVER + "test_check_separation_refuses_a_host_whose_edges_cross",
+            _COVER + "test_check_separation_refuses_an_improper_host",
+            _COVER + "test_guard_point_below_threshold_fails",
+            _COVER + "test_guarded_certificate_on_a_moved_peak_fails",
+            _CLI + "test_verify_refuses_a_lower_certificate_on_a_crossing_"
+            "host",
+            _CLI + "test_verify_refuses_a_guard_on_a_host_its_builder_did_"
+            "not_make",
+            _ACCEPT + "test_criterion_3_certificate_fuzzing")),
     Mutant("check-separation-without-its-threshold-refusal", "cover.py",
            "            if not _clears(r, threshold):\n",
            "            if False:\n",
@@ -260,27 +274,85 @@ MUTANTS = (
             _ACCEPT + "test_criterion_3_certificate_fuzzing",
             _ACCEPT + "test_criterion_3_host_mutations")),
     Mutant("check-cover-without-its-run-merge", "cover.py",
-           "            if i and row[i - 2] == k:\n",
-           "            if False:\n",
+           "                if el[-3::2] == [e, lo]:  # it goes on from its "
+           "last piece\n",
+           "                if False:\n",
            (_COVER + "test_subset_connectivity_on_one_edge",
             _CONNECTED + "[lshape_graph]", _CONNECTED + "[cross_graph]",
             _CONNECTED + "[m2]",
             _COVER + "test_cover_document_numbers_elements_by_first_"
             "appearance")),
-    # The reader refuses a written id at or past the count itself, so
-    # only a negative id, or rows made in memory, reach this check.
+    # A run's pieces are each s|e| long, and an element no longer than
+    # eps is refused: its diameter must be strictly below.
+    Mutant("check-cover-run-test-at-eps", "cover.py",
+           "if not step * step * graph.edge_length2(e) < eps2:",
+           "if not step * step * graph.edge_length2(e) <= eps2:",
+           (_COVER + "test_check_cover_refuses_a_run_whose_pieces_are_eps_"
+            "long",)),
+    # Every run element then takes the one test, though one named again
+    # holds more than its piece of the run.
+    Mutant("check-cover-without-the-named-again-pass", "cover.py",
+           "                ids = named[bisect_left(named, first):\n"
+           "                            bisect_left(named, count)]\n",
+           "                ids = ()\n",
+           (_NAMED + "[on-another-edge]", _NAMED + "[too-wide]",
+            _CLI + "test_verify_refuses_a_run_element_named_again_off_its_"
+            "run")),
+    # Every run element on the general path is the expansion that the
+    # one test replaces: a billion cuts are made, past the child's cap.
+    Mutant("check-cover-expands-every-run", "cover.py",
+           "            if run:\n                ids = named[",
+           "            if False:\n                ids = named[",
+           (_COVER + "test_cover_reader_and_checker_keep_a_billion_cut_run_"
+            "as_one_item",
+            _CLI + "test_verify_accepts_a_billion_cut_run_in_little_time_"
+            "and_memory",
+            _CLI + "test_verify_prints_the_exact_count_of_a_run_past_sys_"
+            "maxsize")),
+    # The run's last element is the one that the too-wide element is.
+    Mutant("check-cover-named-again-pass-skips-a-runs-last-element",
+           "cover.py",
+           "bisect_left(named, count)]",
+           "bisect_left(named, count - 1)]",
+           (_NAMED + "[too-wide]",)),
+    # A run's cuts count from the cut before it, so the piece after a run
+    # that follows a cut starts at that cut plus n s, not at n s.
+    Mutant("check-cover-ends-a-run-from-0", "cover.py",
+           "            lo, k = lo + n * step, None\n",
+           "            lo, k = (n * step if run else lo + n * step), None\n",
+           (_CONNECTED + "[m2]", _COVER + "test_cover_verifies_on_all_fixtures",
+            _COVER + "test_certificates_match_golden_digests[m3-1_16]",
+            _COVER + "test_check_cover_agrees_with_expanded_golden_rows"
+            "[w6-1_64]",
+            _CLI + "test_verify_reads_a_large_upper_certificate")),
+    # Without it a written id could be negative, or name an element that
+    # no piece has begun, which would then be empty.
     Mutant("cover-rows-without-their-id-check", "cover.py",
-           "                elif not 0 <= k < count:\n",
-           "                elif False:\n",
+           "                    if not 0 <= x < count:\n",
+           "                    if False:\n",
            (_COVER + "test_check_cover_rejects_empty_element",
             _COVER + "test_cover_document_numbers_elements_by_first_"
             "appearance",
             _WRITER + "[empty-element]", _WRITER + "[negative-edge]",
-            _LAYOUT + "[negative-id]")),
-    # In version 4 a string in a row is a cut, so a string id is one too.
+            _LAYOUT + "[negative-id]", _LAYOUT + "[id-past-the-count]",
+            _CLI + "test_verify_refuses_an_element_id_past_the_count",
+            _ACCEPT + "test_criterion_3_certificate_fuzzing")),
+    # A written id equal to the count would name the element that the
+    # next piece begins, so a new id could name itself before it exists.
+    Mutant("cover-reader-takes-a-written-id-at-the-count", "cover.py",
+           "0 <= x < count:",
+           "0 <= x <= count:",
+           (_WRITER + "[id-at-the-count]", _LAYOUT + "[first-id-at-the-count]",
+            _LAYOUT + "[id-at-the-count]")),
+    Mutant("cover-reader-takes-two-ids-for-one-piece", "cover.py",
+           "                    if named:\n",
+           "                    if False:\n",
+           (_WRITER + "[two-ids]", _LAYOUT + "[two-ids]",
+            _LAYOUT + "[two-ids-mid-row]")),
+    # A string in a document's row is a cut, so a string id is one too.
     Mutant("cover-rows-without-their-cut-check", "cover.py",
-           "                if not lo < c < 1:\n",
-           "                if False:\n",
+           "                elif prev < x < 1:\n",
+           "                elif True:\n",
            (_COVER + "test_fragment_bounds_are_enforced",
             _WRITER + "[point]", _WRITER + "[overlap]", _WRITER + "[short]",
             _LAYOUT + "[repeated-cut]", _LAYOUT + "[falling-cut]",
@@ -291,55 +363,21 @@ MUTANTS = (
             _CLI + "test_verify_refuses_fragment_edges_that_are_not_"
             "integers[string-edge]",
             _ACCEPT + "test_criterion_3_certificate_fuzzing")),
-    # A written id equal to the count would read as a new element that
-    # the reader does not count, so a new id could name an old element.
-    Mutant("cover-reader-takes-a-written-id-at-the-count", "cover.py",
-           "            elif parse_index(x) < count:\n",
-           "            elif parse_index(x) <= count:\n",
-           (_LAYOUT + "[first-id-at-the-count]",
-            _LAYOUT + "[id-at-the-count]")),
-    Mutant("cover-reader-takes-two-ids-for-one-piece", "cover.py",
-           "            elif k is not None:\n",
-           "            elif False:\n",
-           (_LAYOUT + "[two-ids]", _LAYOUT + "[two-ids-mid-row]")),
-    # A run's cuts count from the cut before it, which only a run after
-    # a cut in its row tells apart from 0.
+    # A run's last cut is prev + n s, which only a run after a cut in its
+    # row tells apart from n s.
     Mutant("cover-run-from-0", "cover.py",
-           "(prev + i * step for i",
-           "(i * step for i",
-           (_LEFT_OUT + "[run-after-a-cut]", _LEFT_OUT + "[ids-around-a-run]",
-            _CHARGED, _COVER + "test_certificates_match_golden_digests"
-            "[m3-1_16]",
-            _CLI + "test_verify_reads_a_large_upper_certificate")),
+           "prev + n * step < 1",
+           "n * step < 1",
+           (_WRITER + "[run-reaching-1]",
+            _LAYOUT + "[run-after-a-cut-reaching-1]")),
+    # A run one cut short would start one element fewer.
     Mutant("cover-run-one-cut-short", "cover.py",
-           "range(1, length + 1)",
-           "range(1, length)",
-           (_LEFT_OUT + "[one-run]", _CHARGED,
-            _COVER + "test_cover_reader_shares_each_cut_between_its_pieces",
-            _COVER + "test_cover_certificate_round_trip",
-            _COVER + "test_certificates_match_golden_digests[m3-1_16]",
+           "                    count += n - 1\n",
+           "                    count += n - 2\n",
+           (_COVER + "test_interval_cover_needs_m_plus_one_pieces",
             _CLI + "test_verify_round_trip",
-            _CLI + "test_verify_reads_a_large_upper_certificate")),
-    # Without the charge a document of under 200 B makes a billion cuts;
-    # the killing tests fail on a run of 499 or 999 first.
-    Mutant("cover-reader-without-its-run-charge", "cover.py",
-           "    work.add(4 * (length - 1 + first_new))\n",
-           "",
-           (_CHARGED,
-            _CLI + "test_verify_refuses_a_run_past_the_budget_at_once")),
-    # One pair check per new element lets a run of n cuts hold n cuts on
-    # a budget of about n, where `check_cover` would charge 4n.
-    Mutant("cover-reader-charges-one-pair-per-run-element", "cover.py",
-           "work.add(4 * (length - 1 + first_new))",
-           "work.add(length - 1 + first_new)",
-           (_CHARGED,
-            _CLI + "test_verify_refuses_a_run_past_the_budget_at_once")),
-    # After a written id a run's first piece is in an old element, so
-    # charging it too could refuse a document that `check_cover` pays for.
-    Mutant("cover-reader-charges-each-runs-first-piece", "cover.py",
-           "cuts = _run_cuts(e, x, prev, k is None, work)",
-           "cuts = _run_cuts(e, x, prev, True, work)",
-           (_CHARGED,)),
+            _CLI + "test_verify_accepts_a_billion_cut_run_in_little_time_"
+            "and_memory")),
     # Maps whose b and c differ are the only ones a transposed matrix
     # moves: the gasket's are diagonal, so depth 0 and the gasket pass.
     Mutant("render-matrix-in-row-order", "render.py",

@@ -23,14 +23,15 @@ exact diameter of a point set, for checks on cover elements.
 `proper_violation` decides whether a graph's edges meet only at shared
 vertices by orientation tests alone, apart from the library's `_cuts`.
 `phi` and `phi_n` are the paper's tent maps, which the teeth follow.
-`cover_v3_doc` writes an upper certificate as cover version 3 did,
-every element id written; `cover_v4` rewrites a version 3 document as
+`v3_rows` expands an upper certificate's rows to the version 3 form,
+every element id and every cut written, and `cover_v3_doc` writes it
+as cover version 3 did; `cover_v4` rewrites a version 3 document as
 version 4, with each new id left out, and `cover_v5` a version 4 one as
 version 5, with each stretch of equally spaced cuts as one run.  The
 library reads version 5 alone, so hand-written rows stay in the fuller
 version 3 form and are read through both, and the golden digests of the
 older versions are taken along this path: the version 3 and version 4
-digests of a certificate pin its rows in memory, whatever version 5
+digests of a certificate pin its `v3_rows`, piece for piece, whatever version 5
 writes.
 `separation_v3_doc` writes a lower certificate as separation version 3
 did, with the guard member that version carried, so the golden digests
@@ -38,6 +39,10 @@ of the older documents keep pinning the points.
 `bare` is a host without its builder metadata, whose lower bound holds
 for the truncation alone, and `s_bounds` is the certified bracket of a
 host as given.
+`measure_capped` times one call in a fresh interpreter under the
+address-space cap of `tests/run_mutants.py`, for documents that name
+far more than they hold: a regression that builds what they name fails
+there with a MemoryError instead of growing in the test process.
 `FIXTURES` holds three small IFS specs whose diameters are known by hand.
 
 `decode_svg` draws a rendered SVG as a viewer would, expanding each
@@ -49,11 +54,17 @@ exact arithmetic, the positions in px that the renderer draws.
 from __future__ import annotations
 
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
+import sdimlab
 from sdimlab import exactcore as xc
 from sdimlab.continuum import next_amplitude_bound, spec_from_meta
 from sdimlab.cover import _Work, lower_separation, upper_cover
@@ -65,6 +76,8 @@ from sdimlab.limits import Budget
 
 ORACLE_MAX_EDGES = 12
 _ORACLE_SEARCH_CAP = 300_000
+# The address-space cap of `tests/run_mutants.py`.
+CHILD_MEMORY_B = 2 << 30
 
 
 def edge_point(graph: PLGraph, e: int, t: Fraction) -> GeomPoint:
@@ -79,11 +92,67 @@ def dist2(p: GeomPoint, q: GeomPoint) -> Fraction:
     return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
 
 
+def measure_capped(setup: str, call: str) -> tuple[str, str, float, int]:
+    """Run `setup`, then evaluate the expression `call`, in a fresh
+    interpreter that imports sdimlab from this tree, under an address
+    space of `CHILD_MEMORY_B`.  Returns what the child printed, the repr
+    of the call's value, and the call's seconds and `tracemalloc` peak in
+    bytes; the setup's imports are not counted."""
+    src = str(Path(sdimlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (f"import time, tracemalloc\n{setup}\n"
+            "tracemalloc.start()\n"
+            "t0 = time.perf_counter()\n"
+            f"value = {call}\n"
+            "seconds = time.perf_counter() - t0\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "print(repr(value), seconds, peak)\n")
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (CHILD_MEMORY_B, CHILD_MEMORY_B))
+
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         preexec_fn=cap)
+    assert res.returncode == 0, res.stderr[-2000:]
+    *printed, last = res.stdout.splitlines()
+    value, seconds, peak = last.rsplit(" ", 2)
+    return "\n".join(printed), value, float(seconds), int(peak)
+
+
+def v3_rows(cert) -> tuple[tuple, ...]:
+    """`cert`'s rows as cover version 3 held them in memory, every id
+    written and every run as its cuts: `(k0, c1, k1, ..., cm, km)`, with
+    `Fraction` cuts."""
+    count, rows = 0, []
+    for row in cert.pieces:
+        out, k, prev = [], None, Fraction(0)
+        for x in row:
+            if type(x) is int:
+                k = x
+                continue
+            if type(x) is tuple:
+                cuts = [prev + i * x[0] for i in range(1, x[1] + 1)]
+            else:
+                cuts = [x]
+            for prev in cuts:
+                if k is None:
+                    k, count = count, count + 1
+                out += (k, prev)
+                k = None
+        if k is None:
+            k, count = count, count + 1
+        rows.append((*out, k))
+    return tuple(rows)
+
+
 def cover_v3_doc(cert) -> dict:
-    """The cover version 3 document of `cert`: its rows as they are in
-    memory, with the cuts as strings."""
+    """The cover version 3 document of `cert`: its `v3_rows`, with the
+    cuts as strings."""
     rows = [[str(x) if i % 2 else x for i, x in enumerate(row)]
-            for row in cert.pieces]
+            for row in v3_rows(cert)]
     return {**cert.to_json_dict(), "version": 3, "pieces": rows}
 
 
@@ -161,7 +230,7 @@ def s_bounds(graph: PLGraph, eps: Fraction) -> tuple[int, int]:
     """The certified bracket (lower, upper) of the greedy bounds on
     `graph` as given, lower guarded on a builder host."""
     low = len(lower_separation(graph, eps))
-    up = len(upper_cover(graph, eps))
+    up = upper_cover(graph, eps).count
     assert low <= up
     return low, up
 

@@ -26,7 +26,7 @@ from unittest import mock
 
 import pytest
 from reference import (FIXTURES, bare, cover_v4, cover_v5, decode_svg,
-                       edge_point, separation_v3_doc)
+                       edge_point, measure_capped, separation_v3_doc)
 
 import sdimlab
 from sdimlab import (PLGraph, ToothSequenceSpec, build_shark_teeth, point,
@@ -590,42 +590,64 @@ def test_verify_refuses_v4_cover_document(tmp_path, seg_graph_file):
     assert res.stderr.startswith("PARSE: unsupported version 4")
 
 
-def test_verify_refuses_a_run_past_the_budget_at_once(tmp_path, seg_graph,
-                                                      seg_graph_file):
-    # Under 200 B name a billion cuts in one run: `verify` reads the
-    # budget first, and the reader charges it, before it makes any cut,
-    # the 2 * 2 pair checks that `check_cover` charges for each element
-    # that the run starts.  A run of 999 cuts from 0 starts 999 of the
-    # 1,000 elements, which `check_cover` charges 4,000.  On a budget of
-    # 3,991 the reader refuses the document at 3,996, where `check_cover`
-    # would stop at 3,992, and on 4,000 `verify` takes it.
+def _verify_capped(graph_file, cert_file) -> tuple[str, str, float, int]:
+    """`verify` run through `main` in a child under an address-space cap:
+    what it printed, its exit code, and its seconds and peak traced
+    memory, with the layers it loads imported first."""
+    return measure_capped(
+        "import sdimlab.cover\nfrom sdimlab.cli import main",
+        f"main(['verify', '--graph', {str(graph_file)!r}, '--cert', "
+        f"{str(cert_file)!r}], prog_name='sdimlab', standalone_mode=False)")
+
+
+def test_verify_accepts_a_billion_cut_run_in_little_time_and_memory(
+        tmp_path, seg_graph, seg_graph_file):
+    # Under 200 B name a billion cuts in one run.  `verify` makes none of
+    # them: the run's pieces are each 1/10^9 of the unit segment, so one
+    # test at eps = 1/2, charged as one pair, takes the billion elements
+    # that it starts, and the element past it is 1/10^9 long too.
     cert = tmp_path / "c.json"
-    doc = {"format": "sdimlab/cover", "version": 5,
-           "graph_id": seg_graph.graph_id(), "epsilon": "1/2",
-           "pieces": [[["1/1000", 999]]]}
-    cert.write_text(json.dumps(doc))
-    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert,
-                 env={"SDIMLAB_BUDGET": "pairs=3991"})
-    assert res.exit_code == 4
-    assert res.stderr.startswith("BUDGET: pair checks 3996 exceed budget "
-                                 "3991")
-    res = invoke("verify", "--graph", seg_graph_file, "--cert", cert,
-                 env={"SDIMLAB_BUDGET": "pairs=4000"})
-    assert res.exit_code == 0 and res.output.strip() == "upper=1000"
-    doc["pieces"] = [[["1/1000000000", 999_999_999]]]
-    cert.write_text(json.dumps(doc))
+    cert.write_text(json.dumps({
+        "format": "sdimlab/cover", "version": 5,
+        "graph_id": seg_graph.graph_id(), "epsilon": "1/2",
+        "pieces": [[["1/1000000000", 999_999_999]]]}))
     assert cert.stat().st_size < 200
-    t0 = time.perf_counter()
-    tracemalloc.start()
-    try:
-        res = invoke("verify", "--graph", seg_graph_file, "--cert", cert)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.exit_code == 4
-    assert res.stderr.startswith("BUDGET: pair checks 3999999996 exceed")
-    assert time.perf_counter() - t0 < 1.0
-    assert peak < 1_000_000
+    printed, code, seconds, peak = _verify_capped(seg_graph_file, cert)
+    assert (printed, code) == ("upper=1000000000", "0")
+    assert seconds < 1.0, seconds
+    assert peak < 1_000_000, peak
+
+
+def test_verify_prints_the_exact_count_of_a_run_past_sys_maxsize(
+        tmp_path, seg_graph, seg_graph_file):
+    # 10^30 cuts 1/10^31 apart end at 1/10, and the piece past them is
+    # one more element: 10^30 + 1, more than any length a sequence can
+    # report, read and printed as an exact integer.
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({
+        "format": "sdimlab/cover", "version": 5,
+        "graph_id": seg_graph.graph_id(), "epsilon": "1",
+        "pieces": [[[f"1/{10 ** 31}", 10 ** 30]]]}))
+    assert 10 ** 30 > sys.maxsize
+    printed, code, seconds, peak = _verify_capped(seg_graph_file, cert)
+    assert (printed, code) == (f"upper={10 ** 30 + 1}", "0")
+    assert seconds < 1.0, seconds
+    assert peak < 1_000_000, peak
+
+
+def test_verify_refuses_a_run_element_named_again_off_its_run(
+        tmp_path, lshape_graph):
+    # Element 1 is the second piece of the run on edge 0 and, named
+    # again, all of edge 1: the two do not meet.
+    graph, cert = tmp_path / "l.graph.json", tmp_path / "c.json"
+    graph.write_text(json.dumps(lshape_graph.to_json_dict()))
+    cert.write_text(json.dumps({
+        "format": "sdimlab/cover", "version": 5,
+        "graph_id": lshape_graph.graph_id(), "epsilon": "3",
+        "pieces": [[["1/4", 3]], [1]]}))
+    res = invoke("verify", "--graph", graph, "--cert", cert)
+    assert res.exit_code == 1
+    assert res.stderr == "VERIFY: element 1 is not connected\n"
 
 
 def test_verify_refuses_v3_separation_document(tmp_path, m3_graph, m3):

@@ -22,8 +22,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (ORACLE_MAX_EDGES, DeltaClip, bare,
                        brute_force_oracle, cover_v3_doc, cover_v4, cover_v5,
-                       dist2, edge_point, points_diameter2, s_bounds,
-                       separation_v3_doc)
+                       dist2, edge_point, measure_capped, points_diameter2,
+                       s_bounds, separation_v3_doc, v3_rows)
 
 from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      DisconnectedInput, HostMismatch, IFSSpec,
@@ -55,9 +55,10 @@ def _cover(g: PLGraph, eps, rows: list) -> CoverCertificate:
 
 
 def _element_pieces(cert: CoverCertificate) -> list[list[tuple]]:
-    """Each element's pieces (edge, lo, hi), read off the rows."""
-    out = [[] for _ in range(len(cert))]
-    for e, row in enumerate(cert.pieces):
+    """Each element's pieces (edge, lo, hi), read off the version 3
+    rows."""
+    out = [[] for _ in range(cert.count)]
+    for e, row in enumerate(v3_rows(cert)):
         cuts = (Fraction(0), *row[1::2], Fraction(1))
         for i, k in enumerate(row[::2]):
             out[k].append((e, cuts[i], cuts[i + 1]))
@@ -68,9 +69,9 @@ def test_fragment_bounds_are_enforced(seg_graph):
     # A row's cuts rise strictly inside (0, 1), so each piece lies on its
     # edge and has positive length.
     gid = seg_graph.graph_id()
-    assert len(CoverCertificate(HALF, ((0, HALF, 1),), gid)) == 2
-    for row in [(0, -QUARTER, 1), (0, Fraction(5, 4), 1),
-                (0, Fraction(2, 3), 1, Fraction(1, 3), 2)]:
+    assert CoverCertificate(HALF, ((HALF,),), gid).count == 2
+    for row in [(-QUARTER,), (Fraction(5, 4),),
+                (Fraction(2, 3), Fraction(1, 3))]:
         with pytest.raises(ValueError, match="does not rise inside"):
             CoverCertificate(HALF, (row,), gid)
 
@@ -130,7 +131,7 @@ def test_subset_connectivity_matches_pairwise_reference(request, host, data):
     split = [k for k, pieces in enumerate(_element_pieces(cert))
              if not _connected_pairwise(graph, pieces)]
     if not split:
-        assert check_cover(graph, cert) == len(cert)
+        assert check_cover(graph, cert) == cert.count
         return
     with pytest.raises(VerificationFailure,
                        match=f"^element {split[0]} is not connected$"):
@@ -144,7 +145,7 @@ def test_subset_connectivity_matches_pairwise_reference(request, host, data):
 @pytest.mark.parametrize("m", range(2, 11))
 def test_interval_cover_needs_m_plus_one_pieces(seg_graph, m):
     cert = upper_cover(seg_graph, Fraction(1, m))
-    assert len(cert) == m + 1
+    assert cert.count == m + 1
     assert check_cover(seg_graph, cert) == m + 1
 
 
@@ -162,7 +163,7 @@ def test_cover_verifies_on_all_fixtures(seg_graph, cross_graph, lshape_graph,
     for g in (seg_graph, cross_graph, lshape_graph, m1, m2, m3):
         for eps in (HALF, QUARTER):
             cert = upper_cover(g, eps)
-            assert check_cover(g, cert) == len(cert)
+            assert check_cover(g, cert) == cert.count
 
 
 def test_cover_respects_pair_budget(m3):
@@ -644,8 +645,49 @@ def test_check_cover_rejects_empty_element(seg_graph):
     # cannot hold one.
     with pytest.raises(ValueError,
                        match="row 0: element id 2 is not one of the 1"):
-        CoverCertificate(Fraction(3, 4), ((0, HALF, 2),),
-                         seg_graph.graph_id())
+        CoverCertificate(Fraction(3, 4), ((HALF, 2),), seg_graph.graph_id())
+
+
+def test_check_cover_refuses_a_run_whose_pieces_are_eps_long(seg_graph):
+    # A run's pieces are each s|e| long, so one exact test, s^2 |e|^2 <
+    # eps^2, decides every element that the run alone holds: steps of 1/4
+    # at eps = 1/4 are refused, though every piece past the run is short,
+    # and steps of 63/256 pass.
+    tie = _cover(seg_graph, QUARTER,
+                 [[0, "1/4", 1, "1/2", 2, "3/4", 3, "7/8", 4]])
+    assert tie.pieces == (((QUARTER, 3), Fraction(7, 8)),)
+    with pytest.raises(VerificationFailure,
+                       match="element 0 has diameter >= epsilon"):
+        check_cover(seg_graph, tie)
+    short = _cover(seg_graph, QUARTER,
+                   [[0, "63/256", 1, "63/128", 2, "189/256", 3, "7/8", 4]])
+    assert short.pieces == (((Fraction(63, 256), 3), Fraction(7, 8)),)
+    assert check_cover(seg_graph, short) == 5
+
+
+@pytest.mark.parametrize("host, eps, rows, failure", [
+    ("lshape_graph", Fraction(3), [[0, "1/4", 1, "1/2", 2, "3/4", 3], [1]],
+     "element 1 is not connected"),
+    ("seg_graph", HALF, [[0, "1/8", 1, "1/4", 2, "3/8", 2, "3/4", 3]],
+     "element 2 has diameter >= epsilon"),
+    ("seg_graph", HALF, [[0, "1/8", 1, "1/4", 2, "3/8", 2, "5/8", 3]],
+     None),
+], ids=["on-another-edge", "too-wide", "accepted"])
+def test_check_cover_takes_a_run_element_named_again_on_the_general_path(
+        request, host, eps, rows, failure):
+    # A run element whose id is written again holds more than its piece
+    # of the run, so the one test does not decide it: its run piece and
+    # its other pieces must be connected and of diameter below eps.  On
+    # another edge element 1's piece [1/4, 1/2] of the run is cut off;
+    # on its own edge element 2 goes on from the run's [1/4, 3/8] to 3/4.
+    graph = request.getfixturevalue(host)
+    cert = _cover(graph, eps, rows)
+    assert type(cert.pieces[0][0]) is tuple
+    if failure is None:
+        assert check_cover(graph, cert) == cert.count == 4
+        return
+    with pytest.raises(VerificationFailure, match=f"^{failure}$"):
+        check_cover(graph, cert)
 
 
 def test_check_cover_rejects_wrong_host(seg_graph, m1):
@@ -838,7 +880,7 @@ def test_cover_certificate_round_trip(m2):
     back = CoverCertificate.from_json_dict(doc)
     assert back == cert
     assert back.to_json_dict() == doc
-    assert check_cover(m2, back) == len(cert)
+    assert check_cover(m2, back) == cert.count
 
 
 @settings(max_examples=40, deadline=None)
@@ -848,14 +890,14 @@ def test_cover_certificate_round_trip(m2):
 def test_cover_document_round_trips_on_small_hosts(g, eps):
     cert = upper_cover(g, eps)
     # The greedy never gives two neighbouring pieces to one element.
-    assert all(a != b for row in cert.pieces
+    assert all(a != b for row in v3_rows(cert)
                for a, b in zip(row[::2], row[2::2]))
     text = "".join(_json_chunks(cert.to_json_dict()))
     doc = json.loads(text)
     assert doc == cover_v5(cover_v4(cover_v3_doc(cert)))
     back = certificate_from_json_dict(doc)
     assert back == cert
-    assert check_cover(g, back) == check_cover(g, cert) == len(cert)
+    assert check_cover(g, back) == check_cover(g, cert) == cert.count
 
 
 @pytest.mark.parametrize("host", ["lshape_graph", "cross_graph", "m2"])
@@ -865,18 +907,19 @@ def test_cover_document_round_trips_rows_the_greedy_never_writes(
         request, host, data):
     # Any valid rows: neighbours of one element, an element again after
     # others, whole edges, equally spaced cuts with ids inside and around
-    # them.  The reader puts back every left-out id and every run's cuts,
-    # and the writer leaves out exactly the ids that are the next new one.
+    # them.  The rows read back as the version 3 rows, every left-out id
+    # and every run's cuts put back, and the writer leaves out exactly the
+    # ids that are the next new one.
     graph = request.getfixturevalue(host)
     rows = data.draw(st.sampled_from([_free_rows, _spaced_rows]))(graph, data)
     cert = _cover(graph, 2, rows)
-    assert cert.pieces == tuple(
+    assert v3_rows(cert) == tuple(
         tuple(Fraction(x) if i % 2 else x for i, x in enumerate(row))
         for row in rows)
     doc = cert.to_json_dict()
     assert doc == cover_v5(cover_v4(cover_v3_doc(cert)))
     assert sum(type(x) is int for row in doc["pieces"] for x in row) \
-        == sum(len(row) // 2 + 1 for row in rows) - len(cert)
+        == sum(len(row) // 2 + 1 for row in rows) - cert.count
     assert certificate_from_json_dict(doc) == cert
     # Each run is a longest one: a cut or run that follows another with
     # no id written between them has a different step.
@@ -898,12 +941,14 @@ def test_cover_document_round_trips_rows_the_greedy_never_writes(
 
 def test_cover_document_numbers_elements_by_first_appearance(lshape_graph):
     # Ids are numbered as they first appear, reading the rows in order;
-    # a whole edge is a row with one id and no cut.  A document leaves
-    # out each id that is new: here element 0 and 1 where each begins.
+    # a whole edge is a row with no cut.  The rows, in memory as in a
+    # document, leave out each id that is new: here element 0 and 1 where
+    # each begins, and element 1's id is written for its second piece.
     gid = lshape_graph.graph_id()
     with pytest.raises(ValueError, match="row 0: element id 1"):
-        CoverCertificate(Fraction(3), ((1,), (0, HALF, 0)), gid)
-    cert = CoverCertificate(Fraction(3), ((0,), (1, HALF, 1)), gid)
+        CoverCertificate(Fraction(3), ((1,), (HALF, 0)), gid)
+    cert = CoverCertificate(Fraction(3), ((), (HALF, 1)), gid)
+    assert v3_rows(cert) == ((0,), (1, HALF, 1))
     doc = cert.to_json_dict()
     assert doc["pieces"] == [[], ["1/2", 1]]
     assert CoverCertificate.from_json_dict(doc) == cert
@@ -911,30 +956,39 @@ def test_cover_document_numbers_elements_by_first_appearance(lshape_graph):
 
 
 @pytest.mark.parametrize("rows", [
-    ((0, HALF, 1, HALF, 2), (0,)),
-    ((0, HALF, 1, QUARTER, 2), (0,)),
-    ((0, HALF), (1,)),
-    ((0, Fraction(1), 1), (0,)),
-    ((0,), ()),
-    ((0,), (2,)),
-    ((0,), (-1,)),
-], ids=["point", "overlap", "gap", "short", "missing-edge", "empty-element",
-        "negative-edge"])
+    ((HALF, HALF), ()),
+    ((HALF, QUARTER), ()),
+    ((Fraction(1),), ()),
+    ((), (2,)),
+    ((), (-1,)),
+    ((HALF, 0, 0), ()),
+    ((), (1,)),
+    (((Fraction(0), 2),), ()),
+    (((QUARTER, 1),), ()),
+    ((HALF, (QUARTER, 2)), ()),
+], ids=["point", "overlap", "short", "empty-element", "negative-edge",
+        "two-ids", "id-at-the-count", "zero-step", "run-of-1",
+        "run-reaching-1"])
 def test_cover_writer_refuses_fragments_that_do_not_cut_each_edge(
         lshape_graph, rows):
     # A certificate cuts each edge into pieces of positive length that
-    # each belong to an element; its constructor refuses rows that do not.
+    # each belong to an element, one seen before when its id is written,
+    # and a run is n >= 2 cuts that rise by a positive step and end
+    # below 1; its constructor refuses rows that do not.
     with pytest.raises(ValueError):
         CoverCertificate(Fraction(3), rows, lshape_graph.graph_id())
 
 
 def test_cover_reader_shares_each_cut_between_its_pieces(seg_graph):
     # Each cut is held once, in its row, though it bounds two pieces.
-    # Here the two cuts are equally spaced, one run of two.
+    # Here the two cuts are equally spaced, one run of two, which is one
+    # item in memory as in the document.
     doc = upper_cover(seg_graph, HALF).to_json_dict()
     assert doc["pieces"] == [[["127/256", 2]]]
     back = CoverCertificate.from_json_dict(doc)
-    assert back.pieces == ((0, Fraction(127, 256), 1, Fraction(127, 128), 2),)
+    assert back.pieces == (((Fraction(127, 256), 2),),)
+    assert v3_rows(back) == (
+        (0, Fraction(127, 256), 1, Fraction(127, 128), 2),)
     assert _element_pieces(back) == [
         [(0, 0, Fraction(127, 256))],
         [(0, Fraction(127, 256), Fraction(127, 128))],
@@ -1003,10 +1057,13 @@ def test_cover_reader_refuses_rows_that_break_the_layout(seg_graph, row):
 ], ids=["empty-row", "one-cut", "an-id-seen-before", "ids-left-out-around",
         "one-run", "run-after-a-cut", "ids-around-a-run"])
 def test_cover_reader_puts_back_each_left_out_id(seg_graph, row, pieces):
-    # An empty row is one new element that covers the whole edge.
+    # An empty row is one new element that covers the whole edge.  The
+    # rows stay as written, and the version 3 rows put back each id.
     doc = upper_cover(seg_graph, HALF).to_json_dict()
     cert = certificate_from_json_dict({**doc, "pieces": [row]})
-    assert cert.pieces == (pieces,)
+    assert v3_rows(cert) == (pieces,)
+    assert cert.count == len(pieces) // 2 + 1 - sum(
+        type(x) is int for x in row)
     assert cert.to_json_dict()["pieces"] == [row]
 
 
@@ -1041,47 +1098,42 @@ def test_cover_v3_document_is_refused(m2):
 
 def test_cover_v4_document_is_refused(m2):
     # Version 4 wrote every cut.  Its rows are valid version 5 rows, which
-    # read as the same certificate, but the document is no fallback.
+    # read as the same cover with no run, but the document is no fallback.
     cert = upper_cover(m2, HALF)
     doc = cover_v4(cover_v3_doc(cert))
     assert doc != cert.to_json_dict()
     with pytest.raises(ParseError, match="unsupported version 4"):
         certificate_from_json_dict(doc)
-    assert certificate_from_json_dict({**doc, "version": 5}) == cert
+    back = certificate_from_json_dict({**doc, "version": 5})
+    assert v3_rows(back) == v3_rows(cert)
+    assert check_cover(m2, back) == check_cover(m2, cert) == cert.count
 
 
-def test_cover_reader_charges_a_runs_cuts_before_making_them(seg_graph):
-    # A run names its cuts in a few bytes, so the reader charges the pair
-    # budget first with what `check_cover` will charge at least, 2 * 2 for
-    # each new element the run starts: its n - 1 inner pieces, and its
-    # first unless an id is written before it.  A run of 499 cuts after a
-    # cut starts 499 elements and reads on a budget of 1,996, not 1,995;
-    # with an id before it, 498 on 1,992.  A billion is refused at once,
-    # in little memory.
+def test_cover_reader_and_checker_keep_a_billion_cut_run_as_one_item(
+        seg_graph):
+    # Under 200 B name a billion cuts in one run.  The certificate holds
+    # the run as one item, and `check_cover` takes its elements with one
+    # test, (1/10^9)^2 |e|^2 < (1/2)^2, so a billion and one elements are
+    # checked in little time and memory.  The child runs under an address
+    # space cap, so a reader or checker that makes the cuts fails there.
     doc = {"format": "sdimlab/cover", "version": 5,
            "graph_id": seg_graph.graph_id(), "epsilon": "1/2",
-           "pieces": []}
-    for row, charge, count in ((["1/2", ["1/1000", 499]], 1996, 501),
-                               (["1/2", 0, ["1/1000", 499]], 1992, 500)):
-        doc["pieces"] = [row]
-        short = Budget(max_pair_checks=charge - 1)
-        with pytest.raises(BudgetExceeded,
-                           match=f"pair checks {charge} exceed"):
-            certificate_from_json_dict(doc, short)
-        cert = certificate_from_json_dict(doc, Budget(max_pair_checks=charge))
-        assert len(cert) == count
-    doc["pieces"] = [[["1/1000000000", 999_999_999]]]
+           "pieces": [[["1/1000000000", 999_999_999]]]}
     assert len(json.dumps(doc)) < 200
-    t0 = time.perf_counter()
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded):
-            certificate_from_json_dict(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - t0 < 1.0
-    assert peak < 1_000_000
+    setup = (
+        "import json\n"
+        "from sdimlab import PLGraph, certificate_from_json_dict, "
+        "check_cover\n"
+        f"graph = PLGraph.from_json_dict({seg_graph.to_json_dict()!r})\n"
+        f"doc = {doc!r}\n"
+        "def read_and_check(doc):\n"
+        "    cert = certificate_from_json_dict(doc)\n"
+        "    return cert.pieces, cert.count, check_cover(graph, cert)\n")
+    _, value, seconds, peak = measure_capped(setup, "read_and_check(doc)")
+    assert value == ("((((Fraction(1, 1000000000), 999999999),),), "
+                     "1000000000, 1000000000)")
+    assert seconds < 1.0, seconds
+    assert peak < 1_000_000, peak
 
 
 def test_cover_v2_document_is_refused(m2):
@@ -1328,7 +1380,7 @@ def test_certificates_match_golden_digests(request, golden_upper, host, eps,
         assert check_separation(plain, low) == len(low)
     _, up = golden_upper(host, eps)
     assert _upper_digests(up) == upper
-    assert _check_upper(graph, up) == len(up)
+    assert _check_upper(graph, up) == up.count
 
 
 # (host, eps, (upper v3, v4, v5), element count) at scales off the
@@ -1375,26 +1427,34 @@ GOLDEN_UPPER = [
 def test_upper_certificates_off_the_dyadic_grid_match_golden_digests(
         golden_upper, host, eps, upper, count):
     graph, up = golden_upper(host, eps)
-    assert (_upper_digests(up), len(up)) == (upper, count)
+    assert (_upper_digests(up), up.count) == (upper, count)
     assert _check_upper(graph, up) == count
 
 
 @pytest.mark.parametrize("host, eps", [g[:2] for g in GOLDEN + GOLDEN_UPPER],
                          ids=[f"{g[0]}-{g[1].numerator}_{g[1].denominator}"
                               for g in GOLDEN + GOLDEN_UPPER])
-def test_cover_reader_charges_no_more_than_check_cover_on_golden_certificates(
+def test_check_cover_agrees_with_expanded_golden_rows(
         golden_upper, host, eps):
-    # The reader charges each element that a run starts the 2 * 2 point
-    # pairs that `check_cover` charges at least for any element, so no
-    # budget that the checker passes refuses the document.
+    # Expanded to the version 3 rows, every element is connected and of
+    # diameter below eps by the pairwise references, as `check_cover`
+    # finds without expanding a run.  Its one test per run replaces the
+    # 2 * 2 pairs of each run element that no id names again, so it
+    # charges less than the general path on every element would, and
+    # exactly that on a certificate without a run.
     graph, up = golden_upper(host, eps)
-    doc = up.to_json_dict()
-    reader, checker = _PeakBudget(), _PeakBudget()
-    assert certificate_from_json_dict(doc, reader) == up
-    assert check_cover(graph, up, checker) == len(up)
-    runs = sum(type(x) is list for row in doc["pieces"] for x in row)
-    assert (reader.peak > 0) == (runs > 0)
-    assert reader.peak <= checker.peak
+    everything = 0
+    for pieces in _element_pieces(up):
+        assert _connected_pairwise(graph, pieces)
+        ends = [edge_point(graph, e, t) for e, lo, hi in pieces
+                for t in (lo, hi)]
+        assert points_diameter2(ends) < eps * eps
+        everything += len(ends) ** 2
+    checker = _PeakBudget()
+    assert check_cover(graph, up, checker) == up.count
+    runs = sum(type(x) is tuple for row in up.pieces for x in row)
+    assert checker.peak <= everything
+    assert (checker.peak < everything) == (runs > 0)
 
 
 # ---------------------------------------------------------------------------

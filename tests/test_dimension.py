@@ -126,7 +126,7 @@ def test_sweep_rebuilds_the_host_once(w6):
     # the bracket computed at that scale on its own.
     from sdimlab.cover import lower_separation, upper_cover
     scales = [Fraction(1, 2 ** j) for j in range(2, 7)]
-    want = [(len(lower_separation(w6, eps)), len(upper_cover(w6, eps)))
+    want = [(len(lower_separation(w6, eps)), upper_cover(w6, eps).count)
             for eps in scales]
     prof = sweep(w6, scales)
     assert [(r.lower, r.upper) for r in prof.rows] == want

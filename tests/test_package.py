@@ -107,7 +107,7 @@ def _forwarders(module) -> dict[str, tuple[str, str]]:
 
 # The one forwarder bound under another name: the benchmark's tracer
 # wraps `cli.attractor_cloud`, the hull's name before it replaced the
-# cloud, until its stats record replaces the wrapping (ROADMAP item 8).
+# cloud, until its stats record replaces the wrapping (ROADMAP item 11).
 _RENAMED = {"attractor_cloud": "attractor_hull"}
 
 
