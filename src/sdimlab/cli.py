@@ -81,7 +81,7 @@ def _read_json(path: str) -> dict:
             return json.load(f)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError too
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -12,7 +12,8 @@ Everything here brackets that number for a `PLGraph` host:
     rows, `[k0?, "c1", k1?, ..., "cm", km?]`; a left-out id is a new one,
     and a run `["s", n]` is the n cuts s, 2s, ..., ns past the cut before
     it, as the greedy cuts a straight edge off that grid; in memory as
-    on disk, so the checker takes a run's elements with one test.
+    on disk.  `_groups` reads the rows, and the checker makes one length
+    test per cut, run and row end: see `check_cover`.
   * `lower_separation` produces a `SeparationCertificate`, a list of points
     no two of which any single admissible piece can contain.  A point is
     an `(edge, t)` pair, in memory as in the document, `[e, "t"]`, and the
@@ -96,8 +97,8 @@ class CoverCertificate:
     is one seen before and a piece with none is a new element.  An item
     `(s, n)` is a run: the n cuts s, 2s, ..., ns past the cut before it,
     or past 0, each piece between two of them a new element.  `count` is
-    the number of elements.  A row that breaks this layout is a
-    ValueError.
+    the element count, over `_groups`, the layout's one reader; a row
+    that breaks the layout is a ValueError.
     """
     epsilon: Fraction
     pieces: tuple[tuple, ...]
@@ -106,35 +107,8 @@ class CoverCertificate:
 
     def __post_init__(self):
         count = 0
-        for e, row in enumerate(self.pieces):
-            # `named`: an id is written for the piece after the last cut.
-            prev, named = _ZERO, False
-            for x in row:
-                if type(x) is int:
-                    if named:
-                        raise ValueError(f"row {e}: two ids with no cut "
-                                         f"between them")
-                    if not 0 <= x < count:
-                        raise ValueError(f"row {e}: element id {x} is not "
-                                         f"one of the {count} seen")
-                    named = True
-                    continue
-                count += not named
-                if type(x) is tuple:
-                    step, n = x
-                    if not (step > 0 and n >= 2 and prev + n * step < 1):
-                        raise ValueError(
-                            f"row {e}: run [{format_rational(step)!r}, {n}] "
-                            f"is not [step > 0, n >= 2] ending below 1")
-                    prev += n * step
-                    count += n - 1
-                elif prev < x < 1:
-                    prev = x
-                else:
-                    raise ValueError(f"row {e}: cut {format_rational(x)!r} "
-                                     f"does not rise inside (0, 1)")
-                named = False
-            count += not named
+        for _, _, _, n, k, new in _groups(self.pieces):
+            count = new + n - (k is not None)
         object.__setattr__(self, "count", count)
 
     @property
@@ -167,6 +141,44 @@ class CoverCertificate:
             raise ParseError(f"malformed cover certificate: {exc}") from exc
         except ValueError as exc:  # the layout, from the constructor
             raise ParseError(str(exc)) from exc
+
+
+def _groups(pieces) -> Iterator[tuple]:
+    """The one reader of the row layout: `(e, lo, step, n, k, new)` for
+    each cut, run and row end in reading order, the n pieces of edge e,
+    each `step` long, from lo.  The first is element k's when an id k is
+    written before it, else k is None; the rest are new elements numbered
+    from `new`.  A row that breaks the layout is a ValueError."""
+    new = 0
+    for e, row in enumerate(pieces):
+        lo, k = _ZERO, None  # k: the id written for the piece from lo
+        for x in row:
+            if type(x) is int:
+                if k is not None:
+                    raise ValueError(f"row {e}: two ids with no cut "
+                                     f"between them")
+                if not 0 <= x < new:
+                    raise ValueError(f"row {e}: element id {x} is not "
+                                     f"one of the {new} seen")
+                k = x
+                continue
+            if type(x) is tuple:
+                step, n = x
+                x = lo + n * step  # the run's last cut
+                if not (step > 0 and n >= 2 and x < 1):
+                    raise ValueError(
+                        f"row {e}: run [{format_rational(step)!r}, {n}] "
+                        f"is not [step > 0, n >= 2] ending below 1")
+            elif lo < x < 1:
+                step, n = x - lo, 1
+            else:
+                raise ValueError(f"row {e}: cut {format_rational(x)!r} "
+                                 f"does not rise inside (0, 1)")
+            yield e, lo, step, n, k, new
+            new += n - (k is not None)
+            lo, k = x, None
+        yield e, lo, _ONE - lo, 1, k, new
+        new += k is None
 
 
 def _rows_from_json(rows) -> Iterator[tuple]:
@@ -384,58 +396,45 @@ def check_cover(graph: PLGraph, cert: CoverCertificate,
     """Recheck a cover certificate; returns the element count.
 
     Each row covers its edge by the certificate's layout, so one row per
-    host edge covers the host.  Each element's stretches, its pieces with
-    each merged into its left neighbour when that one is the element's
-    too, must then be connected and of diameter strictly below eps, whose
-    pair work is charged first.  A run's pieces on edge e have parameter
-    length s, so an element with one is at least s|e| wide, and one that
-    the run starts and no written id names again is that piece alone: a
-    straight segment, connected, of diameter s|e|.  One test per run,
-    s^2 |e|^2 < eps^2, charged as one pair, checks all of those and
-    refuses no element that holds.  A run element that a written id names
-    again takes the general path with its piece, so time and memory are
-    linear in the certificate's items, whatever count they name.  Raises
-    VerificationFailure with the first offending detail.
+    host edge covers the host.  `_groups` walks the rows: a cut or a row
+    end gives one piece of edge e, a run n, each of parameter length s.
+    An element that holds such a piece is at least s|e| wide, and a new
+    one that no written id names again is that piece alone: a straight
+    segment, connected, of diameter s|e|.  So one test per group,
+    s^2 |e|^2 < eps^2, charged as one pair, decides those elements and
+    refuses no element that holds.  Each element that a written id names
+    then takes the general path: its stretches, its pieces each merged
+    into its left neighbour when that one is the element's too, must be
+    connected and of diameter strictly below eps, its pair work charged
+    first.  Time and memory are linear in the certificate's items,
+    whatever count they name.  Raises VerificationFailure with the first
+    offending detail.
     """
     work = _checker_work(graph, cert, budget)
     if len(cert.pieces) != len(graph.edges):
         raise VerificationFailure(f"certificate has {len(cert.pieces)} "
                                   f"rows, host has {len(graph.edges)} edges")
     eps2 = cert.epsilon * cert.epsilon
+    length2 = [graph.edge_length2(e) for e in range(len(graph.edges))]
     named = sorted({x for row in cert.pieces for x in row if type(x) is int})
     stretches: defaultdict[int, list] = defaultdict(list)  # e, lo, hi, ...
-    count = 0
-    for e, row in enumerate(cert.pieces):
-        lo, k = _ZERO, None  # k: the id written for the piece from lo
-        for x in (*row, _ONE):
-            if type(x) is int:
-                k = x
-                continue
-            run = type(x) is tuple  # n pieces; a cut, or 1, is one
-            step, n = x if run else (x - lo, 1)
-            if run:
-                work.add(1)
-                if not step * step * graph.edge_length2(e) < eps2:
-                    raise VerificationFailure(
-                        f"element {count if k is None else k} has "
-                        f"diameter >= epsilon")
-            if k is not None:  # the first piece is element k's
-                el = stretches[k]
-                if el[-3::2] == [e, lo]:  # it goes on from its last piece
-                    el[-1] = lo + step
-                else:
-                    el += (e, lo, lo + step)
-                lo, n = lo + step, n - 1
-            # The other n are new; a run's go on only if named again.
-            first, count = count, count + n
-            ids = range(first, count)
-            if run:
-                ids = named[bisect_left(named, first):
-                            bisect_left(named, count)]
-            for j in ids:
-                p = lo + (j - first) * step
-                stretches[j] += (e, p, p + step)
-            lo, k = lo + n * step, None
+    for e, lo, step, n, k, new in _groups(cert.pieces):
+        work.add(1)
+        if not step * step * length2[e] < eps2:
+            raise VerificationFailure(f"element {new if k is None else k} "
+                                      f"has diameter >= epsilon")
+        if k is not None:  # the first piece is element k's
+            el = stretches[k]
+            if el[-3::2] == [e, lo]:  # it goes on from its last piece
+                el[-1] = lo + step
+            else:
+                el += (e, lo, lo + step)
+        # Piece i is element first + i; the new ones go on if named again.
+        first = new - (k is not None)
+        for j in named[bisect_left(named, new):
+                       bisect_left(named, first + n)]:
+            p = lo + (j - first) * step
+            stretches[j] += (e, p, p + step)
     for k, el in stretches.items():  # in id order, as they were made
         at = range(0, len(el), 3)
         if _joined_runs(graph, [(el[j], el[j + 1] == 0, el[j + 2] == 1)

@@ -40,6 +40,7 @@ _LAYOUT = _COVER + "test_cover_reader_refuses_rows_that_break_the_layout"
 _LEFT_OUT = _COVER + "test_cover_reader_puts_back_each_left_out_id"
 _NAMED = _COVER + ("test_check_cover_takes_a_run_element_named_again_on_the_"
                    "general_path")
+_LONE = _COVER + "test_check_cover_refuses_a_lone_cut_piece_eps_long"
 _SHEARED = _RENDER + ("test_cloud_draws_every_point_of_its_spec_within_one_"
                       "quantum[sheared-")
 _IFS = "tests/test_ifs.py::"
@@ -274,35 +275,45 @@ MUTANTS = (
             _ACCEPT + "test_criterion_3_certificate_fuzzing",
             _ACCEPT + "test_criterion_3_host_mutations")),
     Mutant("check-cover-without-its-run-merge", "cover.py",
-           "                if el[-3::2] == [e, lo]:  # it goes on from its "
+           "            if el[-3::2] == [e, lo]:  # it goes on from its "
            "last piece\n",
-           "                if False:\n",
+           "            if False:\n",
            (_COVER + "test_subset_connectivity_on_one_edge",
             _CONNECTED + "[lshape_graph]", _CONNECTED + "[cross_graph]",
             _CONNECTED + "[m2]",
             _COVER + "test_cover_document_numbers_elements_by_first_"
             "appearance")),
-    # A run's pieces are each s|e| long, and an element no longer than
+    # A group's pieces are each s|e| long, and an element no longer than
     # eps is refused: its diameter must be strictly below.
     Mutant("check-cover-run-test-at-eps", "cover.py",
-           "if not step * step * graph.edge_length2(e) < eps2:",
-           "if not step * step * graph.edge_length2(e) <= eps2:",
+           "if not step * step * length2[e] < eps2:",
+           "if not step * step * length2[e] <= eps2:",
            (_COVER + "test_check_cover_refuses_a_run_whose_pieces_are_eps_"
-            "long",)),
-    # Every run element then takes the one test, though one named again
-    # holds more than its piece of the run.
+            "long",
+            _LONE + "[whole-row]", _LONE + "[mid-row]")),
+    # A new element that a cut or a row end makes, and no id names again,
+    # is then never checked: the one test is for every group.
+    Mutant("check-cover-one-test-for-runs-only", "cover.py",
+           "        if not step * step * length2[e] < eps2:",
+           "        if n > 1 and not step * step * length2[e] < eps2:",
+           (_LONE + "[whole-row]", _LONE + "[mid-row]",
+            _COVER + "test_check_cover_rejects_fat_element",
+            _COVER + "test_check_cover_rejects_exact_diameter_tie")),
+    # Every new element then takes the one test alone, though one named
+    # again holds more than its piece.
     Mutant("check-cover-without-the-named-again-pass", "cover.py",
-           "                ids = named[bisect_left(named, first):\n"
-           "                            bisect_left(named, count)]\n",
-           "                ids = ()\n",
+           "named[bisect_left(named, new):\n"
+           "                       bisect_left(named, first + n)]",
+           "()",
            (_NAMED + "[on-another-edge]", _NAMED + "[too-wide]",
             _CLI + "test_verify_refuses_a_run_element_named_again_off_its_"
             "run")),
     # Every run element on the general path is the expansion that the
     # one test replaces: a billion cuts are made, past the child's cap.
     Mutant("check-cover-expands-every-run", "cover.py",
-           "            if run:\n                ids = named[",
-           "            if False:\n                ids = named[",
+           "for j in named[bisect_left(named, new):\n"
+           "                       bisect_left(named, first + n)]:",
+           "for j in range(new, first + n):",
            (_COVER + "test_cover_reader_and_checker_keep_a_billion_cut_run_"
             "as_one_item",
             _CLI + "test_verify_accepts_a_billion_cut_run_in_little_time_"
@@ -312,14 +323,14 @@ MUTANTS = (
     # The run's last element is the one that the too-wide element is.
     Mutant("check-cover-named-again-pass-skips-a-runs-last-element",
            "cover.py",
-           "bisect_left(named, count)]",
-           "bisect_left(named, count - 1)]",
+           "bisect_left(named, first + n)]",
+           "bisect_left(named, first + n - 1)]",
            (_NAMED + "[too-wide]",)),
     # A run's cuts count from the cut before it, so the piece after a run
     # that follows a cut starts at that cut plus n s, not at n s.
     Mutant("check-cover-ends-a-run-from-0", "cover.py",
-           "            lo, k = lo + n * step, None\n",
-           "            lo, k = (n * step if run else lo + n * step), None\n",
+           "            lo, k = x, None\n",
+           "            lo, k = (x - lo if n > 1 else x), None\n",
            (_CONNECTED + "[m2]", _COVER + "test_cover_verifies_on_all_fixtures",
             _COVER + "test_certificates_match_golden_digests[m3-1_16]",
             _COVER + "test_check_cover_agrees_with_expanded_golden_rows"
@@ -328,8 +339,8 @@ MUTANTS = (
     # Without it a written id could be negative, or name an element that
     # no piece has begun, which would then be empty.
     Mutant("cover-rows-without-their-id-check", "cover.py",
-           "                    if not 0 <= x < count:\n",
-           "                    if False:\n",
+           "                if not 0 <= x < new:\n",
+           "                if False:\n",
            (_COVER + "test_check_cover_rejects_empty_element",
             _COVER + "test_cover_document_numbers_elements_by_first_"
             "appearance",
@@ -340,19 +351,19 @@ MUTANTS = (
     # A written id equal to the count would name the element that the
     # next piece begins, so a new id could name itself before it exists.
     Mutant("cover-reader-takes-a-written-id-at-the-count", "cover.py",
-           "0 <= x < count:",
-           "0 <= x <= count:",
+           "0 <= x < new:",
+           "0 <= x <= new:",
            (_WRITER + "[id-at-the-count]", _LAYOUT + "[first-id-at-the-count]",
             _LAYOUT + "[id-at-the-count]")),
     Mutant("cover-reader-takes-two-ids-for-one-piece", "cover.py",
-           "                    if named:\n",
-           "                    if False:\n",
+           "                if k is not None:\n",
+           "                if False:\n",
            (_WRITER + "[two-ids]", _LAYOUT + "[two-ids]",
             _LAYOUT + "[two-ids-mid-row]")),
     # A string in a document's row is a cut, so a string id is one too.
     Mutant("cover-rows-without-their-cut-check", "cover.py",
-           "                elif prev < x < 1:\n",
-           "                elif True:\n",
+           "            elif lo < x < 1:\n",
+           "            elif True:\n",
            (_COVER + "test_fragment_bounds_are_enforced",
             _WRITER + "[point]", _WRITER + "[overlap]", _WRITER + "[short]",
             _LAYOUT + "[repeated-cut]", _LAYOUT + "[falling-cut]",
@@ -366,18 +377,27 @@ MUTANTS = (
     # A run's last cut is prev + n s, which only a run after a cut in its
     # row tells apart from n s.
     Mutant("cover-run-from-0", "cover.py",
-           "prev + n * step < 1",
-           "n * step < 1",
+           "and x < 1):",
+           "and n * step < 1):",
            (_WRITER + "[run-reaching-1]",
             _LAYOUT + "[run-after-a-cut-reaching-1]")),
     # A run one cut short would start one element fewer.
     Mutant("cover-run-one-cut-short", "cover.py",
-           "                    count += n - 1\n",
-           "                    count += n - 2\n",
+           "                step, n = x\n",
+           "                step, n = x[0], x[1] - 1\n",
            (_COVER + "test_interval_cover_needs_m_plus_one_pieces",
             _CLI + "test_verify_round_trip",
             _CLI + "test_verify_accepts_a_billion_cut_run_in_little_time_"
             "and_memory")),
+    # The piece from a row's last cut to 1 is then no element's: the
+    # count falls short and a named element loses its last piece.
+    Mutant("cover-groups-skip-the-row-end", "cover.py",
+           "        yield e, lo, _ONE - lo, 1, k, new\n",
+           "",
+           (_COVER + "test_interval_cover_needs_m_plus_one_pieces",
+            _COVER + "test_check_cover_rejects_fat_element",
+            _COVER + "test_cover_verifies_on_all_fixtures",
+            _CLI + "test_verify_round_trip")),
     # Maps whose b and c differ are the only ones a transposed matrix
     # moves: the gasket's are diagonal, so depth 0 and the gasket pass.
     Mutant("render-matrix-in-row-order", "render.py",

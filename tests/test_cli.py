@@ -157,6 +157,17 @@ def test_build_takes_whole_budgets_in_float_notation(tmp_path, paper3_spec):
     assert res.stderr.startswith("BUDGET: edge count 10 exceeds budget 9")
 
 
+@pytest.mark.parametrize("broken", ["huge-integer", "deep-array"])
+def test_build_refuses_a_spec_that_json_load_cannot_hold(tmp_path,
+                                                         paper3_spec, broken):
+    # These escaped as ValueError and RecursionError, a traceback (exit 1).
+    paper3_spec.write_text(_BROKEN_TEXT[broken](paper3_spec.read_text()))
+    res = invoke("build", "--spec", paper3_spec, "--out", tmp_path / "g.json")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("PARSE:")
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_build_rejects_missing_file(tmp_path):
     res = invoke("build", "--spec", tmp_path / "absent.json",
                  "--out", tmp_path / "g.json")
@@ -970,6 +981,11 @@ _BROKEN_TEXT = {
     "string": lambda t: json.dumps(t),
     "number": lambda t: "3",
     "null": lambda t: "null",
+    # Past the 4,300-digit limit of int(), json.load raises ValueError.
+    "huge-integer": lambda t: t.replace("{", '{"big": ' + "9" * 5000 + ",", 1),
+    # Past the interpreter's recursion limit it raises RecursionError.
+    "deep-array": lambda t: t.replace(
+        "{", '{"deep": ' + "[" * 100_000 + "]" * 100_000 + ",", 1),
 }
 
 

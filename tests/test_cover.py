@@ -632,9 +632,26 @@ def test_check_cover_rejects_exact_diameter_tie(seg_graph):
         check_cover(seg_graph, _cover(seg_graph, HALF, [[0, "1/2", 1]]))
 
 
+@pytest.mark.parametrize("row, element", [(["1/2"], 0), (["1/4", "3/4"], 1)],
+                         ids=["whole-row", "mid-row"])
+def test_check_cover_refuses_a_lone_cut_piece_eps_long(seg_graph, row,
+                                                       element):
+    # A new element that a cut makes and no id names again is its one
+    # piece, so the one test that decides a run's elements decides it:
+    # [0, 1/2], or [1/4, 3/4], is exactly eps long, and is refused by id.
+    doc = {"format": "sdimlab/cover", "version": 5,
+           "graph_id": seg_graph.graph_id(), "epsilon": "1/2",
+           "pieces": [row]}
+    with pytest.raises(VerificationFailure,
+                       match=f"^element {element} has diameter >= epsilon$"):
+        check_cover(seg_graph, certificate_from_json_dict(doc))
+
+
 def test_check_cover_rejects_disconnected_element(seg_graph):
-    # Element 0 holds [0, 1/8] and [1/4, 3/8], of diameter 3/8 < 1/2.
-    cert = _cover(seg_graph, HALF, [[0, "1/8", 1, "1/4", 0, "3/8", 1]])
+    # Element 0 holds [0, 1/8] and [1/4, 3/8], of diameter 3/8 < 1/2,
+    # and every other element is one piece shorter than 1/2.
+    cert = _cover(seg_graph, HALF,
+                  [[0, "1/8", 1, "1/4", 0, "3/8", 2, "3/4", 3]])
     with pytest.raises(VerificationFailure,
                        match="element 0 is not connected"):
         check_cover(seg_graph, cert)
@@ -1438,10 +1455,10 @@ def test_check_cover_agrees_with_expanded_golden_rows(
         golden_upper, host, eps):
     # Expanded to the version 3 rows, every element is connected and of
     # diameter below eps by the pairwise references, as `check_cover`
-    # finds without expanding a run.  Its one test per run replaces the
-    # 2 * 2 pairs of each run element that no id names again, so it
-    # charges less than the general path on every element would, and
-    # exactly that on a certificate without a run.
+    # finds without expanding a run.  Its one test per cut, run or row end
+    # replaces the 2 * 2 pairs of each new element that no id names
+    # again, so it charges less than the general path on every element
+    # would.
     graph, up = golden_upper(host, eps)
     everything = 0
     for pieces in _element_pieces(up):
@@ -1452,9 +1469,25 @@ def test_check_cover_agrees_with_expanded_golden_rows(
         everything += len(ends) ** 2
     checker = _PeakBudget()
     assert check_cover(graph, up, checker) == up.count
-    runs = sum(type(x) is tuple for row in up.pieces for x in row)
-    assert checker.peak <= everything
-    assert (checker.peak < everything) == (runs > 0)
+    assert checker.peak < everything
+
+
+@pytest.mark.parametrize("host, eps", [g[:2] for g in GOLDEN + GOLDEN_UPPER],
+                         ids=[f"{g[0]}-{g[1].numerator}_{g[1].denominator}"
+                              for g in GOLDEN + GOLDEN_UPPER])
+def test_check_cover_measures_only_the_elements_a_written_id_names(
+        golden_upper, host, eps, monkeypatch):
+    # Every other element is one piece, which the one test per group
+    # decides, so the general path's diameter kernel runs once per
+    # distinct written id.
+    graph, up = golden_upper(host, eps)
+    calls = []
+    kernel = xc.max_pair_dist2
+    monkeypatch.setattr(xc, "max_pair_dist2",
+                        lambda pts: calls.append(pts) or kernel(pts))
+    assert check_cover(graph, up) == up.count
+    written = {x for row in up.pieces for x in row if type(x) is int}
+    assert len(calls) == len(written) < up.count
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_interval_sweep_ratios(seg_profile):
         == pytest.approx(math.log(9) / math.log(8), rel=1e-12)
 
 
-def test_sweep_rebuilds_the_host_once(w6):
+def test_sweep_rows_are_each_scales_own_bracket(w6):
     # `lower_separation` checks the host at each scale, so each row is
     # the bracket computed at that scale on its own.
     from sdimlab.cover import lower_separation, upper_cover

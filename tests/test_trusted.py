@@ -3,7 +3,9 @@
 `tests/trusted.txt` lists them, one `module.qualname` a line.  A change
 that makes `verify` reach a function it did not reach, or no longer reach
 one it did, fails here until the list is edited with it, so the code a
-certificate's claim rests on stays listed and in view.
+certificate's claim rests on stays listed and in view.  The README
+states the list's size in functions and in source lines, and a test
+recomputes each.
 
 The names come from the source, not from `co_qualname`, which Python
 3.10 lacks: each module is compiled again and its code objects are named
@@ -33,6 +35,16 @@ README = TRUSTED.parents[1] / "README.md"
 def _listed() -> set[str]:
     return {line for line in TRUSTED.read_text().splitlines()
             if line and not line.startswith("#")}
+
+
+def _source_lines() -> int:
+    """The source lines of the listed functions, by
+    `inspect.getsourcelines`, docstrings and decorators included.  A
+    function defined inside another counts once, with the function around
+    it, whether or not that one is listed."""
+    code = {name: c for c, name in _qualnames().items()}
+    return sum(len(inspect.getsourcelines(code[name])[0])
+               for name in {n.split(".<locals>.")[0] for n in _listed()})
 
 
 def _nested(code: types.CodeType, prefix: str):
@@ -115,3 +127,9 @@ def test_readme_states_the_size_of_the_trusted_base():
     stated = re.findall(r"The trusted base is (\d+) functions\.",
                         README.read_text())
     assert stated == [str(len(_listed()))]
+
+
+def test_readme_states_the_trusted_base_in_source_lines():
+    stated = re.findall(r"Their source is\s+(\d+)\s+lines",
+                        README.read_text())
+    assert stated == [str(_source_lines())]
