@@ -26,7 +26,11 @@ The clip is exact: a closed ball is convex, so it meets each edge in one
 closed interval or not at all, and on a proper host two such intervals
 meet only at a shared vertex inside the ball.  Its components are then a
 union-find over the edges that reach the ball, joined at those vertices
-by `_joined_runs`, which joins the stretches of a cover element too.
+by `_joined_runs`, which joins the stretches of a cover element too, and
+`_clip` returns the edges of the center's component.  A connected set of
+diameter < eps through the center lies in the open ball, so in that
+component; a point closer than eps lies in the closed ball, so whether
+its edge is in that set decides whether the point is in it.
 
 Certificates are self-contained and re-checkable; `check_cover` and
 `check_separation` recompute every claim from scratch with exact rational
@@ -288,58 +292,30 @@ def _joined_runs(graph: PLGraph,
     return sets
 
 
-class _ClipIndex:
-    """Components of the closed eps-ball around the point on `edge` with
-    kernel tuple `raw`, on the graph.
-
-    A closed ball is convex, so it meets each edge in one closed interval
-    or not at all: an edge is kept when its exact distance to the center is
-    <= eps.  On a proper host two kept intervals can share only a common
-    vertex of their edges, and they do exactly when that vertex lies in the
-    ball, so the components of (ball ∩ graph) are the kept edges joined at
-    their vertices inside the ball.  One `point_seg_dist2` per edge and one
-    `dist2_q` per vertex of a kept edge decide it; nothing is subdivided.
-
-    A connected set of diameter < eps through the center lies in the open
-    ball, hence in one component here, so a point outside the center's
-    component is separated from it.  The guard threshold keeps this sound
-    for the full continuum although the ball is closed: every admissible
-    piece through the center lies in the open ball, and the omitted teeth,
-    at distance >= eps from a point above the threshold, miss the open
-    ball, so such a piece sees only material that is in the host.
-    """
-
-    def __init__(self, graph: PLGraph, edge: int, raw, eps2: Fraction,
-                 work: _Work):
-        self.raw = raw
-        self.eps2 = eps2
-        en, ed = eps2.numerator, eps2.denominator
-        verts = graph.raw_vertices()
-        inside: dict[int, bool] = {}
-        runs: list[tuple[int, bool, bool]] = []
-        work.add(len(graph.edges))
-        for e, (a, b) in enumerate(graph.edges):
-            dn, dd = xc.point_seg_dist2(self.raw, verts[a], verts[b])
-            if dn * ed > en * dd:
-                continue
-            for v in (a, b):
-                if v not in inside:
-                    work.add(1)
-                    dn, dd = xc.dist2_q(self.raw, verts[v])
-                    inside[v] = dn * ed <= en * dd
-            runs.append((e, inside[a], inside[b]))
-        sets = _joined_runs(graph, runs)
-        self._comp = {e: sets.find(j) for j, (e, _, _) in enumerate(runs)}
-        self.center_comp = self._comp[edge]
-
-    def separates(self, edge: int, raw) -> bool:
-        """Whether the point on `edge` with kernel tuple `raw` lies outside
-        the center's component of the clipped ball."""
-        comp = self._comp.get(edge)
-        if comp is None or comp != self.center_comp:
-            return True
-        dn, dd = xc.dist2_q(self.raw, raw)
-        return dn * self.eps2.denominator > self.eps2.numerator * dd
+def _clip(graph: PLGraph, edge: int, raw, eps2: Fraction,
+          work: _Work) -> set[int]:
+    """The edges of the component of (closed eps-ball ∩ graph) that holds
+    the point on `edge` with kernel tuple `raw`, by the module's clip
+    argument: one `point_seg_dist2` per edge, one `dist2_q` per vertex of
+    an edge that reaches the ball, each charged to `work`."""
+    en, ed = eps2.numerator, eps2.denominator
+    verts = graph.raw_vertices()
+    inside: dict[int, bool] = {}
+    runs: list[tuple[int, bool, bool]] = []
+    work.add(len(graph.edges))
+    for e, (a, b) in enumerate(graph.edges):
+        dn, dd = xc.point_seg_dist2(raw, verts[a], verts[b])
+        if dn * ed > en * dd:
+            continue
+        for v in (a, b):
+            if v not in inside:
+                work.add(1)
+                dn, dd = xc.dist2_q(raw, verts[v])
+                inside[v] = dn * ed <= en * dd
+        runs.append((e, inside[a], inside[b]))
+    sets = _joined_runs(graph, runs)
+    comp = {e: sets.find(j) for j, (e, _, _) in enumerate(runs)}
+    return {e for e, c in comp.items() if c == comp[edge]}
 
 
 def _scan_apart(graph: PLGraph, points: Iterable[tuple[int, tuple]],
@@ -348,17 +324,17 @@ def _scan_apart(graph: PLGraph, points: Iterable[tuple[int, tuple]],
     None when the point is apart from every point kept so far, which
     keeps it, else the index among the kept points of the first it is
     not apart from.  Two points are apart when their distance is >= eps,
-    or the clip around the new point cuts the kept one off, or the kept
-    point's clip cuts the new one off, tested in that order.  A point's
-    clip is built at most once, when first needed.  Each distance test
-    is charged to `work` before it is made."""
+    or the kept point's edge is not in the new point's `_clip`, or the
+    new point's edge is not in the kept point's, tested in that order.  A
+    point's clip is built at most once, when first needed.  Each distance
+    test is charged to `work` before it is made."""
     en, ed = eps2.numerator, eps2.denominator
-    kept: list[list] = []  # [edge, kernel tuple, clip or None]
+    kept: list[list] = []  # [edge, kernel tuple, clip edges or None]
 
     def cuts(c: list, o: list) -> bool:
         if c[2] is None:
-            c[2] = _ClipIndex(graph, c[0], c[1], eps2, work)
-        return c[2].separates(o[0], o[1])
+            c[2] = _clip(graph, c[0], c[1], eps2, work)
+        return o[0] not in c[2]
 
     for e, rp in points:
         new = [e, rp, None]

@@ -96,9 +96,6 @@ class DimensionProfile:
             if coarse is None or fine.lower > coarse.lower:
                 coarse = fine
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def sweep(graph: PLGraph, epsilons: Iterable[Fraction],
           budget: Budget | None = None) -> DimensionProfile:

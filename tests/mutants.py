@@ -1,6 +1,7 @@
-"""Mutants of the checkers, the cover row layout, the host check, the
-properness code, the attractor hull, the IFS scale table and the cloud
-renderer: small edits that some test must catch.
+"""Mutants of the checkers, the clip, the cover row layout, the host
+check, the exact kernels, the builder's level schedule, the properness
+code, the attractor hull, the IFS scale table and the cloud renderer:
+small edits that some test must catch.
 
 Each row names a mutant, the file under `src/sdimlab/` that it edits, the
 exact text it replaces, the replacement, the ids of tests that fail on
@@ -30,6 +31,7 @@ _CLI = "tests/test_cli.py::"
 _ACCEPT = "tests/test_acceptance.py::"
 _GEOM = "tests/test_geom.py::"
 _BUILD = "tests/test_continuum.py::"
+_XC = "tests/test_exactcore.py::"
 _OFF_GRID = _COVER + "test_upper_certificates_off_the_dyadic_grid_match_golden_"
 _RENDER = "tests/test_render.py::"
 _MERGES = _GEOM + "test_arrange_merges_collinear_overlap"
@@ -60,15 +62,6 @@ MUTANTS = (
             _COVER + "test_oracle_brackets_library_bounds",
             _ACCEPT + "test_criterion_2_brute_force_brackets",
             _ACCEPT + "test_criterion_3_host_mutations")),
-    Mutant("clip-separates-at-half-eps", "cover.py",
-           "return dn * self.eps2.denominator > self.eps2.numerator * dd",
-           "return 4 * dn * self.eps2.denominator > self.eps2.numerator * dd",
-           (_COVER + "test_s_bounds_bracket_small_hosts",
-            _COVER + "test_clip_separates_a_point_outside_the_ball",
-            _COVER + "test_check_separation_tries_the_new_points_clip",
-            _COVER + "test_oracle_brackets_library_bounds",
-            _ACCEPT + "test_criterion_2_brute_force_brackets",
-            _ACCEPT + "test_criterion_3_host_mutations")),
     Mutant("scan-without-the-new-points-clip", "cover.py",
            "or cuts(new, old) or cuts(old, new)",
            "or cuts(old, new)",
@@ -94,6 +87,40 @@ MUTANTS = (
             _ACCEPT + "test_criterion_2_brute_force_brackets",
             _ACCEPT + "test_criterion_3_certificate_fuzzing",
             _ACCEPT + "test_criterion_3_host_mutations")),
+    # A clip joins two kept edges at a shared vertex only when the vertex
+    # lies in the closed ball; joined at every vertex, it cuts too little
+    # off.
+    Mutant("clip-joins-at-every-vertex", "cover.py",
+           "inside[v] = dn * ed <= en * dd",
+           "inside[v] = True",
+           (_COVER + "test_every_close_pair_is_separated_by_a_clip[m2]",
+            _COVER + "test_every_close_pair_is_separated_by_a_clip[m3]",
+            _COVER + "test_s_bounds_bracket_small_hosts",
+            _COVER + "test_peaks_of_adjacent_teeth_are_separated",
+            _COVER + "test_check_separation_tries_the_new_points_clip",
+            _COVER + "test_greedy_lower_on_m2_at_half_is_maximal_and_exact",
+            _COVER + "test_certificates_match_golden_digests[m3-1_16]",
+            _COVER + "test_check_separation_accepts_every_family_the_delta_"
+            "clip_separates")),
+    # Joined at no vertex, a clip is its center's edge alone.
+    Mutant("clip-joins-at-no-vertex", "cover.py",
+           "runs.append((e, inside[a], inside[b]))",
+           "runs.append((e, False, False))",
+           (_COVER + "test_s_bounds_bracket_small_hosts",
+            _COVER + "test_same_tooth_flanks_are_not_separated",
+            _COVER + "test_check_separation_tries_the_new_points_clip",
+            _COVER + "test_check_separation_rejects_false_disconnection",
+            _COVER + "test_oracle_brackets_library_bounds",
+            _ACCEPT + "test_criterion_2_brute_force_brackets")),
+    # The one join for a clip and for a cover element alike.
+    Mutant("joined-runs-without-the-second-vertex", "cover.py",
+           "zip(graph.edges[e], reaches)",
+           "zip(graph.edges[e][:1], reaches)",
+           (_CONNECTED + "[cross_graph]", _CONNECTED + "[m2]",
+            _COVER + "test_cover_verifies_on_all_fixtures",
+            _COVER + "test_same_tooth_flanks_are_not_separated",
+            _COVER + "test_check_separation_rejects_false_disconnection",
+            _ACCEPT + "test_criterion_3_certificate_fuzzing")),
     Mutant("check-separation-without-its-pair-charge", "cover.py",
            "    n = len(pts)\n"
            "    work.budget.check_pairs(work.total + n * (n - 1) // 2)\n",
@@ -187,6 +214,37 @@ MUTANTS = (
            "return raw[2] * threshold.denominator > threshold.numerator",
            (_COVER + "test_guarded_lower_keeps_only_tall_points",
             _COVER + "test_certificates_match_golden_digests[m3-1_16]")),
+    # The rebuild proof trusts the level schedule: K = 3 is the first
+    # tooth at level 1.
+    Mutant("n-k-tower-bound-strict", "continuum.py",
+           "while 2 ** (2 ** (m + 1)) <= k + 1:",
+           "while 2 ** (2 ** (m + 1)) < k + 1:",
+           (_BUILD + "test_n_k_frozen_values[3-1]",
+            _BUILD + "test_n_k_frozen_values[15-2]",
+            _BUILD + "test_paper_truncation_counts[3-7-10]",
+            _COVER + "test_guard_on_wrong_host_fails",
+            _ACCEPT + "test_criterion_6_shark_teeth_structure")),
+    # Past the far end b, the nearest point is b; measured to a, the
+    # clip drops edges that reach the ball, even its center's own when
+    # the center is b.
+    Mutant("point-seg-dist2-to-a-past-the-far-end", "exactcore.py",
+           "        return norm_q(ww_n * vv_d - 2 * wv_n * wv_d + vv_n * ww_d,\n"
+           "                      ww_d * vv_d)\n",
+           "        return norm_q(ww_n, ww_d)\n",
+           (_XC + "TestKernels::test_point_seg_dist2_matches_oracle[python]",
+            _XC + "TestKernels::test_point_seg_dist2_endpoint_cases[python]",
+            _XC + "test_kernels_do_not_call_each_other_through_the_module",
+            _COVER + "test_peaks_of_adjacent_teeth_are_separated",
+            _COVER + "test_s_bounds_bracket_small_hosts")),
+    # An element whose widest pair is two neighbours in its point list
+    # would pass the diameter test.
+    Mutant("max-pair-dist2-skips-each-next-point", "exactcore.py",
+           "for j in range(i + 1, m):",
+           "for j in range(i + 2, m):",
+           (_XC + "TestKernels::test_max_pair_dist2_matches_oracle[python]",
+            _NAMED + "[too-wide]",
+            _COVER + "test_accepted_cover_is_above_the_oracle_lower",
+            _ACCEPT + "test_criterion_3_certificate_fuzzing")),
     Mutant("amplitude-bound-of-the-last-built-tooth", "continuum.py",
            "    k_next = spec.K + 1\n",
            "    k_next = spec.K\n",

@@ -34,7 +34,7 @@ from sdimlab import (Budget, BudgetExceeded, CoverCertificate,
                      upper_cover)
 from sdimlab import exactcore as xc
 from sdimlab.cli import _json_chunks
-from sdimlab.cover import (_candidate_points, _clears, _ClipIndex,
+from sdimlab.cover import (_candidate_points, _clears, _clip,
                            _host_threshold, _Work, _extend)
 
 HALF = Fraction(1, 2)
@@ -259,9 +259,12 @@ def test_interval_separation_reaches_m_plus_one(seg_graph, m):
 
 def _separates(g, c, o, eps) -> bool:
     """Whether the exact clip at eps around the point c = (edge, t) cuts
-    the point o off."""
-    clip = _ClipIndex(g, c[0], g.edge_raw(*c), eps * eps, _Work(Budget()))
-    return clip.separates(o[0], g.edge_raw(*o))
+    the point o off: o lies outside the closed eps-ball around c, or its
+    edge is off the edges of c's component."""
+    rc = g.edge_raw(*c)
+    dn, dd = xc.dist2_q(rc, g.edge_raw(*o))
+    return (Fraction(dn, dd) > eps * eps
+            or o[0] not in _clip(g, c[0], rc, eps * eps, _Work(Budget())))
 
 
 @pytest.mark.parametrize("host", ["m2", "m3", "w6"])
@@ -387,10 +390,15 @@ def test_same_tooth_flanks_are_not_separated(m2):
 
 
 def test_clip_separates_a_point_outside_the_ball(seg_graph):
-    # Same edge, same component, but at distance > eps: not in the ball.
-    c, o = (0, Fraction(0)), (0, Fraction(3, 4))
-    assert _separates(seg_graph, c, o, HALF)
-    assert not _separates(seg_graph, c, (0, HALF), HALF)
+    # Both points lie on the one edge of the clip around t = 0.  The
+    # point at 3/4 is past eps, so the distance alone keeps it; the one
+    # at 1/4 is in the closed ball, so its edge in the clip joins them.
+    assert check_separation(seg_graph, _pair_cert(
+        seg_graph, (0, Fraction(0)), (0, Fraction(3, 4)))) == 2
+    with pytest.raises(VerificationFailure,
+                       match="neither clipped ball separates"):
+        check_separation(seg_graph, _pair_cert(
+            seg_graph, (0, Fraction(0)), (0, QUARTER)))
 
 
 @st.composite

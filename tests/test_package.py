@@ -149,7 +149,8 @@ def test_forwarders_give_what_their_functions_give(m3):
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_every_mutant_edits_one_place_in_src(mutant):
     # Each old text occurs once in `src/`, in the mutant's file, and each
-    # test that kills it is defined where its id says.
+    # test that kills it is defined where its id says, a method of a test
+    # class by its own name.
     src = Path(sdimlab.__file__).resolve().parent
     counts = {f.name: f.read_text().count(mutant.old)
               for f in src.glob("*.py")}
@@ -158,4 +159,5 @@ def test_every_mutant_edits_one_place_in_src(mutant):
     root = src.parents[1]
     for test_id in mutant.kills:
         path, _, name = test_id.partition("::")
-        assert f"def {name.split('[')[0]}(" in (root / path).read_text()
+        name = name.rpartition("::")[2].split("[")[0]
+        assert f"def {name}(" in (root / path).read_text()
